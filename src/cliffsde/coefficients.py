@@ -116,7 +116,7 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
         fx = cmap(x, t)
         # adapted: the image must stay at the argument's level
         defect = lp_norm(fx - conditional_expect(fx, level), p)
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise ContractViolationError(
                 f"{label}: image of a level-{level} element leaves the level "
                 f"algebra (defect {defect:.3e})"
@@ -179,7 +179,7 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
         x, y = _sample_pair(space, rng, level)
         img = rmap(x)
         defect = lp_norm(img - conditional_expect(img, level), p)
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise ContractViolationError(
                 f"{label}: image leaves the level-{level} algebra "
                 f"(defect {defect:.3e})"

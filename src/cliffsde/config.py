@@ -28,6 +28,7 @@ offending key.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -210,6 +211,8 @@ def build_problem(raw: dict):
         raise ConfigError(str(exc), key="grid.n") from None
 
     p = fixed["p"]
+    if not 2 < p < math.inf:
+        raise ConfigError(f"p must be finite and > 2, got p={p!r}", key="p")
     F = _coefficient_section(raw, "F", p)
     G = _coefficient_section(raw, "G", p)
     H = _coefficient_section(raw, "H", p)

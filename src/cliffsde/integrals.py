@@ -93,8 +93,8 @@ def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
         s_right += dj * (mat.conj().T @ mat)
         s_left += dj * (mat @ mat.conj().T)
     return max(
-        psd_power_lp_norm(sp, s_right, 2.0, p),
-        psd_power_lp_norm(sp, s_left, 2.0, p),
+        psd_power_lp_norm(s_right, 2.0, p),
+        psd_power_lp_norm(s_left, 2.0, p),
     )
 
 
@@ -212,7 +212,7 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,
             lam = np.clip(lam, 0.0, None)
             powed = (vec * lam ** (q / 2.0)) @ vec.conj().T
         acc += sp.grid.delta(j) * powed
-    lhs = psd_power_lp_norm(sp, acc, q, p)
+    lhs = psd_power_lp_norm(acc, q, p)
     rhs = lqlp_norm(f, q, p, upto=upto)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))
     return InequalityReport("norm_exchange", p, lhs, rhs, ratio,

@@ -21,6 +21,7 @@ initial condition, i.e. X_t = Z + R(X_{t0}) + integrals.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,8 @@ class QsdeProblem:
     """A fully specified equation instance.
 
     ``Z`` must be measurable at the level of ``start_node`` (level 0, the
-    scalars, in the default case).  ``p`` must exceed 2 — the martingale
-    estimates behind the scheme need it.
+    scalars, in the default case).  ``p`` must be finite and exceed 2 — the
+    martingale estimates behind the scheme need it.
     """
 
     space: CliffordSpace
@@ -71,8 +72,8 @@ class QsdeProblem:
     validate: bool = True
 
     def __post_init__(self):
-        if not self.p > 2:
-            raise ValueError(f"the solver needs p > 2, got p={self.p!r}")
+        if not 2 < self.p < math.inf:
+            raise ValueError(f"the solver needs a finite p > 2, got p={self.p!r}")
         if self.nonlocal_mode not in NONLOCAL_MODES:
             raise ValueError(
                 f"nonlocal_mode must be one of {NONLOCAL_MODES}, "
@@ -90,7 +91,7 @@ class QsdeProblem:
             raise ConfigurationError("Z belongs to a different space")
         level = self.space.level_of_node(self.start_node)
         defect = lp_norm(self.Z - conditional_expect(self.Z, level), self.p)
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise AdaptednessError(
                 f"Z must be level-{level} measurable at the start node "
                 f"(defect {defect:.3e})"
@@ -135,14 +136,19 @@ class InnerResult:
 
 
 def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
-                      p: float, tol: float, max_inner: int = 200) -> InnerResult:
-    """Solve Y = Z + R(Y) + M by Banach iteration from Y0 = Z + M.
+                      p: float, tol: float, max_inner: int = 200,
+                      guess: CliffordElement | None = None,
+                      node: int | None = None) -> InnerResult:
+    """Solve Y = Z + R(Y) + M by Banach iteration.
 
-    Stops when the step falls below tol (the residual is then below
+    Starts from Y0 = Z + R(guess) + M, one step off ``guess``, or from
+    Y0 = Z + M without one; for R = 0 both are the fixed point.  Stops
+    when the step falls below tol (the residual is then below
     C(R) * tol < tol).  Detects stalls: two successive non-contracting
-    steps above tol mean the declared contraction is wrong.
+    steps above tol mean the declared contraction is wrong.  A non-finite
+    step raises at once; ``node`` names the grid node in that message.
     """
-    y = Z + M
+    y = Z + M if guess is None else Z + R(guess) + M
     steps = []
     grew = 0
     for it in range(1, max_inner + 1):
@@ -150,6 +156,11 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
         step = lp_norm(y_next - y, p)
         steps.append(step)
         y = y_next
+        if not math.isfinite(step):
+            where = "" if node is None else f" at node {node}"
+            raise ConvergenceError(
+                f"inner iteration{where} produced a non-finite step "
+                f"({step!r})", deltas=steps)
         if step <= tol:
             res = lp_norm(y - (Z + R(y) + M), p)
             return InnerResult(y, it, res, tuple(steps))
@@ -189,7 +200,7 @@ class SolveReport:
     def node_records(self):
         """Rows (node, time, lp_norm, residual, selfadjoint_defect)."""
         prob = self.problem
-        res = _node_residuals(self.trajectory, prob)
+        res = _node_residuals(self.trajectory.values, prob)
         rows = []
         for off, x in enumerate(self.trajectory.values):
             node = self.trajectory.start_node + off
@@ -247,8 +258,11 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     """Successive approximation until the sup-node L^p delta falls below
     ``tol`` and the defect of the integral equation confirms it.
 
-    The inner (nonlocal) solves run at tol * (1 - C(R)) / 10.  Raises
-    ConvergenceError with the delta trace after ``max_outer`` sweeps.
+    The inner (nonlocal) solves run at tol * (1 - C(R)) / 10, each
+    warm-started from the previous iterate at its node (the previous head
+    in initial mode).  Raises ConvergenceError with the delta trace after
+    ``max_outer`` sweeps, or at once, naming the node, on a non-finite
+    value.
     """
     sp = problem.space
     grid = sp.grid
@@ -275,19 +289,28 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         inner_count = 0
         if problem.nonlocal_mode == "pointwise":
             nxt = []
-            for m_k in integrals:
+            for i, m_k in enumerate(integrals):
                 sol = inner_fixed_point(m_k, problem.R, problem.Z,
-                                        problem.p, inner_tol, max_inner)
+                                        problem.p, inner_tol, max_inner,
+                                        guess=current[i], node=k0 + i)
                 nxt.append(sol.value)
                 inner_count += sol.iterations
         else:
             sol = inner_fixed_point(sp.zero(), problem.R, problem.Z,
-                                    problem.p, inner_tol, max_inner)
+                                    problem.p, inner_tol, max_inner,
+                                    guess=current[0], node=k0)
             head = sol.value
             inner_count = sol.iterations
             nxt = [head + m_k for m_k in integrals]
 
-        delta = max(lp_norm(a - b, problem.p) for a, b in zip(nxt, current))
+        node_deltas = [lp_norm(a - b, problem.p) for a, b in zip(nxt, current)]
+        for i, d in enumerate(node_deltas):
+            if not math.isfinite(d):
+                raise ConvergenceError(
+                    f"Picard sweep {len(trace_delta) + 1} produced a "
+                    f"non-finite delta ({d!r}) at node {k0 + i}",
+                    deltas=trace_delta + [d])
+        delta = max(node_deltas)
         trace_delta.append(delta)
         trace_inner.append(inner_count)
         trace_adapt.append(max(
@@ -298,7 +321,8 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         current = nxt
 
         if delta < tol:
-            res = _max_residual(current, problem, incs, times, deltas)
+            res = max(_node_residuals(current, problem,
+                                      (incs, times, deltas)))
             if res < residual_bound:
                 trajectory = AdaptedProcess(sp, current, start_node=k0)
                 return SolveReport(
@@ -317,9 +341,8 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     )
 
 
-def _node_residuals(trajectory: AdaptedProcess, problem: QsdeProblem,
-                    precomputed=None):
-    values = list(trajectory.values)
+def _node_residuals(values, problem: QsdeProblem, precomputed=None):
+    """|| X_k - Z - R(X) - M_k[X] ||_p at every node of ``values``."""
     incs, times, deltas = precomputed or _integrator_state(problem)
     integrals = _cumulative_integrals(problem, values, incs, times, deltas)
     if problem.nonlocal_mode == "pointwise":
@@ -333,26 +356,13 @@ def _node_residuals(trajectory: AdaptedProcess, problem: QsdeProblem,
     ]
 
 
-def _max_residual(values, problem, incs, times, deltas):
-    integrals = _cumulative_integrals(problem, values, incs, times, deltas)
-    if problem.nonlocal_mode == "pointwise":
-        heads = [problem.Z + problem.R(x) for x in values]
-    else:
-        head = problem.Z + problem.R(values[0])
-        heads = [head] * len(values)
-    return max(
-        lp_norm(x - h - m, problem.p)
-        for x, h, m in zip(values, heads, integrals)
-    )
-
-
 def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
     """sup over nodes of || X_k - Z - R(X) - M_k[X] ||_p, with the
     integrals recomputed from the trajectory itself."""
     if trajectory.start_node != problem.start_node or \
             trajectory.last_node != problem.space.grid.n:
         raise ValueError("trajectory does not cover the problem's node range")
-    return max(_node_residuals(trajectory, problem))
+    return max(_node_residuals(trajectory.values, problem))
 
 
 def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:

@@ -146,6 +146,14 @@ def test_solve_reports_the_offending_key(capsys, tmp_path):
     assert "config error (grid.n)" in err
 
 
+def test_solve_rejects_an_infinite_exponent(capsys, tmp_path):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text("grid.n = 4\np = inf\n")
+    code, _, err = _run(capsys, "solve", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("config error (p)")
+
+
 def test_solve_nonconvergence_writes_delta_trace(capsys, tmp_path):
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = 6\nF.name = scale\nF.c = 1.0\n"

@@ -131,6 +131,24 @@ def test_non_integer_step_count():
     assert _key_of(e) == "grid.n"
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "2.0", "1.5"])
+def test_exponent_must_be_finite_and_above_two(value):
+    with pytest.raises(ConfigError, match="p") as e:
+        build_problem(parse_config(f"p = {value}\n"))
+    assert _key_of(e) == "p"
+
+
+@pytest.mark.parametrize("text", ["Z.e = nan\n", "Z.e = inf\n",
+                                  "F.name = scale\nF.c = nan\n",
+                                  "F.name = scale\nF.c = 1e308\n"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_data_fail_the_build(text):
+    # a NaN norm compares false against every tolerance: the build must
+    # still reject these values instead of handing them to the solver
+    with pytest.raises(ConfigError):
+        build_problem(parse_config("grid.n = 4\n" + text))
+
+
 def test_unknown_driver_kind():
     with pytest.raises(ConfigError) as e:
         build_problem(parse_config("driver.kind = brownian\n"))

@@ -6,6 +6,8 @@ has eigenvalues {4, 0} with equal multiplicity, so
     ||1 + e0||_p = (mean lam^(p/2))^(1/p) = (4^(p/2) / 2)^(1/p) = 2 * 2^(-1/p).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,13 @@ from cliffsde import (
     random_level_element,
     state,
 )
+from cliffsde.element import CliffordElement, psd_power_lp_norm
 
 EXACT = 1e-12
 P_GRID = (1.0, 2.0, 3.0, 7.5)
 
 _SP = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+_SP16 = make_space(TimeGrid.uniform(0.0, 1.0, 8))
 
 
 def _random_element(sp, rng):
@@ -89,6 +93,55 @@ def test_norm_rejects_p_below_one(space4):
     for p in (0.99, 0.5, 0.0, -1.0):
         with pytest.raises(ValueError):
             lp_norm(space4.identity(), p)
+
+
+@pytest.mark.parametrize("p", (math.inf, -math.inf, math.nan))
+def test_norm_rejects_non_finite_p(space4, p):
+    with pytest.raises(ValueError, match="p="):
+        lp_norm(3.0 * space4.identity(), p)
+    with pytest.raises(ValueError, match="p="):
+        psd_power_lp_norm(np.eye(space4.dim), 2.0, p)
+
+
+def _spectral_power_norm(psd, root, p):
+    """Reference: m(S^(p/root))^(1/p) from the clipped spectrum of S."""
+    lam = np.clip(np.linalg.eigvalsh(psd), 0.0, None)
+    return float(np.mean(lam ** (p / root)) ** (1.0 / p))
+
+
+def _scaled_low_rank(seed, rank, log_scale, d):
+    """A d x d complex matrix of the given rank (d = full) and size."""
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    right = rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))
+    return 10.0 ** log_scale * (left @ right) / rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       p=st.sampled_from((3.0, 4.0, 6.0, 8.0)),
+       rank=st.sampled_from((1, 2, 3, 16)),
+       log_scale=st.floats(min_value=-14.0, max_value=3.0))
+def test_lp_norm_matches_the_spectral_reference(seed, p, rank, log_scale):
+    x = _SP16.element(_scaled_low_rank(seed, rank, log_scale, _SP16.dim))
+    ref = _spectral_power_norm(x.mat.conj().T @ x.mat, 2.0, p)
+    assert abs(lp_norm(x, p) - ref) <= 1e-12 * ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       root_p=st.sampled_from(((1.0, 3.0), (2.0, 4.0), (2.0, 6.0),
+                               (1.5, 4.5), (3.0, 6.0), (2.0, 8.0),
+                               (2.0, 3.0), (2.0, 7.0), (4.0, 6.0))),
+       rank=st.sampled_from((1, 2, 3, 16)),
+       log_scale=st.floats(min_value=-14.0, max_value=3.0))
+def test_psd_power_norm_matches_the_spectral_reference(seed, root_p, rank,
+                                                       log_scale):
+    root, p = root_p
+    a = _scaled_low_rank(seed, rank, log_scale, 16)
+    psd = a.conj().T @ a
+    ref = _spectral_power_norm(psd, root, p)
+    assert abs(psd_power_lp_norm(psd, root, p) - ref) <= 1e-12 * ref
 
 
 def test_norm_monotone_in_p(space4, rng):
@@ -168,6 +221,30 @@ def test_matrix_is_read_only(space4):
     x = space4.generator(0)
     with pytest.raises(ValueError):
         x.mat[0, 0] = 9.0
+
+
+def test_caller_array_is_copied(space4):
+    raw = np.eye(space4.dim, dtype=complex)
+    x = CliffordElement(space4, raw)
+    y = space4.element(raw)
+    raw[0, 0] = 9.0
+    assert x.mat[0, 0] == 1.0
+    assert y.mat[0, 0] == 1.0
+
+
+def test_operator_results_are_read_only(space4, rng):
+    x = _random_element(space4, rng)
+    y = _random_element(space4, rng)
+    before = x.mat.copy()
+    results = (x + y, x - y, -x, 2.0 * x, x * 2.0, x / 2.0, x @ y,
+               x.adjoint())
+    for r in results:
+        assert r.mat.shape == (space4.dim, space4.dim)
+        assert not np.shares_memory(r.mat, x.mat)
+        with pytest.raises(ValueError):
+            r.mat[0, 0] = 9.0
+    np.testing.assert_array_equal(x.mat, before)
+    np.testing.assert_array_equal(x.adjoint().mat, x.mat.conj().T)
 
 
 def test_adjoint_involution(space4, rng):

@@ -40,6 +40,8 @@ from cliffsde import (
     selfadjoint_solve_check,
     uniqueness_probe,
 )
+from cliffsde import solver as solver_module
+from cliffsde.solver import NONLOCAL_MODES
 
 TOL = 1e-10
 EULER_GAP = 1e-10
@@ -105,6 +107,48 @@ def test_warm_start_from_the_fixed_point():
     assert report.picard_iterations == 1
 
 
+@pytest.mark.parametrize("mode", NONLOCAL_MODES)
+def test_local_problem_takes_one_inner_step_per_node(mode):
+    prob = make_problem("linear_full", n=6).replace(nonlocal_mode=mode)
+    report = picard_solve(prob, tol=TOL)
+    per_sweep = len(report.trajectory) if mode == "pointwise" else 1
+    assert report.inner_iterations == [per_sweep] * report.picard_iterations
+
+
+@pytest.mark.parametrize("mode", NONLOCAL_MODES)
+@pytest.mark.parametrize("name", ["nonlocal_linear", "nonlocal_conditional"])
+def test_warm_and_cold_inner_starts_reach_the_same_fixed_point(
+        name, mode, monkeypatch):
+    prob = make_problem(name, n=8, nonlocal_mode=mode)
+    warm = picard_solve(prob, tol=TOL)
+
+    def cold(M, R, Z, p, tol, max_inner=200, guess=None, node=None):
+        return inner_fixed_point(M, R, Z, p, tol, max_inner)
+
+    monkeypatch.setattr(solver_module, "inner_fixed_point", cold)
+    cold_report = picard_solve(prob, tol=TOL)
+    assert _sup_dist(warm.trajectory, cold_report.trajectory, prob.p) \
+        <= 2 * TOL
+    assert sum(warm.inner_iterations) < sum(cold_report.inner_iterations)
+
+
+def _nan_drift_from(prob, t_bad):
+    """prob with H = 0 before t_bad and NaN * x from t_bad on."""
+    nan_h = CoefficientMap(
+        fn=lambda x, t: (math.nan if t >= t_bad else 0.0) * x,
+        modulus=prob.H.modulus, name="nan_drift")
+    return prob.replace(H=nan_h, validate=False)
+
+
+@pytest.mark.parametrize("mode", NONLOCAL_MODES)
+def test_picard_names_the_node_of_a_non_finite_value(mode):
+    # H(x, 0.5) is NaN, so M_3 (node 3 of 0..4) is the first NaN integral
+    prob = make_problem("nonlocal_linear", n=4, nonlocal_mode=mode)
+    with pytest.raises(ConvergenceError, match="non-finite") as exc:
+        picard_solve(_nan_drift_from(prob, 0.5), tol=TOL)
+    assert "node 3" in str(exc.value)
+
+
 def test_initial_trajectory_must_cover_node_range():
     prob = make_problem("linear_full", n=4)
     short = AdaptedProcess(prob.space, [prob.Z] * 3)
@@ -162,6 +206,26 @@ def test_inner_detects_expanding_map():
     liar = NonlocalMap(fn=lambda x: 1.25 * x, contraction=0.5, name="liar")
     with pytest.raises(ContractViolationError, match="expands"):
         inner_fixed_point(sp.zero(), liar, sp.identity(), 4.0, 1e-12)
+
+
+def test_inner_warm_start_is_one_step_off_the_guess():
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+    rmap = make_nonlocal("scale", c=0.5)
+    cold = inner_fixed_point(sp.zero(), rmap, sp.identity(), 4.0, 1e-12)
+    warm = inner_fixed_point(sp.zero(), rmap, sp.identity(), 4.0, 1e-12,
+                             guess=cold.value)
+    assert warm.iterations == 1
+    assert lp_norm(warm.value - cold.value, 4.0) <= 2e-12
+
+
+def test_inner_stops_at_a_non_finite_step():
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+    m = sp.element(np.full((sp.dim, sp.dim), np.nan))
+    with pytest.raises(ConvergenceError, match="non-finite") as exc:
+        inner_fixed_point(m, make_nonlocal("scale", c=0.5), sp.identity(),
+                          4.0, 1e-12, node=2)
+    assert "node 2" in str(exc.value)
+    assert len(exc.value.deltas) == 1
 
 
 def test_inner_iteration_budget():
@@ -263,6 +327,13 @@ def test_problem_needs_p_above_two():
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
     with pytest.raises(ValueError, match="p > 2"):
         _bare(sp, p=2.0)
+
+
+@pytest.mark.parametrize("p", (math.inf, math.nan))
+def test_problem_needs_finite_p(p):
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+    with pytest.raises(ValueError, match="p > 2"):
+        _bare(sp, p=p)
 
 
 def test_problem_rejects_unknown_nonlocal_mode():
