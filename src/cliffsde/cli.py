@@ -17,7 +17,8 @@ import os
 import sys
 
 from .config import load_problem
-from .errors import ConfigError, ContractViolationError, ConvergenceError
+from .errors import (ConfigError, ContractViolationError, ConvergenceError,
+                     OsgoodViolationError)
 from .experiments import (
     SUITE_NAMES,
     SuiteConfig,
@@ -27,28 +28,12 @@ from .experiments import (
 from .grid import TimeGrid
 from .integrals import measure_bg_constant
 from .modulus import bihari_bound, make_modulus
-from .errors import OsgoodViolationError
-from .process import Driver
+from .process import DRIVER_KINDS, Driver
 from .solver import picard_solve
 from .space import make_space
 
 ENV_SEED = "CLIFFSDE_SEED"
 DEFAULT_SEED = 1729
-
-#: suite -> (statistic substring, aggregate) used for the summary line
-_WORST = {
-    "bg_ratio": ("bp1_max", max),
-    "norm_exchange": ("ratio_max", max),
-    "car_identity": ("defect_max", max),
-    "parity_lemma": ("defect_max", max),
-    "picard": ("residual", max),
-    "uniqueness": ("gap", max),
-    "gronwall": ("margin_min", min),
-    "coeff_stability": ("dist@delta=2^-8", max),
-    "selfadjoint": ("defect_max", max),
-    "bihari": ("abs_err_max", max),
-    "refinement": ("adapted_defect_max", max),
-}
 
 
 def _default_seed() -> int:
@@ -68,17 +53,10 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _suite_worst(table, suite: str) -> float:
-    substring, agg = _WORST.get(suite, ("", max))
-    vals = [v for (s, _, st, v) in table.rows
-            if s == suite and substring in st]
-    return agg(vals) if vals else float("nan")
-
-
 def _print_summaries(table, names) -> None:
     for name in names:
         status = "PASS" if table.suite_passed(name) else "FAIL"
-        worst = _suite_worst(table, name)
+        worst = table.worst(name)
         worst_s = "n/a" if math.isnan(worst) else repr(worst)
         print(f"{name} {status} worst={worst_s}")
 
@@ -150,16 +128,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench_constants(args) -> int:
-    driver_factories = {
-        "fermion_field": Driver.fermion_field,
-        "annihilation": Driver.annihilation,
-        "creation": Driver.creation,
-    }
-    if args.driver not in driver_factories:
+    # linear_combination needs alpha1/alpha2, which this command has no
+    # flags for
+    if args.driver not in DRIVER_KINDS or args.driver == "linear_combination":
         print(f"config error (--driver): unknown driver {args.driver!r}",
               file=sys.stderr)
         return 2
-    driver = driver_factories[args.driver]()
+    driver = Driver(args.driver)
     n = args.n
     if driver.required_layout == "pair" and n > 6:
         print(f"config error (--n): pair layout uses 2 generators per "

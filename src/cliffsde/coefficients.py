@@ -24,6 +24,7 @@ from .errors import ContractViolationError
 from .modulus import OsgoodModulus
 from .space import (
     CliffordSpace,
+    adaptedness_defect,
     conditional_expect,
     parity_decompose,
     random_level_element,
@@ -115,7 +116,7 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
         x, y = _sample_pair(space, rng, level)
         fx = cmap(x, t)
         # adapted: the image must stay at the argument's level
-        defect = lp_norm(fx - conditional_expect(fx, level), p)
+        defect = adaptedness_defect(fx, level, p)
         if not defect <= 1e-10:
             raise ContractViolationError(
                 f"{label}: image of a level-{level} element leaves the level "
@@ -178,7 +179,7 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
         level = space.level_of_node(k)
         x, y = _sample_pair(space, rng, level)
         img = rmap(x)
-        defect = lp_norm(img - conditional_expect(img, level), p)
+        defect = adaptedness_defect(img, level, p)
         if not defect <= 1e-10:
             raise ContractViolationError(
                 f"{label}: image leaves the level-{level} algebra "

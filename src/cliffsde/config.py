@@ -23,26 +23,25 @@ of generators 1 and 3 (labels are 1-based and strictly increasing).
 Coefficient values may be complex (``0.5+0.25j``).
 
 Every parse or build failure raises :class:`ConfigError` carrying the
-offending key.
+offending key.  Numeric values must be finite; ``grid.n``, ``solve.tol``,
+``solve.max_outer`` and ``solve.max_inner`` must be positive.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
 
 from .coefficients import make_coefficient, make_nonlocal
-from .errors import CliffsdeError, ConfigError
+from .errors import CliffsdeError, ConfigError, ConfigurationError
 from .grid import TimeGrid
 from .process import Driver
 from .solver import NONLOCAL_MODES, QsdeProblem
 from .space import DEFAULT_MAX_GENERATORS, make_space
 
 _MONOMIAL_RE = re.compile(r"^e(\d+(_\d+)*)?$")
-
-_DRIVER_KINDS = ("fermion_field", "annihilation", "creation",
-                 "linear_combination")
 
 #: key -> converter for the fixed (non-free-form) part of the schema
 _FIXED_KEYS = {
@@ -76,6 +75,9 @@ _DEFAULTS = {
     "solve.start_node": 0,
     "solve.nonlocal_mode": "pointwise",
 }
+
+#: fixed keys whose value must be > 0
+_POSITIVE_KEYS = ("grid.n", "solve.tol", "solve.max_outer", "solve.max_inner")
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,27 @@ def _check_key_shape(key: str) -> None:
     raise ConfigError(f"unknown configuration key {key!r}", key=key)
 
 
+def _finite(key: str, number):
+    """``number`` (real or complex) if it is finite; else a ConfigError."""
+    if not cmath.isfinite(number):
+        raise ConfigError(f"{key!r} must be finite, got {number!r}", key=key)
+    return number
+
+
 def _convert(key: str, value: str):
     conv = _FIXED_KEYS[key]
     try:
-        return conv(value)
+        out = conv(value)
     except ValueError:
         raise ConfigError(
             f"cannot read {key!r}: {value!r} is not a valid {conv.__name__}",
             key=key,
         ) from None
+    if conv is float:
+        _finite(key, out)
+    if key in _POSITIVE_KEYS and not out > 0:
+        raise ConfigError(f"{key!r} must be > 0, got {out!r}", key=key)
+    return out
 
 
 def _monomial_subset(key: str, label: str):
@@ -152,7 +166,7 @@ def _coefficient_section(raw: dict, section: str, p: float):
         if head != section or tail == "name":
             continue
         try:
-            params[tail] = float(value)
+            params[tail] = _finite(key, float(value))
         except ValueError:
             raise ConfigError(
                 f"{key!r}: parameter must be numeric, got {value!r}", key=key
@@ -179,17 +193,11 @@ def build_problem(raw: dict):
         if key in raw:
             fixed[key] = _convert(key, raw[key])
 
-    kind = fixed["driver.kind"]
-    if kind not in _DRIVER_KINDS:
-        raise ConfigError(
-            f"driver.kind must be one of {_DRIVER_KINDS}, got {kind!r}",
-            key="driver.kind",
-        )
-    if kind == "linear_combination":
-        driver = Driver.linear_combination(fixed["driver.alpha1"],
-                                           fixed["driver.alpha2"])
-    else:
-        driver = getattr(Driver, kind)()
+    try:
+        driver = Driver(fixed["driver.kind"], complex(fixed["driver.alpha1"]),
+                        complex(fixed["driver.alpha2"]))
+    except ConfigurationError as exc:
+        raise ConfigError(str(exc), key="driver.kind") from None
 
     mode = fixed["solve.nonlocal_mode"]
     if mode not in NONLOCAL_MODES:
@@ -231,7 +239,7 @@ def build_problem(raw: dict):
                 key=key,
             )
         try:
-            c = complex(value)
+            c = _finite(key, complex(value))
         except ValueError:
             raise ConfigError(
                 f"{key!r}: coefficient must be a (complex) number, "

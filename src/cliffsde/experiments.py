@@ -25,6 +25,7 @@ import numpy as np
 from .element import lp_norm, op_norm
 from .errors import OsgoodViolationError
 from .integrals import (
+    _running_sums,
     check_bg,
     check_norm_exchange,
     driver_integral,
@@ -69,11 +70,19 @@ SOLVER_SUITES = ("picard", "uniqueness", "gronwall", "coeff_stability",
 RATIO_TOL = 1e-9
 EXACTNESS_TOL = 1e-12
 
-_DRIVER_FACTORIES = {
-    "fermion_field": Driver.fermion_field,
-    "annihilation": Driver.annihilation,
-    "creation": Driver.creation,
-    "linear_combination": Driver.linear_combination,
+#: suite -> (statistic substring, aggregate) of its summary worst value
+_WORST = {
+    "bg_ratio": ("bp1_max", max),
+    "norm_exchange": ("ratio_max", max),
+    "car_identity": ("defect_max", max),
+    "parity_lemma": ("defect_max", max),
+    "picard": ("residual", max),
+    "uniqueness": ("gap", max),
+    "gronwall": ("margin_min", min),
+    "coeff_stability": ("dist@delta=2^-8", max),
+    "selfadjoint": ("defect_max", max),
+    "bihari": ("abs_err_max", max),
+    "refinement": ("adapted_defect_max", max),
 }
 
 
@@ -160,10 +169,17 @@ class SweepTable:
     def passed(self) -> bool:
         return not self.violations
 
-    def worst(self, suite: str, statistic_substring: str = "") -> float:
+    def worst(self, suite: str,
+              statistic_substring: str | None = None) -> float:
+        """Worst of the suite's statistics containing the substring (by
+        default its summary statistic): the min for margins, else the max;
+        NaN when none matches."""
+        substring, agg = _WORST.get(suite, ("", max))
+        if statistic_substring is not None:
+            substring = statistic_substring
         vals = [v for (s, _, st, v) in self.rows
-                if s == suite and statistic_substring in st]
-        return max(vals) if vals else float("nan")
+                if s == suite and substring in st]
+        return agg(vals) if vals else float("nan")
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -196,21 +212,9 @@ def _map_trials(worker, trials: int, max_workers: int):
     return [worker(t) for t in range(trials)]
 
 
-def _driver_for(kind: str) -> Driver:
-    try:
-        return _DRIVER_FACTORIES[kind]()
-    except KeyError:
-        raise ValueError(f"unknown driver kind {kind!r}; "
-                         f"known: {sorted(_DRIVER_FACTORIES)}") from None
-
-
-def _spaces_for(config: SuiteConfig, layout: str):
-    n_values = config.n_grid if layout == "fermion" else config.pair_n_grid
-    return [
-        make_space(TimeGrid.uniform(config.t0, config.t0 + config.horizon, n),
-                   layout=layout)
-        for n in n_values
-    ]
+def _space(config: SuiteConfig, n: int, layout: str = "fermion"):
+    grid = TimeGrid.uniform(config.t0, config.t0 + config.horizon, n)
+    return make_space(grid, layout=layout)
 
 
 # -- individual suites ---------------------------------------------------------
@@ -231,21 +235,15 @@ def _bg_ratio_suite(config: SuiteConfig) -> SweepTable:
     table = SweepTable()
     suite = "bg_ratio"
     cells = []
-    for kind in config.drivers:
-        driver = _driver_for(kind)
-        layout = driver.required_layout
-        n_values = config.n_grid if layout == "fermion" else config.pair_n_grid
-        for n in n_values:
+    for driver in map(Driver, config.drivers):
+        fermion = driver.required_layout == "fermion"
+        for n in config.n_grid if fermion else config.pair_n_grid:
             for p in config.p_grid:
                 for side in ("right", "left"):
-                    cells.append((p, n, kind, side))
+                    cells.append((p, n, driver, side))
 
-    for cell_index, (p, n, kind, side) in enumerate(cells):
-        driver = _driver_for(kind)
-        space = make_space(
-            TimeGrid.uniform(config.t0, config.t0 + config.horizon, n),
-            layout=driver.required_layout,
-        )
+    for cell_index, (p, n, driver, side) in enumerate(cells):
+        space = _space(config, n, driver.required_layout)
         cell = f"p={p:g} n={n} driver={driver.label} side={side}"
 
         def worker(t, p=p, space=space, driver=driver, side=side,
@@ -312,9 +310,7 @@ def _norm_exchange_suite(config: SuiteConfig) -> SweepTable:
     cells = [(q, p, n) for q, p in pairs for n in config.n_grid]
 
     for cell_index, (q, p, n) in enumerate(cells):
-        space = make_space(
-            TimeGrid.uniform(config.t0, config.t0 + config.horizon, n)
-        )
+        space = _space(config, n)
         cell = f"q={q:g} p={p:g} n={n}"
 
         def worker(t, q=q, p=p, space=space, cell_index=cell_index):
@@ -348,7 +344,7 @@ def _car_identity_suite(config: SuiteConfig) -> SweepTable:
 
     # Clifford relations on the largest fermion space
     n = max(config.n_grid)
-    space = make_space(TimeGrid.uniform(config.t0, config.t0 + config.horizon, n))
+    space = _space(config, n)
     cell = f"layout=fermion n={n}"
     worst = 0.0
     m = space.n_gen
@@ -363,10 +359,7 @@ def _car_identity_suite(config: SuiteConfig) -> SweepTable:
         table.violate(suite, cell, f"anticommutation defect {worst!r}")
 
     for n_pair in config.pair_n_grid:
-        space = make_space(
-            TimeGrid.uniform(config.t0, config.t0 + config.horizon, n_pair),
-            layout="pair",
-        )
+        space = _space(config, n_pair, "pair")
         cell = f"layout=pair n={n_pair}"
         inc_worst = nil_worst = 0.0
         for k in range(n_pair):
@@ -377,9 +370,9 @@ def _car_identity_suite(config: SuiteConfig) -> SweepTable:
                 da @ ds + ds @ da - delta * space.identity()))
             nil_worst = max(nil_worst, op_norm(da @ da))
         run_worst = 0.0
-        acc = space.zero()
-        for k in range(n_pair):
-            acc = acc + space.annihilation_increment(k)
+        running = _running_sums(space, ((space.annihilation_increment(k),)
+                                        for k in range(n_pair)))
+        for k, acc in enumerate(running[1:]):
             accs = acc.adjoint()
             elapsed = space.grid.node(k + 1) - space.grid.t0
             run_worst = max(run_worst, op_norm(
@@ -404,9 +397,7 @@ def _parity_lemma_suite(config: SuiteConfig) -> SweepTable:
     trials = max(1, config.trials // 8)
 
     for cell_index, n in enumerate(cells):
-        space = make_space(
-            TimeGrid.uniform(config.t0, config.t0 + config.horizon, n)
-        )
+        space = _space(config, n)
         cell = f"layout=fermion n={n}"
 
         def worker(t, space=space, n=n, cell_index=cell_index):
@@ -445,19 +436,23 @@ def _picard_suite(config: SuiteConfig) -> SweepTable:
     suite = "picard"
     tol = config.solver_tol
 
-    for name in _PICARD_LIPSCHITZ_FREE:
+    for name in _PICARD_LIPSCHITZ_FREE + _PICARD_NONLOCAL:
         prob = make_problem(name, t0=config.t0, horizon=config.horizon)
         rep = picard_solve(prob, tol=tol, max_outer=config.max_outer)
-        oracle = forward_euler_oracle(prob)
-        gap = max(lp_norm(a - b, prob.p)
-                  for a, b in zip(rep.trajectory.values, oracle.values))
         cell = f"problem={name}"
         table.add(suite, cell, "iterations", rep.picard_iterations)
         table.add(suite, cell, "residual", rep.residual)
-        table.add(suite, cell, "euler_gap", gap)
         table.add(suite, cell, "delta_final", rep.deltas[-1])
-        if gap > 1e-10:
-            table.violate(suite, cell, f"euler gap {gap!r}")
+        if name in _PICARD_NONLOCAL:
+            table.add(suite, cell, "inner_iterations_last",
+                      rep.inner_iterations[-1])
+        else:
+            oracle = forward_euler_oracle(prob)
+            gap = max(lp_norm(a - b, prob.p)
+                      for a, b in zip(rep.trajectory.values, oracle.values))
+            table.add(suite, cell, "euler_gap", gap)
+            if gap > 1e-10:
+                table.violate(suite, cell, f"euler gap {gap!r}")
         if rep.residual > 1e-8:
             table.violate(suite, cell, f"residual {rep.residual!r}")
         tail = rep.deltas[2:]
@@ -466,21 +461,6 @@ def _picard_suite(config: SuiteConfig) -> SweepTable:
         if name == "zero" and rep.picard_iterations != 1:
             table.violate(suite, cell,
                           f"zero problem took {rep.picard_iterations} sweeps")
-
-    for name in _PICARD_NONLOCAL:
-        prob = make_problem(name, t0=config.t0, horizon=config.horizon)
-        rep = picard_solve(prob, tol=tol, max_outer=config.max_outer)
-        cell = f"problem={name}"
-        table.add(suite, cell, "iterations", rep.picard_iterations)
-        table.add(suite, cell, "residual", rep.residual)
-        table.add(suite, cell, "delta_final", rep.deltas[-1])
-        table.add(suite, cell, "inner_iterations_last",
-                  rep.inner_iterations[-1])
-        if rep.residual > 1e-8:
-            table.violate(suite, cell, f"residual {rep.residual!r}")
-        tail = rep.deltas[2:]
-        if any(b > a for a, b in zip(tail, tail[1:])):
-            table.violate(suite, cell, "delta trace not non-increasing")
 
     prob = make_problem("osgood_radial", t0=config.t0, horizon=config.horizon)
     rep = picard_solve(prob, tol=min(tol, 1e-8), max_outer=config.max_outer)

@@ -28,7 +28,7 @@ import numpy as np
 from .element import CliffordElement, lp_norm, op_norm, psd_power_lp_norm
 from .errors import AdaptednessError, ContractViolationError, ZeroProcessError
 from .process import ADAPTEDNESS_REJECT_TOL, AdaptedProcess, Driver
-from .space import conditional_expect, parity_decompose
+from .space import adaptedness_defect, conditional_expect, parity_decompose
 
 
 def _resolve_upto(f: AdaptedProcess, upto) -> int:
@@ -44,19 +44,33 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
     return upto
 
 
+def _running_sums(space, steps) -> list:
+    """Partial sums [0, s_0, s_0 + s_1, ...] of an integral, accumulated
+    left to right from ``space.zero()``.  Each step is a tuple of terms
+    added one at a time, so ``acc + a + b`` keeps its rounding."""
+    acc = space.zero()
+    out = [acc]
+    for step in steps:
+        for term in step:
+            acc = acc + term
+        out.append(acc)
+    return out
+
+
+def _driver_steps(f: AdaptedProcess, driver: Driver, upto: int, side: str):
+    sp = f.space
+    for j in range(f.start_node, upto):
+        inc, fj = driver.increment(sp, j), f.value(j)
+        yield (fj @ inc if side == "right" else inc @ fj,)
+
+
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
                     side: str = "right") -> CliffordElement:
     """sum f(tau_j) dxi_j (side='right') or sum dxi_j f(tau_j) (side='left')."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     upto = _resolve_upto(f, upto)
-    sp = f.space
-    acc = sp.zero()
-    for j in range(f.start_node, upto):
-        inc = driver.increment(sp, j)
-        fj = f.value(j)
-        acc = acc + (fj @ inc if side == "right" else inc @ fj)
-    return acc
+    return _running_sums(f.space, _driver_steps(f, driver, upto, side))[-1]
 
 
 def right_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
@@ -73,10 +87,9 @@ def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
     """sum f(tau_j) delta_j; obeys ||.||_p <= sum ||f_j||_p delta_j."""
     upto = _resolve_upto(f, upto)
     sp = f.space
-    acc = sp.zero()
-    for j in range(f.start_node, upto):
-        acc = acc + sp.grid.delta(j) * f.value(j)
-    return acc
+    steps = ((sp.grid.delta(j) * f.value(j),)
+             for j in range(f.start_node, upto))
+    return _running_sums(sp, steps)[-1]
 
 
 def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
@@ -127,18 +140,12 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
         driver = Driver.fermion_field()
     upto = _resolve_upto(f, upto)
     sp = f.space
-    partial = {f.start_node: sp.zero()}
-    acc = sp.zero()
-    for j in range(f.start_node, upto):
-        inc = driver.increment(sp, j)
-        fj = f.value(j)
-        acc = acc + (fj @ inc if side == "right" else inc @ fj)
-        partial[j + 1] = acc
-    m_t = partial[upto]
+    partial = _running_sums(sp, _driver_steps(f, driver, upto, side))
+    m_t = partial[-1]
     worst = 0.0
-    for s in range(f.start_node, upto + 1):
-        proj = conditional_expect(m_t, sp.level_of_node(s))
-        worst = max(worst, lp_norm(proj - partial[s], p))
+    for off, m_s in enumerate(partial):
+        proj = conditional_expect(m_t, sp.level_of_node(f.start_node + off))
+        worst = max(worst, lp_norm(proj - m_s, p))
     return worst
 
 
@@ -152,7 +159,7 @@ def parity_commutation_defect(h: CliffordElement, increment_index: int):
     """
     sp = h.space
     level = sp.level_of_node(increment_index)
-    gap = lp_norm(h - conditional_expect(h, level), 2)
+    gap = adaptedness_defect(h, level, 2)
     if gap > 1e-8:
         raise ContractViolationError(
             f"h is not level-{level} measurable (defect {gap:.3e}); the "

@@ -12,6 +12,13 @@ increments of 1/rho over [1e-10, 1e-2] must not decay geometrically
 (successive per-decade increments must keep at least ``ratio_floor`` of the
 previous one).  This accepts rho(r) = r and rho(r) = r ln(e + 1/r) and
 rejects rho(r) = sqrt(r), whose increments shrink by 10^(-1/2) per decade.
+
+Quadrature is a 32-point Gauss-Legendre rule.  Integrals in r (the decade
+increments and U(r) = int_{u0}^{r} ds / rho(s)) substitute r = 10^s and
+apply it on each whole or partial decade of s, where 1/rho is smooth for
+every modulus here; the int phi of a callable forcing term is one panel in
+t.  The Bihari inverse bisects the last doubling of r that brackets it
+until the midpoint stops moving.
 """
 
 from __future__ import annotations
@@ -20,8 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
+import numpy as np
 
 from .errors import ConvergenceError, OsgoodViolationError
 
@@ -30,17 +36,25 @@ CERT_EPS_HI = 1e-2
 CERT_EPS_LO = 1e-10
 CERT_RATIO_FLOOR = 0.5
 
+_GL_NODES, _GL_WEIGHTS = (
+    a.tolist() for a in np.polynomial.legendre.leggauss(32))
 
-def _decade_increments(rho, eps_lo: float, eps_hi: float):
-    """Quadrature of 1/rho over each decade [10^-(k+1), 10^-k] in the sweep."""
-    k_hi = int(round(-math.log10(eps_hi)))
-    k_lo = int(round(-math.log10(eps_lo)))
-    out = []
-    for k in range(k_hi, k_lo):
-        a, b = 10.0 ** -(k + 1), 10.0 ** -k
-        val, _ = quad(lambda r: 1.0 / rho(r), a, b, limit=200)
-        out.append(val)
-    return out
+
+def _gauss(f, a: float, b: float) -> float:
+    """int_a^b f by the 32-point Gauss-Legendre rule on one panel."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * math.fsum(w * f(mid + half * x)
+                            for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+
+
+def _inverse_quad(rho, a: float, b: float) -> float:
+    """int_a^b dr / rho(r) for 0 < a <= b, one panel per decade of log10 r
+    (with r = 10^s, dr = ln(10) r ds)."""
+    lo, hi = math.log10(a), math.log10(b)
+    cuts = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]
+    return math.log(10.0) * math.fsum(
+        _gauss(lambda s: 10.0 ** s / rho(10.0 ** s), s0, s1)
+        for s0, s1 in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,10 @@ def certify_osgood(rho, name: str = "", eps_hi: float = CERT_EPS_HI,
             raise OsgoodViolationError(
                 f"{label}: rho decreases between {r1!r} and {r2!r}"
             )
-    incs = _decade_increments(rho, eps_lo, eps_hi)
+    # quadrature of 1/rho over each decade [10^-(k+1), 10^-k] of the sweep
+    incs = [_inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k)
+            for k in range(round(-math.log10(eps_hi)),
+                           round(-math.log10(eps_lo)))]
     for k, (d1, d2) in enumerate(zip(incs, incs[1:])):
         if not d2 > 0 or d2 < ratio_floor * d1:
             raise OsgoodViolationError(
@@ -131,7 +148,7 @@ def bihari_bound(u0: float, phi, modulus: OsgoodModulus, t: float,
     if t == t0:
         return u0
     if callable(phi):
-        big_phi, _ = quad(phi, t0, t, limit=200)
+        big_phi = _gauss(phi, t0, t)
     else:
         big_phi = float(phi) * (t - t0)
     if big_phi < 0:
@@ -139,24 +156,26 @@ def bihari_bound(u0: float, phi, modulus: OsgoodModulus, t: float,
     if big_phi == 0.0:
         return u0
 
-    def cap_u(r):
-        # U(r) = int_{u0}^{r} ds / rho(s), the baseline drops out of the bound
-        val, _ = quad(lambda s: 1.0 / modulus.rho(s), u0, r, limit=200)
-        return val
-
-    hi = u0
-    for _ in range(1000):
-        hi *= 2.0
-        if cap_u(hi) >= big_phi:
-            break
-    else:
+    # U(r) = int_{u0}^{r} ds / rho(s), the baseline drops out of the bound;
+    # double r until U(r) reaches int phi, accumulating U one doubling at a
+    # time, then bisect that doubling [a, 2a] until the midpoint stops
+    # moving (a relative stop: lo and hi are adjacent floats)
+    rho, a, u_a = modulus.rho, u0, 0.0
+    while (2.0 * a < math.inf
+           and (u_b := u_a + _inverse_quad(rho, a, 2.0 * a)) < big_phi):
+        a, u_a = 2.0 * a, u_b
+    if 2.0 * a == math.inf:
         raise ConvergenceError(
             "could not bracket the Bihari inverse; int dr/rho grows too "
             "slowly for this phi"
         )
-    root = brentq(lambda r: cap_u(r) - big_phi, u0, hi,
-                  xtol=1e-14, rtol=1e-13)
-    return float(root)
+    lo, hi = a, 2.0 * a
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if u_a + _inverse_quad(rho, a, mid) >= big_phi:
+            hi = mid
+        else:
+            lo = mid
+    return mid
 
 
 # -- small registry used by the CLI and config files ------------------------

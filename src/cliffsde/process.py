@@ -13,14 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import CliffordElement, lp_norm
+# unused lp_norm: perfbench/test_bench.py pins this module as an import site
+from .element import CliffordElement, lp_norm  # noqa: F401
 from .errors import AdaptednessError, ConfigurationError, DriverMismatchError
-from .space import CliffordSpace, conditional_expect, random_level_element
+from .space import CliffordSpace, adaptedness_defect, random_level_element
 
 #: Construction rejects values whose projection defect exceeds this.
 ADAPTEDNESS_REJECT_TOL = 1e-8
 
-_DRIVER_KINDS = ("fermion_field", "annihilation", "creation", "linear_combination")
+
+def _combined_increment(driver, space, k):
+    da = space.annihilation_increment(k)
+    return driver.alpha1 * da + driver.alpha2 * da.adjoint()
+
+
+#: The driver registry: kind -> (required layout, label used in the suites'
+#: cell names, increment(driver, space, k)).
+DRIVER_KINDS = {
+    "fermion_field": ("fermion", "fermion",
+                      lambda driver, space, k: space.fermion_increment(k)),
+    "annihilation": ("pair", "annihilation",
+                     lambda driver, space, k: space.annihilation_increment(k)),
+    "creation": ("pair", "creation",
+                 lambda driver, space, k: space.creation_increment(k)),
+    "linear_combination": ("pair", "linear", _combined_increment),
+}
 
 
 @dataclass(frozen=True)
@@ -37,9 +54,10 @@ class Driver:
     alpha2: complex = 0.0
 
     def __post_init__(self):
-        if self.kind not in _DRIVER_KINDS:
+        if self.kind not in DRIVER_KINDS:
             raise ConfigurationError(
-                f"unknown driver kind {self.kind!r}, expected one of {_DRIVER_KINDS}"
+                f"unknown driver kind {self.kind!r}, expected one of "
+                f"{tuple(DRIVER_KINDS)}"
             )
 
     @classmethod
@@ -60,16 +78,11 @@ class Driver:
 
     @property
     def required_layout(self) -> str:
-        return "fermion" if self.kind == "fermion_field" else "pair"
+        return DRIVER_KINDS[self.kind][0]
 
     @property
     def label(self) -> str:
-        return {
-            "fermion_field": "fermion",
-            "annihilation": "annihilation",
-            "creation": "creation",
-            "linear_combination": "linear",
-        }[self.kind]
+        return DRIVER_KINDS[self.kind][1]
 
     def increment(self, space: CliffordSpace, k: int) -> CliffordElement:
         if space.layout != self.required_layout:
@@ -77,14 +90,7 @@ class Driver:
                 f"driver {self.kind!r} needs layout {self.required_layout!r}, "
                 f"space has {space.layout!r}"
             )
-        if self.kind == "fermion_field":
-            return space.fermion_increment(k)
-        if self.kind == "annihilation":
-            return space.annihilation_increment(k)
-        if self.kind == "creation":
-            return space.creation_increment(k)
-        da = space.annihilation_increment(k)
-        return self.alpha1 * da + self.alpha2 * da.adjoint()
+        return DRIVER_KINDS[self.kind][2](self, space, k)
 
 
 class AdaptedProcess:
@@ -108,7 +114,7 @@ class AdaptedProcess:
                 raise ConfigurationError("process values belong to a different space")
             node = start_node + off
             level = space.level_of_node(node)
-            defect = lp_norm(v - conditional_expect(v, level), 2)
+            defect = adaptedness_defect(v, level, 2)
             if defect > check_tol:
                 raise AdaptednessError(
                     f"value at node {node} is not level-{level} measurable "
@@ -161,7 +167,7 @@ class AdaptedProcess:
         worst = 0.0
         for off, v in enumerate(self.values):
             level = self.space.level_of_node(self.start_node + off)
-            worst = max(worst, lp_norm(v - conditional_expect(v, level), p))
+            worst = max(worst, adaptedness_defect(v, level, p))
         return worst
 
     def __repr__(self):

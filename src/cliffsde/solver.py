@@ -40,9 +40,9 @@ from .errors import (
     ConvergenceError,
     DriverMismatchError,
 )
-from .integrals import driver_integral, measure_bg_constant
+from .integrals import _running_sums, driver_integral, measure_bg_constant
 from .process import AdaptedProcess, Driver
-from .space import CliffordSpace, conditional_expect, random_level_element
+from .space import CliffordSpace, adaptedness_defect
 
 NONLOCAL_MODES = ("pointwise", "initial")
 
@@ -90,7 +90,7 @@ class QsdeProblem:
         if self.Z.space != self.space:
             raise ConfigurationError("Z belongs to a different space")
         level = self.space.level_of_node(self.start_node)
-        defect = lp_norm(self.Z - conditional_expect(self.Z, level), self.p)
+        defect = adaptedness_defect(self.Z, level, self.p)
         if not defect <= 1e-10:
             raise AdaptednessError(
                 f"Z must be level-{level} measurable at the start node "
@@ -241,15 +241,10 @@ def _integrator_state(problem: QsdeProblem):
 
 def _cumulative_integrals(problem: QsdeProblem, values, incs, times, deltas):
     """M_k for all nodes k0..n, from integrand values at k0..n-1."""
-    sp = problem.space
-    acc = sp.zero()
-    out = [acc]
-    for i, (inc, t, d) in enumerate(zip(incs, times, deltas)):
-        x = values[i]
-        acc = acc + problem.F(x, t) @ inc + inc @ problem.G(x, t) \
-            + d * problem.H(x, t)
-        out.append(acc)
-    return out
+    steps = ((problem.F(x, t) @ inc, inc @ problem.G(x, t),
+              d * problem.H(x, t))
+             for x, inc, t, d in zip(values, incs, times, deltas))
+    return _running_sums(problem.space, steps)
 
 
 def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
@@ -314,7 +309,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         trace_delta.append(delta)
         trace_inner.append(inner_count)
         trace_adapt.append(max(
-            lp_norm(x - conditional_expect(x, sp.level_of_node(k0 + i)), 2)
+            adaptedness_defect(x, sp.level_of_node(k0 + i), 2)
             for i, x in enumerate(nxt)
         ))
         trace_sa.append(max(x.selfadjoint_defect(problem.p) for x in nxt))
@@ -395,10 +390,13 @@ def uniqueness_probe(problem: QsdeProblem, tol: float = 1e-10,
     rand_init = AdaptedProcess.random(sp, rng, num=n_nodes, start_node=k0)
     a = picard_solve(problem, tol=tol, max_outer=max_outer, initial=zero_init)
     b = picard_solve(problem, tol=tol, max_outer=max_outer, initial=rand_init)
-    return max(
-        lp_norm(x - y, problem.p)
-        for x, y in zip(a.trajectory.values, b.trajectory.values)
-    )
+    return _sup_gap(a, b, problem.p)
+
+
+def _sup_gap(a: SolveReport, b: SolveReport, p: float) -> float:
+    """sup over nodes of ||X_k - Y_k||_p between two solutions."""
+    return max(lp_norm(x - y, p)
+               for x, y in zip(a.trajectory.values, b.trajectory.values))
 
 
 # -- stability experiments ----------------------------------------------------
@@ -499,15 +497,9 @@ def coefficient_stability_experiment(problem: QsdeProblem, perturbed,
     """Solve the base problem and each perturbed one; returns the list of
     sup-node L^p distances, in the order given."""
     base = picard_solve(problem, tol=tol, max_outer=max_outer)
-    out = []
-    for prob_n in perturbed:
-        sol = picard_solve(prob_n, tol=tol, max_outer=max_outer)
-        dist = max(
-            lp_norm(x - y, problem.p)
-            for x, y in zip(base.trajectory.values, sol.trajectory.values)
-        )
-        out.append(dist)
-    return out
+    return [_sup_gap(base, picard_solve(prob_n, tol=tol, max_outer=max_outer),
+                     problem.p)
+            for prob_n in perturbed]
 
 
 def selfadjoint_solve_check(problem: QsdeProblem, tol: float = 1e-10,

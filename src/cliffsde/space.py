@@ -238,6 +238,11 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
     return CliffordElement(sp, mat)
 
 
+def adaptedness_defect(x: CliffordElement, level, p: float) -> float:
+    """||x - E(x | level)||_p: zero exactly when x is level-measurable."""
+    return lp_norm(x - conditional_expect(x, level), p)
+
+
 def parity_automorphism(x: CliffordElement) -> CliffordElement:
     """P(x) = Gamma x Gamma, the grading that sends every generator to
     its negative.  An isometric *-automorphism with P^2 = id."""
@@ -331,6 +336,7 @@ __all__ = [
     "DEFAULT_MAX_GENERATORS",
     "CliffordSpace",
     "FiltrationLevel",
+    "adaptedness_defect",
     "conditional_expect",
     "make_space",
     "monomial_expand",

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output files, and determinism."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliffsde
 from cliffsde.cli import ENV_SEED, main
 
 
@@ -21,6 +26,18 @@ def test_bihari_linear_prints_the_exponential(capsys):
                         "--horizon", "1.0")
     assert code == 0
     assert out == "2.718282\n"
+
+
+def test_python_dash_m_runs_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cliffsde", "bihari", "--rho",
+         "linear", "--u0", "1", "--horizon", "1"],
+        capture_output=True, text=True,
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(cliffsde.__file__).parents[1])))
+    assert proc.returncode == 0
+    assert proc.stdout == "2.718282\n"
+    assert proc.stderr == ""
 
 
 def test_bihari_zero_start(capsys):
@@ -154,6 +171,22 @@ def test_solve_rejects_an_infinite_exponent(capsys, tmp_path):
     assert err.startswith("config error (p)")
 
 
+@pytest.mark.parametrize("line, key", [
+    ("Z.e = nan", "Z.e"),
+    ("grid.n = 0", "grid.n"),
+    ("solve.tol = nan", "solve.tol"),
+    ("solve.max_outer = 0", "solve.max_outer"),
+])
+def test_solve_rejects_a_bad_value_under_its_key(capsys, tmp_path, line,
+                                                 key):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = _run(capsys, "solve", "--config", str(cfg),
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"config error ({key})")
+
+
 def test_solve_nonconvergence_writes_delta_trace(capsys, tmp_path):
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = 6\nF.name = scale\nF.c = 1.0\n"
@@ -193,10 +226,12 @@ def test_bench_constants_rejects_small_exponent(capsys):
 
 
 def test_bench_constants_rejects_unknown_driver(capsys):
-    code, _, err = _run(capsys, "bench-constants", "--p", "3",
-                        "--driver", "bosonic", "--seed", "0")
-    assert code == 2
-    assert "config error (--driver)" in err
+    # linear_combination is registered, but there are no --alpha flags
+    for kind in ("bosonic", "linear_combination"):
+        code, _, err = _run(capsys, "bench-constants", "--p", "3",
+                            "--driver", kind, "--seed", "0")
+        assert code == 2
+        assert err == f"config error (--driver): unknown driver {kind!r}\n"
 
 
 def test_bench_constants_pair_budget(capsys):

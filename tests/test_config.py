@@ -8,6 +8,7 @@ from cliffsde import (
     load_problem,
     parse_config,
 )
+from cliffsde.process import DRIVER_KINDS
 
 FULL = """
 # full example exercising every section
@@ -138,21 +139,60 @@ def test_exponent_must_be_finite_and_above_two(value):
     assert _key_of(e) == "p"
 
 
-@pytest.mark.parametrize("text", ["Z.e = nan\n", "Z.e = inf\n",
-                                  "F.name = scale\nF.c = nan\n",
-                                  "F.name = scale\nF.c = 1e308\n"])
+#: config lines -> the key their build failure names
+_BAD_DATA = {
+    "Z.e = nan\n": "Z.e",
+    "Z.e = inf\n": "Z.e",
+    "Z.e = 1+nanj\n": "Z.e",
+    "F.name = scale\nF.c = nan\n": "F.c",
+    "F.name = scale\nF.c = inf\n": "F.c",
+    "H.name = cos_scale\nH.omega = nan\n": "H.omega",
+    "driver.alpha1 = nan\n": "driver.alpha1",
+    "grid.T = inf\n": "grid.T",
+    # finite, but it overflows the build's adaptedness spot checks
+    "F.name = scale\nF.c = 1e308\n": "solve",
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_DATA))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_data_fail_the_build(text):
     # a NaN norm compares false against every tolerance: the build must
-    # still reject these values instead of handing them to the solver
-    with pytest.raises(ConfigError):
+    # still reject these values instead of handing them to the solver,
+    # and a non-finite value is named by its own key
+    with pytest.raises(ConfigError) as e:
         build_problem(parse_config("grid.n = 4\n" + text))
+    assert _key_of(e) == _BAD_DATA[text]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("grid.n = 0\n", "grid.n"),
+    ("grid.n = -3\n", "grid.n"),
+    ("solve.tol = nan\n", "solve.tol"),
+    ("solve.tol = 0\n", "solve.tol"),
+    ("solve.tol = -1\n", "solve.tol"),
+    ("solve.max_outer = 0\n", "solve.max_outer"),
+    ("solve.max_inner = 0\n", "solve.max_inner"),
+])
+def test_out_of_domain_values_are_named(text, key):
+    with pytest.raises(ConfigError) as e:
+        build_problem(parse_config(text))
+    assert _key_of(e) == key
+
+
+@pytest.mark.parametrize("kind", sorted(DRIVER_KINDS))
+def test_every_registered_driver_builds(kind):
+    prob, _ = build_problem(parse_config(f"driver.kind = {kind}\n"
+                                         f"grid.n = 3\n"))
+    assert prob.driver.kind == kind
+    assert prob.space.layout == DRIVER_KINDS[kind][0]
 
 
 def test_unknown_driver_kind():
     with pytest.raises(ConfigError) as e:
         build_problem(parse_config("driver.kind = brownian\n"))
     assert _key_of(e) == "driver.kind"
+    assert all(repr(kind) in str(e.value) for kind in DRIVER_KINDS)
 
 
 def test_unknown_nonlocal_mode():

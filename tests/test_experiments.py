@@ -115,6 +115,12 @@ def test_table_rows_sorted_and_worst():
     assert math.isnan(t.worst("s", "missing"))
     assert math.isnan(t.worst("absent"))
     assert t.suites() == ["s"]
+    # without a substring: the suite's summary statistic, aggregated the
+    # suite's way (the smallest margin is the worst)
+    t.add("gronwall", "c1", "margin_min", 0.5)
+    t.add("gronwall", "c2", "margin_min", 0.25)
+    t.add("gronwall", "c2", "rate", 9.0)
+    assert t.worst("gronwall") == 0.25
 
 
 # -- refinement study ---------------------------------------------------------------

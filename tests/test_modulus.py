@@ -8,10 +8,16 @@ by 10^(-1/2) per decade, which the certificate rejects.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliffsde
 from cliffsde import (
+    ConvergenceError,
     OsgoodModulus,
     OsgoodViolationError,
     bihari_bound,
@@ -92,9 +98,12 @@ def test_lipschitz_factory_validation():
 def test_linear_case_matches_exponential():
     m = make_modulus("linear")
     for t in (0.25, 0.5, 1.0, 2.0):
-        for u0 in (1.0, 0.5):
+        for u0 in (1.0, 0.5, 1e-8):
             bound = bihari_bound(u0, 1.0, m, t)
-            assert abs(bound - u0 * math.exp(t)) < BIHARI_TOL
+            exact = u0 * math.exp(t)
+            assert abs(bound - exact) < BIHARI_TOL
+            # the inverse stops on a relative, not an absolute, tolerance
+            assert abs(bound - exact) <= 1e-12 * exact
 
 
 def test_linear_case_with_constant_forcing():
@@ -146,6 +155,21 @@ def test_log_bound_dominates_linear():
     log = make_modulus("log")
     for t in (0.25, 1.0, 2.0):
         assert bihari_bound(1.0, 1.0, log, t) >= bihari_bound(1.0, 1.0, lin, t) - 1e-12
+
+
+def test_unbracketed_inverse_raises():
+    # the bound overflows before U(r) reaches int phi
+    with pytest.raises(ConvergenceError, match="bracket"):
+        bihari_bound(1e308, 1.0, make_modulus("linear"), 1.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, cliffsde; print('scipy' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cliffsde.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "False\n"
 
 
 def test_log_bound_still_finite_from_small_start():

@@ -20,6 +20,7 @@ from cliffsde import (
     op_norm,
     state,
 )
+from cliffsde.process import DRIVER_KINDS
 
 NORM_TOL = 1e-12
 
@@ -109,11 +110,18 @@ def test_driver_factories():
     for d in (Driver.annihilation(), Driver.creation(),
               Driver.linear_combination(0.5, 1.0)):
         assert d.required_layout == "pair"
+    # labels appear in the suites' cell names
+    labels = {kind: Driver(kind).label for kind in DRIVER_KINDS}
+    assert labels == {"fermion_field": "fermion",
+                      "annihilation": "annihilation",
+                      "creation": "creation",
+                      "linear_combination": "linear"}
 
 
 def test_driver_unknown_kind_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as e:
         Driver("poisson")
+    assert all(repr(kind) in str(e.value) for kind in DRIVER_KINDS)
 
 
 def test_driver_increment_dispatch(space4, pair_space4):
