@@ -23,68 +23,57 @@ of generators 1 and 3 (labels are 1-based and strictly increasing).
 Coefficient values may be complex (``0.5+0.25j``).
 
 Every parse or build failure raises :class:`ConfigError` carrying the
-offending key.  Numeric values must be finite; ``grid.n``, ``solve.tol``,
-``solve.max_outer`` and ``solve.max_inner`` must be positive.
+offending key.  Numeric values must be finite, and each fixed key must lie
+in the domain its ``_SCHEMA`` entry names.  :func:`build_problem` also
+accepts typed values, as the built-in problems of :mod:`.problems` use.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import re
 from dataclasses import dataclass
 
 from .coefficients import make_coefficient, make_nonlocal
-from .errors import CliffsdeError, ConfigError, ConfigurationError
+from .errors import CliffsdeError, ConfigError
 from .grid import TimeGrid
-from .process import Driver
+from .process import DRIVER_KINDS, Driver
 from .solver import NONLOCAL_MODES, QsdeProblem
 from .space import DEFAULT_MAX_GENERATORS, make_space
 
 _MONOMIAL_RE = re.compile(r"^e(\d+(_\d+)*)?$")
+_POSITIVE = (lambda v, fixed: v > 0, "> 0")
 
-#: key -> converter for the fixed (non-free-form) part of the schema
-_FIXED_KEYS = {
-    "p": float,
-    "grid.t0": float,
-    "grid.T": float,
-    "grid.n": int,
-    "grid.max_generators": int,
-    "driver.kind": str,
-    "driver.alpha1": float,
-    "driver.alpha2": float,
-    "solve.tol": float,
-    "solve.max_outer": int,
-    "solve.max_inner": int,
-    "solve.start_node": int,
-    "solve.nonlocal_mode": str,
+#: The fixed (non-free-form) keys: key -> (converter, default, domain).  A
+#: domain is (test, words); the test sees the value and the keys above it.
+_SCHEMA = {
+    "p": (float, 4.0, (lambda v, fixed: v > 2, "> 2")),
+    "grid.t0": (float, 0.0, None),
+    "grid.T": (float, 1.0, None),
+    "grid.n": (int, 8, _POSITIVE),
+    "grid.max_generators": (int, DEFAULT_MAX_GENERATORS,
+                            (lambda v, fixed: v >= 1, ">= 1")),
+    "driver.kind": (str, "fermion_field",
+                    (lambda v, fixed: v in DRIVER_KINDS,
+                     f"one of {tuple(DRIVER_KINDS)}")),
+    "driver.alpha1": (float, 1.0, None),
+    "driver.alpha2": (float, 0.0, None),
+    "solve.tol": (float, 1e-10, _POSITIVE),
+    "solve.max_outer": (int, 60, _POSITIVE),
+    "solve.max_inner": (int, 200, _POSITIVE),
+    "solve.start_node": (int, 0, (lambda v, fixed: 0 <= v < fixed["grid.n"],
+                                  "in 0..grid.n - 1")),
+    "solve.nonlocal_mode": (str, "pointwise",
+                            (lambda v, fixed: v in NONLOCAL_MODES,
+                             f"one of {NONLOCAL_MODES}")),
 }
-
-_DEFAULTS = {
-    "p": 4.0,
-    "grid.t0": 0.0,
-    "grid.T": 1.0,
-    "grid.n": 8,
-    "grid.max_generators": DEFAULT_MAX_GENERATORS,
-    "driver.kind": "fermion_field",
-    "driver.alpha1": 1.0,
-    "driver.alpha2": 0.0,
-    "solve.tol": 1e-10,
-    "solve.max_outer": 60,
-    "solve.max_inner": 200,
-    "solve.start_node": 0,
-    "solve.nonlocal_mode": "pointwise",
-}
-
-#: fixed keys whose value must be > 0
-_POSITIVE_KEYS = ("grid.n", "solve.tol", "solve.max_outer", "solve.max_inner")
 
 
 @dataclass(frozen=True)
 class SolveSettings:
-    tol: float = 1e-10
-    max_outer: int = 60
-    max_inner: int = 200
+    tol: float
+    max_outer: int
+    max_inner: int
 
 
 def parse_config(text: str) -> dict:
@@ -111,7 +100,7 @@ def parse_config(text: str) -> dict:
 
 
 def _check_key_shape(key: str) -> None:
-    if key in _FIXED_KEYS:
+    if key in _SCHEMA:
         return
     head, _, tail = key.partition(".")
     if head in ("F", "G", "H", "R") and tail:
@@ -128,8 +117,14 @@ def _finite(key: str, number):
     return number
 
 
-def _convert(key: str, value: str):
-    conv = _FIXED_KEYS[key]
+def _fixed_value(key: str, raw: dict, fixed: dict):
+    """The converted, domain-checked value of a schema key."""
+    conv, default, domain = _SCHEMA[key]
+    if key not in raw:
+        return default
+    # non-text values (built-in problems, make_problem's arguments) take
+    # the same text parse as file values, so 6.5 is not an int
+    value = str(raw[key])
     try:
         out = conv(value)
     except ValueError:
@@ -139,8 +134,9 @@ def _convert(key: str, value: str):
         ) from None
     if conv is float:
         _finite(key, out)
-    if key in _POSITIVE_KEYS and not out > 0:
-        raise ConfigError(f"{key!r} must be > 0, got {out!r}", key=key)
+    if domain is not None and not domain[0](out, fixed):
+        raise ConfigError(f"{key!r} must be {domain[1]}, got {out!r}",
+                          key=key)
     return out
 
 
@@ -187,25 +183,13 @@ def _coefficient_section(raw: dict, section: str, p: float):
 
 def build_problem(raw: dict):
     """(QsdeProblem, SolveSettings) from a raw mapping as returned by
-    :func:`parse_config`."""
-    fixed = dict(_DEFAULTS)
-    for key in _FIXED_KEYS:
-        if key in raw:
-            fixed[key] = _convert(key, raw[key])
-
-    try:
-        driver = Driver(fixed["driver.kind"], complex(fixed["driver.alpha1"]),
-                        complex(fixed["driver.alpha2"]))
-    except ConfigurationError as exc:
-        raise ConfigError(str(exc), key="driver.kind") from None
-
-    mode = fixed["solve.nonlocal_mode"]
-    if mode not in NONLOCAL_MODES:
-        raise ConfigError(
-            f"solve.nonlocal_mode must be one of {NONLOCAL_MODES}, "
-            f"got {mode!r}",
-            key="solve.nonlocal_mode",
-        )
+    :func:`parse_config`, or one with typed values such as a built-in
+    problem's."""
+    fixed = {}
+    for key in _SCHEMA:
+        fixed[key] = _fixed_value(key, raw, fixed)
+    driver = Driver(fixed["driver.kind"], complex(fixed["driver.alpha1"]),
+                    complex(fixed["driver.alpha2"]))
 
     try:
         grid = TimeGrid.uniform(fixed["grid.t0"], fixed["grid.T"],
@@ -219,8 +203,6 @@ def build_problem(raw: dict):
         raise ConfigError(str(exc), key="grid.n") from None
 
     p = fixed["p"]
-    if not 2 < p < math.inf:
-        raise ConfigError(f"p must be finite and > 2, got p={p!r}", key="p")
     F = _coefficient_section(raw, "F", p)
     G = _coefficient_section(raw, "G", p)
     H = _coefficient_section(raw, "H", p)
@@ -254,7 +236,8 @@ def build_problem(raw: dict):
     try:
         problem = QsdeProblem(
             space=space, F=F, G=G, H=H, R=R, Z=z, driver=driver, p=p,
-            start_node=fixed["solve.start_node"], nonlocal_mode=mode,
+            start_node=fixed["solve.start_node"],
+            nonlocal_mode=fixed["solve.nonlocal_mode"],
         )
     except (CliffsdeError, ValueError) as exc:
         raise ConfigError(str(exc), key="solve") from None

@@ -127,8 +127,9 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
     """Max over s of || E(M_t | level s) - M_s ||_p for M the integral.
 
     Zero up to roundoff for any adapted integrand.  The adaptedness
-    contract is re-checked up front (construction can be told to skip it),
-    so a non-adapted integrand fails loudly before any values are summed.
+    contract is re-checked up front (values replaced after construction
+    skip its check), so a non-adapted integrand fails loudly before any
+    values are summed.
     """
     defect = f.max_adaptedness_defect()
     if defect > ADAPTEDNESS_REJECT_TOL:

@@ -1,162 +1,67 @@
 """Built-in, ready-to-solve equation instances.
 
-Each factory builds a fresh space on a uniform grid and wires up
-coefficients from the registries.  Fermion-driven instances default to
-n = 8 steps (8 generators); pair-driven ones to n = 6 (12 generators),
-staying inside the default generator budget.
+Each built-in problem is a mapping in the configuration schema of
+:mod:`.config`, so a problem file holding the same ``key = value`` lines
+builds the same problem.  Keys left out take the schema defaults: n = 8
+steps on [0, 1], p = 4, the fermion-field driver, zero coefficients.
+``linear_pair`` runs on the pair layout (two generators per step) and
+defaults to n = 6, staying inside the default generator budget.
 """
 
 from __future__ import annotations
 
-from .coefficients import make_coefficient, make_nonlocal
-from .grid import TimeGrid
-from .process import Driver
+from .config import build_problem
 from .solver import QsdeProblem
-from .space import DEFAULT_MAX_GENERATORS, make_space
+from .space import DEFAULT_MAX_GENERATORS
 
-DEFAULT_FERMION_STEPS = 8
-DEFAULT_PAIR_STEPS = 6
-
-
-def _space(layout, n, t0, horizon, max_generators):
-    if n is None:
-        n = DEFAULT_FERMION_STEPS if layout == "fermion" else DEFAULT_PAIR_STEPS
-    grid = TimeGrid.uniform(t0, t0 + horizon, n)
-    return make_space(grid, layout=layout, max_generators=max_generators)
-
-
-def _assemble(space, p, f_spec, g_spec, h_spec, r_spec, driver,
-              nonlocal_mode="pointwise", z=None, validate=True):
-    fname, fkw = f_spec
-    gname, gkw = g_spec
-    hname, hkw = h_spec
-    rname, rkw = r_spec
-    return QsdeProblem(
-        space=space,
-        F=make_coefficient(fname, p, **fkw),
-        G=make_coefficient(gname, p, **gkw),
-        H=make_coefficient(hname, p, **hkw),
-        R=make_nonlocal(rname, **rkw),
-        Z=space.identity() if z is None else z,
-        driver=driver,
-        p=p,
-        nonlocal_mode=nonlocal_mode,
-        validate=validate,
-    )
-
-
-def zero_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                 max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """dX = 0 with X_0 = I; the solution is constant."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("zero", {}), ("zero", {}), ("zero", {}),
-                     ("zero", {}), Driver.fermion_field())
-
-
-def linear_field_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                         max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """dX = X dW (right-driven linear equation)."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("scale", {"c": 1.0}), ("zero", {}), ("zero", {}),
-                     ("zero", {}), Driver.fermion_field())
-
-
-def linear_left_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                        max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """dX = dW X (left-driven linear equation)."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("zero", {}), ("scale", {"c": 1.0}), ("zero", {}),
-                     ("zero", {}), Driver.fermion_field())
-
-
-def linear_drift_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                         max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """dX = X dt; the discrete solution is the compounding product
-    prod_k (1 + delta_k) * Z."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("zero", {}), ("zero", {}), ("scale", {"c": 1.0}),
-                     ("zero", {}), Driver.fermion_field())
-
-
-def linear_full_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                        max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """dX = 0.5 X dW + 0.25 dW X + 0.5 X dt."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("scale", {"c": 0.5}), ("scale", {"c": 0.25}),
-                     ("scale", {"c": 0.5}), ("zero", {}),
-                     Driver.fermion_field())
-
-
-def nonlocal_linear_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                            contraction=0.5, nonlocal_mode="pointwise",
-                            max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """The linear_full equation with the nonlocal term R(x) = c x."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("scale", {"c": 0.5}), ("scale", {"c": 0.25}),
-                     ("scale", {"c": 0.5}), ("scale", {"c": contraction}),
-                     Driver.fermion_field(), nonlocal_mode=nonlocal_mode)
-
-
-def nonlocal_conditional_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                                 contraction=0.5, level=0,
-                                 nonlocal_mode="pointwise",
-                                 max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """linear_full with R(x) = c E(x | level): the nonlocal term reads off
-    a coarse functional of the unknown."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("scale", {"c": 0.5}), ("scale", {"c": 0.25}),
-                     ("scale", {"c": 0.5}),
-                     ("conditional_scale", {"c": contraction, "level": level}),
-                     Driver.fermion_field(), nonlocal_mode=nonlocal_mode)
-
-
-def osgood_radial_problem(n=None, t0=0.0, horizon=1.0, p=4.0, scale=0.5,
-                          max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """dX = F(X) dW with the radial map F(x) = scale * s(||x||)/||x|| x,
-    s(u) = u sqrt(ln(e + 1/u)) — continuous with an Osgood, non-Lipschitz
-    modulus."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("radial_osgood", {"scale": scale}),
-                     ("zero", {}), ("zero", {}), ("zero", {}),
-                     Driver.fermion_field())
-
-
-def selfadjoint_nonlocal_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                                 contraction=0.3,
-                                 max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """All data preserve self-adjointness and the stochastic coefficients
-    land in the even subalgebra, so the solution stays self-adjoint."""
-    sp = _space("fermion", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("even_sa", {"c": 0.5}), ("even_sa", {"c": 0.25}),
-                     ("sa_scale", {"c": 0.5}), ("scale", {"c": contraction}),
-                     Driver.fermion_field())
-
-
-def linear_pair_problem(n=None, t0=0.0, horizon=1.0, p=4.0,
-                        alpha1=0.5, alpha2=1.0,
-                        max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """dX = 0.5 X dxi with dxi = alpha1 dA + alpha2 dA* on the pair layout."""
-    sp = _space("pair", n, t0, horizon, max_generators)
-    return _assemble(sp, p, ("scale", {"c": 0.5}), ("zero", {}), ("zero", {}),
-                     ("zero", {}),
-                     Driver.linear_combination(alpha1, alpha2))
-
+#: dX = 0.5 X dW + 0.25 dW X + 0.5 X dt
+_LINEAR_FULL = {"F.name": "scale", "F.c": 0.5, "G.name": "scale",
+                "G.c": 0.25, "H.name": "scale", "H.c": 0.5}
 
 PROBLEMS = {
-    "zero": zero_problem,
-    "linear_field": linear_field_problem,
-    "linear_left": linear_left_problem,
-    "linear_drift": linear_drift_problem,
-    "linear_full": linear_full_problem,
-    "nonlocal_linear": nonlocal_linear_problem,
-    "nonlocal_conditional": nonlocal_conditional_problem,
-    "osgood_radial": osgood_radial_problem,
-    "selfadjoint_nonlocal": selfadjoint_nonlocal_problem,
-    "linear_pair": linear_pair_problem,
+    # dX = 0 with X_0 = I; the solution is constant
+    "zero": {},
+    # dX = X dW (right-driven linear equation)
+    "linear_field": {"F.name": "scale", "F.c": 1.0},
+    # dX = dW X (left-driven linear equation)
+    "linear_left": {"G.name": "scale", "G.c": 1.0},
+    # dX = X dt; the discrete solution is prod_k (1 + delta_k) * Z
+    "linear_drift": {"H.name": "scale", "H.c": 1.0},
+    "linear_full": _LINEAR_FULL,
+    # linear_full with the nonlocal term R(x) = 0.5 x
+    "nonlocal_linear": {**_LINEAR_FULL, "R.name": "scale", "R.c": 0.5},
+    # linear_full with R(x) = 0.5 E(x | level 0): the nonlocal term reads
+    # off a coarse functional of the unknown
+    "nonlocal_conditional": {**_LINEAR_FULL, "R.name": "conditional_scale",
+                             "R.c": 0.5, "R.level": 0},
+    # dX = F(X) dW with the radial map F(x) = 0.5 s(||x||)/||x|| x,
+    # s(u) = u sqrt(ln(e + 1/u)): continuous with an Osgood, non-Lipschitz
+    # modulus
+    "osgood_radial": {"F.name": "radial_osgood", "F.scale": 0.5},
+    # all data preserve self-adjointness and the stochastic coefficients
+    # land in the even subalgebra, so the solution stays self-adjoint
+    "selfadjoint_nonlocal": {"F.name": "even_sa", "F.c": 0.5,
+                             "G.name": "even_sa", "G.c": 0.25,
+                             "H.name": "sa_scale", "H.c": 0.5,
+                             "R.name": "scale", "R.c": 0.3},
+    # dX = 0.5 X dxi with dxi = 0.5 dA + dA* on the pair layout
+    "linear_pair": {"grid.n": 6, "driver.kind": "linear_combination",
+                    "driver.alpha1": 0.5, "driver.alpha2": 1.0,
+                    "F.name": "scale", "F.c": 0.5},
 }
 
 
-def make_problem(name: str, **params) -> QsdeProblem:
+def make_problem(name: str, n=None, t0=0.0, horizon=1.0, p=4.0,
+                 nonlocal_mode="pointwise",
+                 max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
+    """The built-in problem ``name`` on [t0, t0 + horizon] with n steps
+    (None: the problem's own default).  Bad values raise
+    :class:`ConfigError` naming their configuration key."""
     if name not in PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEMS)}")
-    return PROBLEMS[name](**params)
+    raw = {**PROBLEMS[name], "p": p, "grid.t0": t0, "grid.T": t0 + horizon,
+           "grid.max_generators": max_generators,
+           "solve.nonlocal_mode": nonlocal_mode}
+    if n is not None:
+        raw["grid.n"] = n
+    return build_problem(raw)[0]

@@ -96,8 +96,7 @@ class Driver:
 class AdaptedProcess:
     """Node-indexed values f(tau_k), each measurable at its own level."""
 
-    def __init__(self, space, values, start_node: int = 0,
-                 check_tol: float = ADAPTEDNESS_REJECT_TOL):
+    def __init__(self, space, values, start_node: int = 0):
         values = tuple(values)
         if not values:
             raise ValueError("a process needs at least one value")
@@ -115,10 +114,11 @@ class AdaptedProcess:
             node = start_node + off
             level = space.level_of_node(node)
             defect = adaptedness_defect(v, level, 2)
-            if defect > check_tol:
+            if defect > ADAPTEDNESS_REJECT_TOL:
                 raise AdaptednessError(
                     f"value at node {node} is not level-{level} measurable "
-                    f"(projection defect {defect:.3e} > {check_tol:.0e})"
+                    f"(projection defect {defect:.3e} > "
+                    f"{ADAPTEDNESS_REJECT_TOL:.0e})"
                 )
         self.space = space
         self.values = values

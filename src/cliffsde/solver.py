@@ -89,25 +89,29 @@ class QsdeProblem:
             raise ValueError(f"start_node {self.start_node} outside 0..{n - 1}")
         if self.Z.space != self.space:
             raise ConfigurationError("Z belongs to a different space")
-        level = self.space.level_of_node(self.start_node)
-        defect = adaptedness_defect(self.Z, level, self.p)
-        if not defect <= 1e-10:
-            raise AdaptednessError(
-                f"Z must be level-{level} measurable at the start node "
-                f"(defect {defect:.3e})"
-            )
-        if not self.R.contraction < 1.0:
-            raise ContractViolationError(
-                f"nonlocal contraction must be < 1, got {self.R.contraction}"
-            )
-        if self.validate:
-            for cmap in (self.F, self.G, self.H):
-                validate_coefficient(cmap, self.space, self.p,
-                                     seed=_VALIDATION_SEED,
-                                     start_node=self.start_node)
-            validate_nonlocal(self.R, self.space, self.p,
-                              seed=_VALIDATION_SEED,
-                              start_node=self.start_node)
+        # huge finite data overflow to inf/NaN in these checks; their
+        # NaN-safe comparisons reject it without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = self.space.level_of_node(self.start_node)
+            defect = adaptedness_defect(self.Z, level, self.p)
+            if not defect <= 1e-10:
+                raise AdaptednessError(
+                    f"Z must be level-{level} measurable at the start node "
+                    f"(defect {defect:.3e})"
+                )
+            if not self.R.contraction < 1.0:
+                raise ContractViolationError(
+                    f"nonlocal contraction must be < 1, got "
+                    f"{self.R.contraction}"
+                )
+            if self.validate:
+                for cmap in (self.F, self.G, self.H):
+                    validate_coefficient(cmap, self.space, self.p,
+                                         seed=_VALIDATION_SEED,
+                                         start_node=self.start_node)
+                validate_nonlocal(self.R, self.space, self.p,
+                                  seed=_VALIDATION_SEED,
+                                  start_node=self.start_node)
 
     @property
     def is_lipschitz(self) -> bool:

@@ -302,7 +302,6 @@ def random_level_element(
     space: CliffordSpace,
     rng: np.random.Generator,
     level=None,
-    normalize: bool = True,
 ) -> CliffordElement:
     """Random element of the level-k subalgebra.
 
@@ -324,12 +323,10 @@ def random_level_element(
     x = CliffordElement(space, mat)
     if k % 2 == 1:
         x = conditional_expect(x, k)
-    if normalize:
-        nrm = lp_norm(x, 2)
-        if nrm < 1e-12:  # pragma: no cover - measure-zero draw
-            return random_level_element(space, rng, level, normalize)
-        x = x / nrm
-    return x
+    nrm = lp_norm(x, 2)
+    if nrm < 1e-12:  # pragma: no cover - measure-zero draw
+        return random_level_element(space, rng, level)
+    return x / nrm
 
 
 __all__ = [

@@ -171,6 +171,20 @@ def test_solve_rejects_an_infinite_exponent(capsys, tmp_path):
     assert err.startswith("config error (p)")
 
 
+def test_solve_overflow_prints_one_error_line(tmp_path):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text("grid.n = 4\nF.name = scale\nF.c = 1e308\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliffsde", "solve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(cliffsde.__file__).parents[1])))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error (solve)")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("line, key", [
     ("Z.e = nan", "Z.e"),
     ("grid.n = 0", "grid.n"),

@@ -1,14 +1,23 @@
 """Flat-file configuration: parsing, schema errors, and problem assembly."""
 
+import re
+import warnings
+from pathlib import Path
+
 import pytest
 
 from cliffsde import (
+    PROBLEMS,
     ConfigError,
     build_problem,
     load_problem,
+    make_problem,
     parse_config,
+    picard_solve,
 )
 from cliffsde.process import DRIVER_KINDS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FULL = """
 # full example exercising every section
@@ -173,11 +182,25 @@ def test_non_finite_data_fail_the_build(text):
     ("solve.tol = -1\n", "solve.tol"),
     ("solve.max_outer = 0\n", "solve.max_outer"),
     ("solve.max_inner = 0\n", "solve.max_inner"),
+    ("solve.start_node = -1\n", "solve.start_node"),
+    ("solve.start_node = 99\n", "solve.start_node"),
+    ("grid.n = 4\nsolve.start_node = 4\n", "solve.start_node"),
+    ("grid.max_generators = 0\n", "grid.max_generators"),
 ])
 def test_out_of_domain_values_are_named(text, key):
     with pytest.raises(ConfigError) as e:
         build_problem(parse_config(text))
     assert _key_of(e) == key
+
+
+def test_overflowing_data_fail_the_build_without_warnings():
+    # the NaN-safe construction checks reject it on their own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as e:
+            build_problem(parse_config("grid.n = 4\nF.name = scale\n"
+                                       "F.c = 1e308\n"))
+    assert _key_of(e) == "solve"
 
 
 @pytest.mark.parametrize("kind", sorted(DRIVER_KINDS))
@@ -271,3 +294,40 @@ def test_nonscalar_initial_value_needs_a_later_start():
     assert _key_of(e) == "solve"
     prob, _ = build_problem(parse_config(text + "solve.start_node = 1\n"))
     assert prob.start_node == 1
+
+
+# -- the README example and the built-in problems ----------------------------
+
+
+def _write_config(path, mapping):
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, value in mapping.items()))
+    return str(path)
+
+
+def test_readme_config_example_builds_and_solves(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    prob, settings = load_problem(str(cfg))
+    report = picard_solve(prob, tol=settings.tol,
+                          max_outer=settings.max_outer,
+                          max_inner=settings.max_inner)
+    assert report.residual < settings.tol
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_builtin_problem_loads_as_a_config_file(tmp_path, name):
+    path = _write_config(tmp_path / f"{name}.cfg",
+                         {**PROBLEMS[name], "grid.n": 4})
+    loaded, _ = load_problem(path)
+    built = make_problem(name, n=4)
+    assert picard_solve(loaded).trajectory_csv() == \
+        picard_solve(built).trajectory_csv()
+
+
+def test_builtin_problem_beyond_the_generator_budget_names_grid_n():
+    with pytest.raises(ConfigError, match="16 generators.*limit is 14") as e:
+        make_problem("linear_pair", n=8)
+    assert _key_of(e) == "grid.n"

@@ -5,7 +5,6 @@ binary float, so squared-increment identities hold bit-for-bit and the
 defects below are compared against literal zero.
 """
 
-import numpy as np
 import pytest
 
 from cliffsde import (
@@ -169,8 +168,9 @@ def test_nonadapted_value_rejected(space4):
         AdaptedProcess(space4, [space4.generator(3)] * 4)
 
 
-def test_adaptedness_check_can_be_loosened(space4):
-    f = AdaptedProcess(space4, [space4.generator(3)] * 4, check_tol=np.inf)
+def test_adaptedness_defect_of_values_replaced_after_construction(space4):
+    f = AdaptedProcess.constant(space4, space4.identity())
+    f.values = (space4.generator(3),) * 4
     assert abs(f.max_adaptedness_defect() - 1.0) < 1e-12
 
 
