@@ -58,7 +58,9 @@ def _print_summaries(table, names) -> None:
         status = "PASS" if table.suite_passed(name) else "FAIL"
         worst = table.worst(name)
         worst_s = "n/a" if math.isnan(worst) else repr(worst)
-        print(f"{name} {status} worst={worst_s}")
+        wall = table.wall_s.get(name)
+        wall_s = "" if wall is None else f" wall_s={wall:.3f}"
+        print(f"{name} {status} worst={worst_s}{wall_s}")
 
 
 def _cmd_verify(args) -> int:

@@ -350,9 +350,12 @@ def _r_scale(c: float = 0.5) -> NonlocalMap:
 def _r_conditional_scale(c: float = 0.5, level: int = 0) -> NonlocalMap:
     """c * E(x | level): composes a scale with the (contractive)
     conditional expectation."""
-    c, level = float(c), int(level)
+    c = float(c)
     if not 0 <= abs(c) < 1:
         raise ValueError(f"|c| must be < 1 for a contraction, got {c}")
+    if not (float(level).is_integer() and level >= 0):
+        raise ValueError(f"level must be an integer >= 0, got {level!r}")
+    level = int(level)
     return NonlocalMap(
         fn=lambda x: c * conditional_expect(x, level),
         contraction=abs(c),

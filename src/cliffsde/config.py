@@ -154,7 +154,7 @@ def _monomial_subset(key: str, label: str):
     return tuple(i - 1 for i in idx)
 
 
-def _coefficient_section(raw: dict, section: str, p: float):
+def _coefficient_section(raw: dict, section: str, p: float, n_gen: int):
     name = raw.get(f"{section}.name", "zero")
     params = {}
     for key, value in raw.items():
@@ -167,6 +167,11 @@ def _coefficient_section(raw: dict, section: str, p: float):
             raise ConfigError(
                 f"{key!r}: parameter must be numeric, got {value!r}", key=key
             ) from None
+    if section == "R" and "level" in params:
+        level = params["level"]
+        if not (level.is_integer() and 0 <= level <= n_gen):
+            raise ConfigError(f"'R.level' must be an integer in 0..{n_gen}, "
+                              f"got {level!r}", key="R.level")
     try:
         if section == "R":
             return make_nonlocal(name, **params)
@@ -203,10 +208,8 @@ def build_problem(raw: dict):
         raise ConfigError(str(exc), key="grid.n") from None
 
     p = fixed["p"]
-    F = _coefficient_section(raw, "F", p)
-    G = _coefficient_section(raw, "G", p)
-    H = _coefficient_section(raw, "H", p)
-    R = _coefficient_section(raw, "R", p)
+    F, G, H, R = (_coefficient_section(raw, section, p, space.n_gen)
+                  for section in "FGHR")
 
     z = None
     for key, value in raw.items():

@@ -17,6 +17,7 @@ aggregation sorts before emission and statistics are order-independent.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,8 +26,8 @@ import numpy as np
 from .element import lp_norm, op_norm
 from .errors import OsgoodViolationError
 from .integrals import (
+    _bg_ratio,
     _running_sums,
-    check_bg,
     check_norm_exchange,
     driver_integral,
     hp_norm,
@@ -123,7 +124,9 @@ class SweepTable:
     """Rows of (suite, cell, statistic, value) plus the violation log.
 
     One row per key triple; NaN values are rejected at insertion so a
-    corrupt statistic can never hide in the output.
+    corrupt statistic can never hide in the output.  ``wall_s`` maps each
+    suite run to its wall time in seconds; it is kept outside the rows, so
+    the CSV outputs stay byte-identical from run to run.
     """
 
     CSV_HEADER = "suite,cell,statistic,value"
@@ -132,6 +135,7 @@ class SweepTable:
     def __init__(self):
         self._rows = {}
         self.violations = []
+        self.wall_s = {}
 
     def add(self, suite: str, cell: str, statistic: str, value) -> None:
         v = float(value)
@@ -153,6 +157,7 @@ class SweepTable:
                 raise ValueError(f"duplicate row for {key}")
             self._rows[key] = v
         self.violations.extend(other.violations)
+        self.wall_s.update(other.wall_s)
 
     @property
     def rows(self):
@@ -251,11 +256,12 @@ def _bg_ratio_suite(config: SuiteConfig) -> SweepTable:
             seed = trial_seed(config.master_seed, suite, cell_index, t)
             rng = np.random.default_rng(seed)
             f = AdaptedProcess.random(space, rng)
-            rep = check_bg(f, p, driver=driver, side=side, trial=t, seed=seed)
-            bp1 = hp_norm(f, p) / lqlp_norm(f, 2.0, p)
-            lr = (lp_norm(driver_integral(f, driver, side="left"), p)
-                  / lp_norm(driver_integral(f, driver, side="right"), p))
-            return seed, rep.ratio, bp1, lr
+            left = lp_norm(driver_integral(f, driver, side="left"), p)
+            right = lp_norm(driver_integral(f, driver, side="right"), p)
+            hp, l2 = hp_norm(f, p), lqlp_norm(f, 2.0, p)
+            ratio = _bg_ratio(p, left if side == "left" else right,
+                              hp if driver.kind == "fermion_field" else l2)
+            return seed, ratio, hp / l2, left / right
 
         out = _map_trials(worker, config.trials, config.max_workers)
         ratios = np.array([r for _, r, _, _ in out])
@@ -634,14 +640,18 @@ _SUITE_RUNNERS = {
 
 
 def run_suites(config: SuiteConfig, names) -> SweepTable:
-    """Run the named suites (any subset of SUITE_NAMES) into one table."""
+    """Run the named suites (any subset of SUITE_NAMES) into one table,
+    recording each suite's wall time in ``table.wall_s``."""
     table = SweepTable()
     for name in names:
         if name not in _SUITE_RUNNERS:
             raise ValueError(
                 f"unknown suite {name!r}; known: {list(SUITE_NAMES)}"
             )
-        table.merge(_SUITE_RUNNERS[name](config))
+        start = time.perf_counter()
+        part = _SUITE_RUNNERS[name](config)
+        part.wall_s[name] = time.perf_counter() - start
+        table.merge(part)
     return table
 
 
@@ -662,6 +672,7 @@ def grid_refinement_study(problem_name: str = "linear_drift",
     """Node-norm trajectories of one built-in problem across increment
     counts.  Asserts finiteness and adaptedness only — no convergence rate
     is claimed."""
+    start = time.perf_counter()
     table = SweepTable()
     suite = "refinement"
     for n in n_values:
@@ -676,4 +687,5 @@ def grid_refinement_study(problem_name: str = "linear_drift",
         table.add(suite, cell, "adapted_defect_max", defect)
         if defect > 1e-8:
             table.violate(suite, cell, f"adaptedness defect {defect!r}")
+    table.wall_s[suite] = time.perf_counter() - start
     return table

@@ -237,8 +237,6 @@ def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
     The two-sided comparability constants are exactly what the sweep
     suites estimate empirically, so only finiteness is asserted here.
     """
-    if p < 2:
-        raise ValueError(f"the martingale estimates need p >= 2, got {p!r}")
     if driver is None:
         driver = Driver.fermion_field()
     upto = _resolve_upto(f, upto)
@@ -247,11 +245,18 @@ def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
         rhs = hp_norm(f, p, upto=upto)
     else:
         rhs = lqlp_norm(f, 2.0, p, upto=upto)
+    return InequalityReport("bg_ratio", p, lhs, rhs, _bg_ratio(p, lhs, rhs),
+                            q=None, trial=trial, seed=seed)
+
+
+def _bg_ratio(p: float, lhs: float, rhs: float) -> float:
+    """lhs / rhs of the martingale estimate: ||integral||_p over its
+    reference norm, defined for p >= 2 and a non-zero reference."""
+    if p < 2:
+        raise ValueError(f"the martingale estimates need p >= 2, got {p!r}")
     if rhs == 0.0:
         raise ZeroProcessError("inequality ratio undefined for the zero process")
-    suite = "bg_ratio"
-    return InequalityReport(suite, p, lhs, rhs, lhs / rhs,
-                            q=None, trial=trial, seed=seed)
+    return lhs / rhs
 
 
 def measure_bg_constant(space, p: float, driver: Driver | None = None,

@@ -85,12 +85,24 @@ class Driver:
         return DRIVER_KINDS[self.kind][1]
 
     def increment(self, space: CliffordSpace, k: int) -> CliffordElement:
-        if space.layout != self.required_layout:
-            raise DriverMismatchError(
-                f"driver {self.kind!r} needs layout {self.required_layout!r}, "
-                f"space has {space.layout!r}"
-            )
-        return DRIVER_KINDS[self.kind][2](self, space, k)
+        """The driver's increment over grid increment k.
+
+        Built once per space: the read-only element is cached on the
+        space, keyed by ``(driver, k)``, and dies with it.  Drivers that
+        compare equal (same kind and alphas) share their entries.
+        """
+        key = (self, k)
+        inc = space._increments.get(key)
+        if inc is None:
+            if space.layout != self.required_layout:
+                raise DriverMismatchError(
+                    f"driver {self.kind!r} needs layout "
+                    f"{self.required_layout!r}, space has {space.layout!r}"
+                )
+            # setdefault: concurrent callers all get the first stored element
+            inc = space._increments.setdefault(
+                key, DRIVER_KINDS[self.kind][2](self, space, k))
+        return inc
 
 
 class AdaptedProcess:

@@ -24,12 +24,19 @@ trace-orthogonal projection onto the monomials e_S with S inside
 {0..k-1}; it is computed by a normalized partial trace over the unused
 tensor factors, followed (for odd k) by averaging out the half of the
 level algebra that contains generator k.
+
+Kronecker products go through ``_kron``, the broadcast product that
+``np.kron`` computes internally, so the results are bitwise those of
+``np.kron`` without its generic-shape overhead.  Each space also keeps a
+cache of driver increments, filled by :meth:`Driver.increment` and keyed
+by ``(driver, k)``; the cached elements are read-only and the cache lives
+as long as the space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -58,8 +65,21 @@ class FiltrationLevel:
             raise ValueError(f"filtration level must be >= 0, got {self.k}")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same broadcast product, bit for bit."""
+    (m, n), (p, q) = a.shape, b.shape
+    return np.multiply(a[:, None, :, None], b[None, :, None, :]).reshape(m * p, n * q)
+
+
+@cache
+def _eye(size: int) -> np.ndarray:
+    eye = np.eye(size, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
 def _kron_chain(mats):
-    return reduce(np.kron, mats)
+    return reduce(_kron, mats)
 
 
 class CliffordSpace:
@@ -99,6 +119,7 @@ class CliffordSpace:
             g.setflags(write=False)
             gens.append(g)
         self._generators = tuple(gens)
+        self._increments = {}
         gamma = _kron_chain([_Z] * self.factors) if self.factors else np.eye(1, dtype=complex)
         gamma.setflags(write=False)
         self._gamma = gamma
@@ -226,7 +247,7 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
         hi = 2 ** (m - r)
         t = mat.reshape(lo, hi, lo, hi)
         pt = np.einsum("ajbj->ab", t) / hi
-        mat = np.kron(pt, np.eye(hi, dtype=complex))
+        mat = _kron(pt, _eye(hi))
     if k % 2 == 1:
         # the partial trace kept the whole algebra of the first r factors;
         # average out the half that contains generator k (0-based), i.e.
@@ -235,7 +256,8 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
         gam = sp._gamma
         flipped = g @ (gam @ mat @ gam) @ g
         mat = 0.5 * (mat + flipped)
-    return CliffordElement(sp, mat)
+    # a projected matrix is freshly computed; the element may own it
+    return CliffordElement(sp, mat, _fresh=mat is not x.mat)
 
 
 def adaptedness_defect(x: CliffordElement, level, p: float) -> float:
@@ -317,10 +339,10 @@ def random_level_element(
     lo = 2 ** r
     a = rng.standard_normal((lo, lo)) + 1j * rng.standard_normal((lo, lo))
     if lo < space.dim:
-        mat = np.kron(a, np.eye(space.dim // lo, dtype=complex))
+        mat = _kron(a, _eye(space.dim // lo))
     else:
         mat = a
-    x = CliffordElement(space, mat)
+    x = CliffordElement(space, mat, _fresh=True)
     if k % 2 == 1:
         x = conditional_expect(x, k)
     nrm = lp_norm(x, 2)

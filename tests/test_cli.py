@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,8 +81,10 @@ def test_verify_single_suite_with_outputs(capsys, tmp_path):
                         "--violations-out", str(vio_csv))
     assert code == 0
     assert out.startswith("car_identity PASS worst=")
+    assert re.fullmatch(r"car_identity PASS worst=\S+ wall_s=\d+\.\d{3}\n", out)
     stats = out_csv.read_text(encoding="utf-8")
     assert stats.startswith("suite,cell,statistic,value\n")
+    assert "wall" not in stats
     assert vio_csv.read_text(encoding="utf-8") == "suite,cell,trial,seed,message\n"
     assert b"\r" not in out_csv.read_bytes()
 
@@ -110,6 +113,24 @@ def test_verify_refinement_summary_line(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("bihari PASS")
     assert lines[1].startswith("refinement PASS")
+    assert all(re.search(r" wall_s=\d+\.\d{3}$", line) for line in lines)
+
+
+def test_seeded_verify_output_matches_the_committed_bytes(capsys, tmp_path):
+    # the fixture pins the seeded statistics; a change that means to alter
+    # them must say so and rewrite the file
+    out_csv = tmp_path / "stats.csv"
+    code, out, _ = _run(capsys, "verify", "--suite", "bg_ratio",
+                        "--suite", "norm_exchange", "--suite", "parity_lemma",
+                        "--trials", "20", "--seed", "3", "--out", str(out_csv))
+    assert code == 0
+    fixture = Path(__file__).parent / "data" / "verify_seed3_trials20.csv"
+    assert out_csv.read_bytes() == fixture.read_bytes()
+    assert [line.split(" wall_s=")[0] for line in out.splitlines()] == [
+        "bg_ratio PASS worst=1.0000000000000002",
+        "norm_exchange PASS worst=1.0000000000000002",
+        "parity_lemma PASS worst=0.0",
+    ]
 
 
 # -- solve -------------------------------------------------------------------
@@ -190,6 +211,9 @@ def test_solve_overflow_prints_one_error_line(tmp_path):
     ("grid.n = 0", "grid.n"),
     ("solve.tol = nan", "solve.tol"),
     ("solve.max_outer = 0", "solve.max_outer"),
+    ("R.name = conditional_scale\nR.level = 0.7", "R.level"),
+    ("R.name = conditional_scale\nR.level = 99", "R.level"),
+    ("R.name = conditional_scale\nR.level = -1", "R.level"),
 ])
 def test_solve_rejects_a_bad_value_under_its_key(capsys, tmp_path, line,
                                                  key):

@@ -198,6 +198,19 @@ def test_conditional_scale_contracts(space4, rng):
     assert not rmap.is_zero
 
 
+@pytest.mark.parametrize("level", [0.7, -1, -0.5, float("nan"), float("inf")])
+def test_conditional_scale_rejects_a_non_level(level):
+    with pytest.raises(ValueError, match="level"):
+        make_nonlocal("conditional_scale", c=0.5, level=level)
+
+
+def test_conditional_scale_takes_an_integral_float_level(space4, rng):
+    rmap = make_nonlocal("conditional_scale", c=0.5, level=2.0)
+    assert rmap.name == "conditional_scale(0.5,2)"
+    x = random_level_element(space4, rng)
+    assert rmap(x).is_close(0.5 * conditional_expect(x, 2), tol=0.0)
+
+
 def test_zero_nonlocal_map(space4):
     rmap = make_nonlocal("zero")
     assert rmap.is_zero

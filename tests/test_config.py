@@ -186,11 +186,24 @@ def test_non_finite_data_fail_the_build(text):
     ("solve.start_node = 99\n", "solve.start_node"),
     ("grid.n = 4\nsolve.start_node = 4\n", "solve.start_node"),
     ("grid.max_generators = 0\n", "grid.max_generators"),
+    ("R.name = conditional_scale\nR.level = 0.7\n", "R.level"),
+    ("R.name = conditional_scale\nR.level = -1\n", "R.level"),
+    ("R.name = conditional_scale\nR.level = 99\n", "R.level"),
+    ("grid.n = 4\nR.name = conditional_scale\nR.level = 5\n", "R.level"),
 ])
 def test_out_of_domain_values_are_named(text, key):
     with pytest.raises(ConfigError) as e:
         build_problem(parse_config(text))
     assert _key_of(e) == key
+
+
+@pytest.mark.parametrize("level, name", [("0", "conditional_scale(0.5,0)"),
+                                         ("4", "conditional_scale(0.5,4)"),
+                                         ("2.0", "conditional_scale(0.5,2)")])
+def test_every_filtration_level_is_a_valid_r_level(level, name):
+    problem, _ = build_problem(parse_config(
+        f"grid.n = 4\nR.name = conditional_scale\nR.level = {level}\n"))
+    assert problem.R.name == name
 
 
 def test_overflowing_data_fail_the_build_without_warnings():

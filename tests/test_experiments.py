@@ -85,6 +85,25 @@ def test_empty_grids_yield_empty_tables():
     assert table.to_csv() == SweepTable.CSV_HEADER + "\n"
 
 
+def test_bg_ratio_suite_keeps_the_exponent_check():
+    with pytest.raises(ValueError, match="p >= 2"):
+        run_suites(SuiteConfig(trials=2, p_grid=(1.5,), n_grid=(4,)),
+                   ["bg_ratio"])
+
+
+def test_wall_times_are_recorded_outside_the_rows():
+    names = ["car_identity", "parity_lemma"]
+    table = run_suites(_SMALL, names)
+    assert sorted(table.wall_s) == sorted(names)
+    assert all(t >= 0.0 for t in table.wall_s.values())
+    assert not any("wall" in row[2] for row in table.rows)
+    again = run_suites(_SMALL, names)
+    assert again.to_csv() == table.to_csv()
+    merged = SweepTable()
+    merged.merge(table)
+    assert merged.wall_s == table.wall_s
+
+
 # -- SweepTable plumbing -----------------------------------------------------------
 
 

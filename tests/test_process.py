@@ -139,6 +139,53 @@ def test_driver_layout_mismatch(space4, pair_space4):
         Driver.annihilation().increment(space4, 0)
 
 
+def _pair_space():
+    return make_space(TimeGrid.uniform(0.0, 1.0, 4), layout="pair")
+
+
+def test_increment_is_cached_read_only():
+    sp = _pair_space()
+    for driver in (Driver.annihilation(), Driver.linear_combination(1, 2j)):
+        for k in range(sp.grid.n):
+            inc = driver.increment(sp, k)
+            assert driver.increment(sp, k) is inc
+            assert not inc.mat.flags.writeable
+    # a fresh space starts with its own cache
+    assert Driver.annihilation().increment(_pair_space(), 0) is not \
+        Driver.annihilation().increment(sp, 0)
+
+
+def test_combinations_with_different_alphas_do_not_collide():
+    sp = _pair_space()
+    a = Driver.linear_combination(1.0, 0.5)
+    b = Driver.linear_combination(1.0, -0.5)
+    for k in range(sp.grid.n):
+        inc_a, inc_b = a.increment(sp, k), b.increment(sp, k)
+        assert not inc_a.is_close(inc_b, tol=0.1)
+        assert inc_a.is_close(sp.annihilation_increment(k)
+                              + 0.5 * sp.creation_increment(k), tol=0.0)
+        assert inc_b.is_close(sp.annihilation_increment(k)
+                              - 0.5 * sp.creation_increment(k), tol=0.0)
+
+
+@pytest.mark.parametrize("kind", list(DRIVER_KINDS))
+def test_cached_increment_is_bitwise_a_fresh_one(kind):
+    driver = Driver(kind, 0.75 + 0.25j, -1.5j)
+    layout = driver.required_layout
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 3), layout=layout)
+    build = DRIVER_KINDS[kind][2]
+    for _ in range(2):  # the first pass fills the cache, the second reads it
+        for k in range(sp.grid.n):
+            assert driver.increment(sp, k).mat.tobytes() == \
+                build(driver, sp, k).mat.tobytes()
+
+
+def test_cached_increment_keeps_the_layout_guard(space4, pair_space4):
+    Driver.annihilation().increment(pair_space4, 0)
+    with pytest.raises(DriverMismatchError):
+        Driver.annihilation().increment(space4, 0)
+
+
 def test_symmetric_combination_is_selfadjoint(pair_space4):
     d = Driver.linear_combination(1.0, 1.0)
     for k in range(4):

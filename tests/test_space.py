@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cliffsde import (
     FiltrationLevel,
@@ -21,6 +22,7 @@ from cliffsde import (
     reconstruct,
     state,
 )
+from cliffsde import space as space_module
 
 EXACT = 1e-12
 ROUNDTRIP_TOL = 1e-10
@@ -323,3 +325,49 @@ def test_random_level_element_deterministic():
 def test_random_level_element_level_bounds(rng):
     with pytest.raises(ValueError):
         random_level_element(_SP6, rng, 7)
+
+
+# -- the kron helper ---------------------------------------------------------------
+
+
+_ENTRIES = st.complex_numbers(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                elements=_ENTRIES),
+       b=arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                elements=_ENTRIES))
+def test_kron_helper_is_np_kron(a, b):
+    with np.errstate(all="ignore"):  # inf * 0 and overflow are expected
+        ours, ref = space_module._kron(a, b), np.kron(a, b)
+    assert ours.shape == ref.shape and ours.dtype == ref.dtype
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])  # dim 4 and 16, odd and even n_gen
+def test_projections_and_draws_are_bitwise_those_of_np_kron(n, monkeypatch):
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
+    src = np.random.default_rng(n)
+    x = sp.element(src.standard_normal((sp.dim, sp.dim))
+                   + 1j * src.standard_normal((sp.dim, sp.dim)))
+
+    def outputs():
+        out = []
+        for level in range(sp.n_gen + 1):
+            out.append(conditional_expect(x, level).mat.tobytes())
+            draw = random_level_element(sp, np.random.default_rng(level), level)
+            out.append(draw.mat.tobytes())
+        return out
+
+    ours = outputs()
+    monkeypatch.setattr(space_module, "_kron", np.kron)
+    assert ours == outputs()
+
+
+def test_projection_results_are_read_only(space4, rng):
+    x = random_level_element(space4, rng)
+    for level in range(space4.n_gen + 1):
+        assert not conditional_expect(x, level).mat.flags.writeable
