@@ -108,8 +108,8 @@ def _cmd_solve(args) -> int:
     except ConvergenceError as exc:
         trace_path = os.path.join(out_dir, "deltas.csv")
         lines = ["iteration,delta"]
-        for i, d in enumerate(exc.deltas or []):
-            lines.append(f"{i + 1},{d!r}")
+        for it, d in zip(exc.iterations, exc.deltas):
+            lines.append(f"{it},{d!r}")
         _write_text(trace_path, "\n".join(lines) + "\n")
         print(f"did not converge: {exc}", file=sys.stderr)
         print(f"delta trace written to {trace_path}")

@@ -105,13 +105,16 @@ def lp_norm(x: CliffordElement, p: float) -> float:
     """||x||_p = m(|x|^p)^(1/p) with |x|^2 = x* x.
 
     p = 2 is the mean squared entry magnitude; other exponents go through
-    :func:`psd_power_lp_norm` of the Gram matrix.
+    :func:`psd_power_lp_norm` of the Gram matrix, except that an all-zero
+    matrix returns 0.0 (the same value) without forming it.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got p={p!r}")
     if p == 2:
         # m(x* x) is just the mean squared entry magnitude
         return float(np.sqrt(np.vdot(x.mat, x.mat).real / x.space.dim))
+    if not x.mat.any():
+        return 0.0
     return psd_power_lp_norm(x.mat.conj().T @ x.mat, 2.0, p)
 
 

@@ -36,11 +36,14 @@ class ZeroProcessError(CliffsdeError):
 
 class ConvergenceError(CliffsdeError):
     """An iteration failed to converge.  Carries the delta trace so the
-    caller can dump it for post-mortem."""
+    caller can dump it for post-mortem: ``iterations[i]`` is the iteration
+    that measured ``deltas[i]`` (1, 2, ... unless given)."""
 
-    def __init__(self, message, deltas=None):
+    def __init__(self, message, deltas=None, iterations=None):
         super().__init__(message)
         self.deltas = list(deltas) if deltas is not None else []
+        self.iterations = (list(iterations) if iterations is not None
+                           else list(range(1, len(self.deltas) + 1)))
 
 
 class ConfigError(CliffsdeError):

@@ -241,6 +241,39 @@ def test_solve_nonconvergence_writes_delta_trace(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_solve_picard_failure_rows_are_sweep_numbers(capsys, tmp_path):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text("grid.n = 6\nF.name = scale\nF.c = 1.0\n"
+                   "solve.max_outer = 3\n")
+    code, _, _ = _run(capsys, "solve", "--config", str(cfg),
+                      "--out", str(tmp_path))
+    assert code == 3
+    rows = list(csv.DictReader(
+        (tmp_path / "deltas.csv").read_text(encoding="utf-8").splitlines()))
+    assert [r["iteration"] for r in rows] == ["1", "2", "3"]
+
+
+def test_solve_inner_budget_failure_lists_the_measured_iterations(
+        capsys, tmp_path):
+    # a contraction this close to 1 cannot reach the inner tolerance
+    # tol (1 - C) / 10 in 200 steps; the trace holds the measured steps,
+    # at iterations 1, 2, 4, ..., 128 and the last one
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text("grid.n = 4\nF.name = scale\nF.c = 0.5\n"
+                   "G.name = scale\nG.c = 0.25\nH.name = scale\n"
+                   "H.c = 0.5\nR.name = scale\nR.c = 0.999999\n")
+    code, _, err = _run(capsys, "solve", "--config", str(cfg),
+                        "--out", str(tmp_path))
+    assert code == 3
+    assert "within 200 iterations" in err
+    rows = list(csv.DictReader(
+        (tmp_path / "deltas.csv").read_text(encoding="utf-8").splitlines()))
+    assert [int(r["iteration"]) for r in rows] == \
+        [1, 2, 4, 8, 16, 32, 64, 128, 200]
+    deltas = [float(r["delta"]) for r in rows]
+    assert all(a > b > 0 for a, b in zip(deltas, deltas[1:]))
+
+
 # -- bench-constants -----------------------------------------------------------
 
 

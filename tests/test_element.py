@@ -24,6 +24,7 @@ from cliffsde import (
     random_level_element,
     state,
 )
+from cliffsde import element as element_module
 from cliffsde.element import CliffordElement, psd_power_lp_norm
 
 EXACT = 1e-12
@@ -87,6 +88,63 @@ def test_norm_of_one_plus_generator(space4, p):
 def test_norm_of_zero(space4):
     for p in P_GRID:
         assert lp_norm(space4.zero(), p) == 0.0
+
+
+ZERO_SHORTCUT_P = (1.0, 2.5, 3.0, 4.0, 6.0)
+
+
+def _gram_path(x, p):
+    """lp_norm's full Gram-matrix path, the value an all-zero check must
+    reproduce; an exception is returned, not raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return psd_power_lp_norm(x.mat.conj().T @ x.mat, 2.0, p)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("fill", (0.0, -0.0, complex(-0.0, -0.0)))
+@pytest.mark.parametrize("p", ZERO_SHORTCUT_P)
+def test_zero_matrix_norm_skips_the_gram_product(space4, monkeypatch, p,
+                                                 fill):
+    x = CliffordElement(space4, np.full((space4.dim, space4.dim), fill))
+    full = _gram_path(x, p)
+
+    def no_gram(*args):
+        raise AssertionError("formed the Gram product of a zero matrix")
+
+    monkeypatch.setattr(element_module, "psd_power_lp_norm", no_gram)
+    got = lp_norm(x, p)
+    assert got == full == 0.0
+    assert math.copysign(1.0, got) == math.copysign(1.0, full) == 1.0
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan), 1e200))
+@pytest.mark.parametrize("p", ZERO_SHORTCUT_P)
+def test_non_finite_or_overflowing_matrices_take_the_full_norm_path(
+        space4, monkeypatch, p, bad):
+    mat = np.zeros((space4.dim, space4.dim), dtype=complex)
+    mat[1, 2] = bad
+    x = CliffordElement(space4, mat)
+    full = _gram_path(x, p)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return psd_power_lp_norm(*args)
+
+    monkeypatch.setattr(element_module, "psd_power_lp_norm", counted)
+    try:
+        with np.errstate(all="ignore"):
+            got = lp_norm(x, p)
+    except np.linalg.LinAlgError as exc:
+        got = exc
+    assert len(calls) == 1
+    if isinstance(full, Exception):
+        assert type(got) is type(full)
+    else:
+        assert repr(got) == repr(full)
 
 
 def test_norm_rejects_p_below_one(space4):

@@ -11,9 +11,12 @@ Closed-form oracles used below:
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsde import (
     AdaptedProcess,
@@ -44,6 +47,7 @@ from cliffsde import solver as solver_module
 from cliffsde.solver import NONLOCAL_MODES
 
 TOL = 1e-10
+DATA = Path(__file__).parent / "data"
 EULER_GAP = 1e-10
 
 _LIPSCHITZ_FREE = ("zero", "linear_field", "linear_left", "linear_drift",
@@ -234,6 +238,234 @@ def test_inner_iteration_budget():
         inner_fixed_point(sp.zero(), make_nonlocal("scale", c=0.5),
                           sp.identity(), 4.0, 1e-30, max_inner=3)
     assert len(exc.value.deltas) == 3
+
+
+# -- the L^2 screen of the inner loop -------------------------------------------
+#
+# For p > 2 the inner loop measures the exact L^p step only where it can
+# decide the stop; the reference below measures every step, as the loop did
+# before the screen, and the two must agree bit for bit.
+
+SCREEN_P = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+SCREEN_SPACE = make_space(TimeGrid.uniform(0.0, 1.0, 6))
+
+
+def _unscreened_inner(M, R, Z, p, tol, max_inner, guess=None):
+    """(value, iterations, steps): every step measured; value None when
+    the budget runs out."""
+    y = Z + M if guess is None else Z + R(guess) + M
+    steps = []
+    for it in range(1, max_inner + 1):
+        y_next = Z + R(y) + M
+        steps.append(lp_norm(y_next - y, p))
+        y = y_next
+        if steps[-1] <= tol:
+            return y, it, steps
+    return None, max_inner, steps
+
+
+def _screen_case(seed, flat):
+    sp = SCREEN_SPACE
+    rng = np.random.default_rng(seed)
+    if flat:
+        z, m, g = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return z * sp.identity(), m * sp.identity(), g * sp.identity()
+    z = rng.normal()
+    M, G = (sp.element(rng.normal(size=(sp.dim, sp.dim))
+                       + 1j * rng.normal(size=(sp.dim, sp.dim)))
+            for _ in range(2))
+    return z * sp.identity(), M, G
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.floats(min_value=0.0, max_value=0.95),
+       rname=st.sampled_from(["scale", "conditional_scale"]),
+       level=st.integers(min_value=0, max_value=6),
+       p=st.sampled_from(SCREEN_P),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       flat=st.booleans(), warm=st.booleans(),
+       max_inner=st.sampled_from([3, 37, 200]),
+       data=st.data())
+def test_screened_inner_loop_matches_the_unscreened_reference(
+        c, rname, level, p, seed, flat, warm, max_inner, data):
+    params = {"c": c, "level": level} if rname == "conditional_scale" \
+        else {"c": c}
+    rmap = make_nonlocal(rname, **params)
+    Z, M, G = _screen_case(seed, flat)
+    guess = G if warm else None
+    if data.draw(st.booleans(), label="tol_is_a_step"):
+        # tol equal to one of the reference's own steps (all above 1e-11,
+        # far from the rounding floor of these magnitudes)
+        steps = _unscreened_inner(M, rmap, Z, p, 1e-11, max_inner, guess)[2]
+        tol = steps[data.draw(st.integers(0, len(steps) - 1), label="i")]
+    else:
+        tol = 10.0 ** data.draw(st.floats(-11.0, -1.0), label="log_tol")
+    value, iterations, steps = _unscreened_inner(M, rmap, Z, p, tol,
+                                                 max_inner, guess)
+    if value is None:
+        with pytest.raises(ConvergenceError) as exc:
+            inner_fixed_point(M, rmap, Z, p, tol, max_inner, guess=guess)
+        assert exc.value.iterations[-1] == max_inner
+        assert exc.value.deltas == [steps[i - 1]
+                                    for i in exc.value.iterations]
+        return
+    res = inner_fixed_point(M, rmap, Z, p, tol, max_inner, guess=guess)
+    assert res.value.mat.tobytes() == value.mat.tobytes()
+    assert res.iterations == iterations
+    assert res.steps[-1] == steps[-1]
+    assert res.residual == lp_norm(value - (Z + rmap(value) + M), p)
+    assert set(res.steps) <= set(steps)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("m", [0.3, 1.7 - 0.2j, 1e-3])
+def test_flat_step_at_exactly_tol_still_stops(p, m):
+    # d = a * I has ||d||_2 == ||d||_p up to rounding in either norm; a tol
+    # equal to a reference step must stop there even if the rounded L^2
+    # bound lands just above it
+    sp = SCREEN_SPACE
+    rmap = make_nonlocal("scale", c=0.5)
+    Z, M = 1.3 * sp.identity(), m * sp.identity()
+    steps = _unscreened_inner(M, rmap, Z, p, 1e-11, 200)[2]
+    for i, tol in enumerate(steps):
+        res = inner_fixed_point(M, rmap, Z, p, tol)
+        assert (res.iterations, res.steps[-1]) == (i + 1, tol)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0, math.inf)])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("rname", ["scale", "conditional_scale"])
+def test_inner_infinite_entry_raises_at_the_first_iteration(bad, p, rname):
+    sp = SCREEN_SPACE
+    mat = np.zeros((sp.dim, sp.dim), dtype=complex)
+    mat[2, 5] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ConvergenceError, match="non-finite") as exc:
+            inner_fixed_point(sp.element(mat), make_nonlocal(rname, c=0.5),
+                              sp.identity(), p, 1e-12, node=3)
+    assert "at node 3" in str(exc.value)
+    assert exc.value.iterations == [1]
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e154, 1e200])
+@pytest.mark.parametrize("p", [4.0, 6.0])
+@pytest.mark.parametrize("warm", [False, True])
+def test_inner_overflowing_step_norm_never_returns(scale, p, warm):
+    # ||d||_2 may be finite while the trace power behind ||d||_p overflows;
+    # the screen must not let such a step pass as converged
+    sp = SCREEN_SPACE
+    rng = np.random.default_rng(7)
+    M = scale * sp.element(rng.choice([-1.0, 1.0], size=(sp.dim, sp.dim)))
+    guess = sp.identity() if warm else None
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            inner_fixed_point(M, make_nonlocal("scale", c=0.5),
+                              sp.identity(), p, 1e-12, guess=guess)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_inner_expansion_reports_the_per_step_rate(p):
+    sp = SCREEN_SPACE
+    liar = NonlocalMap(fn=lambda x: 1.25 * x, contraction=0.5, name="liar")
+    with pytest.raises(ContractViolationError,
+                       match=r"expands \(measured rate 1\.250 >= 1\)"):
+        inner_fixed_point(sp.generator(1), liar, sp.identity(), p, 1e-12)
+
+
+def _gram_norm_budget(iterations, dim, p, c):
+    """Exact (p != 2) norms a converged inner solve may take: checkpoints
+    1, 2, 4, ... up to ``iterations``, the stopping step and the residual,
+    plus the misses, steps with ||d||_2 <= tol < ||d||_p.  On dimension
+    ``dim`` the two norms differ by at most r = dim^(1/2 - 1/p) and each
+    step shrinks ||d||_p by c, so after the first miss at most
+    log(r) / log(1/c) more follow.  A flat spectrum has r = 1: no misses
+    beyond rounding."""
+    misses = 0
+    if c > 0:
+        r = dim ** (0.5 - 1.0 / p) * (1 + 1e-9)
+        misses = 1 + math.floor(math.log(r) / math.log(1.0 / c))
+    return math.floor(math.log2(iterations)) + 3 + misses
+
+
+class _GramNormCounter:
+    """Wraps solver.lp_norm: ``gram`` counts the calls with p != 2."""
+
+    def __init__(self):
+        self.gram = 0
+
+    def __call__(self, x, p):
+        self.gram += p != 2
+        return lp_norm(x, p)
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("nonlocal_linear", "pointwise"), ("nonlocal_linear", "initial"),
+    ("nonlocal_conditional", "pointwise"),
+    ("nonlocal_conditional", "initial"), ("osgood_radial", "pointwise")])
+def test_inner_solves_take_logarithmically_many_exact_norms(
+        name, mode, monkeypatch):
+    prob = make_problem(name, n=8, nonlocal_mode=mode)
+    counter = _GramNormCounter()
+    counts = []
+    real_inner = solver_module.inner_fixed_point
+
+    def inner(*args, **kwargs):
+        before = counter.gram
+        res = real_inner(*args, **kwargs)
+        counts.append((res.iterations, counter.gram - before))
+        return res
+
+    monkeypatch.setattr(solver_module, "lp_norm", counter)
+    monkeypatch.setattr(solver_module, "inner_fixed_point", inner)
+    picard_solve(prob, tol=TOL)
+    assert counts
+    c = prob.R.contraction
+    for iterations, gram_norms in counts:
+        assert gram_norms <= _gram_norm_budget(iterations, prob.space.dim,
+                                               prob.p, c)
+    if name == "nonlocal_conditional":
+        # after one step R's output is a scalar: flat spectrum, no misses
+        for iterations, gram_norms in counts:
+            assert gram_norms <= math.floor(math.log2(iterations)) + 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(min_value=0.0, max_value=0.95),
+       rname=st.sampled_from(["scale", "conditional_scale"]),
+       p=st.sampled_from([2.5, 3.0, 4.0, 6.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       flat=st.booleans(), warm=st.booleans(),
+       log_tol=st.floats(-11.0, -1.0))
+def test_inner_exact_norm_count_is_logarithmic(c, rname, p, seed, flat, warm,
+                                               log_tol):
+    sp = SCREEN_SPACE
+    rmap = make_nonlocal(rname, c=c)
+    Z, M, G = _screen_case(seed, flat)
+    counter = _GramNormCounter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "lp_norm", counter)
+        res = inner_fixed_point(M, rmap, Z, p, 10.0 ** log_tol,
+                                max_inner=1000, guess=G if warm else None)
+    budget = (math.floor(math.log2(res.iterations)) + 3 if flat
+              else _gram_norm_budget(res.iterations, sp.dim, p, c))
+    assert counter.gram <= budget
+
+
+@pytest.mark.parametrize("fixture, name, mode", [
+    ("solve_n8_nonlocal_linear_pointwise.csv", "nonlocal_linear",
+     "pointwise"),
+    ("solve_n8_nonlocal_conditional_pointwise.csv", "nonlocal_conditional",
+     "pointwise"),
+    ("solve_n8_nonlocal_conditional_initial.csv", "nonlocal_conditional",
+     "initial"),
+    ("solve_n8_osgood_radial_pointwise.csv", "osgood_radial", "pointwise"),
+])
+def test_solve_output_matches_the_committed_bytes(fixture, name, mode):
+    # the fixtures pin trajectory_csv() + iteration_csv() of the default
+    # solve; a change that means to alter them must say so and rewrite them
+    report = picard_solve(make_problem(name, n=8, nonlocal_mode=mode))
+    text = report.trajectory_csv() + report.iteration_csv()
+    assert text.encode() == (DATA / fixture).read_bytes()
 
 
 # -- nonlocal problems ----------------------------------------------------------
