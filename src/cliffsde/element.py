@@ -108,14 +108,62 @@ def lp_norm(x: CliffordElement, p: float) -> float:
     :func:`psd_power_lp_norm` of the Gram matrix, except that an all-zero
     matrix returns 0.0 (the same value) without forming it.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got p={p!r}")
+    _check_exponent(p)
     if p == 2:
-        # m(x* x) is just the mean squared entry magnitude
-        return float(np.sqrt(np.vdot(x.mat, x.mat).real / x.space.dim))
+        return _l2_norm(x.mat)
     if not x.mat.any():
         return 0.0
     return psd_power_lp_norm(x.mat.conj().T @ x.mat, 2.0, p)
+
+
+def lp_norms(mats: np.ndarray, p: float) -> list:
+    """:func:`lp_norm` of every matrix of a ``(nodes, dim, dim)`` stack.
+
+    Bit for bit the per-matrix values: p = 2 takes each row's ``vdot``;
+    other exponents form one stacked Gram product, then take each row's
+    trace of powers (integer p/2) or the row's mean over one stacked
+    ``eigvalsh`` (otherwise).  A row with a non-finite Gram matrix reads
+    NaN without failing the others.
+    """
+    _check_exponent(p)
+    if p == 2:
+        return [_l2_norm(m) for m in mats]
+    grams = mats.conj().transpose(0, 2, 1) @ mats
+    k = p / 2.0
+    if k == int(k):
+        return [psd_power_lp_norm(g, 2.0, p) for g in grams]
+    return [_spectrum_lp_norm(lam, k, p) for lam in _psd_spectra(grams)]
+
+
+def _check_exponent(p: float) -> None:
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got p={p!r}")
+
+
+def _l2_norm(mat: np.ndarray) -> float:
+    # m(x* x) is just the mean squared entry magnitude
+    return float(np.sqrt(np.vdot(mat, mat).real / mat.shape[0]))
+
+
+def _psd_spectra(psd_mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each PSD matrix of a stack, clipped at zero.
+
+    ``eigvalsh`` raises for a whole stack when one matrix holds NaN or
+    inf, so such a matrix gets a row of NaN instead.
+    """
+    finite = np.isfinite(psd_mats).all(axis=(1, 2))
+    if finite.all():
+        lam = np.linalg.eigvalsh(psd_mats)
+    else:
+        lam = np.full(psd_mats.shape[:2], np.nan)
+        if finite.any():
+            lam[finite] = np.linalg.eigvalsh(psd_mats[finite])
+    return np.clip(lam, 0.0, None)
+
+
+def _spectrum_lp_norm(lam: np.ndarray, k: float, p: float) -> float:
+    # a row at a time: np.mean along an axis of a stack rounds differently
+    return float(np.mean(lam ** k) ** (1.0 / p))
 
 
 def psd_power_lp_norm(psd_mat: np.ndarray, root: float, p: float) -> float:
@@ -123,7 +171,8 @@ def psd_power_lp_norm(psd_mat: np.ndarray, root: float, p: float) -> float:
 
     For a positive integer k, m(S^k) is a trace of matrix powers: the trace
     for k = 1, else vdot(S^j, S^(k-j)) with j = k // 2 (for even k a sum of
-    squared moduli).  Other k use the spectrum, clipped at zero.
+    squared moduli).  Other k use the spectrum, clipped at zero; a
+    non-finite S then gives NaN, as the trace paths give NaN or inf.
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got p={p!r}")
@@ -136,8 +185,7 @@ def psd_power_lp_norm(psd_mat: np.ndarray, root: float, p: float) -> float:
         half = np.linalg.matrix_power(psd_mat, k // 2)
         other = half if k % 2 == 0 else half @ psd_mat
         return float((np.vdot(half, other).real / dim) ** (1.0 / p))
-    lam = np.clip(np.linalg.eigvalsh(psd_mat), 0.0, None)
-    return float(np.mean(lam ** k) ** (1.0 / p))
+    return _spectrum_lp_norm(_psd_spectra(psd_mat[None])[0], k, p)
 
 
 def op_norm(x: CliffordElement) -> float:

@@ -217,15 +217,21 @@ def _map_trials(worker, trials: int, max_workers: int):
     return [worker(t) for t in range(trials)]
 
 
-def _space(config: SuiteConfig, n: int, layout: str = "fermion"):
-    grid = TimeGrid.uniform(config.t0, config.t0 + config.horizon, n)
-    return make_space(grid, layout=layout)
+def _space(config: SuiteConfig, spaces: dict, n: int,
+           layout: str = "fermion"):
+    """The run's space for ``(n, layout)``, built on first use: the suites
+    of one run share it, with its cached driver increments."""
+    space = spaces.get((n, layout))
+    if space is None:
+        grid = TimeGrid.uniform(config.t0, config.t0 + config.horizon, n)
+        space = spaces[(n, layout)] = make_space(grid, layout=layout)
+    return space
 
 
 # -- individual suites ---------------------------------------------------------
 
 
-def _bg_ratio_suite(config: SuiteConfig) -> SweepTable:
+def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Martingale-vs-square-function ratio sweep.
 
     Per cell (p, n, driver, side): min/median/max of the ratio
@@ -248,7 +254,7 @@ def _bg_ratio_suite(config: SuiteConfig) -> SweepTable:
                     cells.append((p, n, driver, side))
 
     for cell_index, (p, n, driver, side) in enumerate(cells):
-        space = _space(config, n, driver.required_layout)
+        space = _space(config, spaces, n, driver.required_layout)
         cell = f"p={p:g} n={n} driver={driver.label} side={side}"
 
         def worker(t, p=p, space=space, driver=driver, side=side,
@@ -307,7 +313,7 @@ def _bg_ratio_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _norm_exchange_suite(config: SuiteConfig) -> SweepTable:
+def _norm_exchange_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """(int ||f||^q)^(1/q)-vs-||(int |f|^q)^(1/q)||_p ratio sweep; the ratio
     must never exceed 1, and q = p cells must sit at 1 (Fubini)."""
     table = SweepTable()
@@ -316,7 +322,7 @@ def _norm_exchange_suite(config: SuiteConfig) -> SweepTable:
     cells = [(q, p, n) for q, p in pairs for n in config.n_grid]
 
     for cell_index, (q, p, n) in enumerate(cells):
-        space = _space(config, n)
+        space = _space(config, spaces, n)
         cell = f"q={q:g} p={p:g} n={n}"
 
         def worker(t, q=q, p=p, space=space, cell_index=cell_index):
@@ -341,7 +347,7 @@ def _norm_exchange_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _car_identity_suite(config: SuiteConfig) -> SweepTable:
+def _car_identity_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Exact algebra of increments: generator anticommutation relations,
     nilpotent annihilation increments, the per-increment relation
     dA dA* + dA* dA = delta, and its running form A A* + A* A = (t - t0)."""
@@ -350,7 +356,7 @@ def _car_identity_suite(config: SuiteConfig) -> SweepTable:
 
     # Clifford relations on the largest fermion space
     n = max(config.n_grid)
-    space = _space(config, n)
+    space = _space(config, spaces, n)
     cell = f"layout=fermion n={n}"
     worst = 0.0
     m = space.n_gen
@@ -365,7 +371,7 @@ def _car_identity_suite(config: SuiteConfig) -> SweepTable:
         table.violate(suite, cell, f"anticommutation defect {worst!r}")
 
     for n_pair in config.pair_n_grid:
-        space = _space(config, n_pair, "pair")
+        space = _space(config, spaces, n_pair, "pair")
         cell = f"layout=pair n={n_pair}"
         inc_worst = nil_worst = 0.0
         for k in range(n_pair):
@@ -376,8 +382,9 @@ def _car_identity_suite(config: SuiteConfig) -> SweepTable:
                 da @ ds + ds @ da - delta * space.identity()))
             nil_worst = max(nil_worst, op_norm(da @ da))
         run_worst = 0.0
-        running = _running_sums(space, ((space.annihilation_increment(k),)
-                                        for k in range(n_pair)))
+        running = _running_sums(space.zero(),
+                                 ((space.annihilation_increment(k),)
+                                  for k in range(n_pair)))
         for k, acc in enumerate(running[1:]):
             accs = acc.adjoint()
             elapsed = space.grid.node(k + 1) - space.grid.t0
@@ -393,7 +400,7 @@ def _car_identity_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _parity_lemma_suite(config: SuiteConfig) -> SweepTable:
+def _parity_lemma_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Even parts of adapted elements commute with later increments, odd
     parts anticommute — both exactly — and even integrands have exactly
     equal left and right integrals."""
@@ -403,7 +410,7 @@ def _parity_lemma_suite(config: SuiteConfig) -> SweepTable:
     trials = max(1, config.trials // 8)
 
     for cell_index, n in enumerate(cells):
-        space = _space(config, n)
+        space = _space(config, spaces, n)
         cell = f"layout=fermion n={n}"
 
         def worker(t, space=space, n=n, cell_index=cell_index):
@@ -434,7 +441,7 @@ _PICARD_LIPSCHITZ_FREE = ("zero", "linear_field", "linear_left",
 _PICARD_NONLOCAL = ("nonlocal_linear", "nonlocal_conditional")
 
 
-def _picard_suite(config: SuiteConfig) -> SweepTable:
+def _picard_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Solver correctness: exact agreement with the explicit recursion for
     R = 0, residuals below tolerance for the nonlocal and Osgood problems,
     and non-increasing deltas after the first two sweeps (Lipschitz data)."""
@@ -479,7 +486,7 @@ def _picard_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _uniqueness_suite(config: SuiteConfig) -> SweepTable:
+def _uniqueness_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Two Picard runs from different initial trajectories must land within
     2 * tol of each other."""
     table = SweepTable()
@@ -499,7 +506,7 @@ def _uniqueness_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _gronwall_suite(config: SuiteConfig) -> SweepTable:
+def _gronwall_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Initial-data stability: the squared distance of two solutions stays
     below the exponential envelope at every node, for perturbation sizes
     1e-1 and 1e-3."""
@@ -536,7 +543,7 @@ def _gronwall_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _coeff_stability_suite(config: SuiteConfig) -> SweepTable:
+def _coeff_stability_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Shrinking coefficient perturbations delta_n = 2^-n must move the
     solution by strictly decreasing amounts."""
     table = SweepTable()
@@ -556,7 +563,7 @@ def _coeff_stability_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _selfadjoint_suite(config: SuiteConfig) -> SweepTable:
+def _selfadjoint_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Self-adjointness preservation along the whole iteration."""
     table = SweepTable()
     suite = "selfadjoint"
@@ -575,7 +582,7 @@ def _selfadjoint_suite(config: SuiteConfig) -> SweepTable:
     return table
 
 
-def _bihari_suite(config: SuiteConfig) -> SweepTable:
+def _bihari_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """Nonlinear Gronwall utility: the linear modulus reproduces the
     exponential bound, u0 = 0 propagates to exactly 0, the logarithmic
     modulus dominates the linear one, and the square-root modulus fails
@@ -641,15 +648,18 @@ _SUITE_RUNNERS = {
 
 def run_suites(config: SuiteConfig, names) -> SweepTable:
     """Run the named suites (any subset of SUITE_NAMES) into one table,
-    recording each suite's wall time in ``table.wall_s``."""
+    recording each suite's wall time in ``table.wall_s``.  The suites
+    share one space per ``(n, layout)``; ``spaces`` holds them for this
+    run only."""
     table = SweepTable()
+    spaces = {}
     for name in names:
         if name not in _SUITE_RUNNERS:
             raise ValueError(
                 f"unknown suite {name!r}; known: {list(SUITE_NAMES)}"
             )
         start = time.perf_counter()
-        part = _SUITE_RUNNERS[name](config)
+        part = _SUITE_RUNNERS[name](config, spaces)
         part.wall_s[name] = time.perf_counter() - start
         table.merge(part)
     return table

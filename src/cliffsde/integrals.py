@@ -17,6 +17,15 @@ The square-function norm is
                          || (sum |f_j*|^2 d_j)^(1/2) ||_p )
 
 and ``lqlp_norm`` is the iterated norm (sum ||f_j||_p^q d_j)^(1/q).
+
+The kernels work on a process's stacked values ``f.mats``: one stacked
+matmul against the driver's cached increment stack per integral, one
+stacked Gram product (and ``eigh`` or ``eigvalsh`` where a norm needs a
+spectrum) per norm, then sums over the nodes in node order.  Stacked
+products and decompositions equal the per-matrix calls bit for bit, so
+the results are those of a per-element loop.  The processes are
+immutable and adapted by construction, so no kernel re-checks
+adaptedness.
 """
 
 from __future__ import annotations
@@ -25,15 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import CliffordElement, lp_norm, op_norm, psd_power_lp_norm
-from .errors import AdaptednessError, ContractViolationError, ZeroProcessError
-from .process import ADAPTEDNESS_REJECT_TOL, AdaptedProcess, Driver
+from .element import CliffordElement, lp_norm, lp_norms, op_norm, psd_power_lp_norm
+from .errors import ContractViolationError, ZeroProcessError
+from .process import AdaptedProcess, Driver
 from .space import adaptedness_defect, conditional_expect, parity_decompose
 
 
 def _resolve_upto(f: AdaptedProcess, upto) -> int:
     n = f.space.grid.n
-    limit = min(f.start_node + len(f.values), n)
+    limit = min(f.start_node + len(f), n)
     if upto is None:
         return limit
     upto = int(upto)
@@ -44,11 +53,18 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
     return upto
 
 
-def _running_sums(space, steps) -> list:
-    """Partial sums [0, s_0, s_0 + s_1, ...] of an integral, accumulated
-    left to right from ``space.zero()``.  Each step is a tuple of terms
-    added one at a time, so ``acc + a + b`` keeps its rounding."""
-    acc = space.zero()
+def _rows(f: AdaptedProcess, upto: int) -> np.ndarray:
+    """The stacked values at nodes start_node..upto-1."""
+    return f.mats[:upto - f.start_node]
+
+
+def _running_sums(start, steps) -> list:
+    """Partial sums [start, start + s_0, start + s_0 + s_1, ...] of an
+    integral, accumulated left to right.  Each step is a tuple of terms
+    added one at a time, so ``acc + a + b`` keeps its rounding.  The terms
+    are elements (``start`` the space's zero) or matrices (a zero
+    matrix)."""
+    acc = start
     out = [acc]
     for step in steps:
         for term in step:
@@ -57,11 +73,17 @@ def _running_sums(space, steps) -> list:
     return out
 
 
-def _driver_steps(f: AdaptedProcess, driver: Driver, upto: int, side: str):
+def _driver_partial_sums(f: AdaptedProcess, driver: Driver, upto: int,
+                         side: str) -> list:
+    """Matrices of the partial sums of a driver integral: one stacked
+    product of the values with the cached increments, summed in node
+    order."""
     sp = f.space
-    for j in range(f.start_node, upto):
-        inc, fj = driver.increment(sp, j), f.value(j)
-        yield (fj @ inc if side == "right" else inc @ fj,)
+    vals = _rows(f, upto)
+    incs = driver.increments(sp)[f.start_node:upto]
+    terms = vals @ incs if side == "right" else incs @ vals
+    zero = np.zeros((sp.dim, sp.dim), dtype=complex)
+    return _running_sums(zero, ((t,) for t in terms))
 
 
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
@@ -70,7 +92,8 @@ def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     upto = _resolve_upto(f, upto)
-    return _running_sums(f.space, _driver_steps(f, driver, upto, side))[-1]
+    total = _driver_partial_sums(f, driver, upto, side)[-1]
+    return CliffordElement(f.space, total, _fresh=True)
 
 
 def right_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
@@ -89,7 +112,7 @@ def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
     sp = f.space
     steps = ((sp.grid.delta(j) * f.value(j),)
              for j in range(f.start_node, upto))
-    return _running_sums(sp, steps)[-1]
+    return _running_sums(sp.zero(), steps)[-1]
 
 
 def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
@@ -98,13 +121,15 @@ def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
         raise ValueError(f"p must be >= 1, got {p!r}")
     upto = _resolve_upto(f, upto)
     sp = f.space
+    mats = _rows(f, upto)
+    adj = mats.conj().transpose(0, 2, 1)
+    grams, cograms = adj @ mats, mats @ adj
     s_right = np.zeros((sp.dim, sp.dim), dtype=complex)
     s_left = np.zeros((sp.dim, sp.dim), dtype=complex)
-    for j in range(f.start_node, upto):
-        mat = f.value(j).mat
+    for j, gram, cogram in zip(range(f.start_node, upto), grams, cograms):
         dj = sp.grid.delta(j)
-        s_right += dj * (mat.conj().T @ mat)
-        s_left += dj * (mat @ mat.conj().T)
+        s_right += dj * gram
+        s_left += dj * cogram
     return max(
         psd_power_lp_norm(s_right, 2.0, p),
         psd_power_lp_norm(s_left, 2.0, p),
@@ -116,9 +141,10 @@ def lqlp_norm(f: AdaptedProcess, q: float, p: float, upto=None) -> float:
     if q < 1 or p < 1:
         raise ValueError(f"exponents must be >= 1, got q={q!r}, p={p!r}")
     upto = _resolve_upto(f, upto)
+    grid = f.space.grid
     total = 0.0
-    for j in range(f.start_node, upto):
-        total += lp_norm(f.value(j), p) ** q * f.space.grid.delta(j)
+    for j, nrm in zip(range(f.start_node, upto), lp_norms(_rows(f, upto), p)):
+        total += nrm ** q * grid.delta(j)
     return float(total ** (1.0 / q))
 
 
@@ -126,22 +152,16 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
                      side: str = "right", p: float = 2.0, upto=None) -> float:
     """Max over s of || E(M_t | level s) - M_s ||_p for M the integral.
 
-    Zero up to roundoff for any adapted integrand.  The adaptedness
-    contract is re-checked up front (values replaced after construction
-    skip its check), so a non-adapted integrand fails loudly before any
-    values are summed.
+    Zero up to roundoff for any adapted integrand; every process is
+    adapted, because its construction checks the values it is given and
+    nothing can replace them afterwards.
     """
-    defect = f.max_adaptedness_defect()
-    if defect > ADAPTEDNESS_REJECT_TOL:
-        raise AdaptednessError(
-            f"martingale property is only defined for adapted integrands; "
-            f"worst projection defect {defect:.3e}"
-        )
     if driver is None:
         driver = Driver.fermion_field()
     upto = _resolve_upto(f, upto)
     sp = f.space
-    partial = _running_sums(sp, _driver_steps(f, driver, upto, side))
+    partial = [CliffordElement(sp, s, _fresh=True)
+               for s in _driver_partial_sums(f, driver, upto, side)]
     m_t = partial[-1]
     worst = 0.0
     for off, m_s in enumerate(partial):
@@ -209,17 +229,17 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,
         raise ValueError(f"need 1 <= q <= p, got q={q!r}, p={p!r}")
     upto = _resolve_upto(f, upto)
     sp = f.space
+    mats = _rows(f, upto)
+    grams = mats.conj().transpose(0, 2, 1) @ mats
+    if q == 2:
+        powed = grams
+    else:
+        lam, vec = np.linalg.eigh(grams)
+        lam = np.clip(lam, 0.0, None)
+        powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
     acc = np.zeros((sp.dim, sp.dim), dtype=complex)
-    for j in range(f.start_node, upto):
-        mat = f.value(j).mat
-        gram = mat.conj().T @ mat
-        if q == 2:
-            powed = gram
-        else:
-            lam, vec = np.linalg.eigh(gram)
-            lam = np.clip(lam, 0.0, None)
-            powed = (vec * lam ** (q / 2.0)) @ vec.conj().T
-        acc += sp.grid.delta(j) * powed
+    for j, term in zip(range(f.start_node, upto), powed):
+        acc += sp.grid.delta(j) * term
     lhs = psd_power_lp_norm(acc, q, p)
     rhs = lqlp_norm(f, q, p, upto=upto)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))

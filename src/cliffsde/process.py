@@ -2,9 +2,19 @@
 
 A process holds one algebra element per grid node, starting at
 ``start_node``; the value at node k must lie in the level-k subalgebra
-(level 2k for pair layouts).  Adaptedness is enforced eagerly at
-construction — a projection defect above the rejection threshold raises
-instead of being silently projected away.
+(level 2k for pair layouts).  The values are stored as one read-only
+complex stack ``mats`` of shape ``(nodes, dim, dim)``, which the integral
+and norm kernels work on directly; ``values`` and ``value()`` hand out
+read-only element views of its rows.
+
+A process is immutable.  Adaptedness is enforced eagerly on every value a
+caller supplies — a projection defect above the rejection threshold raises
+instead of being silently projected away — and, because nothing can
+replace the values afterwards, never re-checked.  :meth:`AdaptedProcess.random`
+draws each value inside its level algebra, so it skips the check.
+
+A driver's increments are cached on their space: one read-only element
+per ``(driver, k)``, and one read-only ``(n, dim, dim)`` stack of them.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
 from .errors import AdaptednessError, ConfigurationError, DriverMismatchError
-from .space import CliffordSpace, adaptedness_defect, random_level_element
+from .space import CliffordSpace, _draw_level_matrix, adaptedness_defect
 
 #: Construction rejects values whose projection defect exceeds this.
 ADAPTEDNESS_REJECT_TOL = 1e-8
@@ -104,22 +114,45 @@ class Driver:
                 key, DRIVER_KINDS[self.kind][2](self, space, k))
         return inc
 
+    def increments(self, space: CliffordSpace) -> np.ndarray:
+        """All n increments as one read-only ``(n, dim, dim)`` stack, bit
+        for bit the matrices of :meth:`increment`; cached on the space
+        under ``(driver, None)``."""
+        key = (self, None)
+        stack = space._increments.get(key)
+        if stack is None:
+            stack = np.stack([self.increment(space, k).mat
+                              for k in range(space.grid.n)])
+            stack.setflags(write=False)
+            stack = space._increments.setdefault(key, stack)
+        return stack
+
+
+def _check_node_range(space, num: int, start_node: int) -> None:
+    if num < 1:
+        raise ValueError("a process needs at least one value")
+    n = space.grid.n
+    if not 0 <= start_node <= n:
+        raise ValueError(f"start_node {start_node} outside 0..{n}")
+    if start_node + num > n + 1:
+        raise ValueError(
+            f"{num} values from node {start_node} overrun the "
+            f"grid ({n + 1} nodes)"
+        )
+
 
 class AdaptedProcess:
-    """Node-indexed values f(tau_k), each measurable at its own level."""
+    """Node-indexed values f(tau_k), each measurable at its own level.
+
+    ``mats[i]`` is the value at node ``start_node + i``.  Assigning any
+    attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ("space", "mats", "start_node", "_values")
 
     def __init__(self, space, values, start_node: int = 0):
         values = tuple(values)
-        if not values:
-            raise ValueError("a process needs at least one value")
-        n = space.grid.n
-        if not 0 <= start_node <= n:
-            raise ValueError(f"start_node {start_node} outside 0..{n}")
-        if start_node + len(values) > n + 1:
-            raise ValueError(
-                f"{len(values)} values from node {start_node} overrun the "
-                f"grid ({n + 1} nodes)"
-            )
+        _check_node_range(space, len(values), start_node)
         for off, v in enumerate(values):
             if v.space is not space and v.space != space:
                 raise ConfigurationError("process values belong to a different space")
@@ -132,9 +165,29 @@ class AdaptedProcess:
                     f"(projection defect {defect:.3e} > "
                     f"{ADAPTEDNESS_REJECT_TOL:.0e})"
                 )
-        self.space = space
-        self.values = values
-        self.start_node = start_node
+        mats = np.stack([v.mat for v in values])
+        mats.setflags(write=False)
+        self._init(space, mats, start_node)
+
+    def _init(self, space, mats: np.ndarray, start_node: int) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "start_node", start_node)
+        object.__setattr__(self, "_values", None)
+
+    @classmethod
+    def _trusted(cls, space, mats: np.ndarray, start_node: int) -> "AdaptedProcess":
+        """A process over a read-only stack whose rows are adapted by
+        construction; the adaptedness check is skipped."""
+        f = cls.__new__(cls)
+        f._init(space, mats, start_node)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AdaptedProcess is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AdaptedProcess is immutable: cannot delete {name!r}")
 
     @classmethod
     def constant(cls, space, x: CliffordElement, num: int | None = None,
@@ -146,19 +199,33 @@ class AdaptedProcess:
     @classmethod
     def random(cls, space, rng: np.random.Generator, num: int | None = None,
                start_node: int = 0) -> "AdaptedProcess":
-        """Unit-L^2 random values, each drawn in its own level algebra."""
-        n = space.grid.n
+        """Unit-L^2 random values, each drawn in its own level algebra.
+
+        Node by node, each row gets the draw ``random_level_element``
+        makes at the node's level, from the same calls on ``rng``.
+        """
         if num is None:
-            num = n - start_node
-        vals = []
-        for off in range(num):
-            node = start_node + off
-            vals.append(random_level_element(space, rng, space.level_of_node(node)))
-        return cls(space, vals, start_node=start_node)
+            num = space.grid.n - start_node
+        _check_node_range(space, num, start_node)
+        mats = np.empty((num, space.dim, space.dim), dtype=complex)
+        for off, row in enumerate(mats):
+            _draw_level_matrix(space, rng,
+                               space.level_of_node(start_node + off), out=row)
+        mats.setflags(write=False)
+        return cls._trusted(space, mats, start_node)
+
+    @property
+    def values(self) -> tuple:
+        """The values as read-only elements viewing the rows of ``mats``,
+        built on first use."""
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(
+                CliffordElement(self.space, m, _fresh=True) for m in self.mats))
+        return self._values
 
     def value(self, node: int) -> CliffordElement:
         off = node - self.start_node
-        if not 0 <= off < len(self.values):
+        if not 0 <= off < len(self):
             raise IndexError(
                 f"node {node} outside covered range "
                 f"{self.start_node}..{self.last_node}"
@@ -167,10 +234,10 @@ class AdaptedProcess:
 
     @property
     def last_node(self) -> int:
-        return self.start_node + len(self.values) - 1
+        return self.start_node + len(self) - 1
 
     def __len__(self):
-        return len(self.values)
+        return self.mats.shape[0]
 
     def __iter__(self):
         return iter(self.values)

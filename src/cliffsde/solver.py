@@ -276,7 +276,7 @@ def _cumulative_integrals(problem: QsdeProblem, values, incs, times, deltas):
     steps = ((problem.F(x, t) @ inc, inc @ problem.G(x, t),
               d * problem.H(x, t))
              for x, inc, t, d in zip(values, incs, times, deltas))
-    return _running_sums(problem.space, steps)
+    return _running_sums(problem.space.zero(), steps)
 
 
 def picard_solve(problem: QsdeProblem, tol: float = 1e-10,

@@ -28,9 +28,10 @@ level algebra that contains generator k.
 Kronecker products go through ``_kron``, the broadcast product that
 ``np.kron`` computes internally, so the results are bitwise those of
 ``np.kron`` without its generic-shape overhead.  Each space also keeps a
-cache of driver increments, filled by :meth:`Driver.increment` and keyed
-by ``(driver, k)``; the cached elements are read-only and the cache lives
-as long as the space.
+cache of driver increments, filled by :meth:`Driver.increment` (keyed by
+``(driver, k)``) and :meth:`Driver.increments` (the stack of all n, keyed
+by ``(driver, None)``); the cached elements and stacks are read-only and
+the cache lives as long as the space.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .element import CliffordElement, lp_norm, state
+from .element import CliffordElement, _l2_norm, lp_norm, state
 from .errors import DriverMismatchError, ResourceLimitError
 from .grid import TimeGrid
 
@@ -239,9 +240,16 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
     sp = x.space
     if not 0 <= k <= sp.n_gen:
         raise ValueError(f"filtration level {k} outside 0..{sp.n_gen}")
+    mat = _project(sp, x.mat, k)
+    # a projected matrix is freshly computed; the element may own it
+    return CliffordElement(sp, mat, _fresh=mat is not x.mat)
+
+
+def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
+    """The matrix of E(x | level k) for x's matrix ``mat``; ``mat`` itself
+    when the projection has nothing to do."""
     m = sp.factors
     r = (k + 1) // 2
-    mat = x.mat
     if r < m:
         lo = 2 ** r
         hi = 2 ** (m - r)
@@ -256,8 +264,7 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
         gam = sp._gamma
         flipped = g @ (gam @ mat @ gam) @ g
         mat = 0.5 * (mat + flipped)
-    # a projected matrix is freshly computed; the element may own it
-    return CliffordElement(sp, mat, _fresh=mat is not x.mat)
+    return mat
 
 
 def adaptedness_defect(x: CliffordElement, level, p: float) -> float:
@@ -335,6 +342,14 @@ def random_level_element(
     k = space.n_gen if level is None else _level_int(level)
     if not 0 <= k <= space.n_gen:
         raise ValueError(f"filtration level {k} outside 0..{space.n_gen}")
+    return CliffordElement(space, _draw_level_matrix(space, rng, k),
+                           _fresh=True)
+
+
+def _draw_level_matrix(space: CliffordSpace, rng: np.random.Generator,
+                       k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The matrix of :func:`random_level_element` at a checked level k,
+    written into ``out`` when given."""
     r = (k + 1) // 2
     lo = 2 ** r
     a = rng.standard_normal((lo, lo)) + 1j * rng.standard_normal((lo, lo))
@@ -342,13 +357,12 @@ def random_level_element(
         mat = _kron(a, _eye(space.dim // lo))
     else:
         mat = a
-    x = CliffordElement(space, mat, _fresh=True)
     if k % 2 == 1:
-        x = conditional_expect(x, k)
-    nrm = lp_norm(x, 2)
+        mat = _project(space, mat, k)
+    nrm = _l2_norm(mat)
     if nrm < 1e-12:  # pragma: no cover - measure-zero draw
-        return random_level_element(space, rng, level)
-    return x / nrm
+        return _draw_level_matrix(space, rng, k, out)
+    return np.divide(mat, complex(nrm), out=out)
 
 
 __all__ = [

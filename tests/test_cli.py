@@ -241,6 +241,24 @@ def test_solve_nonconvergence_writes_delta_trace(capsys, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("data", (
+    "p = 2.5\nF.name = scale\nF.c = 1e100",
+    "p = 3\nF.name = scale\nF.c = 1e300",
+    "p = 3\nH.name = scale\nH.c = 1e200",
+    "p = 4\nF.name = scale\nF.c = 1e300",
+), ids=("p2.5-F", "p3-F", "p3-H", "p4-F"))
+def test_solve_overflow_exits_3_naming_the_non_finite_delta(
+        capsys, tmp_path, data):
+    # at p = 2.5 and 3 the norms take the eigvalsh path, which must give
+    # NaN on an overflowed Gram matrix as the trace path at p = 4 does
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text("grid.n = 4\n" + data + "\n")
+    code, _, err = _run(capsys, "solve", "--config", str(cfg),
+                        "--out", str(tmp_path))
+    assert code == 3
+    assert re.search(r"non-finite delta \(nan\) at node \d", err)
+
+
 def test_solve_picard_failure_rows_are_sweep_numbers(capsys, tmp_path):
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = 6\nF.name = scale\nF.c = 1.0\n"

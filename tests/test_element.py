@@ -147,6 +147,15 @@ def test_non_finite_or_overflowing_matrices_take_the_full_norm_path(
         assert repr(got) == repr(full)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, complex(0.0, -math.inf)))
+@pytest.mark.parametrize("p", (1.0, 2.5, 3.0, 7.0))
+def test_spectral_path_gives_nan_for_a_non_finite_matrix(p, bad):
+    # eigvalsh raises on such input; the trace paths return NaN or inf
+    psd = np.eye(4, dtype=complex)
+    psd[0, 1] = bad
+    assert math.isnan(psd_power_lp_norm(psd, 2.0, p))
+
+
 def test_norm_rejects_p_below_one(space4):
     for p in (0.99, 0.5, 0.0, -1.0):
         with pytest.raises(ValueError):

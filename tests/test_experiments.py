@@ -12,8 +12,10 @@ from cliffsde import (
     run_inequality_suite,
     run_solver_suite,
     run_suites,
+    make_space,
     trial_seed,
 )
+from cliffsde import experiments
 
 _SMALL = SuiteConfig(trials=12, n_grid=(4,), pair_n_grid=(3,), master_seed=7)
 
@@ -34,6 +36,22 @@ def test_worker_count_does_not_change_results():
         SuiteConfig(trials=12, n_grid=(4,), pair_n_grid=(3,), master_seed=7,
                     max_workers=3))
     assert threaded.to_csv() == run_inequality_suite(_SMALL).to_csv()
+
+
+def test_one_space_per_n_and_layout_per_run(monkeypatch):
+    built = []
+
+    def counted(grid, layout="fermion", **kw):
+        built.append((grid.n, layout))
+        return make_space(grid, layout=layout, **kw)
+
+    monkeypatch.setattr(experiments, "make_space", counted)
+    table = run_inequality_suite(_SMALL)
+    assert table.passed
+    assert sorted(built) == [(3, "pair"), (4, "fermion")]
+    built.clear()
+    run_inequality_suite(_SMALL)  # a new run builds its own
+    assert sorted(built) == [(3, "pair"), (4, "fermion")]
 
 
 def test_master_seed_changes_results():

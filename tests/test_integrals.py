@@ -1,6 +1,8 @@
 """Discrete stochastic integrals, square-function norms, and the
 martingale/parity structure they depend on."""
 
+import math
+
 import pytest
 
 from cliffsde import (
@@ -180,6 +182,16 @@ def test_lqlp_monotone_in_upto(space4, rng):
         assert b >= a
 
 
+@pytest.mark.parametrize("p", (1.0, 2.5, 3.0, 4.0, 7.0))
+def test_lqlp_norm_of_a_process_with_a_nan_node_is_nan(space4, rng, p):
+    vals = list(AdaptedProcess.random(space4, rng).values)
+    vals[2] = space4.element(np.full((space4.dim, space4.dim), np.nan))
+    f = AdaptedProcess(space4, vals)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(lqlp_norm(f, 2.0, p))
+    assert math.isfinite(lqlp_norm(f, 2.0, p, upto=2))
+
+
 def test_lqlp_rejects_bad_exponents(space4):
     f = AdaptedProcess.constant(space4, space4.identity())
     with pytest.raises(ValueError):
@@ -207,11 +219,15 @@ def test_martingale_defect_pair_driver(pair_space4, rng):
     assert martingale_check(f, driver=Driver.annihilation()) < MARTINGALE_TOL
 
 
-def test_martingale_check_rejects_nonadapted_input(space4):
-    f = AdaptedProcess.constant(space4, space4.identity())
-    f.values = (space4.generator(3),) * 4  # skips the construction check
+def test_martingale_check_input_cannot_be_made_nonadapted(space4):
+    # martingale_check trusts its input: a non-adapted process can be
+    # neither built nor made by replacing the values of an adapted one
     with pytest.raises(AdaptednessError):
-        martingale_check(f)
+        AdaptedProcess(space4, (space4.generator(3),) * 4)
+    f = AdaptedProcess.constant(space4, space4.identity())
+    with pytest.raises(AttributeError):
+        f.values = (space4.generator(3),) * 4
+    assert martingale_check(f) < 1e-13
 
 
 # -- parity commutation ---------------------------------------------------------------

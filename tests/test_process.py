@@ -5,6 +5,7 @@ binary float, so squared-increment identities hold bit-for-bit and the
 defects below are compared against literal zero.
 """
 
+import numpy as np
 import pytest
 
 from cliffsde import (
@@ -17,9 +18,11 @@ from cliffsde import (
     lp_norm,
     make_space,
     op_norm,
+    random_level_element,
     state,
 )
 from cliffsde.process import DRIVER_KINDS
+from cliffsde.space import adaptedness_defect
 
 NORM_TOL = 1e-12
 
@@ -180,6 +183,23 @@ def test_cached_increment_is_bitwise_a_fresh_one(kind):
                 build(driver, sp, k).mat.tobytes()
 
 
+@pytest.mark.parametrize("kind", list(DRIVER_KINDS))
+def test_increment_stack_is_cached_read_only_and_bitwise(kind):
+    driver = Driver(kind, 0.75 + 0.25j, -1.5j)
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 3),
+                    layout=driver.required_layout)
+    stack = driver.increments(sp)
+    assert driver.increments(sp) is stack
+    assert stack.shape == (3, sp.dim, sp.dim)
+    assert not stack.flags.writeable
+    for k in range(3):
+        assert stack[k].tobytes() == driver.increment(sp, k).mat.tobytes()
+    other = "fermion" if driver.required_layout == "pair" else "pair"
+    with pytest.raises(DriverMismatchError):
+        driver.increments(make_space(TimeGrid.uniform(0.0, 1.0, 3),
+                                     layout=other))
+
+
 def test_cached_increment_keeps_the_layout_guard(space4, pair_space4):
     Driver.annihilation().increment(pair_space4, 0)
     with pytest.raises(DriverMismatchError):
@@ -203,10 +223,22 @@ def test_constant_process(space4):
     assert f.value(2).is_close(space4.identity(), tol=0.0)
 
 
-def test_random_process_is_adapted(space4, rng):
+def test_random_process_is_adapted(space4, pair_space4, rng):
     f = AdaptedProcess.random(space4, rng)
     assert f.max_adaptedness_defect() < 1e-12
     assert len(f) == 4
+    # the draw skips the construction check: every level must still hold,
+    # from a later start node and in the pair layout too
+    for sp in (space4, pair_space4):
+        for start in range(sp.grid.n + 1):
+            f = AdaptedProcess.random(sp, rng, start_node=start,
+                                      num=sp.grid.n + 1 - start)
+            assert (f.start_node, f.last_node) == (start, sp.grid.n)
+            assert f.max_adaptedness_defect() < 1e-12
+            # a value one level lower would fail the check
+            for node in range(max(start, 1), sp.grid.n + 1):
+                level = sp.level_of_node(node) - 1
+                assert adaptedness_defect(f.value(node), level, 2) > 1e-3
 
 
 def test_nonadapted_value_rejected(space4):
@@ -215,10 +247,32 @@ def test_nonadapted_value_rejected(space4):
         AdaptedProcess(space4, [space4.generator(3)] * 4)
 
 
-def test_adaptedness_defect_of_values_replaced_after_construction(space4):
+def test_values_cannot_be_replaced_after_construction(space4, rng):
     f = AdaptedProcess.constant(space4, space4.identity())
-    f.values = (space4.generator(3),) * 4
-    assert abs(f.max_adaptedness_defect() - 1.0) < 1e-12
+    with pytest.raises(AttributeError):
+        f.values = (space4.generator(3),) * 4
+    for name in ("space", "mats", "start_node", "_values", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    for g in (f, AdaptedProcess.random(space4, rng)):
+        assert not g.mats.flags.writeable
+        assert all(not v.mat.flags.writeable for v in g.values)
+        with pytest.raises(ValueError):
+            g.mats[0, 0, 0] = 1.0
+    assert f.max_adaptedness_defect() == 0.0
+
+
+def test_values_view_the_stacked_rows(space4, rng):
+    vals = [random_level_element(space4, rng, space4.level_of_node(k))
+            for k in range(1, 4)]
+    f = AdaptedProcess(space4, vals, start_node=1)
+    assert f.mats.shape == (3, space4.dim, space4.dim)
+    assert f.values is f.values  # built once
+    for k, v in enumerate(vals, start=1):
+        assert np.shares_memory(f.value(k).mat, f.mats)
+        assert f.value(k).mat.tobytes() == v.mat.tobytes()
 
 
 def test_start_node_shifts_levels(space4):
