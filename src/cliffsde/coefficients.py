@@ -24,10 +24,10 @@ from .errors import ContractViolationError
 from .modulus import OsgoodModulus
 from .space import (
     CliffordSpace,
-    adaptedness_defect,
     conditional_expect,
     parity_decompose,
     random_level_element,
+    require_adapted,
 )
 
 
@@ -80,11 +80,23 @@ class NonlocalMap:
 # -- spot-check validators ---------------------------------------------------
 
 
-def _sample_pair(space, rng, level):
-    x = random_level_element(space, rng, level)
-    y = random_level_element(space, rng, level)
-    scale = 10.0 ** rng.uniform(-3, 0.5)
-    return scale * x, scale * y
+def _probes(space, rng, trials: int, start_node: int):
+    """``(node, level, x, y)`` for each spot check: x and y a pair of
+    random level elements at one common random scale.  Levels are nested,
+    so the first node is the binding adaptedness case: it is probed first,
+    deterministically, then nodes from start_node on are sampled."""
+    for trial in range(trials):
+        if trial == 0:
+            k = start_node
+        else:
+            k = int(rng.integers(start_node, space.grid.n + 1))
+        level = space.level_of_node(k)
+        x = random_level_element(space, rng, level)
+        y = random_level_element(space, rng, level)
+        scale = 10.0 ** rng.uniform(-3, 0.5)
+        # rebound, so the suspended generator keeps no unscaled copies
+        x, y = scale * x, scale * y
+        yield k, level, x, y
 
 
 def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
@@ -104,24 +116,13 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0EF,)))
     grid = space.grid
     label = cmap.name or "coefficient"
-    for trial in range(trials):
-        # levels are nested, so the first node is the binding adaptedness
-        # case: probe it deterministically, then sample the rest
-        if trial == 0:
-            k = start_node
-        else:
-            k = int(rng.integers(start_node, grid.n + 1))
-        level = space.level_of_node(k)
+    for k, level, x, y in _probes(space, rng, trials, start_node):
         t = grid.node(k)
-        x, y = _sample_pair(space, rng, level)
         fx = cmap(x, t)
         # adapted: the image must stay at the argument's level
-        defect = adaptedness_defect(fx, level, p)
-        if not defect <= 1e-10:
-            raise ContractViolationError(
-                f"{label}: image of a level-{level} element leaves the level "
-                f"algebra (defect {defect:.3e})"
-            )
+        require_adapted(fx, level, p, 1e-10,
+                        f"{label}: image of a level-{level} element leaves "
+                        f"the level algebra")
         # declared modulus on the sampled pair
         gap2 = lp_norm(x - y, p) ** 2
         if gap2 > 0:
@@ -171,20 +172,10 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
     """Spot-check the declared contraction constant on sampled pairs."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x4A0C,)))
     label = rmap.name or "nonlocal map"
-    for trial in range(trials):
-        if trial == 0:
-            k = start_node
-        else:
-            k = int(rng.integers(start_node, space.grid.n + 1))
-        level = space.level_of_node(k)
-        x, y = _sample_pair(space, rng, level)
+    for _, level, x, y in _probes(space, rng, trials, start_node):
         img = rmap(x)
-        defect = adaptedness_defect(img, level, p)
-        if not defect <= 1e-10:
-            raise ContractViolationError(
-                f"{label}: image leaves the level-{level} algebra "
-                f"(defect {defect:.3e})"
-            )
+        require_adapted(img, level, p, 1e-10,
+                        f"{label}: image leaves the level-{level} algebra")
         gap = lp_norm(x - y, p)
         moved = lp_norm(img - rmap(y), p)
         if rmap.is_zero:

@@ -217,6 +217,25 @@ def _map_trials(worker, trials: int, max_workers: int):
     return [worker(t) for t in range(trials)]
 
 
+def _run_trials(config: SuiteConfig, suite: str, cell_index: int,
+                trials: int, trial) -> list:
+    """``(seed, trial(rng))`` for each trial of a cell, in trial order,
+    with the rng drawn from the trial's derived seed."""
+    def worker(t):
+        seed = trial_seed(config.master_seed, suite, cell_index, t)
+        return seed, trial(np.random.default_rng(seed))
+
+    return _map_trials(worker, trials, config.max_workers)
+
+
+def _add_ratio_spread(table: SweepTable, suite: str, cell: str, ratios,
+                      max_name: str = "ratio_max") -> None:
+    """The ratio_min, ratio_median and max rows of a cell's ratios."""
+    table.add(suite, cell, "ratio_min", ratios.min())
+    table.add(suite, cell, "ratio_median", float(np.median(ratios)))
+    table.add(suite, cell, max_name, ratios.max())
+
+
 def _space(config: SuiteConfig, spaces: dict, n: int,
            layout: str = "fermion"):
     """The run's space for ``(n, layout)``, built on first use: the suites
@@ -257,32 +276,25 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
         space = _space(config, spaces, n, driver.required_layout)
         cell = f"p={p:g} n={n} driver={driver.label} side={side}"
 
-        def worker(t, p=p, space=space, driver=driver, side=side,
-                   cell=cell, cell_index=cell_index):
-            seed = trial_seed(config.master_seed, suite, cell_index, t)
-            rng = np.random.default_rng(seed)
+        def trial(rng, p=p, space=space, driver=driver, side=side):
             f = AdaptedProcess.random(space, rng)
             left = lp_norm(driver_integral(f, driver, side="left"), p)
             right = lp_norm(driver_integral(f, driver, side="right"), p)
             hp, l2 = hp_norm(f, p), lqlp_norm(f, 2.0, p)
             ratio = _bg_ratio(p, left if side == "left" else right,
                               hp if driver.kind == "fermion_field" else l2)
-            return seed, ratio, hp / l2, left / right
+            return ratio, hp / l2, left / right
 
-        out = _map_trials(worker, config.trials, config.max_workers)
-        ratios = np.array([r for _, r, _, _ in out])
-        bp1s = np.array([b for _, _, b, _ in out])
-        lrs = np.array([x for _, _, _, x in out])
+        out = _run_trials(config, suite, cell_index, config.trials, trial)
+        ratios, bp1s, lrs = np.array([r for _, r in out]).T
 
-        table.add(suite, cell, "ratio_min", ratios.min())
-        table.add(suite, cell, "ratio_median", float(np.median(ratios)))
-        table.add(suite, cell, "beta_hat", ratios.max())
+        _add_ratio_spread(table, suite, cell, ratios, "beta_hat")
         table.add(suite, cell, "alpha_hat", ratios.min())
         table.add(suite, cell, "bp1_max", bp1s.max())
         table.add(suite, cell, "lr_ratio_min", lrs.min())
         table.add(suite, cell, "lr_ratio_max", lrs.max())
 
-        for t, (seed, r, b, lr) in enumerate(out):
+        for t, (seed, (r, b, lr)) in enumerate(out):
             if not (math.isfinite(r) and math.isfinite(b) and math.isfinite(lr)):
                 table.violate(suite, cell, "non-finite ratio", t, seed)
             if b > 1.0 + config.ratio_tol:
@@ -325,18 +337,12 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
         space = _space(config, spaces, n)
         cell = f"q={q:g} p={p:g} n={n}"
 
-        def worker(t, q=q, p=p, space=space, cell_index=cell_index):
-            seed = trial_seed(config.master_seed, suite, cell_index, t)
-            rng = np.random.default_rng(seed)
+        def trial(rng, q=q, p=p, space=space):
             f = AdaptedProcess.random(space, rng)
-            rep = check_norm_exchange(f, q, p, trial=t, seed=seed)
-            return seed, rep.ratio
+            return check_norm_exchange(f, q, p).ratio
 
-        out = _map_trials(worker, config.trials, config.max_workers)
-        ratios = np.array([r for _, r in out])
-        table.add(suite, cell, "ratio_min", ratios.min())
-        table.add(suite, cell, "ratio_median", float(np.median(ratios)))
-        table.add(suite, cell, "ratio_max", ratios.max())
+        out = _run_trials(config, suite, cell_index, config.trials, trial)
+        _add_ratio_spread(table, suite, cell, np.array([r for _, r in out]))
         for t, (seed, r) in enumerate(out):
             if r > 1.0 + config.ratio_tol:
                 table.violate(suite, cell,
@@ -413,16 +419,12 @@ def _parity_lemma_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
         space = _space(config, spaces, n)
         cell = f"layout=fermion n={n}"
 
-        def worker(t, space=space, n=n, cell_index=cell_index):
-            seed = trial_seed(config.master_seed, suite, cell_index, t)
-            rng = np.random.default_rng(seed)
+        def trial(rng, space=space, n=n):
             k = int(rng.integers(0, n))
-            level = space.level_of_node(k)
-            h = random_level_element(space, rng, level)
-            j = int(rng.integers(k, n))
-            return seed, parity_commutation_defect(h, j)
+            h = random_level_element(space, rng, space.level_of_node(k))
+            return parity_commutation_defect(h, int(rng.integers(k, n)))
 
-        out = _map_trials(worker, trials, config.max_workers)
+        out = _run_trials(config, suite, cell_index, trials, trial)
         even_worst = max(d[0] for _, d in out)
         odd_worst = max(d[1] for _, d in out)
         table.add(suite, cell, "even_defect_max", even_worst)

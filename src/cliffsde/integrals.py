@@ -21,7 +21,9 @@ and ``lqlp_norm`` is the iterated norm (sum ||f_j||_p^q d_j)^(1/q).
 The kernels work on a process's stacked values ``f.mats``: one stacked
 matmul against the driver's cached increment stack per integral, one
 stacked Gram product (and ``eigh`` or ``eigvalsh`` where a norm needs a
-spectrum) per norm, then sums over the nodes in node order.  Stacked
+spectrum) per norm, then sums over the nodes in node order: the partial
+sums of ``_running_sums`` for the integrals, and the one delta-weighted
+loop ``_delta_sum`` for the time integral and the norms.  Stacked
 products and decompositions equal the per-matrix calls bit for bit, so
 the results are those of a per-element loop.  The processes are
 immutable and adapted by construction, so no kernel re-checks
@@ -35,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import CliffordElement, lp_norm, lp_norms, op_norm, psd_power_lp_norm
-from .errors import ContractViolationError, ZeroProcessError
+from .errors import ZeroProcessError
 from .process import AdaptedProcess, Driver
-from .space import adaptedness_defect, conditional_expect, parity_decompose
+from .space import conditional_expect, parity_decompose, require_adapted
 
 
 def _resolve_upto(f: AdaptedProcess, upto) -> int:
@@ -71,6 +73,15 @@ def _running_sums(start, steps) -> list:
             acc = acc + term
         out.append(acc)
     return out
+
+
+def _delta_sum(f: AdaptedProcess, terms, acc):
+    """acc + sum_j delta_j * term_j over the nodes j = start_node, ... of
+    ``terms``, added in node order; an array ``acc`` is updated in place."""
+    deltas = f.space.grid.deltas[f.start_node:].tolist()
+    for delta, term in zip(deltas, terms):
+        acc += delta * term
+    return acc
 
 
 def _driver_partial_sums(f: AdaptedProcess, driver: Driver, upto: int,
@@ -109,10 +120,9 @@ def left_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
 def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
     """sum f(tau_j) delta_j; obeys ||.||_p <= sum ||f_j||_p delta_j."""
     upto = _resolve_upto(f, upto)
-    sp = f.space
-    steps = ((sp.grid.delta(j) * f.value(j),)
-             for j in range(f.start_node, upto))
-    return _running_sums(sp.zero(), steps)[-1]
+    vals = _rows(f, upto)
+    total = _delta_sum(f, vals, np.zeros(vals.shape[1:], dtype=complex))
+    return CliffordElement(f.space, total, _fresh=True)
 
 
 def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
@@ -120,20 +130,11 @@ def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p!r}")
     upto = _resolve_upto(f, upto)
-    sp = f.space
     mats = _rows(f, upto)
     adj = mats.conj().transpose(0, 2, 1)
-    grams, cograms = adj @ mats, mats @ adj
-    s_right = np.zeros((sp.dim, sp.dim), dtype=complex)
-    s_left = np.zeros((sp.dim, sp.dim), dtype=complex)
-    for j, gram, cogram in zip(range(f.start_node, upto), grams, cograms):
-        dj = sp.grid.delta(j)
-        s_right += dj * gram
-        s_left += dj * cogram
-    return max(
-        psd_power_lp_norm(s_right, 2.0, p),
-        psd_power_lp_norm(s_left, 2.0, p),
-    )
+    sums = (_delta_sum(f, grams, np.zeros(mats.shape[1:], dtype=complex))
+            for grams in (adj @ mats, mats @ adj))
+    return max(psd_power_lp_norm(s, 2.0, p) for s in sums)
 
 
 def lqlp_norm(f: AdaptedProcess, q: float, p: float, upto=None) -> float:
@@ -141,10 +142,8 @@ def lqlp_norm(f: AdaptedProcess, q: float, p: float, upto=None) -> float:
     if q < 1 or p < 1:
         raise ValueError(f"exponents must be >= 1, got q={q!r}, p={p!r}")
     upto = _resolve_upto(f, upto)
-    grid = f.space.grid
-    total = 0.0
-    for j, nrm in zip(range(f.start_node, upto), lp_norms(_rows(f, upto), p)):
-        total += nrm ** q * grid.delta(j)
+    norms = lp_norms(_rows(f, upto), p)
+    total = _delta_sum(f, [nrm ** q for nrm in norms], 0.0)
     return float(total ** (1.0 / q))
 
 
@@ -180,12 +179,9 @@ def parity_commutation_defect(h: CliffordElement, increment_index: int):
     """
     sp = h.space
     level = sp.level_of_node(increment_index)
-    gap = adaptedness_defect(h, level, 2)
-    if gap > 1e-8:
-        raise ContractViolationError(
-            f"h is not level-{level} measurable (defect {gap:.3e}); the "
-            f"commutation rule only applies to earlier elements"
-        )
+    require_adapted(h, level, 2, 1e-8,
+                    f"h is not level-{level} measurable; the commutation "
+                    f"rule only applies to earlier elements")
     inc = sp.fermion_increment(increment_index)
     even, odd = parity_decompose(h)
     even_defect = op_norm(even @ inc - inc @ even)
@@ -228,7 +224,6 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,
     if not 1 <= q <= p:
         raise ValueError(f"need 1 <= q <= p, got q={q!r}, p={p!r}")
     upto = _resolve_upto(f, upto)
-    sp = f.space
     mats = _rows(f, upto)
     grams = mats.conj().transpose(0, 2, 1) @ mats
     if q == 2:
@@ -237,9 +232,7 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,
         lam, vec = np.linalg.eigh(grams)
         lam = np.clip(lam, 0.0, None)
         powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
-    acc = np.zeros((sp.dim, sp.dim), dtype=complex)
-    for j, term in zip(range(f.start_node, upto), powed):
-        acc += sp.grid.delta(j) * term
+    acc = _delta_sum(f, powed, np.zeros(mats.shape[1:], dtype=complex))
     lhs = psd_power_lp_norm(acc, q, p)
     rhs = lqlp_norm(f, q, p, upto=upto)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))

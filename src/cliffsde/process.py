@@ -8,13 +8,15 @@ and norm kernels work on directly; ``values`` and ``value()`` hand out
 read-only element views of its rows.
 
 A process is immutable.  Adaptedness is enforced eagerly on every value a
-caller supplies — a projection defect above the rejection threshold raises
-instead of being silently projected away — and, because nothing can
-replace the values afterwards, never re-checked.  :meth:`AdaptedProcess.random`
-draws each value inside its level algebra, so it skips the check.
+caller supplies — a projection defect above the rejection threshold, or a
+NaN one from a non-finite value, raises instead of being silently
+projected away — and, because nothing can replace the values afterwards,
+never re-checked.  :meth:`AdaptedProcess.random` draws each value inside
+its level algebra, so it skips the check.
 
-A driver's increments are cached on their space: one read-only element
-per ``(driver, k)``, and one read-only ``(n, dim, dim)`` stack of them.
+A driver's increments are cached on their space as one read-only
+``(n, dim, dim)`` stack per driver; :meth:`Driver.increment` hands out a
+read-only element over one of its rows.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import numpy as np
 
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
-from .errors import AdaptednessError, ConfigurationError, DriverMismatchError
-from .space import CliffordSpace, _draw_level_matrix, adaptedness_defect
+from .errors import ConfigurationError, DriverMismatchError
+from .space import (CliffordSpace, _draw_level_matrix, adaptedness_defect,
+                    require_adapted)
 
-#: Construction rejects values whose projection defect exceeds this.
+#: Construction rejects values whose projection defect exceeds this or is NaN.
 ADAPTEDNESS_REJECT_TOL = 1e-8
 
 
@@ -95,36 +98,34 @@ class Driver:
         return DRIVER_KINDS[self.kind][1]
 
     def increment(self, space: CliffordSpace, k: int) -> CliffordElement:
-        """The driver's increment over grid increment k.
+        """The driver's increment over grid increment k: a read-only
+        element over row k of :meth:`increments`."""
+        stack = self.increments(space)
+        if not 0 <= k < len(stack):
+            raise IndexError(f"increment index {k} outside 0..{len(stack) - 1}")
+        return CliffordElement(space, stack[k], _fresh=True)
 
-        Built once per space: the read-only element is cached on the
-        space, keyed by ``(driver, k)``, and dies with it.  Drivers that
-        compare equal (same kind and alphas) share their entries.
+    def increments(self, space: CliffordSpace) -> np.ndarray:
+        """All n increments as one read-only ``(n, dim, dim)`` stack.
+
+        Built once per space, row by row (one increment at a time besides
+        the stack), and cached on it keyed by the driver, so it dies with
+        the space; drivers that compare equal (same kind and alphas) share it.
         """
-        key = (self, k)
-        inc = space._increments.get(key)
-        if inc is None:
+        stack = space._increments.get(self)
+        if stack is None:
             if space.layout != self.required_layout:
                 raise DriverMismatchError(
                     f"driver {self.kind!r} needs layout "
                     f"{self.required_layout!r}, space has {space.layout!r}"
                 )
-            # setdefault: concurrent callers all get the first stored element
-            inc = space._increments.setdefault(
-                key, DRIVER_KINDS[self.kind][2](self, space, k))
-        return inc
-
-    def increments(self, space: CliffordSpace) -> np.ndarray:
-        """All n increments as one read-only ``(n, dim, dim)`` stack, bit
-        for bit the matrices of :meth:`increment`; cached on the space
-        under ``(driver, None)``."""
-        key = (self, None)
-        stack = space._increments.get(key)
-        if stack is None:
-            stack = np.stack([self.increment(space, k).mat
-                              for k in range(space.grid.n)])
+            build = DRIVER_KINDS[self.kind][2]
+            stack = np.empty((space.grid.n, space.dim, space.dim), complex)
+            for k, row in enumerate(stack):
+                row[...] = build(self, space, k).mat
             stack.setflags(write=False)
-            stack = space._increments.setdefault(key, stack)
+            # setdefault: concurrent callers all get the first stored stack
+            stack = space._increments.setdefault(self, stack)
         return stack
 
 
@@ -158,13 +159,9 @@ class AdaptedProcess:
                 raise ConfigurationError("process values belong to a different space")
             node = start_node + off
             level = space.level_of_node(node)
-            defect = adaptedness_defect(v, level, 2)
-            if defect > ADAPTEDNESS_REJECT_TOL:
-                raise AdaptednessError(
-                    f"value at node {node} is not level-{level} measurable "
-                    f"(projection defect {defect:.3e} > "
-                    f"{ADAPTEDNESS_REJECT_TOL:.0e})"
-                )
+            require_adapted(v, level, 2, ADAPTEDNESS_REJECT_TOL,
+                            f"value at node {node} is not level-{level} "
+                            f"measurable")
         mats = np.stack([v.mat for v in values])
         mats.setflags(write=False)
         self._init(space, mats, start_node)

@@ -34,7 +34,6 @@ from .coefficients import (
 )
 from .element import CliffordElement, lp_norm, op_norm
 from .errors import (
-    AdaptednessError,
     ConfigurationError,
     ContractViolationError,
     ConvergenceError,
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .integrals import _running_sums, driver_integral, measure_bg_constant
 from .process import AdaptedProcess, Driver
-from .space import CliffordSpace, adaptedness_defect
+from .space import CliffordSpace, adaptedness_defect, require_adapted
 
 NONLOCAL_MODES = ("pointwise", "initial")
 
@@ -93,12 +92,9 @@ class QsdeProblem:
         # NaN-safe comparisons reject it without numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
             level = self.space.level_of_node(self.start_node)
-            defect = adaptedness_defect(self.Z, level, self.p)
-            if not defect <= 1e-10:
-                raise AdaptednessError(
-                    f"Z must be level-{level} measurable at the start node "
-                    f"(defect {defect:.3e})"
-                )
+            require_adapted(self.Z, level, self.p, 1e-10,
+                            f"Z must be level-{level} measurable at the "
+                            f"start node")
             if not self.R.contraction < 1.0:
                 raise ContractViolationError(
                     f"nonlocal contraction must be < 1, got "
@@ -271,14 +267,17 @@ def _integrator_state(problem: QsdeProblem):
     return incs, times, deltas
 
 
-def _cumulative_integrals(problem: QsdeProblem, values, incs, times, deltas):
+def _cumulative_integrals(problem: QsdeProblem, values):
     """M_k for all nodes k0..n, from integrand values at k0..n-1."""
     steps = ((problem.F(x, t) @ inc, inc @ problem.G(x, t),
               d * problem.H(x, t))
-             for x, inc, t, d in zip(values, incs, times, deltas))
+             for x, inc, t, d in zip(values, *_integrator_state(problem)))
     return _running_sums(problem.space.zero(), steps)
 
 
+# overflowing data turn to inf/NaN in the sweeps; the named non-finite
+# checks below report them, so numpy's warnings would only repeat them
+@np.errstate(over="ignore", invalid="ignore")
 def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
                  max_outer: int = 60, max_inner: int = 200,
                  initial: AdaptedProcess | None = None) -> SolveReport:
@@ -308,11 +307,10 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
             )
         current = list(initial.values)
 
-    incs, times, deltas = _integrator_state(problem)
     trace_delta, trace_inner, trace_adapt, trace_sa = [], [], [], []
 
     for _ in range(max_outer):
-        integrals = _cumulative_integrals(problem, current, incs, times, deltas)
+        integrals = _cumulative_integrals(problem, current)
         inner_count = 0
         if problem.nonlocal_mode == "pointwise":
             nxt = []
@@ -348,8 +346,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         current = nxt
 
         if delta < tol:
-            res = max(_node_residuals(current, problem,
-                                      (incs, times, deltas)))
+            res = max(_node_residuals(current, problem))
             if res < residual_bound:
                 trajectory = AdaptedProcess(sp, current, start_node=k0)
                 return SolveReport(
@@ -368,10 +365,9 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     )
 
 
-def _node_residuals(values, problem: QsdeProblem, precomputed=None):
+def _node_residuals(values, problem: QsdeProblem):
     """|| X_k - Z - R(X) - M_k[X] ||_p at every node of ``values``."""
-    incs, times, deltas = precomputed or _integrator_state(problem)
-    integrals = _cumulative_integrals(problem, values, incs, times, deltas)
+    integrals = _cumulative_integrals(problem, values)
     if problem.nonlocal_mode == "pointwise":
         heads = [problem.Z + problem.R(x) for x in values]
     else:

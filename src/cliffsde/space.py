@@ -27,22 +27,20 @@ level algebra that contains generator k.
 
 Kronecker products go through ``_kron``, the broadcast product that
 ``np.kron`` computes internally, so the results are bitwise those of
-``np.kron`` without its generic-shape overhead.  Each space also keeps a
-cache of driver increments, filled by :meth:`Driver.increment` (keyed by
-``(driver, k)``) and :meth:`Driver.increments` (the stack of all n, keyed
-by ``(driver, None)``); the cached elements and stacks are read-only and
-the cache lives as long as the space.
+``np.kron`` without its generic-shape overhead.  Each space caches one
+read-only ``(n, dim, dim)`` increment stack per driver (arrays only, so
+no reference cycle; see :meth:`Driver.increments`).  Levels are plain
+integers; :func:`require_adapted` is the one adaptedness rejection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
 
 from .element import CliffordElement, _l2_norm, lp_norm, state
-from .errors import DriverMismatchError, ResourceLimitError
+from .errors import AdaptednessError, DriverMismatchError, ResourceLimitError
 from .grid import TimeGrid
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,17 +51,6 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 DEFAULT_MAX_GENERATORS = 14
 
 LAYOUTS = ("fermion", "pair")
-
-
-@dataclass(frozen=True)
-class FiltrationLevel:
-    """Number of leading generators visible at a point of the filtration."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"filtration level must be >= 0, got {self.k}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,8 +213,14 @@ def make_space(
 # -- conditional expectation, parity, monomial transforms -------------------
 
 
-def _level_int(level) -> int:
-    return level.k if isinstance(level, FiltrationLevel) else int(level)
+def _level_index(sp: CliffordSpace, level) -> int:
+    """``level`` as an int in 0..n_gen; a non-integral level raises."""
+    if not (isinstance(level, (int, np.integer)) or float(level).is_integer()):
+        raise ValueError(f"filtration level {level!r} is not an integer")
+    k = int(level)
+    if not 0 <= k <= sp.n_gen:
+        raise ValueError(f"filtration level {k} outside 0..{sp.n_gen}")
+    return k
 
 
 def conditional_expect(x: CliffordElement, level) -> CliffordElement:
@@ -236,11 +229,8 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
     Idempotent, an L^p contraction, state-preserving, and a module map over
     the level algebra; E(x | full level) recovers any x in the algebra.
     """
-    k = _level_int(level)
     sp = x.space
-    if not 0 <= k <= sp.n_gen:
-        raise ValueError(f"filtration level {k} outside 0..{sp.n_gen}")
-    mat = _project(sp, x.mat, k)
+    mat = _project(sp, x.mat, _level_index(sp, level))
     # a projected matrix is freshly computed; the element may own it
     return CliffordElement(sp, mat, _fresh=mat is not x.mat)
 
@@ -270,6 +260,16 @@ def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
 def adaptedness_defect(x: CliffordElement, level, p: float) -> float:
     """||x - E(x | level)||_p: zero exactly when x is level-measurable."""
     return lp_norm(x - conditional_expect(x, level), p)
+
+
+def require_adapted(x: CliffordElement, level, p: float, tol: float,
+                    what: str) -> None:
+    """Raise :class:`AdaptednessError` ``"<what> (defect d)"`` unless the
+    L^p adaptedness defect d of x at ``level`` is at most ``tol``; a NaN
+    defect (a non-finite x) fails."""
+    d = adaptedness_defect(x, level, p)
+    if not d <= tol:
+        raise AdaptednessError(f"{what} (defect {d:.3e})")
 
 
 def parity_automorphism(x: CliffordElement) -> CliffordElement:
@@ -339,9 +339,7 @@ def random_level_element(
     has i.i.d. standard complex normal monomial coefficients; the result is
     normalized to unit L^2 norm.
     """
-    k = space.n_gen if level is None else _level_int(level)
-    if not 0 <= k <= space.n_gen:
-        raise ValueError(f"filtration level {k} outside 0..{space.n_gen}")
+    k = space.n_gen if level is None else _level_index(space, level)
     return CliffordElement(space, _draw_level_matrix(space, rng, k),
                            _fresh=True)
 
@@ -368,7 +366,6 @@ def _draw_level_matrix(space: CliffordSpace, rng: np.random.Generator,
 __all__ = [
     "DEFAULT_MAX_GENERATORS",
     "CliffordSpace",
-    "FiltrationLevel",
     "adaptedness_defect",
     "conditional_expect",
     "make_space",
@@ -377,5 +374,6 @@ __all__ = [
     "parity_decompose",
     "random_level_element",
     "reconstruct",
+    "require_adapted",
     "state",
 ]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -253,9 +254,14 @@ def test_solve_overflow_exits_3_naming_the_non_finite_delta(
     # NaN on an overflowed Gram matrix as the trace path at p = 4 does
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = 4\n" + data + "\n")
-    code, _, err = _run(capsys, "solve", "--config", str(cfg),
-                        "--out", str(tmp_path))
+    # numpy's RuntimeWarnings would reach stderr ahead of the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = _run(capsys, "solve", "--config", str(cfg),
+                            "--out", str(tmp_path))
     assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("did not converge: ") and err.count("\n") == 1
     assert re.search(r"non-finite delta \(nan\) at node \d", err)
 
 

@@ -184,9 +184,11 @@ def test_lqlp_monotone_in_upto(space4, rng):
 
 @pytest.mark.parametrize("p", (1.0, 2.5, 3.0, 4.0, 7.0))
 def test_lqlp_norm_of_a_process_with_a_nan_node_is_nan(space4, rng, p):
-    vals = list(AdaptedProcess.random(space4, rng).values)
-    vals[2] = space4.element(np.full((space4.dim, space4.dim), np.nan))
-    f = AdaptedProcess(space4, vals)
+    # construction rejects the NaN node, so the process is built unchecked
+    mats = AdaptedProcess.random(space4, rng).mats.copy()
+    mats[2] = np.nan
+    mats.setflags(write=False)
+    f = AdaptedProcess._trusted(space4, mats, 0)
     with np.errstate(invalid="ignore"):
         assert math.isnan(lqlp_norm(f, 2.0, p))
     assert math.isfinite(lqlp_norm(f, 2.0, p, upto=2))
@@ -247,6 +249,13 @@ def test_parity_commutation_needs_earlier_element(space4):
     late = space4.generator(3)
     with pytest.raises(ContractViolationError):
         parity_commutation_defect(late, 1)
+
+
+def test_parity_commutation_rejects_a_nan_element(space4):
+    h = space4.element(np.full((space4.dim, space4.dim), np.nan))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(AdaptednessError, match="level-2 measurable"):
+        parity_commutation_defect(h, 2)
 
 
 # -- report format -----------------------------------------------------------------

@@ -5,6 +5,9 @@ binary float, so squared-increment identities hold bit-for-bit and the
 defects below are compared against literal zero.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -151,11 +154,34 @@ def test_increment_is_cached_read_only():
     for driver in (Driver.annihilation(), Driver.linear_combination(1, 2j)):
         for k in range(sp.grid.n):
             inc = driver.increment(sp, k)
-            assert driver.increment(sp, k) is inc
             assert not inc.mat.flags.writeable
+            assert np.shares_memory(inc.mat, driver.increments(sp))
     # a fresh space starts with its own cache
-    assert Driver.annihilation().increment(_pair_space(), 0) is not \
-        Driver.annihilation().increment(sp, 0)
+    assert not np.shares_memory(
+        Driver.annihilation().increment(_pair_space(), 0).mat,
+        Driver.annihilation().increments(sp))
+
+
+def test_increment_index_does_not_wrap():
+    sp = _pair_space()
+    for k in (-1, sp.grid.n):
+        with pytest.raises(IndexError, match=f"increment index {k}"):
+            Driver.annihilation().increment(sp, k)
+
+
+def test_space_with_filled_increments_is_freed_without_the_collector():
+    # the cache holds arrays only, so it makes no reference cycle
+    gc.disable()
+    try:
+        sp = _pair_space()
+        for driver in (Driver.annihilation(), Driver.creation()):
+            driver.increment(sp, 0)
+            driver.increments(sp)
+        ref = weakref.ref(sp)
+        del sp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_combinations_with_different_alphas_do_not_collide():
@@ -245,6 +271,17 @@ def test_nonadapted_value_rejected(space4):
     # generator 3 is not level-0 measurable
     with pytest.raises(AdaptednessError, match="node 0"):
         AdaptedProcess(space4, [space4.generator(3)] * 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("node", range(4))
+def test_nonfinite_value_rejected(space4, bad, node):
+    # the defect of a non-finite value is NaN, which no threshold exceeds
+    vals = [space4.identity()] * 4
+    vals[node] = space4.element(np.full((space4.dim, space4.dim), bad))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(AdaptednessError, match=f"node {node} "):
+        AdaptedProcess(space4, vals)
 
 
 def test_values_cannot_be_replaced_after_construction(space4, rng):

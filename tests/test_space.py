@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cliffsde import (
-    FiltrationLevel,
     ResourceLimitError,
     TimeGrid,
     conditional_expect,
@@ -120,12 +119,6 @@ def test_level_of_node_pair(pair_space4):
     assert [pair_space4.level_of_node(k) for k in range(5)] == [0, 2, 4, 6, 8]
 
 
-def test_filtration_level_validation():
-    assert FiltrationLevel(0).k == 0
-    with pytest.raises(ValueError):
-        FiltrationLevel(-1)
-
-
 # -- conditional expectation ---------------------------------------------------
 
 
@@ -153,16 +146,37 @@ def test_conditional_expect_full_level_fixes_everything(space4, rng):
     assert conditional_expect(x, space4.n_gen).is_close(x, tol=0.0)
 
 
-def test_conditional_expect_accepts_level_object(space4):
-    e0 = space4.generator(0)
-    assert conditional_expect(e0, FiltrationLevel(1)).is_close(e0, tol=EXACT)
-
-
 def test_conditional_expect_level_bounds(space4):
     with pytest.raises(ValueError):
         conditional_expect(space4.identity(), 5)
     with pytest.raises(ValueError):
         conditional_expect(space4.identity(), -1)
+
+
+@pytest.mark.parametrize("level", [0.7, 1.9, float("nan"), float("inf")])
+def test_non_integer_levels_are_rejected(space4, rng, level):
+    # 0.7 used to project onto level 0 and 1.9 to draw at level 1
+    with pytest.raises(ValueError, match=f"filtration level {level!r}"):
+        conditional_expect(space4.generator(0), level)
+    with pytest.raises(ValueError, match=f"filtration level {level!r}"):
+        random_level_element(space4, rng, level)
+
+
+def test_huge_integer_level_is_out_of_range(space4, rng):
+    with pytest.raises(ValueError, match="outside 0..4"):
+        conditional_expect(space4.identity(), 10 ** 400)
+    with pytest.raises(ValueError, match="outside 0..4"):
+        random_level_element(space4, rng, 10 ** 400)
+
+
+@pytest.mark.parametrize("level", [2, np.int64(2), 2.0])
+def test_integral_levels_of_any_type_are_accepted(space4, level):
+    e0, e1, e2 = (space4.generator(i) for i in range(3))
+    x = e0 @ e1 + e2
+    assert conditional_expect(x, level).is_close(e0 @ e1, tol=EXACT)
+    rng = np.random.default_rng(5)
+    assert random_level_element(space4, rng, level).is_close(
+        random_level_element(space4, np.random.default_rng(5), 2), tol=0.0)
 
 
 @settings(max_examples=20, deadline=None)
