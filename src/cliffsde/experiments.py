@@ -153,9 +153,7 @@ class SweepTable:
 
     def merge(self, other: "SweepTable") -> None:
         for key, v in other._rows.items():
-            if key in self._rows:
-                raise ValueError(f"duplicate row for {key}")
-            self._rows[key] = v
+            self.add(*key, v)
         self.violations.extend(other.violations)
         self.wall_s.update(other.wall_s)
 

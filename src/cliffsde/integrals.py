@@ -39,7 +39,7 @@ import numpy as np
 from .element import CliffordElement, lp_norm, lp_norms, op_norm, psd_power_lp_norm
 from .errors import ZeroProcessError
 from .process import AdaptedProcess, Driver
-from .space import conditional_expect, parity_decompose, require_adapted
+from .space import as_int, conditional_expect, parity_decompose, require_adapted
 
 
 def _resolve_upto(f: AdaptedProcess, upto) -> int:
@@ -47,7 +47,7 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
     limit = min(f.start_node + len(f), n)
     if upto is None:
         return limit
-    upto = int(upto)
+    upto = as_int(upto, "upto")
     if not f.start_node <= upto <= limit:
         raise ValueError(
             f"upto={upto} outside integrable range {f.start_node}..{limit}"

@@ -15,7 +15,8 @@ never re-checked.  :meth:`AdaptedProcess.random` draws each value inside
 its level algebra, so it skips the check.
 
 A driver's increments are cached on their space as one read-only
-``(n, dim, dim)`` stack per driver; :meth:`Driver.increment` hands out a
+``(n, dim, dim)`` stack per driver, with each row's
+:class:`~.space.MonomialGather`; :meth:`Driver.increment` hands out a
 read-only element over one of its rows.
 """
 
@@ -28,8 +29,8 @@ import numpy as np
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
 from .errors import ConfigurationError, DriverMismatchError
-from .space import (CliffordSpace, _draw_level_matrix, adaptedness_defect,
-                    require_adapted)
+from .space import (CliffordSpace, MonomialGather, _draw_level_matrix,
+                    adaptedness_defect, as_int, require_adapted)
 
 #: Construction rejects values whose projection defect exceeds this or is NaN.
 ADAPTEDNESS_REJECT_TOL = 1e-8
@@ -112,8 +113,15 @@ class Driver:
         the stack), and cached on it keyed by the driver, so it dies with
         the space; drivers that compare equal (same kind and alphas) share it.
         """
-        stack = space._increments.get(self)
-        if stack is None:
+        return self._cached(space)[0]
+
+    def gathers(self, space: CliffordSpace) -> tuple:
+        """Each row's :class:`MonomialGather`, cached with the stack."""
+        return self._cached(space)[1]
+
+    def _cached(self, space: CliffordSpace) -> tuple:
+        entry = space._increments.get(self)
+        if entry is None:
             if space.layout != self.required_layout:
                 raise DriverMismatchError(
                     f"driver {self.kind!r} needs layout "
@@ -124,12 +132,16 @@ class Driver:
             for k, row in enumerate(stack):
                 row[...] = build(self, space, k).mat
             stack.setflags(write=False)
-            # setdefault: concurrent callers all get the first stored stack
-            stack = space._increments.setdefault(self, stack)
-        return stack
+            entry = (stack, tuple(MonomialGather(row) for row in stack))
+            # setdefault: concurrent callers all get the first stored entry
+            entry = space._increments.setdefault(self, entry)
+        return entry
 
 
-def _check_node_range(space, num: int, start_node: int) -> None:
+def _node_range(space, num, start_node) -> tuple:
+    """Checked int ``(num, start_node)``; ``num=None`` runs to node n - 1."""
+    start_node = as_int(start_node, "start_node")
+    num = space.grid.n - start_node if num is None else as_int(num, "num")
     if num < 1:
         raise ValueError("a process needs at least one value")
     n = space.grid.n
@@ -140,6 +152,7 @@ def _check_node_range(space, num: int, start_node: int) -> None:
             f"{num} values from node {start_node} overrun the "
             f"grid ({n + 1} nodes)"
         )
+    return num, start_node
 
 
 class AdaptedProcess:
@@ -153,7 +166,7 @@ class AdaptedProcess:
 
     def __init__(self, space, values, start_node: int = 0):
         values = tuple(values)
-        _check_node_range(space, len(values), start_node)
+        _, start_node = _node_range(space, len(values), start_node)
         for off, v in enumerate(values):
             if v.space is not space and v.space != space:
                 raise ConfigurationError("process values belong to a different space")
@@ -189,8 +202,7 @@ class AdaptedProcess:
     @classmethod
     def constant(cls, space, x: CliffordElement, num: int | None = None,
                  start_node: int = 0) -> "AdaptedProcess":
-        if num is None:
-            num = space.grid.n - start_node
+        num, start_node = _node_range(space, num, start_node)
         return cls(space, [x] * num, start_node=start_node)
 
     @classmethod
@@ -201,9 +213,7 @@ class AdaptedProcess:
         Node by node, each row gets the draw ``random_level_element``
         makes at the node's level, from the same calls on ``rng``.
         """
-        if num is None:
-            num = space.grid.n - start_node
-        _check_node_range(space, num, start_node)
+        num, start_node = _node_range(space, num, start_node)
         mats = np.empty((num, space.dim, space.dim), dtype=complex)
         for off, row in enumerate(mats):
             _draw_level_matrix(space, rng,

@@ -258,21 +258,22 @@ class SolveReport:
 
 
 def _integrator_state(problem: QsdeProblem):
-    sp = problem.space
-    grid = sp.grid
-    k0 = problem.start_node
-    incs = [problem.driver.increment(sp, j) for j in range(k0, grid.n)]
-    times = [grid.node(j) for j in range(k0, grid.n)]
-    deltas = [grid.delta(j) for j in range(k0, grid.n)]
-    return incs, times, deltas
+    """Times and widths of the increments k0..n-1."""
+    grid = problem.space.grid
+    nodes = range(problem.start_node, grid.n)
+    return [grid.node(j) for j in nodes], [grid.delta(j) for j in nodes]
 
 
 def _cumulative_integrals(problem: QsdeProblem, values):
-    """M_k for all nodes k0..n, from integrand values at k0..n-1."""
-    steps = ((problem.F(x, t) @ inc, inc @ problem.G(x, t),
-              d * problem.H(x, t))
-             for x, inc, t, d in zip(values, *_integrator_state(problem)))
-    return _running_sums(problem.space.zero(), steps)
+    """M_k for all nodes k0..n, from integrand values at k0..n-1; the
+    products by the increments are their gathers."""
+    sp = problem.space
+    gathers = problem.driver.gathers(sp)[problem.start_node:]
+    steps = ((g.right(problem.F(x, t).mat), g.left(problem.G(x, t).mat),
+              (d * problem.H(x, t)).mat)
+             for x, g, t, d in zip(values, gathers, *_integrator_state(problem)))
+    sums = _running_sums(np.zeros((sp.dim, sp.dim), dtype=complex), steps)
+    return [CliffordElement(sp, m, _fresh=True) for m in sums]
 
 
 # overflowing data turn to inf/NaN in the sweeps; the named non-finite
@@ -396,10 +397,11 @@ def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:
             "the explicit Euler oracle needs R = 0; the nonlocal term makes "
             "every node implicit"
         )
-    incs, times, deltas = _integrator_state(problem)
+    sp, k0 = problem.space, problem.start_node
+    incs = [problem.driver.increment(sp, j) for j in range(k0, sp.grid.n)]
     x = problem.Z
     values = [x]
-    for inc, t, d in zip(incs, times, deltas):
+    for inc, t, d in zip(incs, *_integrator_state(problem)):
         x = x + problem.F(x, t) @ inc + inc @ problem.G(x, t) \
             + d * problem.H(x, t)
         values.append(x)
@@ -494,24 +496,17 @@ def perturb_problem(problem: QsdeProblem, delta: float,
     nonlocal map the same way (contraction unchanged), 'Z' shifts the
     initial value."""
     delta = float(delta)
+
+    def shifted(base):  # a coefficient map (x, t) or the nonlocal map (x)
+        f = base.fn
+        return dataclasses.replace(
+            base, fn=lambda x, *t: f(x, *t) + delta * x.space.identity(),
+            name=f"{base.name}+{delta}*I")
+
     kw = {}
     for part in parts:
-        if part in ("F", "G", "H"):
-            base: CoefficientMap = getattr(problem, part)
-            fn = base.fn
-            kw[part] = dataclasses.replace(
-                base,
-                fn=(lambda f: lambda x, t: f(x, t) + delta * x.space.identity())(fn),
-                name=f"{base.name}+{delta}*I",
-            )
-        elif part == "R":
-            rbase = problem.R
-            rfn = rbase.fn
-            kw["R"] = dataclasses.replace(
-                rbase,
-                fn=(lambda f: lambda x: f(x) + delta * x.space.identity())(rfn),
-                name=f"{rbase.name}+{delta}*I",
-            )
+        if part in ("F", "G", "H", "R"):
+            kw[part] = shifted(getattr(problem, part))
         elif part == "Z":
             kw["Z"] = problem.Z + delta * problem.space.identity()
         else:
@@ -548,14 +543,10 @@ def selfadjoint_solve_check(problem: QsdeProblem, tol: float = 1e-10,
                 f"{cname} must be declared parity_even and "
                 f"selfadjoint_preserving for the self-adjointness check"
             )
-    if not problem.H.selfadjoint_preserving:
-        raise ContractViolationError(
-            "H must be declared selfadjoint_preserving"
-        )
-    if not problem.R.selfadjoint_preserving:
-        raise ContractViolationError(
-            "R must be declared selfadjoint_preserving"
-        )
+    for name in ("H", "R"):
+        if not getattr(problem, name).selfadjoint_preserving:
+            raise ContractViolationError(
+                f"{name} must be declared selfadjoint_preserving")
     if problem.Z.selfadjoint_defect(problem.p) > 1e-12:
         raise ContractViolationError("Z must be self-adjoint")
 

@@ -31,6 +31,13 @@ Kronecker products go through ``_kron``, the broadcast product that
 read-only ``(n, dim, dim)`` increment stack per driver (arrays only, so
 no reference cycle; see :meth:`Driver.increments`).  Levels are plain
 integers; :func:`require_adapted` is the one adaptedness rejection.
+
+Products by the generators, Gamma, the phantom and the driver
+increments, all monomial matrices, are gathers (:class:`MonomialGather`):
+one exact product per entry, so bitwise the dense product on finite input
+up to the sign of zeros.  Dense products by them stay only as checks
+(Euler oracle, parity commutation, the suites' algebra identities) and
+in the stacked dim-16 suite integrals, where a matmul is faster.
 """
 
 from __future__ import annotations
@@ -66,8 +73,35 @@ def _eye(size: int) -> np.ndarray:
     return eye
 
 
-def _kron_chain(mats):
-    return reduce(_kron, mats)
+class MonomialGather:
+    """A monomial matrix m (at most one non-zero entry in each row and
+    column; any other raises ``ValueError``) as vectors: column j's entry
+    ``wc[j]`` sits in row ``cols[j]``, row i's ``wr[i]`` in column
+    ``rows[i]`` (weight 0 for an all-zero row or column).  The products
+    scale the gathered copy in place: a second temporary costs more."""
+
+    __slots__ = ("cols", "wc", "rows", "wr")
+
+    def __init__(self, m: np.ndarray):
+        r, c = np.nonzero(m)  # no bool reductions: their buffers raise peak RSS
+        if len(set(r.tolist())) < r.size or len(set(c.tolist())) < c.size:
+            raise ValueError("matrix is not monomial")
+        self.cols, self.rows = np.zeros((2, m.shape[0]), dtype=np.intp)
+        self.wc, self.wr = np.zeros((2, m.shape[0]), dtype=m.dtype)
+        self.cols[c], self.rows[r] = r, c
+        self.wc[c] = self.wr[r] = m[r, c]
+
+    def right(self, x: np.ndarray) -> np.ndarray:
+        """x @ m as x[:, cols] * wc, a new array"""
+        out = x.take(self.cols, axis=1)
+        out *= self.wc
+        return out
+
+    def left(self, x: np.ndarray) -> np.ndarray:
+        """m @ x as wr[:, None] * x[rows], a new array"""
+        out = x.take(self.rows, axis=0)
+        out *= self.wr[:, None]
+        return out
 
 
 class CliffordSpace:
@@ -97,30 +131,24 @@ class CliffordSpace:
         self.factors = (n_gen + 1) // 2
         self.dim = 2 ** self.factors
 
-        gens = []
+        # the Jordan-Wigner generators, then Gamma; with an odd generator
+        # count the matrix algebra is twice as large as the span of the
+        # monomials, and the "phantom" next generator (index n_gen) lets
+        # conditional_expect average away the excess half
         eye2 = np.eye(2, dtype=complex)
-        for i in range(n_gen):
-            q = i // 2
-            letter = _X if i % 2 == 0 else _Y
-            mats = [_Z] * q + [letter] + [eye2] * (self.factors - q - 1)
-            g = _kron_chain(mats)
-            g.setflags(write=False)
-            gens.append(g)
-        self._generators = tuple(gens)
+        mats = [reduce(_kron, [_Z] * (i // 2) + [_Y if i % 2 else _X]
+                       + [eye2] * (self.factors - i // 2 - 1))
+                for i in range(n_gen + n_gen % 2)]
+        mats.append(reduce(_kron, [_Z] * self.factors))
+        for m in mats:
+            m.setflags(write=False)
+        self._generators = tuple(mats[:n_gen])
+        self._phantom = mats[n_gen] if n_gen % 2 else None
+        self._gamma = mats[-1]
+        # the gathers of the generators and phantom; Gamma is diagonal, so
+        # its gather's row weights are its signs
+        *self._gen_gathers, self._gamma_gather = map(MonomialGather, mats)
         self._increments = {}
-        gamma = _kron_chain([_Z] * self.factors) if self.factors else np.eye(1, dtype=complex)
-        gamma.setflags(write=False)
-        self._gamma = gamma
-        # With an odd generator count the matrix algebra is twice as large
-        # as the span of the monomials; the "phantom" next Jordan-Wigner
-        # generator lets conditional_expect average away the excess half.
-        if n_gen % 2 == 1:
-            q = n_gen // 2
-            ph = _kron_chain([_Z] * q + [_Y] + [eye2] * (self.factors - q - 1))
-            ph.setflags(write=False)
-            self._phantom = ph
-        else:
-            self._phantom = None
 
     # -- basic elements -------------------------------------------------
 
@@ -148,13 +176,14 @@ class CliffordSpace:
         for i in idx:
             if not 0 <= i < self.n_gen:
                 raise IndexError(f"generator index {i} outside 0..{self.n_gen - 1}")
-            mat = mat @ self._generators[i]
+            mat = self._gen_gathers[i].right(mat)
         return CliffordElement(self, mat)
 
     # -- filtration ------------------------------------------------------
 
     def level_of_node(self, k: int) -> int:
         """Generators visible at grid node k."""
+        k = as_int(k, "node index")
         if not 0 <= k <= self.grid.n:
             raise IndexError(f"node index {k} outside 0..{self.grid.n}")
         return k * self.gens_per_increment
@@ -213,11 +242,16 @@ def make_space(
 # -- conditional expectation, parity, monomial transforms -------------------
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int; a non-integral one raises naming ``what``."""
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _level_index(sp: CliffordSpace, level) -> int:
     """``level`` as an int in 0..n_gen; a non-integral level raises."""
-    if not (isinstance(level, (int, np.integer)) or float(level).is_integer()):
-        raise ValueError(f"filtration level {level!r} is not an integer")
-    k = int(level)
+    k = as_int(level, "filtration level")
     if not 0 <= k <= sp.n_gen:
         raise ValueError(f"filtration level {k} outside 0..{sp.n_gen}")
     return k
@@ -249,11 +283,16 @@ def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
     if k % 2 == 1:
         # the partial trace kept the whole algebra of the first r factors;
         # average out the half that contains generator k (0-based), i.e.
-        # conjugate by e_k * gamma, which flips e_k and fixes e_0..e_{k-1}
-        g = sp._generators[k] if k < sp.n_gen else sp._phantom
-        gam = sp._gamma
-        flipped = g @ (gam @ mat @ gam) @ g
-        mat = 0.5 * (mat + flipped)
+        # conjugate by e_k * gamma, which flips e_k and fixes e_0..e_{k-1};
+        # entry (i, j) of g (gamma mat gamma) g is one entry of mat times
+        # unit row and column weights
+        g = sp._gen_gathers[k]
+        d = sp._gamma_gather.wr
+        flipped = mat.take(g.rows, axis=0).take(g.cols, axis=1)
+        flipped *= (g.wr * d[g.rows])[:, None]
+        flipped *= d[g.cols] * g.wc
+        flipped += mat
+        mat = np.multiply(flipped, 0.5, out=flipped)
     return mat
 
 
@@ -275,8 +314,8 @@ def require_adapted(x: CliffordElement, level, p: float, tol: float,
 def parity_automorphism(x: CliffordElement) -> CliffordElement:
     """P(x) = Gamma x Gamma, the grading that sends every generator to
     its negative.  An isometric *-automorphism with P^2 = id."""
-    gam = x.space._gamma
-    return CliffordElement(x.space, gam @ x.mat @ gam)
+    d = x.space._gamma_gather.wr
+    return CliffordElement(x.space, d[:, None] * x.mat * d, _fresh=True)
 
 
 def parity_decompose(x: CliffordElement):
@@ -313,7 +352,7 @@ def monomial_expand(x: CliffordElement, tol: float = 0.0) -> dict:
             out[subset] = complex(c)
         for j in range(start, sp.n_gen):
             # e_{S u {j}}* = e_j* e_S* = e_j e_S*
-            visit(j + 1, sp._generators[j] @ P, subset + (j,))
+            visit(j + 1, sp._gen_gathers[j].left(P), subset + (j,))
 
     visit(0, np.eye(dim, dtype=complex), ())
     return out
@@ -366,6 +405,7 @@ def _draw_level_matrix(space: CliffordSpace, rng: np.random.Generator,
 __all__ = [
     "DEFAULT_MAX_GENERATORS",
     "CliffordSpace",
+    "MonomialGather",
     "adaptedness_defect",
     "conditional_expect",
     "make_space",

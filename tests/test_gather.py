@@ -1,0 +1,259 @@
+"""Products by monomial matrices as gathers, against the dense products.
+
+The generators, Gamma, the phantom generator and every driver increment
+have at most one non-zero entry in each row and column, so the library
+multiplies by them with :class:`MonomialGather` index-and-weight gathers.
+Each gathered entry is one product where the dense matmul adds exact
+zeros to it, so with real or purely imaginary weights the two agree bit
+for bit on finite input, apart from the sign of zero entries.  A complex
+weight with both components non-zero (a complex-alpha linear combination)
+is the one exception: BLAS and numpy's complex product may round the
+two-term real and imaginary parts differently, so that case is held to
+4 ulp of the product's size.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cliffsde import (
+    ConvergenceError,
+    Driver,
+    QsdeProblem,
+    TimeGrid,
+    conditional_expect,
+    make_coefficient,
+    make_nonlocal,
+    make_space,
+    parity_automorphism,
+    picard_solve,
+)
+from cliffsde import solver as solver_module
+from cliffsde.process import DRIVER_KINDS
+from cliffsde.space import MonomialGather
+
+GEN_COUNTS = (3, 4, 7, 8, 14)
+# entry scales: ordinary, huge, subnormal and the smallest subnormal
+SCALES = (1.0, 1e300, 1e-310, 5e-324)
+
+
+def _nonuniform(n: int, seed: int) -> TimeGrid:
+    rng = np.random.default_rng(seed)
+    return TimeGrid.from_nodes(np.concatenate(([0.0], np.cumsum(
+        rng.uniform(0.05, 1.0, n)))))
+
+
+_FERMION = {n: make_space(TimeGrid.uniform(0.0, 1.0, n)) for n in GEN_COUNTS}
+_SPACES = {
+    "fermion": [_FERMION[3], _FERMION[8], make_space(_nonuniform(5, 1))],
+    "pair": [make_space(TimeGrid.uniform(0.0, 1.0, 3), layout="pair"),
+             make_space(_nonuniform(4, 2), layout="pair")],
+}
+_DRIVERS = [Driver(kind) for kind in DRIVER_KINDS if kind != "linear_combination"]
+_DRIVERS += [Driver.linear_combination(0.5, 1.0),
+             Driver.linear_combination(-2.0j, 0.25j)]
+_COMPLEX_ALPHA = Driver.linear_combination(0.5 + 1.5j, -0.75 + 0.25j)
+
+
+def _matrix(dim: int, seed: int, scales=SCALES) -> np.ndarray:
+    """Finite complex entries at mixed scales, some exactly zero."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, dim, dim)) * rng.choice(scales, (2, dim, dim))
+    parts[rng.random((2, dim, dim)) < 0.1] = 0.0
+    return parts[0] + 1j * parts[1]
+
+
+def _assert_bitwise_but_zero_signs(got: np.ndarray, want: np.ndarray):
+    assert np.array_equal(got, want)
+    g = np.ascontiguousarray(got).view(float)
+    w = np.ascontiguousarray(want).view(float)
+    nz = w != 0
+    assert g[nz].tobytes() == w[nz].tobytes()
+
+
+def _assert_both_sides(m: np.ndarray, x: np.ndarray):
+    gather = MonomialGather(m)
+    _assert_bitwise_but_zero_signs(gather.right(x), x @ m)
+    _assert_bitwise_but_zero_signs(gather.left(x), m @ x)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from(GEN_COUNTS), seed=st.integers(0, 2**32 - 1))
+def test_generator_gamma_phantom_gathers_equal_dense_products(n, seed):
+    sp = _FERMION[n]
+    x = _matrix(sp.dim, seed)
+    mats = list(sp._generators) + [sp._gamma]
+    if n % 2 == 1:
+        mats.append(sp._phantom)
+    for m in mats:
+        _assert_both_sides(m, x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(layout=st.sampled_from(sorted(_SPACES)), which=st.integers(0, 2),
+       d=st.integers(0, len(_DRIVERS) - 1), seed=st.integers(0, 2**32 - 1))
+def test_driver_increment_gathers_equal_dense_products(layout, which, d, seed):
+    sp = _SPACES[layout][which % len(_SPACES[layout])]
+    drivers = [dr for dr in _DRIVERS if dr.required_layout == layout]
+    driver = drivers[d % len(drivers)]
+    x = _matrix(sp.dim, seed)
+    stack, gathers = driver.increments(sp), driver.gathers(sp)
+    assert len(gathers) == len(stack)
+    for m, gather in zip(stack, gathers):
+        _assert_bitwise_but_zero_signs(gather.right(x), x @ m)
+        _assert_bitwise_but_zero_signs(gather.left(x), m @ x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(which=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_complex_alpha_gathers_agree_within_4_ulp(which, seed):
+    sp = _SPACES["pair"][which]
+    # no huge entries: the rounding of a two-term sum is what differs here
+    x = _matrix(sp.dim, seed, scales=(1.0, 1e-310, 5e-324))
+    for m, gather in zip(_COMPLEX_ALPHA.increments(sp), _COMPLEX_ALPHA.gathers(sp)):
+        for got, want, size in (
+                (gather.right(x), x @ m, np.abs(x[:, gather.cols] * gather.wc)),
+                (gather.left(x), m @ x,
+                 np.abs(gather.wr[:, None] * x[gather.rows]))):
+            bound = 4 * np.spacing(size)
+            assert np.all(np.abs(got.real - want.real) <= bound)
+            assert np.all(np.abs(got.imag - want.imag) <= bound)
+
+
+def test_gathers_are_cached_with_the_increment_stack():
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 3), layout="pair")
+    driver = Driver.annihilation()
+    gathers, stack = driver.gathers(sp), driver.increments(sp)
+    entry = sp._increments[driver]
+    assert entry[0] is stack and entry[1] is gathers
+    assert driver.gathers(sp) is gathers
+    for g in gathers:
+        # O(dim) vectors per increment, not dim x dim weights
+        assert {a.shape for a in (g.cols, g.wc, g.rows, g.wr)} == {(sp.dim,)}
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones((2, 2)),
+    np.array([[1, 0], [1, 0]], dtype=complex),
+    np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
+])
+def test_derivation_rejects_a_non_monomial_matrix(bad):
+    with pytest.raises(ValueError, match="not monomial"):
+        MonomialGather(bad)
+
+
+def test_partial_monomial_matrix_has_zero_weights():
+    m = np.array([[0, 2], [0, 0]], dtype=complex)
+    g = MonomialGather(m)
+    assert g.wc.tolist() == [0, 2] and g.wr.tolist() == [2, 0]
+    x = np.arange(4, dtype=complex).reshape(2, 2) + 1
+    assert np.array_equal(g.right(x), x @ m)
+    assert np.array_equal(g.left(x), m @ x)
+
+
+def test_gather_keeps_a_nan_in_its_own_entry():
+    sp = _FERMION[4]
+    x = np.ones((sp.dim, sp.dim), dtype=complex)
+    x[1, 2] = np.nan
+    g = MonomialGather(sp._generators[1])
+    assert np.isnan(g.right(x)).sum() == 1
+    assert np.isnan(x @ sp._generators[1]).sum() > 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from(GEN_COUNTS), seed=st.integers(0, 2**32 - 1),
+       level=st.integers(0, 14))
+def test_conditional_expect_and_parity_match_the_dense_formulas(n, seed, level):
+    sp = _FERMION[n]
+    k = level % (sp.n_gen + 1)
+    x = sp.element(_matrix(sp.dim, seed, scales=(1.0, 1e-310)))
+    gam = sp._gamma
+    _assert_bitwise_but_zero_signs(parity_automorphism(x).mat, gam @ x.mat @ gam)
+    got = conditional_expect(x, k).mat
+    if k % 2 == 1:
+        # the projection before the odd-level average is the level k + 1 one
+        mat = conditional_expect(x, k + 1).mat if k < sp.n_gen else x.mat
+        g = sp._generators[k] if k < sp.n_gen else sp._phantom
+        _assert_bitwise_but_zero_signs(got, 0.5 * (mat + g @ (gam @ mat @ gam) @ g))
+
+
+def test_monomial_matches_the_dense_product():
+    sp = _FERMION[7]
+    subset = (0, 2, 3, 6)
+    want = np.eye(sp.dim, dtype=complex)
+    for i in subset:
+        want = want @ sp._generators[i]
+    _assert_bitwise_but_zero_signs(sp.monomial(subset).mat, want)
+
+
+# -- non-finite coefficient values stop the solve where the dense one did ----
+
+
+def _dense_cumulative_integrals(problem, values):
+    """The Picard integrals with dense products by the increments."""
+    sp, k0 = problem.space, problem.start_node
+    acc = sp.zero()
+    out = [acc]
+    for j, x in zip(range(k0, sp.grid.n), values):
+        inc, t = problem.driver.increment(sp, j), sp.grid.node(j)
+        acc = acc + problem.F(x, t) @ inc
+        acc = acc + inc @ problem.G(x, t)
+        acc = acc + sp.grid.delta(j) * problem.H(x, t)
+        out.append(acc)
+    return out
+
+
+def _poisoned_problem(sweep, node, entry, value, mode, r_name):
+    """An n = 4 linear problem whose F puts ``value`` at ``entry`` of its
+    output on the given sweep at the given node (F runs once per node and
+    sweep, in node order)."""
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+    base = make_coefficient("scale", 4.0, c=0.5)
+    calls = [0]
+
+    def fn(x, t):
+        out = base(x, t)
+        s, k = divmod(calls[0], sp.grid.n)
+        calls[0] += 1
+        if (s + 1, k) != (sweep, node):
+            return out
+        mat = out.mat.copy()
+        mat[entry] = value
+        return sp.element(mat)
+
+    F = type(base)(fn=fn, modulus=base.modulus, name="poisoned")
+    zero = make_coefficient("zero", 4.0)
+    R = make_nonlocal(r_name, **({"c": 0.5} if r_name == "scale" else {}))
+    prob = QsdeProblem(sp, F, make_coefficient("scale", 4.0, c=0.25), zero, R,
+                       1.3 * sp.identity(), Driver.fermion_field(), 4.0,
+                       nonlocal_mode=mode, validate=False)
+    return prob, calls
+
+
+def _failure(prob, calls):
+    calls[0] = 0
+    with pytest.raises(ConvergenceError) as info:
+        picard_solve(prob, tol=1e-10, max_outer=6)
+    return re.sub(r"\(-?(nan|inf)\)", "(X)", str(info.value))
+
+
+@settings(max_examples=12, deadline=None)
+@given(sweep=st.integers(1, 3), node=st.integers(0, 3),
+       entry=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       value=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan),
+                              complex(np.inf, 1.0)]),
+       mode=st.sampled_from(["pointwise", "initial"]),
+       r_name=st.sampled_from(["zero", "scale"]))
+def test_non_finite_coefficient_stops_at_the_dense_sweep_and_node(
+        sweep, node, entry, value, mode, r_name):
+    prob, calls = _poisoned_problem(sweep, node, entry, value, mode, r_name)
+    got = _failure(prob, calls)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver_module, "_cumulative_integrals",
+                  _dense_cumulative_integrals)
+        want = _failure(prob, calls)
+    assert got == want
+    assert re.search(r"at node \d", got)

@@ -103,6 +103,16 @@ def test_integral_side_and_range_validation(space4):
         right_integral(f, upto=-1)
 
 
+def test_non_integral_upto_is_rejected_not_truncated(space4, rng):
+    f = AdaptedProcess.random(space4, rng)
+    assert hp_norm(f, 3.0, upto=2.0) == hp_norm(f, 3.0, upto=2)
+    for call in (lambda: hp_norm(f, 3.0, upto=2.7),
+                 lambda: right_integral(f, upto=1.5),
+                 lambda: lqlp_norm(f, 2.0, 4.0, upto=0.5)):
+        with pytest.raises(ValueError, match="upto .* is not an integer"):
+            call()
+
+
 def test_pair_driver_integral(pair_space4, rng):
     f = AdaptedProcess.random(pair_space4, rng)
     x = driver_integral(f, Driver.annihilation())

@@ -345,3 +345,24 @@ def test_process_construction_errors(space4):
 def test_process_iteration(space4):
     f = AdaptedProcess.constant(space4, space4.identity(), num=3)
     assert [v.is_close(space4.identity(), tol=0.0) for v in f] == [True] * 3
+
+
+@pytest.mark.parametrize("kw,what", [
+    ({"start_node": 0.5}, "start_node 0.5"),
+    ({"num": 2.5}, "num 2.5"),
+    ({"num": 2, "start_node": 1.5}, "start_node 1.5"),
+])
+def test_random_and_constant_reject_non_integral_node_arguments(space4, rng, kw,
+                                                               what):
+    with pytest.raises(ValueError, match=f"{what} is not an integer"):
+        AdaptedProcess.random(space4, rng, **kw)
+    with pytest.raises(ValueError, match=f"{what} is not an integer"):
+        AdaptedProcess.constant(space4, space4.identity(), **kw)
+
+
+@pytest.mark.parametrize("num,start", [(2, 1), (np.int64(2), np.int64(1)),
+                                       (2.0, 1.0)])
+def test_integral_valued_node_arguments_keep_working(space4, rng, num, start):
+    f = AdaptedProcess.random(space4, rng, num=num, start_node=start)
+    assert (len(f), f.start_node, f.last_node) == (2, 1, 2)
+    assert type(f.start_node) is int

@@ -119,6 +119,18 @@ def test_level_of_node_pair(pair_space4):
     assert [pair_space4.level_of_node(k) for k in range(5)] == [0, 2, 4, 6, 8]
 
 
+@pytest.mark.parametrize("node", [2, np.int64(2), 2.0])
+def test_level_of_node_takes_integral_nodes(pair_space4, node):
+    level = pair_space4.level_of_node(node)
+    assert level == 4 and type(level) is int
+
+
+@pytest.mark.parametrize("node", [1.5, 0.5, float("nan")])
+def test_level_of_node_rejects_a_non_integral_node(space4, node):
+    with pytest.raises(ValueError, match=f"node index {node!r} is not an integer"):
+        space4.level_of_node(node)
+
+
 # -- conditional expectation ---------------------------------------------------
 
 
