@@ -93,86 +93,6 @@ from .cli import main
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptedProcess",
-    "AdaptednessError",
-    "COEFFICIENTS",
-    "CliffordElement",
-    "CliffordSpace",
-    "CliffsdeError",
-    "CoefficientMap",
-    "ConfigError",
-    "ConfigurationError",
-    "ContractViolationError",
-    "ConvergenceError",
-    "DEFAULT_MAX_GENERATORS",
-    "Driver",
-    "DriverMismatchError",
-    "InequalityReport",
-    "InnerResult",
-    "NONLOCAL_MAPS",
-    "NonlocalMap",
-    "OsgoodModulus",
-    "OsgoodViolationError",
-    "PROBLEMS",
-    "QsdeProblem",
-    "ResourceLimitError",
-    "SUITE_NAMES",
-    "SolveReport",
-    "SolveSettings",
-    "StabilityResult",
-    "SuiteConfig",
-    "SweepTable",
-    "TimeGrid",
-    "Violation",
-    "ZeroProcessError",
-    "bihari_bound",
-    "build_problem",
-    "certify_osgood",
-    "check_bg",
-    "check_norm_exchange",
-    "coefficient_stability_experiment",
-    "conditional_expect",
-    "driver_integral",
-    "dumps_element",
-    "forward_euler_oracle",
-    "grid_refinement_study",
-    "hp_norm",
-    "inner_fixed_point",
-    "left_integral",
-    "load_problem",
-    "loads_matrix",
-    "lp_norm",
-    "lqlp_norm",
-    "main",
-    "make_coefficient",
-    "make_modulus",
-    "make_nonlocal",
-    "make_problem",
-    "make_space",
-    "martingale_check",
-    "measure_bg_constant",
-    "monomial_expand",
-    "op_norm",
-    "parity_automorphism",
-    "parity_commutation_defect",
-    "parity_decompose",
-    "parse_config",
-    "perturb_problem",
-    "picard_solve",
-    "random_level_element",
-    "reconstruct",
-    "residual",
-    "right_integral",
-    "run_inequality_suite",
-    "run_solver_suite",
-    "run_suites",
-    "selfadjoint_solve_check",
-    "stability_experiment",
-    "state",
-    "time_integral",
-    "trial_seed",
-    "uniqueness_probe",
-    "validate_coefficient",
-    "validate_nonlocal",
-]
+# the public names are the ones imported above, listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(errors)))

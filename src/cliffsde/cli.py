@@ -17,8 +17,8 @@ import os
 import sys
 
 from .config import load_problem
-from .errors import (ConfigError, ContractViolationError, ConvergenceError,
-                     OsgoodViolationError)
+from .errors import (ConfigError, ConfigurationError, ContractViolationError,
+                     ConvergenceError, OsgoodViolationError)
 from .experiments import (
     SUITE_NAMES,
     SuiteConfig,
@@ -30,10 +30,13 @@ from .integrals import measure_bg_constant
 from .modulus import bihari_bound, make_modulus
 from .process import DRIVER_KINDS, Driver
 from .solver import picard_solve
-from .space import make_space
+from .space import DEFAULT_MAX_GENERATORS, make_space
 
 ENV_SEED = "CLIFFSDE_SEED"
 DEFAULT_SEED = 1729
+
+#: The flag that sets each field a ConfigurationError can name
+_FLAGS = {"trials": "--trials", "max_workers": "--workers", "n_grid": "--n"}
 
 
 def _default_seed() -> int:
@@ -138,9 +141,10 @@ def _cmd_bench_constants(args) -> int:
         return 2
     driver = Driver(args.driver)
     n = args.n
-    if driver.required_layout == "pair" and n > 6:
-        print(f"config error (--n): pair layout uses 2 generators per "
-              f"increment; n={n} exceeds the desk-scale envelope (6)",
+    most = 6 if driver.required_layout == "pair" else DEFAULT_MAX_GENERATORS
+    if not 1 <= n <= most:
+        print(f"config error (--n): n={n} is outside the desk-scale envelope "
+              f"1..{most} of the {driver.required_layout} layout",
               file=sys.stderr)
         return 2
     space = make_space(TimeGrid.uniform(0.0, 1.0, n),
@@ -264,7 +268,13 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"config error ({exc.key}): {exc}", file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        if exc.key not in _FLAGS:
+            raise
+        print(f"config error ({_FLAGS[exc.key]}): {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

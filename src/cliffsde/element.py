@@ -120,19 +120,14 @@ def lp_norms(mats: np.ndarray, p: float) -> list:
     """:func:`lp_norm` of every matrix of a ``(nodes, dim, dim)`` stack.
 
     Bit for bit the per-matrix values: p = 2 takes each row's ``vdot``;
-    other exponents form one stacked Gram product, then take each row's
-    trace of powers (integer p/2) or the row's mean over one stacked
-    ``eigvalsh`` (otherwise).  A row with a non-finite Gram matrix reads
-    NaN without failing the others.
+    other exponents form one stacked Gram product and take
+    :func:`psd_power_lp_norms` of it.  A row with a non-finite Gram matrix
+    reads NaN without failing the others.
     """
     _check_exponent(p)
     if p == 2:
         return [_l2_norm(m) for m in mats]
-    grams = mats.conj().transpose(0, 2, 1) @ mats
-    k = p / 2.0
-    if k == int(k):
-        return [psd_power_lp_norm(g, 2.0, p) for g in grams]
-    return [_spectrum_lp_norm(lam, k, p) for lam in _psd_spectra(grams)]
+    return psd_power_lp_norms(mats.conj().transpose(0, 2, 1) @ mats, 2.0, p)
 
 
 def _check_exponent(p: float) -> None:
@@ -162,8 +157,9 @@ def _psd_spectra(psd_mats: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_lp_norm(lam: np.ndarray, k: float, p: float) -> float:
-    # a row at a time: np.mean along an axis of a stack rounds differently
-    return float(np.mean(lam ** k) ** (1.0 / p))
+    # a row at a time: a mean along an axis of a stack rounds differently;
+    # np.mean of a row is this sum over its size, without the overhead
+    return float((np.add.reduce(lam ** k) / lam.size) ** (1.0 / p))
 
 
 def psd_power_lp_norm(psd_mat: np.ndarray, root: float, p: float) -> float:
@@ -176,16 +172,26 @@ def psd_power_lp_norm(psd_mat: np.ndarray, root: float, p: float) -> float:
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got p={p!r}")
+    return psd_power_lp_norms(psd_mat[None], root, p)[0]
+
+
+def psd_power_lp_norms(psd_mats: np.ndarray, root: float, p: float) -> list:
+    """:func:`psd_power_lp_norm` of every matrix of a ``(T, dim, dim)``
+    stack, bit for bit: stacked matrix powers and ``eigvalsh``, then per
+    matrix the trace or ``vdot`` and the spectrum's mean (their rounding
+    depends on the shape they reduce)."""
     k = p / root
-    dim = psd_mat.shape[0]
+    dim = psd_mats.shape[-1]
     if k == int(k) and k >= 1:
         k = int(k)
         if k == 1:
-            return float((np.trace(psd_mat).real / dim) ** (1.0 / p))
-        half = np.linalg.matrix_power(psd_mat, k // 2)
-        other = half if k % 2 == 0 else half @ psd_mat
-        return float((np.vdot(half, other).real / dim) ** (1.0 / p))
-    return _spectrum_lp_norm(_psd_spectra(psd_mat[None])[0], k, p)
+            return [float((np.trace(s).real / dim) ** (1.0 / p))
+                    for s in psd_mats]
+        half = np.linalg.matrix_power(psd_mats, k // 2)
+        other = half if k % 2 == 0 else half @ psd_mats
+        return [float((np.vdot(h, o).real / dim) ** (1.0 / p))
+                for h, o in zip(half, other)]
+    return [_spectrum_lp_norm(lam, k, p) for lam in _psd_spectra(psd_mats)]
 
 
 def op_norm(x: CliffordElement) -> float:

@@ -10,7 +10,12 @@ class ResourceLimitError(CliffsdeError):
 
 
 class ConfigurationError(CliffsdeError):
-    """Pieces of a space/driver/problem do not fit together."""
+    """Pieces of a space/driver/problem do not fit together; ``key``, when
+    given, names the offending field."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DriverMismatchError(ConfigurationError):

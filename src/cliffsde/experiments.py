@@ -24,20 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import lp_norm, op_norm
-from .errors import OsgoodViolationError
+from .errors import ConfigurationError, OsgoodViolationError
 from .integrals import (
+    _bg_norms,
     _bg_ratio,
+    _norm_exchange_sides,
     _running_sums,
-    check_norm_exchange,
     driver_integral,
-    hp_norm,
-    lqlp_norm,
     parity_commutation_defect,
 )
 from .grid import TimeGrid
 from .modulus import bihari_bound, make_modulus
 from .problems import make_problem
-from .process import AdaptedProcess, Driver
+from .process import AdaptedProcess, Driver, _random_stack, _trial_chunks
 from .solver import (
     coefficient_stability_experiment,
     forward_euler_oracle,
@@ -47,7 +46,8 @@ from .solver import (
     stability_experiment,
     uniqueness_probe,
 )
-from .space import make_space, parity_decompose, random_level_element
+from .space import (DEFAULT_MAX_GENERATORS, make_space, parity_decompose,
+                    random_level_element)
 
 #: Stable suite identifiers; the position doubles as the seed-split index.
 SUITE_NAMES = (
@@ -70,6 +70,10 @@ SOLVER_SUITES = ("picard", "uniqueness", "gronwall", "coeff_stability",
 
 RATIO_TOL = 1e-9
 EXACTNESS_TOL = 1e-12
+
+#: The increment counts a suite space may have: the generator budget
+_NS = frozenset(range(1, DEFAULT_MAX_GENERATORS + 1))
+_PAIR_NS = frozenset(range(1, DEFAULT_MAX_GENERATORS // 2 + 1))
 
 #: suite -> (statistic substring, aggregate) of its summary worst value
 _WORST = {
@@ -105,6 +109,22 @@ class SuiteConfig:
     ratio_tol: float = RATIO_TOL
     max_outer: int = 60
     max_workers: int = 1
+
+    def __post_init__(self):
+        # the common path is one chained test, keeping construction cheap;
+        # the loop only names the failing field
+        if not (self.trials >= 1 and self.max_workers >= 1
+                and _NS.issuperset(self.n_grid)
+                and _PAIR_NS.issuperset(self.pair_n_grid)):
+            for key, ok, domain in (
+                    ("trials", self.trials >= 1, "at least 1"),
+                    ("max_workers", self.max_workers >= 1, "at least 1"),
+                    ("n_grid", _NS.issuperset(self.n_grid), f"counts 1..{len(_NS)}"),
+                    ("pair_n_grid", _PAIR_NS.issuperset(self.pair_n_grid),
+                     f"counts 1..{len(_PAIR_NS)}")):
+                if not ok:
+                    raise ConfigurationError(f"{key} out of range ({domain}): "
+                                             f"{getattr(self, key)!r}", key=key)
 
 
 @dataclass(frozen=True)
@@ -208,22 +228,26 @@ def trial_seed(master_seed: int, suite: str, cell_index: int,
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _map_trials(worker, trials: int, max_workers: int):
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            return list(ex.map(worker, range(trials)))
-    return [worker(t) for t in range(trials)]
-
-
 def _run_trials(config: SuiteConfig, suite: str, cell_index: int,
-                trials: int, trial) -> list:
-    """``(seed, trial(rng))`` for each trial of a cell, in trial order,
-    with the rng drawn from the trial's derived seed."""
-    def worker(t):
-        seed = trial_seed(config.master_seed, suite, cell_index, t)
-        return seed, trial(np.random.default_rng(seed))
+                trials: int, space, batch) -> list:
+    """``(seed, result)`` for each trial of a cell, in trial order.
+    ``batch(rngs)`` maps the generators of a chunk of consecutive trials
+    (:func:`~.process._trial_chunks` of ``space``), each drawn from its
+    trial's derived seed, to their results; chunks map onto
+    ``config.max_workers`` threads."""
+    seeds = [trial_seed(config.master_seed, suite, cell_index, t)
+             for t in range(trials)]
 
-    return _map_trials(worker, trials, config.max_workers)
+    def worker(chunk):
+        return batch([np.random.default_rng(seeds[t]) for t in chunk])
+
+    chunks = _trial_chunks(space, trials)
+    if config.max_workers > 1:
+        with ThreadPoolExecutor(max_workers=config.max_workers) as ex:
+            results = list(ex.map(worker, chunks))
+    else:
+        results = [worker(chunk) for chunk in chunks]
+    return list(zip(seeds, (r for chunk in results for r in chunk)))
 
 
 def _add_ratio_spread(table: SweepTable, suite: str, cell: str, ratios,
@@ -262,28 +286,27 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     """
     table = SweepTable()
     suite = "bg_ratio"
-    cells = []
-    for driver in map(Driver, config.drivers):
-        fermion = driver.required_layout == "fermion"
-        for n in config.n_grid if fermion else config.pair_n_grid:
-            for p in config.p_grid:
-                for side in ("right", "left"):
-                    cells.append((p, n, driver, side))
+    cells = [(p, n, driver, side) for driver in map(Driver, config.drivers)
+             for n in (config.n_grid if driver.required_layout == "fermion"
+                       else config.pair_n_grid)
+             for p in config.p_grid for side in ("right", "left")]
 
     for cell_index, (p, n, driver, side) in enumerate(cells):
         space = _space(config, spaces, n, driver.required_layout)
         cell = f"p={p:g} n={n} driver={driver.label} side={side}"
 
-        def trial(rng, p=p, space=space, driver=driver, side=side):
-            f = AdaptedProcess.random(space, rng)
-            left = lp_norm(driver_integral(f, driver, side="left"), p)
-            right = lp_norm(driver_integral(f, driver, side="right"), p)
-            hp, l2 = hp_norm(f, p), lqlp_norm(f, 2.0, p)
-            ratio = _bg_ratio(p, left if side == "left" else right,
-                              hp if driver.kind == "fermion_field" else l2)
-            return ratio, hp / l2, left / right
+        def batch(rngs, p=p, space=space, driver=driver, side=side):
+            lefts, rights, hps, l2s = _bg_norms(
+                _random_stack(space, rngs),
+                space.grid.deltas.tolist(), driver.increments(space), p,
+                ("left", "right"), ("hp", "l2lp"))
+            return [(_bg_ratio(p, left if side == "left" else right,
+                               hp if driver.kind == "fermion_field" else l2),
+                     hp / l2, left / right)
+                    for left, right, hp, l2 in zip(lefts, rights, hps, l2s)]
 
-        out = _run_trials(config, suite, cell_index, config.trials, trial)
+        out = _run_trials(config, suite, cell_index, config.trials, space,
+                          batch)
         ratios, bp1s, lrs = np.array([r for _, r in out]).T
 
         _add_ratio_spread(table, suite, cell, ratios, "beta_hat")
@@ -309,10 +332,8 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
 
         # even integrand: left and right integrals agree exactly
         seed = trial_seed(config.master_seed, suite, cell_index, config.trials)
-        rng = np.random.default_rng(seed)
-        f = AdaptedProcess.random(space, rng)
-        even_vals = [parity_decompose(x)[0] for x in f.values]
-        f_even = AdaptedProcess(space, even_vals)
+        f = AdaptedProcess.random(space, np.random.default_rng(seed))
+        f_even = AdaptedProcess(space, [parity_decompose(x)[0] for x in f.values])
         gap = op_norm(driver_integral(f_even, driver, side="left")
                       - driver_integral(f_even, driver, side="right"))
         table.add(suite, cell, "even_lr_gap", gap)
@@ -335,11 +356,13 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
         space = _space(config, spaces, n)
         cell = f"q={q:g} p={p:g} n={n}"
 
-        def trial(rng, q=q, p=p, space=space):
-            f = AdaptedProcess.random(space, rng)
-            return check_norm_exchange(f, q, p).ratio
+        def batch(rngs, q=q, p=p, space=space):
+            return _norm_exchange_sides(
+                _random_stack(space, rngs),
+                space.grid.deltas.tolist(), q, p)[2]
 
-        out = _run_trials(config, suite, cell_index, config.trials, trial)
+        out = _run_trials(config, suite, cell_index, config.trials, space,
+                          batch)
         _add_ratio_spread(table, suite, cell, np.array([r for _, r in out]))
         for t, (seed, r) in enumerate(out):
             if r > 1.0 + config.ratio_tol:
@@ -389,7 +412,8 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
         running = _running_sums(space.zero(),
                                  ((space.annihilation_increment(k),)
                                   for k in range(n_pair)))
-        for k, acc in enumerate(running[1:]):
+        next(running)
+        for k, acc in enumerate(running):
             accs = acc.adjoint()
             elapsed = space.grid.node(k + 1) - space.grid.t0
             run_worst = max(run_worst, op_norm(
@@ -422,7 +446,8 @@ def _parity_lemma_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
             h = random_level_element(space, rng, space.level_of_node(k))
             return parity_commutation_defect(h, int(rng.integers(k, n)))
 
-        out = _run_trials(config, suite, cell_index, trials, trial)
+        out = _run_trials(config, suite, cell_index, trials, space,
+                          lambda rngs, trial=trial: list(map(trial, rngs)))
         even_worst = max(d[0] for _, d in out)
         odd_worst = max(d[1] for _, d in out)
         table.add(suite, cell, "even_defect_max", even_worst)

@@ -12,6 +12,13 @@ from functools import cached_property
 import numpy as np
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int; a non-integral one raises naming ``what``."""
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 class TimeGrid:
     """Strictly increasing nodes t0 = tau_0 < tau_1 < ... < tau_n = T."""
 
@@ -62,11 +69,13 @@ class TimeGrid:
         return d
 
     def node(self, k: int) -> float:
+        k = as_int(k, "node index")
         if not 0 <= k <= self.n:
             raise IndexError(f"node index {k} outside 0..{self.n}")
         return float(self.nodes[k])
 
     def delta(self, k: int) -> float:
+        k = as_int(k, "increment index")
         if not 0 <= k < self.n:
             raise IndexError(f"increment index {k} outside 0..{self.n - 1}")
         return float(self.deltas[k])

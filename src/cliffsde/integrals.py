@@ -18,16 +18,20 @@ The square-function norm is
 
 and ``lqlp_norm`` is the iterated norm (sum ||f_j||_p^q d_j)^(1/q).
 
-The kernels work on a process's stacked values ``f.mats``: one stacked
-matmul against the driver's cached increment stack per integral, one
-stacked Gram product (and ``eigh`` or ``eigvalsh`` where a norm needs a
-spectrum) per norm, then sums over the nodes in node order: the partial
-sums of ``_running_sums`` for the integrals, and the one delta-weighted
-loop ``_delta_sum`` for the time integral and the norms.  Stacked
-products and decompositions equal the per-matrix calls bit for bit, so
-the results are those of a per-element loop.  The processes are
-immutable and adapted by construction, so no kernel re-checks
-adaptedness.
+The kernels work on a ``(T, nodes, dim, dim)`` stack of processes: a
+batch of one for the per-process functions, a chunk of random trials for
+the suites and ``measure_bg_constant``.  Per node they make one stacked
+product with the driver's cached increment, one stacked Gram product (and
+``eigh`` where the norm exchange powers it), then sum over the nodes in
+node order: the partial sums of ``_running_sums`` for the integrals, the
+delta-weighted loop ``_delta_sum`` for the time integral and the norms.
+Stacked products, ``eigh``/``eigvalsh`` and elementwise accumulation
+equal the per-matrix calls bit for bit.  The reductions whose rounding
+depends on the shape they reduce stay per matrix or per process: the
+``vdot`` of an L^2 or trace-power norm, the mean of a spectrum, and the
+Python-float delta-sum of ``lqlp_norm``.  So the results are those of a
+per-element loop.  The processes are immutable and adapted by
+construction, so no kernel re-checks adaptedness.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import CliffordElement, lp_norm, lp_norms, op_norm, psd_power_lp_norm
-from .errors import ZeroProcessError
-from .process import AdaptedProcess, Driver
+from .element import CliffordElement, lp_norm, lp_norms, op_norm, psd_power_lp_norms
+from .errors import ConfigurationError, ZeroProcessError
+from .process import AdaptedProcess, Driver, _random_stack, _trial_chunks
 from .space import as_int, conditional_expect, parity_decompose, require_adapted
 
 
@@ -55,46 +59,99 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
     return upto
 
 
-def _rows(f: AdaptedProcess, upto: int) -> np.ndarray:
-    """The stacked values at nodes start_node..upto-1."""
-    return f.mats[:upto - f.start_node]
+def _stack(f: AdaptedProcess, upto, driver: Driver | None = None) -> tuple:
+    """f as a batch of one up to the checked ``upto``: its values at nodes
+    start_node..upto-1 as a ``(1, nodes, dim, dim)`` stack, their deltas
+    and (with a driver) the driver's increments there."""
+    upto = _resolve_upto(f, upto)
+    incs = None if driver is None else driver.increments(f.space)[f.start_node:upto]
+    return (f.mats[None, :upto - f.start_node],
+            f.space.grid.deltas[f.start_node:upto].tolist(), incs)
 
 
-def _running_sums(start, steps) -> list:
-    """Partial sums [start, start + s_0, start + s_0 + s_1, ...] of an
-    integral, accumulated left to right.  Each step is a tuple of terms
-    added one at a time, so ``acc + a + b`` keeps its rounding.  The terms
-    are elements (``start`` the space's zero) or matrices (a zero
-    matrix)."""
+def _running_sums(start, steps):
+    """Yield the partial sums start, start + s_0, start + s_0 + s_1, ...
+    of an integral, accumulated left to right.  Each step is a tuple of
+    terms added one at a time, so ``acc + a + b`` keeps its rounding.  The
+    terms are elements (``start`` the space's zero) or arrays (zeros)."""
     acc = start
-    out = [acc]
+    yield acc
     for step in steps:
         for term in step:
             acc = acc + term
-        out.append(acc)
-    return out
+        yield acc
 
 
-def _delta_sum(f: AdaptedProcess, terms, acc):
-    """acc + sum_j delta_j * term_j over the nodes j = start_node, ... of
-    ``terms``, added in node order; an array ``acc`` is updated in place."""
-    deltas = f.space.grid.deltas[f.start_node:].tolist()
+def _delta_sum(deltas, terms, acc):
+    """acc + sum_j deltas[j] * terms[j], added in node order; an array
+    ``acc`` is updated in place."""
     for delta, term in zip(deltas, terms):
         acc += delta * term
     return acc
 
 
-def _driver_partial_sums(f: AdaptedProcess, driver: Driver, upto: int,
-                         side: str) -> list:
-    """Matrices of the partial sums of a driver integral: one stacked
-    product of the values with the cached increments, summed in node
+def _driver_partial_sums(mats: np.ndarray, incs: np.ndarray, side: str):
+    """Yield the partial sums of a driver integral for each process of a
+    ``(T, nodes, dim, dim)`` stack, each a ``(T, dim, dim)`` stack: per
+    node one stacked product with the node's increment, summed in node
     order."""
-    sp = f.space
-    vals = _rows(f, upto)
-    incs = driver.increments(sp)[f.start_node:upto]
-    terms = vals @ incs if side == "right" else incs @ vals
-    zero = np.zeros((sp.dim, sp.dim), dtype=complex)
-    return _running_sums(zero, ((t,) for t in terms))
+    terms = ((m @ inc if side == "right" else inc @ m,)
+             for m, inc in zip(mats.swapaxes(0, 1), incs))
+    return _running_sums(np.zeros((len(mats), *mats.shape[2:]), complex), terms)
+
+
+def _driver_sums(mats: np.ndarray, incs: np.ndarray, side: str) -> np.ndarray:
+    """The last of :func:`_driver_partial_sums`, keeping no earlier one."""
+    for total in _driver_partial_sums(mats, incs, side):
+        pass
+    return total
+
+
+def _hp_norms(mats: np.ndarray, deltas, p: float) -> list:
+    """:func:`hp_norm` of each process of a stack: per node the stacked
+    Gram products, delta-summed in node order."""
+    right, left = np.zeros((2, len(mats), *mats.shape[2:]), complex)
+    for delta, m in zip(deltas, mats.swapaxes(0, 1)):
+        adj = m.conj().transpose(0, 2, 1)
+        right += delta * (adj @ m)
+        left += delta * (m @ adj)
+    return list(map(max, *(psd_power_lp_norms(s, 2.0, p) for s in (right, left))))
+
+
+def _lqlp_norms(mats: np.ndarray, deltas, q: float, p: float) -> list:
+    """:func:`lqlp_norm` of each process of a stack: the norms per node,
+    then per process a Python-float delta-sum."""
+    norms = [lp_norms(m, p) for m in mats.swapaxes(0, 1)]
+    return [float(_delta_sum(deltas, [row[t] ** q for row in norms], 0.0)
+                  ** (1.0 / q)) for t in range(len(mats))]
+
+
+def _bg_norms(mats: np.ndarray, deltas, incs: np.ndarray, p: float,
+              sides, refs) -> list:
+    """Per process of a stack, the L^p norm of its driver integral on each
+    of ``sides``, then each reference norm of ``refs``: ``'hp'``
+    (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2))."""
+    out = [lp_norms(_driver_sums(mats, incs, side), p) for side in sides]
+    return out + [_hp_norms(mats, deltas, p) if ref == "hp"
+                  else _lqlp_norms(mats, deltas, 2.0, p) for ref in refs]
+
+
+def _norm_exchange_sides(mats: np.ndarray, deltas, q: float,
+                         p: float) -> tuple:
+    """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for the
+    processes of a stack: per node the stacked Gram products and their
+    ``eigh`` powering, delta-summed in node order."""
+    acc = np.zeros((len(mats), *mats.shape[2:]), complex)
+    for delta, m in zip(deltas, mats.swapaxes(0, 1)):
+        powed = m.conj().transpose(0, 2, 1) @ m
+        if q != 2:
+            lam, vec = np.linalg.eigh(powed)
+            lam = np.clip(lam, 0.0, None)
+            powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
+        acc += delta * powed
+    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(mats, deltas, q, p)
+    return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
+                      for a, b in zip(lhs, rhs)]
 
 
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
@@ -102,8 +159,8 @@ def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
     """sum f(tau_j) dxi_j (side='right') or sum dxi_j f(tau_j) (side='left')."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    upto = _resolve_upto(f, upto)
-    total = _driver_partial_sums(f, driver, upto, side)[-1]
+    mats, _, incs = _stack(f, upto, driver)
+    total = _driver_sums(mats, incs, side)[0]
     return CliffordElement(f.space, total, _fresh=True)
 
 
@@ -119,9 +176,8 @@ def left_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
 
 def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
     """sum f(tau_j) delta_j; obeys ||.||_p <= sum ||f_j||_p delta_j."""
-    upto = _resolve_upto(f, upto)
-    vals = _rows(f, upto)
-    total = _delta_sum(f, vals, np.zeros(vals.shape[1:], dtype=complex))
+    mats, deltas, _ = _stack(f, upto)
+    total = _delta_sum(deltas, mats[0], np.zeros(mats.shape[2:], complex))
     return CliffordElement(f.space, total, _fresh=True)
 
 
@@ -129,22 +185,14 @@ def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
     """Square-function norm, symmetrized over f and f*."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p!r}")
-    upto = _resolve_upto(f, upto)
-    mats = _rows(f, upto)
-    adj = mats.conj().transpose(0, 2, 1)
-    sums = (_delta_sum(f, grams, np.zeros(mats.shape[1:], dtype=complex))
-            for grams in (adj @ mats, mats @ adj))
-    return max(psd_power_lp_norm(s, 2.0, p) for s in sums)
+    return _hp_norms(*_stack(f, upto)[:2], p)[0]
 
 
 def lqlp_norm(f: AdaptedProcess, q: float, p: float, upto=None) -> float:
     """(sum_j ||f_j||_p^q delta_j)^(1/q)."""
     if q < 1 or p < 1:
         raise ValueError(f"exponents must be >= 1, got q={q!r}, p={p!r}")
-    upto = _resolve_upto(f, upto)
-    norms = lp_norms(_rows(f, upto), p)
-    total = _delta_sum(f, [nrm ** q for nrm in norms], 0.0)
-    return float(total ** (1.0 / q))
+    return _lqlp_norms(*_stack(f, upto)[:2], q, p)[0]
 
 
 def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
@@ -157,10 +205,10 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
     """
     if driver is None:
         driver = Driver.fermion_field()
-    upto = _resolve_upto(f, upto)
     sp = f.space
-    partial = [CliffordElement(sp, s, _fresh=True)
-               for s in _driver_partial_sums(f, driver, upto, side)]
+    mats, _, incs = _stack(f, upto, driver)
+    partial = [CliffordElement(sp, s[0], _fresh=True)
+               for s in _driver_partial_sums(mats, incs, side)]
     m_t = partial[-1]
     worst = 0.0
     for off, m_s in enumerate(partial):
@@ -223,19 +271,8 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,
     """
     if not 1 <= q <= p:
         raise ValueError(f"need 1 <= q <= p, got q={q!r}, p={p!r}")
-    upto = _resolve_upto(f, upto)
-    mats = _rows(f, upto)
-    grams = mats.conj().transpose(0, 2, 1) @ mats
-    if q == 2:
-        powed = grams
-    else:
-        lam, vec = np.linalg.eigh(grams)
-        lam = np.clip(lam, 0.0, None)
-        powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
-    acc = _delta_sum(f, powed, np.zeros(mats.shape[1:], dtype=complex))
-    lhs = psd_power_lp_norm(acc, q, p)
-    rhs = lqlp_norm(f, q, p, upto=upto)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))
+    lhs, rhs, ratio = (part[0] for part in _norm_exchange_sides(
+        *_stack(f, upto)[:2], q, p))
     return InequalityReport("norm_exchange", p, lhs, rhs, ratio,
                             q=q, trial=trial, seed=seed)
 
@@ -252,12 +289,9 @@ def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
     """
     if driver is None:
         driver = Driver.fermion_field()
-    upto = _resolve_upto(f, upto)
-    lhs = lp_norm(driver_integral(f, driver, upto=upto, side=side), p)
-    if driver.kind == "fermion_field":
-        rhs = hp_norm(f, p, upto=upto)
-    else:
-        rhs = lqlp_norm(f, 2.0, p, upto=upto)
+    ref = "hp" if driver.kind == "fermion_field" else "l2lp"
+    lhs, rhs = (norms[0] for norms in _bg_norms(*_stack(f, upto, driver), p,
+                                                (side,), (ref,)))
     return InequalityReport("bg_ratio", p, lhs, rhs, _bg_ratio(p, lhs, rhs),
                             q=None, trial=trial, seed=seed)
 
@@ -286,12 +320,17 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
         driver = Driver.fermion_field()
     if form not in ("l2lp", "hp"):
         raise ValueError(f"form must be 'l2lp' or 'hp', got {form!r}")
+    trials = as_int(trials, "trials")
+    if trials < 1:
+        raise ConfigurationError(f"trials out of range (at least 1): {trials}",
+                                 key="trials")
+    incs, deltas = driver.increments(space), space.grid.deltas.tolist()
     worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        f = AdaptedProcess.random(space, rng)
-        lhs = lp_norm(driver_integral(f, driver, side=side), p)
-        rhs = hp_norm(f, p) if form == "hp" else lqlp_norm(f, 2.0, p)
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
+    for chunk in _trial_chunks(space, trials):
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+                for t in chunk]
+        mats = _random_stack(space, rngs)
+        for lhs, rhs in zip(*_bg_norms(mats, deltas, incs, p, (side,), (form,))):
+            if rhs > 0:
+                worst = max(worst, lhs / rhs)
     return worst

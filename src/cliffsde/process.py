@@ -29,11 +29,16 @@ import numpy as np
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
 from .errors import ConfigurationError, DriverMismatchError
-from .space import (CliffordSpace, MonomialGather, _draw_level_matrix,
+from .space import (CliffordSpace, MonomialGather, _draw_levels,
                     adaptedness_defect, as_int, require_adapted)
 
 #: Construction rejects values whose projection defect exceeds this or is NaN.
 ADAPTEDNESS_REJECT_TOL = 1e-8
+
+#: Bytes of one chunk's stack of random processes (4 trials of 8 dim-16
+#: values); a larger space gets fewer trials per chunk.  Larger chunks are
+#: a little faster but raise peak memory: 160 KB added 0.3 MB.
+_CHUNK_BYTES = 128 * 1024
 
 
 def _combined_increment(driver, space, k):
@@ -155,6 +160,27 @@ def _node_range(space, num, start_node) -> tuple:
     return num, start_node
 
 
+def _random_stack(space, rngs, num=None, start_node: int = 0) -> np.ndarray:
+    """A read-only ``(len(rngs), num, dim, dim)`` stack: row i holds the
+    values :meth:`AdaptedProcess.random` draws from ``rngs[i]`` (checked
+    ``num`` and ``start_node``), drawn node by node for all generators at
+    once."""
+    num = space.grid.n if num is None else num
+    mats = np.empty((len(rngs), num, space.dim, space.dim), dtype=complex)
+    for off in range(num):
+        _draw_levels(space, rngs, space.level_of_node(start_node + off),
+                     out=mats[:, off])
+    mats.setflags(write=False)
+    return mats
+
+
+def _trial_chunks(space, trials: int) -> list:
+    """Consecutive ranges of trials whose random processes (one value
+    per increment) fit one chunk of ``_CHUNK_BYTES``."""
+    size = max(1, _CHUNK_BYTES // (16 * space.grid.n * space.dim ** 2))
+    return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+
 class AdaptedProcess:
     """Node-indexed values f(tau_k), each measurable at its own level.
 
@@ -211,15 +237,11 @@ class AdaptedProcess:
         """Unit-L^2 random values, each drawn in its own level algebra.
 
         Node by node, each row gets the draw ``random_level_element``
-        makes at the node's level, from the same calls on ``rng``.
+        makes at the node's level, from the same stream of ``rng``.
         """
         num, start_node = _node_range(space, num, start_node)
-        mats = np.empty((num, space.dim, space.dim), dtype=complex)
-        for off, row in enumerate(mats):
-            _draw_level_matrix(space, rng,
-                               space.level_of_node(start_node + off), out=row)
-        mats.setflags(write=False)
-        return cls._trusted(space, mats, start_node)
+        return cls._trusted(space, _random_stack(space, [rng], num,
+                                                 start_node)[0], start_node)
 
     @property
     def values(self) -> tuple:
@@ -231,7 +253,7 @@ class AdaptedProcess:
         return self._values
 
     def value(self, node: int) -> CliffordElement:
-        off = node - self.start_node
+        off = as_int(node, "node") - self.start_node
         if not 0 <= off < len(self):
             raise IndexError(
                 f"node {node} outside covered range "

@@ -48,7 +48,7 @@ import numpy as np
 
 from .element import CliffordElement, _l2_norm, lp_norm, state
 from .errors import AdaptednessError, DriverMismatchError, ResourceLimitError
-from .grid import TimeGrid
+from .grid import TimeGrid, as_int
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,9 +61,12 @@ LAYOUTS = ("fermion", "pair")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices: the same broadcast product, bit for bit."""
-    (m, n), (p, q) = a.shape, b.shape
-    return np.multiply(a[:, None, :, None], b[None, :, None, :]).reshape(m * p, n * q)
+    """np.kron of two matrices, or of each matrix of a stack ``a`` with
+    ``b``: the same broadcast product, bit for bit."""
+    *lead, m, n = a.shape
+    p, q = b.shape
+    return np.multiply(a[..., :, None, :, None],
+                       b[None, :, None, :]).reshape(*lead, m * p, n * q)
 
 
 @cache
@@ -242,13 +245,6 @@ def make_space(
 # -- conditional expectation, parity, monomial transforms -------------------
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as an int; a non-integral one raises naming ``what``."""
-    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)
-
-
 def _level_index(sp: CliffordSpace, level) -> int:
     """``level`` as an int in 0..n_gen; a non-integral level raises."""
     k = as_int(level, "filtration level")
@@ -270,15 +266,16 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
 
 
 def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
-    """The matrix of E(x | level k) for x's matrix ``mat``; ``mat`` itself
-    when the projection has nothing to do."""
+    """The matrix of E(x | level k) for x's matrix ``mat``, or for each
+    matrix of a stack; ``mat`` itself when the projection has nothing to
+    do."""
     m = sp.factors
     r = (k + 1) // 2
     if r < m:
         lo = 2 ** r
         hi = 2 ** (m - r)
-        t = mat.reshape(lo, hi, lo, hi)
-        pt = np.einsum("ajbj->ab", t) / hi
+        t = mat.reshape(*mat.shape[:-2], lo, hi, lo, hi)
+        pt = np.einsum("...ajbj->...ab", t) / hi
         mat = _kron(pt, _eye(hi))
     if k % 2 == 1:
         # the partial trace kept the whole algebra of the first r factors;
@@ -288,7 +285,7 @@ def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
         # unit row and column weights
         g = sp._gen_gathers[k]
         d = sp._gamma_gather.wr
-        flipped = mat.take(g.rows, axis=0).take(g.cols, axis=1)
+        flipped = mat.take(g.rows, axis=-2).take(g.cols, axis=-1)
         flipped *= (g.wr * d[g.rows])[:, None]
         flipped *= d[g.cols] * g.wc
         flipped += mat
@@ -379,27 +376,32 @@ def random_level_element(
     normalized to unit L^2 norm.
     """
     k = space.n_gen if level is None else _level_index(space, level)
-    return CliffordElement(space, _draw_level_matrix(space, rng, k),
+    return CliffordElement(space, _draw_levels(space, [rng], k)[0],
                            _fresh=True)
 
 
-def _draw_level_matrix(space: CliffordSpace, rng: np.random.Generator,
-                       k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The matrix of :func:`random_level_element` at a checked level k,
-    written into ``out`` when given."""
-    r = (k + 1) // 2
-    lo = 2 ** r
-    a = rng.standard_normal((lo, lo)) + 1j * rng.standard_normal((lo, lo))
-    if lo < space.dim:
-        mat = _kron(a, _eye(space.dim // lo))
-    else:
-        mat = a
+def _draw_levels(space: CliffordSpace, rngs, k: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The matrices of :func:`random_level_element` at a checked level k,
+    one per generator, as a ``(len(rngs), dim, dim)`` stack (written into
+    ``out`` when given).  Each generator draws the stream of one draw, in
+    order, and redraws a degenerate one; the expansion, projection and
+    normalization run over the stack, each norm per matrix."""
+    lo = 2 ** ((k + 1) // 2)
+    parts = np.empty((len(rngs), 2, lo, lo))
+    for rng, part in zip(rngs, parts):
+        rng.standard_normal(out=part)  # the stream of two (lo, lo) draws
+    a = parts[:, 0] + 1j * parts[:, 1]
+    mat = _kron(a, _eye(space.dim // lo)) if lo < space.dim else a
     if k % 2 == 1:
         mat = _project(space, mat, k)
-    nrm = _l2_norm(mat)
-    if nrm < 1e-12:  # pragma: no cover - measure-zero draw
-        return _draw_level_matrix(space, rng, k, out)
-    return np.divide(mat, complex(nrm), out=out)
+    nrms = np.array([_l2_norm(m) for m in mat])
+    degenerate = np.flatnonzero(nrms < 1e-12)
+    nrms[degenerate] = 1.0
+    out = np.divide(mat, nrms.astype(complex)[:, None, None], out=out)
+    for i in degenerate:  # a measure-zero draw
+        _draw_levels(space, rngs[i:i + 1], k, out[i:i + 1])
+    return out
 
 
 __all__ = [

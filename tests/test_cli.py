@@ -96,6 +96,21 @@ def test_verify_unknown_suite(capsys):
     assert "config error (--suite)" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("--suite", "bg_ratio", "--trials", "0"), "--trials"),
+    (("--suite", "norm_exchange", "--trials", "-2"), "--trials"),
+    (("--suite", "bihari", "--workers", "-2"), "--workers"),
+    (("--suite", "bihari", "--workers", "0"), "--workers"),
+    (("--n", "0"), "--n"),
+    (("--n", "30"), "--n"),
+])
+def test_verify_out_of_range_sizes_exit_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = _run(capsys, "verify", *argv)
+    assert code == 2
+    assert err.startswith(f"config error ({flag}): ")
+    assert out == ""
+
+
 def test_verify_runs_are_byte_identical(capsys, tmp_path):
     paths = []
     for tag in ("a", "b"):
@@ -334,6 +349,19 @@ def test_bench_constants_pair_budget(capsys):
                         "--driver", "annihilation", "--n", "7", "--seed", "0")
     assert code == 2
     assert "config error (--n)" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--trials", "0"), "--trials"),
+    (("--trials", "-2"), "--trials"),
+    (("--n", "0"), "--n"),
+    (("--n", "20"), "--n"),
+])
+def test_bench_constants_out_of_range_sizes_exit_2(capsys, argv, flag):
+    code, out, err = _run(capsys, "bench-constants", "--p", "4", *argv)
+    assert code == 2
+    assert f"config error ({flag})" in err
+    assert "beta_hat" not in out
 
 
 # -- environment seed ------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Sweep harness: determinism, violation logging, and table plumbing."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from cliffsde import (
+    ConfigurationError,
     SuiteConfig,
     SweepTable,
     Violation,
@@ -31,11 +33,49 @@ def test_same_config_reproduces_csv_bytes():
     assert a.passed and b.passed
 
 
+def test_seeded_inequality_suites_match_the_committed_bytes():
+    # stats and violations of every inequality suite at the default sizes;
+    # the chunked draws and kernels must reproduce the per-trial bytes
+    fixture = Path(__file__).parent / "data" / "verify_seed1729_trials200.csv"
+    table = run_inequality_suite(SuiteConfig(master_seed=1729, trials=200))
+    assert (table.to_csv() + table.violations_to_csv()).encode() == \
+        fixture.read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("trials", 0), ("trials", -2), ("max_workers", 0), ("max_workers", -2),
+    ("n_grid", (0,)), ("n_grid", (8, 30)), ("pair_n_grid", (8,)),
+    ("pair_n_grid", (-1,)),
+])
+def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
+    with pytest.raises(ConfigurationError, match=f"^{key} out of range") as exc:
+        SuiteConfig(**{key: value})
+    assert exc.value.key == key
+
+
+def test_the_largest_sizes_are_accepted():
+    config = SuiteConfig(trials=1, max_workers=1, n_grid=(1, 14),
+                         pair_n_grid=(1, 7))
+    assert config.n_grid == (1, 14)
+
+
 def test_worker_count_does_not_change_results():
     threaded = run_inequality_suite(
         SuiteConfig(trials=12, n_grid=(4,), pair_n_grid=(3,), master_seed=7,
                     max_workers=3))
     assert threaded.to_csv() == run_inequality_suite(_SMALL).to_csv()
+
+
+def test_worker_threads_over_several_chunks_do_not_change_results():
+    # n = 8 puts 4 trials in a chunk, so 9 trials make three chunks
+    config = SuiteConfig(trials=9, n_grid=(8,), pair_n_grid=(4,),
+                         master_seed=5, drivers=("fermion_field",))
+    names = ["bg_ratio", "norm_exchange"]
+    threaded = run_suites(SuiteConfig(**{**vars(config), "max_workers": 2}),
+                          names)
+    single = run_suites(config, names)
+    assert threaded.to_csv() == single.to_csv()
+    assert threaded.violations_to_csv() == single.violations_to_csv()
 
 
 def test_one_space_per_n_and_layout_per_run(monkeypatch):

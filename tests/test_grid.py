@@ -76,3 +76,19 @@ def test_nodes_are_read_only():
         g.nodes[0] = -1.0
     with pytest.raises(ValueError):
         g.deltas[0] = 9.0
+
+
+@pytest.mark.parametrize("k", [2, np.int64(2), 2.0])
+def test_node_and_delta_take_integral_indices(k):
+    g = TimeGrid.uniform(0.0, 1.0, 4)
+    assert (g.node(k), g.delta(k)) == (0.5, 0.25)
+
+
+@pytest.mark.parametrize("k", [1.5, 0.5, float("nan")])
+def test_node_and_delta_reject_a_non_integral_index(k):
+    g = TimeGrid.uniform(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match=f"node index {k!r} is not an integer"):
+        g.node(k)
+    with pytest.raises(ValueError,
+                       match=f"increment index {k!r} is not an integer"):
+        g.delta(k)

@@ -366,3 +366,16 @@ def test_integral_valued_node_arguments_keep_working(space4, rng, num, start):
     f = AdaptedProcess.random(space4, rng, num=num, start_node=start)
     assert (len(f), f.start_node, f.last_node) == (2, 1, 2)
     assert type(f.start_node) is int
+
+
+@pytest.mark.parametrize("node", [2, np.int64(2), 2.0])
+def test_value_takes_an_integral_node(space4, rng, node):
+    f = AdaptedProcess.random(space4, rng)
+    assert f.value(node).mat.tobytes() == f.mats[2].tobytes()
+
+
+@pytest.mark.parametrize("node", [1.5, 0.5, float("nan")])
+def test_value_rejects_a_non_integral_node(space4, rng, node):
+    f = AdaptedProcess.random(space4, rng)
+    with pytest.raises(ValueError, match=f"node {node!r} is not an integer"):
+        f.value(node)

@@ -1,10 +1,12 @@
 """The stacked integral and norm kernels against per-element loops.
 
 Processes hold their values as one ``(nodes, dim, dim)`` stack, and the
-kernels in ``integrals`` and ``element.lp_norms`` work on it with stacked
-matmul, ``eigvalsh`` and ``eigh`` calls.  The references below are the
-per-element loops those kernels replaced; every comparison is on the
-bytes of the returned floats and matrices.
+kernels in ``integrals`` and ``element.lp_norms`` work on a
+``(trials, nodes, dim, dim)`` stack of them with stacked matmul,
+``eigvalsh`` and ``eigh`` calls: a batch of one for the per-process
+functions, a chunk of random trials for the suites.  The references below
+are the per-element loops those kernels replaced; every comparison is on
+the bytes of the returned floats and matrices.
 """
 
 import math
@@ -16,17 +18,24 @@ from hypothesis import strategies as st
 
 from cliffsde import (
     AdaptedProcess,
+    ConfigurationError,
     Driver,
     SuiteConfig,
     TimeGrid,
+    check_bg,
     check_norm_exchange,
+    conditional_expect,
     driver_integral,
     hp_norm,
     lqlp_norm,
     make_space,
+    measure_bg_constant,
     random_level_element,
 )
 from cliffsde.element import lp_norms
+from cliffsde.integrals import (_bg_norms, _driver_partial_sums, _hp_norms,
+                                _lqlp_norms, _norm_exchange_sides)
+from cliffsde.process import _random_stack, _trial_chunks
 
 P_VALUES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 7.0)
 _CONFIG = SuiteConfig()
@@ -220,3 +229,173 @@ def test_random_process_draws_the_random_level_element_stream(sp, start):
         assert f.value(node).mat.tobytes() == x.mat.tobytes()
     # and both left the generator in the same state
     assert rng_f.bit_generator.state == rng.bit_generator.state
+
+
+# -- chunks of trials: stacked draws and kernels with a leading trial axis -------
+
+
+def _ref_draw(sp, rng, k):
+    """The per-node draw of a level-k value: np.kron, the 2-D projection and
+    one division per matrix."""
+    lo = 2 ** ((k + 1) // 2)
+    a = rng.standard_normal((lo, lo)) + 1j * rng.standard_normal((lo, lo))
+    mat = np.kron(a, np.eye(sp.dim // lo)) if lo < sp.dim else a
+    if k % 2 == 1:
+        mat = conditional_expect(sp.element(mat), k).mat
+    return mat / complex(np.sqrt(np.vdot(mat, mat).real / sp.dim))
+
+
+_DRAW_SPACES = [make_space(TimeGrid.uniform(0.0, 1.0, n), layout=layout)
+                for layout, ns in (("fermion", (3, 5, 7, 9, 12)),
+                                   ("pair", (2, 3, 4, 5, 6)))
+                for n in ns]
+
+
+@pytest.mark.parametrize("sp", _DRAW_SPACES,
+                         ids=[f"{sp.layout}-dim{sp.dim}" for sp in _DRAW_SPACES])
+def test_chunked_draws_equal_random_processes_row_for_row(sp):
+    chunk = len(_trial_chunks(sp, 10 ** 6)[0])
+    for trials in sorted({1, chunk - 1, chunk, chunk + 1} - {0}):
+        chunks = _trial_chunks(sp, trials)
+        assert [len(c) for c in chunks] == \
+            [chunk] * (trials // chunk) + [trials % chunk] * (trials % chunk > 0)
+        seeds = [100 * trials + t for t in range(trials)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        rows = [row for c in chunks
+                for row in _random_stack(sp, [rngs[t] for t in c])]
+        for seed, row, rng in zip(seeds, rows, rngs):
+            ref_rng = np.random.default_rng(seed)
+            f = AdaptedProcess.random(sp, ref_rng)
+            assert row.tobytes() == f.mats.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            ref_rng = np.random.default_rng(seed)
+            ref = [_ref_draw(sp, ref_rng, sp.level_of_node(k))
+                   for k in range(sp.grid.n)]
+            assert row.tobytes() == np.stack(ref).tobytes()
+
+
+class _ZeroFirstDraw:
+    """A generator whose first draw is all zeros: a degenerate draw."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, *args, out=None):
+        self.calls += 1
+        if self.calls == 1:
+            out[...] = 0.0
+            return out
+        return self.rng.standard_normal(*args, out=out)
+
+
+def test_a_degenerate_draw_is_redrawn_from_its_own_generator():
+    stack = _random_stack(_FERMION4, [np.random.default_rng(1), _ZeroFirstDraw(2),
+                                      np.random.default_rng(3)])
+    for row, seed in zip(stack, (1, 2, 3)):
+        f = AdaptedProcess.random(_FERMION4, np.random.default_rng(seed))
+        assert row.tobytes() == f.mats.tobytes()
+
+
+@st.composite
+def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
+    """A (trials, nodes, dim, dim) stack of random processes on a later
+    start node, some rows set to zero, an ``upto``, and each trial as a
+    process."""
+    sp = draw(st.sampled_from(spaces))
+    n = sp.grid.n
+    start = draw(st.integers(0, n - 1))
+    num = draw(st.integers(1, n + 1 - start))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    mats = np.array(_random_stack(sp, [np.random.default_rng(s) for s in seeds],
+                                  num, start))
+    for t in range(len(mats)):
+        mats[t, sorted(draw(st.sets(st.integers(0, num - 1), max_size=num)))] = 0
+    upto = draw(st.integers(start, min(start + num, n)))
+    procs = [AdaptedProcess(sp, [sp.element(m) for m in rows], start_node=start)
+             for rows in mats]
+    return sp, mats[:, :upto - start], sp.grid.deltas[start:upto].tolist(), \
+        procs, upto
+
+
+@_SETTINGS
+@given(stack=_trial_stacks(), p=st.sampled_from(P_VALUES), data=st.data())
+def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, data):
+    sp, mats, deltas, procs, upto = stack
+    driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
+    incs = driver.increments(sp)[procs[0].start_node:upto]
+    q = data.draw(st.sampled_from(sorted({q for q, _ in QP_PAIRS})))
+    hps, lqlps = _hp_norms(mats, deltas, p), _lqlp_norms(mats, deltas, q, p)
+    sums = {side: list(_driver_partial_sums(mats, incs, side))
+            for side in ("right", "left")}
+    norms = _bg_norms(mats, deltas, incs, max(p, 2.0), ("left", "right"),
+                      ("hp", "l2lp"))
+    for t, f in enumerate(procs):
+        assert _bits(hps[t]) == _bits(_ref_hp_norm(f, p, upto))
+        assert _bits(lqlps[t]) == _bits(_ref_lqlp_norm(f, q, p, upto))
+        refs = [_ref_driver_integral(f, driver, upto, side).mat
+                for side in ("left", "right")]
+        for side, ref in zip(("left", "right"), refs):
+            assert len(sums[side]) == mats.shape[1] + 1
+            assert sums[side][-1][t].tobytes() == ref.tobytes()
+        pb = max(p, 2.0)
+        assert [_bits(v[t]) for v in norms] == [_bits(v) for v in (
+            _ref_lp_norm(refs[0], pb), _ref_lp_norm(refs[1], pb),
+            _ref_hp_norm(f, pb, upto), _ref_lqlp_norm(f, 2.0, pb, upto))]
+
+
+@_SETTINGS
+@given(stack=_trial_stacks(),
+       qp=st.sampled_from(QP_PAIRS + ((1.5, 2.5), (1.0, 7.0))))
+def test_trial_stacked_norm_exchange_matches_the_element_loop(stack, qp):
+    sp, mats, deltas, procs, upto = stack
+    q, p = qp
+    sides = _norm_exchange_sides(mats, deltas, q, p)
+    for t, f in enumerate(procs):
+        assert [_bits(v[t]) for v in sides] == \
+            [_bits(v) for v in _ref_norm_exchange(f, q, p, upto)]
+
+
+@_SETTINGS
+@given(fu=_processes(), p=st.sampled_from((2.0, 3.0, 4.0, 6.0, 7.0)),
+       side=st.sampled_from(("right", "left")), data=st.data())
+def test_check_bg_matches_the_element_loop(fu, p, side, data):
+    f, upto = fu
+    driver = data.draw(st.sampled_from(_DRIVERS[f.space.layout]))
+    integral = _ref_driver_integral(f, driver, upto, side).mat
+    rhs = (_ref_hp_norm(f, p, upto) if driver.kind == "fermion_field"
+           else _ref_lqlp_norm(f, 2.0, p, upto))
+    if rhs == 0:
+        return
+    rep = check_bg(f, p, driver, side=side, upto=upto)
+    assert (_bits(rep.lhs), _bits(rep.rhs)) == \
+        (_bits(_ref_lp_norm(integral, p)), _bits(rhs))
+
+
+@pytest.mark.parametrize("sp,driver", [
+    (_FERMION8, Driver.fermion_field()), (_FERMION, Driver.fermion_field()),
+    (_PAIR4, Driver.annihilation()), (_PAIR, Driver.creation()),
+])
+@pytest.mark.parametrize("form", ["hp", "l2lp"])
+def test_measure_bg_constant_is_the_per_trial_maximum(sp, driver, form):
+    trials = len(_trial_chunks(sp, 10 ** 6)[0]) + 1
+    n = sp.grid.n
+    for side in ("right", "left"):
+        for p in (2.0, 3.0, 6.0):
+            worst = 0.0
+            for t in range(trials):
+                ss = np.random.SeedSequence(5, spawn_key=(t,))
+                f = AdaptedProcess.random(sp, np.random.default_rng(ss))
+                lhs = _ref_lp_norm(_ref_driver_integral(f, driver, n, side).mat, p)
+                rhs = (_ref_hp_norm(f, p, n) if form == "hp"
+                       else _ref_lqlp_norm(f, 2.0, p, n))
+                worst = max(worst, lhs / rhs)
+            got = measure_bg_constant(sp, p, driver=driver, side=side,
+                                      trials=trials, seed=5, form=form)
+            assert _bits(got) == _bits(worst)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_measure_bg_constant_rejects_a_trial_count_below_one(trials):
+    with pytest.raises(ConfigurationError, match="trials out of range") as exc:
+        measure_bg_constant(_FERMION4, 4.0, trials=trials)
+    assert exc.value.key == "trials"
