@@ -39,16 +39,20 @@ DEFAULT_SEED = 1729
 _FLAGS = {"trials": "--trials", "max_workers": "--workers", "n_grid": "--n"}
 
 
-def _default_seed() -> int:
-    env = os.environ.get(ENV_SEED)
-    if env is None:
+def _master_seed(flag) -> int:
+    """``--seed``, else $CLIFFSDE_SEED, else DEFAULT_SEED.  numpy's
+    SeedSequence takes only a non-negative integer."""
+    if flag is None and ENV_SEED not in os.environ:
         return DEFAULT_SEED
+    key, raw = (ENV_SEED, os.environ[ENV_SEED]) if flag is None \
+        else ("--seed", flag)
     try:
-        return int(env)
+        if int(raw) >= 0:
+            return int(raw)
     except ValueError:
-        raise ConfigError(
-            f"{ENV_SEED} must be an integer, got {env!r}", key=ENV_SEED
-        ) from None
+        pass
+    raise ConfigError(f"{key} must be a non-negative integer, got {raw!r}",
+                      key=key)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -262,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+    if hasattr(args, "seed"):
         try:
-            args.seed = _default_seed()
+            args.seed = _master_seed(args.seed)
         except ConfigError as exc:
             print(f"config error ({exc.key}): {exc}", file=sys.stderr)
             return 2

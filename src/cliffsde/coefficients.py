@@ -270,17 +270,16 @@ def _sa_scale(p: float, c: float = 1.0) -> CoefficientMap:
     )
 
 
-def _radial_osgood(p: float, scale: float = 1.0,
-                   eps0: float = RADIAL_EPS0) -> CoefficientMap:
-    """scale * s(||x||_p) / max(||x||_p, eps0) * x with
+def _radial_osgood(p: float, scale: float = 1.0) -> CoefficientMap:
+    """scale * s(||x||_p) / max(||x||_p, RADIAL_EPS0) * x with
     s(u) = u sqrt(ln(e + 1/u)): continuous, Osgood, not Lipschitz —
     the radial slope sqrt(ln(e + 1/u)) blows up at the origin."""
-    scale, eps0 = float(scale), float(eps0)
+    scale = float(scale)
 
     def fn(x, t):
         u = lp_norm(x, p)
         s = 0.0 if u <= 0 else u * math.sqrt(math.log(math.e + 1.0 / u))
-        return (scale * s / max(u, eps0)) * x
+        return (scale * s / max(u, RADIAL_EPS0)) * x
 
     c_rho = RADIAL_MODULUS_MARGIN * scale * scale
 

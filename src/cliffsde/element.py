@@ -82,9 +82,6 @@ class CliffordElement:
     def norm(self, p: float) -> float:
         return lp_norm(self, p)
 
-    def op_norm(self) -> float:
-        return op_norm(self)
-
     def selfadjoint_defect(self, p: float = 2.0) -> float:
         return lp_norm(self - self.adjoint(), p)
 

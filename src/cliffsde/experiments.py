@@ -2,10 +2,11 @@
 
 Each suite checks one family of identities or bounds (inequality ratios,
 algebraic exactness, solver behaviour, stability estimates) over a grid of
-cells (parameter combinations) and a number of trials per cell, and folds
-the outcomes into a :class:`SweepTable` of (suite, cell, statistic, value)
-rows.  Failing trials are never skipped silently: each failure is recorded
-as a :class:`Violation` carrying the cell and the derived seed for replay.
+cells (parameter combinations) and a number of trials per cell, and writes
+the outcomes into the run's one :class:`SweepTable` of (suite, cell,
+statistic, value) rows.  Failing trials are never skipped silently: each
+failure is recorded as a :class:`Violation` carrying the cell and the
+derived seed for replay.
 
 Determinism: every random trial draws its generator from
 ``SeedSequence(master_seed, spawn_key=(suite_index, cell_index, trial))``.
@@ -70,6 +71,8 @@ SOLVER_SUITES = ("picard", "uniqueness", "gronwall", "coeff_stability",
 
 RATIO_TOL = 1e-9
 EXACTNESS_TOL = 1e-12
+#: The tolerance of the solver suites' Picard solves and of their gates
+SOLVER_TOL = 1e-10
 
 #: The increment counts a suite space may have: the generator budget
 _NS = frozenset(range(1, DEFAULT_MAX_GENERATORS + 1))
@@ -93,8 +96,9 @@ _WORST = {
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all suites.  The defaults stay inside the desk-scale
-    envelope (n <= 12 fermion increments, n <= 6 pair increments)."""
+    """Knobs shared by all suites, which run on the unit interval and solve
+    to :data:`SOLVER_TOL`.  ``n_grid`` takes fermion increment counts
+    1..14 and ``pair_n_grid`` pair counts 1..7: the generator budget."""
 
     master_seed: int = 1729
     trials: int = 200
@@ -103,21 +107,19 @@ class SuiteConfig:
     n_grid: tuple = (8,)
     pair_n_grid: tuple = (4,)
     drivers: tuple = ("fermion_field", "annihilation")
-    t0: float = 0.0
-    horizon: float = 1.0
-    solver_tol: float = 1e-10
     ratio_tol: float = RATIO_TOL
-    max_outer: int = 60
     max_workers: int = 1
 
     def __post_init__(self):
         # the common path is one chained test, keeping construction cheap;
         # the loop only names the failing field
-        if not (self.trials >= 1 and self.max_workers >= 1
+        trials_ok = isinstance(self.trials, (int, np.integer)) \
+            and self.trials >= 1
+        if not (trials_ok and self.max_workers >= 1
                 and _NS.issuperset(self.n_grid)
                 and _PAIR_NS.issuperset(self.pair_n_grid)):
             for key, ok, domain in (
-                    ("trials", self.trials >= 1, "at least 1"),
+                    ("trials", trials_ok, "an integer, at least 1"),
                     ("max_workers", self.max_workers >= 1, "at least 1"),
                     ("n_grid", _NS.issuperset(self.n_grid), f"counts 1..{len(_NS)}"),
                     ("pair_n_grid", _PAIR_NS.issuperset(self.pair_n_grid),
@@ -258,21 +260,20 @@ def _add_ratio_spread(table: SweepTable, suite: str, cell: str, ratios,
     table.add(suite, cell, max_name, ratios.max())
 
 
-def _space(config: SuiteConfig, spaces: dict, n: int,
-           layout: str = "fermion"):
-    """The run's space for ``(n, layout)``, built on first use: the suites
-    of one run share it, with its cached driver increments."""
+def _space(spaces: dict, n: int, layout: str = "fermion"):
+    """The run's space for ``(n, layout)`` on [0, 1], built on first use: the
+    suites of one run share it, with its cached driver increments."""
     space = spaces.get((n, layout))
     if space is None:
-        grid = TimeGrid.uniform(config.t0, config.t0 + config.horizon, n)
-        space = spaces[(n, layout)] = make_space(grid, layout=layout)
+        space = spaces[(n, layout)] = make_space(
+            TimeGrid.uniform(0.0, 1.0, n), layout=layout)
     return space
 
 
 # -- individual suites ---------------------------------------------------------
 
 
-def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Martingale-vs-square-function ratio sweep.
 
     Per cell (p, n, driver, side): min/median/max of the ratio
@@ -284,7 +285,6 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
     hp <= (sum ||f||_p^2 delta)^(1/2) must hold in every trial; and the
     left/right ratios of an even-valued integrand must agree exactly.
     """
-    table = SweepTable()
     suite = "bg_ratio"
     cells = [(p, n, driver, side) for driver in map(Driver, config.drivers)
              for n in (config.n_grid if driver.required_layout == "fermion"
@@ -292,7 +292,7 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
              for p in config.p_grid for side in ("right", "left")]
 
     for cell_index, (p, n, driver, side) in enumerate(cells):
-        space = _space(config, spaces, n, driver.required_layout)
+        space = _space(spaces, n, driver.required_layout)
         cell = f"p={p:g} n={n} driver={driver.label} side={side}"
 
         def batch(rngs, p=p, space=space, driver=driver, side=side):
@@ -341,19 +341,17 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
             table.violate(suite, cell,
                           f"even-integrand left/right gap {gap!r}",
                           config.trials, seed)
-    return table
 
 
-def _norm_exchange_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _norm_exchange_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """(int ||f||^q)^(1/q)-vs-||(int |f|^q)^(1/q)||_p ratio sweep; the ratio
     must never exceed 1, and q = p cells must sit at 1 (Fubini)."""
-    table = SweepTable()
     suite = "norm_exchange"
     pairs = list(config.qp_pairs) + [(p, p) for p in config.p_grid]
     cells = [(q, p, n) for q, p in pairs for n in config.n_grid]
 
     for cell_index, (q, p, n) in enumerate(cells):
-        space = _space(config, spaces, n)
+        space = _space(spaces, n)
         cell = f"q={q:g} p={p:g} n={n}"
 
         def batch(rngs, q=q, p=p, space=space):
@@ -371,19 +369,17 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
             if q == p and abs(r - 1.0) > config.ratio_tol:
                 table.violate(suite, cell,
                               f"q = p ratio {r!r} off 1", t, seed)
-    return table
 
 
-def _car_identity_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _car_identity_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Exact algebra of increments: generator anticommutation relations,
     nilpotent annihilation increments, the per-increment relation
     dA dA* + dA* dA = delta, and its running form A A* + A* A = (t - t0)."""
-    table = SweepTable()
     suite = "car_identity"
 
     # Clifford relations on the largest fermion space
     n = max(config.n_grid)
-    space = _space(config, spaces, n)
+    space = _space(spaces, n)
     cell = f"layout=fermion n={n}"
     worst = 0.0
     m = space.n_gen
@@ -398,7 +394,7 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
         table.violate(suite, cell, f"anticommutation defect {worst!r}")
 
     for n_pair in config.pair_n_grid:
-        space = _space(config, spaces, n_pair, "pair")
+        space = _space(spaces, n_pair, "pair")
         cell = f"layout=pair n={n_pair}"
         inc_worst = nil_worst = 0.0
         for k in range(n_pair):
@@ -425,20 +421,18 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
                            ("running", run_worst)):
             if val > EXACTNESS_TOL:
                 table.violate(suite, cell, f"{label} defect {val!r}")
-    return table
 
 
-def _parity_lemma_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _parity_lemma_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Even parts of adapted elements commute with later increments, odd
     parts anticommute — both exactly — and even integrands have exactly
     equal left and right integrals."""
-    table = SweepTable()
     suite = "parity_lemma"
     cells = list(config.n_grid)
     trials = max(1, config.trials // 8)
 
     for cell_index, n in enumerate(cells):
-        space = _space(config, spaces, n)
+        space = _space(spaces, n)
         cell = f"layout=fermion n={n}"
 
         def trial(rng, space=space, n=n):
@@ -458,7 +452,6 @@ def _parity_lemma_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
                     suite, cell,
                     f"parity commutation defects ({de!r}, {do!r})", t, seed,
                 )
-    return table
 
 
 _PICARD_LIPSCHITZ_FREE = ("zero", "linear_field", "linear_left",
@@ -466,17 +459,14 @@ _PICARD_LIPSCHITZ_FREE = ("zero", "linear_field", "linear_left",
 _PICARD_NONLOCAL = ("nonlocal_linear", "nonlocal_conditional")
 
 
-def _picard_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _picard_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Solver correctness: exact agreement with the explicit recursion for
     R = 0, residuals below tolerance for the nonlocal and Osgood problems,
     and non-increasing deltas after the first two sweeps (Lipschitz data)."""
-    table = SweepTable()
     suite = "picard"
-    tol = config.solver_tol
-
     for name in _PICARD_LIPSCHITZ_FREE + _PICARD_NONLOCAL:
-        prob = make_problem(name, t0=config.t0, horizon=config.horizon)
-        rep = picard_solve(prob, tol=tol, max_outer=config.max_outer)
+        prob = make_problem(name)
+        rep = picard_solve(prob, tol=SOLVER_TOL)
         cell = f"problem={name}"
         table.add(suite, cell, "iterations", rep.picard_iterations)
         table.add(suite, cell, "residual", rep.residual)
@@ -500,119 +490,94 @@ def _picard_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
             table.violate(suite, cell,
                           f"zero problem took {rep.picard_iterations} sweeps")
 
-    prob = make_problem("osgood_radial", t0=config.t0, horizon=config.horizon)
-    rep = picard_solve(prob, tol=min(tol, 1e-8), max_outer=config.max_outer)
+    rep = picard_solve(make_problem("osgood_radial"), tol=SOLVER_TOL)
     cell = "problem=osgood_radial"
     table.add(suite, cell, "iterations", rep.picard_iterations)
     table.add(suite, cell, "residual", rep.residual)
     table.add(suite, cell, "delta_final", rep.deltas[-1])
     if rep.residual > 1e-6:
         table.violate(suite, cell, f"residual {rep.residual!r}")
-    return table
 
 
-def _uniqueness_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _uniqueness_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Two Picard runs from different initial trajectories must land within
     2 * tol of each other."""
-    table = SweepTable()
     suite = "uniqueness"
-    tol = config.solver_tol
     names = ("linear_full", "nonlocal_linear", "nonlocal_conditional",
              "osgood_radial")
     for cell_index, name in enumerate(names):
-        prob = make_problem(name, t0=config.t0, horizon=config.horizon)
         seed = trial_seed(config.master_seed, suite, cell_index, 0)
-        gap = uniqueness_probe(prob, tol=tol, max_outer=config.max_outer,
-                               seed=seed)
+        gap = uniqueness_probe(make_problem(name), tol=SOLVER_TOL, seed=seed)
         cell = f"problem={name}"
         table.add(suite, cell, "gap", gap)
-        if gap >= 2 * tol:
+        if gap >= 2 * SOLVER_TOL:
             table.violate(suite, cell, f"uniqueness gap {gap!r}", 0, seed)
-    return table
 
 
-def _gronwall_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _gronwall_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Initial-data stability: the squared distance of two solutions stays
     below the exponential envelope at every node, for perturbation sizes
     1e-1 and 1e-3."""
-    table = SweepTable()
     suite = "gronwall"
-    names = ("linear_full", "nonlocal_linear")
-    sizes = (1e-1, 1e-3)
-    cell_index = 0
-    for name in names:
-        prob = make_problem(name, t0=config.t0, horizon=config.horizon)
-        for dz in sizes:
-            seed = trial_seed(config.master_seed, suite, cell_index, 0)
-            cell = f"problem={name} dz={dz:g}"
-            z_alt = prob.Z + dz * prob.space.identity()
-            try:
-                res = stability_experiment(
-                    prob, z_alt, tol=config.solver_tol,
-                    max_outer=config.max_outer, seed=seed,
-                    trials=min(config.trials, 64),
-                )
-            except Exception as exc:  # dominance failure carries the node
-                table.violate(suite, cell, str(exc), 0, seed)
-                cell_index += 1
-                continue
-            table.add(suite, cell, "margin_min", res.min_margin)
-            table.add(suite, cell, "c_p_hat", res.c_p)
-            table.add(suite, cell, "rate", res.rate)
-            table.add(suite, cell, "lhs_final", res.lhs[-1])
-            table.add(suite, cell, "rhs_final", res.rhs[-1])
-            if res.min_margin < 0:
-                table.violate(suite, cell,
-                              f"negative margin {res.min_margin!r}", 0, seed)
-            cell_index += 1
-    return table
+    problems = {name: make_problem(name)
+                for name in ("linear_full", "nonlocal_linear")}
+    cells = [(name, dz) for name in problems for dz in (1e-1, 1e-3)]
+    for cell_index, (name, dz) in enumerate(cells):
+        prob = problems[name]
+        seed = trial_seed(config.master_seed, suite, cell_index, 0)
+        cell = f"problem={name} dz={dz:g}"
+        z_alt = prob.Z + dz * prob.space.identity()
+        try:
+            res = stability_experiment(prob, z_alt, tol=SOLVER_TOL, seed=seed,
+                                       trials=min(config.trials, 64))
+        except Exception as exc:  # dominance failure carries the node
+            table.violate(suite, cell, str(exc), 0, seed)
+            continue
+        # it raises at the first node with lhs > rhs: no margin is negative
+        table.add(suite, cell, "margin_min", res.min_margin)
+        table.add(suite, cell, "c_p_hat", res.c_p)
+        table.add(suite, cell, "rate", res.rate)
+        table.add(suite, cell, "lhs_final", res.lhs[-1])
+        table.add(suite, cell, "rhs_final", res.rhs[-1])
 
 
-def _coeff_stability_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _coeff_stability_suite(config: SuiteConfig, spaces: dict,
+                           table: SweepTable):
     """Shrinking coefficient perturbations delta_n = 2^-n must move the
     solution by strictly decreasing amounts."""
-    table = SweepTable()
     suite = "coeff_stability"
     name = "nonlocal_linear"
-    prob = make_problem(name, t0=config.t0, horizon=config.horizon)
+    prob = make_problem(name)
     sizes = [2.0 ** -m for m in range(1, 9)]
     perturbed = [perturb_problem(prob, d) for d in sizes]
-    dists = coefficient_stability_experiment(
-        prob, perturbed, tol=config.solver_tol, max_outer=config.max_outer
-    )
+    dists = coefficient_stability_experiment(prob, perturbed, tol=SOLVER_TOL)
     cell = f"problem={name}"
     for m, (d, dist) in enumerate(zip(sizes, dists), start=1):
         table.add(suite, cell, f"dist@delta=2^-{m}", dist)
     if not all(b < a for a, b in zip(dists, dists[1:])):
         table.violate(suite, cell, "perturbation distances not decreasing")
-    return table
 
 
-def _selfadjoint_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _selfadjoint_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Self-adjointness preservation along the whole iteration."""
-    table = SweepTable()
     suite = "selfadjoint"
-    prob = make_problem("selfadjoint_nonlocal", t0=config.t0,
-                        horizon=config.horizon)
     cell = "problem=selfadjoint_nonlocal"
     try:
-        worst = selfadjoint_solve_check(prob, tol=config.solver_tol,
-                                        max_outer=config.max_outer)
+        worst = selfadjoint_solve_check(make_problem("selfadjoint_nonlocal"),
+                                        tol=SOLVER_TOL)
     except Exception as exc:
         table.violate(suite, cell, str(exc))
-        return table
+        return
     table.add(suite, cell, "defect_max", worst)
     if worst > 1e-10:
         table.violate(suite, cell, f"self-adjointness defect {worst!r}")
-    return table
 
 
-def _bihari_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
+def _bihari_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """Nonlinear Gronwall utility: the linear modulus reproduces the
     exponential bound, u0 = 0 propagates to exactly 0, the logarithmic
     modulus dominates the linear one, and the square-root modulus fails
     the divergence certificate."""
-    table = SweepTable()
     suite = "bihari"
     horizons = (0.25, 0.5, 1.0, 2.0)
     linear = make_modulus("linear")
@@ -654,7 +619,6 @@ def _bihari_suite(config: SuiteConfig, spaces: dict) -> SweepTable:
         table.add(suite, cell, "rejected", 0.0)
         table.violate(suite, cell,
                       "sqrt modulus passed the divergence certificate")
-    return table
 
 
 _SUITE_RUNNERS = {
@@ -684,9 +648,8 @@ def run_suites(config: SuiteConfig, names) -> SweepTable:
                 f"unknown suite {name!r}; known: {list(SUITE_NAMES)}"
             )
         start = time.perf_counter()
-        part = _SUITE_RUNNERS[name](config, spaces)
-        part.wall_s[name] = time.perf_counter() - start
-        table.merge(part)
+        _SUITE_RUNNERS[name](config, spaces, table)
+        table.wall_s[name] = time.perf_counter() - start
     return table
 
 
@@ -701,9 +664,7 @@ def run_solver_suite(config: SuiteConfig, names=None) -> SweepTable:
 
 
 def grid_refinement_study(problem_name: str = "linear_drift",
-                          n_values=(2, 4, 8, 12), tol: float = 1e-10,
-                          t0: float = 0.0, horizon: float = 1.0,
-                          max_outer: int = 60) -> SweepTable:
+                          n_values=(2, 4, 8, 12)) -> SweepTable:
     """Node-norm trajectories of one built-in problem across increment
     counts.  Asserts finiteness and adaptedness only — no convergence rate
     is claimed."""
@@ -711,8 +672,7 @@ def grid_refinement_study(problem_name: str = "linear_drift",
     table = SweepTable()
     suite = "refinement"
     for n in n_values:
-        prob = make_problem(problem_name, n=n, t0=t0, horizon=horizon)
-        rep = picard_solve(prob, tol=tol, max_outer=max_outer)
+        rep = picard_solve(make_problem(problem_name, n=n), tol=SOLVER_TOL)
         cell = f"problem={problem_name} n={n}"
         for node, t, nrm, _, _ in rep.node_records():
             table.add(suite, cell, f"norm@t={t:g}", nrm)

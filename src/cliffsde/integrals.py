@@ -25,6 +25,10 @@ product with the driver's cached increment, one stacked Gram product (and
 ``eigh`` where the norm exchange powers it), then sum over the nodes in
 node order: the partial sums of ``_running_sums`` for the integrals, the
 delta-weighted loop ``_delta_sum`` for the time integral and the norms.
+The increment product stays a dense matmul, not a gather: with the
+complex weights of a ``linear_combination`` driver a gather rounds apart
+from BLAS's complex product (by up to about 1e-15), and the driver
+integral is pinned bit for bit to the dense per-element loop.
 Stacked products, ``eigh``/``eigvalsh`` and elementwise accumulation
 equal the per-matrix calls bit for bit.  The reductions whose rounding
 depends on the shape they reduce stay per matrix or per process: the

@@ -9,7 +9,7 @@ non-decreasing, vanish only at zero, and satisfy the Osgood divergence
 condition  int_0+ dr / rho(r) = infinity — which no finite computation can
 certify, so construction runs a decade-sweep certificate: the quadrature
 increments of 1/rho over [1e-10, 1e-2] must not decay geometrically
-(successive per-decade increments must keep at least ``ratio_floor`` of the
+(each per-decade increment must keep at least ``CERT_RATIO_FLOOR`` of the
 previous one).  This accepts rho(r) = r and rho(r) = r ln(e + 1/r) and
 rejects rho(r) = sqrt(r), whose increments shrink by 10^(-1/2) per decade.
 
@@ -75,11 +75,9 @@ class OsgoodModulus:
                    lipschitz_constant=L, name=name or f"lipschitz({L})")
 
     @classmethod
-    def osgood(cls, rho: Callable[[float], float], name: str = "",
-               eps_hi: float = CERT_EPS_HI, eps_lo: float = CERT_EPS_LO,
-               ratio_floor: float = CERT_RATIO_FLOOR) -> "OsgoodModulus":
-        certify_osgood(rho, name=name, eps_hi=eps_hi, eps_lo=eps_lo,
-                       ratio_floor=ratio_floor)
+    def osgood(cls, rho: Callable[[float], float],
+               name: str = "") -> "OsgoodModulus":
+        certify_osgood(rho, name=name)
         return cls(rho=rho, kind="osgood", lipschitz_constant=None,
                    name=name or "osgood")
 
@@ -91,9 +89,7 @@ class OsgoodModulus:
         return float(self.rho(r))
 
 
-def certify_osgood(rho, name: str = "", eps_hi: float = CERT_EPS_HI,
-                   eps_lo: float = CERT_EPS_LO,
-                   ratio_floor: float = CERT_RATIO_FLOOR) -> list:
+def certify_osgood(rho, name: str = "") -> list:
     """Raise OsgoodViolationError unless rho passes the shape checks and
     the decade-sweep divergence certificate.  Returns the decade increments
     for inspection."""
@@ -101,7 +97,7 @@ def certify_osgood(rho, name: str = "", eps_hi: float = CERT_EPS_HI,
     v0 = float(rho(0.0))
     if not v0 == 0.0:
         raise OsgoodViolationError(f"{label}: rho(0) = {v0!r}, must be 0")
-    samples = [eps_lo, 1e-6, eps_hi, 0.1, 1.0]
+    samples = [CERT_EPS_LO, 1e-6, CERT_EPS_HI, 0.1, 1.0]
     vals = [float(rho(r)) for r in samples]
     for r, v in zip(samples, vals):
         if not (v > 0 and math.isfinite(v)):
@@ -115,15 +111,15 @@ def certify_osgood(rho, name: str = "", eps_hi: float = CERT_EPS_HI,
             )
     # quadrature of 1/rho over each decade [10^-(k+1), 10^-k] of the sweep
     incs = [_inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k)
-            for k in range(round(-math.log10(eps_hi)),
-                           round(-math.log10(eps_lo)))]
+            for k in range(round(-math.log10(CERT_EPS_HI)),
+                           round(-math.log10(CERT_EPS_LO)))]
     for k, (d1, d2) in enumerate(zip(incs, incs[1:])):
-        if not d2 > 0 or d2 < ratio_floor * d1:
+        if not d2 > 0 or d2 < CERT_RATIO_FLOOR * d1:
             raise OsgoodViolationError(
                 f"{label}: divergence certificate failed — quadrature of "
                 f"1/rho gains {d2:.3e} over decade {k + 1} after {d1:.3e} "
-                f"over decade {k} (floor ratio {ratio_floor}); the integral "
-                f"int_0+ dr/rho(r) looks convergent"
+                f"over decade {k} (floor ratio {CERT_RATIO_FLOOR}); the "
+                f"integral int_0+ dr/rho(r) looks convergent"
             )
     return incs
 

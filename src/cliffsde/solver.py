@@ -409,7 +409,7 @@ def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:
 
 
 def uniqueness_probe(problem: QsdeProblem, tol: float = 1e-10,
-                     max_outer: int = 60, seed: int = 0) -> float:
+                     seed: int = 0) -> float:
     """Distance between the fixed points reached from the zero process and
     from a random adapted trajectory; should be below 2 * tol."""
     sp = problem.space
@@ -418,8 +418,8 @@ def uniqueness_probe(problem: QsdeProblem, tol: float = 1e-10,
     zero_init = AdaptedProcess(sp, [sp.zero()] * n_nodes, start_node=k0)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x31,)))
     rand_init = AdaptedProcess.random(sp, rng, num=n_nodes, start_node=k0)
-    a = picard_solve(problem, tol=tol, max_outer=max_outer, initial=zero_init)
-    b = picard_solve(problem, tol=tol, max_outer=max_outer, initial=rand_init)
+    a = picard_solve(problem, tol=tol, initial=zero_init)
+    b = picard_solve(problem, tol=tol, initial=rand_init)
     return _sup_gap(a, b, problem.p)
 
 
@@ -447,8 +447,7 @@ class StabilityResult:
 
 def stability_experiment(problem: QsdeProblem, z_alt: CliffordElement,
                          c_p: float | None = None, tol: float = 1e-10,
-                         max_outer: int = 60, seed: int = 0,
-                         trials: int = 64) -> StabilityResult:
+                         seed: int = 0, trials: int = 64) -> StabilityResult:
     """Solve with Z and with z_alt and check the exponential bound
 
         ||X_t - Y_t||_p^2 <= 4 / (1 - C(R))^2 * exp(C (t - t0)) * ||Z - Z'||_p^2
@@ -470,9 +469,8 @@ def stability_experiment(problem: QsdeProblem, z_alt: CliffordElement,
     rate = pref * max(c_p ** 2, span) * L
     dz2 = lp_norm(problem.Z - z_alt, problem.p) ** 2
 
-    a = picard_solve(problem, tol=tol, max_outer=max_outer)
-    b = picard_solve(problem.replace(Z=z_alt, validate=False),
-                     tol=tol, max_outer=max_outer)
+    a = picard_solve(problem, tol=tol)
+    b = picard_solve(problem.replace(Z=z_alt, validate=False), tol=tol)
     times, lhs, rhs = [], [], []
     for off, (x, y) in enumerate(zip(a.trajectory.values, b.trajectory.values)):
         t = grid.node(problem.start_node + off)
@@ -515,18 +513,16 @@ def perturb_problem(problem: QsdeProblem, delta: float,
 
 
 def coefficient_stability_experiment(problem: QsdeProblem, perturbed,
-                                     tol: float = 1e-10,
-                                     max_outer: int = 60):
+                                     tol: float = 1e-10):
     """Solve the base problem and each perturbed one; returns the list of
     sup-node L^p distances, in the order given."""
-    base = picard_solve(problem, tol=tol, max_outer=max_outer)
-    return [_sup_gap(base, picard_solve(prob_n, tol=tol, max_outer=max_outer),
-                     problem.p)
+    base = picard_solve(problem, tol=tol)
+    return [_sup_gap(base, picard_solve(prob_n, tol=tol), problem.p)
             for prob_n in perturbed]
 
 
-def selfadjoint_solve_check(problem: QsdeProblem, tol: float = 1e-10,
-                            max_outer: int = 60) -> float:
+def selfadjoint_solve_check(problem: QsdeProblem,
+                            tol: float = 1e-10) -> float:
     """Run the solver on a problem whose data preserve self-adjointness and
     return the worst self-adjointness defect over all iterates.
 
@@ -550,7 +546,7 @@ def selfadjoint_solve_check(problem: QsdeProblem, tol: float = 1e-10,
     if problem.Z.selfadjoint_defect(problem.p) > 1e-12:
         raise ContractViolationError("Z must be self-adjoint")
 
-    report = picard_solve(problem, tol=tol, max_outer=max_outer)
+    report = picard_solve(problem, tol=tol)
     worst = max(report.selfadjoint_defects)
 
     grid = problem.space.grid

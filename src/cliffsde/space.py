@@ -37,7 +37,8 @@ increments, all monomial matrices, are gathers (:class:`MonomialGather`):
 one exact product per entry, so bitwise the dense product on finite input
 up to the sign of zeros.  Dense products by them stay only as checks
 (Euler oracle, parity commutation, the suites' algebra identities) and
-in the stacked dim-16 suite integrals, where a matmul is faster.
+in the stacked driver integrals of :mod:`.integrals`, which a gather
+would speed up but would round differently (see there).
 """
 
 from __future__ import annotations

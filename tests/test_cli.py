@@ -103,6 +103,7 @@ def test_verify_unknown_suite(capsys):
     (("--suite", "bihari", "--workers", "0"), "--workers"),
     (("--n", "0"), "--n"),
     (("--n", "30"), "--n"),
+    (("--suite", "bihari", "--seed", "-1"), "--seed"),
 ])
 def test_verify_out_of_range_sizes_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = _run(capsys, "verify", *argv)
@@ -356,6 +357,7 @@ def test_bench_constants_pair_budget(capsys):
     (("--trials", "-2"), "--trials"),
     (("--n", "0"), "--n"),
     (("--n", "20"), "--n"),
+    (("--seed", "-1"), "--seed"),
 ])
 def test_bench_constants_out_of_range_sizes_exit_2(capsys, argv, flag):
     code, out, err = _run(capsys, "bench-constants", "--p", "4", *argv)
@@ -383,10 +385,12 @@ def test_env_seed_applies_when_flag_absent(capsys, monkeypatch):
 
 
 def test_env_seed_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_SEED, "abc")
-    code, _, err = _run(capsys, "bench-constants", "--p", "2", "--n", "4")
-    assert code == 2
-    assert f"config error ({ENV_SEED})" in err
+    # a non-negative one: SeedSequence rejects a negative seed
+    for value in ("abc", "-5"):
+        monkeypatch.setenv(ENV_SEED, value)
+        code, _, err = _run(capsys, "bench-constants", "--p", "2", "--n", "4")
+        assert code == 2
+        assert f"config error ({ENV_SEED})" in err
 
 
 def test_explicit_seed_overrides_environment(capsys, monkeypatch):

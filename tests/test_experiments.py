@@ -45,7 +45,7 @@ def test_seeded_inequality_suites_match_the_committed_bytes():
 @pytest.mark.parametrize("key,value", [
     ("trials", 0), ("trials", -2), ("max_workers", 0), ("max_workers", -2),
     ("n_grid", (0,)), ("n_grid", (8, 30)), ("pair_n_grid", (8,)),
-    ("pair_n_grid", (-1,)),
+    ("pair_n_grid", (-1,)), ("trials", 2.5),
 ])
 def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
     with pytest.raises(ConfigurationError, match=f"^{key} out of range") as exc:
@@ -224,6 +224,10 @@ def test_refinement_of_the_constant_solution():
 
 def test_solver_suites_pass():
     table = run_solver_suite(SuiteConfig(trials=8))
+    # the fixture pins every solver-suite row, then the refinement study's
+    fixture = Path(__file__).parent / "data" / "verify_solver_trials8.csv"
+    assert (table.to_csv() + table.violations_to_csv()
+            + grid_refinement_study().to_csv()).encode() == fixture.read_bytes()
     assert table.passed
     assert set(table.suites()) == {"picard", "uniqueness", "gronwall",
                                    "coeff_stability", "selfadjoint"}
