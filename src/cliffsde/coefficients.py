@@ -346,8 +346,9 @@ def _r_conditional_scale(c: float = 0.5, level: int = 0) -> NonlocalMap:
     if not (float(level).is_integer() and level >= 0):
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
     level = int(level)
+    # a level factor's space may hold fewer than ``level`` generators
     return NonlocalMap(
-        fn=lambda x: c * conditional_expect(x, level),
+        fn=lambda x: c * conditional_expect(x, min(level, x.space.n_gen)),
         contraction=abs(c),
         selfadjoint_preserving=True,
         name=f"conditional_scale({c},{level})",

@@ -113,18 +113,24 @@ def lp_norm(x: CliffordElement, p: float) -> float:
     return psd_power_lp_norm(x.mat.conj().T @ x.mat, 2.0, p)
 
 
-def lp_norms(mats: np.ndarray, p: float) -> list:
+def lp_norms(mats: np.ndarray, p: float, grams=None) -> list:
     """:func:`lp_norm` of every matrix of a ``(nodes, dim, dim)`` stack.
 
     Bit for bit the per-matrix values: p = 2 takes each row's ``vdot``;
-    other exponents form one stacked Gram product and take
-    :func:`psd_power_lp_norms` of it.  A row with a non-finite Gram matrix
-    reads NaN without failing the others.
+    other exponents take :func:`psd_power_lp_norms` of the stack's
+    :func:`_grams` (passed in, or formed here).  A row with a non-finite
+    Gram matrix reads NaN without failing the others.
     """
     _check_exponent(p)
     if p == 2:
         return [_l2_norm(m) for m in mats]
-    return psd_power_lp_norms(mats.conj().transpose(0, 2, 1) @ mats, 2.0, p)
+    return psd_power_lp_norms(_grams(mats) if grams is None else grams, 2.0, p)
+
+
+def _grams(mats: np.ndarray) -> np.ndarray:
+    """x* x for every matrix of a stack: one stacked product, bit for bit
+    the per-matrix products."""
+    return mats.conj().swapaxes(-1, -2) @ mats
 
 
 def _check_exponent(p: float) -> None:

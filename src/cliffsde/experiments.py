@@ -639,7 +639,14 @@ def run_suites(config: SuiteConfig, names) -> SweepTable:
     """Run the named suites (any subset of SUITE_NAMES) into one table,
     recording each suite's wall time in ``table.wall_s``.  The suites
     share one space per ``(n, layout)``; ``spaces`` holds them for this
-    run only."""
+    run only.  The gate values are checked here, not in the (cheap)
+    SuiteConfig build, before any suite runs."""
+    for key, ok, least in (
+            ("ratio_tol", 0 <= config.ratio_tol < math.inf, 0),
+            ("p_grid", all(2 <= p < math.inf for p in config.p_grid), 2)):
+        if not ok:
+            raise ConfigurationError(f"{key} out of range (finite, at least "
+                                     f"{least}): {getattr(config, key)!r}", key=key)
     table = SweepTable()
     spaces = {}
     for name in names:

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import CliffordElement, lp_norm, lp_norms, op_norm, psd_power_lp_norms
+from .element import (CliffordElement, _grams, lp_norm, lp_norms, op_norm,
+                      psd_power_lp_norms)
 from .errors import ConfigurationError, ZeroProcessError
 from .process import AdaptedProcess, Driver, _random_stack, _trial_chunks
 from .space import as_int, conditional_expect, parity_decompose, require_adapted
@@ -111,21 +112,24 @@ def _driver_sums(mats: np.ndarray, incs: np.ndarray, side: str) -> np.ndarray:
     return total
 
 
-def _hp_norms(mats: np.ndarray, deltas, p: float) -> list:
+def _hp_norms(mats: np.ndarray, deltas, p: float, grams=None) -> list:
     """:func:`hp_norm` of each process of a stack: per node the stacked
-    Gram products, delta-summed in node order."""
+    Gram products (f* f from ``grams``, the stack's :func:`_grams`,
+    when given), delta-summed in node order."""
+    grams = _grams(mats) if grams is None else grams
     right, left = np.zeros((2, len(mats), *mats.shape[2:]), complex)
-    for delta, m in zip(deltas, mats.swapaxes(0, 1)):
-        adj = m.conj().transpose(0, 2, 1)
-        right += delta * (adj @ m)
-        left += delta * (m @ adj)
+    for delta, m, gram in zip(deltas, mats.swapaxes(0, 1), grams.swapaxes(0, 1)):
+        right += delta * gram
+        left += delta * (m @ m.conj().transpose(0, 2, 1))
     return list(map(max, *(psd_power_lp_norms(s, 2.0, p) for s in (right, left))))
 
 
-def _lqlp_norms(mats: np.ndarray, deltas, q: float, p: float) -> list:
-    """:func:`lqlp_norm` of each process of a stack: the norms per node,
-    then per process a Python-float delta-sum."""
-    norms = [lp_norms(m, p) for m in mats.swapaxes(0, 1)]
+def _lqlp_norms(mats: np.ndarray, deltas, q: float, p: float,
+                grams=None) -> list:
+    """:func:`lqlp_norm` of each process of a stack: the norms per node
+    (from ``grams`` when given), then per process a Python-float delta-sum."""
+    grams = [None] * mats.shape[1] if grams is None else grams.swapaxes(0, 1)
+    norms = [lp_norms(m, p, g) for m, g in zip(mats.swapaxes(0, 1), grams)]
     return [float(_delta_sum(deltas, [row[t] ** q for row in norms], 0.0)
                   ** (1.0 / q)) for t in range(len(mats))]
 
@@ -136,8 +140,9 @@ def _bg_norms(mats: np.ndarray, deltas, incs: np.ndarray, p: float,
     of ``sides``, then each reference norm of ``refs``: ``'hp'``
     (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2))."""
     out = [lp_norms(_driver_sums(mats, incs, side), p) for side in sides]
-    return out + [_hp_norms(mats, deltas, p) if ref == "hp"
-                  else _lqlp_norms(mats, deltas, 2.0, p) for ref in refs]
+    grams = _grams(mats)
+    return out + [_hp_norms(mats, deltas, p, grams) if ref == "hp"
+                  else _lqlp_norms(mats, deltas, 2.0, p, grams) for ref in refs]
 
 
 def _norm_exchange_sides(mats: np.ndarray, deltas, q: float,
@@ -145,15 +150,14 @@ def _norm_exchange_sides(mats: np.ndarray, deltas, q: float,
     """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for the
     processes of a stack: per node the stacked Gram products and their
     ``eigh`` powering, delta-summed in node order."""
-    acc = np.zeros((len(mats), *mats.shape[2:]), complex)
-    for delta, m in zip(deltas, mats.swapaxes(0, 1)):
-        powed = m.conj().transpose(0, 2, 1) @ m
+    acc, grams = np.zeros((len(mats), *mats.shape[2:]), complex), _grams(mats)
+    for delta, powed in zip(deltas, grams.swapaxes(0, 1)):
         if q != 2:
             lam, vec = np.linalg.eigh(powed)
             lam = np.clip(lam, 0.0, None)
             powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
         acc += delta * powed
-    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(mats, deltas, q, p)
+    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(mats, deltas, q, p, grams)
     return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
                       for a, b in zip(lhs, rhs)]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import partial
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +40,10 @@ from .errors import (
     ConvergenceError,
     DriverMismatchError,
 )
-from .integrals import _running_sums, driver_integral, measure_bg_constant
+from .integrals import driver_integral, measure_bg_constant
 from .process import AdaptedProcess, Driver
-from .space import CliffordSpace, adaptedness_defect, require_adapted
+from .space import (CliffordSpace, adaptedness_defect, expand,
+                    require_adapted, restrict)
 
 NONLOCAL_MODES = ("pointwise", "initial")
 
@@ -228,9 +230,10 @@ class SolveReport:
     def node_records(self):
         """Rows (node, time, lp_norm, residual, selfadjoint_defect)."""
         prob = self.problem
-        res = _node_residuals(self.trajectory.values, prob)
+        factors = _factors(prob, self.trajectory.values)
+        res = _node_residuals(factors, prob)
         rows = []
-        for off, x in enumerate(self.trajectory.values):
+        for off, x in enumerate(factors):
             node = self.trajectory.start_node + off
             rows.append((
                 node,
@@ -257,23 +260,39 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
-def _integrator_state(problem: QsdeProblem):
-    """Times and widths of the increments k0..n-1."""
-    grid = problem.space.grid
-    nodes = range(problem.start_node, grid.n)
-    return [grid.node(j) for j in nodes], [grid.delta(j) for j in nodes]
+def _factors(problem: QsdeProblem, values) -> list:
+    """The level factor of each full-space value at nodes k0, k0 + 1, ..."""
+    sp = problem.space
+    return [restrict(x, sp.level_space(k))
+            for k, x in enumerate(values, problem.start_node)]
+
+
+def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement:
+    """fn(x, *t) for the map ``label`` at ``node``, which must lie in x's space."""
+    y = fn(x, *t)
+    if y.space is not x.space and y.space != x.space:
+        raise ConfigurationError(
+            f"{label} ({fn.name}) returned an element of another space than "
+            f"its argument's at node {node}", key=label)
+    return y
 
 
 def _cumulative_integrals(problem: QsdeProblem, values):
-    """M_k for all nodes k0..n, from integrand values at k0..n-1; the
-    products by the increments are their gathers."""
-    sp = problem.space
-    gathers = problem.driver.gathers(sp)[problem.start_node:]
-    steps = ((g.right(problem.F(x, t).mat), g.left(problem.G(x, t).mat),
-              (d * problem.H(x, t)).mat)
-             for x, g, t, d in zip(values, gathers, *_integrator_state(problem)))
-    sums = _running_sums(np.zeros((sp.dim, sp.dim), dtype=complex), steps)
-    return [CliffordElement(sp, m, _fresh=True) for m in sums]
+    """M_k for all nodes k0..n from the level factors of the integrand at
+    k0..n-1: step k runs in node k+1's level space, with its gathers."""
+    sp, grid = problem.space, problem.space.grid
+    acc = sp.level_space(problem.start_node).zero()
+    sums = [acc]
+    for k, x in zip(range(problem.start_node, grid.n), values):
+        t, nsp = grid.node(k), sp.level_space(k + 1)
+        g = problem.driver.gathers(nsp)[k]
+        f, gl, h = (expand(y, nsp).mat for y in (
+            _image("F", problem.F, k, x, t), _image("G", problem.G, k, x, t),
+            grid.delta(k) * _image("H", problem.H, k, x, t)))
+        acc = CliffordElement(nsp, expand(acc, nsp).mat + g.right(f)
+                              + g.left(gl) + h, _fresh=True)
+        sums.append(acc)
+    return sums
 
 
 # overflowing data turn to inf/NaN in the sweeps; the named non-finite
@@ -299,14 +318,15 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     inner_tol = tol * (1.0 - cr) / 10.0
     residual_bound = tol * (1.0 + cr) / (1.0 - cr)
 
+    zs = _factors(problem, [problem.Z] * n_nodes)
     if initial is None:
-        current = [problem.Z] * n_nodes
+        current = zs
     else:
         if initial.start_node != k0 or len(initial) != n_nodes:
             raise ValueError(
                 f"initial trajectory must cover nodes {k0}..{grid.n}"
             )
-        current = list(initial.values)
+        current = _factors(problem, initial.values)
 
     trace_delta, trace_inner, trace_adapt, trace_sa = [], [], [], []
 
@@ -316,18 +336,20 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         if problem.nonlocal_mode == "pointwise":
             nxt = []
             for i, m_k in enumerate(integrals):
-                sol = inner_fixed_point(m_k, problem.R, problem.Z,
-                                        problem.p, inner_tol, max_inner,
+                r_map = partial(_image, "R", problem.R, k0 + i)
+                sol = inner_fixed_point(m_k, r_map, zs[i], problem.p,
+                                        inner_tol, max_inner,
                                         guess=current[i], node=k0 + i)
                 nxt.append(sol.value)
                 inner_count += sol.iterations
         else:
-            sol = inner_fixed_point(sp.zero(), problem.R, problem.Z,
-                                    problem.p, inner_tol, max_inner,
+            sol = inner_fixed_point(zs[0].space.zero(),
+                                    partial(_image, "R", problem.R, k0),
+                                    zs[0], problem.p, inner_tol, max_inner,
                                     guess=current[0], node=k0)
             head = sol.value
             inner_count = sol.iterations
-            nxt = [head + m_k for m_k in integrals]
+            nxt = [expand(head, m_k.space) + m_k for m_k in integrals]
 
         node_deltas = [lp_norm(a - b, problem.p) for a, b in zip(nxt, current)]
         for i, d in enumerate(node_deltas):
@@ -349,7 +371,8 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         if delta < tol:
             res = max(_node_residuals(current, problem))
             if res < residual_bound:
-                trajectory = AdaptedProcess(sp, current, start_node=k0)
+                trajectory = AdaptedProcess(
+                    sp, [expand(x, sp) for x in current], start_node=k0)
                 return SolveReport(
                     problem=problem,
                     trajectory=trajectory,
@@ -367,13 +390,15 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
 
 
 def _node_residuals(values, problem: QsdeProblem):
-    """|| X_k - Z - R(X) - M_k[X] ||_p at every node of ``values``."""
+    """|| X_k - Z - R(X) - M_k[X] ||_p at every node, from level factors."""
     integrals = _cumulative_integrals(problem, values)
+    zs, k0 = _factors(problem, [problem.Z] * len(values)), problem.start_node
     if problem.nonlocal_mode == "pointwise":
-        heads = [problem.Z + problem.R(x) for x in values]
+        heads = [z + _image("R", problem.R, k, x)
+                 for k, (z, x) in enumerate(zip(zs, values), k0)]
     else:
-        head = problem.Z + problem.R(values[0])
-        heads = [head] * len(values)
+        head = zs[0] + _image("R", problem.R, k0, values[0])
+        heads = [expand(head, x.space) for x in values]
     return [
         lp_norm(x - h - m, problem.p)
         for x, h, m in zip(values, heads, integrals)
@@ -382,11 +407,16 @@ def _node_residuals(values, problem: QsdeProblem):
 
 def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
     """sup over nodes of || X_k - Z - R(X) - M_k[X] ||_p, with the
-    integrals recomputed from the trajectory itself."""
+    integrals recomputed from the trajectory itself.  Each node's term is
+    that of its level factor plus the L^p norm of the part of X_k off the
+    factor's pattern A (x) I, so a non-adapted part counts in full."""
     if trajectory.start_node != problem.start_node or \
             trajectory.last_node != problem.space.grid.n:
         raise ValueError("trajectory does not cover the problem's node range")
-    return max(_node_residuals(trajectory.values, problem))
+    factors = _factors(problem, trajectory.values)
+    return max(res + lp_norm(x - expand(a, x.space), problem.p)
+               for res, x, a in zip(_node_residuals(factors, problem),
+                                    trajectory.values, factors))
 
 
 def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:
@@ -397,13 +427,13 @@ def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:
             "the explicit Euler oracle needs R = 0; the nonlocal term makes "
             "every node implicit"
         )
-    sp, k0 = problem.space, problem.start_node
-    incs = [problem.driver.increment(sp, j) for j in range(k0, sp.grid.n)]
+    sp, grid = problem.space, problem.space.grid
     x = problem.Z
     values = [x]
-    for inc, t, d in zip(incs, *_integrator_state(problem)):
+    for j in range(problem.start_node, grid.n):
+        inc, t = problem.driver.increment(sp, j), grid.node(j)
         x = x + problem.F(x, t) @ inc + inc @ problem.G(x, t) \
-            + d * problem.H(x, t)
+            + grid.delta(j) * problem.H(x, t)
         values.append(x)
     return AdaptedProcess(problem.space, values, start_node=problem.start_node)
 

@@ -153,6 +153,7 @@ class CliffordSpace:
         # its gather's row weights are its signs
         *self._gen_gathers, self._gamma_gather = map(MonomialGather, mats)
         self._increments = {}
+        self._levels = {}
 
     # -- basic elements -------------------------------------------------
 
@@ -191,6 +192,18 @@ class CliffordSpace:
         if not 0 <= k <= self.grid.n:
             raise IndexError(f"node index {k} outside 0..{self.grid.n}")
         return k * self.gens_per_increment
+
+    def level_space(self, k: int) -> "CliffordSpace":
+        """The space of node k's level factors (see :func:`restrict`): the
+        first 2 ceil(level / 2) generators, at least two, on the grid's
+        prefix; this space when that is all of it.  Cached."""
+        f = max(1, (self.level_of_node(k) + 1) // 2)
+        if f == self.factors:
+            return self
+        if f not in self._levels:
+            nodes = self.grid.nodes[:2 * f // self.gens_per_increment + 1]
+            self._levels[f] = CliffordSpace(TimeGrid(nodes), self.layout, 2 * f)
+        return self._levels[f]
 
     # -- driver increments -------------------------------------------------
 
@@ -241,6 +254,24 @@ def make_space(
 ) -> CliffordSpace:
     """Build the Clifford probability space attached to a grid."""
     return CliffordSpace(grid, layout, max_generators)
+
+
+def restrict(x: CliffordElement, sub: CliffordSpace) -> CliffordElement:
+    """The factor A of x = A (x) I on ``sub``, a level space of x's space
+    (a level-measurable x is exactly that); a part off the pattern is lost."""
+    hi = x.space.dim // sub.dim
+    return x if sub is x.space else CliffordElement(sub, x.mat[::hi, ::hi])
+
+
+def expand(a: CliffordElement, space: CliffordSpace) -> CliffordElement:
+    """a (x) I on ``space``, for a factor on one of its level spaces, with
+    +0 off the pattern as sums from zeros leave it (``_kron`` signs them)."""
+    if a.space is space:
+        return a
+    hi, mat = space.dim // a.space.dim, np.zeros((space.dim,) * 2, complex)
+    for j in range(hi):
+        mat[j::hi, j::hi] = a.mat
+    return CliffordElement(space, mat, _fresh=True)
 
 
 # -- conditional expectation, parity, monomial transforms -------------------

@@ -112,7 +112,8 @@ def test_trial_seed_is_stable_and_spread():
 
 
 def test_impossible_tolerance_fills_the_violation_log():
-    table = run_suites(SuiteConfig(trials=4, n_grid=(4,), ratio_tol=-0.5),
+    # no slack at all: the q = p ratios are 1 only up to rounding
+    table = run_suites(SuiteConfig(trials=4, n_grid=(4,), ratio_tol=0.0),
                        ["norm_exchange"])
     assert not table.passed
     assert not table.suite_passed("norm_exchange")
@@ -144,9 +145,29 @@ def test_empty_grids_yield_empty_tables():
 
 
 def test_bg_ratio_suite_keeps_the_exponent_check():
-    with pytest.raises(ValueError, match="p >= 2"):
+    with pytest.raises(ConfigurationError, match="at least 2") as exc:
         run_suites(SuiteConfig(trials=2, p_grid=(1.5,), n_grid=(4,)),
                    ["bg_ratio"])
+    assert exc.value.key == "p_grid"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ratio_tol", math.nan), ("ratio_tol", math.inf), ("ratio_tol", -0.5),
+    ("p_grid", (math.nan,)), ("p_grid", (4.0, math.inf)),
+    ("p_grid", (3.0, -math.inf)),
+])
+def test_gate_values_out_of_range_are_rejected_before_any_suite_runs(
+        key, value, monkeypatch):
+    # a NaN ratio_tol turns every ratio gate off (each is a comparison,
+    # false for NaN); a NaN p dies inside the norm kernels
+    ran = []
+    monkeypatch.setitem(experiments._SUITE_RUNNERS, "car_identity",
+                        lambda *args: ran.append(args))
+    config = SuiteConfig(trials=4, n_grid=(4,), **{key: value})
+    with pytest.raises(ConfigurationError, match=key) as exc:
+        run_suites(config, ["car_identity", "norm_exchange"])
+    assert exc.value.key == key
+    assert ran == []
 
 
 def test_wall_times_are_recorded_outside_the_rows():

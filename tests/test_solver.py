@@ -525,6 +525,19 @@ def test_residual_detects_a_perturbed_node():
     assert abs(residual(bent, prob) - 0.1) < 1e-12
 
 
+@pytest.mark.parametrize("node, generator", [(2, 2), (1, 1)])
+def test_residual_counts_a_non_adapted_term_in_full(node, generator):
+    # e_2 at node 2 lies off the pattern A (x) I of the node's level
+    # factor, e_1 at node 1 on it; either way the term is not adapted, and
+    # the residual must see all of it (R = 0 here)
+    prob = make_problem("linear_full", n=4)
+    values = list(picard_solve(prob).trajectory.values)
+    term = 1e-9 * prob.space.generator(generator)
+    values[node] = values[node] + term
+    bent = AdaptedProcess(prob.space, values)
+    assert residual(bent, prob) >= lp_norm(term, prob.p) * (1 - 1e-6)
+
+
 def test_residual_rejects_wrong_node_range():
     prob = make_problem("zero", n=4)
     stub = AdaptedProcess(prob.space, [prob.Z] * 4, start_node=1)
