@@ -9,9 +9,11 @@ The problem solved on a grid is the fixed-point equation
 with all integrals left-endpoint sums, R a strict L^p contraction and
 F, G, H coefficient maps with certified (Lipschitz or Osgood) moduli.
 Successive approximation replaces the integrand by the previous iterate;
-each node value is then solved for the implicit R term by a Banach
-fixed-point loop.  With R = 0 the scheme telescopes to the explicit
-Euler recursion and terminates exactly after one sweep per node.
+each node value, held as its level factor (see
+:meth:`CliffordSpace.level_space`), is then solved for the implicit R
+term by a Banach fixed-point loop.  With R = 0 the scheme telescopes to
+the explicit Euler recursion and terminates exactly after one sweep per
+node.
 
 ``nonlocal_mode="pointwise"`` applies R to X_t at every node (the default,
 matching the iteration equation); ``"initial"`` applies it only inside the
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import partial
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -272,8 +274,8 @@ def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement
     y = fn(x, *t)
     if y.space is not x.space and y.space != x.space:
         raise ConfigurationError(
-            f"{label} ({fn.name}) returned an element of another space than "
-            f"its argument's at node {node}", key=label)
+            f"{label} ({fn.name or 'unnamed'}) returned an element of "
+            f"another space than its argument's at node {node}", key=label)
     return y
 
 
@@ -407,9 +409,8 @@ def _node_residuals(values, problem: QsdeProblem):
 
 def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
     """sup over nodes of || X_k - Z - R(X) - M_k[X] ||_p, with the
-    integrals recomputed from the trajectory itself.  Each node's term is
-    that of its level factor plus the L^p norm of the part of X_k off the
-    factor's pattern A (x) I, so a non-adapted part counts in full."""
+    integrals recomputed from the trajectory itself: each node's level
+    factor's term plus the L^p norm of X_k's part off the A (x) I pattern."""
     if trajectory.start_node != problem.start_node or \
             trajectory.last_node != problem.space.grid.n:
         raise ValueError("trajectory does not cover the problem's node range")

@@ -194,15 +194,15 @@ class CliffordSpace:
         return k * self.gens_per_increment
 
     def level_space(self, k: int) -> "CliffordSpace":
-        """The space of node k's level factors (see :func:`restrict`): the
-        first 2 ceil(level / 2) generators, at least two, on the grid's
-        prefix; this space when that is all of it.  Cached."""
+        """Node k's level-factor space (see :func:`restrict`): the first
+        2 ceil(level / 2) >= 2 generators on the grid's prefix, or this
+        space when that is all of it; cached."""
         f = max(1, (self.level_of_node(k) + 1) // 2)
         if f == self.factors:
             return self
         if f not in self._levels:
             nodes = self.grid.nodes[:2 * f // self.gens_per_increment + 1]
-            self._levels[f] = CliffordSpace(TimeGrid(nodes), self.layout, 2 * f)
+            self._levels.setdefault(f, CliffordSpace(TimeGrid(nodes), self.layout, 2 * f))
         return self._levels[f]
 
     # -- driver increments -------------------------------------------------
