@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -111,7 +112,10 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
     Continuity is a desk-scale heuristic: on a 4x refinement of the grid the
     largest jump between adjacent samples must fall to at most 0.75 of the
     coarse-grid jump (with a 1e-9 floor); genuine jump discontinuities keep
-    their size under refinement and get rejected.
+    their size under refinement and get rejected.  It is checked at a scalar
+    on ``space.level_space(start_node)``, the smallest space the solver
+    evaluates the map in.  The other probes stay full size: an image that
+    leaves the level algebra has no level factor to hold it.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0EF,)))
     grid = space.grid
@@ -148,17 +152,14 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
                         f"{label}: declared parity_even but the image of a "
                         f"self-adjoint element has an odd part"
                     )
-    # continuity in t along a refinement, at a fixed argument
-    x = random_level_element(space, rng, 0)
+    # continuity in t along a refinement, at a fixed scalar argument
+    x = random_level_element(space.level_space(start_node), rng, 0)
     jumps = []
     for refine in (2, 8):
         ts = np.linspace(grid.t0, grid.T, refine * grid.n + 1)
-        vals = [cmap(x, float(t)) for t in ts]
-        jump = max(
-            (lp_norm(b - a, p) for a, b in zip(vals, vals[1:])),
-            default=0.0,
-        )
-        jumps.append(jump)
+        vals = (cmap(x, float(t)) for t in ts)
+        jumps.append(max((lp_norm(b - a, p) for a, b in pairwise(vals)),
+                         default=0.0))
     if jumps[1] > 0.75 * jumps[0] + 1e-9:
         raise ContractViolationError(
             f"{label}: largest jump does not shrink under grid refinement "

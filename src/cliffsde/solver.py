@@ -309,8 +309,9 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     The inner (nonlocal) solves run at tol * (1 - C(R)) / 10, each
     warm-started from the previous iterate at its node (the previous head
     in initial mode).  Raises ConvergenceError with the delta trace after
-    ``max_outer`` sweeps, or at once, naming the node, on a non-finite
-    value.
+    ``max_outer`` sweeps, or at once, naming the sweep and the node, on a
+    non-finite value; an inner solve's failure is re-raised with its sweep
+    and its own trace.
     """
     sp = problem.space
     grid = sp.grid
@@ -332,33 +333,38 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
 
     trace_delta, trace_inner, trace_adapt, trace_sa = [], [], [], []
 
-    for _ in range(max_outer):
+    for sweep in range(1, max_outer + 1):
         integrals = _cumulative_integrals(problem, current)
         inner_count = 0
-        if problem.nonlocal_mode == "pointwise":
-            nxt = []
-            for i, m_k in enumerate(integrals):
-                r_map = partial(_image, "R", problem.R, k0 + i)
-                sol = inner_fixed_point(m_k, r_map, zs[i], problem.p,
-                                        inner_tol, max_inner,
-                                        guess=current[i], node=k0 + i)
-                nxt.append(sol.value)
-                inner_count += sol.iterations
-        else:
-            sol = inner_fixed_point(zs[0].space.zero(),
-                                    partial(_image, "R", problem.R, k0),
-                                    zs[0], problem.p, inner_tol, max_inner,
-                                    guess=current[0], node=k0)
-            head = sol.value
-            inner_count = sol.iterations
-            nxt = [expand(head, m_k.space) + m_k for m_k in integrals]
+        try:
+            if problem.nonlocal_mode == "pointwise":
+                nxt = []
+                for i, m_k in enumerate(integrals):
+                    r_map = partial(_image, "R", problem.R, k0 + i)
+                    sol = inner_fixed_point(m_k, r_map, zs[i], problem.p,
+                                            inner_tol, max_inner,
+                                            guess=current[i], node=k0 + i)
+                    nxt.append(sol.value)
+                    inner_count += sol.iterations
+            else:
+                sol = inner_fixed_point(zs[0].space.zero(),
+                                        partial(_image, "R", problem.R, k0),
+                                        zs[0], problem.p, inner_tol,
+                                        max_inner, guess=current[0], node=k0)
+                head = sol.value
+                inner_count = sol.iterations
+                nxt = [expand(head, m_k.space) + m_k for m_k in integrals]
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"Picard sweep {sweep}: {exc}",
+                                   deltas=exc.deltas,
+                                   iterations=exc.iterations) from exc
 
         node_deltas = [lp_norm(a - b, problem.p) for a, b in zip(nxt, current)]
         for i, d in enumerate(node_deltas):
             if not math.isfinite(d):
                 raise ConvergenceError(
-                    f"Picard sweep {len(trace_delta) + 1} produced a "
-                    f"non-finite delta ({d!r}) at node {k0 + i}",
+                    f"Picard sweep {sweep} produced a non-finite delta "
+                    f"({d!r}) at node {k0 + i}",
                     deltas=trace_delta + [d])
         delta = max(node_deltas)
         trace_delta.append(delta)

@@ -128,6 +128,39 @@ def test_validator_start_node_relaxes_levels():
     validate_coefficient(emap, _SP, P, start_node=1)
 
 
+def test_continuity_check_runs_on_the_start_nodes_level_space():
+    # the probes see full-size arguments; the 2n + 1 and 8n + 1 continuity
+    # samples see a scalar on the smallest space the solver uses
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 6))
+    seen = []
+
+    def fn(x, t):
+        seen.append(x.space)
+        return 0.5 * x
+
+    rec = CoefficientMap(fn=fn, modulus=OsgoodModulus.from_lipschitz(0.5),
+                         name="recording")
+    samples = 10 * sp.grid.n + 2
+    for start_node in (0, 3):
+        seen.clear()
+        validate_coefficient(rec, sp, P, start_node=start_node)
+        assert sp.level_space(start_node) is not sp
+        assert all(s is sp for s in seen[:-samples])
+        assert all(s is sp.level_space(start_node) for s in seen[-samples:])
+        assert len(seen) > samples
+
+
+def test_continuity_check_space_follows_the_start_node():
+    # constant e2 is level-3 measurable; level_space(0) has no e2 to give
+    e2 = CoefficientMap(fn=lambda x, t: x.space.generator(2),
+                        modulus=OsgoodModulus.from_lipschitz(0.0),
+                        name="const_e2")
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 6))
+    validate_coefficient(e2, sp, P, start_node=3)
+    with pytest.raises(ContractViolationError):
+        validate_coefficient(e2, sp, P, start_node=0)
+
+
 def test_validator_rejects_time_discontinuity():
     step = CoefficientMap(
         fn=lambda x, t: x if t < 0.4 else 2.0 * x,

@@ -238,8 +238,8 @@ def test_non_finite_coefficient_stops_at_the_poisoned_sweep_and_node(
         picard_solve(prob, tol=1e-10, max_outer=6)
     got = re.sub(r"\(-?(nan|inf)\)", "(X)", str(info.value))
     if mode == "pointwise":
-        assert got == (f"inner iteration at node {node + 1} produced a "
-                       f"non-finite step (X)")
+        assert got == (f"Picard sweep {sweep}: inner iteration at node "
+                       f"{node + 1} produced a non-finite step (X)")
         assert calls[0] == sweep * prob.space.grid.n
     else:
         assert got == (f"Picard sweep {sweep} produced a non-finite delta "
