@@ -12,10 +12,11 @@ caller supplies — a projection defect above the rejection threshold, or a
 NaN one from a non-finite value, raises instead of being silently
 projected away — and, because nothing can replace the values afterwards,
 never re-checked.  :meth:`AdaptedProcess.random` draws each value inside
-its level algebra, so it skips the check.
+its level algebra, so it skips the check; ``from_factors`` checks level
+factors at their own size.
 
 A driver's increments are cached on their space as one read-only
-``(n, dim, dim)`` stack per driver, with each row's
+``(n, dim, dim)`` stack per driver and, apart from it, as each row's
 :class:`~.space.MonomialGather`; :meth:`Driver.increment` hands out a
 read-only element over one of its rows.
 """
@@ -28,8 +29,8 @@ import numpy as np
 
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
-from .errors import ConfigurationError, DriverMismatchError
-from .space import (CliffordSpace, MonomialGather, _draw_levels,
+from .errors import ConfigurationError
+from .space import (CliffordSpace, MonomialGather, _draw_levels, _embed,
                     adaptedness_defect, as_int, require_adapted)
 
 #: Construction rejects values whose projection defect exceeds this or is NaN.
@@ -118,29 +119,26 @@ class Driver:
         the stack), and cached on it keyed by the driver, so it dies with
         the space; drivers that compare equal (same kind and alphas) share it.
         """
-        return self._cached(space)[0]
-
-    def gathers(self, space: CliffordSpace) -> tuple:
-        """Each row's :class:`MonomialGather`, cached with the stack."""
-        return self._cached(space)[1]
-
-    def _cached(self, space: CliffordSpace) -> tuple:
-        entry = space._increments.get(self)
-        if entry is None:
-            if space.layout != self.required_layout:
-                raise DriverMismatchError(
-                    f"driver {self.kind!r} needs layout "
-                    f"{self.required_layout!r}, space has {space.layout!r}"
-                )
-            build = DRIVER_KINDS[self.kind][2]
+        stack = space._increments.get(self)
+        if stack is None:
+            build = DRIVER_KINDS[self.kind][2]  # it checks the layout
             stack = np.empty((space.grid.n, space.dim, space.dim), complex)
             for k, row in enumerate(stack):
                 row[...] = build(self, space, k).mat
             stack.setflags(write=False)
-            entry = (stack, tuple(MonomialGather(row) for row in stack))
             # setdefault: concurrent callers all get the first stored entry
-            entry = space._increments.setdefault(self, entry)
-        return entry
+            stack = space._increments.setdefault(self, stack)
+        return stack
+
+    def gathers(self, space: CliffordSpace) -> tuple:
+        """Each increment's :class:`MonomialGather`, built one increment at
+        a time (no stack) and cached on the space apart from the stack."""
+        if self not in space._gathers:
+            build = DRIVER_KINDS[self.kind][2]
+            space._gathers.setdefault(self, tuple(
+                MonomialGather(build(self, space, k).mat)
+                for k in range(space.grid.n)))
+        return space._gathers[self]
 
 
 def _node_range(space, num, start_node) -> tuple:
@@ -158,6 +156,25 @@ def _node_range(space, num, start_node) -> tuple:
             f"grid ({n + 1} nodes)"
         )
     return num, start_node
+
+
+def _adapted_stack(space, values, start_node, home) -> tuple:
+    """``(mats, start_node)``: the read-only stack of the values ``a (x) I``
+    for values a on the spaces ``home(node)`` (checked ``start_node``),
+    each checked adapted at its node's level at its own size."""
+    values = tuple(values)
+    _, start_node = _node_range(space, len(values), start_node)
+    mats = np.zeros((len(values), space.dim, space.dim), complex)
+    for node, (v, out) in enumerate(zip(values, mats), start_node):
+        sub = home(node)
+        if v.space is not sub and v.space != sub:
+            raise ConfigurationError("process values belong to a different space")
+        level = space.level_of_node(node)
+        require_adapted(v, level, 2, ADAPTEDNESS_REJECT_TOL,
+                        f"value at node {node} is not level-{level} measurable")
+        _embed(v.mat, out)
+    mats.setflags(write=False)
+    return mats, start_node
 
 
 def _random_stack(space, rngs, num=None, start_node: int = 0) -> np.ndarray:
@@ -191,19 +208,8 @@ class AdaptedProcess:
     __slots__ = ("space", "mats", "start_node", "_values")
 
     def __init__(self, space, values, start_node: int = 0):
-        values = tuple(values)
-        _, start_node = _node_range(space, len(values), start_node)
-        for off, v in enumerate(values):
-            if v.space is not space and v.space != space:
-                raise ConfigurationError("process values belong to a different space")
-            node = start_node + off
-            level = space.level_of_node(node)
-            require_adapted(v, level, 2, ADAPTEDNESS_REJECT_TOL,
-                            f"value at node {node} is not level-{level} "
-                            f"measurable")
-        mats = np.stack([v.mat for v in values])
-        mats.setflags(write=False)
-        self._init(space, mats, start_node)
+        self._init(space, *_adapted_stack(space, values, start_node,
+                                          lambda node: space))
 
     def _init(self, space, mats: np.ndarray, start_node: int) -> None:
         object.__setattr__(self, "space", space)
@@ -218,6 +224,14 @@ class AdaptedProcess:
         f = cls.__new__(cls)
         f._init(space, mats, start_node)
         return f
+
+    @classmethod
+    def from_factors(cls, space, factors, start_node: int = 0) -> "AdaptedProcess":
+        """The process of the values ``a (x) I`` for factors ``a`` on their
+        nodes' level spaces, each checked as the constructor checks a value
+        but at its own size: bitwise the constructor's stack."""
+        return cls._trusted(space, *_adapted_stack(space, factors, start_node,
+                                                   space.level_space))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AdaptedProcess is immutable: cannot set {name!r}")

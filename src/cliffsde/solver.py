@@ -134,12 +134,19 @@ class QsdeProblem:
 @dataclass(frozen=True)
 class InnerResult:
     """A converged inner solve.  ``steps`` holds the measured L^p steps in
-    order, not every step: see :func:`inner_fixed_point`."""
+    order, not every step: see :func:`inner_fixed_point`.  ``equation``
+    holds its ``(M, R, Z, p)``."""
 
     value: CliffordElement
     iterations: int
-    residual: float
-    steps: tuple = ()
+    steps: tuple
+    equation: tuple
+
+    @property
+    def residual(self) -> float:
+        """||Y - (Z + R(Y) + M)||_p, computed on access: the solver skips it."""
+        M, R, Z, p = self.equation
+        return lp_norm(self.value - (Z + R(self.value) + M), p)
 
 
 def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
@@ -194,8 +201,7 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
                 f"inner iteration{where} produced a non-finite step "
                 f"({step!r})", deltas=steps, iterations=measured_at)
         if step <= tol:
-            res = lp_norm(y - (Z + R(y) + M), p)
-            return InnerResult(y, it, res, tuple(steps))
+            return InnerResult(y, it, tuple(steps), (M, R, Z, p))
         if len(steps) >= 2 and step > steps[-2] * (1 + 1e-9):
             grew += 1
             if grew >= 2:
@@ -379,11 +385,9 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         if delta < tol:
             res = max(_node_residuals(current, problem))
             if res < residual_bound:
-                trajectory = AdaptedProcess(
-                    sp, [expand(x, sp) for x in current], start_node=k0)
                 return SolveReport(
                     problem=problem,
-                    trajectory=trajectory,
+                    trajectory=AdaptedProcess.from_factors(sp, current, k0),
                     deltas=trace_delta,
                     inner_iterations=trace_inner,
                     adapted_defects=trace_adapt,

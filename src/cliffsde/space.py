@@ -27,9 +27,10 @@ level algebra that contains generator k.
 
 Kronecker products go through ``_kron``, the broadcast product that
 ``np.kron`` computes internally, so the results are bitwise those of
-``np.kron`` without its generic-shape overhead.  Each space caches one
-read-only ``(n, dim, dim)`` increment stack per driver (arrays only, so
-no reference cycle; see :meth:`Driver.increments`).  Levels are plain
+``np.kron`` without its generic-shape overhead.  Each space caches, per
+driver, one read-only ``(n, dim, dim)`` increment stack and, apart from
+it, the increments' gathers (arrays only, so no reference cycle; see
+:meth:`Driver.increments` and :meth:`Driver.gathers`).  Levels are plain
 integers; :func:`require_adapted` is the one adaptedness rejection.
 
 Products by the generators, Gamma, the phantom and the driver
@@ -153,6 +154,7 @@ class CliffordSpace:
         # its gather's row weights are its signs
         *self._gen_gathers, self._gamma_gather = map(MonomialGather, mats)
         self._increments = {}
+        self._gathers = {}
         self._levels = {}
 
     # -- basic elements -------------------------------------------------
@@ -268,10 +270,17 @@ def expand(a: CliffordElement, space: CliffordSpace) -> CliffordElement:
     +0 off the pattern as sums from zeros leave it (``_kron`` signs them)."""
     if a.space is space:
         return a
-    hi, mat = space.dim // a.space.dim, np.zeros((space.dim,) * 2, complex)
-    for j in range(hi):
-        mat[j::hi, j::hi] = a.mat
+    mat = _embed(a.mat, np.zeros((space.dim,) * 2, complex))
     return CliffordElement(space, mat, _fresh=True)
+
+
+def _embed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a (x) I`` into the zeroed square matrix ``out``: a copy of
+    ``a`` on each of its strided diagonal blocks."""
+    hi = out.shape[-1] // a.shape[-1]
+    for j in range(hi):
+        out[j::hi, j::hi] = a
+    return out
 
 
 # -- conditional expectation, parity, monomial transforms -------------------

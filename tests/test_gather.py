@@ -123,15 +123,27 @@ def test_complex_alpha_gathers_agree_within_4_ulp(which, seed):
 
 
 def test_gathers_are_cached_with_the_increment_stack():
-    sp = make_space(TimeGrid.uniform(0.0, 1.0, 3), layout="pair")
-    driver = Driver.annihilation()
-    gathers, stack = driver.gathers(sp), driver.increments(sp)
-    entry = sp._increments[driver]
-    assert entry[0] is stack and entry[1] is gathers
-    assert driver.gathers(sp) is gathers
-    for g in gathers:
-        # O(dim) vectors per increment, not dim x dim weights
-        assert {a.shape for a in (g.cols, g.wc, g.rows, g.wr)} == {(sp.dim,)}
+    # the gathers are built from one increment at a time and cached apart
+    # from the stack: asking for them builds no (n, dim, dim) stack
+    for kind in DRIVER_KINDS:
+        driver = Driver(kind, 0.75 + 0.25j, -1.5j)
+        sp = make_space(TimeGrid.uniform(0.0, 1.0, 3),
+                        layout=driver.required_layout)
+        gathers = driver.gathers(sp)
+        assert driver.gathers(sp) is gathers
+        assert not sp._increments
+        for g in gathers:
+            # O(dim) vectors per increment, not dim x dim weights
+            assert {a.shape for a in (g.cols, g.wc, g.rows, g.wr)} == \
+                {(sp.dim,)}
+        stack = driver.increments(sp)
+        assert driver.increments(sp) is stack
+        assert driver.gathers(sp) is gathers
+        for m, g in zip(stack, gathers, strict=True):
+            want = MonomialGather(m)
+            for name in MonomialGather.__slots__:
+                assert getattr(g, name).tobytes() == \
+                    getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("bad", [

@@ -4,7 +4,9 @@ The solver holds each node's value as the factor A of its level's
 ``A (x) I``, on the node's level space.  These properties hold the
 factored solve to the dense oracle (R = 0), to a residual recomputed
 with dense increment products (R != 0), and check that expansion keeps
-every L^p norm and that a map must stay in its argument's space.
+every L^p norm and that a map must stay in its argument's space.  The
+solve needs no dense increment stack, and its trajectory is each factor
+expanded once, checked at the factor's size.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffsde import (
+    AdaptedProcess,
+    AdaptednessError,
     CoefficientMap,
     ConfigurationError,
     Driver,
@@ -141,3 +145,63 @@ def test_a_map_leaving_its_arguments_space_is_named_with_the_node(part):
                        match=rf"^{part} \(closure\) .* at node 0$") as exc:
         picard_solve(prob.replace(validate=False, **{part: bad}))
     assert exc.value.key == part
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "initial"])
+def test_picard_solve_builds_no_increment_stack(monkeypatch, mode):
+    want = picard_solve(make_problem("nonlocal_linear", n=8,
+                                     nonlocal_mode=mode))
+
+    def no_stack(self, space):
+        raise AssertionError("the solve built an increment stack")
+
+    # a fresh problem: its spaces hold no cached gathers yet
+    fresh = make_problem("nonlocal_linear", n=8, nonlocal_mode=mode)
+    monkeypatch.setattr(Driver, "increments", no_stack)
+    report = picard_solve(fresh)
+    assert report.trajectory.mats.tobytes() == want.trajectory.mats.tobytes()
+    assert report.trajectory_csv() == want.trajectory_csv()
+    # nor through a path other than Driver.increments
+    sp = fresh.space
+    for space in (sp, *sp._levels.values()):
+        assert not space._increments
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=st.sampled_from(["fermion", "pair"]), n=st.integers(1, 7),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_from_factors_is_bitwise_the_constructors_stack(layout, n, data, seed):
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n), layout=layout)
+    start = data.draw(st.integers(0, n), label="start")
+    rng = np.random.default_rng(seed)
+    factors = [random_level_element(sp.level_space(k), rng,
+                                    sp.level_of_node(k))
+               for k in range(start, n + 1)]
+    got = AdaptedProcess.from_factors(sp, factors, start)
+    want = AdaptedProcess(sp, [expand(a, sp) for a in factors], start)
+    assert got.start_node == start
+    assert not got.mats.flags.writeable
+    assert got.mats.tobytes() == want.mats.tobytes()
+    # and, up to the sign of zeros, np.kron(a, I)
+    assert np.array_equal(got.mats, [
+        np.kron(a.mat, np.eye(sp.dim // a.space.dim)) for a in factors])
+
+
+def test_from_factors_rejects_a_generator_k_part_at_node_k():
+    # at an odd fermion level k the level space also holds generator k
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+    factors = [sp.level_space(k).identity() for k in range(5)]
+    sub = sp.level_space(3)
+    factors[3] = sub.identity() + 0.5 * sub.generator(3)
+    with pytest.raises(AdaptednessError) as dense:
+        AdaptedProcess(sp, [expand(a, sp) for a in factors])
+    with pytest.raises(AdaptednessError) as factored:
+        AdaptedProcess.from_factors(sp, factors)
+    assert str(factored.value) == str(dense.value)
+    assert "value at node 3 is not level-3 measurable" in str(dense.value)
+
+
+def test_from_factors_rejects_a_factor_off_its_level_space():
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+    with pytest.raises(ConfigurationError, match="different space"):
+        AdaptedProcess.from_factors(sp, [sp.identity()] * 5)
