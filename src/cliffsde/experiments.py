@@ -77,6 +77,13 @@ SOLVER_TOL = 1e-10
 #: The increment counts a suite space may have: the generator budget
 _NS = frozenset(range(1, DEFAULT_MAX_GENERATORS + 1))
 _PAIR_NS = frozenset(range(1, DEFAULT_MAX_GENERATORS // 2 + 1))
+_INTEGER = (int, np.integer)
+
+
+def _counts_ok(counts, allowed: frozenset) -> bool:
+    """8.0 passes the set test; a sum is an integer only if each count is"""
+    return allowed.issuperset(counts) and isinstance(sum(counts), _INTEGER)
+
 
 #: suite -> (statistic substring, aggregate) of its summary worst value
 _WORST = {
@@ -111,19 +118,20 @@ class SuiteConfig:
     max_workers: int = 1
 
     def __post_init__(self):
-        # the common path is one chained test, keeping construction cheap;
-        # the loop only names the failing field
-        trials_ok = isinstance(self.trials, (int, np.integer)) \
-            and self.trials >= 1
+        # the common path is one chained test, keeping construction cheap
+        # (_counts_ok's calls cost 5% more); the loop only names the field
+        trials_ok = isinstance(self.trials, _INTEGER) and self.trials >= 1
         if not (trials_ok and self.max_workers >= 1
                 and _NS.issuperset(self.n_grid)
-                and _PAIR_NS.issuperset(self.pair_n_grid)):
+                and _PAIR_NS.issuperset(self.pair_n_grid)
+                and isinstance(sum(self.n_grid, sum(self.pair_n_grid)), _INTEGER)):
             for key, ok, domain in (
                     ("trials", trials_ok, "an integer, at least 1"),
                     ("max_workers", self.max_workers >= 1, "at least 1"),
-                    ("n_grid", _NS.issuperset(self.n_grid), f"counts 1..{len(_NS)}"),
-                    ("pair_n_grid", _PAIR_NS.issuperset(self.pair_n_grid),
-                     f"counts 1..{len(_PAIR_NS)}")):
+                    ("n_grid", _counts_ok(self.n_grid, _NS),
+                     f"integer counts 1..{len(_NS)}"),
+                    ("pair_n_grid", _counts_ok(self.pair_n_grid, _PAIR_NS),
+                     f"integer counts 1..{len(_PAIR_NS)}")):
                 if not ok:
                     raise ConfigurationError(f"{key} out of range ({domain}): "
                                              f"{getattr(self, key)!r}", key=key)
@@ -641,12 +649,15 @@ def run_suites(config: SuiteConfig, names) -> SweepTable:
     share one space per ``(n, layout)``; ``spaces`` holds them for this
     run only.  The gate values are checked here, not in the (cheap)
     SuiteConfig build, before any suite runs."""
-    for key, ok, least in (
-            ("ratio_tol", 0 <= config.ratio_tol < math.inf, 0),
-            ("p_grid", all(2 <= p < math.inf for p in config.p_grid), 2)):
+    for key, ok, domain in (
+            ("ratio_tol", 0 <= config.ratio_tol < math.inf, "finite, at least 0"),
+            ("p_grid", all(2 <= p < math.inf for p in config.p_grid),
+             "finite, at least 2"),
+            ("qp_pairs", all(1 <= q <= p < math.inf for q, p in config.qp_pairs),
+             "1 <= q <= p, finite")):
         if not ok:
-            raise ConfigurationError(f"{key} out of range (finite, at least "
-                                     f"{least}): {getattr(config, key)!r}", key=key)
+            raise ConfigurationError(f"{key} out of range ({domain}): "
+                                     f"{getattr(config, key)!r}", key=key)
     table = SweepTable()
     spaces = {}
     for name in names:

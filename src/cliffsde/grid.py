@@ -26,16 +26,14 @@ class TimeGrid:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a grid needs at least two nodes (n >= 1)")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("grid nodes must be strictly increasing")
+        # finite positive increments (a non-finite node makes one inf or
+        # NaN) tile [t0, T] up to a few ulps each, so no sum is checked
+        d = np.diff(nodes)
+        if not np.all((0 < d) & (d < np.inf)):
+            raise ValueError("grid nodes must be finite and strictly increasing")
         nodes = nodes.copy()
         nodes.setflags(write=False)
         self.nodes = nodes
-        # increments must tile [t0, T]; the float sum of diffs can drift by
-        # a few ulps per increment, nothing more
-        span = self.T - self.t0
-        if abs(float(np.sum(self.deltas)) - span) > 16 * self.n * np.finfo(float).eps * max(abs(self.T), abs(self.t0), 1.0):
-            raise ValueError("grid increments do not tile the interval")
 
     @classmethod
     def uniform(cls, t0: float, T: float, n: int) -> "TimeGrid":

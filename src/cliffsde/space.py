@@ -33,13 +33,13 @@ it, the increments' gathers (arrays only, so no reference cycle; see
 :meth:`Driver.increments` and :meth:`Driver.gathers`).  Levels are plain
 integers; :func:`require_adapted` is the one adaptedness rejection.
 
-Products by the generators, Gamma, the phantom and the driver
-increments, all monomial matrices, are gathers (:class:`MonomialGather`):
-one exact product per entry, so bitwise the dense product on finite input
-up to the sign of zeros.  Dense products by them stay only as checks
-(Euler oracle, parity commutation, the suites' algebra identities) and
-in the stacked driver integrals of :mod:`.integrals`, which a gather
-would speed up but would round differently (see there).
+A space holds the generators, Gamma and the phantom only as gathers
+(:class:`MonomialGather`; ``dense()`` is the one way back to a matrix).
+Products by them and the driver increments are gathers: one exact product
+per entry, so bitwise the dense product on finite input up to the sign of
+zeros.  Dense products stay only as checks (Euler oracle, parity
+commutation, the suites' algebra identities) and in the stacked driver
+integrals of :mod:`.integrals`, where a gather would round differently.
 """
 
 from __future__ import annotations
@@ -108,9 +108,15 @@ class MonomialGather:
         out *= self.wr[:, None]
         return out
 
+    def dense(self) -> np.ndarray:
+        """m as a new matrix, with +0 off its pattern"""
+        m = np.zeros((self.wc.size,) * 2, dtype=self.wc.dtype)
+        m[self.cols, np.arange(self.wc.size)] = self.wc
+        return m
+
 
 class CliffordSpace:
-    """A time grid plus its generator matrices and bookkeeping.
+    """A time grid plus its generators' gathers and bookkeeping.
 
     Use :func:`make_space`; the constructor is not meant to be called
     directly.
@@ -136,23 +142,17 @@ class CliffordSpace:
         self.factors = (n_gen + 1) // 2
         self.dim = 2 ** self.factors
 
-        # the Jordan-Wigner generators, then Gamma; with an odd generator
-        # count the matrix algebra is twice as large as the span of the
-        # monomials, and the "phantom" next generator (index n_gen) lets
-        # conditional_expect average away the excess half
+        # the gathers of the Jordan-Wigner generators and of Gamma (its row
+        # weights are its signs); with an odd generator count the matrix
+        # algebra is twice the span of the monomials, and the "phantom" next
+        # generator (index n_gen) lets conditional_expect average it away
         eye2 = np.eye(2, dtype=complex)
-        mats = [reduce(_kron, [_Z] * (i // 2) + [_Y if i % 2 else _X]
-                       + [eye2] * (self.factors - i // 2 - 1))
-                for i in range(n_gen + n_gen % 2)]
-        mats.append(reduce(_kron, [_Z] * self.factors))
-        for m in mats:
-            m.setflags(write=False)
-        self._generators = tuple(mats[:n_gen])
-        self._phantom = mats[n_gen] if n_gen % 2 else None
-        self._gamma = mats[-1]
-        # the gathers of the generators and phantom; Gamma is diagonal, so
-        # its gather's row weights are its signs
-        *self._gen_gathers, self._gamma_gather = map(MonomialGather, mats)
+        factors = [[_Z] * (i // 2) + [_Y if i % 2 else _X]
+                   + [eye2] * (self.factors - i // 2 - 1)
+                   for i in range(n_gen + n_gen % 2)]
+        *self._gen_gathers, self._gamma_gather = (
+            MonomialGather(reduce(_kron, f))
+            for f in factors + [[_Z] * self.factors])
         self._increments = {}
         self._gathers = {}
         self._levels = {}
@@ -174,7 +174,7 @@ class CliffordSpace:
     def generator(self, i: int) -> CliffordElement:
         if not 0 <= i < self.n_gen:
             raise IndexError(f"generator index {i} outside 0..{self.n_gen - 1}")
-        return CliffordElement(self, self._generators[i])
+        return CliffordElement(self, self._gen_gathers[i].dense(), _fresh=True)
 
     def monomial(self, subset) -> CliffordElement:
         """Ordered product e_S for an iterable of distinct generator indices."""
@@ -217,7 +217,7 @@ class CliffordSpace:
                 "fermion-field increments need a space with layout='fermion'"
             )
         dk = self.grid.delta(k)
-        return CliffordElement(self, np.sqrt(dk) * self._generators[k])
+        return self.generator(k) * np.sqrt(dk)
 
     def annihilation_increment(self, k: int) -> CliffordElement:
         """sqrt(delta_k) (e_{2k} + i e_{2k+1}) / 2; nilpotent of order two."""
@@ -226,8 +226,8 @@ class CliffordSpace:
                 "creation/annihilation increments need a space with layout='pair'"
             )
         dk = self.grid.delta(k)
-        a = 0.5 * (self._generators[2 * k] + 1j * self._generators[2 * k + 1])
-        return CliffordElement(self, np.sqrt(dk) * a)
+        a = 0.5 * (self.generator(2 * k) + 1j * self.generator(2 * k + 1))
+        return a * np.sqrt(dk)
 
     def creation_increment(self, k: int) -> CliffordElement:
         return self.annihilation_increment(k).adjoint()

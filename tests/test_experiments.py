@@ -45,7 +45,8 @@ def test_seeded_inequality_suites_match_the_committed_bytes():
 @pytest.mark.parametrize("key,value", [
     ("trials", 0), ("trials", -2), ("max_workers", 0), ("max_workers", -2),
     ("n_grid", (0,)), ("n_grid", (8, 30)), ("pair_n_grid", (8,)),
-    ("pair_n_grid", (-1,)), ("trials", 2.5),
+    ("pair_n_grid", (-1,)), ("trials", 2.5), ("n_grid", (8.0,)),
+    ("n_grid", (4, 2.0)), ("pair_n_grid", (4.0,)),
 ])
 def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
     with pytest.raises(ConfigurationError, match=f"^{key} out of range") as exc:
@@ -167,6 +168,24 @@ def test_gate_values_out_of_range_are_rejected_before_any_suite_runs(
     with pytest.raises(ConfigurationError, match=key) as exc:
         run_suites(config, ["car_identity", "norm_exchange"])
     assert exc.value.key == key
+    assert ran == []
+
+
+@pytest.mark.parametrize("pairs", [
+    ((5.0, 2.0),), ((0.5, 2.0),), ((1.0, 2.0), (2.0, math.inf)),
+    ((math.nan, 2.0),), ((2.0, math.nan),), ((-math.inf, 2.0),),
+])
+def test_qp_pairs_out_of_range_are_rejected_before_any_suite_runs(
+        pairs, monkeypatch):
+    # q > p logged false "ratio above 1" violations, q < 1 passed
+    # silently, and a non-finite entry died deep in the norm kernels
+    ran = []
+    monkeypatch.setitem(experiments._SUITE_RUNNERS, "car_identity",
+                        lambda *args: ran.append(args))
+    config = SuiteConfig(qp_pairs=pairs, p_grid=(2.0,), trials=3, n_grid=(4,))
+    with pytest.raises(ConfigurationError, match="^qp_pairs out of range") as exc:
+        run_suites(config, ["car_identity", "norm_exchange"])
+    assert exc.value.key == "qp_pairs"
     assert ran == []
 
 

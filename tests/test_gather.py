@@ -10,9 +10,15 @@ weight with both components non-zero (a complex-alpha linear combination)
 is the one exception: BLAS and numpy's complex product may round the
 two-term real and imaginary parts differently, so that case is held to
 4 ulp of the product's size.
+
+A space stores the generators, Gamma and the phantom only as gathers, so
+they are checked against a Jordan-Wigner construction built here with
+``np.kron``, which the library's gathers were not derived from.
 """
 
 import re
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -57,6 +63,25 @@ _DRIVERS += [Driver.linear_combination(0.5, 1.0),
 _COMPLEX_ALPHA = Driver.linear_combination(0.5 + 1.5j, -0.75 + 0.25j)
 
 
+def _jordan_wigner(n_gen: int):
+    """The reference ``(generators, gamma)`` of an ``n_gen``-generator
+    space, built here with ``np.kron`` apart from the library: e_{2q} is
+    Z^(x q) (x) X (x) I..., e_{2q+1} the same with Y, Gamma is Z^(x f).
+    An odd count gets its phantom generator (index n_gen) appended."""
+    f = (n_gen + 1) // 2
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.diag([1, -1]).astype(complex)
+    eye = np.eye(2, dtype=complex)
+    gens = [reduce(np.kron, [z] * (i // 2) + [y if i % 2 else x]
+                   + [eye] * (f - i // 2 - 1))
+            for i in range(n_gen + n_gen % 2)]
+    return gens, reduce(np.kron, [z] * f)
+
+
+_JW = {n: _jordan_wigner(n) for n in GEN_COUNTS}
+
+
 def _matrix(dim: int, seed: int, scales=SCALES) -> np.ndarray:
     """Finite complex entries at mixed scales, some exactly zero."""
     rng = np.random.default_rng(seed)
@@ -73,22 +98,46 @@ def _assert_bitwise_but_zero_signs(got: np.ndarray, want: np.ndarray):
     assert g[nz].tobytes() == w[nz].tobytes()
 
 
-def _assert_both_sides(m: np.ndarray, x: np.ndarray):
-    gather = MonomialGather(m)
-    _assert_bitwise_but_zero_signs(gather.right(x), x @ m)
-    _assert_bitwise_but_zero_signs(gather.left(x), m @ x)
-
-
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from(GEN_COUNTS), seed=st.integers(0, 2**32 - 1))
 def test_generator_gamma_phantom_gathers_equal_dense_products(n, seed):
+    # the space's stored gathers (phantom included) against products by
+    # the reference matrices they were not derived from
     sp = _FERMION[n]
     x = _matrix(sp.dim, seed)
-    mats = list(sp._generators) + [sp._gamma]
+    gens, gamma = _JW[n]
+    stored = sp._gen_gathers + [sp._gamma_gather]
+    for gather, m in zip(stored, gens + [gamma], strict=True):
+        _assert_bitwise_but_zero_signs(gather.right(x), x @ m)
+        _assert_bitwise_but_zero_signs(gather.left(x), m @ x)
+
+
+@pytest.mark.parametrize("n", GEN_COUNTS)
+def test_dense_scatters_equal_the_reference_matrices(n):
+    sp = _FERMION[n]
+    gens, gamma = _JW[n]
+    for i in range(sp.n_gen):
+        _assert_bitwise_but_zero_signs(sp.generator(i).mat, gens[i])
+    # Gamma, then the phantom of an odd count
+    _assert_bitwise_but_zero_signs(sp._gamma_gather.dense(), gamma)
+    assert len(sp._gen_gathers) == len(gens)
     if n % 2 == 1:
-        mats.append(sp._phantom)
-    for m in mats:
-        _assert_both_sides(m, x)
+        _assert_bitwise_but_zero_signs(sp._gen_gathers[n].dense(), gens[n])
+
+
+def test_a_space_stores_its_generators_in_o_of_dim():
+    # 15 gathers of dim 128 take about 100 KB; dense generators and Gamma
+    # would take 3.75 MB
+    grid = TimeGrid.uniform(0.0, 1.0, 14)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sp = make_space(grid)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sp.dim == 128
+    assert held < 0.25 * 2**20
 
 
 @settings(max_examples=10, deadline=None)
@@ -169,9 +218,9 @@ def test_gather_keeps_a_nan_in_its_own_entry():
     sp = _FERMION[4]
     x = np.ones((sp.dim, sp.dim), dtype=complex)
     x[1, 2] = np.nan
-    g = MonomialGather(sp._generators[1])
+    g = sp._gen_gathers[1]
     assert np.isnan(g.right(x)).sum() == 1
-    assert np.isnan(x @ sp._generators[1]).sum() > 1
+    assert np.isnan(x @ _JW[4][0][1]).sum() > 1
 
 
 @settings(max_examples=8, deadline=None)
@@ -181,13 +230,13 @@ def test_conditional_expect_and_parity_match_the_dense_formulas(n, seed, level):
     sp = _FERMION[n]
     k = level % (sp.n_gen + 1)
     x = sp.element(_matrix(sp.dim, seed, scales=(1.0, 1e-310)))
-    gam = sp._gamma
+    gens, gam = _JW[n]
     _assert_bitwise_but_zero_signs(parity_automorphism(x).mat, gam @ x.mat @ gam)
     got = conditional_expect(x, k).mat
     if k % 2 == 1:
         # the projection before the odd-level average is the level k + 1 one
         mat = conditional_expect(x, k + 1).mat if k < sp.n_gen else x.mat
-        g = sp._generators[k] if k < sp.n_gen else sp._phantom
+        g = gens[k]  # the phantom at k = n_gen
         _assert_bitwise_but_zero_signs(got, 0.5 * (mat + g @ (gam @ mat @ gam) @ g))
 
 
@@ -196,7 +245,7 @@ def test_monomial_matches_the_dense_product():
     subset = (0, 2, 3, 6)
     want = np.eye(sp.dim, dtype=complex)
     for i in subset:
-        want = want @ sp._generators[i]
+        want = want @ _JW[7][0][i]
     _assert_bitwise_but_zero_signs(sp.monomial(subset).mat, want)
 
 

@@ -31,7 +31,9 @@ def test_nonuniform_from_nodes():
 
 @pytest.mark.parametrize(
     "nodes",
-    [[0.0], [], [0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.5]],
+    # an infinite node made every driver increment on the grid NaN
+    [[0.0], [], [0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.5], [0.0, np.inf],
+     [0.0, 1.0, np.inf], [-np.inf, 0.0]],
 )
 def test_bad_node_lists_rejected(nodes):
     with pytest.raises(ValueError):
