@@ -26,6 +26,7 @@ from .modulus import OsgoodModulus
 from .space import (
     CliffordSpace,
     conditional_expect,
+    expand,
     parity_decompose,
     random_level_element,
     require_adapted,
@@ -81,56 +82,128 @@ class NonlocalMap:
 # -- spot-check validators ---------------------------------------------------
 
 
-def _probes(space, rng, trials: int, start_node: int):
-    """``(node, level, x, y)`` for each spot check: x and y a pair of
-    random level elements at one common random scale.  Levels are nested,
-    so the first node is the binding adaptedness case: it is probed first,
-    deterministically, then nodes from start_node on are sampled."""
+def draw_probes(space: CliffordSpace, p: float, seed: int = 0,
+                trials: int = 8, start_node: int = 0) -> tuple:
+    """The probes of one validation, drawn once from ``seed`` and shared by
+    every map checked with them, as ``(pairs, scalar, boundaries)``.
+
+    ``pairs`` holds ``(node, level, x, y, ||x - y||_p)``: x and y level
+    elements of the node's level space, where the solve evaluates the maps,
+    at one random scale.  Levels are nested, so the first node is the
+    binding adaptedness case: it is probed first, deterministically, then
+    nodes from start_node on are sampled.  ``scalar`` is the level-0
+    argument of the continuity check, on ``level_space(start_node)``.
+    ``boundaries`` holds ``(node, a, larger)`` for every step from one level
+    space to the next larger one, the last to the full space, with ``a`` a
+    level element of the smaller space at the last node it serves.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0EF,)))
+    n = space.grid.n
+    pairs = []
     for trial in range(trials):
-        if trial == 0:
-            k = start_node
-        else:
-            k = int(rng.integers(start_node, space.grid.n + 1))
-        level = space.level_of_node(k)
-        x = random_level_element(space, rng, level)
-        y = random_level_element(space, rng, level)
+        k = start_node if trial == 0 else int(rng.integers(start_node, n + 1))
+        level, sub = space.level_of_node(k), space.level_space(k)
         scale = 10.0 ** rng.uniform(-3, 0.5)
-        # rebound, so the suspended generator keeps no unscaled copies
-        x, y = scale * x, scale * y
-        yield k, level, x, y
+        x, y = (scale * random_level_element(sub, rng, level) for _ in range(2))
+        pairs.append((k, level, x, y, lp_norm(x - y, p)))
+    scalar = random_level_element(space.level_space(start_node), rng, 0)
+    chain = [(k, space.level_space(k)) for k in range(start_node, n + 1)]
+    boundaries = [
+        (k, random_level_element(sub, rng, space.level_of_node(k)), nxt)
+        for (k, sub), (_, nxt) in pairwise(chain) if nxt is not sub]
+    return pairs, scalar, boundaries
+
+
+def _label(role: str, m, default: str) -> str:
+    """The map's name in messages: "F (name)" in a problem, else its name."""
+    return f"{role} ({m.name or 'unnamed'})" if role else m.name or default
+
+
+def _evaluate(label: str, fn, k: int, x: CliffordElement) -> CliffordElement:
+    """fn(x, k) at node k, where a failure, or an image outside x's
+    space, breaks the contract the level-factored solve relies on."""
+    try:
+        y = fn(x, k)
+    except Exception as exc:
+        raise ContractViolationError(
+            f"{label}: raised {type(exc).__name__} ({exc}) on a level "
+            f"factor of dimension {x.space.dim} at node {k}") from exc
+    if y.space is not x.space and y.space != x.space:
+        raise ContractViolationError(
+            f"{label}: returned an element of another space than its level "
+            f"factor's at node {k}")
+    return y
+
+
+def _require_embedding(label: str, fn, boundaries) -> None:
+    """fn(a (x) I, k) must equal fn(a, k) (x) I elementwise, within 1e-12
+    of the image's largest entry, at each of the ``boundaries`` of
+    :func:`draw_probes`: the solve evaluates fn on level factors and embeds
+    the images."""
+    for k, a, nxt in boundaries:
+        want = expand(_evaluate(label, fn, k, a), nxt).mat
+        got = _evaluate(label, fn, k, expand(a, nxt)).mat
+        gap = np.abs(got - want)
+        if not np.all(gap <= 1e-12 * np.abs(want).max()):
+            raise ContractViolationError(
+                f"{label}: the image of a level factor embedded in "
+                f"dimension {nxt.dim} is not its image's embedding at node "
+                f"{k} (largest entry gap {gap.max():.3e})")
+
+
+def _require_level(label: str, image: CliffordElement, level: int,
+                   p: float) -> None:
+    """The image of a level-``level`` factor must stay at that level; only
+    a factor space with generators above the level can hold one that does
+    not (odd levels, level 0, and the top node of an odd count)."""
+    if level < 2 * image.space.factors:
+        require_adapted(image, level, p, 1e-10,
+                        f"{label}: image of a level-{level} element leaves "
+                        f"the level algebra")
 
 
 def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
                          seed: int = 0, trials: int = 6,
-                         start_node: int = 0) -> None:
+                         start_node: int = 0, *, probes: tuple | None = None,
+                         role: str = "") -> None:
     """Spot-check adaptedness, the declared modulus, the parity /
-    self-adjointness flags, and continuity in time.
+    self-adjointness flags, continuity in time, and the embedding contract.
 
-    Only nodes from ``start_node`` on are sampled — a coefficient whose
-    values sit above level 0 is fine for a problem that starts later.
+    The probes run where the level-factored solve evaluates the map: on
+    the level factors of nodes from ``start_node`` on (a coefficient whose
+    values sit above level 0 is fine for a problem that starts later).
+    L^p norms are invariant under ``(x) I``, so they hold at full size
+    when they hold there if the map keeps the embedding contract
+    ``cmap(a (x) I, t) = cmap(a, t) (x) I``, checked at every step to a
+    larger level space and from the largest to the full space.  A map that
+    raises on a level factor or returns another space's element fails it.
 
     Continuity is a desk-scale heuristic: on a 4x refinement of the grid the
     largest jump between adjacent samples must fall to at most 0.75 of the
     coarse-grid jump (with a 1e-9 floor); genuine jump discontinuities keep
     their size under refinement and get rejected.  It is checked at a scalar
-    on ``space.level_space(start_node)``, the smallest space the solver
-    evaluates the map in.  The other probes stay full size: an image that
-    leaves the level algebra has no level factor to hold it.
+    on ``space.level_space(start_node)``.
+
+    ``probes``, a :func:`draw_probes` draw, is shared by a problem's F, G,
+    H and R; without it the call draws its own from ``seed`` and
+    ``trials``.  ``role`` ("F", "G", "H") names the map in the messages.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0EF,)))
+    if probes is None:
+        probes = draw_probes(space, p, seed, trials, start_node)
     grid = space.grid
-    label = cmap.name or "coefficient"
-    for k, level, x, y in _probes(space, rng, trials, start_node):
-        t = grid.node(k)
-        fx = cmap(x, t)
-        # adapted: the image must stay at the argument's level
-        require_adapted(fx, level, p, 1e-10,
-                        f"{label}: image of a level-{level} element leaves "
-                        f"the level algebra")
+    label = _label(role, cmap, "coefficient")
+
+    def fn(x, k):
+        return cmap(x, grid.node(k))
+
+    pairs, scalar, boundaries = probes
+    for k, level, x, y, gap in pairs:
+        fx = _evaluate(label, fn, k, x)
+        _require_level(label, fx, level, p)
         # declared modulus on the sampled pair
-        gap2 = lp_norm(x - y, p) ** 2
+        gap2 = gap ** 2
         if gap2 > 0:
-            lhs2 = lp_norm(fx - cmap(y, t), p) ** 2
+            lhs2 = lp_norm(fx - _evaluate(label, fn, k, y), p) ** 2
             bound = cmap.modulus(gap2)
             if lhs2 > bound * (1 + 1e-9) + 1e-15:
                 raise ContractViolationError(
@@ -138,8 +211,7 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
                     f"declared modulus bound {bound:.6e} at gap^2 {gap2:.3e}"
                 )
         if cmap.selfadjoint_preserving or cmap.parity_even:
-            xs = 0.5 * (x + x.adjoint())
-            img = cmap(xs, t)
+            img = _evaluate(label, fn, k, 0.5 * (x + x.adjoint()))
             if cmap.selfadjoint_preserving and img.selfadjoint_defect(p) > 1e-10:
                 raise ContractViolationError(
                     f"{label}: declared selfadjoint_preserving but breaks "
@@ -152,12 +224,12 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
                         f"{label}: declared parity_even but the image of a "
                         f"self-adjoint element has an odd part"
                     )
+    _require_embedding(label, fn, boundaries)
     # continuity in t along a refinement, at a fixed scalar argument
-    x = random_level_element(space.level_space(start_node), rng, 0)
     jumps = []
     for refine in (2, 8):
         ts = np.linspace(grid.t0, grid.T, refine * grid.n + 1)
-        vals = (cmap(x, float(t)) for t in ts)
+        vals = (cmap(scalar, float(t)) for t in ts)
         jumps.append(max((lp_norm(b - a, p) for a, b in pairwise(vals)),
                          default=0.0))
     if jumps[1] > 0.75 * jumps[0] + 1e-9:
@@ -169,16 +241,23 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
 
 def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
                       seed: int = 0, trials: int = 8,
-                      start_node: int = 0) -> None:
-    """Spot-check the declared contraction constant on sampled pairs."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x4A0C,)))
-    label = rmap.name or "nonlocal map"
-    for _, level, x, y in _probes(space, rng, trials, start_node):
-        img = rmap(x)
-        require_adapted(img, level, p, 1e-10,
-                        f"{label}: image leaves the level-{level} algebra")
-        gap = lp_norm(x - y, p)
-        moved = lp_norm(img - rmap(y), p)
+                      start_node: int = 0, *, probes: tuple | None = None,
+                      role: str = "") -> None:
+    """Spot-check the declared contraction constant on sampled pairs,
+    adaptedness and the embedding contract, on level factors as
+    :func:`validate_coefficient` does."""
+    if probes is None:
+        probes = draw_probes(space, p, seed, trials, start_node)
+    label = _label(role, rmap, "nonlocal map")
+
+    def fn(x, k):
+        return rmap(x)
+
+    pairs, _, boundaries = probes
+    for k, level, x, y, gap in pairs:
+        img = _evaluate(label, fn, k, x)
+        _require_level(label, img, level, p)
+        moved = lp_norm(img - _evaluate(label, fn, k, y), p)
         if rmap.is_zero:
             if moved > 1e-12 or lp_norm(img, p) > 1e-12:
                 raise ContractViolationError(
@@ -189,6 +268,7 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
                 f"{label}: moved {moved:.6e} on a gap of {gap:.6e}, beyond "
                 f"the declared contraction {rmap.contraction}"
             )
+    _require_embedding(label, fn, boundaries)
 
 
 # -- built-in coefficient factories -----------------------------------------

@@ -16,9 +16,10 @@ its level algebra, so it skips the check; ``from_factors`` checks level
 factors at their own size.
 
 A driver's increments are cached on their space as one read-only
-``(n, dim, dim)`` stack per driver and, apart from it, as each row's
-:class:`~.space.MonomialGather`; :meth:`Driver.increment` hands out a
-read-only element over one of its rows.
+``(n, dim, dim)`` stack per driver and, apart from it, as the
+:class:`~.space.MonomialGather` of each increment asked for;
+:meth:`Driver.increment` hands out a read-only element over one of its
+rows.
 """
 
 from __future__ import annotations
@@ -130,15 +131,16 @@ class Driver:
             stack = space._increments.setdefault(self, stack)
         return stack
 
-    def gathers(self, space: CliffordSpace) -> tuple:
-        """Each increment's :class:`MonomialGather`, built one increment at
-        a time (no stack) and cached on the space apart from the stack."""
-        if self not in space._gathers:
+    def gather(self, space: CliffordSpace, k: int) -> MonomialGather:
+        """Increment k's :class:`MonomialGather`, built from that increment
+        alone on first use and cached on the space by ``(driver, k)``,
+        apart from the stack."""
+        key = (self, k)
+        if key not in space._gathers:
             build = DRIVER_KINDS[self.kind][2]
-            space._gathers.setdefault(self, tuple(
-                MonomialGather(build(self, space, k).mat)
-                for k in range(space.grid.n)))
-        return space._gathers[self]
+            space._gathers.setdefault(
+                key, MonomialGather(build(self, space, k).mat))
+        return space._gathers[key]
 
 
 def _node_range(space, num, start_node) -> tuple:

@@ -32,6 +32,7 @@ import numpy as np
 from .coefficients import (
     CoefficientMap,
     NonlocalMap,
+    draw_probes,
     validate_coefficient,
     validate_nonlocal,
 )
@@ -105,13 +106,16 @@ class QsdeProblem:
                     f"{self.R.contraction}"
                 )
             if self.validate:
-                for cmap in (self.F, self.G, self.H):
-                    validate_coefficient(cmap, self.space, self.p,
-                                         seed=_VALIDATION_SEED,
-                                         start_node=self.start_node)
+                # one draw of level-factor probes serves all four maps
+                probes = draw_probes(self.space, self.p, _VALIDATION_SEED,
+                                     start_node=self.start_node)
+                for role in "FGH":
+                    validate_coefficient(getattr(self, role), self.space,
+                                         self.p, start_node=self.start_node,
+                                         probes=probes, role=role)
                 validate_nonlocal(self.R, self.space, self.p,
-                                  seed=_VALIDATION_SEED,
-                                  start_node=self.start_node)
+                                  start_node=self.start_node, probes=probes,
+                                  role="R")
 
     @property
     def is_lipschitz(self) -> bool:
@@ -287,13 +291,14 @@ def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement
 
 def _cumulative_integrals(problem: QsdeProblem, values):
     """M_k for all nodes k0..n from the level factors of the integrand at
-    k0..n-1: step k runs in node k+1's level space, with its gathers."""
+    k0..n-1: step k runs in node k+1's level space, with increment k's gather
+    there."""
     sp, grid = problem.space, problem.space.grid
     acc = sp.level_space(problem.start_node).zero()
     sums = [acc]
     for k, x in zip(range(problem.start_node, grid.n), values):
         t, nsp = grid.node(k), sp.level_space(k + 1)
-        g = problem.driver.gathers(nsp)[k]
+        g = problem.driver.gather(nsp, k)
         f, gl, h = (expand(y, nsp).mat for y in (
             _image("F", problem.F, k, x, t), _image("G", problem.G, k, x, t),
             grid.delta(k) * _image("H", problem.H, k, x, t)))

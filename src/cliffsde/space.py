@@ -29,9 +29,10 @@ Kronecker products go through ``_kron``, the broadcast product that
 ``np.kron`` computes internally, so the results are bitwise those of
 ``np.kron`` without its generic-shape overhead.  Each space caches, per
 driver, one read-only ``(n, dim, dim)`` increment stack and, apart from
-it, the increments' gathers (arrays only, so no reference cycle; see
-:meth:`Driver.increments` and :meth:`Driver.gathers`).  Levels are plain
-integers; :func:`require_adapted` is the one adaptedness rejection.
+it, each increment's gather once it is asked for (arrays only, so no
+reference cycle; see :meth:`Driver.increments` and :meth:`Driver.gather`).
+Levels are plain integers; :func:`require_adapted` is the one adaptedness
+rejection.
 
 A space holds the generators, Gamma and the phantom only as gathers
 (:class:`MonomialGather`; ``dense()`` is the one way back to a matrix).

@@ -1,10 +1,15 @@
 """Coefficient maps, nonlocal maps, and the construction-time spot checks."""
 
+from itertools import pairwise
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsde import (
     COEFFICIENTS,
+    PROBLEMS,
     CoefficientMap,
     ContractViolationError,
     NONLOCAL_MAPS,
@@ -12,15 +17,20 @@ from cliffsde import (
     OsgoodModulus,
     TimeGrid,
     conditional_expect,
+    forward_euler_oracle,
     lp_norm,
     make_coefficient,
     make_nonlocal,
+    make_problem,
     make_space,
     parity_decompose,
+    picard_solve,
     random_level_element,
+    residual,
     validate_coefficient,
     validate_nonlocal,
 )
+from cliffsde import solver
 
 P = 4.0
 
@@ -128,26 +138,40 @@ def test_validator_start_node_relaxes_levels():
     validate_coefficient(emap, _SP, P, start_node=1)
 
 
-def test_continuity_check_runs_on_the_start_nodes_level_space():
-    # the probes see full-size arguments; the 2n + 1 and 8n + 1 continuity
-    # samples see a scalar on the smallest space the solver uses
+def test_validation_evaluates_where_the_solve_does():
+    # the probes run on each node's level space; the embedding check adds
+    # one evaluation in the next larger space per boundary, the full space
+    # after the largest level space; the 2n + 1 and 8n + 1 continuity
+    # samples see a scalar on level_space(start_node)
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 6))
+    n = sp.grid.n
+    node_of = {t: k for k, t in enumerate(sp.grid.nodes)}
     seen = []
 
     def fn(x, t):
-        seen.append(x.space)
+        seen.append((x.space, t))
         return 0.5 * x
 
     rec = CoefficientMap(fn=fn, modulus=OsgoodModulus.from_lipschitz(0.5),
                          name="recording")
-    samples = 10 * sp.grid.n + 2
+    samples = 10 * n + 2
     for start_node in (0, 3):
         seen.clear()
         validate_coefficient(rec, sp, P, start_node=start_node)
+        probes, continuity = seen[:-samples], seen[-samples:]
         assert sp.level_space(start_node) is not sp
-        assert all(s is sp for s in seen[:-samples])
-        assert all(s is sp.level_space(start_node) for s in seen[-samples:])
-        assert len(seen) > samples
+        assert all(s is sp.level_space(start_node) for s, _ in continuity)
+        chain = [(k, sp.level_space(k)) for k in range(start_node, n + 1)]
+        up = [(k, b) for (k, a), (_, b) in pairwise(chain) if b is not a]
+        lifted = [(node_of[t], s) for s, t in probes
+                  if s is not sp.level_space(node_of[t])]
+        assert lifted == up and up[-1][1] is sp
+        # the full space: at the nodes whose level space it is, and at the
+        # top boundary
+        full = {node_of[t] for s, t in probes if s is sp}
+        top = {k for k in range(n + 1) if sp.level_space(k) is sp}
+        assert up[-1][0] in full <= top | {up[-1][0]}
+        assert len(probes) > 2 * len(up)
 
 
 def test_continuity_check_space_follows_the_start_node():
@@ -248,3 +272,104 @@ def test_zero_nonlocal_map(space4):
     rmap = make_nonlocal("zero")
     assert rmap.is_zero
     assert rmap(space4.identity()).is_close(space4.zero(), tol=0.0)
+
+
+# -- the embedding contract of the level-factored solve -------------------------
+
+
+def _dim_dependent_scale(consts: dict, name: str = "by_dim") -> CoefficientMap:
+    """x -> c * x with c looked up by the dimension of x's space."""
+    return CoefficientMap(fn=lambda x, t: consts[x.space.dim] * x,
+                          modulus=OsgoodModulus.from_lipschitz(
+                              max(consts.values())),
+                          name=name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 0x5DE, 2**32 - 1])
+def test_a_map_that_differs_only_at_full_size_is_rejected(monkeypatch, seed):
+    # F = 0.5 x on the full space, 0.25 x on every level space: Lipschitz
+    # 0.5 everywhere, but the factored solve evaluates the 0.25 branch and
+    # lands 0.283 away from the Euler oracle, which residual() cannot see
+    prob = make_problem("linear_field", n=6)
+    full = prob.space.dim
+    consts = {2 ** f: 0.25 for f in range(1, prob.space.factors)}
+    bad = _dim_dependent_scale({**consts, full: 0.5}, name="half_on_full")
+    unchecked = prob.replace(F=bad, validate=False)
+    report = picard_solve(unchecked)
+    oracle = forward_euler_oracle(unchecked)
+    assert max(lp_norm(a - b, P) for a, b in zip(
+        report.trajectory.values, oracle.values)) > 0.28
+    assert residual(report.trajectory, unchecked) < 1e-12
+    monkeypatch.setattr(solver, "_VALIDATION_SEED", seed)
+    with pytest.raises(ContractViolationError,
+                       match=r"^F \(half_on_full\): the image of a level "
+                             r"factor embedded in dimension 8 "):
+        prob.replace(F=bad)
+
+
+@pytest.mark.parametrize("role", ["F", "G", "H", "R"])
+def test_a_map_that_raises_on_a_level_space_is_named(role):
+    # generator 3 exists on the full n = 4 space, not on level_space(0)
+    prob = make_problem("linear_field", n=4)
+    if role == "R":
+        late = NonlocalMap(fn=lambda x: 0.1 * x.space.generator(3),
+                           contraction=0.5, name="late")
+    else:
+        late = CoefficientMap(fn=lambda x, t: x.space.generator(3),
+                              modulus=OsgoodModulus.from_lipschitz(0.0),
+                              name="late")
+    with pytest.raises(ContractViolationError,
+                       match=rf"^{role} \(late\): raised IndexError "
+                             r"\(generator index 3 outside 0\.\.1\) on a "
+                             r"level factor of dimension 2 at node 0$"):
+        prob.replace(**{role: late})
+
+
+@pytest.mark.parametrize("role", ["F", "G", "H", "R"])
+def test_a_map_that_returns_another_space_is_named(role):
+    prob = make_problem("linear_field", n=4)
+    full = prob.space.identity()
+    if role == "R":
+        closure = NonlocalMap(fn=lambda x: 0.1 * full, contraction=0.5,
+                              name="closure")
+    else:
+        closure = CoefficientMap(fn=lambda x, t: full, name="closure",
+                                 modulus=OsgoodModulus.from_lipschitz(0.0))
+    with pytest.raises(ContractViolationError,
+                       match=rf"^{role} \(closure\): returned an element of "
+                             r"another space than its level factor's at "
+                             r"node 0$"):
+        prob.replace(**{role: closure})
+
+
+def _sizes(name: str) -> st.SearchStrategy:
+    # the pair layout has two generators per step: n <= 7 keeps it inside
+    # the default budget
+    return st.integers(2, 7 if name == "linear_pair" else 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PROBLEMS)))
+def test_every_builtin_problem_is_accepted_at_every_start_node(data, name):
+    n = data.draw(_sizes(name), label="n")
+    prob = make_problem(name, n=n)
+    for start_node in range(1, n):
+        assert prob.replace(start_node=start_node).start_node == start_node
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_a_dimension_dependent_scale_is_rejected_iff_its_constants_differ(
+        n, data):
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
+    start_node = data.draw(st.integers(0, n - 1), label="start_node")
+    consts = {2 ** f: data.draw(st.sampled_from([0.25, 0.5]), label=f"c{f}")
+              for f in range(1, sp.factors + 1)}
+    seen = {consts[2 ** f]
+            for f in range(sp.level_space(start_node).factors, sp.factors + 1)}
+    prob = make_problem("linear_field", n=n).replace(start_node=start_node)
+    if len(seen) == 1:
+        prob.replace(F=_dim_dependent_scale(consts))
+    else:
+        with pytest.raises(ContractViolationError, match=r"^F \(by_dim\): "):
+            prob.replace(F=_dim_dependent_scale(consts))

@@ -33,6 +33,7 @@ from cliffsde import (
     conditional_expect,
     make_coefficient,
     make_nonlocal,
+    make_problem,
     make_space,
     parity_automorphism,
     picard_solve,
@@ -148,9 +149,9 @@ def test_driver_increment_gathers_equal_dense_products(layout, which, d, seed):
     drivers = [dr for dr in _DRIVERS if dr.required_layout == layout]
     driver = drivers[d % len(drivers)]
     x = _matrix(sp.dim, seed)
-    stack, gathers = driver.increments(sp), driver.gathers(sp)
-    assert len(gathers) == len(stack)
-    for m, gather in zip(stack, gathers):
+    stack = driver.increments(sp)
+    for k, m in enumerate(stack):
+        gather = driver.gather(sp, k)
         _assert_bitwise_but_zero_signs(gather.right(x), x @ m)
         _assert_bitwise_but_zero_signs(gather.left(x), m @ x)
 
@@ -161,7 +162,8 @@ def test_complex_alpha_gathers_agree_within_4_ulp(which, seed):
     sp = _SPACES["pair"][which]
     # no huge entries: the rounding of a two-term sum is what differs here
     x = _matrix(sp.dim, seed, scales=(1.0, 1e-310, 5e-324))
-    for m, gather in zip(_COMPLEX_ALPHA.increments(sp), _COMPLEX_ALPHA.gathers(sp)):
+    for k, m in enumerate(_COMPLEX_ALPHA.increments(sp)):
+        gather = _COMPLEX_ALPHA.gather(sp, k)
         for got, want, size in (
                 (gather.right(x), x @ m, np.abs(x[:, gather.cols] * gather.wc)),
                 (gather.left(x), m @ x,
@@ -171,28 +173,44 @@ def test_complex_alpha_gathers_agree_within_4_ulp(which, seed):
             assert np.all(np.abs(got.imag - want.imag) <= bound)
 
 
-def test_gathers_are_cached_with_the_increment_stack():
-    # the gathers are built from one increment at a time and cached apart
-    # from the stack: asking for them builds no (n, dim, dim) stack
+def test_gathers_are_built_on_first_use_apart_from_the_stack():
+    # each gather is built from its own increment when first asked for and
+    # cached by (driver, k): asking for one builds no other gather and no
+    # (n, dim, dim) stack
     for kind in DRIVER_KINDS:
         driver = Driver(kind, 0.75 + 0.25j, -1.5j)
         sp = make_space(TimeGrid.uniform(0.0, 1.0, 3),
                         layout=driver.required_layout)
-        gathers = driver.gathers(sp)
-        assert driver.gathers(sp) is gathers
+        g = driver.gather(sp, 1)
+        assert driver.gather(sp, 1) is g
+        assert list(sp._gathers) == [(driver, 1)]
         assert not sp._increments
-        for g in gathers:
-            # O(dim) vectors per increment, not dim x dim weights
-            assert {a.shape for a in (g.cols, g.wc, g.rows, g.wr)} == \
-                {(sp.dim,)}
+        # O(dim) vectors, not dim x dim weights
+        assert {a.shape for a in (g.cols, g.wc, g.rows, g.wr)} == {(sp.dim,)}
         stack = driver.increments(sp)
         assert driver.increments(sp) is stack
-        assert driver.gathers(sp) is gathers
-        for m, g in zip(stack, gathers, strict=True):
+        assert driver.gather(sp, 1) is g
+        for k, m in enumerate(stack):
             want = MonomialGather(m)
             for name in MonomialGather.__slots__:
-                assert getattr(g, name).tobytes() == \
+                assert getattr(driver.gather(sp, k), name).tobytes() == \
                     getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("start_node", [0, 3])
+def test_a_solve_builds_only_the_gathers_it_reads(start_node):
+    # step k of the cumulative integrals reads increment k's gather in
+    # node k + 1's level space, and no other
+    prob = make_problem("nonlocal_linear", n=8).replace(start_node=start_node)
+    picard_solve(prob)
+    sp = prob.space
+    want = {}
+    for k in range(start_node, sp.grid.n):
+        want.setdefault(id(sp.level_space(k + 1)), set()).add(k)
+    for space in (sp, *sp._levels.values()):
+        got = {k for (driver, k) in space._gathers}
+        assert got == want.get(id(space), set())
+        assert all(driver == prob.driver for driver, _ in space._gathers)
 
 
 @pytest.mark.parametrize("bad", [
