@@ -80,6 +80,11 @@ _PAIR_NS = frozenset(range(1, DEFAULT_MAX_GENERATORS // 2 + 1))
 _INTEGER = (int, np.integer)
 
 
+def _has_bool(sizes) -> bool:
+    """Whether a size is a bool, which passes ``_counts_ok`` as 0 or 1."""
+    return any(isinstance(s, (bool, np.bool_)) for s in sizes)
+
+
 def _counts_ok(counts, allowed: frozenset) -> bool:
     """8.0 passes the set test; a sum is an integer only if each count is"""
     return allowed.issuperset(counts) and isinstance(sum(counts), _INTEGER)
@@ -647,9 +652,13 @@ def run_suites(config: SuiteConfig, names) -> SweepTable:
     """Run the named suites (any subset of SUITE_NAMES) into one table,
     recording each suite's wall time in ``table.wall_s``.  The suites
     share one space per ``(n, layout)``; ``spaces`` holds them for this
-    run only.  The gate values are checked here, not in the (cheap)
-    SuiteConfig build, before any suite runs."""
+    run only.  The gate values, and that no size is a bool, are checked
+    here, not in the (cheap) SuiteConfig build, before any suite runs."""
     for key, ok, domain in (
+            ("trials", not _has_bool([config.trials]), "an integer, at least 1"),
+            ("n_grid", not _has_bool(config.n_grid), f"integer counts 1..{len(_NS)}"),
+            ("pair_n_grid", not _has_bool(config.pair_n_grid),
+             f"integer counts 1..{len(_PAIR_NS)}"),
             ("ratio_tol", 0 <= config.ratio_tol < math.inf, "finite, at least 0"),
             ("p_grid", all(2 <= p < math.inf for p in config.p_grid),
              "finite, at least 2"),

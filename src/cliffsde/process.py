@@ -30,9 +30,9 @@ import numpy as np
 
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
-from .errors import ConfigurationError
+from .errors import AdaptednessError, ConfigurationError
 from .space import (CliffordSpace, MonomialGather, _draw_levels, _embed,
-                    adaptedness_defect, as_int, require_adapted)
+                    adaptedness_defect, as_int)
 
 #: Construction rejects values whose projection defect exceeds this or is NaN.
 ADAPTEDNESS_REJECT_TOL = 1e-8
@@ -160,6 +160,16 @@ def _node_range(space, num, start_node) -> tuple:
     return num, start_node
 
 
+def _require_node_adapted(space, node: int, defect: float) -> None:
+    """Raise AdaptednessError for the value at ``node`` unless its L^2
+    adaptedness defect at the node's level is at most
+    ADAPTEDNESS_REJECT_TOL; a NaN defect (a non-finite value) fails."""
+    if not defect <= ADAPTEDNESS_REJECT_TOL:
+        raise AdaptednessError(
+            f"value at node {node} is not level-{space.level_of_node(node)} "
+            f"measurable (defect {defect:.3e})")
+
+
 def _adapted_stack(space, values, start_node, home) -> tuple:
     """``(mats, start_node)``: the read-only stack of the values ``a (x) I``
     for values a on the spaces ``home(node)`` (checked ``start_node``),
@@ -171,9 +181,8 @@ def _adapted_stack(space, values, start_node, home) -> tuple:
         sub = home(node)
         if v.space is not sub and v.space != sub:
             raise ConfigurationError("process values belong to a different space")
-        level = space.level_of_node(node)
-        require_adapted(v, level, 2, ADAPTEDNESS_REJECT_TOL,
-                        f"value at node {node} is not level-{level} measurable")
+        _require_node_adapted(space, node, adaptedness_defect(
+            v, space.level_of_node(node), 2))
         _embed(v.mat, out)
     mats.setflags(write=False)
     return mats, start_node

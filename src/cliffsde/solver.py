@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     DriverMismatchError,
 )
 from .integrals import driver_integral, measure_bg_constant
-from .process import AdaptedProcess, Driver
+from .process import AdaptedProcess, Driver, _require_node_adapted
 from .space import (CliffordSpace, adaptedness_defect, expand,
                     require_adapted, restrict)
 
@@ -225,33 +225,43 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
 
 @dataclass
 class SolveReport:
-    """Outcome of a converged Picard run, plus per-iteration traces."""
+    """Outcome of a converged Picard run: the final level factor and the
+    residual at each node k0, k0 + 1, ..., plus per-iteration traces."""
 
     problem: QsdeProblem
-    trajectory: AdaptedProcess
+    factors: list
+    node_residuals: list
     deltas: list = field(default_factory=list)
     inner_iterations: list = field(default_factory=list)
     adapted_defects: list = field(default_factory=list)
     selfadjoint_defects: list = field(default_factory=list)
-    residual: float = 0.0
 
     @property
     def picard_iterations(self) -> int:
         return len(self.deltas)
 
+    @property
+    def residual(self) -> float:
+        """sup over nodes of || X_k - Z - R(X) - M_k[X] ||_p."""
+        return max(self.node_residuals)
+
+    @cached_property
+    def trajectory(self) -> AdaptedProcess:
+        """The factors expanded to a full-space process on first read."""
+        return AdaptedProcess.from_factors(self.problem.space, self.factors,
+                                           self.problem.start_node)
+
     def node_records(self):
         """Rows (node, time, lp_norm, residual, selfadjoint_defect)."""
         prob = self.problem
-        factors = _factors(prob, self.trajectory.values)
-        res = _node_residuals(factors, prob)
         rows = []
-        for off, x in enumerate(factors):
-            node = self.trajectory.start_node + off
+        for node, (x, res) in enumerate(zip(self.factors, self.node_residuals),
+                                        prob.start_node):
             rows.append((
                 node,
                 prob.space.grid.node(node),
                 lp_norm(x, prob.p),
-                res[off],
+                res,
                 x.selfadjoint_defect(prob.p),
             ))
         return rows
@@ -380,24 +390,26 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         delta = max(node_deltas)
         trace_delta.append(delta)
         trace_inner.append(inner_count)
-        trace_adapt.append(max(
-            adaptedness_defect(x, sp.level_of_node(k0 + i), 2)
-            for i, x in enumerate(nxt)
-        ))
+        defects = [adaptedness_defect(x, sp.level_of_node(k0 + i), 2)
+                   for i, x in enumerate(nxt)]
+        trace_adapt.append(max(defects))
         trace_sa.append(max(x.selfadjoint_defect(problem.p) for x in nxt))
         current = nxt
 
         if delta < tol:
-            res = max(_node_residuals(current, problem))
-            if res < residual_bound:
+            res = _node_residuals(current, problem)
+            if max(res) < residual_bound:
+                # the check AdaptedProcess makes of every value it holds
+                for node, d in enumerate(defects, k0):
+                    _require_node_adapted(sp, node, d)
                 return SolveReport(
                     problem=problem,
-                    trajectory=AdaptedProcess.from_factors(sp, current, k0),
+                    factors=current,
+                    node_residuals=res,
                     deltas=trace_delta,
                     inner_iterations=trace_inner,
                     adapted_defects=trace_adapt,
                     selfadjoint_defects=trace_sa,
-                    residual=res,
                 )
     raise ConvergenceError(
         f"no convergence to tol={tol:.1e} within {max_outer} Picard "
@@ -437,13 +449,15 @@ def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
 
 def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:
     """Explicit one-pass recursion; only defined for R = 0, where it is
-    the exact fixed point of the discrete equation."""
-    if not problem.R.is_zero:
+    the exact fixed point of the discrete equation.  A map of contraction
+    0 is a constant, so R = 0 also needs R(0) = 0."""
+    sp = problem.space
+    if not problem.R.is_zero or np.any(problem.R(sp.zero()).mat):
         raise ConfigurationError(
             "the explicit Euler oracle needs R = 0; the nonlocal term makes "
             "every node implicit"
         )
-    sp, grid = problem.space, problem.space.grid
+    grid = sp.grid
     x = problem.Z
     values = [x]
     for j in range(problem.start_node, grid.n):

@@ -433,14 +433,18 @@ def _draw_levels(space: CliffordSpace, rngs, k: int,
     parts = np.empty((len(rngs), 2, lo, lo))
     for rng, part in zip(rngs, parts):
         rng.standard_normal(out=part)  # the stream of two (lo, lo) draws
-    a = parts[:, 0] + 1j * parts[:, 1]
+    a = np.empty((len(rngs), lo, lo), complex)
+    a.real = parts[:, 0]
+    a.imag = parts[:, 1]
     mat = _kron(a, _eye(space.dim // lo)) if lo < space.dim else a
     if k % 2 == 1:
         mat = _project(space, mat, k)
     nrms = np.array([_l2_norm(m) for m in mat])
     degenerate = np.flatnonzero(nrms < 1e-12)
     nrms[degenerate] = 1.0
-    out = np.divide(mat, nrms.astype(complex)[:, None, None], out=out)
+    # mat is this call's own array, so without ``out`` it takes the quotient
+    out = np.divide(mat, nrms.astype(complex)[:, None, None],
+                    out=mat if out is None else out)
     for i in degenerate:  # a measure-zero draw
         _draw_levels(space, rngs[i:i + 1], k, out[i:i + 1])
     return out

@@ -156,15 +156,17 @@ def test_bg_ratio_suite_keeps_the_exponent_check():
     ("ratio_tol", math.nan), ("ratio_tol", math.inf), ("ratio_tol", -0.5),
     ("p_grid", (math.nan,)), ("p_grid", (4.0, math.inf)),
     ("p_grid", (3.0, -math.inf)),
+    ("trials", True), ("n_grid", (4, True)), ("pair_n_grid", (True,)),
 ])
 def test_gate_values_out_of_range_are_rejected_before_any_suite_runs(
         key, value, monkeypatch):
     # a NaN ratio_tol turns every ratio gate off (each is a comparison,
-    # false for NaN); a NaN p dies inside the norm kernels
+    # false for NaN); a NaN p dies inside the norm kernels; a bool size
+    # passes the build's integer tests and ran as 1, its cells named True
     ran = []
     monkeypatch.setitem(experiments._SUITE_RUNNERS, "car_identity",
                         lambda *args: ran.append(args))
-    config = SuiteConfig(trials=4, n_grid=(4,), **{key: value})
+    config = SuiteConfig(**{"trials": 4, "n_grid": (4,), key: value})
     with pytest.raises(ConfigurationError, match=key) as exc:
         run_suites(config, ["car_identity", "norm_exchange"])
     assert exc.value.key == key

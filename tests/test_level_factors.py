@@ -5,8 +5,9 @@ The solver holds each node's value as the factor A of its level's
 factored solve to the dense oracle (R = 0), to a residual recomputed
 with dense increment products (R != 0), and check that expansion keeps
 every L^p norm and that a map must stay in its argument's space.  The
-solve needs no dense increment stack, and its trajectory is each factor
-expanded once, checked at the factor's size.
+solve needs no dense increment stack; its report keeps the factors, and
+its trajectory is each factor expanded once, on request, checked at the
+factor's size.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ from cliffsde import (
     picard_solve,
     random_level_element,
 )
+from cliffsde import solver as solver_module
 from cliffsde.space import expand, restrict
 
 TOL = 1e-10
@@ -165,6 +167,46 @@ def test_picard_solve_builds_no_increment_stack(monkeypatch, mode):
     sp = fresh.space
     for space in (sp, *sp._levels.values()):
         assert not space._increments
+
+
+def test_a_written_solve_computes_the_node_residuals_once(monkeypatch):
+    calls = []
+    real = solver_module._node_residuals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "_node_residuals", counted)
+    report = picard_solve(make_problem("nonlocal_linear", n=6))
+    report.trajectory_csv()
+    report.iteration_csv()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "initial"])
+def test_the_solve_rejects_a_final_factor_that_is_not_adapted(mode):
+    # R pulls in the level space's top generator, above node 0's level;
+    # the sweeps converge, and the final factors must still be rejected
+    R = NonlocalMap(
+        fn=lambda x: 0.5 * x @ x.space.generator(x.space.n_gen - 1),
+        contraction=0.5, name="top_generator")
+    prob = make_problem("nonlocal_linear", n=4, nonlocal_mode=mode)
+    with pytest.raises(AdaptednessError) as exc:
+        picard_solve(prob.replace(validate=False, R=R))
+    assert str(exc.value) == ("value at node 0 is not level-0 measurable "
+                              "(defect 6.667e-01)")
+
+
+def test_the_dense_trajectory_is_built_from_the_factors_once():
+    report = picard_solve(make_problem("nonlocal_conditional", n=6)
+                          .replace(start_node=1))
+    dense = report.trajectory
+    want = AdaptedProcess.from_factors(report.problem.space, report.factors,
+                                       start_node=1)
+    assert dense.start_node == 1
+    assert dense.mats.tobytes() == want.mats.tobytes()
+    assert report.trajectory is dense
 
 
 @settings(max_examples=40, deadline=None)

@@ -38,6 +38,7 @@ from cliffsde import (
     make_nonlocal,
     make_problem,
     make_space,
+    perturb_problem,
     picard_solve,
     residual,
     selfadjoint_solve_check,
@@ -460,9 +461,15 @@ def test_inner_exact_norm_count_is_logarithmic(c, rname, p, seed, flat, warm,
      "initial"),
     ("solve_n8_osgood_radial_pointwise.csv", "osgood_radial", "pointwise"),
 ])
-def test_solve_output_matches_the_committed_bytes(fixture, name, mode):
+def test_solve_output_matches_the_committed_bytes(fixture, name, mode,
+                                                  monkeypatch):
     # the fixtures pin trajectory_csv() + iteration_csv() of the default
-    # solve; a change that means to alter them must say so and rewrite them
+    # solve; a change that means to alter them must say so and rewrite them.
+    # Both CSVs come from the stored level factors: no dense trajectory
+    def no_dense(*args, **kw):
+        raise AssertionError("the solve built a dense trajectory")
+
+    monkeypatch.setattr(AdaptedProcess, "from_factors", no_dense)
     report = picard_solve(make_problem(name, n=8, nonlocal_mode=mode))
     text = report.trajectory_csv() + report.iteration_csv()
     assert text.encode() == (DATA / fixture).read_bytes()
@@ -548,6 +555,16 @@ def test_residual_rejects_wrong_node_range():
 def test_euler_oracle_requires_local_equation():
     with pytest.raises(ConfigurationError, match="R = 0"):
         forward_euler_oracle(make_problem("nonlocal_linear", n=4))
+
+
+def test_euler_oracle_rejects_a_constant_nonlocal_map():
+    # R(x) = 0.5 I keeps contraction 0, so R.is_zero holds; the oracle's
+    # trajectory ended 0.927 from the Picard solve's in L^4
+    prob = perturb_problem(make_problem("linear_field", n=4), 0.5,
+                           parts=("R",))
+    assert prob.R.is_zero
+    with pytest.raises(ConfigurationError, match="R = 0"):
+        forward_euler_oracle(prob)
 
 
 # -- problem construction contracts ---------------------------------------------
