@@ -411,15 +411,15 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
         cell = f"layout=pair n={n_pair}"
         inc_worst = nil_worst = 0.0
         for k in range(n_pair):
-            da = space.annihilation_increment(k)
-            ds = space.creation_increment(k)
+            da = Driver.annihilation().increment(space, k)
+            ds = Driver.creation().increment(space, k)
             delta = space.grid.delta(k)
             inc_worst = max(inc_worst, op_norm(
                 da @ ds + ds @ da - delta * space.identity()))
             nil_worst = max(nil_worst, op_norm(da @ da))
         run_worst = 0.0
         running = _running_sums(space.zero(),
-                                 ((space.annihilation_increment(k),)
+                                 ((Driver.annihilation().increment(space, k),)
                                   for k in range(n_pair)))
         next(running)
         for k, acc in enumerate(running):

@@ -37,6 +37,9 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t0: float, T: float, n: int) -> "TimeGrid":
+        if isinstance(n, (bool, np.bool_)):
+            raise ValueError(f"n {n!r} is not an integer")
+        n = as_int(n, "n")
         if n < 1:
             raise ValueError(f"need at least one increment, got n={n}")
         if not T > t0:

@@ -238,7 +238,7 @@ def parity_commutation_defect(h: CliffordElement, increment_index: int):
     require_adapted(h, level, 2, 1e-8,
                     f"h is not level-{level} measurable; the commutation "
                     f"rule only applies to earlier elements")
-    inc = sp.fermion_increment(increment_index)
+    inc = Driver.fermion_field().increment(sp, increment_index)
     even, odd = parity_decompose(h)
     even_defect = op_norm(even @ inc - inc @ even)
     odd_defect = op_norm(odd @ inc + inc @ odd)
@@ -246,8 +246,6 @@ def parity_commutation_defect(h: CliffordElement, increment_index: int):
 
 
 # -- inequality reports ------------------------------------------------------
-
-CSV_HEADER = "suite,p,q,trial,seed,lhs,rhs,ratio"
 
 
 @dataclass(frozen=True)
@@ -262,13 +260,6 @@ class InequalityReport:
     q: float | None = None
     trial: int = 0
     seed: int = 0
-
-    def csv_row(self) -> str:
-        qtxt = "" if self.q is None else repr(float(self.q))
-        return (
-            f"{self.suite},{float(self.p)!r},{qtxt},{self.trial},{self.seed},"
-            f"{self.lhs!r},{self.rhs!r},{self.ratio!r}"
-        )
 
 
 def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,

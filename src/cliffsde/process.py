@@ -15,11 +15,11 @@ never re-checked.  :meth:`AdaptedProcess.random` draws each value inside
 its level algebra, so it skips the check; ``from_factors`` checks level
 factors at their own size.
 
-A driver's increments are cached on their space as one read-only
-``(n, dim, dim)`` stack per driver and, apart from it, as the
-:class:`~.space.MonomialGather` of each increment asked for;
-:meth:`Driver.increment` hands out a read-only element over one of its
-rows.
+A driver's increment k is a :class:`~.space.MonomialGather` that its kind
+in :data:`DRIVER_KINDS` builds from the space's generator gathers, cached
+on the space once asked for.  :meth:`Driver.increment` hands out its dense
+matrix; :meth:`Driver.increments` the read-only ``(n, dim, dim)`` stack of
+them that the stacked integral kernels read, cached apart.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
-from .errors import AdaptednessError, ConfigurationError
+from .errors import AdaptednessError, ConfigurationError, DriverMismatchError
 from .space import (CliffordSpace, MonomialGather, _draw_levels, _embed,
                     adaptedness_defect, as_int)
 
@@ -43,21 +43,36 @@ ADAPTEDNESS_REJECT_TOL = 1e-8
 _CHUNK_BYTES = 128 * 1024
 
 
-def _combined_increment(driver, space, k):
-    da = space.annihilation_increment(k)
-    return driver.alpha1 * da + driver.alpha2 * da.adjoint()
+def _fermion(driver, space, k) -> MonomialGather:
+    """sqrt(delta_k) e_k; squares to delta_k and anticommutes with every
+    other increment."""
+    s = complex(np.sqrt(space.grid.delta(k)))  # grid.delta checks k
+    e = space._gen_gathers[k]
+    return MonomialGather(e.cols, e.wc * s)
 
 
-#: The driver registry: kind -> (required layout, label used in the suites'
-#: cell names, increment(driver, space, k)).
+def _annihilation(driver, space, k) -> MonomialGather:
+    """sqrt(delta_k) (e_{2k} + i e_{2k+1}) / 2, nilpotent of order two: both
+    generators flip one factor, so share ``cols``; half the weights cancel."""
+    s = complex(np.sqrt(space.grid.delta(k)))  # grid.delta checks k
+    e, f = space._gen_gathers[2 * k:2 * k + 2]
+    return MonomialGather(e.cols, (e.wc + f.wc * complex(1j)) * complex(0.5) * s)
+
+
+def _combined(driver, space, k) -> MonomialGather:
+    """alpha1 dA + alpha2 dA*: dA and dA* share ``cols``, a flip."""
+    da = _annihilation(driver, space, k)
+    return MonomialGather(da.cols, da.wc * complex(driver.alpha1)
+                          + da.adjoint().wc * complex(driver.alpha2))
+
+
+#: The driver registry, the one place an increment's formula appears: kind ->
+#: (layout, label in the suites' cell names, gather(driver, space, k)).
 DRIVER_KINDS = {
-    "fermion_field": ("fermion", "fermion",
-                      lambda driver, space, k: space.fermion_increment(k)),
-    "annihilation": ("pair", "annihilation",
-                     lambda driver, space, k: space.annihilation_increment(k)),
-    "creation": ("pair", "creation",
-                 lambda driver, space, k: space.creation_increment(k)),
-    "linear_combination": ("pair", "linear", _combined_increment),
+    "fermion_field": ("fermion", "fermion", _fermion),
+    "annihilation": ("pair", "annihilation", _annihilation),
+    "creation": ("pair", "creation", lambda *args: _annihilation(*args).adjoint()),
+    "linear_combination": ("pair", "linear", _combined),
 }
 
 
@@ -80,6 +95,9 @@ class Driver:
                 f"unknown driver kind {self.kind!r}, expected one of "
                 f"{tuple(DRIVER_KINDS)}"
             )
+        for name in ("alpha1", "alpha2"):
+            if not np.isfinite(complex(getattr(self, name))):
+                raise ConfigurationError(f"driver {name} must be finite", key=name)
 
     @classmethod
     def fermion_field(cls) -> "Driver":
@@ -106,40 +124,34 @@ class Driver:
         return DRIVER_KINDS[self.kind][1]
 
     def increment(self, space: CliffordSpace, k: int) -> CliffordElement:
-        """The driver's increment over grid increment k: a read-only
-        element over row k of :meth:`increments`."""
-        stack = self.increments(space)
-        if not 0 <= k < len(stack):
-            raise IndexError(f"increment index {k} outside 0..{len(stack) - 1}")
-        return CliffordElement(space, stack[k], _fresh=True)
+        """The driver's increment over grid increment k: the dense matrix
+        of :meth:`gather`, built without the stack."""
+        return CliffordElement(space, self.gather(space, k).dense(), _fresh=True)
 
     def increments(self, space: CliffordSpace) -> np.ndarray:
-        """All n increments as one read-only ``(n, dim, dim)`` stack.
-
-        Built once per space, row by row (one increment at a time besides
-        the stack), and cached on it keyed by the driver, so it dies with
-        the space; drivers that compare equal (same kind and alphas) share it.
-        """
+        """All n increments as one read-only ``(n, dim, dim)`` stack of
+        their gathers' dense matrices, cached on the space keyed by the
+        driver, so it dies with the space; drivers that compare equal
+        (same kind and alphas) share it."""
         stack = space._increments.get(self)
         if stack is None:
-            build = DRIVER_KINDS[self.kind][2]  # it checks the layout
             stack = np.empty((space.grid.n, space.dim, space.dim), complex)
             for k, row in enumerate(stack):
-                row[...] = build(self, space, k).mat
+                row[...] = self.gather(space, k).dense()
             stack.setflags(write=False)
             # setdefault: concurrent callers all get the first stored entry
             stack = space._increments.setdefault(self, stack)
         return stack
 
     def gather(self, space: CliffordSpace, k: int) -> MonomialGather:
-        """Increment k's :class:`MonomialGather`, built from that increment
-        alone on first use and cached on the space by ``(driver, k)``,
-        apart from the stack."""
+        """Increment k's :class:`MonomialGather`, built by the driver's
+        kind on first use and cached on the space by ``(driver, k)``."""
         key = (self, k)
         if key not in space._gathers:
-            build = DRIVER_KINDS[self.kind][2]
-            space._gathers.setdefault(
-                key, MonomialGather(build(self, space, k).mat))
+            if space.layout != self.required_layout:
+                raise DriverMismatchError(f"{self.kind} increments need a space "
+                                          f"with layout={self.required_layout!r}")
+            space._gathers.setdefault(key, DRIVER_KINDS[self.kind][2](self, space, k))
         return space._gathers[key]
 
 

@@ -334,6 +334,11 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     non-finite value; an inner solve's failure is re-raised with its sweep
     and its own trace.
     """
+    for name, budget in (("max_outer", max_outer), ("max_inner", max_inner)):
+        if budget < 1:
+            raise ValueError(f"{name} must be at least 1, got {budget!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     sp = problem.space
     grid = sp.grid
     k0 = problem.start_node

@@ -35,27 +35,30 @@ Levels are plain integers; :func:`require_adapted` is the one adaptedness
 rejection.
 
 A space holds the generators, Gamma and the phantom only as gathers
-(:class:`MonomialGather`; ``dense()`` is the one way back to a matrix).
-Products by them and the driver increments are gathers: one exact product
-per entry, so bitwise the dense product on finite input up to the sign of
-zeros.  Dense products stay only as checks (Euler oracle, parity
-commutation, the suites' algebra identities) and in the stacked driver
-integrals of :mod:`.integrals`, where a gather would round differently.
+(:class:`MonomialGather`; ``dense()`` is the one way back to a matrix),
+each built in O(dim) from its 2x2 Pauli factors with the weights that
+``_kron`` would give their matrix.  Products by them and the driver
+increments are gathers: one exact product per entry, so bitwise the dense
+product on finite input up to the sign of zeros.  Dense products stay only
+as checks (Euler oracle, parity commutation, the suites' algebra
+identities) and in the stacked driver integrals of :mod:`.integrals`,
+where a gather would round differently.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
 from .element import CliffordElement, _l2_norm, lp_norm, state
-from .errors import AdaptednessError, DriverMismatchError, ResourceLimitError
+from .errors import AdaptednessError, ResourceLimitError
 from .grid import TimeGrid, as_int
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# the 2x2 Pauli factors X, Y, Z and I as ``(cols, wc)``: column j's entry
+# wc[j] sits in row cols[j]
+_X, _Y, _Z, _I = ((np.array(c, np.intp), np.array(w, complex)) for c, w in (
+    ([1, 0], [1, 1]), ([1, 0], [1j, -1j]), ([0, 1], [1, -1]), ([0, 1], [1, 1])))
 
 #: Default budget: 14 generators = 128x128 matrices, comfortably desk-scale.
 DEFAULT_MAX_GENERATORS = 14
@@ -80,22 +83,33 @@ def _eye(size: int) -> np.ndarray:
 
 
 class MonomialGather:
-    """A monomial matrix m (at most one non-zero entry in each row and
-    column; any other raises ``ValueError``) as vectors: column j's entry
-    ``wc[j]`` sits in row ``cols[j]``, row i's ``wr[i]`` in column
-    ``rows[i]`` (weight 0 for an all-zero row or column).  The products
-    scale the gathered copy in place: a second temporary costs more."""
+    """A monomial matrix m (one entry, possibly zero, in each row and
+    column) as vectors: column j's entry ``wc[j]`` sits in row ``cols[j]``,
+    a permutation, and row i's ``wr[i]`` in column ``rows[i]``.  The
+    products scale the gathered copy in place: a second temporary costs
+    more."""
 
     __slots__ = ("cols", "wc", "rows", "wr")
 
-    def __init__(self, m: np.ndarray):
-        r, c = np.nonzero(m)  # no bool reductions: their buffers raise peak RSS
-        if len(set(r.tolist())) < r.size or len(set(c.tolist())) < c.size:
-            raise ValueError("matrix is not monomial")
-        self.cols, self.rows = np.zeros((2, m.shape[0]), dtype=np.intp)
-        self.wc, self.wr = np.zeros((2, m.shape[0]), dtype=m.dtype)
-        self.cols[c], self.rows[r] = r, c
-        self.wc[c] = self.wr[r] = m[r, c]
+    def __init__(self, cols: np.ndarray, wc: np.ndarray):
+        self.cols, self.wc = cols, wc
+        self.rows = np.argsort(cols)  # the inverse permutation
+        self.wr = wc[self.rows]
+
+    @classmethod
+    def kron(cls, factors) -> "MonomialGather":
+        """The gather of the Kronecker product of 2x2 ``(cols, wc)``
+        factors, each weight the left-to-right product of factor entries
+        that ``_kron`` forms."""
+        (cols, wc), *rest = factors
+        for c, w in rest:
+            cols = (2 * cols[:, None] + c).ravel()
+            wc = (wc[:, None] * w).ravel()
+        return cls(cols.copy(), wc.copy())  # no gather shares a factor's arrays
+
+    def adjoint(self) -> "MonomialGather":
+        """The gather of m*: column j of m* holds conj(wr[j]) in row rows[j]"""
+        return MonomialGather(self.rows, self.wr.conj())
 
     def right(self, x: np.ndarray) -> np.ndarray:
         """x @ m as x[:, cols] * wc, a new array"""
@@ -147,13 +161,11 @@ class CliffordSpace:
         # weights are its signs); with an odd generator count the matrix
         # algebra is twice the span of the monomials, and the "phantom" next
         # generator (index n_gen) lets conditional_expect average it away
-        eye2 = np.eye(2, dtype=complex)
         factors = [[_Z] * (i // 2) + [_Y if i % 2 else _X]
-                   + [eye2] * (self.factors - i // 2 - 1)
+                   + [_I] * (self.factors - i // 2 - 1)
                    for i in range(n_gen + n_gen % 2)]
         *self._gen_gathers, self._gamma_gather = (
-            MonomialGather(reduce(_kron, f))
-            for f in factors + [[_Z] * self.factors])
+            MonomialGather.kron(f) for f in factors + [[_Z] * self.factors])
         self._increments = {}
         self._gathers = {}
         self._levels = {}
@@ -207,31 +219,6 @@ class CliffordSpace:
             nodes = self.grid.nodes[:2 * f // self.gens_per_increment + 1]
             self._levels.setdefault(f, CliffordSpace(TimeGrid(nodes), self.layout, 2 * f))
         return self._levels[f]
-
-    # -- driver increments -------------------------------------------------
-
-    def fermion_increment(self, k: int) -> CliffordElement:
-        """sqrt(delta_k) e_k; squares to delta_k and anticommutes with
-        every other increment."""
-        if self.layout != "fermion":
-            raise DriverMismatchError(
-                "fermion-field increments need a space with layout='fermion'"
-            )
-        dk = self.grid.delta(k)
-        return self.generator(k) * np.sqrt(dk)
-
-    def annihilation_increment(self, k: int) -> CliffordElement:
-        """sqrt(delta_k) (e_{2k} + i e_{2k+1}) / 2; nilpotent of order two."""
-        if self.layout != "pair":
-            raise DriverMismatchError(
-                "creation/annihilation increments need a space with layout='pair'"
-            )
-        dk = self.grid.delta(k)
-        a = 0.5 * (self.generator(2 * k) + 1j * self.generator(2 * k + 1))
-        return a * np.sqrt(dk)
-
-    def creation_increment(self, k: int) -> CliffordElement:
-        return self.annihilation_increment(k).adjoint()
 
     def __eq__(self, other):
         return (

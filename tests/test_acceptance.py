@@ -83,9 +83,9 @@ def test_acceptance_1_algebraic_exactness():
         pair = make_space(TimeGrid.uniform(0.0, 1.0, 6), layout="pair")
         worst = 0.0
         for j in range(6):
-            da = pair.annihilation_increment(j)
+            da = Driver.annihilation().increment(pair, j)
             for k in range(6):
-                dc = pair.creation_increment(k)
+                dc = Driver.creation().increment(pair, k)
                 target = (pair.grid.delta(j) * pair.identity()
                           if j == k else pair.zero())
                 worst = max(worst, op_norm(da @ dc + dc @ da - target))
@@ -94,7 +94,7 @@ def test_acceptance_1_algebraic_exactness():
         # running field: A(t) A*(t) + A*(t) A(t) = (t - t0) I at every node
         a = pair.zero()
         for k in range(1, 7):
-            a = a + pair.annihilation_increment(k - 1)
+            a = a + Driver.annihilation().increment(pair, k - 1)
             astar = a.adjoint()
             t = pair.grid.node(k)
             defect = op_norm(a @ astar + astar @ a - t * pair.identity())

@@ -11,9 +11,10 @@ is the one exception: BLAS and numpy's complex product may round the
 two-term real and imaginary parts differently, so that case is held to
 4 ulp of the product's size.
 
-A space stores the generators, Gamma and the phantom only as gathers, so
-they are checked against a Jordan-Wigner construction built here with
-``np.kron``, which the library's gathers were not derived from.
+A space builds the generators, Gamma and the phantom as gathers from
+their Pauli factors, and the driver increments from those, so both are
+checked against a Jordan-Wigner construction built here with ``np.kron``,
+which the library's gathers were not derived from.
 """
 
 import re
@@ -174,8 +175,8 @@ def test_complex_alpha_gathers_agree_within_4_ulp(which, seed):
 
 
 def test_gathers_are_built_on_first_use_apart_from_the_stack():
-    # each gather is built from its own increment when first asked for and
-    # cached by (driver, k): asking for one builds no other gather and no
+    # each gather is built by its kind when first asked for and cached by
+    # (driver, k): asking for one builds no other gather and no
     # (n, dim, dim) stack
     for kind in DRIVER_KINDS:
         driver = Driver(kind, 0.75 + 0.25j, -1.5j)
@@ -191,10 +192,52 @@ def test_gathers_are_built_on_first_use_apart_from_the_stack():
         assert driver.increments(sp) is stack
         assert driver.gather(sp, 1) is g
         for k, m in enumerate(stack):
-            want = MonomialGather(m)
-            for name in MonomialGather.__slots__:
-                assert getattr(driver.gather(sp, k), name).tobytes() == \
-                    getattr(want, name).tobytes()
+            assert driver.gather(sp, k).dense().tobytes() == m.tobytes()
+
+
+def test_an_increment_builds_no_stack():
+    for kind in DRIVER_KINDS:
+        driver = Driver(kind, 0.75 + 0.25j, -1.5j)
+        sp = make_space(TimeGrid.uniform(0.0, 1.0, 3),
+                        layout=driver.required_layout)
+        for k in range(sp.grid.n):
+            driver.increment(sp, k)
+        assert not sp._increments
+
+
+def _reference_increment(driver, sp, k):
+    """Increment k by the driver's formula in the ``np.kron`` generators."""
+    gens = _jordan_wigner(sp.n_gen)[0]
+    s = complex(np.sqrt(sp.grid.delta(k)))
+    if driver.kind == "fermion_field":
+        return gens[k] * s
+    da = (gens[2 * k] + gens[2 * k + 1] * 1j) * 0.5 * s
+    return {"annihilation": da, "creation": da.conj().T,
+            "linear_combination": da * complex(driver.alpha1)
+            + da.conj().T * complex(driver.alpha2)}[driver.kind]
+
+
+@pytest.mark.parametrize("driver", _DRIVERS + [
+    Driver.linear_combination(0.75 + 0.25j, -1.5j)], ids=repr)
+def test_dense_increments_equal_the_reference_formulas(driver):
+    for sp in _SPACES[driver.required_layout]:
+        for k, m in enumerate(driver.increments(sp)):
+            want = _reference_increment(driver, sp, k)
+            _assert_bitwise_but_zero_signs(m, want)
+            _assert_bitwise_but_zero_signs(driver.increment(sp, k).mat, want)
+
+
+def test_a_space_is_built_without_dense_matrices():
+    # one dense dim-1024 matrix is 16 MB; the 21 gathers take about 1 MB
+    grid = TimeGrid.uniform(0.0, 1.0, 20)
+    tracemalloc.start()
+    try:
+        sp = make_space(grid, max_generators=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.dim == 1024
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("start_node", [0, 3])
@@ -213,23 +256,15 @@ def test_a_solve_builds_only_the_gathers_it_reads(start_node):
         assert all(driver == prob.driver for driver, _ in space._gathers)
 
 
-@pytest.mark.parametrize("bad", [
-    np.ones((2, 2)),
-    np.array([[1, 0], [1, 0]], dtype=complex),
-    np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
-])
-def test_derivation_rejects_a_non_monomial_matrix(bad):
-    with pytest.raises(ValueError, match="not monomial"):
-        MonomialGather(bad)
-
-
 def test_partial_monomial_matrix_has_zero_weights():
+    g = MonomialGather(np.array([1, 0]), np.array([0, 2], dtype=complex))
     m = np.array([[0, 2], [0, 0]], dtype=complex)
-    g = MonomialGather(m)
+    assert np.array_equal(g.dense(), m)
     assert g.wc.tolist() == [0, 2] and g.wr.tolist() == [2, 0]
     x = np.arange(4, dtype=complex).reshape(2, 2) + 1
     assert np.array_equal(g.right(x), x @ m)
     assert np.array_equal(g.left(x), m @ x)
+    assert np.array_equal(g.adjoint().dense(), m.conj().T)
 
 
 def test_gather_keeps_a_nan_in_its_own_entry():

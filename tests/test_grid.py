@@ -94,3 +94,13 @@ def test_node_and_delta_reject_a_non_integral_index(k):
     with pytest.raises(ValueError,
                        match=f"increment index {k!r} is not an integer"):
         g.delta(k)
+
+
+@pytest.mark.parametrize("n", [True, np.True_, 2.5, float("nan")])
+def test_uniform_rejects_a_bool_or_non_integral_n(n):
+    with pytest.raises(ValueError, match=r"\bn\b"):
+        TimeGrid.uniform(0.0, 1.0, n)
+
+
+def test_uniform_accepts_an_integral_float_n():
+    assert TimeGrid.uniform(0.0, 1.0, 4.0) == TimeGrid.uniform(0.0, 1.0, 4)

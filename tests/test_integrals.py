@@ -10,7 +10,6 @@ from cliffsde import (
     AdaptednessError,
     ContractViolationError,
     Driver,
-    InequalityReport,
     TimeGrid,
     conditional_expect,
     driver_integral,
@@ -26,7 +25,6 @@ from cliffsde import (
     right_integral,
     time_integral,
 )
-import cliffsde.integrals as integrals_mod
 
 import numpy as np
 
@@ -37,7 +35,7 @@ MARTINGALE_TOL = 1e-10
 def _field(space):
     w = space.zero()
     for k in range(space.grid.n):
-        w = w + space.fermion_increment(k)
+        w = w + Driver.fermion_field().increment(space, k)
     return w
 
 
@@ -266,18 +264,3 @@ def test_parity_commutation_rejects_a_nan_element(space4):
     with np.errstate(invalid="ignore"), \
             pytest.raises(AdaptednessError, match="level-2 measurable"):
         parity_commutation_defect(h, 2)
-
-
-# -- report format -----------------------------------------------------------------
-
-
-def test_csv_header_constant():
-    assert integrals_mod.CSV_HEADER == "suite,p,q,trial,seed,lhs,rhs,ratio"
-
-
-def test_report_csv_row():
-    rep = InequalityReport("norm_exchange", 4.0, 0.5, 1.0, 0.5,
-                           q=2.0, trial=3, seed=99)
-    assert rep.csv_row() == "norm_exchange,4.0,2.0,3,99,0.5,1.0,0.5"
-    rep2 = InequalityReport("bg_ratio", 2.0, 1.0, 1.0, 1.0)
-    assert rep2.csv_row() == "bg_ratio,2.0,,0,0,1.0,1.0,1.0"

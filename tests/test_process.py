@@ -34,21 +34,22 @@ NORM_TOL = 1e-12
 
 
 def test_increment_squares_to_delta(space4):
-    dw = space4.fermion_increment(0)
+    dw = Driver.fermion_field().increment(space4, 0)
     assert op_norm(dw @ dw - 0.25 * space4.identity()) == 0.0
 
 
 def test_disjoint_increments_anticommute(space4):
     for i in range(4):
         for j in range(i + 1, 4):
-            a = space4.fermion_increment(i)
-            b = space4.fermion_increment(j)
+            a = Driver.fermion_field().increment(space4, i)
+            b = Driver.fermion_field().increment(space4, j)
             assert op_norm(a @ b + b @ a) == 0.0
 
 
 def test_increments_selfadjoint(space4):
     for k in range(4):
-        assert space4.fermion_increment(k).selfadjoint_defect() == 0.0
+        inc = Driver.fermion_field().increment(space4, k)
+        assert inc.selfadjoint_defect() == 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 7.5])
@@ -56,21 +57,21 @@ def test_total_field_norm_is_sqrt_horizon(space8, p):
     # W^2 = sum(delta) = T - t0 exactly, so every L^p norm is sqrt(T - t0)
     w = space8.zero()
     for k in range(8):
-        w = w + space8.fermion_increment(k)
+        w = w + Driver.fermion_field().increment(space8, k)
     assert w.selfadjoint_defect() == 0.0
     assert abs(lp_norm(w, p) - 1.0) < NORM_TOL
 
 
 def test_increment_index_bounds(space4):
     with pytest.raises(IndexError):
-        space4.fermion_increment(4)
+        Driver.fermion_field().increment(space4, 4)
 
 
 def test_increment_layout_guard(space4, pair_space4):
     with pytest.raises(DriverMismatchError):
-        pair_space4.fermion_increment(0)
+        Driver.fermion_field().increment(pair_space4, 0)
     with pytest.raises(DriverMismatchError):
-        space4.annihilation_increment(0)
+        Driver.annihilation().increment(space4, 0)
 
 
 # -- pair increments ------------------------------------------------------------
@@ -78,20 +79,20 @@ def test_increment_layout_guard(space4, pair_space4):
 
 def test_annihilation_increment_nilpotent(pair_space4):
     for k in range(4):
-        da = pair_space4.annihilation_increment(k)
+        da = Driver.annihilation().increment(pair_space4, k)
         assert op_norm(da @ da) == 0.0
 
 
 def test_increment_anticommutation_relation(pair_space4):
     for k in range(4):
-        da = pair_space4.annihilation_increment(k)
-        ds = pair_space4.creation_increment(k)
+        da = Driver.annihilation().increment(pair_space4, k)
+        ds = Driver.creation().increment(pair_space4, k)
         target = 0.25 * pair_space4.identity()
         assert op_norm(da @ ds + ds @ da - target) == 0.0
 
 
 def test_annihilation_second_moments(pair_space4):
-    da = pair_space4.annihilation_increment(0)
+    da = Driver.annihilation().increment(pair_space4, 0)
     assert state(da.adjoint() @ da) == 0.125  # delta / 2
     assert state(da @ da.adjoint()) == 0.125
     assert state(da) == 0.0
@@ -100,7 +101,7 @@ def test_annihilation_second_moments(pair_space4):
 def test_running_anticommutation(pair_space4):
     acc = pair_space4.zero()
     for k in range(4):
-        acc = acc + pair_space4.annihilation_increment(k)
+        acc = acc + Driver.annihilation().increment(pair_space4, k)
         accs = acc.adjoint()
         elapsed = pair_space4.grid.node(k + 1)
         target = elapsed * pair_space4.identity()
@@ -123,6 +124,18 @@ def test_driver_factories():
                       "linear_combination": "linear"}
 
 
+@pytest.mark.parametrize("field, alphas", [
+    ("alpha1", (np.nan, 1.0)), ("alpha2", (1.0, np.inf)),
+    ("alpha1", (complex(0, np.nan), 0.0)), ("alpha2", (0.5, -np.inf * 1j)),
+])
+def test_driver_rejects_non_finite_alphas(field, alphas):
+    with pytest.raises(ConfigurationError, match=field) as e:
+        Driver.linear_combination(*alphas)
+    assert e.value.key == field
+    with pytest.raises(ConfigurationError, match=field):
+        Driver("linear_combination", *alphas)
+
+
 def test_driver_unknown_kind_rejected():
     with pytest.raises(ConfigurationError) as e:
         Driver("poisson")
@@ -130,12 +143,15 @@ def test_driver_unknown_kind_rejected():
 
 
 def test_driver_increment_dispatch(space4, pair_space4):
+    # each kind's increment is its formula in the generators (delta = 1/4)
+    e, f = pair_space4.generator(2), pair_space4.generator(3)
+    da = 0.5 * (e + 1j * f) * 0.5
     assert Driver.fermion_field().increment(space4, 1).is_close(
-        space4.fermion_increment(1), tol=0.0)
+        space4.generator(1) * 0.5, tol=0.0)
     assert Driver.annihilation().increment(pair_space4, 1).is_close(
-        pair_space4.annihilation_increment(1), tol=0.0)
+        da, tol=0.0)
     assert Driver.creation().increment(pair_space4, 1).is_close(
-        pair_space4.creation_increment(1), tol=0.0)
+        da.adjoint(), tol=0.0)
 
 
 def test_driver_layout_mismatch(space4, pair_space4):
@@ -150,16 +166,15 @@ def _pair_space():
 
 
 def test_increment_is_cached_read_only():
+    # an increment is a read-only dense copy of its cached gather, not a
+    # view of the stack
     sp = _pair_space()
     for driver in (Driver.annihilation(), Driver.linear_combination(1, 2j)):
         for k in range(sp.grid.n):
             inc = driver.increment(sp, k)
             assert not inc.mat.flags.writeable
-            assert np.shares_memory(inc.mat, driver.increments(sp))
-    # a fresh space starts with its own cache
-    assert not np.shares_memory(
-        Driver.annihilation().increment(_pair_space(), 0).mat,
-        Driver.annihilation().increments(sp))
+            assert driver.gather(sp, k) is sp._gathers[(driver, k)]
+            assert not np.shares_memory(inc.mat, driver.increments(sp))
 
 
 def test_increment_index_does_not_wrap():
@@ -191,10 +206,10 @@ def test_combinations_with_different_alphas_do_not_collide():
     for k in range(sp.grid.n):
         inc_a, inc_b = a.increment(sp, k), b.increment(sp, k)
         assert not inc_a.is_close(inc_b, tol=0.1)
-        assert inc_a.is_close(sp.annihilation_increment(k)
-                              + 0.5 * sp.creation_increment(k), tol=0.0)
-        assert inc_b.is_close(sp.annihilation_increment(k)
-                              - 0.5 * sp.creation_increment(k), tol=0.0)
+        assert inc_a.is_close(Driver.annihilation().increment(sp, k)
+                              + 0.5 * Driver.creation().increment(sp, k), tol=0.0)
+        assert inc_b.is_close(Driver.annihilation().increment(sp, k)
+                              - 0.5 * Driver.creation().increment(sp, k), tol=0.0)
 
 
 @pytest.mark.parametrize("kind", list(DRIVER_KINDS))
@@ -206,7 +221,7 @@ def test_cached_increment_is_bitwise_a_fresh_one(kind):
     for _ in range(2):  # the first pass fills the cache, the second reads it
         for k in range(sp.grid.n):
             assert driver.increment(sp, k).mat.tobytes() == \
-                build(driver, sp, k).mat.tobytes()
+                build(driver, sp, k).dense().tobytes()
 
 
 @pytest.mark.parametrize("kind", list(DRIVER_KINDS))

@@ -717,3 +717,20 @@ def test_selfadjoint_check_requires_selfadjoint_start():
     skew = prob.replace(Z=1j * prob.space.identity(), validate=False)
     with pytest.raises(ContractViolationError, match="self-adjoint"):
         selfadjoint_solve_check(skew)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_outer": 0}, "max_outer"), ({"max_outer": -3}, "max_outer"),
+    ({"max_inner": 0}, "max_inner"), ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-10}, "tol"), ({"tol": math.nan}, "tol"),
+    ({"tol": math.inf}, "tol"),
+])
+def test_picard_solve_rejects_bad_arguments_before_any_sweep(
+        monkeypatch, kwargs, name):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    prob = make_problem("nonlocal_linear", n=4)
+    monkeypatch.setattr(solver_module, "_cumulative_integrals", no_sweep)
+    with pytest.raises(ValueError, match=name):
+        picard_solve(prob, **kwargs)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cliffsde import (
+    Driver,
     ResourceLimitError,
     TimeGrid,
     conditional_expect,
@@ -309,7 +310,7 @@ def test_expand_identity(space4):
 
 
 def test_expand_fermion_increment(space4):
-    co = monomial_expand(space4.fermion_increment(2))
+    co = monomial_expand(Driver.fermion_field().increment(space4, 2))
     assert set(co) == {(2,)}
     assert abs(co[(2,)] - 0.5) < EXACT  # sqrt(0.25)
 
