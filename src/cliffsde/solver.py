@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -138,8 +139,8 @@ class QsdeProblem:
 @dataclass(frozen=True)
 class InnerResult:
     """A converged inner solve.  ``steps`` holds the measured L^p steps in
-    order, not every step: see :func:`inner_fixed_point`.  ``equation``
-    holds its ``(M, R, Z, p)``."""
+    order; for p > 2 without a replay, only those that could stop the loop
+    (see :func:`inner_fixed_point`).  ``equation`` holds ``(M, R, Z, p)``."""
 
     value: CliffordElement
     iterations: int
@@ -153,6 +154,15 @@ class InnerResult:
         return lp_norm(self.value - (Z + R(self.value) + M), p)
 
 
+def _check_solve_args(tol: float, **budgets) -> None:
+    """Name the parameter of a budget not an integer >= 1 or a bad tol."""
+    for name, n in budgets.items():
+        if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
                       p: float, tol: float, max_inner: int = 200,
                       guess: CliffordElement | None = None,
@@ -164,39 +174,51 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
     the first step with L^p norm <= tol (the residual is then below
     C(R) * tol < tol).
 
-    For p > 2 the exact step norm (a Gram product) is measured only where
-    it can decide something: at iterations 1, 2, 4, 8, ..., at
-    ``max_inner``, and wherever the cheap lower bound ||d||_2 <= ||d||_p
-    is within tol * (1 + 1e-9) (the margin absorbs rounding for a flat
-    spectrum).  Elsewhere the bound proves the step above tol, so the
-    stop comes at the same iteration as with every step measured.  A
-    non-finite bound is itself the measured step and raises at once.  For
-    p <= 2 every step is measured.
+    For p > 2 the exact step norm (a Gram product) is taken only where the
+    lower bound ||d||_2 <= ||d||_p is within tol * (1 + 1e-9), a margin for
+    rounding: only there can the loop stop, and ``steps`` holds just those.
+    Any other end (a non-finite, overflowing or growing ||d||_2, an error,
+    the budget) replays the loop from ``guess``, measuring also iterations
+    1, 2, 4, ... and ``max_inner``; R is a function, so the replay repeats
+    the iterates and its outcome is the call's.  A failing solve thus costs
+    up to twice its steps.  For p <= 2 every step is measured, no replay.
 
-    Detects stalls: two successive growths between measured steps mean
-    the declared contraction is wrong; the message gives the per-step
-    rate.  A non-finite step raises ConvergenceError at once, ``node``
-    naming the grid node; it and the budget failure carry the measured
-    steps with their iteration numbers.
+    Two successive growths between measured steps raise
+    ContractViolationError with the per-step rate.  A non-finite step
+    raises ConvergenceError, ``node`` naming the grid node; it and the
+    budget failure carry the measured steps with their iteration numbers.
     """
+    _check_solve_args(tol, max_inner=max_inner)
+    args = (M, R, Z, p, tol, max_inner, guess, node)
+    if p > 2:
+        try:
+            return _banach(*args, traced=False)
+        except Exception:  # the traced replay meets it again, or fails earlier
+            pass
+    return _banach(*args, traced=True)
+
+
+def _banach(M, R, Z, p, tol, max_inner, guess, node, traced) -> InnerResult:
+    """:func:`inner_fixed_point`'s loop; untraced, without checkpoints."""
     y = Z + M if guess is None else Z + R(guess) + M
-    steps, measured_at = [], []
-    grew = 0
+    # the Gram-based norm forms nothing above (tr d*d)^(p/2) = (dim
+    # ||d||_2^2)^(p/2), so ||d||_2 <= safe cannot overflow it (2: rounding)
+    safe = sys.float_info.max ** (1.0 / p) / (2.0 * math.sqrt(M.space.dim))
+    steps, measured_at, grew, last = [], [], 0, math.inf
     for it in range(1, max_inner + 1):
         y_next = Z + R(y) + M
         d = y_next - y
         y = y_next
+        step = lp_norm(d, min(p, 2))  # for p > 2, first its bound ||d||_2
         if p > 2:
-            bound = lp_norm(d, 2)
-            checkpoint = it & (it - 1) == 0 or it == max_inner
-            if not math.isfinite(bound):
-                step = bound
-            elif bound > tol * (1 + 1e-9) and not checkpoint:
-                continue
-            else:
+            if not (traced or step <= min(safe, last * (1 + 1e-9))):
+                break  # to the budget failure, which the traced loop replays
+            checkpoint = traced and (it & (it - 1) == 0 or it == max_inner)
+            last = step
+            if step <= tol * (1 + 1e-9) or checkpoint and math.isfinite(step):
                 step = lp_norm(d, p)
-        else:
-            step = lp_norm(d, p)
+            elif math.isfinite(step):
+                continue
         steps.append(step)
         measured_at.append(it)
         if not math.isfinite(step):
@@ -334,11 +356,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     non-finite value; an inner solve's failure is re-raised with its sweep
     and its own trace.
     """
-    for name, budget in (("max_outer", max_outer), ("max_inner", max_inner)):
-        if budget < 1:
-            raise ValueError(f"{name} must be at least 1, got {budget!r}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _check_solve_args(tol, max_outer=max_outer, max_inner=max_inner)
     sp = problem.space
     grid = sp.grid
     k0 = problem.start_node
@@ -540,7 +558,7 @@ def stability_experiment(problem: QsdeProblem, z_alt: CliffordElement,
     for off, (x, y) in enumerate(zip(a.trajectory.values, b.trajectory.values)):
         t = grid.node(problem.start_node + off)
         l = lp_norm(x - y, problem.p) ** 2
-        r = pref * np.exp(rate * (t - t0)) * dz2
+        r = float(pref * np.exp(rate * (t - t0)) * dz2)
         times.append(t)
         lhs.append(l)
         rhs.append(r)

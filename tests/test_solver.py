@@ -196,14 +196,18 @@ def test_inner_conditional_fixed_point_oracle():
 
 
 def test_inner_iteration_count_and_contraction_rate():
+    # a converged solve measures only its last steps: the rate is read off
+    # the every-step reference, which its measured steps must end
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
     c, tol = 0.5, 1e-10
-    res = inner_fixed_point(sp.zero(), make_nonlocal("scale", c=c),
-                            sp.identity(), 4.0, tol)
-    bound = math.ceil(math.log(tol / res.steps[0]) / math.log(c)) + 1
+    args = (sp.zero(), make_nonlocal("scale", c=c), sp.identity(), 4.0, tol)
+    res = inner_fixed_point(*args)
+    steps = _unscreened_inner(*args, 200)[2]
+    bound = math.ceil(math.log(tol / steps[0]) / math.log(c)) + 1
     assert res.iterations <= bound
-    for s0, s1 in zip(res.steps, res.steps[1:]):
+    for s0, s1 in zip(steps, steps[1:]):
         assert s1 <= c * s0 * (1 + 1e-6)
+    assert res.steps == tuple(steps[len(steps) - len(res.steps):])
 
 
 def test_inner_detects_expanding_map():
@@ -265,6 +269,67 @@ def _unscreened_inner(M, R, Z, p, tol, max_inner, guess=None):
     return None, max_inner, steps
 
 
+def _checkpointed_inner(M, R, Z, p, tol, max_inner=200, guess=None,
+                        node=None):
+    """The inner loop with the exact step norm also taken at iterations
+    1, 2, 4, ..., ``max_inner`` on every call, kept as the reference for
+    the outcome of a solve, its failures included."""
+    y = Z + M if guess is None else Z + R(guess) + M
+    steps, measured_at = [], []
+    grew = 0
+    for it in range(1, max_inner + 1):
+        y_next = Z + R(y) + M
+        d = y_next - y
+        y = y_next
+        if p > 2:
+            bound = lp_norm(d, 2)
+            checkpoint = it & (it - 1) == 0 or it == max_inner
+            if not math.isfinite(bound):
+                step = bound
+            elif bound > tol * (1 + 1e-9) and not checkpoint:
+                continue
+            else:
+                step = lp_norm(d, p)
+        else:
+            step = lp_norm(d, p)
+        steps.append(step)
+        measured_at.append(it)
+        if not math.isfinite(step):
+            where = "" if node is None else f" at node {node}"
+            raise ConvergenceError(
+                f"inner iteration{where} produced a non-finite step "
+                f"({step!r})", deltas=steps, iterations=measured_at)
+        if step <= tol:
+            return y, it
+        if len(steps) >= 2 and step > steps[-2] * (1 + 1e-9):
+            grew += 1
+            if grew >= 2:
+                rate = (step / steps[-2]) ** (1.0 / (it - measured_at[-2]))
+                raise ContractViolationError(
+                    f"inner iteration expands (measured rate {rate:.3f} >= 1); "
+                    f"the nonlocal map is not the declared contraction"
+                )
+        else:
+            grew = 0
+    raise ConvergenceError(
+        f"inner fixed point did not reach tol={tol:.1e} within "
+        f"{max_inner} iterations",
+        deltas=steps, iterations=measured_at,
+    )
+
+
+def _outcome(solve, *args, **kw):
+    """(value bytes, iterations) of a solve, or its failure's (class,
+    message, deltas, iterations)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, iterations = solve(*args, **kw)
+    except (ConvergenceError, ContractViolationError) as exc:
+        return (type(exc), str(exc), getattr(exc, "deltas", None),
+                getattr(exc, "iterations", None))
+    return value.mat.tobytes(), iterations
+
+
 def _screen_case(seed, flat):
     sp = SCREEN_SPACE
     rng = np.random.default_rng(seed)
@@ -296,9 +361,11 @@ def test_screened_inner_loop_matches_the_unscreened_reference(
     guess = G if warm else None
     if data.draw(st.booleans(), label="tol_is_a_step"):
         # tol equal to one of the reference's own steps (all above 1e-11,
-        # far from the rounding floor of these magnitudes)
+        # far from the rounding floor of these magnitudes, or exactly 0 for
+        # c = 0, which takes the least positive tol: a tol must be > 0)
         steps = _unscreened_inner(M, rmap, Z, p, 1e-11, max_inner, guess)[2]
-        tol = steps[data.draw(st.integers(0, len(steps) - 1), label="i")]
+        tol = steps[data.draw(st.integers(0, len(steps) - 1), label="i")] \
+            or math.ulp(0.0)
     else:
         tol = 10.0 ** data.draw(st.floats(-11.0, -1.0), label="log_tol")
     value, iterations, steps = _unscreened_inner(M, rmap, Z, p, tol,
@@ -316,6 +383,57 @@ def test_screened_inner_loop_matches_the_unscreened_reference(
     assert res.steps[-1] == steps[-1]
     assert res.residual == lp_norm(value - (Z + rmap(value) + M), p)
     assert set(res.steps) <= set(steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rname=st.sampled_from(["scale", "conditional_scale", "liar"]),
+       c=st.floats(min_value=0.0, max_value=0.95),
+       a=st.floats(min_value=1.0, max_value=1.5),
+       level=st.integers(min_value=0, max_value=6),
+       p=st.sampled_from(SCREEN_P),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       flat=st.booleans(), warm=st.booleans(),
+       log_tol=st.floats(-18.0, -1.0),
+       max_inner=st.sampled_from([3, 37, 200]))
+def test_inner_outcome_matches_the_checkpointed_loop(
+        rname, c, a, level, p, seed, flat, warm, log_tol, max_inner):
+    # measuring only the steps that can stop the loop, and replaying it
+    # with the checkpoints on any other end, changes no value, count or
+    # failure; tol reaches below the rounding floor, where steps stall
+    if rname == "liar":
+        rmap = NonlocalMap(fn=lambda x: a * x, contraction=0.5, name="liar")
+    else:
+        params = {"c": c, "level": level} if rname == "conditional_scale" \
+            else {"c": c}
+        rmap = make_nonlocal(rname, **params)
+    Z, M, G = _screen_case(seed, flat)
+    args = (M, rmap, Z, p, 10.0 ** log_tol, max_inner)
+    kw = {"guess": G if warm else None, "node": 4}
+
+    def solve(*args, **kw):
+        res = inner_fixed_point(*args, **kw)
+        return res.value, res.iterations
+
+    assert _outcome(solve, *args, **kw) == \
+        _outcome(_checkpointed_inner, *args, **kw)
+
+
+def test_converging_inner_solve_measures_only_the_steps_that_can_stop_it():
+    Z, M, _ = _screen_case(5, flat=False)
+    rmap = make_nonlocal("conditional_scale", c=0.5, level=3)
+    p, tol = 4.0, 1e-10
+    iterations = _unscreened_inner(M, rmap, Z, p, tol, 200)[1]
+    y, near = Z + M, 0
+    for _ in range(iterations):
+        y_next = Z + rmap(y) + M
+        near += lp_norm(y_next - y, 2) <= tol * (1 + 1e-9)
+        y = y_next
+    counter = _GramNormCounter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "lp_norm", counter)
+        res = inner_fixed_point(M, rmap, Z, p, tol)
+    assert res.iterations == iterations > 8
+    assert counter.gram == near == len(res.steps)
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
@@ -375,12 +493,12 @@ def test_inner_expansion_reports_the_per_step_rate(p):
 
 def _gram_norm_budget(iterations, dim, p, c):
     """Exact (p != 2) norms a converged inner solve may take: checkpoints
-    1, 2, 4, ... up to ``iterations``, the stopping step and the residual,
-    plus the misses, steps with ||d||_2 <= tol < ||d||_p.  On dimension
-    ``dim`` the two norms differ by at most r = dim^(1/2 - 1/p) and each
-    step shrinks ||d||_p by c, so after the first miss at most
-    log(r) / log(1/c) more follow.  A flat spectrum has r = 1: no misses
-    beyond rounding."""
+    1, 2, 4, ... up to ``iterations`` (taken only by a replay), the
+    stopping step and the residual, plus the misses, steps with
+    ||d||_2 <= tol < ||d||_p.  On dimension ``dim`` the two norms differ
+    by at most r = dim^(1/2 - 1/p) and each step shrinks ||d||_p by c, so
+    after the first miss at most log(r) / log(1/c) more follow.  A flat
+    spectrum has r = 1: no misses beyond rounding."""
     misses = 0
     if c > 0:
         r = dim ** (0.5 - 1.0 / p) * (1 + 1e-9)
@@ -723,7 +841,9 @@ def test_selfadjoint_check_requires_selfadjoint_start():
     ({"max_outer": 0}, "max_outer"), ({"max_outer": -3}, "max_outer"),
     ({"max_inner": 0}, "max_inner"), ({"tol": 0.0}, "tol"),
     ({"tol": -1e-10}, "tol"), ({"tol": math.nan}, "tol"),
-    ({"tol": math.inf}, "tol"),
+    ({"tol": math.inf}, "tol"), ({"max_outer": 2.5}, "max_outer"),
+    ({"max_outer": True}, "max_outer"), ({"max_inner": True}, "max_inner"),
+    ({"max_inner": 3.0}, "max_inner"), ({"tol": True}, "tol"),
 ])
 def test_picard_solve_rejects_bad_arguments_before_any_sweep(
         monkeypatch, kwargs, name):
@@ -734,3 +854,23 @@ def test_picard_solve_rejects_bad_arguments_before_any_sweep(
     monkeypatch.setattr(solver_module, "_cumulative_integrals", no_sweep)
     with pytest.raises(ValueError, match=name):
         picard_solve(prob, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_inner": 0}, "max_inner"), ({"max_inner": -1}, "max_inner"),
+    ({"max_inner": True}, "max_inner"), ({"max_inner": 2.5}, "max_inner"),
+    ({"tol": 0.0}, "tol"), ({"tol": -1e-10}, "tol"),
+    ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
+])
+def test_inner_fixed_point_rejects_bad_arguments_before_any_step(
+        kwargs, name):
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
+
+    def no_step(x):
+        raise AssertionError("a step ran")
+
+    rmap = NonlocalMap(fn=no_step, contraction=0.5, name="no_step")
+    args = {"M": sp.zero(), "R": rmap, "Z": sp.identity(), "p": 4.0,
+            "tol": 1e-10, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        inner_fixed_point(**args)

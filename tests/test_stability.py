@@ -47,6 +47,15 @@ def test_bound_endpoints_against_hand_values():
     assert abs(res.rate - 4.0 * 0.5625) < 1e-12
 
 
+def test_bound_sides_are_python_floats():
+    prob = make_problem("linear_full", n=4)
+    res = stability_experiment(prob, prob.Z + 1e-2 * prob.space.identity(),
+                               c_p=1.0)
+    for side in (res.lhs, res.rhs):
+        assert [type(v) for v in side] == [float] * len(res.times)
+    assert "np.float64" not in repr(res)
+
+
 def test_bound_needs_lipschitz_coefficients():
     prob = make_problem("osgood_radial", n=4)
     with pytest.raises(ContractViolationError, match="Osgood"):
