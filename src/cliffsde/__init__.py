@@ -5,6 +5,7 @@ verification suites for every inequality the solver relies on."""
 
 from .errors import (
     AdaptednessError,
+    ArgumentError,
     CliffsdeError,
     ConfigError,
     ConfigurationError,

@@ -17,8 +17,9 @@ import os
 import sys
 
 from .config import load_problem
-from .errors import (ConfigError, ConfigurationError, ContractViolationError,
-                     ConvergenceError, OsgoodViolationError)
+from .errors import (ArgumentError, ConfigError, ConfigurationError,
+                     ContractViolationError, ConvergenceError,
+                     OsgoodViolationError)
 from .experiments import (
     SUITE_NAMES,
     SuiteConfig,
@@ -37,6 +38,9 @@ DEFAULT_SEED = 1729
 
 #: The flag that sets each field a ConfigurationError can name
 _FLAGS = {"trials": "--trials", "max_workers": "--workers", "n_grid": "--n"}
+#: The flag that sets each argument of make_modulus and bihari_bound
+_BIHARI_FLAGS = {"scale": "--scale", "u0": "--u0", "phi": "--phi",
+                 "t": "--horizon", "t0": "--t0"}
 
 
 def _master_seed(flag) -> int:
@@ -151,14 +155,15 @@ def _cmd_bench_constants(args) -> int:
               f"1..{most} of the {driver.required_layout} layout",
               file=sys.stderr)
         return 2
+    for p in args.p:
+        if not 2 <= p < math.inf:
+            print(f"config error (--p): estimates need a finite p >= 2, "
+                  f"got {p}", file=sys.stderr)
+            return 2
     space = make_space(TimeGrid.uniform(0.0, 1.0, n),
                        layout=driver.required_layout)
     rows = []
     for p in sorted(args.p):
-        if p < 2:
-            print(f"config error (--p): estimates need p >= 2, got {p}",
-                  file=sys.stderr)
-            return 2
         forms = ("hp", "l2lp") if driver.label == "fermion" else ("l2lp",)
         for form in forms:
             est = measure_bg_constant(space, p, driver=driver,
@@ -178,14 +183,14 @@ def _cmd_bench_constants(args) -> int:
 def _cmd_bihari(args) -> int:
     try:
         modulus = make_modulus(args.rho, scale=args.scale)
-    except (OsgoodViolationError, ValueError) as exc:
-        print(f"config error (--rho): {exc}", file=sys.stderr)
-        return 2
-    try:
         bound = bihari_bound(args.u0, args.phi, modulus, args.horizon,
                              t0=args.t0)
-    except ValueError as exc:
-        print(f"config error (--u0): {exc}", file=sys.stderr)
+    except ArgumentError as exc:
+        print(f"config error ({_BIHARI_FLAGS[exc.key]}): {exc}",
+              file=sys.stderr)
+        return 2
+    except (OsgoodViolationError, ValueError) as exc:
+        print(f"config error (--rho): {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)

@@ -81,15 +81,19 @@ class NonlocalMap:
 
 # -- spot-check validators ---------------------------------------------------
 
+#: The seed of every validation's probe draw (deterministic)
+_VALIDATION_SEED = 0x5DE
 
-def draw_probes(space: CliffordSpace, p: float, seed: int = 0,
-                trials: int = 8, start_node: int = 0) -> tuple:
-    """The probes of one validation, drawn once from ``seed`` and shared by
-    every map checked with them, as ``(pairs, scalar, boundaries)``.
 
-    ``pairs`` holds ``(node, level, x, y, ||x - y||_p)``: x and y level
-    elements of the node's level space, where the solve evaluates the maps,
-    at one random scale.  Levels are nested, so the first node is the
+def draw_probes(space: CliffordSpace, p: float, start_node: int = 0) -> tuple:
+    """The probes of one validation, drawn from :data:`_VALIDATION_SEED`
+    and shared by every map checked with them, as ``(pairs, scalar,
+    boundaries)``: a problem build and a standalone validator draw the
+    same ones.
+
+    ``pairs`` holds eight ``(node, level, x, y, ||x - y||_p)``: x and y
+    level elements of the node's level space, where the solve evaluates the
+    maps, at one random scale.  Levels are nested, so the first node is the
     binding adaptedness case: it is probed first, deterministically, then
     nodes from start_node on are sampled.  ``scalar`` is the level-0
     argument of the continuity check, on ``level_space(start_node)``.
@@ -97,10 +101,11 @@ def draw_probes(space: CliffordSpace, p: float, seed: int = 0,
     space to the next larger one, the last to the full space, with ``a`` a
     level element of the smaller space at the last node it serves.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0EF,)))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(_VALIDATION_SEED, spawn_key=(0xC0EF,)))
     n = space.grid.n
     pairs = []
-    for trial in range(trials):
+    for trial in range(8):
         k = start_node if trial == 0 else int(rng.integers(start_node, n + 1))
         level, sub = space.level_of_node(k), space.level_space(k)
         scale = 10.0 ** rng.uniform(-3, 0.5)
@@ -163,7 +168,6 @@ def _require_level(label: str, image: CliffordElement, level: int,
 
 
 def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
-                         seed: int = 0, trials: int = 6,
                          start_node: int = 0, *, probes: tuple | None = None,
                          role: str = "") -> None:
     """Spot-check adaptedness, the declared modulus, the parity /
@@ -185,11 +189,11 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
     on ``space.level_space(start_node)``.
 
     ``probes``, a :func:`draw_probes` draw, is shared by a problem's F, G,
-    H and R; without it the call draws its own from ``seed`` and
-    ``trials``.  ``role`` ("F", "G", "H") names the map in the messages.
+    H and R; without it the call draws the same probes itself.  ``role``
+    ("F", "G", "H") names the map in the messages.
     """
     if probes is None:
-        probes = draw_probes(space, p, seed, trials, start_node)
+        probes = draw_probes(space, p, start_node)
     grid = space.grid
     label = _label(role, cmap, "coefficient")
 
@@ -240,14 +244,13 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
 
 
 def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
-                      seed: int = 0, trials: int = 8,
                       start_node: int = 0, *, probes: tuple | None = None,
                       role: str = "") -> None:
     """Spot-check the declared contraction constant on sampled pairs,
     adaptedness and the embedding contract, on level factors as
     :func:`validate_coefficient` does."""
     if probes is None:
-        probes = draw_probes(space, p, seed, trials, start_node)
+        probes = draw_probes(space, p, start_node)
     label = _label(role, rmap, "nonlocal map")
 
     def fn(x, k):

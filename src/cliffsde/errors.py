@@ -18,6 +18,10 @@ class ConfigurationError(CliffsdeError):
         self.key = key
 
 
+class ArgumentError(ConfigurationError, ValueError):
+    """A function argument outside its domain; ``key`` names it."""
+
+
 class DriverMismatchError(ConfigurationError):
     """A driver needs a generator layout the space was not built with."""
 

@@ -73,10 +73,17 @@ RATIO_TOL = 1e-9
 EXACTNESS_TOL = 1e-12
 #: The tolerance of the solver suites' Picard solves and of their gates
 SOLVER_TOL = 1e-10
+#: The exponents of the bg_ratio cells and of norm_exchange's q = p cells
+P_GRID = (2.0, 3.0, 4.0, 6.0)
+#: norm_exchange's (q, p) cells with q < p
+QP_PAIRS = ((1.0, 2.0), (2.0, 4.0), (2.0, 7.0))
+#: The drivers of the bg_ratio cells, and the pair-layout increment counts
+#: of its pair-driver cells and of car_identity
+DRIVERS = ("fermion_field", "annihilation")
+PAIR_N_GRID = (4,)
 
 #: The increment counts a suite space may have: the generator budget
 _NS = frozenset(range(1, DEFAULT_MAX_GENERATORS + 1))
-_PAIR_NS = frozenset(range(1, DEFAULT_MAX_GENERATORS // 2 + 1))
 _INTEGER = (int, np.integer)
 
 
@@ -108,18 +115,15 @@ _WORST = {
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all suites, which run on the unit interval and solve
-    to :data:`SOLVER_TOL`.  ``n_grid`` takes fermion increment counts
-    1..14 and ``pair_n_grid`` pair counts 1..7: the generator budget."""
+    """Knobs shared by all suites, which run on the unit interval over the
+    cells of :data:`P_GRID`, :data:`QP_PAIRS`, :data:`PAIR_N_GRID` and
+    :data:`DRIVERS`, gate ratios at :data:`RATIO_TOL` and solve to
+    :data:`SOLVER_TOL`.  ``n_grid`` takes fermion increment counts 1..14:
+    the generator budget."""
 
     master_seed: int = 1729
     trials: int = 200
-    p_grid: tuple = (2.0, 3.0, 4.0, 6.0)
-    qp_pairs: tuple = ((1.0, 2.0), (2.0, 4.0), (2.0, 7.0))
     n_grid: tuple = (8,)
-    pair_n_grid: tuple = (4,)
-    drivers: tuple = ("fermion_field", "annihilation")
-    ratio_tol: float = RATIO_TOL
     max_workers: int = 1
 
     def __post_init__(self):
@@ -128,15 +132,12 @@ class SuiteConfig:
         trials_ok = isinstance(self.trials, _INTEGER) and self.trials >= 1
         if not (trials_ok and self.max_workers >= 1
                 and _NS.issuperset(self.n_grid)
-                and _PAIR_NS.issuperset(self.pair_n_grid)
-                and isinstance(sum(self.n_grid, sum(self.pair_n_grid)), _INTEGER)):
+                and isinstance(sum(self.n_grid), _INTEGER)):
             for key, ok, domain in (
                     ("trials", trials_ok, "an integer, at least 1"),
                     ("max_workers", self.max_workers >= 1, "at least 1"),
                     ("n_grid", _counts_ok(self.n_grid, _NS),
-                     f"integer counts 1..{len(_NS)}"),
-                    ("pair_n_grid", _counts_ok(self.pair_n_grid, _PAIR_NS),
-                     f"integer counts 1..{len(_PAIR_NS)}")):
+                     f"integer counts 1..{len(_NS)}")):
                 if not ok:
                     raise ConfigurationError(f"{key} out of range ({domain}): "
                                              f"{getattr(self, key)!r}", key=key)
@@ -299,10 +300,10 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     left/right ratios of an even-valued integrand must agree exactly.
     """
     suite = "bg_ratio"
-    cells = [(p, n, driver, side) for driver in map(Driver, config.drivers)
+    cells = [(p, n, driver, side) for driver in map(Driver, DRIVERS)
              for n in (config.n_grid if driver.required_layout == "fermion"
-                       else config.pair_n_grid)
-             for p in config.p_grid for side in ("right", "left")]
+                       else PAIR_N_GRID)
+             for p in P_GRID for side in ("right", "left")]
 
     for cell_index, (p, n, driver, side) in enumerate(cells):
         space = _space(spaces, n, driver.required_layout)
@@ -331,14 +332,14 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
         for t, (seed, (r, b, lr)) in enumerate(out):
             if not (math.isfinite(r) and math.isfinite(b) and math.isfinite(lr)):
                 table.violate(suite, cell, "non-finite ratio", t, seed)
-            if b > 1.0 + config.ratio_tol:
+            if b > 1.0 + RATIO_TOL:
                 table.violate(
                     suite, cell,
                     f"hp norm exceeds the l2-in-time bound: ratio {b!r}",
                     t, seed,
                 )
             if p == 2 and driver.label == "fermion" and \
-                    abs(r - 1.0) > config.ratio_tol:
+                    abs(r - 1.0) > RATIO_TOL:
                 table.violate(
                     suite, cell, f"isometry ratio {r!r} off 1", t, seed
                 )
@@ -360,7 +361,7 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """(int ||f||^q)^(1/q)-vs-||(int |f|^q)^(1/q)||_p ratio sweep; the ratio
     must never exceed 1, and q = p cells must sit at 1 (Fubini)."""
     suite = "norm_exchange"
-    pairs = list(config.qp_pairs) + [(p, p) for p in config.p_grid]
+    pairs = list(QP_PAIRS) + [(p, p) for p in P_GRID]
     cells = [(q, p, n) for q, p in pairs for n in config.n_grid]
 
     for cell_index, (q, p, n) in enumerate(cells):
@@ -376,10 +377,10 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
                           batch)
         _add_ratio_spread(table, suite, cell, np.array([r for _, r in out]))
         for t, (seed, r) in enumerate(out):
-            if r > 1.0 + config.ratio_tol:
+            if r > 1.0 + RATIO_TOL:
                 table.violate(suite, cell,
                               f"norm exchange ratio {r!r} above 1", t, seed)
-            if q == p and abs(r - 1.0) > config.ratio_tol:
+            if q == p and abs(r - 1.0) > RATIO_TOL:
                 table.violate(suite, cell,
                               f"q = p ratio {r!r} off 1", t, seed)
 
@@ -406,7 +407,7 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     if worst > EXACTNESS_TOL:
         table.violate(suite, cell, f"anticommutation defect {worst!r}")
 
-    for n_pair in config.pair_n_grid:
+    for n_pair in PAIR_N_GRID:
         space = _space(spaces, n_pair, "pair")
         cell = f"layout=pair n={n_pair}"
         inc_worst = nil_worst = 0.0
@@ -652,18 +653,11 @@ def run_suites(config: SuiteConfig, names) -> SweepTable:
     """Run the named suites (any subset of SUITE_NAMES) into one table,
     recording each suite's wall time in ``table.wall_s``.  The suites
     share one space per ``(n, layout)``; ``spaces`` holds them for this
-    run only.  The gate values, and that no size is a bool, are checked
-    here, not in the (cheap) SuiteConfig build, before any suite runs."""
+    run only.  That no size is a bool is checked here, not in the (cheap)
+    SuiteConfig build, before any suite runs."""
     for key, ok, domain in (
             ("trials", not _has_bool([config.trials]), "an integer, at least 1"),
-            ("n_grid", not _has_bool(config.n_grid), f"integer counts 1..{len(_NS)}"),
-            ("pair_n_grid", not _has_bool(config.pair_n_grid),
-             f"integer counts 1..{len(_PAIR_NS)}"),
-            ("ratio_tol", 0 <= config.ratio_tol < math.inf, "finite, at least 0"),
-            ("p_grid", all(2 <= p < math.inf for p in config.p_grid),
-             "finite, at least 2"),
-            ("qp_pairs", all(1 <= q <= p < math.inf for q, p in config.qp_pairs),
-             "1 <= q <= p, finite")):
+            ("n_grid", not _has_bool(config.n_grid), f"integer counts 1..{len(_NS)}")):
         if not ok:
             raise ConfigurationError(f"{key} out of range ({domain}): "
                                      f"{getattr(config, key)!r}", key=key)

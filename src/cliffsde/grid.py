@@ -13,8 +13,10 @@ import numpy as np
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; a non-integral one raises naming ``what``."""
-    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+    """``value`` as an int; a non-integral one, or text, raises naming
+    ``what``."""
+    if isinstance(value, (str, bytes)) or not (
+            isinstance(value, (int, np.integer)) or float(value).is_integer()):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
 
@@ -45,10 +47,6 @@ class TimeGrid:
         if not T > t0:
             raise ValueError(f"degenerate interval: T={T} must exceed t0={t0}")
         return cls(np.linspace(t0, T, n + 1))
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "TimeGrid":
-        return cls(nodes)
 
     @property
     def t0(self) -> float:

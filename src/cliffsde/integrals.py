@@ -258,12 +258,10 @@ class InequalityReport:
     rhs: float
     ratio: float
     q: float | None = None
-    trial: int = 0
-    seed: int = 0
 
 
-def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,
-                        trial: int = 0, seed: int = 0) -> InequalityReport:
+def check_norm_exchange(f: AdaptedProcess, q: float, p: float,
+                        upto=None) -> InequalityReport:
     """|| (int |f|^q)^(1/q) ||_p <= (int ||f||_p^q)^(1/q) for 1 <= q <= p.
 
     Equality holds at q = p; the report records both sides and their ratio.
@@ -272,13 +270,11 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float, upto=None,
         raise ValueError(f"need 1 <= q <= p, got q={q!r}, p={p!r}")
     lhs, rhs, ratio = (part[0] for part in _norm_exchange_sides(
         *_stack(f, upto)[:2], q, p))
-    return InequalityReport("norm_exchange", p, lhs, rhs, ratio,
-                            q=q, trial=trial, seed=seed)
+    return InequalityReport("norm_exchange", p, lhs, rhs, ratio, q=q)
 
 
 def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
-             side: str = "right", upto=None, trial: int = 0,
-             seed: int = 0) -> InequalityReport:
+             side: str = "right", upto=None) -> InequalityReport:
     """Martingale-vs-square-function ratio for one integrand.
 
     For the fermion driver the reference norm is ``hp_norm``; for the
@@ -291,8 +287,7 @@ def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
     ref = "hp" if driver.kind == "fermion_field" else "l2lp"
     lhs, rhs = (norms[0] for norms in _bg_norms(*_stack(f, upto, driver), p,
                                                 (side,), (ref,)))
-    return InequalityReport("bg_ratio", p, lhs, rhs, _bg_ratio(p, lhs, rhs),
-                            q=None, trial=trial, seed=seed)
+    return InequalityReport("bg_ratio", p, lhs, rhs, _bg_ratio(p, lhs, rhs))
 
 
 def _bg_ratio(p: float, lhs: float, rhs: float) -> float:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, OsgoodViolationError
+from .errors import ArgumentError, ConvergenceError, OsgoodViolationError
 
 #: Decade sweep for the divergence certificate.
 CERT_EPS_HI = 1e-2
@@ -69,8 +69,9 @@ class OsgoodModulus:
     @classmethod
     def from_lipschitz(cls, L: float, name: str = "") -> "OsgoodModulus":
         L = float(L)
-        if L < 0:
-            raise ValueError(f"Lipschitz constant must be >= 0, got {L}")
+        if not 0 <= L < math.inf:
+            raise ArgumentError(f"Lipschitz constant must be finite and >= 0, "
+                                f"got {L}", key="L")
         return cls(rho=lambda r: L * L * r, kind="lipschitz",
                    lipschitz_constant=L, name=name or f"lipschitz({L})")
 
@@ -130,25 +131,28 @@ def bihari_bound(u0: float, phi, modulus: OsgoodModulus, t: float,
 
     ``phi`` may be a callable of time or a constant.  With u0 = 0 the bound
     is identically zero (the uniqueness mechanism); with rho(r) = r it
-    reduces to the classical exponential bound u0 * exp(int phi).
+    reduces to the classical exponential bound u0 * exp(int phi).  An
+    argument outside its domain raises :class:`ArgumentError` naming it.
     """
-    u0 = float(u0)
-    if u0 < 0:
-        raise ValueError(f"u0 must be >= 0, got {u0}")
-    if t < t0:
-        raise ValueError(f"t={t} before t0={t0}")
+    u0, t, t0 = float(u0), float(t), float(t0)
+    if not 0 <= u0 < math.inf:
+        raise ArgumentError(f"u0 must be finite and >= 0, got {u0}", key="u0")
+    if not -math.inf < t0 < math.inf:
+        raise ArgumentError(f"t0 must be finite, got {t0}", key="t0")
+    if not t0 <= t < math.inf:
+        raise ArgumentError(f"t={t} must be finite and not before t0={t0}",
+                            key="t")
+    # a constant phi is checked itself, a callable one by its integral
+    big_phi = _gauss(phi, t0, t) if callable(phi) else float(phi)
+    if not 0 <= big_phi < math.inf:
+        raise ArgumentError(f"phi must be finite and >= 0 for an upper "
+                            f"bound, got {big_phi}", key="phi")
+    if not callable(phi):
+        big_phi *= t - t0
     if u0 == 0.0:
         return 0.0
     if modulus.is_lipschitz and modulus.lipschitz_constant == 0.0:
         return u0  # rho == 0: no growth at all
-    if t == t0:
-        return u0
-    if callable(phi):
-        big_phi = _gauss(phi, t0, t)
-    else:
-        big_phi = float(phi) * (t - t0)
-    if big_phi < 0:
-        raise ValueError("int phi must be >= 0 for an upper bound")
     if big_phi == 0.0:
         return u0
 
@@ -186,6 +190,9 @@ def _rho_log(scale: float):
 def make_modulus(name: str, scale: float = 1.0) -> OsgoodModulus:
     """Built-in moduli: 'linear' (Lipschitz), 'log' (r ln(e + 1/r), Osgood
     but not Lipschitz), 'sqrt' (sqrt(r); rejected by the certificate)."""
+    if not 0 <= scale < math.inf:
+        raise ArgumentError(f"scale must be finite and >= 0, got {scale}",
+                            key="scale")
     if name == "linear":
         return OsgoodModulus.from_lipschitz(scale, name=f"linear({scale})")
     if name == "log":

@@ -51,16 +51,14 @@ PROBLEMS = {
 }
 
 
-def make_problem(name: str, n=None, t0=0.0, horizon=1.0, p=4.0,
-                 nonlocal_mode="pointwise",
+def make_problem(name: str, n=None, nonlocal_mode="pointwise",
                  max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
-    """The built-in problem ``name`` on [t0, t0 + horizon] with n steps
-    (None: the problem's own default).  Bad values raise
-    :class:`ConfigError` naming their configuration key."""
+    """The built-in problem ``name`` on [0, 1] at p = 4 with n steps (None:
+    the problem's own default).  Bad values raise :class:`ConfigError`
+    naming their configuration key."""
     if name not in PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEMS)}")
-    raw = {**PROBLEMS[name], "p": p, "grid.t0": t0, "grid.T": t0 + horizon,
-           "grid.max_generators": max_generators,
+    raw = {**PROBLEMS[name], "grid.max_generators": max_generators,
            "solve.nonlocal_mode": nonlocal_mode}
     if n is not None:
         raw["grid.n"] = n

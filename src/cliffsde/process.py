@@ -308,11 +308,12 @@ class AdaptedProcess:
     def __iter__(self):
         return iter(self.values)
 
-    def max_adaptedness_defect(self, p: float = 2.0) -> float:
+    def max_adaptedness_defect(self) -> float:
+        """The largest L^2 adaptedness defect over the nodes."""
         worst = 0.0
         for off, v in enumerate(self.values):
             level = self.space.level_of_node(self.start_node + off)
-            worst = max(worst, adaptedness_defect(v, level, p))
+            worst = max(worst, adaptedness_defect(v, level, 2.0))
         return worst
 
     def __repr__(self):

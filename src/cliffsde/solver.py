@@ -51,9 +51,6 @@ from .space import (CliffordSpace, adaptedness_defect, expand,
 
 NONLOCAL_MODES = ("pointwise", "initial")
 
-#: Internal seed for the construction-time spot checks (deterministic).
-_VALIDATION_SEED = 0x5DE
-
 
 @dataclass(frozen=True)
 class QsdeProblem:
@@ -108,8 +105,7 @@ class QsdeProblem:
                 )
             if self.validate:
                 # one draw of level-factor probes serves all four maps
-                probes = draw_probes(self.space, self.p, _VALIDATION_SEED,
-                                     start_node=self.start_node)
+                probes = draw_probes(self.space, self.p, self.start_node)
                 for role in "FGH":
                     validate_coefficient(getattr(self, role), self.space,
                                          self.p, start_node=self.start_node,

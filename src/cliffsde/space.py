@@ -181,9 +181,6 @@ class CliffordSpace:
     def zero(self) -> CliffordElement:
         return CliffordElement(self, np.zeros((self.dim, self.dim), dtype=complex))
 
-    def scalar(self, c) -> CliffordElement:
-        return CliffordElement(self, complex(c) * np.eye(self.dim, dtype=complex))
-
     def generator(self, i: int) -> CliffordElement:
         if not 0 <= i < self.n_gen:
             raise IndexError(f"generator index {i} outside 0..{self.n_gen - 1}")

@@ -70,6 +70,25 @@ def test_bihari_rejects_negative_start(capsys):
     assert "config error (--u0)" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("--horizon", "nan"), "--horizon"), (("--horizon", "inf"), "--horizon"),
+    (("--phi", "nan"), "--phi"), (("--phi", "-1"), "--phi"),
+    (("--t0", "nan"), "--t0"), (("--u0", "inf"), "--u0"),
+    (("--scale", "nan"), "--scale"), (("--scale", "inf"), "--scale"),
+    (("--rho", "log", "--scale", "nan"), "--scale"),
+])
+def test_bihari_out_of_domain_values_exit_2_naming_the_flag(capsys, argv,
+                                                             flag):
+    # NaN horizons, phis, t0s and scales printed a bound and exited 0;
+    # infinite ones exited 3 ("could not bracket"); a negative phi was
+    # reported as --u0 and a NaN log scale as --rho
+    code, out, err = _run(capsys, "bihari", "--rho", "linear", "--u0", "1",
+                          "--horizon", "1", *argv)
+    assert code == 2
+    assert err.startswith(f"config error ({flag}): ")
+    assert out == ""
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -334,6 +353,17 @@ def test_bench_constants_rejects_small_exponent(capsys):
     code, _, err = _run(capsys, "bench-constants", "--p", "1.5", "--seed", "0")
     assert code == 2
     assert "config error (--p)" in err
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_bench_constants_rejects_a_non_finite_exponent(capsys, p):
+    # NaN and inf passed the p >= 2 test, and the norm kernels raised a
+    # ValueError traceback after the finite p's rows were printed
+    code, out, err = _run(capsys, "bench-constants", "--p", "4", "--p", p,
+                          "--n", "2", "--trials", "2")
+    assert code == 2
+    assert err.startswith("config error (--p): ")
+    assert "beta_hat" not in out
 
 
 def test_bench_constants_rejects_unknown_driver(capsys):

@@ -30,7 +30,7 @@ from cliffsde import (
     validate_coefficient,
     validate_nonlocal,
 )
-from cliffsde import solver
+from cliffsde import coefficients
 
 P = 4.0
 
@@ -43,13 +43,13 @@ _SP = make_space(TimeGrid.uniform(0.0, 1.0, 4))
 @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
 def test_builtin_coefficients_pass_their_own_contract(name):
     cmap = make_coefficient(name, P)
-    validate_coefficient(cmap, _SP, P, seed=3, trials=8)
+    validate_coefficient(cmap, _SP, P)
 
 
 @pytest.mark.parametrize("name", sorted(NONLOCAL_MAPS))
 def test_builtin_nonlocal_maps_pass_their_own_contract(name):
     rmap = make_nonlocal(name)
-    validate_nonlocal(rmap, _SP, P, seed=3, trials=8)
+    validate_nonlocal(rmap, _SP, P)
 
 
 def test_unknown_names_rejected():
@@ -300,11 +300,27 @@ def test_a_map_that_differs_only_at_full_size_is_rejected(monkeypatch, seed):
     assert max(lp_norm(a - b, P) for a, b in zip(
         report.trajectory.values, oracle.values)) > 0.28
     assert residual(report.trajectory, unchecked) < 1e-12
-    monkeypatch.setattr(solver, "_VALIDATION_SEED", seed)
+    monkeypatch.setattr(coefficients, "_VALIDATION_SEED", seed)
     with pytest.raises(ContractViolationError,
                        match=r"^F \(half_on_full\): the image of a level "
                              r"factor embedded in dimension 8 "):
         prob.replace(F=bad)
+
+
+def test_a_standalone_validator_draws_the_probes_of_a_problem_build():
+    # one probe draw: on its own and in the build, the check fails at the
+    # same boundary with the same gap, and only the label differs
+    prob = make_problem("linear_field", n=6)
+    consts = {2 ** f: 0.25 for f in range(1, prob.space.factors)}
+    bad = _dim_dependent_scale({**consts, prob.space.dim: 0.5},
+                               name="half_on_full")
+    with pytest.raises(ContractViolationError) as alone:
+        validate_coefficient(bad, prob.space, prob.p)
+    with pytest.raises(ContractViolationError) as built:
+        prob.replace(F=bad)
+    message = str(alone.value).removeprefix("half_on_full: ")
+    assert message.startswith("the image of a level factor embedded in ")
+    assert str(built.value) == f"F (half_on_full): {message}"
 
 
 @pytest.mark.parametrize("role", ["F", "G", "H", "R"])

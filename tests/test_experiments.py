@@ -19,7 +19,7 @@ from cliffsde import (
 )
 from cliffsde import experiments
 
-_SMALL = SuiteConfig(trials=12, n_grid=(4,), pair_n_grid=(3,), master_seed=7)
+_SMALL = SuiteConfig(trials=12, n_grid=(4,), master_seed=7)
 
 
 # -- determinism -----------------------------------------------------------------
@@ -44,9 +44,9 @@ def test_seeded_inequality_suites_match_the_committed_bytes():
 
 @pytest.mark.parametrize("key,value", [
     ("trials", 0), ("trials", -2), ("max_workers", 0), ("max_workers", -2),
-    ("n_grid", (0,)), ("n_grid", (8, 30)), ("pair_n_grid", (8,)),
-    ("pair_n_grid", (-1,)), ("trials", 2.5), ("n_grid", (8.0,)),
-    ("n_grid", (4, 2.0)), ("pair_n_grid", (4.0,)),
+    ("n_grid", (0,)), ("n_grid", (8, 30)), ("n_grid", (15,)),
+    ("n_grid", (-1,)), ("trials", 2.5), ("n_grid", (8.0,)),
+    ("n_grid", (4, 2.0)),
 ])
 def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
     with pytest.raises(ConfigurationError, match=f"^{key} out of range") as exc:
@@ -55,22 +55,19 @@ def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
 
 
 def test_the_largest_sizes_are_accepted():
-    config = SuiteConfig(trials=1, max_workers=1, n_grid=(1, 14),
-                         pair_n_grid=(1, 7))
+    config = SuiteConfig(trials=1, max_workers=1, n_grid=(1, 14))
     assert config.n_grid == (1, 14)
 
 
 def test_worker_count_does_not_change_results():
     threaded = run_inequality_suite(
-        SuiteConfig(trials=12, n_grid=(4,), pair_n_grid=(3,), master_seed=7,
-                    max_workers=3))
+        SuiteConfig(trials=12, n_grid=(4,), master_seed=7, max_workers=3))
     assert threaded.to_csv() == run_inequality_suite(_SMALL).to_csv()
 
 
 def test_worker_threads_over_several_chunks_do_not_change_results():
     # n = 8 puts 4 trials in a chunk, so 9 trials make three chunks
-    config = SuiteConfig(trials=9, n_grid=(8,), pair_n_grid=(4,),
-                         master_seed=5, drivers=("fermion_field",))
+    config = SuiteConfig(trials=9, n_grid=(8,), master_seed=5)
     names = ["bg_ratio", "norm_exchange"]
     threaded = run_suites(SuiteConfig(**{**vars(config), "max_workers": 2}),
                           names)
@@ -89,15 +86,15 @@ def test_one_space_per_n_and_layout_per_run(monkeypatch):
     monkeypatch.setattr(experiments, "make_space", counted)
     table = run_inequality_suite(_SMALL)
     assert table.passed
-    assert sorted(built) == [(3, "pair"), (4, "fermion")]
+    assert sorted(built) == [(4, "fermion"), (4, "pair")]
     built.clear()
     run_inequality_suite(_SMALL)  # a new run builds its own
-    assert sorted(built) == [(3, "pair"), (4, "fermion")]
+    assert sorted(built) == [(4, "fermion"), (4, "pair")]
 
 
 def test_master_seed_changes_results():
     other = run_inequality_suite(
-        SuiteConfig(trials=12, n_grid=(4,), pair_n_grid=(3,), master_seed=8))
+        SuiteConfig(trials=12, n_grid=(4,), master_seed=8))
     assert other.to_csv() != run_inequality_suite(_SMALL).to_csv()
 
 
@@ -112,10 +109,10 @@ def test_trial_seed_is_stable_and_spread():
 # -- violation logging -----------------------------------------------------------
 
 
-def test_impossible_tolerance_fills_the_violation_log():
+def test_impossible_tolerance_fills_the_violation_log(monkeypatch):
     # no slack at all: the q = p ratios are 1 only up to rounding
-    table = run_suites(SuiteConfig(trials=4, n_grid=(4,), ratio_tol=0.0),
-                       ["norm_exchange"])
+    monkeypatch.setattr(experiments, "RATIO_TOL", 0.0)
+    table = run_suites(SuiteConfig(trials=4, n_grid=(4,)), ["norm_exchange"])
     assert not table.passed
     assert not table.suite_passed("norm_exchange")
     assert len(table.violations) > 0
@@ -138,31 +135,11 @@ def test_unknown_suite_name():
         run_suites(_SMALL, ["telepathy"])
 
 
-def test_empty_grids_yield_empty_tables():
-    cfg = SuiteConfig(trials=4, p_grid=(), qp_pairs=(), n_grid=(4,))
-    table = run_suites(cfg, ["bg_ratio", "norm_exchange"])
-    assert table.passed
-    assert table.to_csv() == SweepTable.CSV_HEADER + "\n"
-
-
-def test_bg_ratio_suite_keeps_the_exponent_check():
-    with pytest.raises(ConfigurationError, match="at least 2") as exc:
-        run_suites(SuiteConfig(trials=2, p_grid=(1.5,), n_grid=(4,)),
-                   ["bg_ratio"])
-    assert exc.value.key == "p_grid"
-
-
-@pytest.mark.parametrize("key, value", [
-    ("ratio_tol", math.nan), ("ratio_tol", math.inf), ("ratio_tol", -0.5),
-    ("p_grid", (math.nan,)), ("p_grid", (4.0, math.inf)),
-    ("p_grid", (3.0, -math.inf)),
-    ("trials", True), ("n_grid", (4, True)), ("pair_n_grid", (True,)),
-])
+@pytest.mark.parametrize("key, value", [("trials", True), ("n_grid", (4, True))])
 def test_gate_values_out_of_range_are_rejected_before_any_suite_runs(
         key, value, monkeypatch):
-    # a NaN ratio_tol turns every ratio gate off (each is a comparison,
-    # false for NaN); a NaN p dies inside the norm kernels; a bool size
-    # passes the build's integer tests and ran as 1, its cells named True
+    # a bool size passes the build's integer tests and ran as 1, its cells
+    # named True
     ran = []
     monkeypatch.setitem(experiments._SUITE_RUNNERS, "car_identity",
                         lambda *args: ran.append(args))
@@ -170,24 +147,6 @@ def test_gate_values_out_of_range_are_rejected_before_any_suite_runs(
     with pytest.raises(ConfigurationError, match=key) as exc:
         run_suites(config, ["car_identity", "norm_exchange"])
     assert exc.value.key == key
-    assert ran == []
-
-
-@pytest.mark.parametrize("pairs", [
-    ((5.0, 2.0),), ((0.5, 2.0),), ((1.0, 2.0), (2.0, math.inf)),
-    ((math.nan, 2.0),), ((2.0, math.nan),), ((-math.inf, 2.0),),
-])
-def test_qp_pairs_out_of_range_are_rejected_before_any_suite_runs(
-        pairs, monkeypatch):
-    # q > p logged false "ratio above 1" violations, q < 1 passed
-    # silently, and a non-finite entry died deep in the norm kernels
-    ran = []
-    monkeypatch.setitem(experiments._SUITE_RUNNERS, "car_identity",
-                        lambda *args: ran.append(args))
-    config = SuiteConfig(qp_pairs=pairs, p_grid=(2.0,), trials=3, n_grid=(4,))
-    with pytest.raises(ConfigurationError, match="^qp_pairs out of range") as exc:
-        run_suites(config, ["car_identity", "norm_exchange"])
-    assert exc.value.key == "qp_pairs"
     assert ran == []
 
 

@@ -49,7 +49,7 @@ SCALES = (1.0, 1e300, 1e-310, 5e-324)
 
 def _nonuniform(n: int, seed: int) -> TimeGrid:
     rng = np.random.default_rng(seed)
-    return TimeGrid.from_nodes(np.concatenate(([0.0], np.cumsum(
+    return TimeGrid(np.concatenate(([0.0], np.cumsum(
         rng.uniform(0.05, 1.0, n)))))
 
 

@@ -23,7 +23,7 @@ def test_single_increment_supported():
 
 
 def test_nonuniform_from_nodes():
-    g = TimeGrid.from_nodes([0.0, 0.1, 0.4, 1.0])
+    g = TimeGrid([0.0, 0.1, 0.4, 1.0])
     assert g.n == 3
     assert g.node(2) == 0.4
     np.testing.assert_allclose(g.deltas, [0.1, 0.3, 0.6], rtol=0, atol=1e-16)
@@ -37,7 +37,7 @@ def test_nonuniform_from_nodes():
 )
 def test_bad_node_lists_rejected(nodes):
     with pytest.raises(ValueError):
-        TimeGrid.from_nodes(nodes)
+        TimeGrid(nodes)
 
 
 def test_degenerate_interval_rejected():
@@ -86,7 +86,8 @@ def test_node_and_delta_take_integral_indices(k):
     assert (g.node(k), g.delta(k)) == (0.5, 0.25)
 
 
-@pytest.mark.parametrize("k", [1.5, 0.5, float("nan")])
+# float() reads numeric text, so "1" indexed node 1
+@pytest.mark.parametrize("k", [1.5, 0.5, float("nan"), "1", b"1", " 2 "])
 def test_node_and_delta_reject_a_non_integral_index(k):
     g = TimeGrid.uniform(0.0, 1.0, 4)
     with pytest.raises(ValueError, match=f"node index {k!r} is not an integer"):
@@ -96,7 +97,8 @@ def test_node_and_delta_reject_a_non_integral_index(k):
         g.delta(k)
 
 
-@pytest.mark.parametrize("n", [True, np.True_, 2.5, float("nan")])
+# "3" built a 3-step grid
+@pytest.mark.parametrize("n", [True, np.True_, 2.5, float("nan"), "3", b"3"])
 def test_uniform_rejects_a_bool_or_non_integral_n(n):
     with pytest.raises(ValueError, match=r"\bn\b"):
         TimeGrid.uniform(0.0, 1.0, n)

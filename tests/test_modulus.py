@@ -17,6 +17,7 @@ import pytest
 
 import cliffsde
 from cliffsde import (
+    ArgumentError,
     ConvergenceError,
     OsgoodModulus,
     OsgoodViolationError,
@@ -92,6 +93,18 @@ def test_lipschitz_factory_validation():
     assert m(1.0) == 9.0  # L^2 r
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_lipschitz_constant_and_scale_must_be_finite_and_non_negative(value):
+    # a NaN constant was accepted and made every modulus bound NaN
+    with pytest.raises(ArgumentError, match="^Lipschitz constant") as exc:
+        OsgoodModulus.from_lipschitz(value)
+    assert exc.value.key == "L"
+    for name in ("linear", "log"):
+        with pytest.raises(ArgumentError, match="^scale") as exc:
+            make_modulus(name, scale=value)
+        assert exc.value.key == "scale"
+
+
 # -- Bihari bound -------------------------------------------------------------
 
 
@@ -138,6 +151,25 @@ def test_negative_forcing_rejected():
     m = make_modulus("linear")
     with pytest.raises(ValueError):
         bihari_bound(1.0, -1.0, m, 1.0)
+
+
+@pytest.mark.parametrize("args, key", [
+    ({"u0": math.nan}, "u0"), ({"u0": math.inf}, "u0"), ({"u0": -0.1}, "u0"),
+    ({"phi": math.nan}, "phi"), ({"phi": math.inf}, "phi"),
+    ({"phi": -1.0}, "phi"), ({"phi": lambda s: -s}, "phi"),
+    ({"t": math.nan}, "t"), ({"t": math.inf}, "t"),
+    ({"t": 0.0, "t0": 0.5}, "t"), ({"t0": math.nan}, "t0"),
+    ({"t0": -math.inf}, "t0"),
+])
+def test_bihari_arguments_out_of_domain_are_named(args, key):
+    # a NaN phi, t or t0 returned a bound (2.0 here), an infinite u0 or t
+    # failed to bracket, a NaN u0 raised from inside the quadrature, and a
+    # negative phi was not told apart from a negative u0
+    args = {"u0": 1.0, "phi": 1.0, "modulus": make_modulus("linear"),
+            "t": 1.0, **args}
+    with pytest.raises(ArgumentError, match=rf"^{key}\b") as exc:
+        bihari_bound(**args)
+    assert exc.value.key == key
 
 
 def test_zero_horizon_returns_start():

@@ -20,7 +20,6 @@ from cliffsde import (
     AdaptedProcess,
     ConfigurationError,
     Driver,
-    SuiteConfig,
     TimeGrid,
     check_bg,
     check_norm_exchange,
@@ -32,14 +31,14 @@ from cliffsde import (
     measure_bg_constant,
     random_level_element,
 )
+from cliffsde import experiments
 from cliffsde.element import lp_norms
 from cliffsde.integrals import (_bg_norms, _driver_partial_sums, _hp_norms,
                                 _lqlp_norms, _norm_exchange_sides)
 from cliffsde.process import _random_stack, _trial_chunks
 
 P_VALUES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 7.0)
-_CONFIG = SuiteConfig()
-QP_PAIRS = tuple(_CONFIG.qp_pairs) + tuple((p, p) for p in _CONFIG.p_grid)
+QP_PAIRS = experiments.QP_PAIRS + tuple((p, p) for p in experiments.P_GRID)
 
 _FERMION = make_space(TimeGrid.uniform(0.0, 1.0, 5))   # odd generator count
 _FERMION4 = make_space(TimeGrid.uniform(0.0, 1.0, 4))
