@@ -11,7 +11,8 @@ F, G, H coefficient maps with certified (Lipschitz or Osgood) moduli.
 Successive approximation replaces the integrand by the previous iterate;
 each node value, held as its level factor (see
 :meth:`CliffordSpace.level_space`), is then solved for the implicit R
-term by a Banach fixed-point loop.  With R = 0 the scheme telescopes to
+term by a fixed-point loop: three plain steps, then safeguarded Anderson
+mixing (:func:`inner_fixed_point`).  With R = 0 the scheme telescopes to
 the explicit Euler recursion and terminates exactly after one sweep per
 node.
 
@@ -50,6 +51,8 @@ from .space import (CliffordSpace, adaptedness_defect, expand,
                     require_adapted, restrict)
 
 NONLOCAL_MODES = ("pointwise", "initial")
+#: differences an Anderson step of the inner solve mixes
+_MIX_DEPTH = 1
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,8 @@ class QsdeProblem:
 @dataclass(frozen=True)
 class InnerResult:
     """A converged inner solve.  ``steps`` holds the measured L^p steps in
-    order; for p > 2 without a replay, only those that could stop the loop
-    (see :func:`inner_fixed_point`).  ``equation`` holds ``(M, R, Z, p)``."""
+    order; for p >= 2 only those that could stop the loop (see
+    :func:`inner_fixed_point`).  ``equation`` holds ``(M, R, Z, p)``."""
 
     value: CliffordElement
     iterations: int
@@ -163,77 +166,86 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
                       p: float, tol: float, max_inner: int = 200,
                       guess: CliffordElement | None = None,
                       node: int | None = None) -> InnerResult:
-    """Solve Y = Z + R(Y) + M by Banach iteration.
+    """Solve Y = Z + R(Y) + M by safeguarded Anderson mixing of
+    g(y) = Z + R(y) + M (Walker & Ni 2011).
 
-    Starts from Y0 = Z + R(guess) + M, one step off ``guess``, or from
-    Y0 = Z + M without one; for R = 0 both are the fixed point.  Stops at
-    the first step with L^p norm <= tol (the residual is then below
-    C(R) * tol < tol).
+    Starts from Y0 = Z + R(guess) + M, one plain step off ``guess``, or
+    from Y0 = Z + M without one; for R = 0 both are the fixed point.  Two
+    more plain steps y <- g(y) follow; from then on each step mixes the last
+    ``_MIX_DEPTH`` differences of g and of the step d = g(y) - y, with the
+    real coefficients that minimise ||d||_2.  A mixed point whose ||d||_2
+    exceeds the last plain point's is dropped for the plain step from the
+    point it was mixed from, and the history restarts.  The loop stops at
+    the first ||d||_p <= tol and returns g(y), whose residual is then at
+    most C(R) * tol.
 
-    For p > 2 the exact step norm (a Gram product) is taken only where the
-    lower bound ||d||_2 <= ||d||_p is within tol * (1 + 1e-9), a margin for
-    rounding: only there can the loop stop, and ``steps`` holds just those.
-    Any other end (a non-finite, overflowing or growing ||d||_2, an error,
-    the budget) replays the loop from ``guess``, measuring also iterations
-    1, 2, 4, ... and ``max_inner``; R is a function, so the replay repeats
-    the iterates and its outcome is the call's.  A failing solve thus costs
-    up to twice its steps.  For p <= 2 every step is measured, no replay.
+    For p >= 2, ||d||_2 <= ||d||_p, so the exact ||d||_p (a Gram product
+    for p > 2) is taken only where ||d||_2 <= tol * (1 + 1e-9), a margin
+    for rounding; where ||d||_2 is so large that the product could
+    overflow; and at ``max_inner``.  For p < 2 it is taken at every step.
+    ``steps`` holds those measured steps.
 
-    Two successive growths between measured steps raise
+    Two successive growths of ||d||_2 between plain points raise
     ContractViolationError with the per-step rate.  A non-finite step
     raises ConvergenceError, ``node`` naming the grid node; it and the
     budget failure carry the measured steps with their iteration numbers.
     """
     _check_solve_args(tol, max_inner=max_inner)
-    args = (M, R, Z, p, tol, max_inner, guess, node)
-    if p > 2:
-        try:
-            return _banach(*args, traced=False)
-        except Exception:  # the traced replay meets it again, or fails earlier
-            pass
-    return _banach(*args, traced=True)
-
-
-def _banach(M, R, Z, p, tol, max_inner, guess, node, traced) -> InnerResult:
-    """:func:`inner_fixed_point`'s loop; untraced, without checkpoints."""
     y = Z + M if guess is None else Z + R(guess) + M
     # the Gram-based norm forms nothing above (tr d*d)^(p/2) = (dim
     # ||d||_2^2)^(p/2), so ||d||_2 <= safe cannot overflow it (2: rounding)
     safe = sys.float_info.max ** (1.0 / p) / (2.0 * math.sqrt(M.space.dim))
-    steps, measured_at, grew, last = [], [], 0, math.inf
+    steps, measured_at = [], []
+    grew, plain, mixed, filled = 0, math.inf, False, 0
     for it in range(1, max_inner + 1):
-        y_next = Z + R(y) + M
-        d = y_next - y
-        y = y_next
-        step = lp_norm(d, min(p, 2))  # for p > 2, first its bound ||d||_2
-        if p > 2:
-            if not (traced or step <= min(safe, last * (1 + 1e-9))):
-                break  # to the budget failure, which the traced loop replays
-            checkpoint = traced and (it & (it - 1) == 0 or it == max_inner)
-            last = step
-            if step <= tol * (1 + 1e-9) or checkpoint and math.isfinite(step):
-                step = lp_norm(d, p)
-            elif math.isfinite(step):
-                continue
-        steps.append(step)
-        measured_at.append(it)
-        if not math.isfinite(step):
-            where = "" if node is None else f" at node {node}"
-            raise ConvergenceError(
-                f"inner iteration{where} produced a non-finite step "
-                f"({step!r})", deltas=steps, iterations=measured_at)
-        if step <= tol:
-            return InnerResult(y, it, tuple(steps), (M, R, Z, p))
-        if len(steps) >= 2 and step > steps[-2] * (1 + 1e-9):
-            grew += 1
+        gy = Z + R(y) + M
+        d = gy - y
+        d2 = lp_norm(d, 2)
+        if p < 2 or not tol * (1 + 1e-9) < d2 <= safe or it == max_inner:
+            step = lp_norm(d, p) if p != 2 and math.isfinite(d2) else d2
+            steps.append(step)
+            measured_at.append(it)
+            if not math.isfinite(step):
+                where = "" if node is None else f" at node {node}"
+                raise ConvergenceError(
+                    f"inner iteration{where} produced a non-finite step "
+                    f"({step!r})", deltas=steps, iterations=measured_at)
+            if step <= tol:
+                return InnerResult(gy, it, tuple(steps), (M, R, Z, p))
+        if mixed and d2 > plain:  # the safeguard: g at the point mixed from
+            df[0], dg[0] = df[filled % _MIX_DEPTH], dg[filled % _MIX_DEPTH]
+            y = CliffordElement(gy.space, dg[0].reshape(gy.mat.shape))
+            mixed, filled = False, 0
+            continue
+        if not mixed:
+            grew = grew + 1 if d2 > plain * (1 + 1e-9) else 0
             if grew >= 2:
-                rate = (step / steps[-2]) ** (1.0 / (it - measured_at[-2]))
                 raise ContractViolationError(
-                    f"inner iteration expands (measured rate {rate:.3f} >= 1); "
-                    f"the nonlocal map is not the declared contraction"
-                )
-        else:
-            grew = 0
+                    f"inner iteration expands (measured rate "
+                    f"{d2 / plain:.3f} >= 1); the nonlocal map is not the "
+                    f"declared contraction")
+            plain = d2
+        y, mixed = gy, False
+        if it >= 2:  # rows of d and g: a base, then the difference from it
+            if it == 2:
+                df, dg = np.empty((2, _MIX_DEPTH, d.mat.size), complex)
+            if it >= 3:
+                j, filled = filled % _MIX_DEPTH, filled + 1
+                np.subtract(d.mat.ravel(), df[j], out=df[j])
+                np.subtract(gy.mat.ravel(), dg[j], out=dg[j])
+                # real coefficients, in Re tr(a* b): exact self-adjointness
+                a = df[:filled].view(float)
+                gram = a @ a.T
+                ridge = 1e-14 * np.trace(gram)
+                if 0 < ridge < math.inf:
+                    gamma = np.linalg.solve(gram + ridge * np.eye(len(a)),
+                                            a @ d.mat.ravel().view(float))
+                    if np.isfinite(gamma).all():
+                        y, mixed = CliffordElement(gy.space, gy.mat - sum(
+                            g * c for g, c in zip(gamma, dg)).reshape(
+                                gy.mat.shape), _fresh=True), True
+            df[filled % _MIX_DEPTH] = d.mat.ravel()
+            dg[filled % _MIX_DEPTH] = gy.mat.ravel()
     raise ConvergenceError(
         f"inner fixed point did not reach tol={tol:.1e} within "
         f"{max_inner} iterations",
@@ -272,32 +284,25 @@ class SolveReport:
     def node_records(self):
         """Rows (node, time, lp_norm, residual, selfadjoint_defect)."""
         prob = self.problem
-        rows = []
-        for node, (x, res) in enumerate(zip(self.factors, self.node_residuals),
-                                        prob.start_node):
-            rows.append((
-                node,
-                prob.space.grid.node(node),
-                lp_norm(x, prob.p),
-                res,
-                x.selfadjoint_defect(prob.p),
-            ))
-        return rows
+        return [(node, prob.space.grid.node(node), lp_norm(x, prob.p), res,
+                 x.selfadjoint_defect(prob.p))
+                for node, (x, res) in enumerate(
+                    zip(self.factors, self.node_residuals), prob.start_node)]
 
     def trajectory_csv(self) -> str:
-        lines = ["node,time,lp_norm,residual,selfadjoint_defect"]
-        for node, t, nrm, res, sad in self.node_records():
-            lines.append(f"{node},{t!r},{nrm!r},{res!r},{sad!r}")
-        return "\n".join(lines) + "\n"
+        return _csv("node,time,lp_norm,residual,selfadjoint_defect",
+                    self.node_records())
 
     def iteration_csv(self) -> str:
-        lines = ["iteration,delta,inner_iterations,adapted_defect,selfadjoint_defect"]
-        for i, d in enumerate(self.deltas):
-            lines.append(
-                f"{i + 1},{d!r},{self.inner_iterations[i]},"
-                f"{self.adapted_defects[i]!r},{self.selfadjoint_defects[i]!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv("iteration,delta,inner_iterations,adapted_defect,"
+                    "selfadjoint_defect",
+                    zip(range(1, len(self.deltas) + 1), self.deltas,
+                        self.inner_iterations, self.adapted_defects,
+                        self.selfadjoint_defects))
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(map(repr, r)) for r in rows]) + "\n"
 
 
 def _factors(problem: QsdeProblem, values) -> list:
@@ -365,10 +370,13 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     if initial is None:
         current = zs
     else:
+        if initial.space != sp:
+            raise ConfigurationError(
+                "initial trajectory belongs to a different space",
+                key="initial")
         if initial.start_node != k0 or len(initial) != n_nodes:
             raise ValueError(
-                f"initial trajectory must cover nodes {k0}..{grid.n}"
-            )
+                f"initial trajectory must cover nodes {k0}..{grid.n}")
         current = _factors(problem, initial.values)
 
     trace_delta, trace_inner, trace_adapt, trace_sa = [], [], [], []
@@ -391,9 +399,8 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
                                         partial(_image, "R", problem.R, k0),
                                         zs[0], problem.p, inner_tol,
                                         max_inner, guess=current[0], node=k0)
-                head = sol.value
                 inner_count = sol.iterations
-                nxt = [expand(head, m_k.space) + m_k for m_k in integrals]
+                nxt = [expand(sol.value, m_k.space) + m_k for m_k in integrals]
         except ConvergenceError as exc:
             raise ConvergenceError(f"Picard sweep {sweep}: {exc}",
                                    deltas=exc.deltas,
@@ -421,15 +428,8 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
                 # the check AdaptedProcess makes of every value it holds
                 for node, d in enumerate(defects, k0):
                     _require_node_adapted(sp, node, d)
-                return SolveReport(
-                    problem=problem,
-                    factors=current,
-                    node_residuals=res,
-                    deltas=trace_delta,
-                    inner_iterations=trace_inner,
-                    adapted_defects=trace_adapt,
-                    selfadjoint_defects=trace_sa,
-                )
+                return SolveReport(problem, current, res, trace_delta,
+                                   trace_inner, trace_adapt, trace_sa)
     raise ConvergenceError(
         f"no convergence to tol={tol:.1e} within {max_outer} Picard "
         f"iterations (last delta {trace_delta[-1]:.3e})",

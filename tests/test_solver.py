@@ -161,6 +161,17 @@ def test_initial_trajectory_must_cover_node_range():
         picard_solve(prob, initial=short)
 
 
+def test_initial_trajectory_from_another_space_is_rejected():
+    # an n = 8 space's process on nodes 0..6 covers an n = 6 problem's node
+    # range; its dimension-16 values were strided down to dimension 8
+    prob = make_problem("nonlocal_linear", n=6)
+    other = make_problem("nonlocal_linear", n=8)
+    foreign = AdaptedProcess(other.space, [other.Z] * 7)
+    with pytest.raises(ConfigurationError, match="initial") as exc:
+        picard_solve(prob, initial=foreign)
+    assert exc.value.key == "initial"
+
+
 # -- the inner (nonlocal) fixed point ------------------------------------------
 
 
@@ -196,8 +207,8 @@ def test_inner_conditional_fixed_point_oracle():
 
 
 def test_inner_iteration_count_and_contraction_rate():
-    # a converged solve measures only its last steps: the rate is read off
-    # the every-step reference, which its measured steps must end
+    # the rate is read off the every-step plain reference; the mixed loop
+    # stops no later than plain iteration would
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
     c, tol = 0.5, 1e-10
     args = (sp.zero(), make_nonlocal("scale", c=c), sp.identity(), 4.0, tol)
@@ -207,7 +218,8 @@ def test_inner_iteration_count_and_contraction_rate():
     assert res.iterations <= bound
     for s0, s1 in zip(steps, steps[1:]):
         assert s1 <= c * s0 * (1 + 1e-6)
-    assert res.steps == tuple(steps[len(steps) - len(res.steps):])
+    assert res.iterations <= len(steps)
+    assert res.steps[-1] <= tol
 
 
 def test_inner_detects_expanding_map():
@@ -238,96 +250,46 @@ def test_inner_stops_at_a_non_finite_step():
 
 
 def test_inner_iteration_budget():
+    # the budget's last step is measured: here the third, a plain step, so
+    # it is the plain reference's third step bit for bit
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
-    with pytest.raises(ConvergenceError) as exc:
-        inner_fixed_point(sp.zero(), make_nonlocal("scale", c=0.5),
-                          sp.identity(), 4.0, 1e-30, max_inner=3)
-    assert len(exc.value.deltas) == 3
+    args = (sp.zero(), make_nonlocal("scale", c=0.5), sp.identity(), 4.0,
+            1e-30)
+    with pytest.raises(ConvergenceError, match="within 3 iterations") as exc:
+        inner_fixed_point(*args, max_inner=3)
+    assert exc.value.iterations == [3]
+    assert exc.value.deltas == [_unscreened_inner(*args, 3)[2][2]]
 
 
-# -- the L^2 screen of the inner loop -------------------------------------------
+# -- the mixed inner loop against plain Banach iteration -------------------------
 #
-# For p > 2 the inner loop measures the exact L^p step only where it can
-# decide the stop; the reference below measures every step, as the loop did
-# before the screen, and the two must agree bit for bit.
+# The reference below iterates y <- Z + R(y) + M and measures every step's
+# L^p norm, as the loop did before mixing, with its failure rules: two
+# successive growths and a non-finite step.  The mixed loop's first three
+# iterates are the reference's bit for bit, so a stop among them is too;
+# later it stops no later, within 2 C tol / (1 - C) of the reference.
 
 SCREEN_P = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
 SCREEN_SPACE = make_space(TimeGrid.uniform(0.0, 1.0, 6))
 
 
 def _unscreened_inner(M, R, Z, p, tol, max_inner, guess=None):
-    """(value, iterations, steps): every step measured; value None when
-    the budget runs out."""
+    """(value, iterations, steps): plain Banach iteration with every step
+    measured; value None when the budget runs out."""
     y = Z + M if guess is None else Z + R(guess) + M
     steps = []
     for it in range(1, max_inner + 1):
         y_next = Z + R(y) + M
         steps.append(lp_norm(y_next - y, p))
         y = y_next
+        if not math.isfinite(steps[-1]):
+            raise ConvergenceError(f"non-finite step {steps[-1]!r}")
         if steps[-1] <= tol:
             return y, it, steps
+        if len(steps) >= 3 and steps[-1] > steps[-2] * (1 + 1e-9) and \
+                steps[-2] > steps[-3] * (1 + 1e-9):
+            raise ContractViolationError("expands")
     return None, max_inner, steps
-
-
-def _checkpointed_inner(M, R, Z, p, tol, max_inner=200, guess=None,
-                        node=None):
-    """The inner loop with the exact step norm also taken at iterations
-    1, 2, 4, ..., ``max_inner`` on every call, kept as the reference for
-    the outcome of a solve, its failures included."""
-    y = Z + M if guess is None else Z + R(guess) + M
-    steps, measured_at = [], []
-    grew = 0
-    for it in range(1, max_inner + 1):
-        y_next = Z + R(y) + M
-        d = y_next - y
-        y = y_next
-        if p > 2:
-            bound = lp_norm(d, 2)
-            checkpoint = it & (it - 1) == 0 or it == max_inner
-            if not math.isfinite(bound):
-                step = bound
-            elif bound > tol * (1 + 1e-9) and not checkpoint:
-                continue
-            else:
-                step = lp_norm(d, p)
-        else:
-            step = lp_norm(d, p)
-        steps.append(step)
-        measured_at.append(it)
-        if not math.isfinite(step):
-            where = "" if node is None else f" at node {node}"
-            raise ConvergenceError(
-                f"inner iteration{where} produced a non-finite step "
-                f"({step!r})", deltas=steps, iterations=measured_at)
-        if step <= tol:
-            return y, it
-        if len(steps) >= 2 and step > steps[-2] * (1 + 1e-9):
-            grew += 1
-            if grew >= 2:
-                rate = (step / steps[-2]) ** (1.0 / (it - measured_at[-2]))
-                raise ContractViolationError(
-                    f"inner iteration expands (measured rate {rate:.3f} >= 1); "
-                    f"the nonlocal map is not the declared contraction"
-                )
-        else:
-            grew = 0
-    raise ConvergenceError(
-        f"inner fixed point did not reach tol={tol:.1e} within "
-        f"{max_inner} iterations",
-        deltas=steps, iterations=measured_at,
-    )
-
-
-def _outcome(solve, *args, **kw):
-    """(value bytes, iterations) of a solve, or its failure's (class,
-    message, deltas, iterations)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, iterations = solve(*args, **kw)
-    except (ConvergenceError, ContractViolationError) as exc:
-        return (type(exc), str(exc), getattr(exc, "deltas", None),
-                getattr(exc, "iterations", None))
-    return value.mat.tobytes(), iterations
 
 
 def _screen_case(seed, flat):
@@ -341,6 +303,23 @@ def _screen_case(seed, flat):
                        + 1j * rng.normal(size=(sp.dim, sp.dim)))
             for _ in range(2))
     return z * sp.identity(), M, G
+
+
+def _retraction(c, p):
+    """c times the radial retraction onto the unit L^p ball, which is at
+    most 2-Lipschitz: a contraction for c < 1/2 that is not affine."""
+    def fn(x):
+        r = lp_norm(x, p)
+        return c * x if r <= 1.0 else (c / r) * x
+    return NonlocalMap(fn=fn, contraction=2.0 * c, name="retraction")
+
+
+def _recording(rmap, calls):
+    """rmap, also appending the bytes of each argument to ``calls``."""
+    def fn(x):
+        calls.append(x.mat.tobytes())
+        return rmap(x)
+    return NonlocalMap(fn=fn, contraction=rmap.contraction, name=rmap.name)
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,85 +349,172 @@ def test_screened_inner_loop_matches_the_unscreened_reference(
         tol = 10.0 ** data.draw(st.floats(-11.0, -1.0), label="log_tol")
     value, iterations, steps = _unscreened_inner(M, rmap, Z, p, tol,
                                                  max_inner, guess)
-    if value is None:
-        with pytest.raises(ConvergenceError) as exc:
-            inner_fixed_point(M, rmap, Z, p, tol, max_inner, guess=guess)
-        assert exc.value.iterations[-1] == max_inner
-        assert exc.value.deltas == [steps[i - 1]
-                                    for i in exc.value.iterations]
+    try:
+        res = inner_fixed_point(M, rmap, Z, p, tol, max_inner, guess=guess)
+    except ConvergenceError as exc:  # only where plain iteration ran out
+        assert value is None
+        assert exc.iterations[-1] == max_inner
+        if max_inner == 3:  # three plain steps
+            assert exc.deltas[-1] == steps[2]
         return
-    res = inner_fixed_point(M, rmap, Z, p, tol, max_inner, guess=guess)
-    assert res.value.mat.tobytes() == value.mat.tobytes()
-    assert res.iterations == iterations
-    assert res.steps[-1] == steps[-1]
-    assert res.residual == lp_norm(value - (Z + rmap(value) + M), p)
-    assert set(res.steps) <= set(steps)
+    assert res.steps[-1] <= tol
+    assert res.residual <= c * tol * (1 + 1e-6) + 1e-14
+    if value is None:  # plain iteration ran out, mixing did not
+        assert max_inner > 3
+    elif iterations <= 3:  # a stop among the plain steps is the reference's
+        assert res.value.mat.tobytes() == value.mat.tobytes()
+        assert res.iterations == iterations
+        assert res.steps[-1] == steps[-1]
+    else:
+        assert res.iterations <= iterations
+
+
+def _inner_map(rname, c, a, level, p):
+    if rname == "liar":
+        return NonlocalMap(fn=lambda x: a * x, contraction=0.5, name="liar")
+    if rname == "retraction":
+        return _retraction(c / 2.0, p)
+    params = {"c": c, "level": level} if rname == "conditional_scale" \
+        else {"c": c}
+    return make_nonlocal(rname, **params)
 
 
 @settings(max_examples=200, deadline=None)
-@given(rname=st.sampled_from(["scale", "conditional_scale", "liar"]),
+@given(rname=st.sampled_from(["scale", "conditional_scale", "liar",
+                              "retraction"]),
        c=st.floats(min_value=0.0, max_value=0.95),
        a=st.floats(min_value=1.0, max_value=1.5),
        level=st.integers(min_value=0, max_value=6),
        p=st.sampled_from(SCREEN_P),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        flat=st.booleans(), warm=st.booleans(),
-       log_tol=st.floats(-18.0, -1.0),
+       size=st.sampled_from([0.01, 0.3, 1.0, 1e160]),
+       log_tol=st.floats(-11.0, -1.0),
        max_inner=st.sampled_from([3, 37, 200]))
-def test_inner_outcome_matches_the_checkpointed_loop(
-        rname, c, a, level, p, seed, flat, warm, log_tol, max_inner):
-    # measuring only the steps that can stop the loop, and replaying it
-    # with the checkpoints on any other end, changes no value, count or
-    # failure; tol reaches below the rounding floor, where steps stall
-    if rname == "liar":
-        rmap = NonlocalMap(fn=lambda x: a * x, contraction=0.5, name="liar")
+@np.errstate(over="ignore", invalid="ignore")  # size 1e160 overflows
+def test_inner_outcome_agrees_with_plain_banach(
+        rname, c, a, level, p, seed, flat, warm, size, log_tol, max_inner):
+    # where plain iteration stops, the mixed loop stops near it, no later
+    # on the affine maps; where plain iteration fails, the mixed loop fails
+    # the same way; the iterates of the three plain steps are the
+    # reference's bytes.  On the retraction a plain step can land on an
+    # exact fixed point (a step of 0.0, seen on flat data) that the mixed
+    # point misses: one more step then
+    rmap = _inner_map(rname, c, a, level, p)
+    Z, M, G = (size * x for x in _screen_case(seed, flat))
+    tol, guess = 10.0 ** log_tol, G if warm else None
+    ref_calls, calls = [], []
+    args = (M, _recording(rmap, ref_calls), Z, p, tol, max_inner)
+    try:
+        value, iterations, _ = _unscreened_inner(*args, guess)
+    except (ContractViolationError, ConvergenceError) as exc:
+        with pytest.raises(type(exc)):
+            inner_fixed_point(M, _recording(rmap, calls), Z, p, tol,
+                              max_inner, guess=guess)
+        value = None
     else:
-        params = {"c": c, "level": level} if rname == "conditional_scale" \
-            else {"c": c}
-        rmap = make_nonlocal(rname, **params)
+        try:
+            res = inner_fixed_point(M, _recording(rmap, calls), Z, p, tol,
+                                    max_inner, guess=guess)
+        except ConvergenceError as exc:  # only where plain iteration ran out
+            assert value is None and "within" in str(exc)
+            res = None
+    plain = warm + 3  # R(guess), then R at the iterates y0, y1, y2
+    assert calls[:plain] == ref_calls[:plain]
+    if value is not None:
+        cr = rmap.contraction
+        assert res.iterations <= iterations + (rname == "retraction")
+        assert lp_norm(res.value - value, p) <= 2 * cr * tol / (1 - cr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(min_value=0.0, max_value=0.999999),
+       rname=st.sampled_from(["scale", "conditional_scale"]),
+       p=st.sampled_from(SCREEN_P),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       flat=st.booleans(), warm=st.booleans(),
+       log_tol=st.floats(-20.0, -16.0))
+def test_inner_stall_below_the_rounding_floor_is_the_budget_failure(
+        c, rname, p, seed, flat, warm, log_tol):
+    # below the rounding floor the steps stall at noise, which must end in
+    # the budget failure, not in a false expansion; a mixed step may also
+    # land on an exact floating-point fixed point, a step of 0
     Z, M, G = _screen_case(seed, flat)
-    args = (M, rmap, Z, p, 10.0 ** log_tol, max_inner)
-    kw = {"guess": G if warm else None, "node": 4}
+    tol = 10.0 ** log_tol
+    try:
+        res = inner_fixed_point(M, make_nonlocal(rname, c=c), Z, p, tol,
+                                guess=G if warm else None)
+    except ConvergenceError as exc:
+        assert "within 200 iterations" in str(exc)
+    else:
+        assert res.steps[-1] <= tol
 
-    def solve(*args, **kw):
-        res = inner_fixed_point(*args, **kw)
-        return res.value, res.iterations
 
-    assert _outcome(solve, *args, **kw) == \
-        _outcome(_checkpointed_inner, *args, **kw)
+def test_near_one_contraction_stalls_into_the_budget_failure():
+    # R.c = 0.999999 asks for the inner tol 1e-10 (1 - c) / 10 = 1e-17
+    Z, M, _ = _screen_case(11, flat=False)
+    for p in SCREEN_P:
+        with pytest.raises(ConvergenceError, match="within 200 iterations"):
+            inner_fixed_point(M, make_nonlocal("scale", c=0.999999), Z, p,
+                              1e-17, guess=SCREEN_SPACE.identity())
 
 
 def test_converging_inner_solve_measures_only_the_steps_that_can_stop_it():
     Z, M, _ = _screen_case(5, flat=False)
     rmap = make_nonlocal("conditional_scale", c=0.5, level=3)
     p, tol = 4.0, 1e-10
-    iterations = _unscreened_inner(M, rmap, Z, p, tol, 200)[1]
-    y, near = Z + M, 0
-    for _ in range(iterations):
-        y_next = Z + rmap(y) + M
-        near += lp_norm(y_next - y, 2) <= tol * (1 + 1e-9)
-        y = y_next
-    counter = _GramNormCounter()
+    calls = []
+
+    def counting(x, q):
+        calls.append((q, lp_norm(x, q)))
+        return calls[-1][1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_module, "lp_norm", counter)
+        mp.setattr(solver_module, "lp_norm", counting)
         res = inner_fixed_point(M, rmap, Z, p, tol)
-    assert res.iterations == iterations > 8
-    assert counter.gram == near == len(res.steps)
+    # one ||d||_2 per step, and ||d||_p only after one within tol
+    assert [q for q, _ in calls].count(2) == res.iterations
+    exact = [i for i, (q, _) in enumerate(calls) if q != 2]
+    assert all(calls[i - 1][1] <= tol * (1 + 1e-9) for i in exact)
+    assert tuple(calls[i][1] for i in exact) == res.steps
+    assert 4 <= res.iterations < _unscreened_inner(M, rmap, Z, p, tol, 200)[1]
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
 @pytest.mark.parametrize("m", [0.3, 1.7 - 0.2j, 1e-3])
 def test_flat_step_at_exactly_tol_still_stops(p, m):
     # d = a * I has ||d||_2 == ||d||_p up to rounding in either norm; a tol
-    # equal to a reference step must stop there even if the rounded L^2
-    # bound lands just above it
+    # equal to one of the reference's plain steps must stop there even if
+    # the rounded L^2 bound lands just above it; a later step's tol stops
+    # the mixed loop no later
     sp = SCREEN_SPACE
     rmap = make_nonlocal("scale", c=0.5)
     Z, M = 1.3 * sp.identity(), m * sp.identity()
     steps = _unscreened_inner(M, rmap, Z, p, 1e-11, 200)[2]
     for i, tol in enumerate(steps):
         res = inner_fixed_point(M, rmap, Z, p, tol)
-        assert (res.iterations, res.steps[-1]) == (i + 1, tol)
+        if i < 3:
+            assert (res.iterations, res.steps[-1]) == (i + 1, tol)
+        else:
+            assert res.iterations <= i + 1 and res.steps[-1] <= tol
+
+
+def test_inner_mixing_keeps_a_selfadjoint_solve_exactly_selfadjoint():
+    # real mixing coefficients combine self-adjoint differences into a
+    # self-adjoint point, bit for bit
+    sp = SCREEN_SPACE
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim,
+                                                                   sp.dim))
+    M = sp.element(a + a.conj().T)
+    for rname in ("scale", "conditional_scale"):
+        rmap = make_nonlocal(rname, c=0.7)
+        assert rmap.selfadjoint_preserving
+        for guess in (None, sp.identity()):
+            res = inner_fixed_point(M, rmap, 0.5 * sp.identity(), 4.0,
+                                    1e-12, guess=guess)
+            assert res.iterations > 3  # the solve mixed
+            assert res.value.selfadjoint_defect(4.0) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0, math.inf)])
