@@ -12,9 +12,12 @@ Successive approximation replaces the integrand by the previous iterate;
 each node value, held as its level factor (see
 :meth:`CliffordSpace.level_space`), is then solved for the implicit R
 term by a fixed-point loop: three plain steps, then safeguarded Anderson
-mixing (:func:`inner_fixed_point`).  With R = 0 the scheme telescopes to
-the explicit Euler recursion and terminates exactly after one sweep per
-node.
+mixing (:func:`inner_fixed_point`).  The sums are lower triangular: M_k
+reads only nodes below k, so node k's equation is final once nodes
+k0..k-1 are, and sweep s re-solves only nodes k0 + s - 1 .. n, holding the
+others at their values, integrals and diagnostics of the sweep that
+solved them.  A run therefore ends by sweep n - k0 + 2, which holds every
+node.  With R = 0 the scheme telescopes to the explicit Euler recursion.
 
 ``nonlocal_mode="pointwise"`` applies R to X_t at every node (the default,
 matching the iteration equation); ``"initial"`` applies it only inside the
@@ -322,14 +325,15 @@ def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement
     return y
 
 
-def _cumulative_integrals(problem: QsdeProblem, values):
+def _cumulative_integrals(problem: QsdeProblem, values, known=()):
     """M_k for all nodes k0..n from the level factors of the integrand at
     k0..n-1: step k runs in node k+1's level space, with increment k's gather
-    there."""
+    there.  ``known`` holds M_k0, M_k0+1, ... already summed from these
+    values; the sum continues from its last entry."""
     sp, grid = problem.space, problem.space.grid
-    acc = sp.level_space(problem.start_node).zero()
-    sums = [acc]
-    for k, x in zip(range(problem.start_node, grid.n), values):
+    sums = list(known) or [sp.level_space(problem.start_node).zero()]
+    acc, done = sums[-1], len(sums) - 1
+    for k, x in zip(range(problem.start_node + done, grid.n), values[done:]):
         t, nsp = grid.node(k), sp.level_space(k + 1)
         g = problem.driver.gather(nsp, k)
         f, gl, h = (expand(y, nsp).mat for y in (
@@ -350,12 +354,15 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     """Successive approximation until the sup-node L^p delta falls below
     ``tol`` and the defect of the integral equation confirms it.
 
-    The inner (nonlocal) solves run at tol * (1 - C(R)) / 10, each
-    warm-started from the previous iterate at its node (the previous head
-    in initial mode).  Raises ConvergenceError with the delta trace after
-    ``max_outer`` sweeps, or at once, naming the sweep and the node, on a
-    non-finite value; an inner solve's failure is re-raised with its sweep
-    and its own trace.
+    Sweep s re-solves nodes k0 + s - 1 .. n and holds the rest (a held
+    node's delta is 0); ``inner_iterations`` counts the inner steps of the
+    re-solved nodes, so the all-held sweep n - k0 + 2, the last a run can
+    take, reads 0.  Initial mode solves the head once, in sweep 1.  The
+    inner (nonlocal) solves run at tol * (1 - C(R)) / 10, each warm-started
+    from the previous iterate at its node.  Raises ConvergenceError with the
+    delta trace after ``max_outer`` sweeps, or at once, naming the sweep and
+    the node, on a non-finite value; an inner solve's failure is re-raised
+    with its sweep and its own trace.
     """
     _check_solve_args(tol, max_outer=max_outer, max_inner=max_inner)
     sp = problem.space
@@ -380,50 +387,59 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         current = _factors(problem, initial.values)
 
     trace_delta, trace_inner, trace_adapt, trace_sa = [], [], [], []
+    # per node, from the sweep that last solved it
+    integrals, defects, sa_defects = [], [], []
 
     for sweep in range(1, max_outer + 1):
-        integrals = _cumulative_integrals(problem, current)
+        held = min(sweep - 1, n_nodes)
+        integrals = _cumulative_integrals(problem, current, integrals[:held])
         inner_count = 0
+        nxt = current[:held]
         try:
             if problem.nonlocal_mode == "pointwise":
-                nxt = []
-                for i, m_k in enumerate(integrals):
+                for i in range(held, n_nodes):
                     r_map = partial(_image, "R", problem.R, k0 + i)
-                    sol = inner_fixed_point(m_k, r_map, zs[i], problem.p,
-                                            inner_tol, max_inner,
+                    sol = inner_fixed_point(integrals[i], r_map, zs[i],
+                                            problem.p, inner_tol, max_inner,
                                             guess=current[i], node=k0 + i)
                     nxt.append(sol.value)
                     inner_count += sol.iterations
             else:
-                sol = inner_fixed_point(zs[0].space.zero(),
-                                        partial(_image, "R", problem.R, k0),
-                                        zs[0], problem.p, inner_tol,
-                                        max_inner, guess=current[0], node=k0)
-                inner_count = sol.iterations
-                nxt = [expand(sol.value, m_k.space) + m_k for m_k in integrals]
+                if sweep == 1:  # the head's equation (M = 0) never changes
+                    head = inner_fixed_point(
+                        zs[0].space.zero(),
+                        partial(_image, "R", problem.R, k0), zs[0],
+                        problem.p, inner_tol, max_inner, guess=current[0],
+                        node=k0)
+                    inner_count = head.iterations
+                nxt += [expand(head.value, m_k.space) + m_k
+                        for m_k in integrals[held:]]
         except ConvergenceError as exc:
             raise ConvergenceError(f"Picard sweep {sweep}: {exc}",
                                    deltas=exc.deltas,
                                    iterations=exc.iterations) from exc
 
-        node_deltas = [lp_norm(a - b, problem.p) for a, b in zip(nxt, current)]
-        for i, d in enumerate(node_deltas):
+        node_deltas = [lp_norm(a - b, problem.p)
+                       for a, b in zip(nxt[held:], current[held:])]
+        for i, d in enumerate(node_deltas, held):
             if not math.isfinite(d):
                 raise ConvergenceError(
                     f"Picard sweep {sweep} produced a non-finite delta "
                     f"({d!r}) at node {k0 + i}",
                     deltas=trace_delta + [d])
-        delta = max(node_deltas)
+        delta = max(node_deltas, default=0.0)
         trace_delta.append(delta)
         trace_inner.append(inner_count)
-        defects = [adaptedness_defect(x, sp.level_of_node(k0 + i), 2)
-                   for i, x in enumerate(nxt)]
+        defects[held:] = [adaptedness_defect(x, sp.level_of_node(k), 2)
+                          for k, x in enumerate(nxt[held:], k0 + held)]
+        sa_defects[held:] = [x.selfadjoint_defect(problem.p)
+                             for x in nxt[held:]]
         trace_adapt.append(max(defects))
-        trace_sa.append(max(x.selfadjoint_defect(problem.p) for x in nxt))
+        trace_sa.append(max(sa_defects))
         current = nxt
 
         if delta < tol:
-            res = _node_residuals(current, problem)
+            res = _node_residuals(current, problem, integrals[:held + 1])
             if max(res) < residual_bound:
                 # the check AdaptedProcess makes of every value it holds
                 for node, d in enumerate(defects, k0):
@@ -437,9 +453,10 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     )
 
 
-def _node_residuals(values, problem: QsdeProblem):
-    """|| X_k - Z - R(X) - M_k[X] ||_p at every node, from level factors."""
-    integrals = _cumulative_integrals(problem, values)
+def _node_residuals(values, problem: QsdeProblem, known=()):
+    """|| X_k - Z - R(X) - M_k[X] ||_p at every node, from level factors;
+    ``known`` as for :func:`_cumulative_integrals`."""
+    integrals = _cumulative_integrals(problem, values, known)
     zs, k0 = _factors(problem, [problem.Z] * len(values)), problem.start_node
     if problem.nonlocal_mode == "pointwise":
         heads = [z + _image("R", problem.R, k, x)
@@ -457,6 +474,9 @@ def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
     """sup over nodes of || X_k - Z - R(X) - M_k[X] ||_p, with the
     integrals recomputed from the trajectory itself: each node's level
     factor's term plus the L^p norm of X_k's part off the A (x) I pattern."""
+    if trajectory.space != problem.space:
+        raise ConfigurationError("trajectory belongs to a different space",
+                                 key="trajectory")
     if trajectory.start_node != problem.start_node or \
             trajectory.last_node != problem.space.grid.n:
         raise ValueError("trajectory does not cover the problem's node range")

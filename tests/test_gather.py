@@ -308,17 +308,19 @@ def test_monomial_matches_the_dense_product():
 def _poisoned_problem(sweep, node, entry, value, mode, r_name):
     """An n = 4 linear problem whose F puts ``value`` at ``entry`` (modulo
     the size of F's output, a level factor) of its output on the given
-    sweep at the given node (F runs once per node and sweep, in node
-    order)."""
+    sweep at the given node.  Sweep 1 evaluates F at every node below 4,
+    sweep s > 1 at the values sweep s - 1 re-solved there, nodes s - 2 .. 3;
+    so the j-th call at a node is sweep j's.  ``calls`` counts them per
+    node."""
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 4))
     base = make_coefficient("scale", 4.0, c=0.5)
-    calls = [0]
+    calls = [0] * sp.grid.n
 
     def fn(x, t):
         out = base(x, t)
-        s, k = divmod(calls[0], sp.grid.n)
-        calls[0] += 1
-        if (s + 1, k) != (sweep, node):
+        k = round(t * sp.grid.n)
+        calls[k] += 1
+        if (calls[k], k) != (sweep, node):
             return out
         mat = out.mat.copy()
         dim = mat.shape[0]
@@ -335,18 +337,21 @@ def _poisoned_problem(sweep, node, entry, value, mode, r_name):
 
 
 @settings(max_examples=12, deadline=None)
-@given(sweep=st.integers(1, 3), node=st.integers(0, 3),
+@given(at=st.sampled_from([(s, k) for s in (1, 2, 3)
+                           for k in range(max(s - 2, 0), 4)]),
        entry=st.tuples(st.integers(0, 3), st.integers(0, 3)),
        value=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan),
                               complex(np.inf, 1.0)]),
        mode=st.sampled_from(["pointwise", "initial"]),
        r_name=st.sampled_from(["zero", "scale"]))
 def test_non_finite_coefficient_stops_at_the_poisoned_sweep_and_node(
-        sweep, node, entry, value, mode, r_name):
-    # F(X_node) feeds the integral from node + 1 on: the pointwise inner
-    # solve there takes a non-finite first step, after the sweep's
-    # integrals (sweep * 4 calls of F); in initial mode the sweep's delta
-    # at node + 1 is the first non-finite value
+        at, entry, value, mode, r_name):
+    # ``at`` is a (sweep, node) where the solve evaluates F.  F(X_node)
+    # feeds the integral from node + 1 on: the pointwise inner solve there
+    # takes a non-finite first step, after all of the sweep's calls of F; in
+    # initial mode the sweep's delta at node + 1 is the first non-finite
+    # value
+    sweep, node = at
     prob, calls = _poisoned_problem(sweep, node, entry, value, mode, r_name)
     with pytest.raises(ConvergenceError) as info:
         picard_solve(prob, tol=1e-10, max_outer=6)
@@ -354,7 +359,21 @@ def test_non_finite_coefficient_stops_at_the_poisoned_sweep_and_node(
     if mode == "pointwise":
         assert got == (f"Picard sweep {sweep}: inner iteration at node "
                        f"{node + 1} produced a non-finite step (X)")
-        assert calls[0] == sweep * prob.space.grid.n
+        assert calls == [min(sweep, k + 2) for k in range(4)]
     else:
         assert got == (f"Picard sweep {sweep} produced a non-finite delta "
                        f"(X) at node {node + 1}")
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "initial"])
+@pytest.mark.parametrize("r_name", ["zero", "scale"])
+def test_a_poison_at_a_settled_node_is_never_read(mode, r_name):
+    # node 0's equation is final from sweep 1 on, so F(X_0) is integrated in
+    # sweeps 1 and 2 only: a NaN on a third call there would stop the solve
+    prob, calls = _poisoned_problem(3, 0, (0, 0), np.nan, mode, r_name)
+    clean, _ = _poisoned_problem(7, 0, (0, 0), np.nan, mode, r_name)
+    report = picard_solve(prob, tol=1e-10, max_outer=6)
+    assert calls[0] == 2
+    want = picard_solve(clean, tol=1e-10, max_outer=6)
+    assert [x.mat.tobytes() for x in report.factors] == \
+        [x.mat.tobytes() for x in want.factors]

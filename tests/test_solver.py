@@ -9,6 +9,7 @@ Closed-form oracles used below:
 """
 
 import csv
+import dataclasses
 import io
 import math
 from pathlib import Path
@@ -45,7 +46,9 @@ from cliffsde import (
     uniqueness_probe,
 )
 from cliffsde import solver as solver_module
+from cliffsde.problems import PROBLEMS
 from cliffsde.solver import NONLOCAL_MODES
+from cliffsde.space import expand
 
 TOL = 1e-10
 DATA = Path(__file__).parent / "data"
@@ -114,10 +117,15 @@ def test_warm_start_from_the_fixed_point():
 
 @pytest.mark.parametrize("mode", NONLOCAL_MODES)
 def test_local_problem_takes_one_inner_step_per_node(mode):
+    # sweep s re-solves nodes s - 1 .. n, one step each for R = 0; initial
+    # mode solves only the head, once
     prob = make_problem("linear_full", n=6).replace(nonlocal_mode=mode)
     report = picard_solve(prob, tol=TOL)
-    per_sweep = len(report.trajectory) if mode == "pointwise" else 1
-    assert report.inner_iterations == [per_sweep] * report.picard_iterations
+    sweeps, n_nodes = report.picard_iterations, len(report.factors)
+    if mode == "pointwise":
+        assert report.inner_iterations == [n_nodes - s for s in range(sweeps)]
+    else:
+        assert report.inner_iterations == [1] + [0] * (sweeps - 1)
 
 
 @pytest.mark.parametrize("mode", NONLOCAL_MODES)
@@ -134,7 +142,82 @@ def test_warm_and_cold_inner_starts_reach_the_same_fixed_point(
     cold_report = picard_solve(prob, tol=TOL)
     assert _sup_dist(warm.trajectory, cold_report.trajectory, prob.p) \
         <= 2 * TOL
-    assert sum(warm.inner_iterations) < sum(cold_report.inner_iterations)
+    # every re-solved node takes 4 steps from either start: 45 node solves
+    # over the 10 sweeps pointwise, the one head solve in initial mode
+    steps = {"pointwise": 180, "initial": 4}[mode]
+    assert sum(warm.inner_iterations) == steps
+    assert sum(cold_report.inner_iterations) == steps
+
+
+# -- the triangular sweep schedule ---------------------------------------------
+
+
+def _resolve_every_node(prob, max_outer=60):
+    """Picard's iteration as picard_solve runs it, but re-solving every node
+    in every sweep, warm from its previous value, with the same inner solve
+    and the same stopping rule.  Returns (sweeps, factors)."""
+    cr = prob.R.contraction
+    inner_tol = TOL * (1 - cr) / 10
+    zs = solver_module._factors(
+        prob, [prob.Z] * (prob.space.grid.n - prob.start_node + 1))
+    current = zs
+    for sweep in range(1, max_outer + 1):
+        integrals = solver_module._cumulative_integrals(prob, current)
+        if prob.nonlocal_mode == "pointwise":
+            nxt = [inner_fixed_point(m, prob.R, z, prob.p, inner_tol,
+                                     guess=x).value
+                   for m, z, x in zip(integrals, zs, current)]
+        else:
+            head = inner_fixed_point(zs[0].space.zero(), prob.R, zs[0],
+                                     prob.p, inner_tol, guess=current[0])
+            nxt = [expand(head.value, m.space) + m for m in integrals]
+        delta = max(lp_norm(a - b, prob.p) for a, b in zip(nxt, current))
+        current = nxt
+        if delta < TOL and max(solver_module._node_residuals(current, prob)) \
+                < TOL * (1 + cr) / (1 - cr):
+            return sweep, current
+    raise AssertionError("the reference loop did not converge")
+
+
+@pytest.mark.parametrize("name, mode, n", [
+    (name, mode, n) for name in sorted(PROBLEMS) for mode in NONLOCAL_MODES
+    for n in ((4, 6) if name == "linear_pair" else (4, 8))])
+def test_held_nodes_reach_the_fixed_point_of_re_solving_every_node(
+        name, mode, n):
+    # node k's integral reads nodes below k only, so a node held from sweep
+    # k - k0 + 2 on keeps a value certified for its final equation
+    prob = make_problem(name, n=n, nonlocal_mode=mode)
+    report = picard_solve(prob, tol=TOL)
+    sweeps, factors = _resolve_every_node(prob)
+    assert report.picard_iterations == sweeps
+    for a, b in zip(report.factors, factors, strict=True):
+        assert lp_norm(a - b, prob.p) <= 2 * TOL
+        if prob.R.is_zero:
+            assert a.mat.tobytes() == b.mat.tobytes()
+
+
+@pytest.mark.parametrize("mode", NONLOCAL_MODES)
+def test_coefficient_runs_once_on_each_new_node_value(mode, monkeypatch):
+    # a sweep's integrals evaluate F at the nodes below n that the previous
+    # sweep re-solved (sweep 1: at every initial value), and the final
+    # residual at those the last sweep re-solved; sweep s re-solves s - 1..n
+    prob = make_problem("nonlocal_linear", n=6, nonlocal_mode=mode)
+    n, F = prob.space.grid.n, prob.F
+    sums, log = solver_module._cumulative_integrals, []
+
+    def counted(x, t):
+        log[-1].append(round(t * n))
+        return F(x, t)
+
+    def marked(*args):
+        log.append([])
+        return sums(*args)
+
+    monkeypatch.setattr(solver_module, "_cumulative_integrals", marked)
+    report = picard_solve(prob.replace(F=dataclasses.replace(F, fn=counted),
+                                       validate=False), tol=TOL)
+    first = [0] + list(range(report.picard_iterations))
+    assert log == [list(range(s, n)) for s in first]
 
 
 def _nan_drift_from(prob, t_bad):
@@ -729,6 +812,18 @@ def test_residual_counts_a_non_adapted_term_in_full(node, generator):
     assert residual(bent, prob) >= lp_norm(term, prob.p) * (1 - 1e-6)
 
 
+def test_residual_rejects_a_trajectory_from_another_space():
+    # an n = 8 solve's trajectory on nodes 0..6 covers an n = 6 problem's
+    # node range; strided down to dimension 8 it gave a residual of 0.696
+    prob = make_problem("nonlocal_linear", n=6)
+    other = make_problem("nonlocal_linear", n=8)
+    values = picard_solve(other, tol=TOL).trajectory.values[:7]
+    foreign = AdaptedProcess(other.space, values)
+    with pytest.raises(ConfigurationError, match="trajectory") as exc:
+        residual(foreign, prob)
+    assert exc.value.key == "trajectory"
+
+
 def test_residual_rejects_wrong_node_range():
     prob = make_problem("zero", n=4)
     stub = AdaptedProcess(prob.space, [prob.Z] * 4, start_node=1)
@@ -873,7 +968,9 @@ def test_report_csv_shapes():
         assert float(row["residual"]) < 1e-8
     iter_rows = list(csv.DictReader(io.StringIO(iters)))
     assert len(iter_rows) == report.picard_iterations
-    assert all(int(r["inner_iterations"]) >= 1 for r in iter_rows)
+    # the last sweep holds every node: it solves none
+    inner = [int(r["inner_iterations"]) for r in iter_rows]
+    assert min(inner[:-1]) >= 1 and inner[-1] == 0
 
 
 def test_iterates_stay_adapted():
