@@ -486,8 +486,8 @@ def _picard_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
         table.add(suite, cell, "residual", rep.residual)
         table.add(suite, cell, "delta_final", rep.deltas[-1])
         if name in _PICARD_NONLOCAL:
-            table.add(suite, cell, "inner_iterations_last",
-                      rep.inner_iterations[-1])
+            table.add(suite, cell, "inner_iterations_total",
+                      sum(rep.inner_iterations))
         else:
             oracle = forward_euler_oracle(prob)
             gap = max(lp_norm(a - b, prob.p)

@@ -7,6 +7,7 @@ over increments, and trajectories are indexed by grid nodes.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +47,8 @@ class TimeGrid:
             raise ValueError(f"need at least one increment, got n={n}")
         if not T > t0:
             raise ValueError(f"degenerate interval: T={T} must exceed t0={t0}")
+        if not math.isfinite(float(T) - float(t0)):  # linspace would warn
+            raise ValueError("grid nodes must be finite and strictly increasing")
         return cls(np.linspace(t0, T, n + 1))
 
     @property

@@ -11,13 +11,14 @@ F, G, H coefficient maps with certified (Lipschitz or Osgood) moduli.
 Successive approximation replaces the integrand by the previous iterate;
 each node value, held as its level factor (see
 :meth:`CliffordSpace.level_space`), is then solved for the implicit R
-term by a fixed-point loop: three plain steps, then safeguarded Anderson
-mixing (:func:`inner_fixed_point`).  The sums are lower triangular: M_k
-reads only nodes below k, so node k's equation is final once nodes
-k0..k-1 are, and sweep s re-solves only nodes k0 + s - 1 .. n, holding the
-others at their values, integrals and diagnostics of the sweep that
-solved them.  A run therefore ends by sweep n - k0 + 2, which holds every
-node.  With R = 0 the scheme telescopes to the explicit Euler recursion.
+term by a fixed-point loop: three plain steps, then safeguarded secant
+(depth-one Anderson) steps (:func:`inner_fixed_point`).  The sums are
+lower triangular: M_k reads only nodes below k, so node k's equation is
+final once nodes k0..k-1 are, and sweep s re-solves only nodes
+k0 + s - 1 .. n, holding the others at their values, integrals and
+diagnostics of the sweep that solved them.  A run therefore ends by sweep
+n - k0 + 2, which holds every node.  With R = 0 the scheme telescopes to
+the explicit Euler recursion.
 
 ``nonlocal_mode="pointwise"`` applies R to X_t at every node (the default,
 matching the iteration equation); ``"initial"`` applies it only inside the
@@ -54,8 +55,6 @@ from .space import (CliffordSpace, adaptedness_defect, expand,
                     require_adapted, restrict)
 
 NONLOCAL_MODES = ("pointwise", "initial")
-#: differences an Anderson step of the inner solve mixes
-_MIX_DEPTH = 1
 
 
 @dataclass(frozen=True)
@@ -169,18 +168,19 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
                       p: float, tol: float, max_inner: int = 200,
                       guess: CliffordElement | None = None,
                       node: int | None = None) -> InnerResult:
-    """Solve Y = Z + R(Y) + M by safeguarded Anderson mixing of
+    """Solve Y = Z + R(Y) + M by safeguarded depth-one Anderson mixing of
     g(y) = Z + R(y) + M (Walker & Ni 2011).
 
     Starts from Y0 = Z + R(guess) + M, one plain step off ``guess``, or
     from Y0 = Z + M without one; for R = 0 both are the fixed point.  Two
-    more plain steps y <- g(y) follow; from then on each step mixes the last
-    ``_MIX_DEPTH`` differences of g and of the step d = g(y) - y, with the
-    real coefficients that minimise ||d||_2.  A mixed point whose ||d||_2
-    exceeds the last plain point's is dropped for the plain step from the
-    point it was mixed from, and the history restarts.  The loop stops at
-    the first ||d||_p <= tol and returns g(y), whose residual is then at
-    most C(R) * tol.
+    more plain steps y <- g(y) follow; from then on each step is the secant
+    step g(y) - gamma (g(y) - g_b) off b, the last point kept: with the
+    step d = g(y) - y, a = d - d_b and <u, v> = Re tr(u* v), gamma =
+    <a, d> / ((1 + 1e-14) <a, a>), the real coefficient that minimises
+    ||d - gamma a||_2 up to a ridge.  A mixed point whose ||d||_2 exceeds
+    the last plain point's is dropped for g_b, the plain step from the
+    point it was mixed from.  The loop stops at the first ||d||_p <= tol
+    and returns g(y), whose residual is then at most C(R) * tol.
 
     For p >= 2, ||d||_2 <= ||d||_p, so the exact ||d||_p (a Gram product
     for p > 2) is taken only where ||d||_2 <= tol * (1 + 1e-9), a margin
@@ -199,7 +199,7 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
     # ||d||_2^2)^(p/2), so ||d||_2 <= safe cannot overflow it (2: rounding)
     safe = sys.float_info.max ** (1.0 / p) / (2.0 * math.sqrt(M.space.dim))
     steps, measured_at = [], []
-    grew, plain, mixed, filled = 0, math.inf, False, 0
+    grew, plain, mixed = 0, math.inf, False
     for it in range(1, max_inner + 1):
         gy = Z + R(y) + M
         d = gy - y
@@ -216,9 +216,7 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
             if step <= tol:
                 return InnerResult(gy, it, tuple(steps), (M, R, Z, p))
         if mixed and d2 > plain:  # the safeguard: g at the point mixed from
-            df[0], dg[0] = df[filled % _MIX_DEPTH], dg[filled % _MIX_DEPTH]
-            y = CliffordElement(gy.space, dg[0].reshape(gy.mat.shape))
-            mixed, filled = False, 0
+            y, mixed = base[1], False
             continue
         if not mixed:
             grew = grew + 1 if d2 > plain * (1 + 1e-9) else 0
@@ -229,26 +227,21 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
                     f"declared contraction")
             plain = d2
         y, mixed = gy, False
-        if it >= 2:  # rows of d and g: a base, then the difference from it
-            if it == 2:
-                df, dg = np.empty((2, _MIX_DEPTH, d.mat.size), complex)
-            if it >= 3:
-                j, filled = filled % _MIX_DEPTH, filled + 1
-                np.subtract(d.mat.ravel(), df[j], out=df[j])
-                np.subtract(gy.mat.ravel(), dg[j], out=dg[j])
-                # real coefficients, in Re tr(a* b): exact self-adjointness
-                a = df[:filled].view(float)
-                gram = a @ a.T
-                ridge = 1e-14 * np.trace(gram)
-                if 0 < ridge < math.inf:
-                    gamma = np.linalg.solve(gram + ridge * np.eye(len(a)),
-                                            a @ d.mat.ravel().view(float))
-                    if np.isfinite(gamma).all():
-                        y, mixed = CliffordElement(gy.space, gy.mat - sum(
-                            g * c for g, c in zip(gamma, dg)).reshape(
-                                gy.mat.shape), _fresh=True), True
-            df[filled % _MIX_DEPTH] = d.mat.ravel()
-            dg[filled % _MIX_DEPTH] = gy.mat.ravel()
+        if it >= 3:  # the secant step off base, the last point kept: a
+            # real gamma keeps self-adjointness exact; one buffer holds the
+            # difference of d, then that of g
+            diff = d.mat - base[0].mat
+            a = diff.ravel().view(float)
+            gram = float(a @ a)
+            ridge = 1e-14 * gram
+            if 0 < ridge < math.inf:
+                gamma = float(a @ d.mat.ravel().view(float)) / (gram + ridge)
+                if math.isfinite(gamma):
+                    np.subtract(gy.mat, base[1].mat, out=diff)
+                    diff *= gamma
+                    y, mixed = CliffordElement(gy.space, np.subtract(
+                        gy.mat, diff, out=diff), _fresh=True), True
+        base = d, gy
     raise ConvergenceError(
         f"inner fixed point did not reach tol={tol:.1e} within "
         f"{max_inner} iterations",
@@ -523,9 +516,9 @@ def uniqueness_probe(problem: QsdeProblem, tol: float = 1e-10,
 
 
 def _sup_gap(a: SolveReport, b: SolveReport, p: float) -> float:
-    """sup over nodes of ||X_k - Y_k||_p between two solutions."""
-    return max(lp_norm(x - y, p)
-               for x, y in zip(a.trajectory.values, b.trajectory.values))
+    """sup over nodes of ||X_k - Y_k||_p between two solutions, read off
+    their level factors: the norm does not see the (x) I."""
+    return max(lp_norm(x - y, p) for x, y in zip(a.factors, b.factors))
 
 
 # -- stability experiments ----------------------------------------------------
@@ -571,7 +564,7 @@ def stability_experiment(problem: QsdeProblem, z_alt: CliffordElement,
     a = picard_solve(problem, tol=tol)
     b = picard_solve(problem.replace(Z=z_alt, validate=False), tol=tol)
     times, lhs, rhs = [], [], []
-    for off, (x, y) in enumerate(zip(a.trajectory.values, b.trajectory.values)):
+    for off, (x, y) in enumerate(zip(a.factors, b.factors)):
         t = grid.node(problem.start_node + off)
         l = lp_norm(x - y, problem.p) ** 2
         r = float(pref * np.exp(rate * (t - t0)) * dz2)
@@ -648,13 +641,11 @@ def selfadjoint_solve_check(problem: QsdeProblem,
     report = picard_solve(problem, tol=tol)
     worst = max(report.selfadjoint_defects)
 
-    grid = problem.space.grid
-    phi_vals = [
-        problem.F(report.trajectory.value(j), grid.node(j))
-        for j in range(problem.start_node, grid.n)
-    ]
-    phi = AdaptedProcess(problem.space, phi_vals,
-                         start_node=problem.start_node)
+    k0, grid = problem.start_node, problem.space.grid
+    phi = AdaptedProcess.from_factors(
+        problem.space, [problem.F(x, grid.node(j))
+                        for j, x in enumerate(report.factors[:-1], k0)],
+        start_node=k0)
     lr_gap = op_norm(
         driver_integral(phi, problem.driver, side="right")
         - driver_integral(phi, problem.driver, side="left")

@@ -229,9 +229,14 @@ def test_solve_rejects_an_infinite_exponent(capsys, tmp_path):
     assert err.startswith("config error (p)")
 
 
-def test_solve_overflow_prints_one_error_line(tmp_path):
+@pytest.mark.parametrize("text, key", [
+    ("grid.n = 4\nF.name = scale\nF.c = 1e308\n", "solve"),
+    # T - t0 overflows to inf: numpy's linspace warnings came first
+    ("grid.t0 = -1e308\ngrid.T = 1e308\n", "grid.T"),
+])
+def test_solve_overflow_prints_one_error_line(tmp_path, text, key):
     cfg = tmp_path / "prob.cfg"
-    cfg.write_text("grid.n = 4\nF.name = scale\nF.c = 1e308\n")
+    cfg.write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "cliffsde", "solve", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
@@ -239,7 +244,7 @@ def test_solve_overflow_prints_one_error_line(tmp_path):
         env=dict(os.environ,
                  PYTHONPATH=str(Path(cliffsde.__file__).parents[1])))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("config error (solve)")
+    assert proc.stderr.startswith(f"config error ({key})")
     assert proc.stderr.count("\n") == 1
 
 

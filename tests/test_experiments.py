@@ -233,3 +233,14 @@ def test_solver_suites_pass():
     assert set(table.suites()) == {"picard", "uniqueness", "gronwall",
                                    "coeff_stability", "selfadjoint"}
     assert table.worst("picard", "euler_gap") <= 1e-10
+
+
+def test_picard_suite_counts_the_inner_steps_of_the_nonlocal_solves():
+    # every run ends with the sweep that holds every node, whose count is
+    # 0; the total over the sweeps still describes the inner solve
+    table = run_solver_suite(SuiteConfig(trials=8), ["picard"])
+    totals = {cell: v for (_, cell, st, v) in table.rows
+              if st == "inner_iterations_total"}
+    assert set(totals) == {"problem=nonlocal_linear",
+                           "problem=nonlocal_conditional"}
+    assert all(v > 0 for v in totals.values())

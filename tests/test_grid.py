@@ -1,5 +1,7 @@
 """TimeGrid construction, validation, and indexing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,18 @@ def test_degenerate_interval_rejected():
         TimeGrid.uniform(1.0, 0.5, 4)
     with pytest.raises(ValueError):
         TimeGrid.uniform(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("t0, T", [(-1e308, 1e308), (-np.inf, 0.0),
+                                   (0.0, np.inf)])
+def test_uniform_rejects_an_overflowing_span_without_a_warning(t0, T):
+    # linspace over a span that overflows to inf warned before the
+    # constructor's node check rejected the grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="grid nodes must be finite and strictly"):
+            TimeGrid.uniform(t0, T, 4)
 
 
 def test_index_bounds():

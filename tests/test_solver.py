@@ -600,6 +600,51 @@ def test_inner_mixing_keeps_a_selfadjoint_solve_exactly_selfadjoint():
             assert res.value.selfadjoint_defect(4.0) == 0.0
 
 
+def _classified_inner(M, rmap, Z, p, tol):
+    """(result, kinds): the inner solve, each step after the first named by
+    its R argument's bytes: g of the last point ("plain"), g of the point
+    before ("safeguard") or neither ("mixed")."""
+    args, gs = [], []
+
+    def fn(x):
+        args.append(x.mat.tobytes())
+        r = rmap(x)
+        gs.append((Z + r + M).mat.tobytes())
+        return r
+
+    res = inner_fixed_point(M, NonlocalMap(fn=fn, contraction=rmap.contraction,
+                                           name=rmap.name), Z, p, tol)
+    kinds = ["plain" if a == gs[i - 1] else
+             "safeguard" if i >= 2 and a == gs[i - 2] else "mixed"
+             for i, a in enumerate(args[1:], 1)]
+    return res, kinds
+
+
+#: the values of the two solves below, as the m-general mixing loop that
+#: the closed-form secant step replaced returned them
+_MIXED_VALUES = np.load(DATA / "inner_mixed_values.npy")
+
+
+@pytest.mark.parametrize("i, rmap, scale, seed, flat, tol, iterations, "
+                         "steps, safeguards", [
+    (0, _retraction(0.45, 4.0), 0.1, 26, False, 1e-12, 6,
+     (6.607875443905681e-17,), 0),
+    # R = 1.0 x has no fixed point: the secant steps overshoot until Z + M
+    # is absorbed by the size of y, a step of exactly 0
+    (1, NonlocalMap(fn=lambda x: 1.0 * x, contraction=0.5, name="liar"),
+     0.01, 0, True, 1e-8, 36, (0.0,), 3),
+])
+def test_mixed_inner_iterates_are_pinned(i, rmap, scale, seed, flat, tol,
+                                         iterations, steps, safeguards):
+    # past the three plain steps, bit for bit up to the sign of a zero
+    Z, M, _ = (scale * x for x in _screen_case(seed, flat))
+    res, kinds = _classified_inner(M, rmap, Z, 4.0, tol)
+    assert (res.iterations, res.steps) == (iterations, steps)
+    assert np.array_equal(res.value.mat, _MIXED_VALUES[i])
+    assert kinds[:2] == ["plain", "plain"] and "mixed" in kinds
+    assert kinds.count("safeguard") == safeguards
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0, math.inf)])
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
 @pytest.mark.parametrize("rname", ["scale", "conditional_scale"])
