@@ -133,9 +133,9 @@ def _grams(mats: np.ndarray) -> np.ndarray:
     return mats.conj().swapaxes(-1, -2) @ mats
 
 
-def _check_exponent(p: float) -> None:
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got p={p!r}")
+def _check_exponent(p: float, name: str = "p", least: float = 1) -> None:
+    if not least <= p < math.inf:
+        raise ValueError(f"{name} must be finite and >= {least}, got {name}={p!r}")
 
 
 def _l2_norm(mat: np.ndarray) -> float:

@@ -311,9 +311,8 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
 
         def batch(rngs, p=p, space=space, driver=driver, side=side):
             lefts, rights, hps, l2s = _bg_norms(
-                _random_stack(space, rngs),
-                space.grid.deltas.tolist(), driver.increments(space), p,
-                ("left", "right"), ("hp", "l2lp"))
+                space, 0, _random_stack(space, rngs), driver.increments(space),
+                p, ("left", "right"), ("hp", "l2lp"))
             return [(_bg_ratio(p, left if side == "left" else right,
                                hp if driver.kind == "fermion_field" else l2),
                      hp / l2, left / right)
@@ -370,8 +369,7 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
 
         def batch(rngs, q=q, p=p, space=space):
             return _norm_exchange_sides(
-                _random_stack(space, rngs),
-                space.grid.deltas.tolist(), q, p)[2]
+                space, 0, _random_stack(space, rngs), q, p)[2]
 
         out = _run_trials(config, suite, cell_index, config.trials, space,
                           batch)

@@ -18,11 +18,13 @@ The square-function norm is
 
 and ``lqlp_norm`` is the iterated norm (sum ||f_j||_p^q d_j)^(1/q).
 
-The kernels work on a ``(T, nodes, dim, dim)`` stack of processes: a
-batch of one for the per-process functions, a chunk of random trials for
-the suites and ``measure_bg_constant``.  Per node they make one stacked
-product with the driver's cached increment, one stacked Gram product (and
-``eigh`` where the norm exchange powers it), then sum over the nodes in
+The kernels work on a ``(T, nodes, dim, dim)`` stack of processes from a
+start node: a batch of one for the per-process functions, a chunk of
+random trials for the suites and ``measure_bg_constant``.  Per node they
+make one stacked product with the driver's cached increment and stacked
+Gram products, at full size for ``hp_norm``, else on the level factors
+``a`` of the values ``a (x) I`` (and ``eigh`` where the norm exchange
+powers them, embedded in its full-size sum), then sum over the nodes in
 node order: the partial sums of ``_running_sums`` for the integrals, the
 delta-weighted loop ``_delta_sum`` for the time integral and the norms.
 The increment product stays a dense matmul, not a gather: with the
@@ -34,8 +36,9 @@ equal the per-matrix calls bit for bit.  The reductions whose rounding
 depends on the shape they reduce stay per matrix or per process: the
 ``vdot`` of an L^2 or trace-power norm, the mean of a spectrum, and the
 Python-float delta-sum of ``lqlp_norm``.  So the results are those of a
-per-element loop.  The processes are immutable and adapted by
-construction, so no kernel re-checks adaptedness.
+per-element loop on the level factors.  The processes are immutable and
+adapted by construction, so no kernel re-checks adaptedness or reads off
+the ``a (x) I`` pattern.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import (CliffordElement, _grams, lp_norm, lp_norms, op_norm,
-                      psd_power_lp_norms)
+from .element import (CliffordElement, _check_exponent, _grams, lp_norm,
+                      lp_norms, op_norm, psd_power_lp_norms)
 from .errors import ConfigurationError, ZeroProcessError
 from .process import AdaptedProcess, Driver, _random_stack, _trial_chunks
 from .space import as_int, conditional_expect, parity_decompose, require_adapted
@@ -65,13 +68,21 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
 
 
 def _stack(f: AdaptedProcess, upto, driver: Driver | None = None) -> tuple:
-    """f as a batch of one up to the checked ``upto``: its values at nodes
-    start_node..upto-1 as a ``(1, nodes, dim, dim)`` stack, their deltas
-    and (with a driver) the driver's increments there."""
+    """f as a batch of one up to the checked ``upto``: its space, start
+    node, values at nodes start_node..upto-1 as a ``(1, nodes, dim, dim)``
+    stack and (with a driver) the driver's increments there."""
     upto = _resolve_upto(f, upto)
     incs = None if driver is None else driver.increments(f.space)[f.start_node:upto]
-    return (f.mats[None, :upto - f.start_node],
-            f.space.grid.deltas[f.start_node:upto].tolist(), incs)
+    return f.space, f.start_node, f.mats[None, :upto - f.start_node], incs
+
+
+def _nodes(space, start: int, mats: np.ndarray) -> tuple:
+    """The deltas of a stack's nodes from ``start`` and, from their level
+    spaces, the strides hi of the level factors ``m[:, ::hi, ::hi]``, which
+    the kernels copy contiguous, as :func:`~.space.restrict` does."""
+    nodes = range(start, start + mats.shape[1])
+    return (space.grid.deltas[start:nodes.stop].tolist(),
+            [space.dim // space.level_space(k).dim for k in nodes])
 
 
 def _running_sums(start, steps):
@@ -112,52 +123,56 @@ def _driver_sums(mats: np.ndarray, incs: np.ndarray, side: str) -> np.ndarray:
     return total
 
 
-def _hp_norms(mats: np.ndarray, deltas, p: float, grams=None) -> list:
-    """:func:`hp_norm` of each process of a stack: per node the stacked
-    Gram products (f* f from ``grams``, the stack's :func:`_grams`,
-    when given), delta-summed in node order."""
-    grams = _grams(mats) if grams is None else grams
+def _hp_norms(space, start: int, mats: np.ndarray, p: float) -> list:
+    """:func:`hp_norm` of each process of a stack from node ``start``: per
+    node the stacked full-size Gram products, delta-summed in node order."""
     right, left = np.zeros((2, len(mats), *mats.shape[2:]), complex)
-    for delta, m, gram in zip(deltas, mats.swapaxes(0, 1), grams.swapaxes(0, 1)):
-        right += delta * gram
+    for delta, m in zip(_nodes(space, start, mats)[0], mats.swapaxes(0, 1)):
+        right += delta * _grams(m)
         left += delta * (m @ m.conj().transpose(0, 2, 1))
     return list(map(max, *(psd_power_lp_norms(s, 2.0, p) for s in (right, left))))
 
 
-def _lqlp_norms(mats: np.ndarray, deltas, q: float, p: float,
+def _lqlp_norms(space, start: int, mats: np.ndarray, q: float, p: float,
                 grams=None) -> list:
-    """:func:`lqlp_norm` of each process of a stack: the norms per node
-    (from ``grams`` when given), then per process a Python-float delta-sum."""
-    grams = [None] * mats.shape[1] if grams is None else grams.swapaxes(0, 1)
-    norms = [lp_norms(m, p, g) for m, g in zip(mats.swapaxes(0, 1), grams)]
+    """:func:`lqlp_norm` of each process of a stack from node ``start``: the
+    level factors' norms (from ``grams`` when given), delta-summed as floats."""
+    deltas, his = _nodes(space, start, mats)
+    grams = [None] * len(his) if grams is None else grams
+    norms = [lp_norms(np.ascontiguousarray(m[:, ::hi, ::hi]), p, g)
+             for m, hi, g in zip(mats.swapaxes(0, 1), his, grams)]
     return [float(_delta_sum(deltas, [row[t] ** q for row in norms], 0.0)
                   ** (1.0 / q)) for t in range(len(mats))]
 
 
-def _bg_norms(mats: np.ndarray, deltas, incs: np.ndarray, p: float,
+def _bg_norms(space, start: int, mats: np.ndarray, incs: np.ndarray, p: float,
               sides, refs) -> list:
-    """Per process of a stack, the L^p norm of its driver integral on each
-    of ``sides``, then each reference norm of ``refs``: ``'hp'``
-    (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2))."""
+    """Per process of a stack from node ``start``, the L^p norm of its driver
+    integral on each of ``sides``, then each reference norm of ``refs``:
+    ``'hp'`` (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2))."""
     out = [lp_norms(_driver_sums(mats, incs, side), p) for side in sides]
-    grams = _grams(mats)
-    return out + [_hp_norms(mats, deltas, p, grams) if ref == "hp"
-                  else _lqlp_norms(mats, deltas, 2.0, p, grams) for ref in refs]
+    return out + [_hp_norms(space, start, mats, p) if ref == "hp"
+                  else _lqlp_norms(space, start, mats, 2.0, p) for ref in refs]
 
 
-def _norm_exchange_sides(mats: np.ndarray, deltas, q: float,
+def _norm_exchange_sides(space, start: int, mats: np.ndarray, q: float,
                          p: float) -> tuple:
-    """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for the
-    processes of a stack: per node the stacked Gram products and their
-    ``eigh`` powering, delta-summed in node order."""
-    acc, grams = np.zeros((len(mats), *mats.shape[2:]), complex), _grams(mats)
-    for delta, powed in zip(deltas, grams.swapaxes(0, 1)):
+    """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for a
+    stack from node ``start``: per node the level factors' Gram products,
+    ``eigh``-powered, delta-summed in node order on the blocks of a (x) I."""
+    deltas, his = _nodes(space, start, mats)
+    acc, grams = np.zeros((len(mats), *mats.shape[2:]), complex), []
+    for delta, hi, m in zip(deltas, his, mats.swapaxes(0, 1)):
+        powed = _grams(np.ascontiguousarray(m[:, ::hi, ::hi]))
+        grams.append(powed)
         if q != 2:
             lam, vec = np.linalg.eigh(powed)
             lam = np.clip(lam, 0.0, None)
             powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
-        acc += delta * powed
-    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(mats, deltas, q, p, grams)
+        powed = delta * powed
+        for j in range(hi):  # powed (x) I
+            acc[:, j::hi, j::hi] += powed
+    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(space, start, mats, q, p, grams)
     return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
                       for a, b in zip(lhs, rhs)]
 
@@ -167,7 +182,7 @@ def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
     """sum f(tau_j) dxi_j (side='right') or sum dxi_j f(tau_j) (side='left')."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    mats, _, incs = _stack(f, upto, driver)
+    *_, mats, incs = _stack(f, upto, driver)
     total = _driver_sums(mats, incs, side)[0]
     return CliffordElement(f.space, total, _fresh=True)
 
@@ -184,23 +199,23 @@ def left_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
 
 def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
     """sum f(tau_j) delta_j; obeys ||.||_p <= sum ||f_j||_p delta_j."""
-    mats, deltas, _ = _stack(f, upto)
-    total = _delta_sum(deltas, mats[0], np.zeros(mats.shape[2:], complex))
+    sp, start, mats, _ = _stack(f, upto)
+    total = _delta_sum(_nodes(sp, start, mats)[0], mats[0],
+                       np.zeros(mats.shape[2:], complex))
     return CliffordElement(f.space, total, _fresh=True)
 
 
 def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
     """Square-function norm, symmetrized over f and f*."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p!r}")
-    return _hp_norms(*_stack(f, upto)[:2], p)[0]
+    _check_exponent(p)
+    return _hp_norms(*_stack(f, upto)[:3], p)[0]
 
 
 def lqlp_norm(f: AdaptedProcess, q: float, p: float, upto=None) -> float:
     """(sum_j ||f_j||_p^q delta_j)^(1/q)."""
-    if q < 1 or p < 1:
-        raise ValueError(f"exponents must be >= 1, got q={q!r}, p={p!r}")
-    return _lqlp_norms(*_stack(f, upto)[:2], q, p)[0]
+    _check_exponent(q, "q")
+    _check_exponent(p)
+    return _lqlp_norms(*_stack(f, upto)[:3], q, p)[0]
 
 
 def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
@@ -214,7 +229,7 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
     if driver is None:
         driver = Driver.fermion_field()
     sp = f.space
-    mats, _, incs = _stack(f, upto, driver)
+    *_, mats, incs = _stack(f, upto, driver)
     partial = [CliffordElement(sp, s[0], _fresh=True)
                for s in _driver_partial_sums(mats, incs, side)]
     m_t = partial[-1]
@@ -266,10 +281,10 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float,
 
     Equality holds at q = p; the report records both sides and their ratio.
     """
-    if not 1 <= q <= p:
-        raise ValueError(f"need 1 <= q <= p, got q={q!r}, p={p!r}")
+    if not 1 <= q <= p < np.inf:
+        raise ValueError(f"need 1 <= q <= p < inf, got q={q!r}, p={p!r}")
     lhs, rhs, ratio = (part[0] for part in _norm_exchange_sides(
-        *_stack(f, upto)[:2], q, p))
+        *_stack(f, upto)[:3], q, p))
     return InequalityReport("norm_exchange", p, lhs, rhs, ratio, q=q)
 
 
@@ -282,6 +297,7 @@ def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
     The two-sided comparability constants are exactly what the sweep
     suites estimate empirically, so only finiteness is asserted here.
     """
+    _check_exponent(p, least=2)
     if driver is None:
         driver = Driver.fermion_field()
     ref = "hp" if driver.kind == "fermion_field" else "l2lp"
@@ -293,8 +309,7 @@ def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
 def _bg_ratio(p: float, lhs: float, rhs: float) -> float:
     """lhs / rhs of the martingale estimate: ||integral||_p over its
     reference norm, defined for p >= 2 and a non-zero reference."""
-    if p < 2:
-        raise ValueError(f"the martingale estimates need p >= 2, got {p!r}")
+    _check_exponent(p, least=2)
     if rhs == 0.0:
         raise ZeroProcessError("inequality ratio undefined for the zero process")
     return lhs / rhs
@@ -310,6 +325,7 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
     constant the stability bound consumes; ``form='hp'`` compares against
     the square-function norm.
     """
+    _check_exponent(p, least=2)  # before any draw
     if driver is None:
         driver = Driver.fermion_field()
     if form not in ("l2lp", "hp"):
@@ -318,13 +334,13 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
     if trials < 1:
         raise ConfigurationError(f"trials out of range (at least 1): {trials}",
                                  key="trials")
-    incs, deltas = driver.increments(space), space.grid.deltas.tolist()
+    incs = driver.increments(space)
     worst = 0.0
     for chunk in _trial_chunks(space, trials):
         rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
                 for t in chunk]
-        mats = _random_stack(space, rngs)
-        for lhs, rhs in zip(*_bg_norms(mats, deltas, incs, p, (side,), (form,))):
+        norms = _bg_norms(space, 0, _random_stack(space, rngs), incs, p, (side,), (form,))
+        for lhs, rhs in zip(*norms):
             if rhs > 0:
                 worst = max(worst, lhs / rhs)
     return worst

@@ -206,7 +206,7 @@ def _random_stack(space, rngs, num=None, start_node: int = 0) -> np.ndarray:
     ``num`` and ``start_node``), drawn node by node for all generators at
     once."""
     num = space.grid.n if num is None else num
-    mats = np.empty((len(rngs), num, space.dim, space.dim), dtype=complex)
+    mats = np.zeros((len(rngs), num, space.dim, space.dim), dtype=complex)
     for off in range(num):
         _draw_levels(space, rngs, space.level_of_node(start_node + off),
                      out=mats[:, off])

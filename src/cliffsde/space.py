@@ -209,7 +209,10 @@ class CliffordSpace:
         """Node k's level-factor space (see :func:`restrict`): the first
         2 ceil(level / 2) >= 2 generators on the grid's prefix, or this
         space when that is all of it; cached."""
-        f = max(1, (self.level_of_node(k) + 1) // 2)
+        return self._factor_space(max(1, (self.level_of_node(k) + 1) // 2))
+
+    def _factor_space(self, f: int) -> "CliffordSpace":
+        """The space of the first 2f generators (1 <= f <= factors)."""
         if f == self.factors:
             return self
         if f not in self._levels:
@@ -260,11 +263,11 @@ def expand(a: CliffordElement, space: CliffordSpace) -> CliffordElement:
 
 
 def _embed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a (x) I`` into the zeroed square matrix ``out``: a copy of
-    ``a`` on each of its strided diagonal blocks."""
+    """Write ``a (x) I`` (of each matrix of a stack ``a``) into the zeroed
+    ``out``: a copy of ``a`` on each of its strided diagonal blocks."""
     hi = out.shape[-1] // a.shape[-1]
     for j in range(hi):
-        out[j::hi, j::hi] = a
+        out[..., j::hi, j::hi] = a
     return out
 
 
@@ -408,30 +411,28 @@ def random_level_element(
 
 def _draw_levels(space: CliffordSpace, rngs, k: int,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """The matrices of :func:`random_level_element` at a checked level k,
-    one per generator, as a ``(len(rngs), dim, dim)`` stack (written into
-    ``out`` when given).  Each generator draws the stream of one draw, in
-    order, and redraws a degenerate one; the expansion, projection and
-    normalization run over the stack, each norm per matrix."""
-    lo = 2 ** ((k + 1) // 2)
-    parts = np.empty((len(rngs), 2, lo, lo))
+    """The matrices of :func:`random_level_element` at a checked level k, one per
+    generator, as a ``(len(rngs), dim, dim)`` stack (into a zeroed ``out`` if given).
+    Each generator draws one draw's stream, in order, and redraws a degenerate one;
+    the draw, odd-level flip and norm run on level factors a, written once as a (x) I."""
+    r = (k + 1) // 2
+    parts = np.empty((len(rngs), 2, 2 ** r, 2 ** r))
     for rng, part in zip(rngs, parts):
-        rng.standard_normal(out=part)  # the stream of two (lo, lo) draws
-    a = np.empty((len(rngs), lo, lo), complex)
-    a.real = parts[:, 0]
+        rng.standard_normal(out=part)  # the stream of two (2^r, 2^r) draws
+    a = parts[:, 0].astype(complex)
     a.imag = parts[:, 1]
-    mat = _kron(a, _eye(space.dim // lo)) if lo < space.dim else a
     if k % 2 == 1:
-        mat = _project(space, mat, k)
-    nrms = np.array([_l2_norm(m) for m in mat])
+        a = _project(space._factor_space(r), a, k)
+    nrms = np.array([_l2_norm(m) for m in a])
     degenerate = np.flatnonzero(nrms < 1e-12)
     nrms[degenerate] = 1.0
-    # mat is this call's own array, so without ``out`` it takes the quotient
-    out = np.divide(mat, nrms.astype(complex)[:, None, None],
-                    out=mat if out is None else out)
+    a /= nrms.astype(complex)[:, None, None]
+    if out is not None or 2 ** r < space.dim:  # else a is the full-size value
+        a = _embed(a, np.zeros((len(rngs), space.dim, space.dim), complex)
+                   if out is None else out)
     for i in degenerate:  # a measure-zero draw
-        _draw_levels(space, rngs[i:i + 1], k, out[i:i + 1])
-    return out
+        _draw_levels(space, rngs[i:i + 1], k, a[i:i + 1])
+    return a
 
 
 __all__ = [

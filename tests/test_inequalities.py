@@ -135,3 +135,33 @@ def test_measure_constant_isometry_case():
 def test_measure_constant_form_validation():
     with pytest.raises(ValueError):
         measure_bg_constant(_SP, 4.0, form="l4lp")
+
+
+# -- exponent checks ---------------------------------------------------------------
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fn,args,name", [
+    (hp_norm, (_NAN,), "p"), (hp_norm, (_INF,), "p"),
+    (lqlp_norm, (_NAN, 4.0), "q"), (lqlp_norm, (_INF, 4.0), "q"),
+    (lqlp_norm, (2.0, _NAN), "p"), (lqlp_norm, (2.0, _INF), "p"),
+    (check_norm_exchange, (2.0, _INF), "p"),
+    (check_norm_exchange, (_NAN, 4.0), "q"),
+    (check_bg, (_NAN,), "p"), (check_bg, (_INF,), "p"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_non_finite_exponent_is_rejected_by_name(space4, fn, args, name):
+    f = AdaptedProcess.constant(space4, space4.identity())
+    with pytest.raises(ValueError, match=rf"\b{name}=(nan|inf)"):
+        fn(f, *args)
+
+
+@pytest.mark.parametrize("p", [1.5, 1.0, _NAN, _INF])
+def test_measure_constant_rejects_p_outside_the_estimates_before_drawing(
+        monkeypatch, p):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an integrand")
+
+    monkeypatch.setattr("cliffsde.integrals._random_stack", no_draw)
+    with pytest.raises(ValueError, match=f"got p={p!r}"):
+        measure_bg_constant(_SP, p)

@@ -4,9 +4,13 @@ Processes hold their values as one ``(nodes, dim, dim)`` stack, and the
 kernels in ``integrals`` and ``element.lp_norms`` work on a
 ``(trials, nodes, dim, dim)`` stack of them with stacked matmul,
 ``eigvalsh`` and ``eigh`` calls: a batch of one for the per-process
-functions, a chunk of random trials for the suites.  The references below
-are the per-element loops those kernels replaced; every comparison is on
-the bytes of the returned floats and matrices.
+functions, a chunk of random trials for the suites.  Node j's value is
+``a (x) I``, and the per-node norm work runs on its level factor ``a``.
+The per-element references below do the same work one value at a time,
+and every comparison with them is on the bytes of the returned floats and
+matrices.  The full-size references (``_full_*``) are the algorithm the
+factor-size kernels replaced, which rounds differently: they must agree
+within ``FULL_SIZE_RTOL``.
 """
 
 import math
@@ -32,12 +36,15 @@ from cliffsde import (
     random_level_element,
 )
 from cliffsde import experiments
-from cliffsde.element import lp_norms
-from cliffsde.integrals import (_bg_norms, _driver_partial_sums, _hp_norms,
-                                _lqlp_norms, _norm_exchange_sides)
+from cliffsde.element import _grams, lp_norm, lp_norms, psd_power_lp_norms
+from cliffsde.integrals import (_bg_norms, _driver_partial_sums, _driver_sums,
+                                _hp_norms, _lqlp_norms, _norm_exchange_sides)
 from cliffsde.process import _random_stack, _trial_chunks
+from cliffsde.space import expand, restrict
 
 P_VALUES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 7.0)
+#: How far the factor-size kernels and draws may sit from the full-size ones
+FULL_SIZE_RTOL = 1e-13
 QP_PAIRS = experiments.QP_PAIRS + tuple((p, p) for p in experiments.P_GRID)
 
 _FERMION = make_space(TimeGrid.uniform(0.0, 1.0, 5))   # odd generator count
@@ -103,10 +110,15 @@ def _ref_hp_norm(f, p, upto):
                _ref_psd_power_lp_norm(s_left, 2.0, p))
 
 
+def _factor(f, j):
+    """The level factor a of the value a (x) I at node j."""
+    return restrict(f.value(j), f.space.level_space(j)).mat
+
+
 def _ref_lqlp_norm(f, q, p, upto):
     total = 0.0
     for j in range(f.start_node, upto):
-        total += _ref_lp_norm(f.value(j).mat, p) ** q * f.space.grid.delta(j)
+        total += _ref_lp_norm(_factor(f, j), p) ** q * f.space.grid.delta(j)
     return float(total ** (1.0 / q))
 
 
@@ -114,7 +126,7 @@ def _ref_norm_exchange(f, q, p, upto):
     sp = f.space
     acc = np.zeros((sp.dim, sp.dim), dtype=complex)
     for j in range(f.start_node, upto):
-        mat = f.value(j).mat
+        mat = _factor(f, j)
         gram = mat.conj().T @ mat
         if q == 2:
             powed = gram
@@ -122,7 +134,7 @@ def _ref_norm_exchange(f, q, p, upto):
             lam, vec = np.linalg.eigh(gram)
             lam = np.clip(lam, 0.0, None)
             powed = (vec * lam ** (q / 2.0)) @ vec.conj().T
-        acc += sp.grid.delta(j) * powed
+        acc += np.kron(sp.grid.delta(j) * powed, np.eye(sp.dim // len(mat)))
     lhs = _ref_psd_power_lp_norm(acc, q, p)
     rhs = _ref_lqlp_norm(f, q, p, upto)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))
@@ -234,8 +246,24 @@ def test_random_process_draws_the_random_level_element_stream(sp, start):
 
 
 def _ref_draw(sp, rng, k):
-    """The per-node draw of a level-k value: np.kron, the 2-D projection and
-    one division per matrix."""
+    """The per-node draw of a level-k value on its level factor: a Ginibre
+    block of size 2^ceil(k/2); for odd k, the average of it and its flip
+    by generator k, which sits on the block's last factor, so that the flip
+    is conjugation by I (x) X; one division by its L^2 norm; then np.kron
+    with the identity (+ 0.0 clears the sign np.kron gives the zeros off
+    the pattern)."""
+    lo = 2 ** ((k + 1) // 2)
+    a = rng.standard_normal((lo, lo)) + 1j * rng.standard_normal((lo, lo))
+    if k % 2 == 1:
+        x = np.kron(np.eye(lo // 2), [[0, 1], [1, 0]])
+        a = (a + x @ a @ x) * 0.5
+    a = a / complex(np.sqrt(np.vdot(a, a).real / lo))
+    return np.kron(a, np.eye(sp.dim // lo)) + 0.0
+
+
+def _full_size_draw(sp, rng, k):
+    """The same draw made at full size: np.kron, the projection, one
+    division per matrix."""
     lo = 2 ** ((k + 1) // 2)
     a = rng.standard_normal((lo, lo)) + 1j * rng.standard_normal((lo, lo))
     mat = np.kron(a, np.eye(sp.dim // lo)) if lo < sp.dim else a
@@ -271,6 +299,37 @@ def test_chunked_draws_equal_random_processes_row_for_row(sp):
             ref = [_ref_draw(sp, ref_rng, sp.level_of_node(k))
                    for k in range(sp.grid.n)]
             assert row.tobytes() == np.stack(ref).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for k, mat in enumerate(row):
+                _assert_drawn_value(sp, sp.element(mat), sp.level_of_node(k))
+
+
+def _assert_drawn_value(sp, x, k):
+    """x = a (x) I for its level factor a, bitwise; an odd level's flip
+    (conjugation by e_k gamma) fixes x exactly; ||x||_2 is 1 to 2 ulp."""
+    sub = sp._factor_space(max(1, (k + 1) // 2))
+    assert expand(restrict(x, sub), sp).mat.tobytes() == x.mat.tobytes()
+    if k % 2 == 1:
+        u = sp._gen_gathers[k].dense() @ sp._gamma_gather.dense()
+        assert np.array_equal(u @ x.mat @ u.conj().T, x.mat)
+    assert abs(lp_norm(x, 2) - 1.0) <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("sp", _DRAW_SPACES,
+                         ids=[f"{sp.layout}-dim{sp.dim}" for sp in _DRAW_SPACES])
+def test_every_level_draws_an_embedded_unit_level_element(sp):
+    # every level, also the odd ones of a pair space and the level past an
+    # odd generator count (the phantom generator's), and each draw is the
+    # full-size draw from the same stream up to rounding
+    for k in range(sp.n_gen + 1):
+        rng, full_rng = np.random.default_rng(k), np.random.default_rng(k)
+        for _ in range(3):
+            x = random_level_element(sp, rng, k)
+            _assert_drawn_value(sp, x, k)
+            full = _full_size_draw(sp, full_rng, k)
+            # x has unit L^2 norm, so an entry bound is one relative to it
+            assert np.max(np.abs(x.mat - full)) <= FULL_SIZE_RTOL
+        assert rng.bit_generator.state == full_rng.bit_generator.state
 
 
 class _ZeroFirstDraw:
@@ -312,21 +371,20 @@ def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
     upto = draw(st.integers(start, min(start + num, n)))
     procs = [AdaptedProcess(sp, [sp.element(m) for m in rows], start_node=start)
              for rows in mats]
-    return sp, mats[:, :upto - start], sp.grid.deltas[start:upto].tolist(), \
-        procs, upto
+    return sp, start, mats[:, :upto - start], procs, upto
 
 
 @_SETTINGS
 @given(stack=_trial_stacks(), p=st.sampled_from(P_VALUES), data=st.data())
 def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, data):
-    sp, mats, deltas, procs, upto = stack
+    sp, start, mats, procs, upto = stack
     driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
-    incs = driver.increments(sp)[procs[0].start_node:upto]
+    incs = driver.increments(sp)[start:upto]
     q = data.draw(st.sampled_from(sorted({q for q, _ in QP_PAIRS})))
-    hps, lqlps = _hp_norms(mats, deltas, p), _lqlp_norms(mats, deltas, q, p)
+    hps, lqlps = _hp_norms(sp, start, mats, p), _lqlp_norms(sp, start, mats, q, p)
     sums = {side: list(_driver_partial_sums(mats, incs, side))
             for side in ("right", "left")}
-    norms = _bg_norms(mats, deltas, incs, max(p, 2.0), ("left", "right"),
+    norms = _bg_norms(sp, start, mats, incs, max(p, 2.0), ("left", "right"),
                       ("hp", "l2lp"))
     for t, f in enumerate(procs):
         assert _bits(hps[t]) == _bits(_ref_hp_norm(f, p, upto))
@@ -346,9 +404,9 @@ def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, dat
 @given(stack=_trial_stacks(),
        qp=st.sampled_from(QP_PAIRS + ((1.5, 2.5), (1.0, 7.0))))
 def test_trial_stacked_norm_exchange_matches_the_element_loop(stack, qp):
-    sp, mats, deltas, procs, upto = stack
+    sp, start, mats, procs, upto = stack
     q, p = qp
-    sides = _norm_exchange_sides(mats, deltas, q, p)
+    sides = _norm_exchange_sides(sp, start, mats, q, p)
     for t, f in enumerate(procs):
         assert [_bits(v[t]) for v in sides] == \
             [_bits(v) for v in _ref_norm_exchange(f, q, p, upto)]
@@ -398,3 +456,76 @@ def test_measure_bg_constant_rejects_a_trial_count_below_one(trials):
     with pytest.raises(ConfigurationError, match="trials out of range") as exc:
         measure_bg_constant(_FERMION4, 4.0, trials=trials)
     assert exc.value.key == "trials"
+
+
+# -- the full-size algorithm the factor-size kernels replaced --------------------
+
+
+def _full_lqlp_norms(mats, deltas, q, p, grams=None):
+    grams = [None] * mats.shape[1] if grams is None else grams.swapaxes(0, 1)
+    norms = [lp_norms(m, p, g) for m, g in zip(mats.swapaxes(0, 1), grams)]
+    out = []
+    for t in range(len(mats)):
+        total = 0.0
+        for delta, row in zip(deltas, norms):
+            total += delta * row[t] ** q
+        out.append(float(total ** (1.0 / q)))
+    return out
+
+
+def _full_norm_exchange_sides(mats, deltas, q, p):
+    acc, grams = np.zeros((len(mats), *mats.shape[2:]), complex), _grams(mats)
+    for delta, powed in zip(deltas, grams.swapaxes(0, 1)):
+        if q != 2:
+            lam, vec = np.linalg.eigh(powed)
+            lam = np.clip(lam, 0.0, None)
+            powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
+        acc += delta * powed
+    lhs = psd_power_lp_norms(acc, q, p)
+    rhs = _full_lqlp_norms(mats, deltas, q, p, grams)
+    return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
+                      for a, b in zip(lhs, rhs)]
+
+
+@st.composite
+def _chunk_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
+    """A stack of one random process or of a suite chunk of them
+    (``_trial_chunks`` size) on a later start node, some rows set to zero."""
+    sp = draw(st.sampled_from(spaces))
+    n = sp.grid.n
+    start = draw(st.integers(0, n - 1))
+    num = draw(st.integers(1, n + 1 - start))
+    trials = draw(st.sampled_from((1, len(_trial_chunks(sp, 10 ** 6)[0]))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mats = np.array(_random_stack(
+        sp, [np.random.default_rng([seed, t]) for t in range(trials)], num, start))
+    mats[:, sorted(draw(st.sets(st.integers(0, num - 1), max_size=num)))] = 0
+    return sp, start, mats, sp.grid.deltas[start:start + num].tolist()
+
+
+def _close(got, want):
+    return all(math.isclose(a, b, rel_tol=FULL_SIZE_RTOL, abs_tol=0.0)
+               for a, b in zip(got, want, strict=True))
+
+
+@_SETTINGS
+@given(stack=_chunk_stacks(), p=st.sampled_from(experiments.P_GRID + (1.5, 7.0)),
+       qp=st.sampled_from(QP_PAIRS), data=st.data())
+def test_factor_size_kernels_agree_with_the_full_size_algorithm(stack, p, qp,
+                                                                 data):
+    sp, start, mats, deltas = stack
+    q = qp[0]
+    assert _close(_lqlp_norms(sp, start, mats, q, p),
+                  _full_lqlp_norms(mats, deltas, q, p))
+    for got, want in zip(_norm_exchange_sides(sp, start, mats, *qp),
+                         _full_norm_exchange_sides(mats, deltas, *qp),
+                         strict=True):
+        assert _close(got, want)
+    driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
+    incs = driver.increments(sp)[start:start + mats.shape[1]]
+    want = [lp_norms(_driver_sums(mats, incs, side), p)
+            for side in ("left", "right")]
+    want += [_hp_norms(sp, start, mats, p), _full_lqlp_norms(mats, deltas, 2.0, p)]
+    for got, ref in zip(_bg_norms(sp, start, mats, incs, p, ("left", "right"),
+                                  ("hp", "l2lp")), want, strict=True):
+        assert _close(got, ref)
