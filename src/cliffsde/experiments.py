@@ -21,6 +21,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .integrals import (
     _bg_norms,
     _bg_ratio,
     _norm_exchange_sides,
-    _running_sums,
     driver_integral,
     parity_commutation_defect,
 )
@@ -128,12 +128,18 @@ class SuiteConfig:
 
     def __post_init__(self):
         # the common path is one chained test, keeping construction cheap
-        # (_counts_ok's calls cost 5% more); the loop only names the field
-        trials_ok = isinstance(self.trials, _INTEGER) and self.trials >= 1
-        if not (trials_ok and self.max_workers >= 1
+        # (_counts_ok's calls cost 5% more); the loop only names the field.
+        # A bool is an int that passes as 0 or 1: identity tests reject it
+        trials, seed = self.trials, self.master_seed
+        trials_ok = (isinstance(trials, _INTEGER) and trials >= 1
+                     and trials is not True)
+        seed_ok = (isinstance(seed, _INTEGER) and seed >= 0
+                   and seed is not True and seed is not False)
+        if not (trials_ok and seed_ok and self.max_workers >= 1
                 and _NS.issuperset(self.n_grid)
                 and isinstance(sum(self.n_grid), _INTEGER)):
             for key, ok, domain in (
+                    ("master_seed", seed_ok, "a non-negative integer"),
                     ("trials", trials_ok, "an integer, at least 1"),
                     ("max_workers", self.max_workers >= 1, "at least 1"),
                     ("n_grid", _counts_ok(self.n_grid, _NS),
@@ -417,9 +423,8 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
                 da @ ds + ds @ da - delta * space.identity()))
             nil_worst = max(nil_worst, op_norm(da @ da))
         run_worst = 0.0
-        running = _running_sums(space.zero(),
-                                 ((Driver.annihilation().increment(space, k),)
-                                  for k in range(n_pair)))
+        running = accumulate((Driver.annihilation().increment(space, k)
+                              for k in range(n_pair)), initial=space.zero())
         next(running)
         for k, acc in enumerate(running):
             accs = acc.adjoint()
@@ -651,14 +656,11 @@ def run_suites(config: SuiteConfig, names) -> SweepTable:
     """Run the named suites (any subset of SUITE_NAMES) into one table,
     recording each suite's wall time in ``table.wall_s``.  The suites
     share one space per ``(n, layout)``; ``spaces`` holds them for this
-    run only.  That no size is a bool is checked here, not in the (cheap)
-    SuiteConfig build, before any suite runs."""
-    for key, ok, domain in (
-            ("trials", not _has_bool([config.trials]), "an integer, at least 1"),
-            ("n_grid", not _has_bool(config.n_grid), f"integer counts 1..{len(_NS)}")):
-        if not ok:
-            raise ConfigurationError(f"{key} out of range ({domain}): "
-                                     f"{getattr(config, key)!r}", key=key)
+    run only.  That no increment count is a bool is checked here, not in
+    the (cheap) SuiteConfig build, before any suite runs."""
+    if _has_bool(config.n_grid):
+        raise ConfigurationError(f"n_grid out of range (integer counts "
+                                 f"1..{len(_NS)}): {config.n_grid!r}", key="n_grid")
     table = SweepTable()
     spaces = {}
     for name in names:

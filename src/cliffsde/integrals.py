@@ -18,19 +18,22 @@ The square-function norm is
 
 and ``lqlp_norm`` is the iterated norm (sum ||f_j||_p^q d_j)^(1/q).
 
-The kernels work on a ``(T, nodes, dim, dim)`` stack of processes from a
-start node: a batch of one for the per-process functions, a chunk of
-random trials for the suites and ``measure_bg_constant``.  Per node they
-make one stacked product with the driver's cached increment and stacked
-Gram products, at full size for ``hp_norm``, else on the level factors
-``a`` of the values ``a (x) I`` (and ``eigh`` where the norm exchange
-powers them, embedded in its full-size sum), then sum over the nodes in
-node order: the partial sums of ``_running_sums`` for the integrals, the
-delta-weighted loop ``_delta_sum`` for the time integral and the norms.
-The increment product stays a dense matmul, not a gather: with the
-complex weights of a ``linear_combination`` driver a gather rounds apart
-from BLAS's complex product (by up to about 1e-15), and the driver
-integral is pinned bit for bit to the dense per-element loop.
+The kernels work on one ``(T, d, d)`` stack per node of processes from a
+start node: a batch of one at full size for the per-process functions, a
+chunk of random trials at level-factor size for the suites and
+``measure_bg_constant``.  The per-node norm work of ``lqlp_norm`` and the
+norm exchange (Gram products, ``eigh`` powers, node norms) runs on the
+level factors ``a`` of the values ``a (x) I``, restricting a full-size
+node; the norm exchange adds each powered term into its full-size sum on
+the blocks of ``a (x) I``.  The driver products and the Gram products of
+``hp_norm`` run at full size, in one node loop (``_full_size_sums``) that
+embeds a factor-size node once for all of them.  The sums then run over
+the nodes in node order: in place for the integrals and the square
+function, the delta-weighted loop ``_delta_sum`` for the time integral
+and the norms.  The increment product stays a dense matmul, not a gather:
+with the complex weights of a ``linear_combination`` driver a gather
+rounds apart from BLAS's complex product (by up to about 1e-15), and the
+driver integral is pinned bit for bit to the dense per-element loop.
 Stacked products, ``eigh``/``eigvalsh`` and elementwise accumulation
 equal the per-matrix calls bit for bit.  The reductions whose rounding
 depends on the shape they reduce stay per matrix or per process: the
@@ -51,7 +54,8 @@ from .element import (CliffordElement, _check_exponent, _grams, lp_norm,
                       lp_norms, op_norm, psd_power_lp_norms)
 from .errors import ConfigurationError, ZeroProcessError
 from .process import AdaptedProcess, Driver, _random_stack, _trial_chunks
-from .space import as_int, conditional_expect, parity_decompose, require_adapted
+from .space import (_embed, as_int, conditional_expect, parity_decompose,
+                    require_adapted)
 
 
 def _resolve_upto(f: AdaptedProcess, upto) -> int:
@@ -69,33 +73,41 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
 
 def _stack(f: AdaptedProcess, upto, driver: Driver | None = None) -> tuple:
     """f as a batch of one up to the checked ``upto``: its space, start
-    node, values at nodes start_node..upto-1 as a ``(1, nodes, dim, dim)``
-    stack and (with a driver) the driver's increments there."""
+    node, full-size ``(1, dim, dim)`` node stacks at nodes
+    start_node..upto-1 and (with a driver) the driver's increments there."""
     upto = _resolve_upto(f, upto)
     incs = None if driver is None else driver.increments(f.space)[f.start_node:upto]
-    return f.space, f.start_node, f.mats[None, :upto - f.start_node], incs
+    return f.space, f.start_node, f.mats[:upto - f.start_node, None], incs
 
 
-def _nodes(space, start: int, mats: np.ndarray) -> tuple:
-    """The deltas of a stack's nodes from ``start`` and, from their level
-    spaces, the strides hi of the level factors ``m[:, ::hi, ::hi]``, which
-    the kernels copy contiguous, as :func:`~.space.restrict` does."""
-    nodes = range(start, start + mats.shape[1])
-    return (space.grid.deltas[start:nodes.stop].tolist(),
-            [space.dim // space.level_space(k).dim for k in nodes])
+def _trials(nodes) -> int:
+    """The number of processes in node stacks; no stack at all is one
+    process's empty range (``upto`` at its start node)."""
+    return len(nodes[0]) if len(nodes) else 1
 
 
-def _running_sums(start, steps):
-    """Yield the partial sums start, start + s_0, start + s_0 + s_1, ...
-    of an integral, accumulated left to right.  Each step is a tuple of
-    terms added one at a time, so ``acc + a + b`` keeps its rounding.  The
-    terms are elements (``start`` the space's zero) or arrays (zeros)."""
-    acc = start
-    yield acc
-    for step in steps:
-        for term in step:
-            acc = acc + term
-        yield acc
+def _nodes(space, start: int, nodes) -> tuple:
+    """The deltas of node stacks from ``start`` and their level factors: a
+    stack at its level space's size as it is, a full-size one (a process's
+    values) as the strided views ``m[:, ::hi, ::hi]`` that
+    :func:`~.space.restrict` reads, copied contiguous."""
+    factors = []
+    for k, m in enumerate(nodes, start):
+        hi = m.shape[-1] // space.level_space(k).dim
+        factors.append(m if hi == 1 else np.ascontiguousarray(m[:, ::hi, ::hi]))
+    return space.grid.deltas[start:start + len(nodes)].tolist(), factors
+
+
+def _check_side(side: str) -> None:
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+
+
+def _last(items):
+    """The last item of an iterator, keeping no earlier one."""
+    for item in items:
+        pass
+    return item
 
 
 def _delta_sum(deltas, terms, acc):
@@ -106,73 +118,87 @@ def _delta_sum(deltas, terms, acc):
     return acc
 
 
-def _driver_partial_sums(mats: np.ndarray, incs: np.ndarray, side: str):
-    """Yield the partial sums of a driver integral for each process of a
-    ``(T, nodes, dim, dim)`` stack, each a ``(T, dim, dim)`` stack: per
-    node one stacked product with the node's increment, summed in node
-    order."""
-    terms = ((m @ inc if side == "right" else inc @ m,)
-             for m, inc in zip(mats.swapaxes(0, 1), incs))
-    return _running_sums(np.zeros((len(mats), *mats.shape[2:]), complex), terms)
+def _full_size_sums(space, start: int, nodes, incs=None, sides=(),
+                    squares: bool = False):
+    """Yield the running full-size sums of the processes of node stacks from
+    ``start``, each a ``(T, dim, dim)`` stack, first for no node, then after
+    each node in node order, updated in place (keep a copy): per side of
+    ``sides`` the driver integral (``m @ inc`` right, ``inc @ m`` left, with
+    the node's increment of ``incs``), then with ``squares`` the
+    delta-weighted Gram sums m* m and m m* of :func:`hp_norm`.  One node
+    loop embeds each node given at factor size once, for all the sums, and
+    works in buffers allocated once."""
+    for side in sides:
+        _check_side(side)
+    deltas = space.grid.deltas[start:start + len(nodes)].tolist()
+    shape = (_trials(nodes), space.dim, space.dim)
+    sums = [np.zeros(shape, complex) for _ in range(len(sides) + 2 * squares)]
+    full, conj, term = np.empty((3, *shape), complex)
+    yield sums
+    for k, (delta, m) in enumerate(zip(deltas, nodes)):
+        if m.shape[-1] < space.dim:
+            full[...] = 0
+            m = _embed(m, full)
+        for acc, side in zip(sums, sides):
+            acc += np.matmul(*((m, incs[k]) if side == "right" else (incs[k], m)),
+                             out=term)
+        if squares:
+            adj = np.conjugate(m, out=conj).transpose(0, 2, 1)
+            sums[-2] += np.multiply(delta, np.matmul(adj, m, out=term), out=term)
+            sums[-1] += np.multiply(delta, np.matmul(m, adj, out=term), out=term)
+        yield sums
 
 
-def _driver_sums(mats: np.ndarray, incs: np.ndarray, side: str) -> np.ndarray:
-    """The last of :func:`_driver_partial_sums`, keeping no earlier one."""
-    for total in _driver_partial_sums(mats, incs, side):
-        pass
-    return total
+def _hp_norms(space, start: int, nodes, p: float, squares=None) -> list:
+    """:func:`hp_norm` of each process of node stacks from ``start``, from
+    its two full-size Gram sums (``squares``, else formed here)."""
+    if squares is None:
+        squares = _last(_full_size_sums(space, start, nodes, squares=True))
+    return list(map(max, *(psd_power_lp_norms(s, 2.0, p) for s in squares)))
 
 
-def _hp_norms(space, start: int, mats: np.ndarray, p: float) -> list:
-    """:func:`hp_norm` of each process of a stack from node ``start``: per
-    node the stacked full-size Gram products, delta-summed in node order."""
-    right, left = np.zeros((2, len(mats), *mats.shape[2:]), complex)
-    for delta, m in zip(_nodes(space, start, mats)[0], mats.swapaxes(0, 1)):
-        right += delta * _grams(m)
-        left += delta * (m @ m.conj().transpose(0, 2, 1))
-    return list(map(max, *(psd_power_lp_norms(s, 2.0, p) for s in (right, left))))
-
-
-def _lqlp_norms(space, start: int, mats: np.ndarray, q: float, p: float,
+def _lqlp_norms(space, start: int, nodes, q: float, p: float,
                 grams=None) -> list:
-    """:func:`lqlp_norm` of each process of a stack from node ``start``: the
+    """:func:`lqlp_norm` of each process of node stacks from ``start``: the
     level factors' norms (from ``grams`` when given), delta-summed as floats."""
-    deltas, his = _nodes(space, start, mats)
-    grams = [None] * len(his) if grams is None else grams
-    norms = [lp_norms(np.ascontiguousarray(m[:, ::hi, ::hi]), p, g)
-             for m, hi, g in zip(mats.swapaxes(0, 1), his, grams)]
+    deltas, factors = _nodes(space, start, nodes)
+    grams = [None] * len(factors) if grams is None else grams
+    norms = [lp_norms(a, p, g) for a, g in zip(factors, grams)]
     return [float(_delta_sum(deltas, [row[t] ** q for row in norms], 0.0)
-                  ** (1.0 / q)) for t in range(len(mats))]
+                  ** (1.0 / q)) for t in range(_trials(nodes))]
 
 
-def _bg_norms(space, start: int, mats: np.ndarray, incs: np.ndarray, p: float,
+def _bg_norms(space, start: int, nodes, incs: np.ndarray, p: float,
               sides, refs) -> list:
-    """Per process of a stack from node ``start``, the L^p norm of its driver
+    """Per process of node stacks from ``start``, the L^p norm of its driver
     integral on each of ``sides``, then each reference norm of ``refs``:
     ``'hp'`` (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2))."""
-    out = [lp_norms(_driver_sums(mats, incs, side), p) for side in sides]
-    return out + [_hp_norms(space, start, mats, p) if ref == "hp"
-                  else _lqlp_norms(space, start, mats, 2.0, p) for ref in refs]
+    sums = _last(_full_size_sums(space, start, nodes, incs, sides, "hp" in refs))
+    out = [lp_norms(sums.pop(0), p) for _ in sides]  # each sum freed once used
+    return out + [_hp_norms(space, start, nodes, p, sums)
+                  if ref == "hp" else _lqlp_norms(space, start, nodes, 2.0, p)
+                  for ref in refs]
 
 
-def _norm_exchange_sides(space, start: int, mats: np.ndarray, q: float,
-                         p: float) -> tuple:
-    """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for a
-    stack from node ``start``: per node the level factors' Gram products,
+def _norm_exchange_sides(space, start: int, nodes, q: float, p: float) -> tuple:
+    """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for node
+    stacks from ``start``: per node the level factors' Gram products,
     ``eigh``-powered, delta-summed in node order on the blocks of a (x) I."""
-    deltas, his = _nodes(space, start, mats)
-    acc, grams = np.zeros((len(mats), *mats.shape[2:]), complex), []
-    for delta, hi, m in zip(deltas, his, mats.swapaxes(0, 1)):
-        powed = _grams(np.ascontiguousarray(m[:, ::hi, ::hi]))
+    deltas, factors = _nodes(space, start, nodes)
+    acc, grams = np.zeros((_trials(nodes), space.dim, space.dim), complex), []
+    for delta, a in zip(deltas, factors):
+        powed = _grams(a)
         grams.append(powed)
         if q != 2:
             lam, vec = np.linalg.eigh(powed)
             lam = np.clip(lam, 0.0, None)
             powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
         powed = delta * powed
+        hi = space.dim // powed.shape[-1]
         for j in range(hi):  # powed (x) I
             acc[:, j::hi, j::hi] += powed
-    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(space, start, mats, q, p, grams)
+    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(space, start, factors,
+                                                          q, p, grams)
     return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
                       for a, b in zip(lhs, rhs)]
 
@@ -180,11 +206,8 @@ def _norm_exchange_sides(space, start: int, mats: np.ndarray, q: float,
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
                     side: str = "right") -> CliffordElement:
     """sum f(tau_j) dxi_j (side='right') or sum dxi_j f(tau_j) (side='left')."""
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    *_, mats, incs = _stack(f, upto, driver)
-    total = _driver_sums(mats, incs, side)[0]
-    return CliffordElement(f.space, total, _fresh=True)
+    total = _last(_full_size_sums(*_stack(f, upto, driver), (side,)))
+    return CliffordElement(f.space, total[0][0], _fresh=True)
 
 
 def right_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
@@ -199,9 +222,8 @@ def left_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
 
 def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
     """sum f(tau_j) delta_j; obeys ||.||_p <= sum ||f_j||_p delta_j."""
-    sp, start, mats, _ = _stack(f, upto)
-    total = _delta_sum(_nodes(sp, start, mats)[0], mats[0],
-                       np.zeros(mats.shape[2:], complex))
+    deltas = f.space.grid.deltas[f.start_node:_resolve_upto(f, upto)].tolist()
+    total = _delta_sum(deltas, f.mats, np.zeros((f.space.dim,) * 2, complex))
     return CliffordElement(f.space, total, _fresh=True)
 
 
@@ -229,9 +251,8 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
     if driver is None:
         driver = Driver.fermion_field()
     sp = f.space
-    *_, mats, incs = _stack(f, upto, driver)
-    partial = [CliffordElement(sp, s[0], _fresh=True)
-               for s in _driver_partial_sums(mats, incs, side)]
+    partial = [CliffordElement(sp, s[0][0].copy(), _fresh=True)
+               for s in _full_size_sums(*_stack(f, upto, driver), (side,))]
     m_t = partial[-1]
     worst = 0.0
     for off, m_s in enumerate(partial):
@@ -325,15 +346,20 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
     constant the stability bound consumes; ``form='hp'`` compares against
     the square-function norm.
     """
-    _check_exponent(p, least=2)  # before any draw
+    _check_exponent(p, least=2)  # before any draw, as side and seed are
+    _check_side(side)
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and seed >= 0):
+        raise ConfigurationError(f"seed out of range (a non-negative integer): "
+                                 f"{seed!r}", key="seed")
     if driver is None:
         driver = Driver.fermion_field()
     if form not in ("l2lp", "hp"):
         raise ValueError(f"form must be 'l2lp' or 'hp', got {form!r}")
-    trials = as_int(trials, "trials")
-    if trials < 1:
-        raise ConfigurationError(f"trials out of range (at least 1): {trials}",
+    if isinstance(trials, bool) or as_int(trials, "trials") < 1:  # a bool is 0 or 1
+        raise ConfigurationError(f"trials out of range (at least 1): {trials!r}",
                                  key="trials")
+    trials = int(trials)
     incs = driver.increments(space)
     worst = 0.0
     for chunk in _trial_chunks(space, trials):

@@ -31,16 +31,22 @@ import numpy as np
 # unused lp_norm: perfbench/test_bench.py pins this module as an import site
 from .element import CliffordElement, lp_norm  # noqa: F401
 from .errors import AdaptednessError, ConfigurationError, DriverMismatchError
-from .space import (CliffordSpace, MonomialGather, _draw_levels, _embed,
-                    adaptedness_defect, as_int)
+from .space import (CliffordSpace, MonomialGather, _at_size, _draw_levels,
+                    _embed, adaptedness_defect, as_int)
 
 #: Construction rejects values whose projection defect exceeds this or is NaN.
 ADAPTEDNESS_REJECT_TOL = 1e-8
 
-#: Bytes of one chunk's stack of random processes (4 trials of 8 dim-16
-#: values); a larger space gets fewer trials per chunk.  Larger chunks are
-#: a little faster but raise peak memory: 160 KB added 0.3 MB.
-_CHUNK_BYTES = 128 * 1024
+#: Bytes a chunk of random trials holds at once (:func:`_trial_chunks`):
+#: 11 trials at n = 8 and 13 at pair n = 4 (both dim 16), one from dim 64
+#: up; a bg_ratio chunk peaks at 385 KB under tracemalloc.  Larger chunks
+#: are no faster and raise peak memory: 23-trial pair chunks added
+#: 0.6-1.6 MB.
+_CHUNK_BYTES = 384 * 1024
+#: Full-size matrices per trial that the kernels hold at once: bg_ratio's
+#: two driver sums and two Gram sums, the embedded node, its conjugate and
+#: one product
+_FULL_SIZE_PER_TRIAL = 7
 
 
 def _fermion(driver, space, k) -> MonomialGather:
@@ -200,24 +206,28 @@ def _adapted_stack(space, values, start_node, home) -> tuple:
     return mats, start_node
 
 
-def _random_stack(space, rngs, num=None, start_node: int = 0) -> np.ndarray:
-    """A read-only ``(len(rngs), num, dim, dim)`` stack: row i holds the
-    values :meth:`AdaptedProcess.random` draws from ``rngs[i]`` (checked
-    ``num`` and ``start_node``), drawn node by node for all generators at
-    once."""
+def _random_stack(space, rngs, num=None, start_node: int = 0) -> list:
+    """The values :meth:`AdaptedProcess.random` draws from each of
+    ``rngs`` (checked ``num`` and ``start_node``), drawn node by node for
+    all generators at once: per node a read-only ``(len(rngs), d, d)``
+    stack of their level factors, d the node's ``level_space`` dim."""
     num = space.grid.n if num is None else num
-    mats = np.zeros((len(rngs), num, space.dim, space.dim), dtype=complex)
-    for off in range(num):
-        _draw_levels(space, rngs, space.level_of_node(start_node + off),
-                     out=mats[:, off])
-    mats.setflags(write=False)
-    return mats
+    nodes = []
+    for node in range(start_node, start_node + num):
+        a = _at_size(_draw_levels(space, rngs, space.level_of_node(node)),
+                     space.level_space(node).dim)
+        a.setflags(write=False)
+        nodes.append(a)
+    return nodes
 
 
 def _trial_chunks(space, trials: int) -> list:
-    """Consecutive ranges of trials whose random processes (one value
-    per increment) fit one chunk of ``_CHUNK_BYTES``."""
-    size = max(1, _CHUNK_BYTES // (16 * space.grid.n * space.dim ** 2))
+    """Consecutive ranges of trials that fit one chunk of ``_CHUNK_BYTES``:
+    per trial its random process as level factors (one value per
+    increment) and the kernels' full-size matrices."""
+    dims = [space.level_space(k).dim for k in range(space.grid.n)]
+    per_trial = sum(d * d for d in dims) + _FULL_SIZE_PER_TRIAL * space.dim ** 2
+    size = max(1, _CHUNK_BYTES // (16 * per_trial))
     return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
 
@@ -277,8 +287,11 @@ class AdaptedProcess:
         makes at the node's level, from the same stream of ``rng``.
         """
         num, start_node = _node_range(space, num, start_node)
-        return cls._trusted(space, _random_stack(space, [rng], num,
-                                                 start_node)[0], start_node)
+        mats = np.zeros((num, space.dim, space.dim), complex)
+        for a, out in zip(_random_stack(space, [rng], num, start_node), mats):
+            _embed(a[0], out)
+        mats.setflags(write=False)
+        return cls._trusted(space, mats, start_node)
 
     @property
     def values(self) -> tuple:

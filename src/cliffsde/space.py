@@ -405,16 +405,23 @@ def random_level_element(
     normalized to unit L^2 norm.
     """
     k = space.n_gen if level is None else _level_index(space, level)
-    return CliffordElement(space, _draw_levels(space, [rng], k)[0],
-                           _fresh=True)
+    return CliffordElement(space, _at_size(_draw_levels(space, [rng], k),
+                                           space.dim)[0], _fresh=True)
 
 
-def _draw_levels(space: CliffordSpace, rngs, k: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The matrices of :func:`random_level_element` at a checked level k, one per
-    generator, as a ``(len(rngs), dim, dim)`` stack (into a zeroed ``out`` if given).
-    Each generator draws one draw's stream, in order, and redraws a degenerate one;
-    the draw, odd-level flip and norm run on level factors a, written once as a (x) I."""
+def _at_size(a: np.ndarray, dim: int) -> np.ndarray:
+    """A stack of factors ``a`` as the ``a (x) I`` of size ``dim``: ``a``
+    itself when it has that size, else a new stack of them embedded."""
+    if a.shape[-1] == dim:
+        return a
+    return _embed(a, np.zeros((len(a), dim, dim), complex))
+
+
+def _draw_levels(space: CliffordSpace, rngs, k: int) -> np.ndarray:
+    """The level factors a of :func:`random_level_element`'s values a (x) I at a
+    checked level k, one per generator, as a new ``(len(rngs), 2^r, 2^r)`` stack,
+    r = ceil(k/2).  Each generator draws one draw's stream, in order, and redraws
+    a degenerate one; the draw, odd-level flip and norm all run on the factors."""
     r = (k + 1) // 2
     parts = np.empty((len(rngs), 2, 2 ** r, 2 ** r))
     for rng, part in zip(rngs, parts):
@@ -427,11 +434,8 @@ def _draw_levels(space: CliffordSpace, rngs, k: int,
     degenerate = np.flatnonzero(nrms < 1e-12)
     nrms[degenerate] = 1.0
     a /= nrms.astype(complex)[:, None, None]
-    if out is not None or 2 ** r < space.dim:  # else a is the full-size value
-        a = _embed(a, np.zeros((len(rngs), space.dim, space.dim), complex)
-                   if out is None else out)
     for i in degenerate:  # a measure-zero draw
-        _draw_levels(space, rngs[i:i + 1], k, a[i:i + 1])
+        a[i] = _draw_levels(space, rngs[i:i + 1], k)[0]
     return a
 
 

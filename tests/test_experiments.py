@@ -1,8 +1,10 @@
 """Sweep harness: determinism, violation logging, and table plumbing."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cliffsde import (
@@ -17,9 +19,14 @@ from cliffsde import (
     make_space,
     trial_seed,
 )
-from cliffsde import experiments
+from cliffsde import TimeGrid, experiments, process
+from cliffsde.process import _random_stack, _trial_chunks
 
 _SMALL = SuiteConfig(trials=12, n_grid=(4,), master_seed=7)
+
+
+def _space(n, layout="fermion"):
+    return make_space(TimeGrid.uniform(0.0, 1.0, n), layout=layout)
 
 
 # -- determinism -----------------------------------------------------------------
@@ -46,7 +53,9 @@ def test_seeded_inequality_suites_match_the_committed_bytes():
     ("trials", 0), ("trials", -2), ("max_workers", 0), ("max_workers", -2),
     ("n_grid", (0,)), ("n_grid", (8, 30)), ("n_grid", (15,)),
     ("n_grid", (-1,)), ("trials", 2.5), ("n_grid", (8.0,)),
-    ("n_grid", (4, 2.0)),
+    ("n_grid", (4, 2.0)), ("trials", True), ("master_seed", -1),
+    ("master_seed", 1.5), ("master_seed", True), ("master_seed", False),
+    ("master_seed", "7"),
 ])
 def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
     with pytest.raises(ConfigurationError, match=f"^{key} out of range") as exc:
@@ -59,6 +68,11 @@ def test_the_largest_sizes_are_accepted():
     assert config.n_grid == (1, 14)
 
 
+def test_a_numpy_integer_seed_is_accepted():
+    assert SuiteConfig(master_seed=np.uint64(2 ** 63)).master_seed == 2 ** 63
+    assert SuiteConfig(master_seed=0).master_seed == 0
+
+
 def test_worker_count_does_not_change_results():
     threaded = run_inequality_suite(
         SuiteConfig(trials=12, n_grid=(4,), master_seed=7, max_workers=3))
@@ -66,14 +80,45 @@ def test_worker_count_does_not_change_results():
 
 
 def test_worker_threads_over_several_chunks_do_not_change_results():
-    # n = 8 puts 4 trials in a chunk, so 9 trials make three chunks
-    config = SuiteConfig(trials=9, n_grid=(8,), master_seed=5)
+    # two full chunks at n = 8 and one more trial make three chunks
+    chunk = len(_trial_chunks(_space(8), 10 ** 6)[0])
+    config = SuiteConfig(trials=2 * chunk + 1, n_grid=(8,), master_seed=5)
+    assert len(_trial_chunks(_space(8), config.trials)) == 3
     names = ["bg_ratio", "norm_exchange"]
     threaded = run_suites(SuiteConfig(**{**vars(config), "max_workers": 2}),
                           names)
     single = run_suites(config, names)
     assert threaded.to_csv() == single.to_csv()
     assert threaded.violations_to_csv() == single.violations_to_csv()
+
+
+def test_one_trial_chunks_write_the_same_bytes(monkeypatch):
+    # chunk size is a memory knob only: each trial draws from its own seed
+    # and every kernel reduction that depends on the chunk stays per trial
+    config = SuiteConfig(trials=12, n_grid=(8,), master_seed=11)
+    names = ["bg_ratio", "norm_exchange"]
+    assert len(_trial_chunks(_space(8), config.trials)) > 1
+    assert len(_trial_chunks(_space(4, "pair"), config.trials)) == 1
+    chunked = run_suites(config, names)
+    monkeypatch.setattr(process, "_CHUNK_BYTES", 1)
+    assert len(_trial_chunks(_space(8), config.trials)) == config.trials
+    single = run_suites(config, names)
+    assert single.to_csv() == chunked.to_csv()
+    assert single.violations_to_csv() == chunked.violations_to_csv()
+
+
+def test_a_default_chunk_holds_ten_trials_in_its_budget():
+    sp = _space(8)
+    chunk = _trial_chunks(sp, 10 ** 6)[0]
+    assert len(chunk) >= 10
+    rngs = [np.random.default_rng(t) for t in chunk]
+    tracemalloc.start()
+    try:
+        nodes = _random_stack(sp, rngs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(m.nbytes for m in nodes) <= held <= peak <= process._CHUNK_BYTES
 
 
 def test_one_space_per_n_and_layout_per_run(monkeypatch):
@@ -138,14 +183,14 @@ def test_unknown_suite_name():
 @pytest.mark.parametrize("key, value", [("trials", True), ("n_grid", (4, True))])
 def test_gate_values_out_of_range_are_rejected_before_any_suite_runs(
         key, value, monkeypatch):
-    # a bool size passes the build's integer tests and ran as 1, its cells
-    # named True
+    # a bool size passes integer tests and ran as 1, its cells named True:
+    # the build rejects a bool trial count, run_suites a bool increment count
     ran = []
     monkeypatch.setitem(experiments._SUITE_RUNNERS, "car_identity",
                         lambda *args: ran.append(args))
-    config = SuiteConfig(**{"trials": 4, "n_grid": (4,), key: value})
     with pytest.raises(ConfigurationError, match=key) as exc:
-        run_suites(config, ["car_identity", "norm_exchange"])
+        run_suites(SuiteConfig(**{"trials": 4, "n_grid": (4,), key: value}),
+                   ["car_identity", "norm_exchange"])
     assert exc.value.key == key
     assert ran == []
 

@@ -10,14 +10,17 @@ import pytest
 
 from cliffsde import (
     AdaptedProcess,
+    ConfigurationError,
     Driver,
     TimeGrid,
     ZeroProcessError,
     check_bg,
     check_norm_exchange,
+    driver_integral,
     hp_norm,
     lqlp_norm,
     make_space,
+    martingale_check,
     measure_bg_constant,
 )
 
@@ -165,3 +168,45 @@ def test_measure_constant_rejects_p_outside_the_estimates_before_drawing(
     monkeypatch.setattr("cliffsde.integrals._random_stack", no_draw)
     with pytest.raises(ValueError, match=f"got p={p!r}"):
         measure_bg_constant(_SP, p)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew an integrand")
+
+
+# -- side and seed checks ------------------------------------------------------------
+
+_SIDE = "side must be 'right' or 'left', got 'middle'"
+
+
+@pytest.mark.parametrize("sp,fn", [
+    (_SP, lambda f: check_bg(f, 4.0, side="middle")),
+    (_PAIR, lambda f: check_bg(f, 4.0, Driver.annihilation(), side="middle")),
+    (_SP, lambda f: martingale_check(f, side="middle")),
+    (_SP, lambda f: driver_integral(f, Driver.fermion_field(), side="middle")),
+], ids=["check_bg", "check_bg-pair", "martingale_check", "driver_integral"])
+def test_an_unknown_side_is_rejected_not_read_as_left(sp, fn):
+    f = AdaptedProcess.random(sp, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=f"^{_SIDE}$"):
+        fn(f)
+
+
+def test_measure_constant_rejects_an_unknown_side_before_drawing(monkeypatch):
+    monkeypatch.setattr("cliffsde.integrals._random_stack", _no_draw)
+    with pytest.raises(ValueError, match=f"^{_SIDE}$"):
+        measure_bg_constant(_SP, 4.0, side="middle")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False, "3"])
+def test_measure_constant_rejects_a_bad_seed_by_name_before_drawing(
+        monkeypatch, seed):
+    monkeypatch.setattr("cliffsde.integrals._random_stack", _no_draw)
+    with pytest.raises(ConfigurationError, match="^seed out of range") as exc:
+        measure_bg_constant(_SP, 4.0, seed=seed)
+    assert exc.value.key == "seed"
+
+
+def test_measure_constant_takes_a_numpy_integer_seed():
+    assert measure_bg_constant(_PAIR, 4.0, Driver.annihilation(), trials=3,
+                               seed=np.int64(5)) == \
+        measure_bg_constant(_PAIR, 4.0, Driver.annihilation(), trials=3, seed=5)

@@ -1,11 +1,12 @@
 """The stacked integral and norm kernels against per-element loops.
 
 Processes hold their values as one ``(nodes, dim, dim)`` stack, and the
-kernels in ``integrals`` and ``element.lp_norms`` work on a
-``(trials, nodes, dim, dim)`` stack of them with stacked matmul,
-``eigvalsh`` and ``eigh`` calls: a batch of one for the per-process
-functions, a chunk of random trials for the suites.  Node j's value is
-``a (x) I``, and the per-node norm work runs on its level factor ``a``.
+kernels in ``integrals`` and ``element.lp_norms`` work on one
+``(trials, d, d)`` stack per node with stacked matmul, ``eigvalsh`` and
+``eigh`` calls: a batch of one for the per-process functions (full size),
+a chunk of random trials for the suites (level-factor size).  Node j's
+value is ``a (x) I``; the per-node norm work runs on its level factor
+``a``, the driver products and ``hp`` Gram products on ``a (x) I``.
 The per-element references below do the same work one value at a time,
 and every comparison with them is on the bytes of the returned floats and
 matrices.  The full-size references (``_full_*``) are the algorithm the
@@ -37,10 +38,10 @@ from cliffsde import (
 )
 from cliffsde import experiments
 from cliffsde.element import _grams, lp_norm, lp_norms, psd_power_lp_norms
-from cliffsde.integrals import (_bg_norms, _driver_partial_sums, _driver_sums,
-                                _hp_norms, _lqlp_norms, _norm_exchange_sides)
+from cliffsde.integrals import (_bg_norms, _full_size_sums, _hp_norms, _last,
+                                _lqlp_norms, _norm_exchange_sides)
 from cliffsde.process import _random_stack, _trial_chunks
-from cliffsde.space import expand, restrict
+from cliffsde.space import _at_size, expand, restrict
 
 P_VALUES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 7.0)
 #: How far the factor-size kernels and draws may sit from the full-size ones
@@ -61,6 +62,12 @@ _DRIVERS = {
 
 def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
+
+
+def _full_size(sp, nodes) -> np.ndarray:
+    """Node stacks as one ``(trials, nodes, dim, dim)`` array of full-size
+    values."""
+    return np.stack([_at_size(m, sp.dim) for m in nodes], axis=1)
 
 
 # -- per-element references -----------------------------------------------------
@@ -288,12 +295,20 @@ def test_chunked_draws_equal_random_processes_row_for_row(sp):
             [chunk] * (trials // chunk) + [trials % chunk] * (trials % chunk > 0)
         seeds = [100 * trials + t for t in range(trials)]
         rngs = [np.random.default_rng(s) for s in seeds]
-        rows = [row for c in chunks
-                for row in _random_stack(sp, [rngs[t] for t in c])]
-        for seed, row, rng in zip(seeds, rows, rngs):
+        stacks = [_random_stack(sp, [rngs[t] for t in c]) for c in chunks]
+        for nodes, c in zip(stacks, chunks):
+            for k, m in enumerate(nodes):
+                d = sp.level_space(k).dim
+                assert m.shape == (len(c), d, d) and not m.flags.writeable
+        rows = [row for nodes in stacks for row in _full_size(sp, nodes)]
+        factors = [[m[t] for m in nodes] for nodes in stacks
+                   for t in range(len(nodes[0]))]
+        for seed, row, rng, fac in zip(seeds, rows, rngs, factors):
             ref_rng = np.random.default_rng(seed)
             f = AdaptedProcess.random(sp, ref_rng)
             assert row.tobytes() == f.mats.tobytes()
+            assert [a.tobytes() for a in fac] == \
+                [_factor(f, k).tobytes() for k in range(sp.grid.n)]
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             ref_rng = np.random.default_rng(seed)
             ref = [_ref_draw(sp, ref_rng, sp.level_of_node(k))
@@ -347,8 +362,8 @@ class _ZeroFirstDraw:
 
 
 def test_a_degenerate_draw_is_redrawn_from_its_own_generator():
-    stack = _random_stack(_FERMION4, [np.random.default_rng(1), _ZeroFirstDraw(2),
-                                      np.random.default_rng(3)])
+    stack = _full_size(_FERMION4, _random_stack(_FERMION4, [
+        np.random.default_rng(1), _ZeroFirstDraw(2), np.random.default_rng(3)]))
     for row, seed in zip(stack, (1, 2, 3)):
         f = AdaptedProcess.random(_FERMION4, np.random.default_rng(seed))
         assert row.tobytes() == f.mats.tobytes()
@@ -356,35 +371,41 @@ def test_a_degenerate_draw_is_redrawn_from_its_own_generator():
 
 @st.composite
 def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
-    """A (trials, nodes, dim, dim) stack of random processes on a later
-    start node, some rows set to zero, an ``upto``, and each trial as a
-    process."""
+    """Node stacks of random processes on a later start node, at level-factor
+    or at full size, some rows set to zero, cut at an ``upto``, and each
+    trial as a process.  Node stacks carry the trial count, so only a
+    single process is cut to no node at all."""
     sp = draw(st.sampled_from(spaces))
     n = sp.grid.n
     start = draw(st.integers(0, n - 1))
     num = draw(st.integers(1, n + 1 - start))
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
-    mats = np.array(_random_stack(sp, [np.random.default_rng(s) for s in seeds],
-                                  num, start))
-    for t in range(len(mats)):
-        mats[t, sorted(draw(st.sets(st.integers(0, num - 1), max_size=num)))] = 0
-    upto = draw(st.integers(start, min(start + num, n)))
+    nodes = [np.array(m) for m in _random_stack(
+        sp, [np.random.default_rng(s) for s in seeds], num, start)]
+    for t in range(len(seeds)):
+        for k in draw(st.sets(st.integers(0, num - 1), max_size=num)):
+            nodes[k][t] = 0
+    upto = draw(st.integers(start + (len(seeds) > 1), min(start + num, n)))
+    mats = _full_size(sp, nodes)
     procs = [AdaptedProcess(sp, [sp.element(m) for m in rows], start_node=start)
              for rows in mats]
-    return sp, start, mats[:, :upto - start], procs, upto
+    if draw(st.booleans()):
+        nodes = list(mats.swapaxes(0, 1))
+    return sp, start, nodes[:upto - start], procs, upto
 
 
 @_SETTINGS
 @given(stack=_trial_stacks(), p=st.sampled_from(P_VALUES), data=st.data())
 def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, data):
-    sp, start, mats, procs, upto = stack
+    sp, start, nodes, procs, upto = stack
     driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
     incs = driver.increments(sp)[start:upto]
     q = data.draw(st.sampled_from(sorted({q for q, _ in QP_PAIRS})))
-    hps, lqlps = _hp_norms(sp, start, mats, p), _lqlp_norms(sp, start, mats, q, p)
-    sums = {side: list(_driver_partial_sums(mats, incs, side))
+    hps, lqlps = _hp_norms(sp, start, nodes, p), _lqlp_norms(sp, start, nodes, q, p)
+    sums = {side: [s[0].copy() for s in _full_size_sums(sp, start, nodes, incs,
+                                                        (side,))]
             for side in ("right", "left")}
-    norms = _bg_norms(sp, start, mats, incs, max(p, 2.0), ("left", "right"),
+    norms = _bg_norms(sp, start, nodes, incs, max(p, 2.0), ("left", "right"),
                       ("hp", "l2lp"))
     for t, f in enumerate(procs):
         assert _bits(hps[t]) == _bits(_ref_hp_norm(f, p, upto))
@@ -392,7 +413,7 @@ def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, dat
         refs = [_ref_driver_integral(f, driver, upto, side).mat
                 for side in ("left", "right")]
         for side, ref in zip(("left", "right"), refs):
-            assert len(sums[side]) == mats.shape[1] + 1
+            assert len(sums[side]) == len(nodes) + 1
             assert sums[side][-1][t].tobytes() == ref.tobytes()
         pb = max(p, 2.0)
         assert [_bits(v[t]) for v in norms] == [_bits(v) for v in (
@@ -404,9 +425,9 @@ def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, dat
 @given(stack=_trial_stacks(),
        qp=st.sampled_from(QP_PAIRS + ((1.5, 2.5), (1.0, 7.0))))
 def test_trial_stacked_norm_exchange_matches_the_element_loop(stack, qp):
-    sp, start, mats, procs, upto = stack
+    sp, start, nodes, procs, upto = stack
     q, p = qp
-    sides = _norm_exchange_sides(sp, start, mats, q, p)
+    sides = _norm_exchange_sides(sp, start, nodes, q, p)
     for t, f in enumerate(procs):
         assert [_bits(v[t]) for v in sides] == \
             [_bits(v) for v in _ref_norm_exchange(f, q, p, upto)]
@@ -451,7 +472,7 @@ def test_measure_bg_constant_is_the_per_trial_maximum(sp, driver, form):
             assert _bits(got) == _bits(worst)
 
 
-@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("trials", [0, -2, True, False])
 def test_measure_bg_constant_rejects_a_trial_count_below_one(trials):
     with pytest.raises(ConfigurationError, match="trials out of range") as exc:
         measure_bg_constant(_FERMION4, 4.0, trials=trials)
@@ -489,18 +510,21 @@ def _full_norm_exchange_sides(mats, deltas, q, p):
 
 @st.composite
 def _chunk_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
-    """A stack of one random process or of a suite chunk of them
-    (``_trial_chunks`` size) on a later start node, some rows set to zero."""
+    """Node stacks of one random process or of a suite chunk of them
+    (``_trial_chunks`` size) on a later start node, some nodes set to zero,
+    and the same processes as a ``(trials, nodes, dim, dim)`` array."""
     sp = draw(st.sampled_from(spaces))
     n = sp.grid.n
     start = draw(st.integers(0, n - 1))
     num = draw(st.integers(1, n + 1 - start))
     trials = draw(st.sampled_from((1, len(_trial_chunks(sp, 10 ** 6)[0]))))
     seed = draw(st.integers(0, 2**32 - 1))
-    mats = np.array(_random_stack(
-        sp, [np.random.default_rng([seed, t]) for t in range(trials)], num, start))
-    mats[:, sorted(draw(st.sets(st.integers(0, num - 1), max_size=num)))] = 0
-    return sp, start, mats, sp.grid.deltas[start:start + num].tolist()
+    nodes = [np.array(m) for m in _random_stack(
+        sp, [np.random.default_rng([seed, t]) for t in range(trials)], num, start)]
+    for k in draw(st.sets(st.integers(0, num - 1), max_size=num)):
+        nodes[k][...] = 0
+    return (sp, start, nodes, _full_size(sp, nodes),
+            sp.grid.deltas[start:start + num].tolist())
 
 
 def _close(got, want):
@@ -513,19 +537,20 @@ def _close(got, want):
        qp=st.sampled_from(QP_PAIRS), data=st.data())
 def test_factor_size_kernels_agree_with_the_full_size_algorithm(stack, p, qp,
                                                                  data):
-    sp, start, mats, deltas = stack
+    sp, start, nodes, mats, deltas = stack
     q = qp[0]
-    assert _close(_lqlp_norms(sp, start, mats, q, p),
+    assert _close(_lqlp_norms(sp, start, nodes, q, p),
                   _full_lqlp_norms(mats, deltas, q, p))
-    for got, want in zip(_norm_exchange_sides(sp, start, mats, *qp),
+    for got, want in zip(_norm_exchange_sides(sp, start, nodes, *qp),
                          _full_norm_exchange_sides(mats, deltas, *qp),
                          strict=True):
         assert _close(got, want)
     driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
-    incs = driver.increments(sp)[start:start + mats.shape[1]]
-    want = [lp_norms(_driver_sums(mats, incs, side), p)
+    incs = driver.increments(sp)[start:start + len(nodes)]
+    full = list(mats.swapaxes(0, 1))
+    want = [lp_norms(_last(_full_size_sums(sp, start, full, incs, (side,)))[0], p)
             for side in ("left", "right")]
-    want += [_hp_norms(sp, start, mats, p), _full_lqlp_norms(mats, deltas, 2.0, p)]
-    for got, ref in zip(_bg_norms(sp, start, mats, incs, p, ("left", "right"),
+    want += [_hp_norms(sp, start, full, p), _full_lqlp_norms(mats, deltas, 2.0, p)]
+    for got, ref in zip(_bg_norms(sp, start, nodes, incs, p, ("left", "right"),
                                   ("hp", "l2lp")), want, strict=True):
         assert _close(got, ref)
