@@ -31,13 +31,14 @@ from .integrals import (
     _bg_norms,
     _bg_ratio,
     _norm_exchange_sides,
+    _trial_chunks,
     driver_integral,
     parity_commutation_defect,
 )
 from .grid import TimeGrid
 from .modulus import bihari_bound, make_modulus
 from .problems import make_problem
-from .process import AdaptedProcess, Driver, _random_stack, _trial_chunks
+from .process import AdaptedProcess, Driver, _random_stack
 from .solver import (
     coefficient_stability_experiment,
     forward_euler_oracle,
@@ -129,7 +130,8 @@ class SuiteConfig:
     def __post_init__(self):
         # the common path is one chained test, keeping construction cheap
         # (_counts_ok's calls cost 5% more); the loop only names the field.
-        # A bool is an int that passes as 0 or 1: identity tests reject it
+        # trials_ok and seed_ok are grid.is_count inlined: its two calls
+        # cost 12% more
         trials, seed = self.trials, self.master_seed
         trials_ok = (isinstance(trials, _INTEGER) and trials >= 1
                      and trials is not True)
@@ -254,7 +256,7 @@ def _run_trials(config: SuiteConfig, suite: str, cell_index: int,
                 trials: int, space, batch) -> list:
     """``(seed, result)`` for each trial of a cell, in trial order.
     ``batch(rngs)`` maps the generators of a chunk of consecutive trials
-    (:func:`~.process._trial_chunks` of ``space``), each drawn from its
+    (:func:`~.integrals._trial_chunks` of ``space``), each drawn from its
     trial's derived seed, to their results; chunks map onto
     ``config.max_workers`` threads."""
     seeds = [trial_seed(config.master_seed, suite, cell_index, t)

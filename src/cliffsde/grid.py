@@ -22,6 +22,13 @@ def as_int(value, what: str) -> int:
     return int(value)
 
 
+def is_count(value, least: int = 0) -> bool:
+    """Whether ``value`` is an integer (Python or numpy) of at least
+    ``least``; a bool is an int that passes as 0 or 1, so it is not one."""
+    return (isinstance(value, (int, np.integer)) and value >= least
+            and value is not True and value is not False)
+
+
 class TimeGrid:
     """Strictly increasing nodes t0 = tau_0 < tau_1 < ... < tau_n = T."""
 

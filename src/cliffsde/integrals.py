@@ -26,14 +26,16 @@ norm exchange (Gram products, ``eigh`` powers, node norms) runs on the
 level factors ``a`` of the values ``a (x) I``, restricting a full-size
 node; the norm exchange adds each powered term into its full-size sum on
 the blocks of ``a (x) I``.  The driver products and the Gram products of
-``hp_norm`` run at full size, in one node loop (``_full_size_sums``) that
-embeds a factor-size node once for all of them.  The sums then run over
-the nodes in node order: in place for the integrals and the square
-function, the delta-weighted loop ``_delta_sum`` for the time integral
-and the norms.  The increment product stays a dense matmul, not a gather:
-with the complex weights of a ``linear_combination`` driver a gather
-rounds apart from BLAS's complex product (by up to about 1e-15), and the
-driver integral is pinned bit for bit to the dense per-element loop.
+``hp_norm`` run at full size, one running sum at a time
+(``_full_size_sums``), each reduced to its norms before the next is
+formed, so that a chunk holds few full-size matrices per trial.  The sums
+run over the nodes in node order: in place for the integrals and the
+square function, the delta-weighted loop ``_delta_sum`` for the time
+integral and the norms.  The increment product stays a dense matmul, not
+a gather: with the complex weights of a ``linear_combination`` driver a
+gather rounds apart from BLAS's complex product (by up to about 1e-15),
+and the driver integral is pinned bit for bit to the dense per-element
+loop.
 Stacked products, ``eigh``/``eigvalsh`` and elementwise accumulation
 equal the per-matrix calls bit for bit.  The reductions whose rounding
 depends on the shape they reduce stay per matrix or per process: the
@@ -53,9 +55,22 @@ import numpy as np
 from .element import (CliffordElement, _check_exponent, _grams, lp_norm,
                       lp_norms, op_norm, psd_power_lp_norms)
 from .errors import ConfigurationError, ZeroProcessError
-from .process import AdaptedProcess, Driver, _random_stack, _trial_chunks
+from .grid import is_count
+from .process import AdaptedProcess, Driver, _random_stack
 from .space import (_embed, as_int, conditional_expect, parity_decompose,
                     require_adapted)
+
+
+#: Bytes a chunk of random trials holds at once (:func:`_trial_chunks`):
+#: 10 trials at n = 8 and 13 at pair n = 4 (both dim 16), one from dim 64
+#: up.  Under tracemalloc a chunk peaks at 250-275 KB there, where the
+#: full-size stacks of 4 and 8 trials peaked at 240-290 KB; larger chunks
+#: are a little faster but raise the suites' peak RSS.
+_CHUNK_BYTES = 240 * 1024
+#: Full-size matrices per trial that the kernels hold at once: the running
+#: sum of :func:`_full_size_sums` with its embedded node, the node's
+#: conjugate and one product; the norm exchange's sum and its eigh stacks
+_FULL_SIZE_PER_TRIAL = 4
 
 
 def _resolve_upto(f: AdaptedProcess, upto) -> int:
@@ -73,17 +88,19 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
 
 def _stack(f: AdaptedProcess, upto, driver: Driver | None = None) -> tuple:
     """f as a batch of one up to the checked ``upto``: its space, start
-    node, full-size ``(1, dim, dim)`` node stacks at nodes
-    start_node..upto-1 and (with a driver) the driver's increments there."""
+    node, its full-size node stacks at nodes start_node..upto-1 as a
+    ``(nodes, 1, dim, dim)`` array and (with a driver) the driver's
+    increments there."""
     upto = _resolve_upto(f, upto)
     incs = None if driver is None else driver.increments(f.space)[f.start_node:upto]
     return f.space, f.start_node, f.mats[:upto - f.start_node, None], incs
 
 
 def _trials(nodes) -> int:
-    """The number of processes in node stacks; no stack at all is one
-    process's empty range (``upto`` at its start node)."""
-    return len(nodes[0]) if len(nodes) else 1
+    """The number of processes in node stacks: a list of ``(T, d, d)``
+    stacks, or a ``(nodes, T, dim, dim)`` array, whose shape holds T also
+    for no node (an ``upto`` at the start node)."""
+    return nodes.shape[1] if isinstance(nodes, np.ndarray) else len(nodes[0])
 
 
 def _nodes(space, start: int, nodes) -> tuple:
@@ -118,52 +135,53 @@ def _delta_sum(deltas, terms, acc):
     return acc
 
 
-def _full_size_sums(space, start: int, nodes, incs=None, sides=(),
-                    squares: bool = False):
-    """Yield the running full-size sums of the processes of node stacks from
-    ``start``, each a ``(T, dim, dim)`` stack, first for no node, then after
-    each node in node order, updated in place (keep a copy): per side of
-    ``sides`` the driver integral (``m @ inc`` right, ``inc @ m`` left, with
-    the node's increment of ``incs``), then with ``squares`` the
-    delta-weighted Gram sums m* m and m m* of :func:`hp_norm`.  One node
-    loop embeds each node given at factor size once, for all the sums, and
-    works in buffers allocated once."""
-    for side in sides:
-        _check_side(side)
+def _full_size_sums(space, start: int, nodes, incs=None, side: str = "right"):
+    """Yield the running full-size sum of one product of the processes of
+    node stacks from ``start``, a ``(T, dim, dim)`` stack, first for no
+    node, then after each node in node order, updated in place (keep a
+    copy): the driver integral on ``side`` (``m @ inc`` right, ``inc @ m``
+    left, with the node's increment of ``incs``), or without ``incs`` the
+    delta-weighted Gram sum of :func:`hp_norm`'s square function on
+    ``side`` (m* m right, m m* left).  A node given at factor size is
+    embedded into a buffer allocated once."""
+    _check_side(side)
     deltas = space.grid.deltas[start:start + len(nodes)].tolist()
     shape = (_trials(nodes), space.dim, space.dim)
-    sums = [np.zeros(shape, complex) for _ in range(len(sides) + 2 * squares)]
-    full, conj, term = np.empty((3, *shape), complex)
-    yield sums
+    acc = np.zeros(shape, complex)
+    full, term = np.empty((2, *shape), complex)
+    conj = np.empty(shape, complex) if incs is None else None
+    yield acc
     for k, (delta, m) in enumerate(zip(deltas, nodes)):
         if m.shape[-1] < space.dim:
             full[...] = 0
             m = _embed(m, full)
-        for acc, side in zip(sums, sides):
+        if incs is not None:
             acc += np.matmul(*((m, incs[k]) if side == "right" else (incs[k], m)),
                              out=term)
-        if squares:
+        else:
             adj = np.conjugate(m, out=conj).transpose(0, 2, 1)
-            sums[-2] += np.multiply(delta, np.matmul(adj, m, out=term), out=term)
-            sums[-1] += np.multiply(delta, np.matmul(m, adj, out=term), out=term)
-        yield sums
+            np.matmul(*((adj, m) if side == "right" else (m, adj)), out=term)
+            acc += np.multiply(delta, term, out=term)
+        yield acc
 
 
-def _hp_norms(space, start: int, nodes, p: float, squares=None) -> list:
-    """:func:`hp_norm` of each process of node stacks from ``start``, from
-    its two full-size Gram sums (``squares``, else formed here)."""
-    if squares is None:
-        squares = _last(_full_size_sums(space, start, nodes, squares=True))
-    return list(map(max, *(psd_power_lp_norms(s, 2.0, p) for s in squares)))
+def _hp_norms(space, start: int, nodes, p: float) -> list:
+    """:func:`hp_norm` of each process of node stacks from ``start``: the
+    larger norm of its two full-size Gram sums, each formed and reduced in
+    turn."""
+    return list(map(max, *(psd_power_lp_norms(
+        _last(_full_size_sums(space, start, nodes, side=side)), 2.0, p)
+        for side in ("right", "left"))))
 
 
 def _lqlp_norms(space, start: int, nodes, q: float, p: float,
-                grams=None) -> list:
+                norms=None) -> list:
     """:func:`lqlp_norm` of each process of node stacks from ``start``: the
-    level factors' norms (from ``grams`` when given), delta-summed as floats."""
+    level factors' norms (``norms``, per node, when given), delta-summed as
+    floats."""
     deltas, factors = _nodes(space, start, nodes)
-    grams = [None] * len(factors) if grams is None else grams
-    norms = [lp_norms(a, p, g) for a, g in zip(factors, grams)]
+    if norms is None:
+        norms = [lp_norms(a, p) for a in factors]
     return [float(_delta_sum(deltas, [row[t] ** q for row in norms], 0.0)
                   ** (1.0 / q)) for t in range(_trials(nodes))]
 
@@ -172,42 +190,54 @@ def _bg_norms(space, start: int, nodes, incs: np.ndarray, p: float,
               sides, refs) -> list:
     """Per process of node stacks from ``start``, the L^p norm of its driver
     integral on each of ``sides``, then each reference norm of ``refs``:
-    ``'hp'`` (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2))."""
-    sums = _last(_full_size_sums(space, start, nodes, incs, sides, "hp" in refs))
-    out = [lp_norms(sums.pop(0), p) for _ in sides]  # each sum freed once used
-    return out + [_hp_norms(space, start, nodes, p, sums)
-                  if ref == "hp" else _lqlp_norms(space, start, nodes, 2.0, p)
-                  for ref in refs]
+    ``'hp'`` (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2)).
+    Each full-size sum is formed and reduced in turn."""
+    out = [lp_norms(_last(_full_size_sums(space, start, nodes, incs, side)), p)
+           for side in sides]
+    return out + [_hp_norms(space, start, nodes, p) if ref == "hp"
+                  else _lqlp_norms(space, start, nodes, 2.0, p) for ref in refs]
 
 
 def _norm_exchange_sides(space, start: int, nodes, q: float, p: float) -> tuple:
     """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for node
-    stacks from ``start``: per node the level factors' Gram products,
-    ``eigh``-powered, delta-summed in node order on the blocks of a (x) I."""
+    stacks from ``start``: per node the level factors' Gram products, their
+    norms, then ``eigh``-powered in the Gram products' buffer and
+    delta-summed in node order on the blocks of a (x) I."""
     deltas, factors = _nodes(space, start, nodes)
-    acc, grams = np.zeros((_trials(nodes), space.dim, space.dim), complex), []
+    acc, norms = np.zeros((_trials(nodes), space.dim, space.dim), complex), []
     for delta, a in zip(deltas, factors):
         powed = _grams(a)
-        grams.append(powed)
+        norms.append(lp_norms(a, p, powed))
         if q != 2:
             lam, vec = np.linalg.eigh(powed)
-            lam = np.clip(lam, 0.0, None)
-            powed = (vec * lam[:, None, :] ** (q / 2.0)) @ vec.conj().transpose(0, 2, 1)
-        powed = delta * powed
+            adj = vec.conj().transpose(0, 2, 1)
+            vec *= np.clip(lam, 0.0, None)[:, None, :] ** (q / 2.0)
+            np.matmul(vec, adj, out=powed)
+        np.multiply(delta, powed, out=powed)
         hi = space.dim // powed.shape[-1]
         for j in range(hi):  # powed (x) I
             acc[:, j::hi, j::hi] += powed
-    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(space, start, factors,
-                                                          q, p, grams)
+    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(space, start, nodes,
+                                                          q, p, norms)
     return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
                       for a, b in zip(lhs, rhs)]
+
+
+def _trial_chunks(space, trials: int) -> list:
+    """Consecutive ranges of trials that fit one chunk of ``_CHUNK_BYTES``:
+    per trial its random process as level factors (one value per
+    increment) and the kernels' full-size matrices."""
+    dims = [space.level_space(k).dim for k in range(space.grid.n)]
+    per_trial = sum(d * d for d in dims) + _FULL_SIZE_PER_TRIAL * space.dim ** 2
+    size = max(1, _CHUNK_BYTES // (16 * per_trial))
+    return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
 
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
                     side: str = "right") -> CliffordElement:
     """sum f(tau_j) dxi_j (side='right') or sum dxi_j f(tau_j) (side='left')."""
-    total = _last(_full_size_sums(*_stack(f, upto, driver), (side,)))
-    return CliffordElement(f.space, total[0][0], _fresh=True)
+    total = _last(_full_size_sums(*_stack(f, upto, driver), side))
+    return CliffordElement(f.space, total[0], _fresh=True)
 
 
 def right_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
@@ -251,8 +281,8 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
     if driver is None:
         driver = Driver.fermion_field()
     sp = f.space
-    partial = [CliffordElement(sp, s[0][0].copy(), _fresh=True)
-               for s in _full_size_sums(*_stack(f, upto, driver), (side,))]
+    partial = [CliffordElement(sp, s[0].copy(), _fresh=True)
+               for s in _full_size_sums(*_stack(f, upto, driver), side)]
     m_t = partial[-1]
     worst = 0.0
     for off, m_s in enumerate(partial):
@@ -348,8 +378,7 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
     """
     _check_exponent(p, least=2)  # before any draw, as side and seed are
     _check_side(side)
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-            and seed >= 0):
+    if not is_count(seed):
         raise ConfigurationError(f"seed out of range (a non-negative integer): "
                                  f"{seed!r}", key="seed")
     if driver is None:

@@ -37,17 +37,6 @@ from .space import (CliffordSpace, MonomialGather, _at_size, _draw_levels,
 #: Construction rejects values whose projection defect exceeds this or is NaN.
 ADAPTEDNESS_REJECT_TOL = 1e-8
 
-#: Bytes a chunk of random trials holds at once (:func:`_trial_chunks`):
-#: 11 trials at n = 8 and 13 at pair n = 4 (both dim 16), one from dim 64
-#: up; a bg_ratio chunk peaks at 385 KB under tracemalloc.  Larger chunks
-#: are no faster and raise peak memory: 23-trial pair chunks added
-#: 0.6-1.6 MB.
-_CHUNK_BYTES = 384 * 1024
-#: Full-size matrices per trial that the kernels hold at once: bg_ratio's
-#: two driver sums and two Gram sums, the embedded node, its conjugate and
-#: one product
-_FULL_SIZE_PER_TRIAL = 7
-
 
 def _fermion(driver, space, k) -> MonomialGather:
     """sqrt(delta_k) e_k; squares to delta_k and anticommutes with every
@@ -219,16 +208,6 @@ def _random_stack(space, rngs, num=None, start_node: int = 0) -> list:
         a.setflags(write=False)
         nodes.append(a)
     return nodes
-
-
-def _trial_chunks(space, trials: int) -> list:
-    """Consecutive ranges of trials that fit one chunk of ``_CHUNK_BYTES``:
-    per trial its random process as level factors (one value per
-    increment) and the kernels' full-size matrices."""
-    dims = [space.level_space(k).dim for k in range(space.grid.n)]
-    per_trial = sum(d * d for d in dims) + _FULL_SIZE_PER_TRIAL * space.dim ** 2
-    size = max(1, _CHUNK_BYTES // (16 * per_trial))
-    return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
 
 class AdaptedProcess:

@@ -19,8 +19,10 @@ from cliffsde import (
     make_space,
     trial_seed,
 )
-from cliffsde import TimeGrid, experiments, process
-from cliffsde.process import _random_stack, _trial_chunks
+from cliffsde import TimeGrid, experiments, integrals
+from cliffsde.grid import is_count
+from cliffsde.integrals import _trial_chunks
+from cliffsde.process import _random_stack
 
 _SMALL = SuiteConfig(trials=12, n_grid=(4,), master_seed=7)
 
@@ -73,6 +75,21 @@ def test_a_numpy_integer_seed_is_accepted():
     assert SuiteConfig(master_seed=0).master_seed == 0
 
 
+@pytest.mark.parametrize("value", [0, 1, 7, -1, 1.5, 2.0, True, False, "7", None,
+                                   np.int32(-1), np.int64(3), np.uint64(2 ** 63),
+                                   np.bool_(True)])
+def test_seeds_and_trial_counts_are_the_counts_of_is_count(value):
+    """SuiteConfig inlines grid.is_count; both accept the same values."""
+    for key, least in (("master_seed", 0), ("trials", 1)):
+        try:
+            SuiteConfig(**{key: value})
+        except ConfigurationError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == is_count(value, least), key
+
+
 def test_worker_count_does_not_change_results():
     threaded = run_inequality_suite(
         SuiteConfig(trials=12, n_grid=(4,), master_seed=7, max_workers=3))
@@ -100,7 +117,7 @@ def test_one_trial_chunks_write_the_same_bytes(monkeypatch):
     assert len(_trial_chunks(_space(8), config.trials)) > 1
     assert len(_trial_chunks(_space(4, "pair"), config.trials)) == 1
     chunked = run_suites(config, names)
-    monkeypatch.setattr(process, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(integrals, "_CHUNK_BYTES", 1)
     assert len(_trial_chunks(_space(8), config.trials)) == config.trials
     single = run_suites(config, names)
     assert single.to_csv() == chunked.to_csv()
@@ -118,7 +135,7 @@ def test_a_default_chunk_holds_ten_trials_in_its_budget():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(m.nbytes for m in nodes) <= held <= peak <= process._CHUNK_BYTES
+    assert sum(m.nbytes for m in nodes) <= held <= peak <= integrals._CHUNK_BYTES
 
 
 def test_one_space_per_n_and_layout_per_run(monkeypatch):

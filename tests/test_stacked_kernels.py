@@ -39,8 +39,8 @@ from cliffsde import (
 from cliffsde import experiments
 from cliffsde.element import _grams, lp_norm, lp_norms, psd_power_lp_norms
 from cliffsde.integrals import (_bg_norms, _full_size_sums, _hp_norms, _last,
-                                _lqlp_norms, _norm_exchange_sides)
-from cliffsde.process import _random_stack, _trial_chunks
+                                _lqlp_norms, _norm_exchange_sides, _trial_chunks)
+from cliffsde.process import _random_stack
 from cliffsde.space import _at_size, expand, restrict
 
 P_VALUES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 7.0)
@@ -373,8 +373,8 @@ def test_a_degenerate_draw_is_redrawn_from_its_own_generator():
 def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
     """Node stacks of random processes on a later start node, at level-factor
     or at full size, some rows set to zero, cut at an ``upto``, and each
-    trial as a process.  Node stacks carry the trial count, so only a
-    single process is cut to no node at all."""
+    trial as a process.  Cut to no node, they are the full-size
+    ``(nodes, trials, dim, dim)`` array, whose shape keeps the trial count."""
     sp = draw(st.sampled_from(spaces))
     n = sp.grid.n
     start = draw(st.integers(0, n - 1))
@@ -385,11 +385,13 @@ def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
     for t in range(len(seeds)):
         for k in draw(st.sets(st.integers(0, num - 1), max_size=num)):
             nodes[k][t] = 0
-    upto = draw(st.integers(start + (len(seeds) > 1), min(start + num, n)))
+    upto = draw(st.integers(start, min(start + num, n)))
     mats = _full_size(sp, nodes)
     procs = [AdaptedProcess(sp, [sp.element(m) for m in rows], start_node=start)
              for rows in mats]
-    if draw(st.booleans()):
+    if upto == start:
+        nodes = mats.swapaxes(0, 1)
+    elif draw(st.booleans()):
         nodes = list(mats.swapaxes(0, 1))
     return sp, start, nodes[:upto - start], procs, upto
 
@@ -402,8 +404,7 @@ def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, dat
     incs = driver.increments(sp)[start:upto]
     q = data.draw(st.sampled_from(sorted({q for q, _ in QP_PAIRS})))
     hps, lqlps = _hp_norms(sp, start, nodes, p), _lqlp_norms(sp, start, nodes, q, p)
-    sums = {side: [s[0].copy() for s in _full_size_sums(sp, start, nodes, incs,
-                                                        (side,))]
+    sums = {side: [s.copy() for s in _full_size_sums(sp, start, nodes, incs, side)]
             for side in ("right", "left")}
     norms = _bg_norms(sp, start, nodes, incs, max(p, 2.0), ("left", "right"),
                       ("hp", "l2lp"))
@@ -431,6 +432,20 @@ def test_trial_stacked_norm_exchange_matches_the_element_loop(stack, qp):
     for t, f in enumerate(procs):
         assert [_bits(v[t]) for v in sides] == \
             [_bits(v) for v in _ref_norm_exchange(f, q, p, upto)]
+
+
+def test_a_chunk_cut_to_no_node_has_a_result_per_trial():
+    """Three processes with an ``upto`` at their start node: every kernel
+    gives three zero norms (and the zero ratio), not one."""
+    nodes = np.zeros((0, 3, _FERMION4.dim, _FERMION4.dim), complex)
+    incs = Driver.fermion_field().increments(_FERMION4)[1:1]
+    assert _hp_norms(_FERMION4, 1, nodes, 4.0) == [0.0] * 3
+    assert _lqlp_norms(_FERMION4, 1, nodes, 2.0, 4.0) == [0.0] * 3
+    assert _bg_norms(_FERMION4, 1, nodes, incs, 4.0, ("left", "right"),
+                     ("hp", "l2lp")) == [[0.0] * 3] * 4
+    assert _norm_exchange_sides(_FERMION4, 1, nodes, 2.0, 4.0) == ([0.0] * 3,) * 3
+    assert _last(_full_size_sums(_FERMION4, 1, nodes, incs, "right")).shape \
+        == (3, _FERMION4.dim, _FERMION4.dim)
 
 
 @_SETTINGS
@@ -548,7 +563,7 @@ def test_factor_size_kernels_agree_with_the_full_size_algorithm(stack, p, qp,
     driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
     incs = driver.increments(sp)[start:start + len(nodes)]
     full = list(mats.swapaxes(0, 1))
-    want = [lp_norms(_last(_full_size_sums(sp, start, full, incs, (side,)))[0], p)
+    want = [lp_norms(_last(_full_size_sums(sp, start, full, incs, side)), p)
             for side in ("left", "right")]
     want += [_hp_norms(sp, start, full, p), _full_lqlp_norms(mats, deltas, 2.0, p)]
     for got, ref in zip(_bg_norms(sp, start, nodes, incs, p, ("left", "right"),
