@@ -30,15 +30,16 @@ from .errors import ConfigurationError, OsgoodViolationError
 from .integrals import (
     _bg_norms,
     _bg_ratio,
+    _last,
     _norm_exchange_sides,
+    _running_sums,
     _trial_chunks,
-    driver_integral,
     parity_commutation_defect,
 )
 from .grid import TimeGrid
 from .modulus import bihari_bound, make_modulus
 from .problems import make_problem
-from .process import AdaptedProcess, Driver, _random_stack
+from .process import Driver, _random_stack
 from .solver import (
     coefficient_stability_experiment,
     forward_euler_oracle,
@@ -284,7 +285,7 @@ def _add_ratio_spread(table: SweepTable, suite: str, cell: str, ratios,
 
 def _space(spaces: dict, n: int, layout: str = "fermion"):
     """The run's space for ``(n, layout)`` on [0, 1], built on first use: the
-    suites of one run share it, with its cached driver increments."""
+    suites of one run share it, with its cached increment gathers."""
     space = spaces.get((n, layout))
     if space is None:
         space = spaces[(n, layout)] = make_space(
@@ -319,8 +320,8 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
 
         def batch(rngs, p=p, space=space, driver=driver, side=side):
             lefts, rights, hps, l2s = _bg_norms(
-                space, 0, _random_stack(space, rngs), driver.increments(space),
-                p, ("left", "right"), ("hp", "l2lp"))
+                space, 0, _random_stack(space, rngs), driver, p,
+                ("left", "right"), ("hp", "l2lp"))
             return [(_bg_ratio(p, left if side == "left" else right,
                                hp if driver.kind == "fermion_field" else l2),
                      hp / l2, left / right)
@@ -351,12 +352,15 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
                     suite, cell, f"isometry ratio {r!r} off 1", t, seed
                 )
 
-        # even integrand: left and right integrals agree exactly
+        # even integrand: left and right integrals agree exactly; the even
+        # part of a (x) I is P(a) (x) I, taken on the factor's level space
         seed = trial_seed(config.master_seed, suite, cell_index, config.trials)
-        f = AdaptedProcess.random(space, np.random.default_rng(seed))
-        f_even = AdaptedProcess(space, [parity_decompose(x)[0] for x in f.values])
-        gap = op_norm(driver_integral(f_even, driver, side="left")
-                      - driver_integral(f_even, driver, side="right"))
+        evens = [parity_decompose(space.level_space(k).element(a[0]))[0].mat[None]
+                 for k, a in enumerate(_random_stack(
+                     space, [np.random.default_rng(seed)]))]
+        left, right = (_last(_running_sums(space, 0, evens, driver, side))
+                       for side in ("left", "right"))
+        gap = float(np.linalg.norm(left[0] - right[0], 2))
         table.add(suite, cell, "even_lr_gap", gap)
         if gap > EXACTNESS_TOL:
             table.violate(suite, cell,

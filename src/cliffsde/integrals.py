@@ -25,25 +25,14 @@ chunk of random trials at level-factor size for the suites and
 norm exchange (Gram products, ``eigh`` powers, node norms) runs on the
 level factors ``a`` of the values ``a (x) I``, restricting a full-size
 node; the norm exchange adds each powered term into its full-size sum on
-the blocks of ``a (x) I``.  The driver products and the Gram products of
-``hp_norm`` run at full size, one running sum at a time
-(``_full_size_sums``), each reduced to its norms before the next is
-formed, so that a chunk holds few full-size matrices per trial.  The sums
-run over the nodes in node order: in place for the integrals and the
-square function, the delta-weighted loop ``_delta_sum`` for the time
-integral and the norms.  The increment product stays a dense matmul, not
-a gather: with the complex weights of a ``linear_combination`` driver a
-gather rounds apart from BLAS's complex product (by up to about 1e-15),
-and the driver integral is pinned bit for bit to the dense per-element
-loop.
-Stacked products, ``eigh``/``eigvalsh`` and elementwise accumulation
-equal the per-matrix calls bit for bit.  The reductions whose rounding
-depends on the shape they reduce stay per matrix or per process: the
-``vdot`` of an L^2 or trace-power norm, the mean of a spectrum, and the
-Python-float delta-sum of ``lqlp_norm``.  So the results are those of a
-per-element loop on the level factors.  The processes are immutable and
-adapted by construction, so no kernel re-checks adaptedness or reads off
-the ``a (x) I`` pattern.
+the blocks of ``a (x) I``.  The driver integrals and ``hp_norm``'s Gram
+sums are one running sum (``_running_sums``) that grows with the level,
+and stays at full size for a full-size node; increments multiply as
+gathers, bitwise the dense products up to the sign of zeros on finite
+input, but for the complex weights of a ``linear_combination`` driver
+(about 1e-16 apart).  The sums run over the nodes in node order: in place
+for the integrals and the square function, the delta-weighted loop
+``_delta_sum`` for the time integral and the norms.
 """
 
 from __future__ import annotations
@@ -57,20 +46,22 @@ from .element import (CliffordElement, _check_exponent, _grams, lp_norm,
 from .errors import ConfigurationError, ZeroProcessError
 from .grid import is_count
 from .process import AdaptedProcess, Driver, _random_stack
-from .space import (_embed, as_int, conditional_expect, parity_decompose,
+from .space import (_at_size, as_int, conditional_expect, parity_decompose,
                     require_adapted)
 
 
-#: Bytes a chunk of random trials holds at once (:func:`_trial_chunks`):
-#: 10 trials at n = 8 and 13 at pair n = 4 (both dim 16), one from dim 64
-#: up.  Under tracemalloc a chunk peaks at 250-275 KB there, where the
-#: full-size stacks of 4 and 8 trials peaked at 240-290 KB; larger chunks
-#: are a little faster but raise the suites' peak RSS.
+#: Bytes of a chunk of random trials (:func:`_trial_chunks`): their level
+#: factors and ``_STEP_MATRICES`` full-size matrices each; 10 trials at
+#: n = 8 and 13 at pair n = 4 (both dim 16), one from dim 64 up.  Under
+#: tracemalloc a chunk's whole :func:`_bg_norms` call, its draw included,
+#: peaks within it (205 KB at n = 8); the norm exchange's ``eigh`` powers,
+#: which it does not count, peak at 281 KB there.
 _CHUNK_BYTES = 240 * 1024
-#: Full-size matrices per trial that the kernels hold at once: the running
-#: sum of :func:`_full_size_sums` with its embedded node, the node's
-#: conjugate and one product; the norm exchange's sum and its eigh stacks
-_FULL_SIZE_PER_TRIAL = 4
+#: Matrices per trial, each at most of the largest step size (the full
+#: size), that a running-sum step holds at once: the sum, the node embedded
+#: at the step's size or a Gram step's conjugate, the term, and the buffer
+#: of the broadcast product that scales a gathered term
+_STEP_MATRICES = 4
 
 
 def _resolve_upto(f: AdaptedProcess, upto) -> int:
@@ -86,14 +77,12 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
     return upto
 
 
-def _stack(f: AdaptedProcess, upto, driver: Driver | None = None) -> tuple:
+def _stack(f: AdaptedProcess, upto) -> tuple:
     """f as a batch of one up to the checked ``upto``: its space, start
-    node, its full-size node stacks at nodes start_node..upto-1 as a
-    ``(nodes, 1, dim, dim)`` array and (with a driver) the driver's
-    increments there."""
+    node and its full-size node stacks at nodes start_node..upto-1 as a
+    ``(nodes, 1, dim, dim)`` array."""
     upto = _resolve_upto(f, upto)
-    incs = None if driver is None else driver.increments(f.space)[f.start_node:upto]
-    return f.space, f.start_node, f.mats[:upto - f.start_node, None], incs
+    return f.space, f.start_node, f.mats[:upto - f.start_node, None]
 
 
 def _trials(nodes) -> int:
@@ -135,42 +124,56 @@ def _delta_sum(deltas, terms, acc):
     return acc
 
 
-def _full_size_sums(space, start: int, nodes, incs=None, side: str = "right"):
-    """Yield the running full-size sum of one product of the processes of
-    node stacks from ``start``, a ``(T, dim, dim)`` stack, first for no
-    node, then after each node in node order, updated in place (keep a
-    copy): the driver integral on ``side`` (``m @ inc`` right, ``inc @ m``
-    left, with the node's increment of ``incs``), or without ``incs`` the
-    delta-weighted Gram sum of :func:`hp_norm`'s square function on
-    ``side`` (m* m right, m m* left).  A node given at factor size is
-    embedded into a buffer allocated once."""
+def _driver_step(space, driver: Driver, k: int, *mats) -> tuple:
+    """Driver step k of a running sum: its space (node k+1's level space,
+    or that of ``mats``' largest size if larger), increment k's gather
+    there, and ``mats`` (matrices or stacks) at that size."""
+    size = max(space.level_space(k + 1).dim, *(m.shape[-1] for m in mats))
+    sub = space._factor_space(size.bit_length() - 1)
+    return (sub, driver.gather(sub, k), *(_at_size(m, size) for m in mats))
+
+
+def _term(space, driver: Driver | None, side: str, k: int, delta: float,
+          m) -> np.ndarray:
+    """Step k's term of :func:`_running_sums` for the node stack ``m``."""
+    if driver is not None:
+        _, g, m = _driver_step(space, driver, k, m)
+        return g.right(m) if side == "right" else g.left(m)
+    adj = m.conj().swapaxes(-1, -2)
+    term = adj @ m if side == "right" else m @ adj
+    return np.multiply(delta, term, out=term)
+
+
+def _running_sums(space, start: int, nodes, driver: Driver | None = None,
+                  side: str = "right"):
+    """Yield the running sum of one product of the processes of node stacks
+    from ``start``, a ``(T, d, d)`` stack, first for no node, then after
+    each node in node order, updated in place until it grows (keep a
+    copy): with a driver its integral on ``side`` (the gather on the
+    node's right or left, at :func:`_driver_step`'s size), or else the
+    delta-weighted Gram sum of :func:`hp_norm` on ``side`` (m* m right,
+    m m* left) at the node's size.  A term is formed before the sum grows
+    to its size, so that the sum's two sizes never meet a node's embedded
+    copy or conjugate."""
     _check_side(side)
     deltas = space.grid.deltas[start:start + len(nodes)].tolist()
-    shape = (_trials(nodes), space.dim, space.dim)
-    acc = np.zeros(shape, complex)
-    full, term = np.empty((2, *shape), complex)
-    conj = np.empty(shape, complex) if incs is None else None
+    size = space.level_space(start).dim
+    acc = np.zeros((_trials(nodes), size, size), complex)
     yield acc
-    for k, (delta, m) in enumerate(zip(deltas, nodes)):
-        if m.shape[-1] < space.dim:
-            full[...] = 0
-            m = _embed(m, full)
-        if incs is not None:
-            acc += np.matmul(*((m, incs[k]) if side == "right" else (incs[k], m)),
-                             out=term)
-        else:
-            adj = np.conjugate(m, out=conj).transpose(0, 2, 1)
-            np.matmul(*((adj, m) if side == "right" else (m, adj)), out=term)
-            acc += np.multiply(delta, term, out=term)
+    for k, (delta, m) in enumerate(zip(deltas, nodes), start):
+        term = _term(space, driver, side, k, delta, m)
+        acc = _at_size(acc, term.shape[-1])
+        acc += term
+        del term  # not held while the next one is formed
         yield acc
 
 
 def _hp_norms(space, start: int, nodes, p: float) -> list:
     """:func:`hp_norm` of each process of node stacks from ``start``: the
-    larger norm of its two full-size Gram sums, each formed and reduced in
-    turn."""
-    return list(map(max, *(psd_power_lp_norms(
-        _last(_full_size_sums(space, start, nodes, side=side)), 2.0, p)
+    larger norm of its two Gram sums, each formed and reduced in turn, at
+    full size (so that only the sums round apart from a full-size loop)."""
+    return list(map(max, *(psd_power_lp_norms(_at_size(
+        _last(_running_sums(space, start, nodes, side=side)), space.dim), 2.0, p)
         for side in ("right", "left"))))
 
 
@@ -186,14 +189,14 @@ def _lqlp_norms(space, start: int, nodes, q: float, p: float,
                   ** (1.0 / q)) for t in range(_trials(nodes))]
 
 
-def _bg_norms(space, start: int, nodes, incs: np.ndarray, p: float,
+def _bg_norms(space, start: int, nodes, driver: Driver, p: float,
               sides, refs) -> list:
     """Per process of node stacks from ``start``, the L^p norm of its driver
     integral on each of ``sides``, then each reference norm of ``refs``:
     ``'hp'`` (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2)).
-    Each full-size sum is formed and reduced in turn."""
-    out = [lp_norms(_last(_full_size_sums(space, start, nodes, incs, side)), p)
-           for side in sides]
+    Each running sum is formed and reduced in turn, at full size."""
+    out = [lp_norms(_at_size(_last(_running_sums(
+        space, start, nodes, driver, side)), space.dim), p) for side in sides]
     return out + [_hp_norms(space, start, nodes, p) if ref == "hp"
                   else _lqlp_norms(space, start, nodes, 2.0, p) for ref in refs]
 
@@ -226,9 +229,10 @@ def _norm_exchange_sides(space, start: int, nodes, q: float, p: float) -> tuple:
 def _trial_chunks(space, trials: int) -> list:
     """Consecutive ranges of trials that fit one chunk of ``_CHUNK_BYTES``:
     per trial its random process as level factors (one value per
-    increment) and the kernels' full-size matrices."""
+    increment) and the running sums' matrices at the largest step size,
+    the full size."""
     dims = [space.level_space(k).dim for k in range(space.grid.n)]
-    per_trial = sum(d * d for d in dims) + _FULL_SIZE_PER_TRIAL * space.dim ** 2
+    per_trial = sum(d * d for d in dims) + _STEP_MATRICES * space.dim ** 2
     size = max(1, _CHUNK_BYTES // (16 * per_trial))
     return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
@@ -236,8 +240,8 @@ def _trial_chunks(space, trials: int) -> list:
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
                     side: str = "right") -> CliffordElement:
     """sum f(tau_j) dxi_j (side='right') or sum dxi_j f(tau_j) (side='left')."""
-    total = _last(_full_size_sums(*_stack(f, upto, driver), side))
-    return CliffordElement(f.space, total[0], _fresh=True)
+    total = _last(_running_sums(*_stack(f, upto), driver, side))
+    return CliffordElement(f.space, _at_size(total[0], f.space.dim), _fresh=True)
 
 
 def right_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
@@ -260,14 +264,14 @@ def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
 def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
     """Square-function norm, symmetrized over f and f*."""
     _check_exponent(p)
-    return _hp_norms(*_stack(f, upto)[:3], p)[0]
+    return _hp_norms(*_stack(f, upto), p)[0]
 
 
 def lqlp_norm(f: AdaptedProcess, q: float, p: float, upto=None) -> float:
     """(sum_j ||f_j||_p^q delta_j)^(1/q)."""
     _check_exponent(q, "q")
     _check_exponent(p)
-    return _lqlp_norms(*_stack(f, upto)[:3], q, p)[0]
+    return _lqlp_norms(*_stack(f, upto), q, p)[0]
 
 
 def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
@@ -281,8 +285,8 @@ def martingale_check(f: AdaptedProcess, driver: Driver | None = None,
     if driver is None:
         driver = Driver.fermion_field()
     sp = f.space
-    partial = [CliffordElement(sp, s[0].copy(), _fresh=True)
-               for s in _full_size_sums(*_stack(f, upto, driver), side)]
+    partial = [CliffordElement(sp, _at_size(s[0], sp.dim))
+               for s in _running_sums(*_stack(f, upto), driver, side)]
     m_t = partial[-1]
     worst = 0.0
     for off, m_s in enumerate(partial):
@@ -335,7 +339,7 @@ def check_norm_exchange(f: AdaptedProcess, q: float, p: float,
     if not 1 <= q <= p < np.inf:
         raise ValueError(f"need 1 <= q <= p < inf, got q={q!r}, p={p!r}")
     lhs, rhs, ratio = (part[0] for part in _norm_exchange_sides(
-        *_stack(f, upto)[:3], q, p))
+        *_stack(f, upto), q, p))
     return InequalityReport("norm_exchange", p, lhs, rhs, ratio, q=q)
 
 
@@ -352,7 +356,7 @@ def check_bg(f: AdaptedProcess, p: float, driver: Driver | None = None,
     if driver is None:
         driver = Driver.fermion_field()
     ref = "hp" if driver.kind == "fermion_field" else "l2lp"
-    lhs, rhs = (norms[0] for norms in _bg_norms(*_stack(f, upto, driver), p,
+    lhs, rhs = (norms[0] for norms in _bg_norms(*_stack(f, upto), driver, p,
                                                 (side,), (ref,)))
     return InequalityReport("bg_ratio", p, lhs, rhs, _bg_ratio(p, lhs, rhs))
 
@@ -389,12 +393,12 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
         raise ConfigurationError(f"trials out of range (at least 1): {trials!r}",
                                  key="trials")
     trials = int(trials)
-    incs = driver.increments(space)
     worst = 0.0
     for chunk in _trial_chunks(space, trials):
         rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
                 for t in chunk]
-        norms = _bg_norms(space, 0, _random_stack(space, rngs), incs, p, (side,), (form,))
+        norms = _bg_norms(space, 0, _random_stack(space, rngs), driver, p,
+                          (side,), (form,))
         for lhs, rhs in zip(*norms):
             if rhs > 0:
                 worst = max(worst, lhs / rhs)

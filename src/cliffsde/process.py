@@ -17,9 +17,8 @@ factors at their own size.
 
 A driver's increment k is a :class:`~.space.MonomialGather` that its kind
 in :data:`DRIVER_KINDS` builds from the space's generator gathers, cached
-on the space once asked for.  :meth:`Driver.increment` hands out its dense
-matrix; :meth:`Driver.increments` the read-only ``(n, dim, dim)`` stack of
-them that the stacked integral kernels read, cached apart.
+on the space once asked for; the integral kernels multiply by it.
+:meth:`Driver.increment` hands out its dense matrix, for checks.
 """
 
 from __future__ import annotations
@@ -120,23 +119,8 @@ class Driver:
 
     def increment(self, space: CliffordSpace, k: int) -> CliffordElement:
         """The driver's increment over grid increment k: the dense matrix
-        of :meth:`gather`, built without the stack."""
+        of :meth:`gather`."""
         return CliffordElement(space, self.gather(space, k).dense(), _fresh=True)
-
-    def increments(self, space: CliffordSpace) -> np.ndarray:
-        """All n increments as one read-only ``(n, dim, dim)`` stack of
-        their gathers' dense matrices, cached on the space keyed by the
-        driver, so it dies with the space; drivers that compare equal
-        (same kind and alphas) share it."""
-        stack = space._increments.get(self)
-        if stack is None:
-            stack = np.empty((space.grid.n, space.dim, space.dim), complex)
-            for k, row in enumerate(stack):
-                row[...] = self.gather(space, k).dense()
-            stack.setflags(write=False)
-            # setdefault: concurrent callers all get the first stored entry
-            stack = space._increments.setdefault(self, stack)
-        return stack
 
     def gather(self, space: CliffordSpace, k: int) -> MonomialGather:
         """Increment k's :class:`MonomialGather`, built by the driver's

@@ -49,9 +49,9 @@ from .errors import (
     ConvergenceError,
     DriverMismatchError,
 )
-from .integrals import driver_integral, measure_bg_constant
+from .integrals import _driver_step, driver_integral, measure_bg_constant
 from .process import AdaptedProcess, Driver, _require_node_adapted
-from .space import (CliffordSpace, adaptedness_defect, expand,
+from .space import (CliffordSpace, _at_size, adaptedness_defect, expand,
                     require_adapted, restrict)
 
 NONLOCAL_MODES = ("pointwise", "initial")
@@ -320,20 +320,21 @@ def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement
 
 def _cumulative_integrals(problem: QsdeProblem, values, known=()):
     """M_k for all nodes k0..n from the level factors of the integrand at
-    k0..n-1: step k runs in node k+1's level space, with increment k's gather
-    there.  ``known`` holds M_k0, M_k0+1, ... already summed from these
-    values; the sum continues from its last entry."""
+    k0..n-1: step k is ``_driver_step``'s, in node k+1's level space with
+    increment k's gather there.  ``known`` holds M_k0, M_k0+1, ... already
+    summed from these values; the sum continues from its last entry."""
     sp, grid = problem.space, problem.space.grid
     sums = list(known) or [sp.level_space(problem.start_node).zero()]
     acc, done = sums[-1], len(sums) - 1
     for k, x in zip(range(problem.start_node + done, grid.n), values[done:]):
-        t, nsp = grid.node(k), sp.level_space(k + 1)
-        g = problem.driver.gather(nsp, k)
-        f, gl, h = (expand(y, nsp).mat for y in (
+        t = grid.node(k)
+        nsp, g, f, gl, h = _driver_step(sp, problem.driver, k, *(y.mat for y in (
             _image("F", problem.F, k, x, t), _image("G", problem.G, k, x, t),
-            grid.delta(k) * _image("H", problem.H, k, x, t)))
-        acc = CliffordElement(nsp, expand(acc, nsp).mat + g.right(f)
-                              + g.left(gl) + h, _fresh=True)
+            grid.delta(k) * _image("H", problem.H, k, x, t))))
+        m = _at_size(acc.mat, nsp.dim) + g.right(f)
+        m += g.left(gl)
+        m += h
+        acc = CliffordElement(nsp, m, _fresh=True)
         sums.append(acc)
     return sums
 

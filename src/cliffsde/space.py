@@ -27,22 +27,20 @@ level algebra that contains generator k.
 
 Kronecker products go through ``_kron``, the broadcast product that
 ``np.kron`` computes internally, so the results are bitwise those of
-``np.kron`` without its generic-shape overhead.  Each space caches, per
-driver, one read-only ``(n, dim, dim)`` increment stack and, apart from
-it, each increment's gather once it is asked for (arrays only, so no
-reference cycle; see :meth:`Driver.increments` and :meth:`Driver.gather`).
-Levels are plain integers; :func:`require_adapted` is the one adaptedness
-rejection.
+``np.kron`` without its generic-shape overhead.  Each space caches each
+driver increment's gather once it is asked for (arrays only, so no
+reference cycle; see :meth:`Driver.gather`).  Levels are plain integers;
+:func:`require_adapted` is the one adaptedness rejection.
 
 A space holds the generators, Gamma and the phantom only as gathers
 (:class:`MonomialGather`; ``dense()`` is the one way back to a matrix),
 each built in O(dim) from its 2x2 Pauli factors with the weights that
 ``_kron`` would give their matrix.  Products by them and the driver
-increments are gathers: one exact product per entry, so bitwise the dense
-product on finite input up to the sign of zeros.  Dense products stay only
-as checks (Euler oracle, parity commutation, the suites' algebra
-identities) and in the stacked driver integrals of :mod:`.integrals`,
-where a gather would round differently.
+increments are gathers: one product per entry, so bitwise the dense
+product on finite input up to the sign of zeros, but for the complex
+weights of a linear-combination driver (about 1e-16 apart).  Dense
+products stay only as checks (Euler oracle, parity commutation, the
+suites' algebra identities).
 """
 
 from __future__ import annotations
@@ -86,8 +84,8 @@ class MonomialGather:
     """A monomial matrix m (one entry, possibly zero, in each row and
     column) as vectors: column j's entry ``wc[j]`` sits in row ``cols[j]``,
     a permutation, and row i's ``wr[i]`` in column ``rows[i]``.  The
-    products scale the gathered copy in place: a second temporary costs
-    more."""
+    products take a matrix or a stack and scale the gathered copy in
+    place: a second temporary costs more."""
 
     __slots__ = ("cols", "wc", "rows", "wr")
 
@@ -112,14 +110,14 @@ class MonomialGather:
         return MonomialGather(self.rows, self.wr.conj())
 
     def right(self, x: np.ndarray) -> np.ndarray:
-        """x @ m as x[:, cols] * wc, a new array"""
-        out = x.take(self.cols, axis=1)
+        """x @ m as x[..., cols] * wc, a new array"""
+        out = x.take(self.cols, axis=-1)
         out *= self.wc
         return out
 
     def left(self, x: np.ndarray) -> np.ndarray:
-        """m @ x as wr[:, None] * x[rows], a new array"""
-        out = x.take(self.rows, axis=0)
+        """m @ x as wr[:, None] * x[..., rows, :], a new array"""
+        out = x.take(self.rows, axis=-2)
         out *= self.wr[:, None]
         return out
 
@@ -166,7 +164,6 @@ class CliffordSpace:
                    for i in range(n_gen + n_gen % 2)]
         *self._gen_gathers, self._gamma_gather = (
             MonomialGather.kron(f) for f in factors + [[_Z] * self.factors])
-        self._increments = {}
         self._gathers = {}
         self._levels = {}
 
@@ -410,11 +407,11 @@ def random_level_element(
 
 
 def _at_size(a: np.ndarray, dim: int) -> np.ndarray:
-    """A stack of factors ``a`` as the ``a (x) I`` of size ``dim``: ``a``
-    itself when it has that size, else a new stack of them embedded."""
+    """A factor ``a``, or a stack of them, as the ``a (x) I`` of size
+    ``dim``: ``a`` itself when it has that size, else a new array."""
     if a.shape[-1] == dim:
         return a
-    return _embed(a, np.zeros((len(a), dim, dim), complex))
+    return _embed(a, np.zeros((*a.shape[:-2], dim, dim), complex))
 
 
 def _draw_levels(space: CliffordSpace, rngs, k: int) -> np.ndarray:

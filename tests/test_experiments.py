@@ -9,6 +9,7 @@ import pytest
 
 from cliffsde import (
     ConfigurationError,
+    Driver,
     SuiteConfig,
     SweepTable,
     Violation,
@@ -21,7 +22,7 @@ from cliffsde import (
 )
 from cliffsde import TimeGrid, experiments, integrals
 from cliffsde.grid import is_count
-from cliffsde.integrals import _trial_chunks
+from cliffsde.integrals import _bg_norms, _trial_chunks
 from cliffsde.process import _random_stack
 
 _SMALL = SuiteConfig(trials=12, n_grid=(4,), master_seed=7)
@@ -136,6 +137,33 @@ def test_a_default_chunk_holds_ten_trials_in_its_budget():
     finally:
         tracemalloc.stop()
     assert sum(m.nbytes for m in nodes) <= held <= peak <= integrals._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("n,driver", [
+    (8, Driver.fermion_field()), (4, Driver.annihilation()),
+    (4, Driver.linear_combination(0.75 + 0.25j, -1.5j))])
+@pytest.mark.parametrize("p", experiments.P_GRID)
+def test_a_default_chunks_bg_norms_call_peaks_within_its_budget(n, driver, p):
+    # a bg_ratio chunk's whole work: the draw, the four running sums and
+    # their norms; the space's level spaces and gathers are cached by a
+    # first call, as the suite's first chunk caches them for the rest
+    sp = _space(n, driver.required_layout)
+    chunk = _trial_chunks(sp, 10 ** 6)[0]
+
+    def run():
+        rngs = [np.random.default_rng(t) for t in chunk]
+        return _bg_norms(sp, 0, _random_stack(sp, rngs), driver, p,
+                         ("left", "right"), ("hp", "l2lp"))
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunk) >= 10
+    assert peak <= integrals._CHUNK_BYTES
 
 
 def test_one_space_per_n_and_layout_per_run(monkeypatch):

@@ -150,9 +150,8 @@ def test_driver_increment_gathers_equal_dense_products(layout, which, d, seed):
     drivers = [dr for dr in _DRIVERS if dr.required_layout == layout]
     driver = drivers[d % len(drivers)]
     x = _matrix(sp.dim, seed)
-    stack = driver.increments(sp)
-    for k, m in enumerate(stack):
-        gather = driver.gather(sp, k)
+    for k in range(sp.grid.n):
+        m, gather = driver.increment(sp, k).mat, driver.gather(sp, k)
         _assert_bitwise_but_zero_signs(gather.right(x), x @ m)
         _assert_bitwise_but_zero_signs(gather.left(x), m @ x)
 
@@ -163,7 +162,8 @@ def test_complex_alpha_gathers_agree_within_4_ulp(which, seed):
     sp = _SPACES["pair"][which]
     # no huge entries: the rounding of a two-term sum is what differs here
     x = _matrix(sp.dim, seed, scales=(1.0, 1e-310, 5e-324))
-    for k, m in enumerate(_COMPLEX_ALPHA.increments(sp)):
+    for k in range(sp.grid.n):
+        m = _COMPLEX_ALPHA.increment(sp, k).mat
         gather = _COMPLEX_ALPHA.gather(sp, k)
         for got, want, size in (
                 (gather.right(x), x @ m, np.abs(x[:, gather.cols] * gather.wc)),
@@ -174,10 +174,9 @@ def test_complex_alpha_gathers_agree_within_4_ulp(which, seed):
             assert np.all(np.abs(got.imag - want.imag) <= bound)
 
 
-def test_gathers_are_built_on_first_use_apart_from_the_stack():
+def test_gathers_are_built_on_first_use():
     # each gather is built by its kind when first asked for and cached by
-    # (driver, k): asking for one builds no other gather and no
-    # (n, dim, dim) stack
+    # (driver, k): asking for one builds no other gather
     for kind in DRIVER_KINDS:
         driver = Driver(kind, 0.75 + 0.25j, -1.5j)
         sp = make_space(TimeGrid.uniform(0.0, 1.0, 3),
@@ -185,24 +184,12 @@ def test_gathers_are_built_on_first_use_apart_from_the_stack():
         g = driver.gather(sp, 1)
         assert driver.gather(sp, 1) is g
         assert list(sp._gathers) == [(driver, 1)]
-        assert not sp._increments
         # O(dim) vectors, not dim x dim weights
         assert {a.shape for a in (g.cols, g.wc, g.rows, g.wr)} == {(sp.dim,)}
-        stack = driver.increments(sp)
-        assert driver.increments(sp) is stack
-        assert driver.gather(sp, 1) is g
-        for k, m in enumerate(stack):
-            assert driver.gather(sp, k).dense().tobytes() == m.tobytes()
-
-
-def test_an_increment_builds_no_stack():
-    for kind in DRIVER_KINDS:
-        driver = Driver(kind, 0.75 + 0.25j, -1.5j)
-        sp = make_space(TimeGrid.uniform(0.0, 1.0, 3),
-                        layout=driver.required_layout)
         for k in range(sp.grid.n):
-            driver.increment(sp, k)
-        assert not sp._increments
+            assert driver.gather(sp, k).dense().tobytes() == \
+                driver.increment(sp, k).mat.tobytes()
+        assert driver.gather(sp, 1) is g
 
 
 def _reference_increment(driver, sp, k):
@@ -221,9 +208,8 @@ def _reference_increment(driver, sp, k):
     Driver.linear_combination(0.75 + 0.25j, -1.5j)], ids=repr)
 def test_dense_increments_equal_the_reference_formulas(driver):
     for sp in _SPACES[driver.required_layout]:
-        for k, m in enumerate(driver.increments(sp)):
+        for k in range(sp.grid.n):
             want = _reference_increment(driver, sp, k)
-            _assert_bitwise_but_zero_signs(m, want)
             _assert_bitwise_but_zero_signs(driver.increment(sp, k).mat, want)
 
 

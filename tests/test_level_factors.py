@@ -35,7 +35,7 @@ from cliffsde import (
     random_level_element,
 )
 from cliffsde import solver as solver_module
-from cliffsde.space import expand, restrict
+from cliffsde.space import MonomialGather, expand, restrict
 
 TOL = 1e-10
 EPS = np.finfo(float).eps
@@ -150,23 +150,19 @@ def test_a_map_leaving_its_arguments_space_is_named_with_the_node(part):
 
 
 @pytest.mark.parametrize("mode", ["pointwise", "initial"])
-def test_picard_solve_builds_no_increment_stack(monkeypatch, mode):
+def test_picard_solve_builds_no_dense_increment(monkeypatch, mode):
     want = picard_solve(make_problem("nonlocal_linear", n=8,
                                      nonlocal_mode=mode))
 
-    def no_stack(self, space):
-        raise AssertionError("the solve built an increment stack")
+    def no_dense(self):
+        raise AssertionError("the solve built a dense increment")
 
     # a fresh problem: its spaces hold no cached gathers yet
     fresh = make_problem("nonlocal_linear", n=8, nonlocal_mode=mode)
-    monkeypatch.setattr(Driver, "increments", no_stack)
+    monkeypatch.setattr(MonomialGather, "dense", no_dense)
     report = picard_solve(fresh)
     assert report.trajectory.mats.tobytes() == want.trajectory.mats.tobytes()
     assert report.trajectory_csv() == want.trajectory_csv()
-    # nor through a path other than Driver.increments
-    sp = fresh.space
-    for space in (sp, *sp._levels.values()):
-        assert not space._increments
 
 
 def test_a_written_solve_computes_the_node_residuals_once(monkeypatch):

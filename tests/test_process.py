@@ -166,15 +166,14 @@ def _pair_space():
 
 
 def test_increment_is_cached_read_only():
-    # an increment is a read-only dense copy of its cached gather, not a
-    # view of the stack
+    # an increment is a read-only dense copy of its cached gather
     sp = _pair_space()
     for driver in (Driver.annihilation(), Driver.linear_combination(1, 2j)):
         for k in range(sp.grid.n):
             inc = driver.increment(sp, k)
             assert not inc.mat.flags.writeable
             assert driver.gather(sp, k) is sp._gathers[(driver, k)]
-            assert not np.shares_memory(inc.mat, driver.increments(sp))
+            assert not np.shares_memory(inc.mat, driver.increment(sp, k).mat)
 
 
 def test_increment_index_does_not_wrap():
@@ -191,7 +190,7 @@ def test_space_with_filled_increments_is_freed_without_the_collector():
         sp = _pair_space()
         for driver in (Driver.annihilation(), Driver.creation()):
             driver.increment(sp, 0)
-            driver.increments(sp)
+            driver.gather(sp, 1)
         ref = weakref.ref(sp)
         del sp
         assert ref() is None
@@ -225,20 +224,19 @@ def test_cached_increment_is_bitwise_a_fresh_one(kind):
 
 
 @pytest.mark.parametrize("kind", list(DRIVER_KINDS))
-def test_increment_stack_is_cached_read_only_and_bitwise(kind):
+def test_every_increment_is_read_only_and_bitwise_its_gather(kind):
     driver = Driver(kind, 0.75 + 0.25j, -1.5j)
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 3),
                     layout=driver.required_layout)
-    stack = driver.increments(sp)
-    assert driver.increments(sp) is stack
-    assert stack.shape == (3, sp.dim, sp.dim)
-    assert not stack.flags.writeable
     for k in range(3):
-        assert stack[k].tobytes() == driver.increment(sp, k).mat.tobytes()
+        inc = driver.increment(sp, k).mat
+        assert inc.shape == (sp.dim, sp.dim)
+        assert not inc.flags.writeable
+        assert inc.tobytes() == driver.gather(sp, k).dense().tobytes()
     other = "fermion" if driver.required_layout == "pair" else "pair"
     with pytest.raises(DriverMismatchError):
-        driver.increments(make_space(TimeGrid.uniform(0.0, 1.0, 3),
-                                     layout=other))
+        driver.increment(make_space(TimeGrid.uniform(0.0, 1.0, 3),
+                                    layout=other), 0)
 
 
 def test_cached_increment_keeps_the_layout_guard(space4, pair_space4):

@@ -6,12 +6,14 @@ kernels in ``integrals`` and ``element.lp_norms`` work on one
 ``eigh`` calls: a batch of one for the per-process functions (full size),
 a chunk of random trials for the suites (level-factor size).  Node j's
 value is ``a (x) I``; the per-node norm work runs on its level factor
-``a``, the driver products and ``hp`` Gram products on ``a (x) I``.
+``a``, and the driver integrals and ``hp`` Gram sums are running sums that
+grow with the level (full size throughout for a full-size node).
 The per-element references below do the same work one value at a time,
 and every comparison with them is on the bytes of the returned floats and
-matrices.  The full-size references (``_full_*``) are the algorithm the
-factor-size kernels replaced, which rounds differently: they must agree
-within ``FULL_SIZE_RTOL``.
+matrices.  The full-size references (``_full_*``, ``_dense_sums``) are the
+algorithm the factor-size kernels replaced, which rounds differently: they
+must agree within ``FULL_SIZE_RTOL``, the driver integrals of drivers with
+real or purely imaginary weights bit for bit.
 """
 
 import math
@@ -38,8 +40,9 @@ from cliffsde import (
 )
 from cliffsde import experiments
 from cliffsde.element import _grams, lp_norm, lp_norms, psd_power_lp_norms
-from cliffsde.integrals import (_bg_norms, _full_size_sums, _hp_norms, _last,
-                                _lqlp_norms, _norm_exchange_sides, _trial_chunks)
+from cliffsde.integrals import (_bg_norms, _hp_norms, _last, _lqlp_norms,
+                                _norm_exchange_sides, _running_sums,
+                                _trial_chunks)
 from cliffsde.process import _random_stack
 from cliffsde.space import _at_size, expand, restrict
 
@@ -57,6 +60,12 @@ _DRIVERS = {
     "fermion": (Driver.fermion_field(),),
     "pair": (Driver.annihilation(), Driver.creation(),
              Driver.linear_combination(0.75 + 0.25j, -1.5j)),
+}
+#: The drivers whose gathers are the dense products bit for bit
+_REAL_DRIVERS = {
+    "fermion": (Driver.fermion_field(),),
+    "pair": (Driver.annihilation(), Driver.creation(),
+             Driver.linear_combination(0.75, -1.5)),
 }
 
 
@@ -96,6 +105,17 @@ def _ref_lp_norm(mat, p):
 
 
 def _ref_driver_integral(f, driver, upto, side):
+    """The per-element loop of increment gathers on the full space."""
+    sp = f.space
+    acc = sp.zero()
+    for j in range(f.start_node, upto):
+        g, fj = driver.gather(sp, j), f.value(j).mat
+        acc = acc + sp.element(g.right(fj) if side == "right" else g.left(fj))
+    return acc
+
+
+def _dense_driver_integral(f, driver, upto, side):
+    """The per-element loop of dense increment products."""
     sp = f.space
     acc = sp.zero()
     for j in range(f.start_node, upto):
@@ -183,6 +203,29 @@ def test_driver_integral_matches_the_element_loop(fu, side, data):
     assert got.mat.tobytes() == \
         _ref_driver_integral(f, driver, upto, side).mat.tobytes()
     assert not got.mat.flags.writeable
+
+
+@_SETTINGS
+@given(fu=_processes(), side=st.sampled_from(("right", "left")),
+       data=st.data())
+def test_driver_integral_matches_the_dense_element_loop(fu, side, data):
+    # bit for bit but for a complex-alpha combination, whose gathers round
+    # apart from BLAS's complex product: there within 4 ulp of the sum of
+    # the terms' moduli, entry by entry
+    f, upto = fu
+    driver = data.draw(st.sampled_from(_DRIVERS[f.space.layout]))
+    got = driver_integral(f, driver, upto=upto, side=side).mat
+    want = _dense_driver_integral(f, driver, upto, side).mat
+    if driver.kind != "linear_combination":
+        assert got.tobytes() == want.tobytes()
+        return
+    size = sum((np.abs(f.value(j).mat) @ np.abs(driver.increment(f.space, j).mat)
+                if side == "right" else
+                np.abs(driver.increment(f.space, j).mat) @ np.abs(f.value(j).mat))
+               for j in range(f.start_node, upto))
+    bound = 4 * np.spacing(np.asarray(size, float))
+    assert np.all(np.abs(got.real - want.real) <= bound)
+    assert np.all(np.abs(got.imag - want.imag) <= bound)
 
 
 @_SETTINGS
@@ -399,17 +442,21 @@ def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
 @_SETTINGS
 @given(stack=_trial_stacks(), p=st.sampled_from(P_VALUES), data=st.data())
 def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, data):
+    # the hp norms of factor-size stacks sum their Gram products at level
+    # size, which rounds apart from the full-size loop
     sp, start, nodes, procs, upto = stack
     driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
-    incs = driver.increments(sp)[start:upto]
     q = data.draw(st.sampled_from(sorted({q for q, _ in QP_PAIRS})))
     hps, lqlps = _hp_norms(sp, start, nodes, p), _lqlp_norms(sp, start, nodes, q, p)
-    sums = {side: [s.copy() for s in _full_size_sums(sp, start, nodes, incs, side)]
+    sums = {side: [_at_size(s, sp.dim)
+                   for s in _running_sums(sp, start, nodes, driver, side)]
             for side in ("right", "left")}
-    norms = _bg_norms(sp, start, nodes, incs, max(p, 2.0), ("left", "right"),
+    norms = _bg_norms(sp, start, nodes, driver, max(p, 2.0), ("left", "right"),
                       ("hp", "l2lp"))
+    full = len(nodes) == 0 or nodes[0].shape[-1] == sp.dim
     for t, f in enumerate(procs):
-        assert _bits(hps[t]) == _bits(_ref_hp_norm(f, p, upto))
+        hp = _ref_hp_norm(f, p, upto)
+        assert (_bits(hps[t]) == _bits(hp) if full else _close([hps[t]], [hp]))
         assert _bits(lqlps[t]) == _bits(_ref_lqlp_norm(f, q, p, upto))
         refs = [_ref_driver_integral(f, driver, upto, side).mat
                 for side in ("left", "right")]
@@ -417,9 +464,12 @@ def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, dat
             assert len(sums[side]) == len(nodes) + 1
             assert sums[side][-1][t].tobytes() == ref.tobytes()
         pb = max(p, 2.0)
-        assert [_bits(v[t]) for v in norms] == [_bits(v) for v in (
-            _ref_lp_norm(refs[0], pb), _ref_lp_norm(refs[1], pb),
-            _ref_hp_norm(f, pb, upto), _ref_lqlp_norm(f, 2.0, pb, upto))]
+        want = (_ref_lp_norm(refs[0], pb), _ref_lp_norm(refs[1], pb),
+                _ref_hp_norm(f, pb, upto), _ref_lqlp_norm(f, 2.0, pb, upto))
+        got = [v[t] for v in norms]
+        assert [_bits(v) for i, v in enumerate(got) if full or i != 2] == \
+            [_bits(v) for i, v in enumerate(want) if full or i != 2]
+        assert _close([got[2]], [want[2]])
 
 
 @_SETTINGS
@@ -438,14 +488,15 @@ def test_a_chunk_cut_to_no_node_has_a_result_per_trial():
     """Three processes with an ``upto`` at their start node: every kernel
     gives three zero norms (and the zero ratio), not one."""
     nodes = np.zeros((0, 3, _FERMION4.dim, _FERMION4.dim), complex)
-    incs = Driver.fermion_field().increments(_FERMION4)[1:1]
+    driver = Driver.fermion_field()
     assert _hp_norms(_FERMION4, 1, nodes, 4.0) == [0.0] * 3
     assert _lqlp_norms(_FERMION4, 1, nodes, 2.0, 4.0) == [0.0] * 3
-    assert _bg_norms(_FERMION4, 1, nodes, incs, 4.0, ("left", "right"),
+    assert _bg_norms(_FERMION4, 1, nodes, driver, 4.0, ("left", "right"),
                      ("hp", "l2lp")) == [[0.0] * 3] * 4
     assert _norm_exchange_sides(_FERMION4, 1, nodes, 2.0, 4.0) == ([0.0] * 3,) * 3
-    assert _last(_full_size_sums(_FERMION4, 1, nodes, incs, "right")).shape \
-        == (3, _FERMION4.dim, _FERMION4.dim)
+    d = _FERMION4.level_space(1).dim
+    assert _last(_running_sums(_FERMION4, 1, nodes, driver, "right")).shape \
+        == (3, d, d)
 
 
 @_SETTINGS
@@ -470,6 +521,8 @@ def test_check_bg_matches_the_element_loop(fu, p, side, data):
 ])
 @pytest.mark.parametrize("form", ["hp", "l2lp"])
 def test_measure_bg_constant_is_the_per_trial_maximum(sp, driver, form):
+    # a trial's hp norm is its one-trial chunk's, which sums the Gram
+    # products at level size: within FULL_SIZE_RTOL of the full-size loop
     trials = len(_trial_chunks(sp, 10 ** 6)[0]) + 1
     n = sp.grid.n
     for side in ("right", "left"):
@@ -479,8 +532,13 @@ def test_measure_bg_constant_is_the_per_trial_maximum(sp, driver, form):
                 ss = np.random.SeedSequence(5, spawn_key=(t,))
                 f = AdaptedProcess.random(sp, np.random.default_rng(ss))
                 lhs = _ref_lp_norm(_ref_driver_integral(f, driver, n, side).mat, p)
-                rhs = (_ref_hp_norm(f, p, n) if form == "hp"
-                       else _ref_lqlp_norm(f, 2.0, p, n))
+                if form == "hp":
+                    ss = np.random.SeedSequence(5, spawn_key=(t,))
+                    rhs = _hp_norms(sp, 0, _random_stack(
+                        sp, [np.random.default_rng(ss)]), p)[0]
+                    assert _close([rhs], [_ref_hp_norm(f, p, n)])
+                else:
+                    rhs = _ref_lqlp_norm(f, 2.0, p, n)
                 worst = max(worst, lhs / rhs)
             got = measure_bg_constant(sp, p, driver=driver, side=side,
                                       trials=trials, seed=5, form=form)
@@ -506,6 +564,25 @@ def _full_lqlp_norms(mats, deltas, q, p, grams=None):
         for delta, row in zip(deltas, norms):
             total += delta * row[t] ** q
         out.append(float(total ** (1.0 / q)))
+    return out
+
+
+def _dense_sums(sp, start, mats, driver=None, side="right"):
+    """The full-size running sums of a ``(trials, nodes, dim, dim)`` array
+    from ``start``, each partial sum a new stack: each node's dense product
+    with its increment on ``side``, or without a driver its delta-weighted
+    Gram product (m* m right, m m* left), added in node order up to the
+    last increment."""
+    acc = np.zeros((len(mats), sp.dim, sp.dim), complex)
+    out = [acc.copy()]
+    for k, m in zip(range(start, sp.grid.n), mats.swapaxes(0, 1)):
+        if driver is None:
+            adj = m.conj().swapaxes(-1, -2)
+            acc += sp.grid.deltas[k] * (adj @ m if side == "right" else m @ adj)
+        else:
+            inc = driver.increment(sp, k).mat
+            acc += m @ inc if side == "right" else inc @ m
+        out.append(acc.copy())
     return out
 
 
@@ -561,11 +638,33 @@ def test_factor_size_kernels_agree_with_the_full_size_algorithm(stack, p, qp,
                          strict=True):
         assert _close(got, want)
     driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
-    incs = driver.increments(sp)[start:start + len(nodes)]
-    full = list(mats.swapaxes(0, 1))
-    want = [lp_norms(_last(_full_size_sums(sp, start, full, incs, side)), p)
+    want = [lp_norms(_dense_sums(sp, start, mats, driver, side)[-1], p)
             for side in ("left", "right")]
-    want += [_hp_norms(sp, start, full, p), _full_lqlp_norms(mats, deltas, 2.0, p)]
-    for got, ref in zip(_bg_norms(sp, start, nodes, incs, p, ("left", "right"),
+    want += [list(map(max, *(psd_power_lp_norms(
+        _dense_sums(sp, start, mats, side=side)[-1], 2.0, p)
+        for side in ("right", "left")))),
+        _full_lqlp_norms(mats, deltas, 2.0, p)]
+    for got, ref in zip(_bg_norms(sp, start, nodes, driver, p, ("left", "right"),
                                   ("hp", "l2lp")), want, strict=True):
         assert _close(got, ref)
+
+
+@_SETTINGS
+@given(stack=_chunk_stacks(), side=st.sampled_from(("right", "left")),
+       data=st.data())
+def test_level_growing_sums_match_the_dense_full_size_loop(stack, side, data):
+    # every partial sum, embedded at full size: the driver integrals bit
+    # for bit (real weights, so a gather is the dense product up to the
+    # sign of zeros, which a sum from +0 does not keep), the Gram sums of
+    # hp_norm within 1e-15 of their largest entry
+    sp, start, nodes, mats, _ = stack
+    driver = data.draw(st.sampled_from(_REAL_DRIVERS[sp.layout]))
+    got = [_at_size(s, sp.dim).copy()
+           for s in _running_sums(sp, start, nodes, driver, side)]
+    want = _dense_sums(sp, start, mats, driver, side)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    got = [_at_size(s, sp.dim).copy()
+           for s in _running_sums(sp, start, nodes, side=side)]
+    for g, w in zip(got, _dense_sums(sp, start, mats, side=side), strict=True):
+        assert np.max(np.abs(g - w), initial=0.0) <= \
+            1e-15 * np.max(np.abs(w), initial=0.0)
