@@ -30,9 +30,8 @@ from .errors import ConfigurationError, OsgoodViolationError
 from .integrals import (
     _bg_norms,
     _bg_ratio,
-    _last,
     _norm_exchange_sides,
-    _running_sums,
+    _total,
     _trial_chunks,
     parity_commutation_defect,
 )
@@ -358,7 +357,7 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
         evens = [parity_decompose(space.level_space(k).element(a[0]))[0].mat[None]
                  for k, a in enumerate(_random_stack(
                      space, [np.random.default_rng(seed)]))]
-        left, right = (_last(_running_sums(space, 0, evens, driver, side))
+        left, right = (_total(space, 0, evens, driver, side)
                        for side in ("left", "right"))
         gap = float(np.linalg.norm(left[0] - right[0], 2))
         table.add(suite, cell, "even_lr_gap", gap)

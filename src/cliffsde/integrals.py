@@ -168,12 +168,19 @@ def _running_sums(space, start: int, nodes, driver: Driver | None = None,
         yield acc
 
 
+def _total(space, start: int, nodes, driver: Driver | None = None,
+           side: str = "right") -> np.ndarray:
+    """The last of :func:`_running_sums`, at full size: the norms are taken
+    there, so that only the sums round apart from a full-size loop."""
+    return _at_size(_last(_running_sums(space, start, nodes, driver, side)),
+                    space.dim)
+
+
 def _hp_norms(space, start: int, nodes, p: float) -> list:
     """:func:`hp_norm` of each process of node stacks from ``start``: the
-    larger norm of its two Gram sums, each formed and reduced in turn, at
-    full size (so that only the sums round apart from a full-size loop)."""
-    return list(map(max, *(psd_power_lp_norms(_at_size(
-        _last(_running_sums(space, start, nodes, side=side)), space.dim), 2.0, p)
+    larger norm of its two Gram sums, each formed and reduced in turn."""
+    return list(map(max, *(psd_power_lp_norms(
+        _total(space, start, nodes, side=side), 2.0, p)
         for side in ("right", "left"))))
 
 
@@ -194,9 +201,9 @@ def _bg_norms(space, start: int, nodes, driver: Driver, p: float,
     """Per process of node stacks from ``start``, the L^p norm of its driver
     integral on each of ``sides``, then each reference norm of ``refs``:
     ``'hp'`` (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2)).
-    Each running sum is formed and reduced in turn, at full size."""
-    out = [lp_norms(_at_size(_last(_running_sums(
-        space, start, nodes, driver, side)), space.dim), p) for side in sides]
+    Each running sum is formed and reduced in turn."""
+    out = [lp_norms(_total(space, start, nodes, driver, side), p)
+           for side in sides]
     return out + [_hp_norms(space, start, nodes, p) if ref == "hp"
                   else _lqlp_norms(space, start, nodes, 2.0, p) for ref in refs]
 
@@ -240,8 +247,8 @@ def _trial_chunks(space, trials: int) -> list:
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
                     side: str = "right") -> CliffordElement:
     """sum f(tau_j) dxi_j (side='right') or sum dxi_j f(tau_j) (side='left')."""
-    total = _last(_running_sums(*_stack(f, upto), driver, side))
-    return CliffordElement(f.space, _at_size(total[0], f.space.dim), _fresh=True)
+    total = _total(*_stack(f, upto), driver, side)
+    return CliffordElement(f.space, total[0], _fresh=True)
 
 
 def right_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
