@@ -19,8 +19,6 @@ from .errors import (
 from .grid import TimeGrid
 from .element import (
     CliffordElement,
-    dumps_element,
-    loads_matrix,
     lp_norm,
     op_norm,
     state,

@@ -200,35 +200,3 @@ def psd_power_lp_norms(psd_mats: np.ndarray, root: float, p: float) -> list:
 def op_norm(x: CliffordElement) -> float:
     """Operator (spectral) norm."""
     return float(np.linalg.norm(x.mat, 2))
-
-
-def dumps_element(x: CliffordElement) -> str:
-    """Debug dump: row-major text, one matrix row per line.
-
-    Format: first line ``dim <d>``; then d lines, each d whitespace-separated
-    ``re,im`` pairs (shortest round-trip reprs).
-    """
-    lines = [f"dim {x.space.dim}"]
-    for row in x.mat:
-        lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def loads_matrix(text: str) -> np.ndarray:
-    """Inverse of :func:`dumps_element`, returning the raw matrix."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "dim":
-        raise ValueError("dump must start with 'dim <d>'")
-    d = int(head[1])
-    if len(lines) != d + 1:
-        raise ValueError(f"expected {d} matrix rows, got {len(lines) - 1}")
-    out = np.empty((d, d), dtype=complex)
-    for i, ln in enumerate(lines[1:]):
-        pairs = ln.split()
-        if len(pairs) != d:
-            raise ValueError(f"row {i} has {len(pairs)} entries, expected {d}")
-        for j, pair in enumerate(pairs):
-            re, im = pair.split(",")
-            out[i, j] = complex(float(re), float(im))
-    return out

@@ -319,7 +319,7 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
 
         def batch(rngs, p=p, space=space, driver=driver, side=side):
             lefts, rights, hps, l2s = _bg_norms(
-                space, 0, _random_stack(space, rngs), driver, p,
+                space, 0, len(rngs), _random_stack(space, rngs), driver, p,
                 ("left", "right"), ("hp", "l2lp"))
             return [(_bg_ratio(p, left if side == "left" else right,
                                hp if driver.kind == "fermion_field" else l2),
@@ -357,7 +357,7 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
         evens = [parity_decompose(space.level_space(k).element(a[0]))[0].mat[None]
                  for k, a in enumerate(_random_stack(
                      space, [np.random.default_rng(seed)]))]
-        left, right = (_total(space, 0, evens, driver, side)
+        left, right = (_total(space, 0, 1, evens, driver, side)
                        for side in ("left", "right"))
         gap = float(np.linalg.norm(left[0] - right[0], 2))
         table.add(suite, cell, "even_lr_gap", gap)
@@ -380,7 +380,7 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
 
         def batch(rngs, q=q, p=p, space=space):
             return _norm_exchange_sides(
-                space, 0, _random_stack(space, rngs), q, p)[2]
+                space, 0, len(rngs), _random_stack(space, rngs), q, p)[2]
 
         out = _run_trials(config, suite, cell_index, config.trials, space,
                           batch)

@@ -18,21 +18,21 @@ The square-function norm is
 
 and ``lqlp_norm`` is the iterated norm (sum ||f_j||_p^q d_j)^(1/q).
 
-The kernels work on one ``(T, d, d)`` stack per node of processes from a
-start node: a batch of one at full size for the per-process functions, a
-chunk of random trials at level-factor size for the suites and
+The kernels work on T processes from a start node as one ``(T, d, d)``
+stack per node of the level factors ``a`` of their values ``a (x) I``,
+with T given: a batch of one (a process's ``factors``) for the per-process
+functions, a chunk of random trials for the suites and
 ``measure_bg_constant``.  The per-node norm work of ``lqlp_norm`` and the
 norm exchange (Gram products, ``eigh`` powers, node norms) runs on the
-level factors ``a`` of the values ``a (x) I``, restricting a full-size
-node; the norm exchange adds each powered term into its full-size sum on
-the blocks of ``a (x) I``.  The driver integrals and ``hp_norm``'s Gram
+factors; the norm exchange adds each powered term into its full-size sum
+on the blocks of ``a (x) I``.  The driver integrals and ``hp_norm``'s Gram
 sums are one running sum (``_running_sums``) that grows with the level,
-and stays at full size for a full-size node; increments multiply as
-gathers, bitwise the dense products up to the sign of zeros on finite
-input, but for the complex weights of a ``linear_combination`` driver
-(about 1e-16 apart).  The sums run over the nodes in node order: in place
-for the integrals and the square function, the delta-weighted loop
-``_delta_sum`` for the time integral and the norms.
+as the time integral's sum does; increments multiply as gathers, bitwise
+the dense products up to the sign of zeros on finite input, but for the
+complex weights of a ``linear_combination`` driver (about 1e-16 apart).
+The sums run over the nodes in node order: in place for the integrals and
+the square function, the delta-weighted loop ``_delta_sum`` for the
+norms.
 """
 
 from __future__ import annotations
@@ -79,29 +79,16 @@ def _resolve_upto(f: AdaptedProcess, upto) -> int:
 
 def _stack(f: AdaptedProcess, upto) -> tuple:
     """f as a batch of one up to the checked ``upto``: its space, start
-    node and its full-size node stacks at nodes start_node..upto-1 as a
-    ``(nodes, 1, dim, dim)`` array."""
+    node, one process, and its factors at nodes start_node..upto-1 as
+    ``(1, d, d)`` stacks."""
     upto = _resolve_upto(f, upto)
-    return f.space, f.start_node, f.mats[:upto - f.start_node, None]
+    return (f.space, f.start_node, 1,
+            [a.mat[None] for a in f.factors[:upto - f.start_node]])
 
 
-def _trials(nodes) -> int:
-    """The number of processes in node stacks: a list of ``(T, d, d)``
-    stacks, or a ``(nodes, T, dim, dim)`` array, whose shape holds T also
-    for no node (an ``upto`` at the start node)."""
-    return nodes.shape[1] if isinstance(nodes, np.ndarray) else len(nodes[0])
-
-
-def _nodes(space, start: int, nodes) -> tuple:
-    """The deltas of node stacks from ``start`` and their level factors: a
-    stack at its level space's size as it is, a full-size one (a process's
-    values) as the strided views ``m[:, ::hi, ::hi]`` that
-    :func:`~.space.restrict` reads, copied contiguous."""
-    factors = []
-    for k, m in enumerate(nodes, start):
-        hi = m.shape[-1] // space.level_space(k).dim
-        factors.append(m if hi == 1 else np.ascontiguousarray(m[:, ::hi, ::hi]))
-    return space.grid.deltas[start:start + len(nodes)].tolist(), factors
+def _deltas(space, start: int, nodes) -> list:
+    """The deltas of the nodes of node stacks from ``start``, as floats."""
+    return space.grid.deltas[start:start + len(nodes)].tolist()
 
 
 def _check_side(side: str) -> None:
@@ -125,12 +112,11 @@ def _delta_sum(deltas, terms, acc):
 
 
 def _driver_step(space, driver: Driver, k: int, *mats) -> tuple:
-    """Driver step k of a running sum: its space (node k+1's level space,
-    or that of ``mats``' largest size if larger), increment k's gather
-    there, and ``mats`` (matrices or stacks) at that size."""
-    size = max(space.level_space(k + 1).dim, *(m.shape[-1] for m in mats))
-    sub = space._factor_space(size.bit_length() - 1)
-    return (sub, driver.gather(sub, k), *(_at_size(m, size) for m in mats))
+    """Driver step k of a running sum: node k+1's level space, increment
+    k's gather there, and ``mats`` (node k's factors, matrices or stacks)
+    at that size."""
+    sub = space.level_space(k + 1)
+    return (sub, driver.gather(sub, k), *(_at_size(m, sub.dim) for m in mats))
 
 
 def _term(space, driver: Driver | None, side: str, k: int, delta: float,
@@ -144,23 +130,23 @@ def _term(space, driver: Driver | None, side: str, k: int, delta: float,
     return np.multiply(delta, term, out=term)
 
 
-def _running_sums(space, start: int, nodes, driver: Driver | None = None,
-                  side: str = "right"):
-    """Yield the running sum of one product of the processes of node stacks
-    from ``start``, a ``(T, d, d)`` stack, first for no node, then after
-    each node in node order, updated in place until it grows (keep a
-    copy): with a driver its integral on ``side`` (the gather on the
+def _running_sums(space, start: int, trials: int, nodes,
+                  driver: Driver | None = None, side: str = "right"):
+    """Yield the running sum of one product of the ``trials`` processes of
+    node stacks from ``start``, a ``(T, d, d)`` stack, first for no node,
+    then after each node in node order, updated in place until it grows
+    (keep a copy): with a driver its integral on ``side`` (the gather on the
     node's right or left, at :func:`_driver_step`'s size), or else the
     delta-weighted Gram sum of :func:`hp_norm` on ``side`` (m* m right,
     m m* left) at the node's size.  A term is formed before the sum grows
     to its size, so that the sum's two sizes never meet a node's embedded
     copy or conjugate."""
     _check_side(side)
-    deltas = space.grid.deltas[start:start + len(nodes)].tolist()
     size = space.level_space(start).dim
-    acc = np.zeros((_trials(nodes), size, size), complex)
+    acc = np.zeros((trials, size, size), complex)
     yield acc
-    for k, (delta, m) in enumerate(zip(deltas, nodes), start):
+    for k, (delta, m) in enumerate(zip(_deltas(space, start, nodes), nodes),
+                                   start):
         term = _term(space, driver, side, k, delta, m)
         acc = _at_size(acc, term.shape[-1])
         acc += term
@@ -168,54 +154,55 @@ def _running_sums(space, start: int, nodes, driver: Driver | None = None,
         yield acc
 
 
-def _total(space, start: int, nodes, driver: Driver | None = None,
-           side: str = "right") -> np.ndarray:
+def _total(space, start: int, trials: int, nodes,
+           driver: Driver | None = None, side: str = "right") -> np.ndarray:
     """The last of :func:`_running_sums`, at full size: the norms are taken
     there, so that only the sums round apart from a full-size loop."""
-    return _at_size(_last(_running_sums(space, start, nodes, driver, side)),
-                    space.dim)
+    return _at_size(_last(_running_sums(space, start, trials, nodes, driver,
+                                        side)), space.dim)
 
 
-def _hp_norms(space, start: int, nodes, p: float) -> list:
+def _hp_norms(space, start: int, trials: int, nodes, p: float) -> list:
     """:func:`hp_norm` of each process of node stacks from ``start``: the
     larger norm of its two Gram sums, each formed and reduced in turn."""
     return list(map(max, *(psd_power_lp_norms(
-        _total(space, start, nodes, side=side), 2.0, p)
+        _total(space, start, trials, nodes, side=side), 2.0, p)
         for side in ("right", "left"))))
 
 
-def _lqlp_norms(space, start: int, nodes, q: float, p: float,
+def _lqlp_norms(space, start: int, trials: int, nodes, q: float, p: float,
                 norms=None) -> list:
     """:func:`lqlp_norm` of each process of node stacks from ``start``: the
     level factors' norms (``norms``, per node, when given), delta-summed as
     floats."""
-    deltas, factors = _nodes(space, start, nodes)
+    deltas = _deltas(space, start, nodes)
     if norms is None:
-        norms = [lp_norms(a, p) for a in factors]
+        norms = [lp_norms(a, p) for a in nodes]
     return [float(_delta_sum(deltas, [row[t] ** q for row in norms], 0.0)
-                  ** (1.0 / q)) for t in range(_trials(nodes))]
+                  ** (1.0 / q)) for t in range(trials)]
 
 
-def _bg_norms(space, start: int, nodes, driver: Driver, p: float,
-              sides, refs) -> list:
+def _bg_norms(space, start: int, trials: int, nodes, driver: Driver,
+              p: float, sides, refs) -> list:
     """Per process of node stacks from ``start``, the L^p norm of its driver
     integral on each of ``sides``, then each reference norm of ``refs``:
     ``'hp'`` (:func:`hp_norm`) or ``'l2lp'`` ((sum ||f_j||_p^2 d_j)^(1/2)).
     Each running sum is formed and reduced in turn."""
-    out = [lp_norms(_total(space, start, nodes, driver, side), p)
+    out = [lp_norms(_total(space, start, trials, nodes, driver, side), p)
            for side in sides]
-    return out + [_hp_norms(space, start, nodes, p) if ref == "hp"
-                  else _lqlp_norms(space, start, nodes, 2.0, p) for ref in refs]
+    return out + [_hp_norms(space, start, trials, nodes, p) if ref == "hp"
+                  else _lqlp_norms(space, start, trials, nodes, 2.0, p)
+                  for ref in refs]
 
 
-def _norm_exchange_sides(space, start: int, nodes, q: float, p: float) -> tuple:
+def _norm_exchange_sides(space, start: int, trials: int, nodes, q: float,
+                         p: float) -> tuple:
     """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for node
     stacks from ``start``: per node the level factors' Gram products, their
     norms, then ``eigh``-powered in the Gram products' buffer and
     delta-summed in node order on the blocks of a (x) I."""
-    deltas, factors = _nodes(space, start, nodes)
-    acc, norms = np.zeros((_trials(nodes), space.dim, space.dim), complex), []
-    for delta, a in zip(deltas, factors):
+    acc, norms = np.zeros((trials, space.dim, space.dim), complex), []
+    for delta, a in zip(_deltas(space, start, nodes), nodes):
         powed = _grams(a)
         norms.append(lp_norms(a, p, powed))
         if q != 2:
@@ -227,8 +214,8 @@ def _norm_exchange_sides(space, start: int, nodes, q: float, p: float) -> tuple:
         hi = space.dim // powed.shape[-1]
         for j in range(hi):  # powed (x) I
             acc[:, j::hi, j::hi] += powed
-    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(space, start, nodes,
-                                                          q, p, norms)
+    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(
+        space, start, trials, nodes, q, p, norms)
     return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
                       for a, b in zip(lhs, rhs)]
 
@@ -263,9 +250,12 @@ def left_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
 
 def time_integral(f: AdaptedProcess, upto=None) -> CliffordElement:
     """sum f(tau_j) delta_j; obeys ||.||_p <= sum ||f_j||_p delta_j."""
-    deltas = f.space.grid.deltas[f.start_node:_resolve_upto(f, upto)].tolist()
-    total = _delta_sum(deltas, f.mats, np.zeros((f.space.dim,) * 2, complex))
-    return CliffordElement(f.space, total, _fresh=True)
+    space, start, _, nodes = _stack(f, upto)
+    total = np.zeros((1, 1, 1), complex)
+    for delta, m in zip(_deltas(space, start, nodes), nodes):
+        total = _at_size(total, m.shape[-1])  # grows with the level
+        total += delta * m
+    return CliffordElement(space, _at_size(total, space.dim)[0], _fresh=True)
 
 
 def hp_norm(f: AdaptedProcess, p: float, upto=None) -> float:
@@ -404,8 +394,8 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
     for chunk in _trial_chunks(space, trials):
         rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
                 for t in chunk]
-        norms = _bg_norms(space, 0, _random_stack(space, rngs), driver, p,
-                          (side,), (form,))
+        norms = _bg_norms(space, 0, len(rngs), _random_stack(space, rngs),
+                          driver, p, (side,), (form,))
         for lhs, rhs in zip(*norms):
             if rhs > 0:
                 worst = max(worst, lhs / rhs)

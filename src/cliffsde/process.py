@@ -2,18 +2,20 @@
 
 A process holds one algebra element per grid node, starting at
 ``start_node``; the value at node k must lie in the level-k subalgebra
-(level 2k for pair layouts).  The values are stored as one read-only
-complex stack ``mats`` of shape ``(nodes, dim, dim)``, which the integral
-and norm kernels work on directly; ``values`` and ``value()`` hand out
-read-only element views of its rows.
+(level 2k for pair layouts), which it stores as what that value is, a
+level factor: ``factors[i]`` is the read-only element a on
+``space.level_space(start_node + i)`` of the value ``a (x) I``.  The
+integral and norm kernels work on the factors; ``values`` and ``value()``
+expand them to read-only full-size elements on first read.
 
 A process is immutable.  Adaptedness is enforced eagerly on every value a
 caller supplies — a projection defect above the rejection threshold, or a
 NaN one from a non-finite value, raises instead of being silently
-projected away — and, because nothing can replace the values afterwards,
-never re-checked.  :meth:`AdaptedProcess.random` draws each value inside
-its level algebra, so it skips the check; ``from_factors`` checks level
-factors at their own size.
+projected away, and so does any non-zero entry off the pattern ``a (x) I``
+of the node's level factor — and, because nothing can replace the values
+afterwards, never re-checked.  :meth:`AdaptedProcess.random` draws each
+value inside its level algebra, so it skips the check; ``from_factors``
+checks level factors at their own size.
 
 A driver's increment k is a :class:`~.space.MonomialGather` that its kind
 in :data:`DRIVER_KINDS` builds from the space's generator gathers, cached
@@ -31,7 +33,7 @@ import numpy as np
 from .element import CliffordElement, lp_norm  # noqa: F401
 from .errors import AdaptednessError, ConfigurationError, DriverMismatchError
 from .space import (CliffordSpace, MonomialGather, _at_size, _draw_levels,
-                    _embed, adaptedness_defect, as_int)
+                    adaptedness_defect, as_int, expand, restrict)
 
 #: Construction rejects values whose projection defect exceeds this or is NaN.
 ADAPTEDNESS_REJECT_TOL = 1e-8
@@ -161,22 +163,27 @@ def _require_node_adapted(space, node: int, defect: float) -> None:
             f"measurable (defect {defect:.3e})")
 
 
-def _adapted_stack(space, values, start_node, home) -> tuple:
-    """``(mats, start_node)``: the read-only stack of the values ``a (x) I``
-    for values a on the spaces ``home(node)`` (checked ``start_node``),
-    each checked adapted at its node's level at its own size."""
+def _adapted_factors(space, values, start_node, home) -> tuple:
+    """``(factors, start_node)``: the level factors of values on the spaces
+    ``home(node)`` (checked ``start_node``), each value checked adapted at
+    its node's level at its own size and, for a larger value, on its
+    factor's pattern ``a (x) I``."""
     values = tuple(values)
     _, start_node = _node_range(space, len(values), start_node)
-    mats = np.zeros((len(values), space.dim, space.dim), complex)
-    for node, (v, out) in enumerate(zip(values, mats), start_node):
+    factors = []
+    for node, v in enumerate(values, start_node):
         sub = home(node)
         if v.space is not sub and v.space != sub:
             raise ConfigurationError("process values belong to a different space")
-        _require_node_adapted(space, node, adaptedness_defect(
-            v, space.level_of_node(node), 2))
-        _embed(v.mat, out)
-    mats.setflags(write=False)
-    return mats, start_node
+        level = space.level_of_node(node)
+        _require_node_adapted(space, node, adaptedness_defect(v, level, 2))
+        a = restrict(v, space.level_space(node))
+        if not np.array_equal(_at_size(a.mat, sub.dim), v.mat):
+            raise AdaptednessError(
+                f"value at node {node} has a non-zero entry off the level-"
+                f"{level} pattern a (x) I")
+        factors.append(a)
+    return tuple(factors), start_node
 
 
 def _random_stack(space, rngs, num=None, start_node: int = 0) -> list:
@@ -197,37 +204,37 @@ def _random_stack(space, rngs, num=None, start_node: int = 0) -> list:
 class AdaptedProcess:
     """Node-indexed values f(tau_k), each measurable at its own level.
 
-    ``mats[i]`` is the value at node ``start_node + i``.  Assigning any
-    attribute raises ``AttributeError``.
+    ``factors[i]`` is the level factor of the value at node
+    ``start_node + i``.  Assigning any attribute raises ``AttributeError``.
     """
 
-    __slots__ = ("space", "mats", "start_node", "_values")
+    __slots__ = ("space", "factors", "start_node", "_values")
 
     def __init__(self, space, values, start_node: int = 0):
-        self._init(space, *_adapted_stack(space, values, start_node,
-                                          lambda node: space))
+        self._init(space, *_adapted_factors(space, values, start_node,
+                                            lambda node: space))
 
-    def _init(self, space, mats: np.ndarray, start_node: int) -> None:
+    def _init(self, space, factors: tuple, start_node: int) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "start_node", start_node)
         object.__setattr__(self, "_values", None)
 
     @classmethod
-    def _trusted(cls, space, mats: np.ndarray, start_node: int) -> "AdaptedProcess":
-        """A process over a read-only stack whose rows are adapted by
-        construction; the adaptedness check is skipped."""
+    def _trusted(cls, space, factors, start_node: int) -> "AdaptedProcess":
+        """A process over level factors that are adapted by construction;
+        the adaptedness check is skipped."""
         f = cls.__new__(cls)
-        f._init(space, mats, start_node)
+        f._init(space, tuple(factors), start_node)
         return f
 
     @classmethod
     def from_factors(cls, space, factors, start_node: int = 0) -> "AdaptedProcess":
         """The process of the values ``a (x) I`` for factors ``a`` on their
         nodes' level spaces, each checked as the constructor checks a value
-        but at its own size: bitwise the constructor's stack."""
-        return cls._trusted(space, *_adapted_stack(space, factors, start_node,
-                                                   space.level_space))
+        but at its own size, and stored as it is."""
+        return cls._trusted(space, *_adapted_factors(space, factors, start_node,
+                                                     space.level_space))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AdaptedProcess is immutable: cannot set {name!r}")
@@ -246,23 +253,23 @@ class AdaptedProcess:
                start_node: int = 0) -> "AdaptedProcess":
         """Unit-L^2 random values, each drawn in its own level algebra.
 
-        Node by node, each row gets the draw ``random_level_element``
-        makes at the node's level, from the same stream of ``rng``.
+        Node by node, each factor is the one ``random_level_element``
+        draws at the node's level, from the same stream of ``rng``.
         """
         num, start_node = _node_range(space, num, start_node)
-        mats = np.zeros((num, space.dim, space.dim), complex)
-        for a, out in zip(_random_stack(space, [rng], num, start_node), mats):
-            _embed(a[0], out)
-        mats.setflags(write=False)
-        return cls._trusted(space, mats, start_node)
+        return cls._trusted(space, [
+            CliffordElement(space.level_space(node), a[0], _fresh=True)
+            for node, a in enumerate(_random_stack(space, [rng], num,
+                                                   start_node), start_node)],
+            start_node)
 
     @property
     def values(self) -> tuple:
-        """The values as read-only elements viewing the rows of ``mats``,
-        built on first use."""
+        """The values ``a (x) I`` as read-only full-size elements, expanded
+        from ``factors`` on first use."""
         if self._values is None:
             object.__setattr__(self, "_values", tuple(
-                CliffordElement(self.space, m, _fresh=True) for m in self.mats))
+                expand(a, self.space) for a in self.factors))
         return self._values
 
     def value(self, node: int) -> CliffordElement:
@@ -279,7 +286,7 @@ class AdaptedProcess:
         return self.start_node + len(self) - 1
 
     def __len__(self):
-        return self.mats.shape[0]
+        return len(self.factors)
 
     def __iter__(self):
         return iter(self.values)

@@ -273,9 +273,10 @@ class SolveReport:
 
     @cached_property
     def trajectory(self) -> AdaptedProcess:
-        """The factors expanded to a full-space process on first read."""
-        return AdaptedProcess.from_factors(self.problem.space, self.factors,
-                                           self.problem.start_node)
+        """The factors as a process, wrapped on first read: the solve has
+        checked them as ``AdaptedProcess.from_factors`` would."""
+        return AdaptedProcess._trusted(self.problem.space, self.factors,
+                                       self.problem.start_node)
 
     def node_records(self):
         """Rows (node, time, lp_norm, residual, selfadjoint_defect)."""
@@ -378,7 +379,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         if initial.start_node != k0 or len(initial) != n_nodes:
             raise ValueError(
                 f"initial trajectory must cover nodes {k0}..{grid.n}")
-        current = _factors(problem, initial.values)
+        current = list(initial.factors)
 
     trace_delta, trace_inner, trace_adapt, trace_sa = [], [], [], []
     # per node, from the sweep that last solved it
@@ -466,18 +467,14 @@ def _node_residuals(values, problem: QsdeProblem, known=()):
 
 def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
     """sup over nodes of || X_k - Z - R(X) - M_k[X] ||_p, with the
-    integrals recomputed from the trajectory itself: each node's level
-    factor's term plus the L^p norm of X_k's part off the A (x) I pattern."""
+    integrals recomputed from the trajectory's level factors."""
     if trajectory.space != problem.space:
         raise ConfigurationError("trajectory belongs to a different space",
                                  key="trajectory")
     if trajectory.start_node != problem.start_node or \
             trajectory.last_node != problem.space.grid.n:
         raise ValueError("trajectory does not cover the problem's node range")
-    factors = _factors(problem, trajectory.values)
-    return max(res + lp_norm(x - expand(a, x.space), problem.p)
-               for res, x, a in zip(_node_residuals(factors, problem),
-                                    trajectory.values, factors))
+    return max(_node_residuals(trajectory.factors, problem))
 
 
 def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:

@@ -421,10 +421,11 @@ def _draw_levels(space: CliffordSpace, rngs, k: int) -> np.ndarray:
     a degenerate one; the draw, odd-level flip and norm all run on the factors."""
     r = (k + 1) // 2
     parts = np.empty((len(rngs), 2, 2 ** r, 2 ** r))
-    for rng, part in zip(rngs, parts):
-        rng.standard_normal(out=part)  # the stream of two (2^r, 2^r) draws
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=parts[i])  # the stream of two (2^r, 2^r) draws
     a = parts[:, 0].astype(complex)
     a.imag = parts[:, 1]
+    del parts  # not held through the flip and the norm
     if k % 2 == 1:
         a = _project(space._factor_space(r), a, k)
     nrms = np.array([_l2_norm(m) for m in a])

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from cliffsde import (
     ConfigurationError,
     TimeGrid,
-    dumps_element,
-    loads_matrix,
     lp_norm,
     make_space,
     op_norm,
@@ -329,22 +327,3 @@ def test_is_close(space4):
     x = space4.identity()
     assert x.is_close(x + 1e-14 * space4.generator(0), tol=1e-12)
     assert not x.is_close(x + space4.generator(0), tol=1e-12)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def test_dump_load_roundtrip(space4, rng):
-    x = _random_element(space4, rng)
-    back = loads_matrix(dumps_element(x))
-    np.testing.assert_array_equal(back, x.mat)
-
-
-def test_load_rejects_bad_header():
-    with pytest.raises(ValueError):
-        loads_matrix("rows 2\n1,0 0,0\n0,0 1,0\n")
-
-
-def test_load_rejects_wrong_row_count():
-    with pytest.raises(ValueError):
-        loads_matrix("dim 2\n1,0 0,0\n")

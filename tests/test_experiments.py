@@ -152,8 +152,8 @@ def test_a_default_chunks_bg_norms_call_peaks_within_its_budget(n, driver, p):
 
     def run():
         rngs = [np.random.default_rng(t) for t in chunk]
-        return _bg_norms(sp, 0, _random_stack(sp, rngs), driver, p,
-                         ("left", "right"), ("hp", "l2lp"))
+        return _bg_norms(sp, 0, len(rngs), _random_stack(sp, rngs), driver,
+                         p, ("left", "right"), ("hp", "l2lp"))
 
     run()
     tracemalloc.start()

@@ -193,10 +193,10 @@ def test_lqlp_monotone_in_upto(space4, rng):
 @pytest.mark.parametrize("p", (1.0, 2.5, 3.0, 4.0, 7.0))
 def test_lqlp_norm_of_a_process_with_a_nan_node_is_nan(space4, rng, p):
     # construction rejects the NaN node, so the process is built unchecked
-    mats = AdaptedProcess.random(space4, rng).mats.copy()
-    mats[2] = np.nan
-    mats.setflags(write=False)
-    f = AdaptedProcess._trusted(space4, mats, 0)
+    factors = list(AdaptedProcess.random(space4, rng).factors)
+    sub = factors[2].space
+    factors[2] = sub.element(np.full((sub.dim, sub.dim), np.nan))
+    f = AdaptedProcess._trusted(space4, factors, 0)
     with np.errstate(invalid="ignore"):
         assert math.isnan(lqlp_norm(f, 2.0, p))
     assert math.isfinite(lqlp_norm(f, 2.0, p, upto=2))

@@ -6,8 +6,7 @@ factored solve to the dense oracle (R = 0), to a residual recomputed
 with dense increment products (R != 0), and check that expansion keeps
 every L^p norm and that a map must stay in its argument's space.  The
 solve needs no dense increment stack; its report keeps the factors, and
-its trajectory is each factor expanded once, on request, checked at the
-factor's size.
+its trajectory is a process over those factors, wrapped once on request.
 """
 
 import numpy as np
@@ -161,7 +160,8 @@ def test_picard_solve_builds_no_dense_increment(monkeypatch, mode):
     fresh = make_problem("nonlocal_linear", n=8, nonlocal_mode=mode)
     monkeypatch.setattr(MonomialGather, "dense", no_dense)
     report = picard_solve(fresh)
-    assert report.trajectory.mats.tobytes() == want.trajectory.mats.tobytes()
+    assert [a.mat.tobytes() for a in report.trajectory.factors] == \
+        [a.mat.tobytes() for a in want.trajectory.factors]
     assert report.trajectory_csv() == want.trajectory_csv()
 
 
@@ -194,21 +194,30 @@ def test_the_solve_rejects_a_final_factor_that_is_not_adapted(mode):
                               "(defect 6.667e-01)")
 
 
-def test_the_dense_trajectory_is_built_from_the_factors_once():
+def test_the_trajectory_wraps_the_factors_once(monkeypatch):
+    # the solve has checked its factors: the wrap neither checks nor copies
     report = picard_solve(make_problem("nonlocal_conditional", n=6)
                           .replace(start_node=1))
-    dense = report.trajectory
     want = AdaptedProcess.from_factors(report.problem.space, report.factors,
                                        start_node=1)
-    assert dense.start_node == 1
-    assert dense.mats.tobytes() == want.mats.tobytes()
-    assert report.trajectory is dense
+
+    def no_check(*args):
+        raise AssertionError("the trajectory checked its factors again")
+
+    monkeypatch.setattr(solver_module.AdaptedProcess, "from_factors", no_check)
+    monkeypatch.setattr("cliffsde.process.adaptedness_defect", no_check)
+    traj = report.trajectory
+    assert traj.start_node == 1
+    assert all(a is b for a, b in zip(traj.factors, report.factors, strict=True))
+    assert [v.mat.tobytes() for v in traj.values] == \
+        [v.mat.tobytes() for v in want.values]
+    assert report.trajectory is traj
 
 
 @settings(max_examples=40, deadline=None)
 @given(layout=st.sampled_from(["fermion", "pair"]), n=st.integers(1, 7),
        data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_from_factors_is_bitwise_the_constructors_stack(layout, n, data, seed):
+def test_from_factors_stores_the_constructors_factors(layout, n, data, seed):
     sp = make_space(TimeGrid.uniform(0.0, 1.0, n), layout=layout)
     start = data.draw(st.integers(0, n), label="start")
     rng = np.random.default_rng(seed)
@@ -218,10 +227,13 @@ def test_from_factors_is_bitwise_the_constructors_stack(layout, n, data, seed):
     got = AdaptedProcess.from_factors(sp, factors, start)
     want = AdaptedProcess(sp, [expand(a, sp) for a in factors], start)
     assert got.start_node == start
-    assert not got.mats.flags.writeable
-    assert got.mats.tobytes() == want.mats.tobytes()
+    assert all(a is b for a, b in zip(got.factors, factors, strict=True))
+    assert [a.mat.tobytes() for a in want.factors] == \
+        [a.mat.tobytes() for a in factors]
+    assert [v.mat.tobytes() for v in got.values] == \
+        [v.mat.tobytes() for v in want.values]
     # and, up to the sign of zeros, np.kron(a, I)
-    assert np.array_equal(got.mats, [
+    assert np.array_equal([v.mat for v in got.values], [
         np.kron(a.mat, np.eye(sp.dim // a.space.dim)) for a in factors])
 
 

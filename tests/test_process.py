@@ -286,6 +286,17 @@ def test_nonadapted_value_rejected(space4):
         AdaptedProcess(space4, [space4.generator(3)] * 4)
 
 
+def test_a_value_off_its_level_factors_pattern_is_rejected(space4):
+    # e_2 lies off node 2's pattern a (x) I, a on e_0 and e_1; a 1e-10 part
+    # is far inside the defect threshold, 1e-8, so only the pattern rejects it
+    vals = [space4.identity()] * 4
+    vals[2] = space4.identity() + 1e-10 * space4.generator(2)
+    with pytest.raises(AdaptednessError) as exc:
+        AdaptedProcess(space4, vals)
+    assert str(exc.value) == ("value at node 2 has a non-zero entry off the "
+                              "level-2 pattern a (x) I")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("node", range(4))
 def test_nonfinite_value_rejected(space4, bad, node):
@@ -301,27 +312,34 @@ def test_values_cannot_be_replaced_after_construction(space4, rng):
     f = AdaptedProcess.constant(space4, space4.identity())
     with pytest.raises(AttributeError):
         f.values = (space4.generator(3),) * 4
-    for name in ("space", "mats", "start_node", "_values", "other"):
+    for name in ("space", "factors", "start_node", "_values", "other"):
         with pytest.raises(AttributeError):
             setattr(f, name, None)
         with pytest.raises(AttributeError):
             delattr(f, name)
     for g in (f, AdaptedProcess.random(space4, rng)):
-        assert not g.mats.flags.writeable
+        assert isinstance(g.factors, tuple)
+        assert all(not a.mat.flags.writeable for a in g.factors)
         assert all(not v.mat.flags.writeable for v in g.values)
         with pytest.raises(ValueError):
-            g.mats[0, 0, 0] = 1.0
+            g.factors[0].mat[0, 0] = 1.0
     assert f.max_adaptedness_defect() == 0.0
 
 
-def test_values_view_the_stacked_rows(space4, rng):
+def test_values_expand_the_stored_level_factors(space4, rng):
+    # each factor a contiguous copy at its level space's size, holding no
+    # full-size value alive (the top node's level space is the full space)
     vals = [random_level_element(space4, rng, space4.level_of_node(k))
             for k in range(1, 4)]
     f = AdaptedProcess(space4, vals, start_node=1)
-    assert f.mats.shape == (3, space4.dim, space4.dim)
+    assert len(f.factors) == 3
     assert f.values is f.values  # built once
-    for k, v in enumerate(vals, start=1):
-        assert np.shares_memory(f.value(k).mat, f.mats)
+    for k, (a, v) in enumerate(zip(f.factors, vals), start=1):
+        sub = space4.level_space(k)
+        assert a.space is sub and a.mat.flags.c_contiguous
+        assert a is v if sub is space4 else not np.shares_memory(a.mat, v.mat)
+        assert a.mat.tobytes() == v.mat[::space4.dim // sub.dim,
+                                        ::space4.dim // sub.dim].tobytes()
         assert f.value(k).mat.tobytes() == v.mat.tobytes()
 
 
@@ -384,7 +402,8 @@ def test_integral_valued_node_arguments_keep_working(space4, rng, num, start):
 @pytest.mark.parametrize("node", [2, np.int64(2), 2.0])
 def test_value_takes_an_integral_node(space4, rng, node):
     f = AdaptedProcess.random(space4, rng)
-    assert f.value(node).mat.tobytes() == f.mats[2].tobytes()
+    assert np.array_equal(f.value(node).mat,
+                          np.kron(f.factors[2].mat, np.eye(space4.dim // 2)))
 
 
 @pytest.mark.parametrize("node", [1.5, 0.5, float("nan")])

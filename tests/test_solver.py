@@ -846,13 +846,19 @@ def test_residual_detects_a_perturbed_node():
 
 @pytest.mark.parametrize("node, generator", [(2, 2), (1, 1)])
 def test_residual_counts_a_non_adapted_term_in_full(node, generator):
-    # e_2 at node 2 lies off the pattern A (x) I of the node's level
-    # factor, e_1 at node 1 on it; either way the term is not adapted, and
-    # the residual must see all of it (R = 0 here)
+    # e_1 at node 1 lies on the pattern A (x) I of the node's level factor:
+    # the term is not adapted but within the defect threshold, so it is
+    # held, and the residual must see all of it (R = 0 here); e_2 at node 2
+    # lies off the pattern, which the process rejects, naming the node
     prob = make_problem("linear_full", n=4)
     values = list(picard_solve(prob).trajectory.values)
     term = 1e-9 * prob.space.generator(generator)
     values[node] = values[node] + term
+    if node == 2:
+        with pytest.raises(AdaptednessError, match="value at node 2 has a "
+                           "non-zero entry off the level-2 pattern"):
+            AdaptedProcess(prob.space, values)
+        return
     bent = AdaptedProcess(prob.space, values)
     assert residual(bent, prob) >= lp_norm(term, prob.p) * (1 - 1e-6)
 

@@ -1,19 +1,20 @@
 """The stacked integral and norm kernels against per-element loops.
 
-Processes hold their values as one ``(nodes, dim, dim)`` stack, and the
-kernels in ``integrals`` and ``element.lp_norms`` work on one
-``(trials, d, d)`` stack per node with stacked matmul, ``eigvalsh`` and
-``eigh`` calls: a batch of one for the per-process functions (full size),
-a chunk of random trials for the suites (level-factor size).  Node j's
-value is ``a (x) I``; the per-node norm work runs on its level factor
-``a``, and the driver integrals and ``hp`` Gram sums are running sums that
-grow with the level (full size throughout for a full-size node).
-The per-element references below do the same work one value at a time,
-and every comparison with them is on the bytes of the returned floats and
-matrices.  The full-size references (``_full_*``, ``_dense_sums``) are the
-algorithm the factor-size kernels replaced, which rounds differently: they
-must agree within ``FULL_SIZE_RTOL``, the driver integrals of drivers with
-real or purely imaginary weights bit for bit.
+Processes hold their values as level factors: node j's value is
+``a (x) I``, stored as ``a``.  The kernels in ``integrals`` and
+``element.lp_norms`` work on one ``(trials, d, d)`` stack per node of
+those factors with stacked matmul, ``eigvalsh`` and ``eigh`` calls: a
+batch of one for the per-process functions, a chunk of random trials for
+the suites.  The per-node norm work runs on the factors, and the driver
+integrals, the time integral and the ``hp`` Gram sums are running sums
+that grow with the level.  The per-element references below work on the
+full-size values one at a time, and every comparison with them is on the
+bytes of the returned floats and matrices, but for the ``hp`` norms: their
+Gram sums round apart at level size, within ``FULL_SIZE_RTOL``.  The
+full-size references (``_full_*``, ``_dense_sums``) are the algorithm the
+factor-size kernels replaced: they must agree within ``FULL_SIZE_RTOL``,
+the driver integrals of drivers with real or purely imaginary weights bit
+for bit.
 """
 
 import math
@@ -35,8 +36,10 @@ from cliffsde import (
     hp_norm,
     lqlp_norm,
     make_space,
+    martingale_check,
     measure_bg_constant,
     random_level_element,
+    time_integral,
 )
 from cliffsde import experiments
 from cliffsde.element import _grams, lp_norm, lp_norms, psd_power_lp_norms
@@ -77,6 +80,16 @@ def _full_size(sp, nodes) -> np.ndarray:
     """Node stacks as one ``(trials, nodes, dim, dim)`` array of full-size
     values."""
     return np.stack([_at_size(m, sp.dim) for m in nodes], axis=1)
+
+
+def _values(f) -> np.ndarray:
+    """A process's full-size values as one ``(nodes, dim, dim)`` array."""
+    return np.stack([v.mat for v in f.values])
+
+
+def _zero_signed(mat) -> bytes:
+    """A matrix's bytes with every zero made +0."""
+    return (mat + 0.0).tobytes()
 
 
 # -- per-element references -----------------------------------------------------
@@ -122,6 +135,26 @@ def _dense_driver_integral(f, driver, upto, side):
         inc, fj = driver.increment(sp, j), f.value(j)
         acc = acc + (fj @ inc if side == "right" else inc @ fj)
     return acc
+
+
+def _ref_time_integral(f, upto):
+    """The per-element loop of delta-weighted full-size values."""
+    sp = f.space
+    acc = sp.zero()
+    for j in range(f.start_node, upto):
+        acc = acc + sp.grid.delta(j) * f.value(j)
+    return acc
+
+
+def _ref_martingale_check(f, driver, side, p, upto):
+    """The per-element martingale defect of ``_ref_driver_integral``'s
+    partial sums."""
+    sp = f.space
+    partial = [_ref_driver_integral(f, driver, s, side)
+               for s in range(f.start_node, upto + 1)]
+    return max(lp_norm(conditional_expect(partial[-1], sp.level_of_node(s))
+                       - m_s, p)
+               for s, m_s in enumerate(partial, f.start_node))
 
 
 def _ref_hp_norm(f, p, upto):
@@ -231,8 +264,9 @@ def test_driver_integral_matches_the_dense_element_loop(fu, side, data):
 @_SETTINGS
 @given(fu=_processes(), p=st.sampled_from(P_VALUES))
 def test_hp_norm_matches_the_element_loop(fu, p):
+    # the Gram sums run at level size, as a suite chunk's do
     f, upto = fu
-    assert _bits(hp_norm(f, p, upto=upto)) == _bits(_ref_hp_norm(f, p, upto))
+    assert _close([hp_norm(f, p, upto=upto)], [_ref_hp_norm(f, p, upto)])
 
 
 @_SETTINGS
@@ -259,16 +293,16 @@ def test_norm_exchange_matches_the_element_loop(fu, qp):
 @given(fu=_processes(), p=st.sampled_from(P_VALUES))
 def test_lp_norms_match_lp_norm_row_by_row(fu, p):
     f, _ = fu
-    got = lp_norms(f.mats, p)
+    got = lp_norms(_values(f), p)
     assert all(type(v) is float for v in got)
     assert [_bits(v) for v in got] == \
-        [_bits(_ref_lp_norm(m, p)) for m in f.mats]
+        [_bits(_ref_lp_norm(m, p)) for m in _values(f)]
 
 
 @pytest.mark.parametrize("p", P_VALUES)
 def test_lp_norms_of_a_non_finite_row_spare_the_others(p):
     rng = np.random.default_rng(11)
-    mats = np.array(AdaptedProcess.random(_FERMION4, rng).mats)
+    mats = _values(AdaptedProcess.random(_FERMION4, rng))
     good = [_ref_lp_norm(m, p) for m in mats]
     mats[1, 0, 1] = np.inf
     mats[3, 2, 2] = np.nan
@@ -290,6 +324,55 @@ def test_random_process_draws_the_random_level_element_stream(sp, start):
         assert f.value(node).mat.tobytes() == x.mat.tobytes()
     # and both left the generator in the same state
     assert rng_f.bit_generator.state == rng.bit_generator.state
+
+
+_ENTRY_SPACES = (_FERMION, _PAIR4)
+
+
+@pytest.mark.parametrize("where", ("start", "middle", "end"))
+@pytest.mark.parametrize("sp", _ENTRY_SPACES,
+                         ids=[sp.layout for sp in _ENTRY_SPACES])
+def test_every_entry_point_on_stored_factors_matches_the_full_size_loops(sp,
+                                                                         where):
+    # a process from node 1 whose stored factors include a zero one, every
+    # per-process entry point cut at its start, a middle node or its end:
+    # the driver and time integrals bit for bit up to the sign of zeros,
+    # the hp norms within FULL_SIZE_RTOL, the rest bit for bit
+    n = sp.grid.n
+    f = AdaptedProcess.random(sp, np.random.default_rng(41), num=n, start_node=1)
+    factors = list(f.factors)
+    factors[1] = factors[1].space.zero()
+    f = AdaptedProcess.from_factors(sp, factors, start_node=1)
+    upto = {"start": 1, "middle": (n + 2) // 2, "end": n}[where]
+    assert _zero_signed(time_integral(f, upto=upto).mat) == \
+        _zero_signed(_ref_time_integral(f, upto).mat)
+    for driver in _DRIVERS[sp.layout]:
+        for side in ("right", "left"):
+            got = driver_integral(f, driver, upto=upto, side=side).mat
+            assert _zero_signed(got) == \
+                _zero_signed(_ref_driver_integral(f, driver, upto, side).mat)
+            if driver in _REAL_DRIVERS[sp.layout]:
+                assert _zero_signed(got) == _zero_signed(
+                    _dense_driver_integral(f, driver, upto, side).mat)
+            for p in (2.0, 3.0, 4.0):
+                assert _bits(martingale_check(f, driver, side, p, upto)) == \
+                    _bits(_ref_martingale_check(f, driver, side, p, upto))
+                rhs = (_ref_hp_norm(f, p, upto) if driver.kind == "fermion_field"
+                       else _ref_lqlp_norm(f, 2.0, p, upto))
+                if rhs == 0:
+                    continue
+                rep = check_bg(f, p, driver, side=side, upto=upto)
+                assert _bits(rep.lhs) == _bits(_ref_lp_norm(
+                    _ref_driver_integral(f, driver, upto, side).mat, p))
+                assert _close([rep.rhs], [rhs])
+    for p in P_VALUES:
+        assert _close([hp_norm(f, p, upto=upto)], [_ref_hp_norm(f, p, upto)])
+    for q, p in QP_PAIRS:
+        assert _bits(lqlp_norm(f, q, p, upto=upto)) == \
+            _bits(_ref_lqlp_norm(f, q, p, upto))
+        rep = check_norm_exchange(f, q, p, upto=upto)
+        assert [_bits(v) for v in (rep.lhs, rep.rhs, rep.ratio)] == \
+            [_bits(v) for v in _ref_norm_exchange(f, q, p, upto)]
 
 
 # -- chunks of trials: stacked draws and kernels with a leading trial axis -------
@@ -349,9 +432,9 @@ def test_chunked_draws_equal_random_processes_row_for_row(sp):
         for seed, row, rng, fac in zip(seeds, rows, rngs, factors):
             ref_rng = np.random.default_rng(seed)
             f = AdaptedProcess.random(sp, ref_rng)
-            assert row.tobytes() == f.mats.tobytes()
+            assert row.tobytes() == _values(f).tobytes()
             assert [a.tobytes() for a in fac] == \
-                [_factor(f, k).tobytes() for k in range(sp.grid.n)]
+                [a.mat.tobytes() for a in f.factors]
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             ref_rng = np.random.default_rng(seed)
             ref = [_ref_draw(sp, ref_rng, sp.level_of_node(k))
@@ -409,15 +492,14 @@ def test_a_degenerate_draw_is_redrawn_from_its_own_generator():
         np.random.default_rng(1), _ZeroFirstDraw(2), np.random.default_rng(3)]))
     for row, seed in zip(stack, (1, 2, 3)):
         f = AdaptedProcess.random(_FERMION4, np.random.default_rng(seed))
-        assert row.tobytes() == f.mats.tobytes()
+        assert row.tobytes() == _values(f).tobytes()
 
 
 @st.composite
 def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
-    """Node stacks of random processes on a later start node, at level-factor
-    or at full size, some rows set to zero, cut at an ``upto``, and each
-    trial as a process.  Cut to no node, they are the full-size
-    ``(nodes, trials, dim, dim)`` array, whose shape keeps the trial count."""
+    """Node stacks of random processes on a later start node, some rows set
+    to zero, cut at an ``upto`` (perhaps to no node), their number, and
+    each trial as a process."""
     sp = draw(st.sampled_from(spaces))
     n = sp.grid.n
     start = draw(st.integers(0, n - 1))
@@ -429,34 +511,28 @@ def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
         for k in draw(st.sets(st.integers(0, num - 1), max_size=num)):
             nodes[k][t] = 0
     upto = draw(st.integers(start, min(start + num, n)))
-    mats = _full_size(sp, nodes)
     procs = [AdaptedProcess(sp, [sp.element(m) for m in rows], start_node=start)
-             for rows in mats]
-    if upto == start:
-        nodes = mats.swapaxes(0, 1)
-    elif draw(st.booleans()):
-        nodes = list(mats.swapaxes(0, 1))
-    return sp, start, nodes[:upto - start], procs, upto
+             for rows in _full_size(sp, nodes)]
+    return sp, start, len(seeds), nodes[:upto - start], procs, upto
 
 
 @_SETTINGS
 @given(stack=_trial_stacks(), p=st.sampled_from(P_VALUES), data=st.data())
 def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, data):
-    # the hp norms of factor-size stacks sum their Gram products at level
-    # size, which rounds apart from the full-size loop
-    sp, start, nodes, procs, upto = stack
+    # the hp norms sum their Gram products at level size, which rounds
+    # apart from the full-size loop
+    sp, start, trials, nodes, procs, upto = stack
     driver = data.draw(st.sampled_from(_DRIVERS[sp.layout]))
     q = data.draw(st.sampled_from(sorted({q for q, _ in QP_PAIRS})))
-    hps, lqlps = _hp_norms(sp, start, nodes, p), _lqlp_norms(sp, start, nodes, q, p)
+    hps = _hp_norms(sp, start, trials, nodes, p)
+    lqlps = _lqlp_norms(sp, start, trials, nodes, q, p)
     sums = {side: [_at_size(s, sp.dim)
-                   for s in _running_sums(sp, start, nodes, driver, side)]
+                   for s in _running_sums(sp, start, trials, nodes, driver, side)]
             for side in ("right", "left")}
-    norms = _bg_norms(sp, start, nodes, driver, max(p, 2.0), ("left", "right"),
-                      ("hp", "l2lp"))
-    full = len(nodes) == 0 or nodes[0].shape[-1] == sp.dim
+    norms = _bg_norms(sp, start, trials, nodes, driver, max(p, 2.0),
+                      ("left", "right"), ("hp", "l2lp"))
     for t, f in enumerate(procs):
-        hp = _ref_hp_norm(f, p, upto)
-        assert (_bits(hps[t]) == _bits(hp) if full else _close([hps[t]], [hp]))
+        assert _close([hps[t]], [_ref_hp_norm(f, p, upto)])
         assert _bits(lqlps[t]) == _bits(_ref_lqlp_norm(f, q, p, upto))
         refs = [_ref_driver_integral(f, driver, upto, side).mat
                 for side in ("left", "right")]
@@ -467,8 +543,8 @@ def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, dat
         want = (_ref_lp_norm(refs[0], pb), _ref_lp_norm(refs[1], pb),
                 _ref_hp_norm(f, pb, upto), _ref_lqlp_norm(f, 2.0, pb, upto))
         got = [v[t] for v in norms]
-        assert [_bits(v) for i, v in enumerate(got) if full or i != 2] == \
-            [_bits(v) for i, v in enumerate(want) if full or i != 2]
+        assert [_bits(v) for i, v in enumerate(got) if i != 2] == \
+            [_bits(v) for i, v in enumerate(want) if i != 2]
         assert _close([got[2]], [want[2]])
 
 
@@ -476,9 +552,9 @@ def test_trial_stacked_integrals_and_norms_match_the_element_loops(stack, p, dat
 @given(stack=_trial_stacks(),
        qp=st.sampled_from(QP_PAIRS + ((1.5, 2.5), (1.0, 7.0))))
 def test_trial_stacked_norm_exchange_matches_the_element_loop(stack, qp):
-    sp, start, nodes, procs, upto = stack
+    sp, start, trials, nodes, procs, upto = stack
     q, p = qp
-    sides = _norm_exchange_sides(sp, start, nodes, q, p)
+    sides = _norm_exchange_sides(sp, start, trials, nodes, q, p)
     for t, f in enumerate(procs):
         assert [_bits(v[t]) for v in sides] == \
             [_bits(v) for v in _ref_norm_exchange(f, q, p, upto)]
@@ -487,15 +563,14 @@ def test_trial_stacked_norm_exchange_matches_the_element_loop(stack, qp):
 def test_a_chunk_cut_to_no_node_has_a_result_per_trial():
     """Three processes with an ``upto`` at their start node: every kernel
     gives three zero norms (and the zero ratio), not one."""
-    nodes = np.zeros((0, 3, _FERMION4.dim, _FERMION4.dim), complex)
     driver = Driver.fermion_field()
-    assert _hp_norms(_FERMION4, 1, nodes, 4.0) == [0.0] * 3
-    assert _lqlp_norms(_FERMION4, 1, nodes, 2.0, 4.0) == [0.0] * 3
-    assert _bg_norms(_FERMION4, 1, nodes, driver, 4.0, ("left", "right"),
+    assert _hp_norms(_FERMION4, 1, 3, [], 4.0) == [0.0] * 3
+    assert _lqlp_norms(_FERMION4, 1, 3, [], 2.0, 4.0) == [0.0] * 3
+    assert _bg_norms(_FERMION4, 1, 3, [], driver, 4.0, ("left", "right"),
                      ("hp", "l2lp")) == [[0.0] * 3] * 4
-    assert _norm_exchange_sides(_FERMION4, 1, nodes, 2.0, 4.0) == ([0.0] * 3,) * 3
+    assert _norm_exchange_sides(_FERMION4, 1, 3, [], 2.0, 4.0) == ([0.0] * 3,) * 3
     d = _FERMION4.level_space(1).dim
-    assert _last(_running_sums(_FERMION4, 1, nodes, driver, "right")).shape \
+    assert _last(_running_sums(_FERMION4, 1, 3, [], driver, "right")).shape \
         == (3, d, d)
 
 
@@ -506,13 +581,13 @@ def test_check_bg_matches_the_element_loop(fu, p, side, data):
     f, upto = fu
     driver = data.draw(st.sampled_from(_DRIVERS[f.space.layout]))
     integral = _ref_driver_integral(f, driver, upto, side).mat
-    rhs = (_ref_hp_norm(f, p, upto) if driver.kind == "fermion_field"
-           else _ref_lqlp_norm(f, 2.0, p, upto))
+    hp = driver.kind == "fermion_field"
+    rhs = _ref_hp_norm(f, p, upto) if hp else _ref_lqlp_norm(f, 2.0, p, upto)
     if rhs == 0:
         return
     rep = check_bg(f, p, driver, side=side, upto=upto)
-    assert (_bits(rep.lhs), _bits(rep.rhs)) == \
-        (_bits(_ref_lp_norm(integral, p)), _bits(rhs))
+    assert _bits(rep.lhs) == _bits(_ref_lp_norm(integral, p))
+    assert _close([rep.rhs], [rhs]) if hp else _bits(rep.rhs) == _bits(rhs)
 
 
 @pytest.mark.parametrize("sp,driver", [
@@ -534,7 +609,7 @@ def test_measure_bg_constant_is_the_per_trial_maximum(sp, driver, form):
                 lhs = _ref_lp_norm(_ref_driver_integral(f, driver, n, side).mat, p)
                 if form == "hp":
                     ss = np.random.SeedSequence(5, spawn_key=(t,))
-                    rhs = _hp_norms(sp, 0, _random_stack(
+                    rhs = _hp_norms(sp, 0, 1, _random_stack(
                         sp, [np.random.default_rng(ss)]), p)[0]
                     assert _close([rhs], [_ref_hp_norm(f, p, n)])
                 else:
@@ -615,7 +690,7 @@ def _chunk_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
         sp, [np.random.default_rng([seed, t]) for t in range(trials)], num, start)]
     for k in draw(st.sets(st.integers(0, num - 1), max_size=num)):
         nodes[k][...] = 0
-    return (sp, start, nodes, _full_size(sp, nodes),
+    return (sp, start, trials, nodes, _full_size(sp, nodes),
             sp.grid.deltas[start:start + num].tolist())
 
 
@@ -629,11 +704,11 @@ def _close(got, want):
        qp=st.sampled_from(QP_PAIRS), data=st.data())
 def test_factor_size_kernels_agree_with_the_full_size_algorithm(stack, p, qp,
                                                                  data):
-    sp, start, nodes, mats, deltas = stack
+    sp, start, trials, nodes, mats, deltas = stack
     q = qp[0]
-    assert _close(_lqlp_norms(sp, start, nodes, q, p),
+    assert _close(_lqlp_norms(sp, start, trials, nodes, q, p),
                   _full_lqlp_norms(mats, deltas, q, p))
-    for got, want in zip(_norm_exchange_sides(sp, start, nodes, *qp),
+    for got, want in zip(_norm_exchange_sides(sp, start, trials, nodes, *qp),
                          _full_norm_exchange_sides(mats, deltas, *qp),
                          strict=True):
         assert _close(got, want)
@@ -644,8 +719,9 @@ def test_factor_size_kernels_agree_with_the_full_size_algorithm(stack, p, qp,
         _dense_sums(sp, start, mats, side=side)[-1], 2.0, p)
         for side in ("right", "left")))),
         _full_lqlp_norms(mats, deltas, 2.0, p)]
-    for got, ref in zip(_bg_norms(sp, start, nodes, driver, p, ("left", "right"),
-                                  ("hp", "l2lp")), want, strict=True):
+    for got, ref in zip(_bg_norms(sp, start, trials, nodes, driver, p,
+                                  ("left", "right"), ("hp", "l2lp")), want,
+                        strict=True):
         assert _close(got, ref)
 
 
@@ -657,14 +733,14 @@ def test_level_growing_sums_match_the_dense_full_size_loop(stack, side, data):
     # for bit (real weights, so a gather is the dense product up to the
     # sign of zeros, which a sum from +0 does not keep), the Gram sums of
     # hp_norm within 1e-15 of their largest entry
-    sp, start, nodes, mats, _ = stack
+    sp, start, trials, nodes, mats, _ = stack
     driver = data.draw(st.sampled_from(_REAL_DRIVERS[sp.layout]))
     got = [_at_size(s, sp.dim).copy()
-           for s in _running_sums(sp, start, nodes, driver, side)]
+           for s in _running_sums(sp, start, trials, nodes, driver, side)]
     want = _dense_sums(sp, start, mats, driver, side)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     got = [_at_size(s, sp.dim).copy()
-           for s in _running_sums(sp, start, nodes, side=side)]
+           for s in _running_sums(sp, start, trials, nodes, side=side)]
     for g, w in zip(got, _dense_sums(sp, start, mats, side=side), strict=True):
         assert np.max(np.abs(g - w), initial=0.0) <= \
             1e-15 * np.max(np.abs(w), initial=0.0)
