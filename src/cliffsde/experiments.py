@@ -25,7 +25,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .element import lp_norm, op_norm
+# unused lp_norm: perfbench/test_bench.py pins this module as an import site
+from .element import lp_norm, op_norm  # noqa: F401
 from .errors import ConfigurationError, OsgoodViolationError
 from .integrals import (
     _bg_norms,
@@ -40,6 +41,7 @@ from .modulus import bihari_bound, make_modulus
 from .problems import make_problem
 from .process import Driver, _random_stack
 from .solver import (
+    _sup_gap,
     coefficient_stability_experiment,
     forward_euler_oracle,
     perturb_problem,
@@ -497,9 +499,8 @@ def _picard_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
             table.add(suite, cell, "inner_iterations_total",
                       sum(rep.inner_iterations))
         else:
-            oracle = forward_euler_oracle(prob)
-            gap = max(lp_norm(a - b, prob.p)
-                      for a, b in zip(rep.trajectory.values, oracle.values))
+            gap = _sup_gap(rep.factors, forward_euler_oracle(prob).factors,
+                           prob.p)
             table.add(suite, cell, "euler_gap", gap)
             if gap > 1e-10:
                 table.violate(suite, cell, f"euler gap {gap!r}")
@@ -692,8 +693,9 @@ def run_solver_suite(config: SuiteConfig, names=None) -> SweepTable:
 def grid_refinement_study(problem_name: str = "linear_drift",
                           n_values=(2, 4, 8, 12)) -> SweepTable:
     """Node-norm trajectories of one built-in problem across increment
-    counts.  Asserts finiteness and adaptedness only — no convergence rate
-    is claimed."""
+    counts.  Asserts finiteness only, and records the largest adaptedness
+    defect the solve measured (it rejects one above 1e-8 itself) — no
+    convergence rate is claimed."""
     start = time.perf_counter()
     table = SweepTable()
     suite = "refinement"
@@ -704,9 +706,6 @@ def grid_refinement_study(problem_name: str = "linear_drift",
             table.add(suite, cell, f"norm@t={t:g}", nrm)
             if not math.isfinite(nrm):
                 table.violate(suite, cell, f"non-finite norm at node {node}")
-        defect = rep.trajectory.max_adaptedness_defect()
-        table.add(suite, cell, "adapted_defect_max", defect)
-        if defect > 1e-8:
-            table.violate(suite, cell, f"adaptedness defect {defect!r}")
+        table.add(suite, cell, "adapted_defect_max", rep.adapted_defects[-1])
     table.wall_s[suite] = time.perf_counter() - start
     return table

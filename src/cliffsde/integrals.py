@@ -24,12 +24,12 @@ with T given: a batch of one (a process's ``factors``) for the per-process
 functions, a chunk of random trials for the suites and
 ``measure_bg_constant``.  The per-node norm work of ``lqlp_norm`` and the
 norm exchange (Gram products, ``eigh`` powers, node norms) runs on the
-factors; the norm exchange adds each powered term into its full-size sum
-on the blocks of ``a (x) I``.  The driver integrals and ``hp_norm``'s Gram
-sums are one running sum (``_running_sums``) that grows with the level,
-as the time integral's sum does; increments multiply as gathers, bitwise
-the dense products up to the sign of zeros on finite input, but for the
-complex weights of a ``linear_combination`` driver (about 1e-16 apart).
+factors.  The driver integrals and ``hp_norm``'s Gram sums are one running
+sum (``_running_sums``) that grows with the level, as the time integral's
+and the norm exchange's powered sums do; increments multiply as gathers,
+bitwise the dense products up to the sign of zeros on finite input, but
+for the complex weights of a ``linear_combination`` driver (about 1e-16
+apart).
 The sums run over the nodes in node order: in place for the integrals and
 the square function, the delta-weighted loop ``_delta_sum`` for the
 norms.
@@ -55,7 +55,7 @@ from .space import (_at_size, as_int, conditional_expect, parity_decompose,
 #: n = 8 and 13 at pair n = 4 (both dim 16), one from dim 64 up.  Under
 #: tracemalloc a chunk's whole :func:`_bg_norms` call, its draw included,
 #: peaks within it (205 KB at n = 8); the norm exchange's ``eigh`` powers,
-#: which it does not count, peak at 281 KB there.
+#: which it does not count, peak at 258 KB there.
 _CHUNK_BYTES = 240 * 1024
 #: Matrices per trial, each at most of the largest step size (the full
 #: size), that a running-sum step holds at once: the sum, the node embedded
@@ -200,8 +200,9 @@ def _norm_exchange_sides(space, start: int, trials: int, nodes, q: float,
     """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for node
     stacks from ``start``: per node the level factors' Gram products, their
     norms, then ``eigh``-powered in the Gram products' buffer and
-    delta-summed in node order on the blocks of a (x) I."""
-    acc, norms = np.zeros((trials, space.dim, space.dim), complex), []
+    delta-summed in node order into a sum that grows with the level, as
+    :func:`_running_sums`' does."""
+    acc, norms = np.zeros((trials, 1, 1), complex), []
     for delta, a in zip(_deltas(space, start, nodes), nodes):
         powed = _grams(a)
         norms.append(lp_norms(a, p, powed))
@@ -211,11 +212,10 @@ def _norm_exchange_sides(space, start: int, trials: int, nodes, q: float,
             vec *= np.clip(lam, 0.0, None)[:, None, :] ** (q / 2.0)
             np.matmul(vec, adj, out=powed)
         np.multiply(delta, powed, out=powed)
-        hi = space.dim // powed.shape[-1]
-        for j in range(hi):  # powed (x) I
-            acc[:, j::hi, j::hi] += powed
-    lhs, rhs = psd_power_lp_norms(acc, q, p), _lqlp_norms(
-        space, start, trials, nodes, q, p, norms)
+        acc = _at_size(acc, powed.shape[-1])
+        acc += powed
+    lhs = psd_power_lp_norms(_at_size(acc, space.dim), q, p)
+    rhs = _lqlp_norms(space, start, trials, nodes, q, p, norms)
     return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
                       for a, b in zip(lhs, rhs)]
 

@@ -5,8 +5,9 @@ A process holds one algebra element per grid node, starting at
 (level 2k for pair layouts), which it stores as what that value is, a
 level factor: ``factors[i]`` is the read-only element a on
 ``space.level_space(start_node + i)`` of the value ``a (x) I``.  The
-integral and norm kernels work on the factors; ``values`` and ``value()``
-expand them to read-only full-size elements on first read.
+integral and norm kernels work on the factors; ``value(k)`` expands node
+k's to a read-only full-size element, and ``values`` expands them all on
+first read and keeps them.
 
 A process is immutable.  Adaptedness is enforced eagerly on every value a
 caller supplies — a projection defect above the rejection threshold, or a
@@ -273,13 +274,14 @@ class AdaptedProcess:
         return self._values
 
     def value(self, node: int) -> CliffordElement:
+        """The value at ``node``, expanded from its factor alone."""
         off = as_int(node, "node") - self.start_node
         if not 0 <= off < len(self):
             raise IndexError(
                 f"node {node} outside covered range "
                 f"{self.start_node}..{self.last_node}"
             )
-        return self.values[off]
+        return expand(self.factors[off], self.space)
 
     @property
     def last_node(self) -> int:
@@ -290,14 +292,6 @@ class AdaptedProcess:
 
     def __iter__(self):
         return iter(self.values)
-
-    def max_adaptedness_defect(self) -> float:
-        """The largest L^2 adaptedness defect over the nodes."""
-        worst = 0.0
-        for off, v in enumerate(self.values):
-            level = self.space.level_of_node(self.start_node + off)
-            worst = max(worst, adaptedness_defect(v, level, 2.0))
-        return worst
 
     def __repr__(self):
         return (

@@ -44,6 +44,7 @@ from .coefficients import (
 )
 from .element import CliffordElement, lp_norm, op_norm
 from .errors import (
+    ArgumentError,
     ConfigurationError,
     ContractViolationError,
     ConvergenceError,
@@ -189,7 +190,9 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
     ``steps`` holds those measured steps.
 
     Two successive growths of ||d||_2 between plain points raise
-    ContractViolationError with the per-step rate.  A non-finite step
+    ContractViolationError with the per-step rate; a growth counts only
+    where the new ||d||_2 exceeds 16 eps ||g(y)||_2, as steps at the
+    rounding floor are noise of about eps ||g(y)||_2.  A non-finite step
     raises ConvergenceError, ``node`` naming the grid node; it and the
     budget failure carry the measured steps with their iteration numbers.
     """
@@ -219,7 +222,9 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
             y, mixed = base[1], False
             continue
         if not mixed:
-            grew = grew + 1 if d2 > plain * (1 + 1e-9) else 0
+            rose = d2 > plain * (1 + 1e-9) and \
+                d2 > 16 * sys.float_info.epsilon * lp_norm(gy, 2)
+            grew = grew + 1 if rose else 0
             if grew >= 2:
                 raise ContractViolationError(
                     f"inner iteration expands (measured rate "
@@ -505,18 +510,19 @@ def uniqueness_probe(problem: QsdeProblem, tol: float = 1e-10,
     sp = problem.space
     k0 = problem.start_node
     n_nodes = sp.grid.n - k0 + 1
-    zero_init = AdaptedProcess(sp, [sp.zero()] * n_nodes, start_node=k0)
+    zero_init = AdaptedProcess._trusted(
+        sp, [sp.level_space(k).zero() for k in range(k0, sp.grid.n + 1)], k0)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x31,)))
     rand_init = AdaptedProcess.random(sp, rng, num=n_nodes, start_node=k0)
     a = picard_solve(problem, tol=tol, initial=zero_init)
     b = picard_solve(problem, tol=tol, initial=rand_init)
-    return _sup_gap(a, b, problem.p)
+    return _sup_gap(a.factors, b.factors, problem.p)
 
 
-def _sup_gap(a: SolveReport, b: SolveReport, p: float) -> float:
-    """sup over nodes of ||X_k - Y_k||_p between two solutions, read off
-    their level factors: the norm does not see the (x) I."""
-    return max(lp_norm(x - y, p) for x, y in zip(a.factors, b.factors))
+def _sup_gap(xs, ys, p: float) -> float:
+    """sup over nodes of ||X_k - Y_k||_p between two processes, read off
+    their level factors ``xs`` and ``ys``: the norm does not see the (x) I."""
+    return max(lp_norm(x - y, p) for x, y in zip(xs, ys))
 
 
 # -- stability experiments ----------------------------------------------------
@@ -543,9 +549,12 @@ def stability_experiment(problem: QsdeProblem, z_alt: CliffordElement,
         ||X_t - Y_t||_p^2 <= 4 / (1 - C(R))^2 * exp(C (t - t0)) * ||Z - Z'||_p^2
 
     with C = 4 / (1 - C(R))^2 * max(c_p^2, T - t0) * L.  ``c_p`` defaults to
-    the measured empirical martingale constant of the space.  Raises if any
-    node violates the bound.
+    the measured empirical martingale constant of the space; a given one
+    must be finite and >= 0.  Raises if any node violates the bound.
     """
+    if c_p is not None and not 0 <= c_p < math.inf:
+        raise ArgumentError(f"c_p must be finite and >= 0, got {c_p!r}",
+                            key="c_p")
     L = problem.combined_lipschitz()
     if c_p is None:
         c_p = measure_bg_constant(problem.space, problem.p,
@@ -607,8 +616,8 @@ def coefficient_stability_experiment(problem: QsdeProblem, perturbed,
     """Solve the base problem and each perturbed one; returns the list of
     sup-node L^p distances, in the order given."""
     base = picard_solve(problem, tol=tol)
-    return [_sup_gap(base, picard_solve(prob_n, tol=tol), problem.p)
-            for prob_n in perturbed]
+    return [_sup_gap(base.factors, picard_solve(prob_n, tol=tol).factors,
+                     problem.p) for prob_n in perturbed]
 
 
 def selfadjoint_solve_check(problem: QsdeProblem,

@@ -255,17 +255,7 @@ def expand(a: CliffordElement, space: CliffordSpace) -> CliffordElement:
     +0 off the pattern as sums from zeros leave it (``_kron`` signs them)."""
     if a.space is space:
         return a
-    mat = _embed(a.mat, np.zeros((space.dim,) * 2, complex))
-    return CliffordElement(space, mat, _fresh=True)
-
-
-def _embed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a (x) I`` (of each matrix of a stack ``a``) into the zeroed
-    ``out``: a copy of ``a`` on each of its strided diagonal blocks."""
-    hi = out.shape[-1] // a.shape[-1]
-    for j in range(hi):
-        out[..., j::hi, j::hi] = a
-    return out
+    return CliffordElement(space, _at_size(a.mat, space.dim), _fresh=True)
 
 
 # -- conditional expectation, parity, monomial transforms -------------------
@@ -408,10 +398,15 @@ def random_level_element(
 
 def _at_size(a: np.ndarray, dim: int) -> np.ndarray:
     """A factor ``a``, or a stack of them, as the ``a (x) I`` of size
-    ``dim``: ``a`` itself when it has that size, else a new array."""
+    ``dim``: ``a`` itself when it has that size, else a new zeroed array
+    with a copy of ``a`` on each of its strided diagonal blocks."""
     if a.shape[-1] == dim:
         return a
-    return _embed(a, np.zeros((*a.shape[:-2], dim, dim), complex))
+    out = np.zeros((*a.shape[:-2], dim, dim), complex)
+    hi = dim // a.shape[-1]
+    for j in range(hi):
+        out[..., j::hi, j::hi] = a
+    return out
 
 
 def _draw_levels(space: CliffordSpace, rngs, k: int) -> np.ndarray:

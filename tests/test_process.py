@@ -6,6 +6,7 @@ defects below are compared against literal zero.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,8 +20,10 @@ from cliffsde import (
     DriverMismatchError,
     TimeGrid,
     lp_norm,
+    make_problem,
     make_space,
     op_norm,
+    picard_solve,
     random_level_element,
     state,
 )
@@ -262,9 +265,16 @@ def test_constant_process(space4):
     assert f.value(2).is_close(space4.identity(), tol=0.0)
 
 
+def _factor_defect(f):
+    """The largest L^2 adaptedness defect of f's level factors, each at its
+    node's level."""
+    return max(adaptedness_defect(a, f.space.level_of_node(k), 2)
+               for k, a in enumerate(f.factors, f.start_node))
+
+
 def test_random_process_is_adapted(space4, pair_space4, rng):
     f = AdaptedProcess.random(space4, rng)
-    assert f.max_adaptedness_defect() < 1e-12
+    assert _factor_defect(f) < 1e-12
     assert len(f) == 4
     # the draw skips the construction check: every level must still hold,
     # from a later start node and in the pair layout too
@@ -273,7 +283,7 @@ def test_random_process_is_adapted(space4, pair_space4, rng):
             f = AdaptedProcess.random(sp, rng, start_node=start,
                                       num=sp.grid.n + 1 - start)
             assert (f.start_node, f.last_node) == (start, sp.grid.n)
-            assert f.max_adaptedness_defect() < 1e-12
+            assert _factor_defect(f) < 1e-12
             # a value one level lower would fail the check
             for node in range(max(start, 1), sp.grid.n + 1):
                 level = sp.level_of_node(node) - 1
@@ -323,7 +333,7 @@ def test_values_cannot_be_replaced_after_construction(space4, rng):
         assert all(not v.mat.flags.writeable for v in g.values)
         with pytest.raises(ValueError):
             g.factors[0].mat[0, 0] = 1.0
-    assert f.max_adaptedness_defect() == 0.0
+    assert _factor_defect(f) == 0.0
 
 
 def test_values_expand_the_stored_level_factors(space4, rng):
@@ -341,6 +351,20 @@ def test_values_expand_the_stored_level_factors(space4, rng):
         assert a.mat.tobytes() == v.mat[::space4.dim // sub.dim,
                                         ::space4.dim // sub.dim].tobytes()
         assert f.value(k).mat.tobytes() == v.mat.tobytes()
+
+
+def test_value_expands_its_own_node_only():
+    # node 0 of the n = 14 nonlocal_linear trajectory (dim 128): one
+    # full-size value, 262,144 B, and not every node's expansion
+    traj = picard_solve(make_problem("nonlocal_linear", n=14)).trajectory
+    tracemalloc.start()
+    try:
+        v = traj.value(0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert v.mat.nbytes == 262_144
+    assert held <= 1.1 * v.mat.nbytes
 
 
 def test_start_node_shifts_levels(space4):

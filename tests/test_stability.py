@@ -8,6 +8,7 @@ lhs(t0) = ||Z - Z'||^2, rhs(t0) = 4 ||Z - Z'||^2.
 import pytest
 
 from cliffsde import (
+    ArgumentError,
     ContractViolationError,
     coefficient_stability_experiment,
     lp_norm,
@@ -16,6 +17,7 @@ from cliffsde import (
     picard_solve,
     stability_experiment,
 )
+from cliffsde import solver as solver_module
 
 
 @pytest.mark.parametrize("dz", [1e-1, 1e-3])
@@ -54,6 +56,19 @@ def test_bound_sides_are_python_floats():
     for side in (res.lhs, res.rhs):
         assert [type(v) for v in side] == [float] * len(res.times)
     assert "np.float64" not in repr(res)
+
+
+@pytest.mark.parametrize("c_p", [float("nan"), float("inf"), -1.0])
+def test_bound_rejects_a_non_finite_or_negative_c_p(c_p, monkeypatch):
+    # named before any solve: a NaN c_p would make the rate and bound NaN
+    def no_solve(*args, **kw):
+        raise AssertionError("solved with a bad c_p")
+
+    monkeypatch.setattr(solver_module, "picard_solve", no_solve)
+    prob = make_problem("linear_full", n=4)
+    with pytest.raises(ArgumentError, match="c_p") as exc:
+        stability_experiment(prob, prob.Z, c_p=c_p)
+    assert exc.value.key == "c_p"
 
 
 def test_bound_needs_lipschitz_coefficients():
