@@ -140,14 +140,21 @@ class QsdeProblem:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """A converged inner solve.  ``steps`` holds the measured L^p steps in
-    order; for p >= 2 only those that could stop the loop (see
-    :func:`inner_fixed_point`).  ``equation`` holds ``(M, R, Z, p)``."""
+    """A converged inner solve.  ``steps`` is ``measured``, the L^p steps
+    the loop took, in order (for p >= 2 only those that could stop it; see
+    :func:`inner_fixed_point`), then ||d||_p of a stop whose step d is
+    ``certified``, formed on first read.  ``equation`` is (M, R, Z, p)."""
 
     value: CliffordElement
     iterations: int
-    steps: tuple
+    measured: tuple
     equation: tuple
+    certified: CliffordElement | None = None
+
+    @cached_property
+    def steps(self) -> tuple:
+        d, p = self.certified, self.equation[3]
+        return self.measured + (() if d is None else (lp_norm(d, p),))
 
     @property
     def residual(self) -> float:
@@ -163,6 +170,11 @@ def _check_solve_args(tol: float, **budgets) -> None:
             raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
+def _lp_over_l2_bound(dim: int, p: float) -> float:
+    """dim^(1/2 - 1/p) (1 + 1e-9) >= ||d||_p / ||d||_2 for p >= 2; else inf."""
+    return dim ** (0.5 - 1.0 / p) * (1 + 1e-9) if p >= 2 else math.inf
 
 
 def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
@@ -183,11 +195,11 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
     point it was mixed from.  The loop stops at the first ||d||_p <= tol
     and returns g(y), whose residual is then at most C(R) * tol.
 
-    For p >= 2, ||d||_2 <= ||d||_p, so the exact ||d||_p (a Gram product
-    for p > 2) is taken only where ||d||_2 <= tol * (1 + 1e-9), a margin
-    for rounding; where ||d||_2 is so large that the product could
-    overflow; and at ``max_inner``.  For p < 2 it is taken at every step.
-    ``steps`` holds those measured steps.
+    For p >= 2, ||d||_2 <= ||d||_p <= r ||d||_2, r = M.space.dim^(1/2 - 1/p)
+    (Hoelder), so a step with r ||d||_2 (1 + 1e-9) <= tol stops without the
+    exact ||d||_p (a Gram product), which ``steps`` forms on first read.
+    Else it is taken only where ||d||_2 <= tol * (1 + 1e-9) (1e-9: rounding),
+    where the product could overflow and at ``max_inner``; for p < 2, always.
 
     Two successive growths of ||d||_2 between plain points raise
     ContractViolationError with the per-step rate; a growth counts only
@@ -201,12 +213,15 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
     # the Gram-based norm forms nothing above (tr d*d)^(p/2) = (dim
     # ||d||_2^2)^(p/2), so ||d||_2 <= safe cannot overflow it (2: rounding)
     safe = sys.float_info.max ** (1.0 / p) / (2.0 * math.sqrt(M.space.dim))
+    bound = _lp_over_l2_bound(M.space.dim, p)
     steps, measured_at = [], []
     grew, plain, mixed = 0, math.inf, False
     for it in range(1, max_inner + 1):
         gy = Z + R(y) + M
         d = gy - y
         d2 = lp_norm(d, 2)
+        if d2 * bound <= tol:  # ||d||_p <= tol without its Gram product
+            return InnerResult(gy, it, tuple(steps), (M, R, Z, p), d)
         if p < 2 or not tol * (1 + 1e-9) < d2 <= safe or it == max_inner:
             step = lp_norm(d, p) if p != 2 and math.isfinite(d2) else d2
             steps.append(step)
@@ -365,9 +380,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     with its sweep and its own trace.
     """
     _check_solve_args(tol, max_outer=max_outer, max_inner=max_inner)
-    sp = problem.space
-    grid = sp.grid
-    k0 = problem.start_node
+    sp, grid, k0 = problem.space, problem.space.grid, problem.start_node
     n_nodes = grid.n - k0 + 1
     cr = problem.R.contraction
     inner_tol = tol * (1.0 - cr) / 10.0
@@ -404,6 +417,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
                                             guess=current[i], node=k0 + i)
                     nxt.append(sol.value)
                     inner_count += sol.iterations
+                    del sol  # free its certified d before the next solve
             else:
                 if sweep == 1:  # the head's equation (M = 0) never changes
                     head = inner_fixed_point(

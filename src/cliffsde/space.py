@@ -173,7 +173,7 @@ class CliffordSpace:
         return CliffordElement(self, mat)
 
     def identity(self) -> CliffordElement:
-        return CliffordElement(self, np.eye(self.dim, dtype=complex))
+        return CliffordElement(self, np.eye(self.dim, dtype=complex), _fresh=True)
 
     def zero(self) -> CliffordElement:
         return CliffordElement(self, np.zeros((self.dim, self.dim), dtype=complex))

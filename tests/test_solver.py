@@ -549,6 +549,7 @@ def test_converging_inner_solve_measures_only_the_steps_that_can_stop_it():
     Z, M, _ = _screen_case(5, flat=False)
     rmap = make_nonlocal("conditional_scale", c=0.5, level=3)
     p, tol = 4.0, 1e-10
+    bound = SCREEN_SPACE.dim ** (0.5 - 1.0 / p) * (1 + 1e-9)
     calls = []
 
     def counting(x, q):
@@ -558,11 +559,18 @@ def test_converging_inner_solve_measures_only_the_steps_that_can_stop_it():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "lp_norm", counting)
         res = inner_fixed_point(M, rmap, Z, p, tol)
-    # one ||d||_2 per step, and ||d||_p only after one within tol
-    assert [q for q, _ in calls].count(2) == res.iterations
-    exact = [i for i, (q, _) in enumerate(calls) if q != 2]
-    assert all(calls[i - 1][1] <= tol * (1 + 1e-9) for i in exact)
-    assert tuple(calls[i][1] for i in exact) == res.steps
+        solve, steps = calls[:], res.steps
+    # one ||d||_2 per step; ||d||_p only after one within tol that the
+    # L^2 bound leaves open; the stop, certified by the bound, takes its
+    # ||d||_p only when ``steps`` is read
+    assert [q for q, _ in solve].count(2) == res.iterations
+    exact = [i for i, (q, _) in enumerate(solve) if q != 2]
+    assert all(tol < solve[i - 1][1] * bound and
+               solve[i - 1][1] <= tol * (1 + 1e-9) for i in exact)
+    assert solve[-1][0] == 2 and solve[-1][1] * bound <= tol
+    assert [q for q, _ in calls[len(solve):]] == [p]
+    assert steps == tuple(solve[i][1] for i in exact) + (calls[-1][1],)
+    assert steps[-1] <= tol
     assert 4 <= res.iterations < _unscreened_inner(M, rmap, Z, p, tol, 200)[1]
 
 
@@ -571,8 +579,9 @@ def test_converging_inner_solve_measures_only_the_steps_that_can_stop_it():
 def test_flat_step_at_exactly_tol_still_stops(p, m):
     # d = a * I has ||d||_2 == ||d||_p up to rounding in either norm; a tol
     # equal to one of the reference's plain steps must stop there even if
-    # the rounded L^2 bound lands just above it; a later step's tol stops
-    # the mixed loop no later
+    # the rounded L^2 bound lands just above it, on its exact ||d||_p, as
+    # dim^(1/2 - 1/p) ||d||_2 exceeds tol; a later step's tol stops the
+    # mixed loop no later
     sp = SCREEN_SPACE
     rmap = make_nonlocal("scale", c=0.5)
     Z, M = 1.3 * sp.identity(), m * sp.identity()
@@ -581,8 +590,91 @@ def test_flat_step_at_exactly_tol_still_stops(p, m):
         res = inner_fixed_point(M, rmap, Z, p, tol)
         if i < 3:
             assert (res.iterations, res.steps[-1]) == (i + 1, tol)
+            assert res.certified is None
         else:
             assert res.iterations <= i + 1 and res.steps[-1] <= tol
+
+
+@pytest.mark.parametrize("name", ["nonlocal_linear", "nonlocal_conditional",
+                                  "selfadjoint_nonlocal"])
+def test_converging_solves_certify_every_inner_stop_from_the_l2_norm(
+        name, monkeypatch):
+    # every stop of these solves has ||d||_2 far below tol / dim^(1/2 - 1/p),
+    # so no inner solve forms a Gram product for ||d||_p
+    counter = _GramNormCounter()
+    grams = []
+    real_inner = solver_module.inner_fixed_point
+
+    def inner(*args, **kwargs):
+        before = counter.gram
+        res = real_inner(*args, **kwargs)
+        grams.append(counter.gram - before)
+        return res
+
+    monkeypatch.setattr(solver_module, "lp_norm", counter)
+    monkeypatch.setattr(solver_module, "inner_fixed_point", inner)
+    picard_solve(make_problem(name, n=8), tol=TOL)
+    assert grams and sum(grams) == 0
+
+
+def _inner_outcome(*args, **kwargs):
+    """inner_fixed_point's value bytes, iterations and steps (read after
+    the solve), or its failure's class, message and trace."""
+    try:
+        res = inner_fixed_point(*args, **kwargs)
+    except (ContractViolationError, ConvergenceError) as exc:
+        return (type(exc), str(exc), getattr(exc, "deltas", None),
+                getattr(exc, "iterations", None))
+    return res.value.mat.tobytes(), res.iterations, res.steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.floats(min_value=0.0, max_value=0.95),
+       rname=st.sampled_from(["scale", "conditional_scale", "liar"]),
+       p=st.sampled_from([2.5, 3.0, 4.0, 6.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       flat=st.booleans(), warm=st.booleans(),
+       max_inner=st.sampled_from([3, 37, 200]),
+       data=st.data())
+def test_l2_certified_stop_matches_the_exact_stop_rule(
+        c, rname, p, seed, flat, warm, max_inner, data):
+    # with the L^2 bound's factor forced to inf every stop is decided on
+    # the exact ||d||_p, as before the certificate; the certified loop must
+    # give the same value bytes, iterations, steps and failure
+    rmap = _inner_map(rname, c, 1.25, 3, p)
+    Z, M, G = _screen_case(seed, flat)
+    guess = G if warm else None
+    if data.draw(st.booleans(), label="tol_is_a_step"):
+        # a plain step of the map (of R = c x for the liar, which expands)
+        ref = make_nonlocal("scale", c=c) if rname == "liar" else rmap
+        steps = _unscreened_inner(M, ref, Z, p, 1e-11, max_inner, guess)[2]
+        tol = steps[data.draw(st.integers(0, len(steps) - 1), label="i")] \
+            or math.ulp(0.0)
+    else:
+        tol = 10.0 ** data.draw(st.floats(-11.0, -1.0), label="log_tol")
+    args = (M, rmap, Z, p, tol, max_inner)
+    got = _inner_outcome(*args, guess=guess)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_lp_over_l2_bound", lambda dim, q: math.inf)
+        assert got == _inner_outcome(*args, guess=guess)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("m", [0.3, 1.7 - 0.2j, 1e-3])
+def test_rank_one_step_at_exactly_tol_is_not_certified(p, m):
+    # a rank-one d meets ||d||_p <= dim^(1/2 - 1/p) ||d||_2 with equality,
+    # and only the bound's margin keeps it from certifying a step at
+    # exactly tol: that step stops on its exact ||d||_p, taken in the loop
+    sp = SCREEN_SPACE
+    unit = np.zeros((sp.dim, sp.dim))
+    unit[0, 0] = 1.0
+    rmap = make_nonlocal("scale", c=0.5)
+    Z, M = sp.zero(), m * sp.element(unit)  # every plain step is c^k M
+    for i, tol in enumerate(_unscreened_inner(M, rmap, Z, p, 1e-11, 200)[2]):
+        res = inner_fixed_point(M, rmap, Z, p, tol)
+        if i < 3:
+            assert (res.iterations, res.steps[-1]) == (i + 1, tol)
+            assert res.certified is None
 
 
 def test_inner_mixing_keeps_a_selfadjoint_solve_exactly_selfadjoint():
