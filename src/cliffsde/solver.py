@@ -50,12 +50,14 @@ from .errors import (
     ConvergenceError,
     DriverMismatchError,
 )
+from .grid import is_count
 from .integrals import _driver_step, driver_integral, measure_bg_constant
 from .process import AdaptedProcess, Driver, _require_node_adapted
 from .space import (CliffordSpace, _at_size, adaptedness_defect, expand,
                     require_adapted, restrict)
 
 NONLOCAL_MODES = ("pointwise", "initial")
+_BOUND_MARGIN = 1e-6  # of picard_solve's bounds: far above lp_norm's rounding
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,14 @@ def _lp_over_l2_bound(dim: int, p: float) -> float:
     return dim ** (0.5 - 1.0 / p) * (1 + 1e-9) if p >= 2 else math.inf
 
 
+def _norm_range(dim: int, p: float) -> tuple:
+    """(tiny, safe): lp_norm of a dim x dim x is relative-accurate where
+    ||x||_p >= tiny (its sums exceed dim^2 min / eps; 1 / eps: safety) and
+    forms nothing above (dim ||x||_2^2)^(p/2) <= max / 2^p at ||x||_2 <= safe."""
+    tiny = (dim * dim * sys.float_info.min / sys.float_info.epsilon) ** (1.0 / p)
+    return tiny, sys.float_info.max ** (1.0 / p) / (2.0 * math.sqrt(dim))
+
+
 def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
                       p: float, tol: float, max_inner: int = 200,
                       guess: CliffordElement | None = None,
@@ -210,9 +220,7 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
     """
     _check_solve_args(tol, max_inner=max_inner)
     y = Z + M if guess is None else Z + R(guess) + M
-    # the Gram-based norm forms nothing above (tr d*d)^(p/2) = (dim
-    # ||d||_2^2)^(p/2), so ||d||_2 <= safe cannot overflow it (2: rounding)
-    safe = sys.float_info.max ** (1.0 / p) / (2.0 * math.sqrt(M.space.dim))
+    safe = _norm_range(M.space.dim, p)[1]  # ||d||_p cannot overflow below
     bound = _lp_over_l2_bound(M.space.dim, p)
     steps, measured_at = [], []
     grew, plain, mixed = 0, math.inf, False
@@ -378,6 +386,12 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     delta trace after ``max_outer`` sweeps, or at once, naming the sweep and
     the node, on a non-finite value; an inner solve's failure is re-raised
     with its sweep and its own trace.
+
+    Node k's self-adjointness defect keeps a bound b_k (inf, then the exact
+    value where measured); re-solving k sets b_k = (max(b_k, tiny) + 2
+    max(delta_k, tiny) g) g, g = 1 + ``_BOUND_MARGIN``, or inf above safe
+    (``_norm_range``); a sweep measures by descending b_k until a defect
+    reaches every bound left.  At even levels >= 2 adaptedness is 0.0.
     """
     _check_solve_args(tol, max_outer=max_outer, max_inner=max_inner)
     sp, grid, k0 = problem.space, problem.space.grid, problem.start_node
@@ -401,7 +415,9 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
 
     trace_delta, trace_inner, trace_adapt, trace_sa = [], [], [], []
     # per node, from the sweep that last solved it
-    integrals, defects, sa_defects = [], [], []
+    integrals, defects, sa_bounds = [], [], [math.inf] * n_nodes
+    tiny, safe = _norm_range(sp.dim, problem.p)  # the top dim: tightest
+    grow = 1 + _BOUND_MARGIN
 
     for sweep in range(1, max_outer + 1):
         held = min(sweep - 1, n_nodes)
@@ -441,15 +457,24 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
                     f"Picard sweep {sweep} produced a non-finite delta "
                     f"({d!r}) at node {k0 + i}",
                     deltas=trace_delta + [d])
+            b = (max(sa_bounds[i], tiny) + 2 * max(d, tiny) * grow) * grow
+            sa_bounds[i] = b if b <= safe else math.inf
         delta = max(node_deltas, default=0.0)
         trace_delta.append(delta)
         trace_inner.append(inner_count)
-        defects[held:] = [adaptedness_defect(x, sp.level_of_node(k), 2)
-                          for k, x in enumerate(nxt[held:], k0 + held)]
-        sa_defects[held:] = [x.selfadjoint_defect(problem.p)
-                             for x in nxt[held:]]
+        # at an even level >= 2, E(x) = x: lp_norm(x - x) = 0.0 (x finite)
+        levels = map(sp.level_of_node, range(k0 + held, grid.n + 1))
+        defects[held:] = [adaptedness_defect(x, lv, 2) if lv < 2 or lv % 2
+                          else 0.0 for lv, x in zip(levels, nxt[held:])]
         trace_adapt.append(max(defects))
-        trace_sa.append(max(sa_defects))
+        best = -math.inf  # as max(): NaN iff node k0's is (it sorts first)
+        for j in sorted(range(n_nodes), key=lambda j: -sa_bounds[j]):
+            if best >= sa_bounds[j]:  # no defect left can exceed best
+                break
+            v = nxt[j].selfadjoint_defect(problem.p)
+            sa_bounds[j] = v if v == v else math.inf  # keeps the sort total
+            best = v if j == 0 and v != v else max(best, v)
+        trace_sa.append(best)
         current = nxt
 
         if delta < tol:
@@ -521,6 +546,9 @@ def uniqueness_probe(problem: QsdeProblem, tol: float = 1e-10,
                      seed: int = 0) -> float:
     """Distance between the fixed points reached from the zero process and
     from a random adapted trajectory; should be below 2 * tol."""
+    if not is_count(seed):
+        raise ConfigurationError(f"seed out of range (a non-negative integer): "
+                                 f"{seed!r}", key="seed")
     sp = problem.space
     k0 = problem.start_node
     n_nodes = sp.grid.n - k0 + 1
@@ -606,7 +634,8 @@ def perturb_problem(problem: QsdeProblem, delta: float,
     adapted, constant); Lipschitz constants are unchanged.  'R' shifts the
     nonlocal map the same way (contraction unchanged), 'Z' shifts the
     initial value."""
-    delta = float(delta)
+    if not math.isfinite(delta := float(delta)):
+        raise ArgumentError(f"delta must be finite, got {delta!r}", key="delta")
 
     def shifted(base):  # a coefficient map (x, t) or the nonlocal map (x)
         f = base.fn

@@ -194,6 +194,21 @@ def test_the_solve_rejects_a_final_factor_that_is_not_adapted(mode):
                               "(defect 6.667e-01)")
 
 
+def test_the_solve_rejects_a_final_factor_that_is_not_adapted_at_an_odd_level():
+    # nodes 0..2 share a two-generator level space, where R is 0.5 x; on
+    # the four-generator space of nodes 3 and 4, R pulls in generator 3,
+    # above node 3's level and inside node 4's
+    R = NonlocalMap(
+        fn=lambda x: 0.5 * (x @ x.space.generator(3) if x.space.n_gen >= 4
+                            else x),
+        contraction=0.5, name="generator_3")
+    prob = make_problem("nonlocal_linear", n=4)
+    with pytest.raises(AdaptednessError) as exc:
+        picard_solve(prob.replace(validate=False, R=R))
+    assert str(exc.value) == ("value at node 3 is not level-3 measurable "
+                              "(defect 1.900e+00)")
+
+
 def test_the_trajectory_wraps_the_factors_once(monkeypatch):
     # the solve has checked its factors: the wrap neither checks nor copies
     report = picard_solve(make_problem("nonlocal_conditional", n=6)

@@ -904,6 +904,25 @@ def test_uniqueness_probe_zero_problem():
     assert uniqueness_probe(make_problem("zero", n=4)) == 0.0
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False, "3", None])
+def test_uniqueness_probe_rejects_a_bad_seed_before_any_solve(seed,
+                                                             monkeypatch):
+    # -1 and 1.5 surfaced numpy's ValueError and TypeError; True ran as 1
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the probe solved")
+
+    monkeypatch.setattr(solver_module, "picard_solve", no_solve)
+    with pytest.raises(ConfigurationError, match="seed out of range") as exc:
+        uniqueness_probe(make_problem("zero", n=4), seed=seed)
+    assert exc.value.key == "seed"
+
+
+def test_uniqueness_probe_takes_a_numpy_integer_seed():
+    prob = make_problem("nonlocal_linear", n=4)
+    assert uniqueness_probe(prob, seed=np.int64(5)) == \
+        uniqueness_probe(prob, seed=5)
+
+
 def test_initial_mode_converges_and_differs_from_pointwise():
     point = picard_solve(make_problem("nonlocal_linear", n=6), tol=TOL)
     init = picard_solve(

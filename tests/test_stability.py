@@ -5,6 +5,9 @@ prefactor is exactly 4 and both sides are computable by hand at t = t0:
 lhs(t0) = ||Z - Z'||^2, rhs(t0) = 4 ||Z - Z'||^2.
 """
 
+import math
+import warnings
+
 import pytest
 
 from cliffsde import (
@@ -112,6 +115,24 @@ def test_perturb_unknown_part():
     prob = make_problem("zero", n=4)
     with pytest.raises(ValueError, match="unknown part"):
         perturb_problem(prob, 0.1, parts=("Q",))
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("parts", [("F", "G", "H"), ("R",), ("Z",)])
+def test_perturb_rejects_a_non_finite_delta_by_name(delta, parts,
+                                                    monkeypatch):
+    # NaN used to fail deep in the solve, inf on Z with a numpy warning
+    prob = make_problem("nonlocal_linear", n=4)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(type(prob), "replace", no_build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="delta must be finite") as exc:
+            perturb_problem(prob, delta, parts=parts)
+    assert exc.value.key == "delta"
 
 
 def test_perturbation_shifts_the_solution():

@@ -1,0 +1,175 @@
+"""The Picard sweep's certified diagnostics, against the exact ones.
+
+A sweep's self-adjointness defect is the max over nodes of
+``||x - x*||_p``.  The solve keeps an upper bound per node and measures the
+exact defects only where a node can hold the max; with the bound margin at
+inf every re-solved node is measured, which is the exact reference.  A
+node at an even level >= 2 lives in its level algebra, so its adaptedness
+defect is 0.0 without measuring it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cliffsde import (
+    AdaptedProcess,
+    CliffordElement,
+    CliffsdeError,
+    Driver,
+    QsdeProblem,
+    TimeGrid,
+    make_coefficient,
+    make_nonlocal,
+    make_problem,
+    make_space,
+    picard_solve,
+    random_level_element,
+)
+from cliffsde import solver as solver_module
+
+
+def _outcome(prob, tol, initial):
+    """Everything a solve reports, as exact bytes and reprs (NaN-safe), or
+    the class and message of its failure."""
+    try:
+        rep = picard_solve(prob, tol=tol, initial=initial)
+    except (CliffsdeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (repr((rep.deltas, rep.inner_iterations, rep.adapted_defects,
+                  rep.selfadjoint_defects, rep.node_residuals)),
+            [a.mat.tobytes() for a in rep.factors],
+            rep.trajectory_csv(), rep.iteration_csv())
+
+
+def _exact(prob, tol, initial):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_BOUND_MARGIN", math.inf)
+        return _outcome(prob, tol, initial)
+
+
+@st.composite
+def _cases(draw):
+    """(problem, tol, initial): scale maps F, G, H with random factors, R a
+    scale or conditional map, a complex start value, either layout and
+    mode, a random start node and perhaps a random initial trajectory, all
+    data scaled by 1 or, to reach the range guards, by 2^+-266 (about
+    1e+-80) or 2^253 (1.4e76: defects above safe, deltas below) at p = 4 and
+    by 2^-50 (8.9e-16) at p = 20; a scaled Z is a dyadic multiple of I,
+    whose adaptedness check sums it exactly."""
+    layout = draw(st.sampled_from(["fermion", "pair"]))
+    n = draw(st.integers(1, 6 if layout == "fermion" else 3))
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n), layout=layout)
+    p = draw(st.sampled_from([2.5, 3.0, 4.0, 6.0, 20.0]))
+    scale = draw(st.sampled_from({4.0: [1.0, 2.0**266, 2.0**253, 2.0**-266],
+                                  20.0: [1.0, 2.0**-50]}.get(p, [1.0])))
+    F, G, H = (make_coefficient("scale", p, c=draw(st.floats(-1.0, 1.0)))
+               for _ in range(3))
+    R = make_nonlocal(draw(st.sampled_from(["scale", "conditional_scale"])),
+                      c=draw(st.floats(0.0, 0.95)))
+    driver = Driver.fermion_field() if layout == "fermion" else draw(
+        st.sampled_from([Driver.annihilation(), Driver.creation(),
+                         Driver.linear_combination(0.5 + 1.5j, -0.75)]))
+    start = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = complex(draw(st.integers(2, 16)), draw(st.integers(-16, 16))) / 8 * (
+        random_level_element(sp, rng, sp.level_of_node(start))
+        if scale == 1.0 else scale * sp.identity())
+    prob = QsdeProblem(sp, F, G, H, R, Z, driver, p, start_node=start,
+                       nonlocal_mode=draw(st.sampled_from(["pointwise",
+                                                           "initial"])),
+                       validate=False)
+    initial = None
+    if draw(st.booleans()):
+        traj = AdaptedProcess.random(sp, rng, num=n - start + 1,
+                                     start_node=start)
+        initial = AdaptedProcess.from_factors(
+            sp, [scale * a for a in traj.factors], start)
+    return prob, 1e-10 * scale, initial
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cases())
+def test_certified_sweeps_report_the_exact_defects_bit_for_bit(case):
+    prob, tol, initial = case
+    got = _outcome(prob, tol, initial)
+    assert got == _exact(prob, tol, initial)
+    if len(got) == 4:  # the last sweep's max, measured independently
+        worst = max(x.selfadjoint_defect(prob.p)
+                    for x in picard_solve(prob, tol=tol,
+                                          initial=initial).factors)
+        assert got[3].splitlines()[-1].rsplit(",", 1)[1] == repr(worst)
+
+
+@pytest.mark.parametrize("name", ["nonlocal_linear", "osgood_radial",
+                                  "nonlocal_conditional"])
+def test_a_sweep_measures_fewer_defects_than_it_solves_nodes(name,
+                                                             monkeypatch):
+    prob = make_problem(name, n=8)
+    real, calls = CliffordElement.selfadjoint_defect, []
+
+    def counted(self, p=2.0):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(CliffordElement, "selfadjoint_defect", counted)
+    sweeps = picard_solve(prob).picard_iterations
+    assert sum(max(9 - s, 0) for s in range(sweeps)) == 45  # node solves
+    assert len(calls) < 45
+
+
+@pytest.mark.parametrize("layout, name", [("fermion", "nonlocal_linear"),
+                                          ("fermion", "osgood_radial"),
+                                          ("pair", "linear_pair")])
+@pytest.mark.parametrize("mode", ["pointwise", "initial"])
+def test_no_adaptedness_defect_is_measured_at_an_even_level(layout, name,
+                                                            mode,
+                                                            monkeypatch):
+    prob = make_problem(name, n=8 if layout == "fermion" else 4,
+                        nonlocal_mode=mode)
+    want = _outcome(prob, 1e-10, None)
+    real, levels = solver_module.adaptedness_defect, []
+
+    def recorded(x, level, p):
+        levels.append(level)
+        return real(x, level, p)
+
+    monkeypatch.setattr(solver_module, "adaptedness_defect", recorded)
+    assert _outcome(prob, 1e-10, None) == want
+    assert 0 in levels
+    assert all(lv < 2 or lv % 2 for lv in levels)
+    assert (1 in levels) == (layout == "fermion")
+
+
+def _overflowing_case(first_nan):
+    """A solve whose defects overflow to NaN at p = 2.5, where 1e154-size
+    Gram products overflow: every node of the zero problem at Z of that
+    size, or node 1 alone of a one-step drift by 2^108 from Z of 2^405
+    size, started at its fixed point."""
+    p = 2.5
+    if first_nan:
+        prob = make_problem("zero", n=4)
+        return prob.replace(p=p, Z=1e154 * (1 + 1j) * prob.space.identity(),
+                            validate=False), None
+    prob = make_problem("linear_drift", n=1)
+    sp, z = prob.space, 2.0 ** 405 * (1 + 1j)
+    initial = AdaptedProcess.from_factors(
+        sp, [sp.identity() * z, sp.identity() * (2.0 ** 108 * z)])
+    return prob.replace(p=p, Z=z * sp.identity(), validate=False,
+                        H=make_coefficient("scale", p, c=2.0 ** 108)), initial
+
+
+@pytest.mark.parametrize("first_nan", [True, False])
+def test_a_nan_defect_makes_the_max_nan_only_at_the_first_node(first_nan):
+    # max() of a list is NaN only where its first entry is
+    prob, initial = _overflowing_case(first_nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # the CSV's norms
+        got = _outcome(prob, 1.0, initial)
+        assert got == _exact(prob, 1.0, initial)
+        defects = [x.selfadjoint_defect(prob.p) for x in
+                   picard_solve(prob, tol=1.0, initial=initial).factors]
+    assert math.isnan(defects[-1]) and math.isnan(defects[0]) == first_nan
+    assert got[3].splitlines()[-1] == f"1,0.0,{len(defects)},0.0,{max(defects)!r}"
