@@ -7,7 +7,6 @@ from .errors import (
     AdaptednessError,
     ArgumentError,
     CliffsdeError,
-    ConfigError,
     ConfigurationError,
     ContractViolationError,
     ConvergenceError,

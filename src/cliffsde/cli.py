@@ -1,8 +1,11 @@
 """Command-line front end: verify / solve / bench-constants / bihari.
 
-Exit status contract: 0 success, 1 a requested verification suite failed,
-2 bad configuration (the offending key or flag is printed), 3 the solver
-did not converge (the delta trace is written and its path printed).
+Exit status contract, kept by :func:`main` alone: 0 success, 1 a requested
+verification suite failed, 2 bad configuration (a command raises a keyed
+:class:`ConfigurationError`, printed as one ``config error (<flag or key>)``
+line; a file that cannot be read, ``--config``, or written, ``--out`` or
+``--violations-out``, is one under its flag), 3 the solver did not converge
+(a solve writes its delta trace and prints its path first).
 
 The default master seed comes from the ``CLIFFSDE_SEED`` environment
 variable when set.  All file outputs are UTF-8 CSV with ``\\n`` line
@@ -15,11 +18,11 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 from .config import load_problem
-from .errors import (ArgumentError, ConfigError, ConfigurationError,
-                     ContractViolationError, ConvergenceError,
-                     OsgoodViolationError)
+from .errors import (ArgumentError, ConfigurationError, ContractViolationError,
+                     ConvergenceError, OsgoodViolationError)
 from .experiments import (
     SUITE_NAMES,
     SuiteConfig,
@@ -36,11 +39,10 @@ from .space import DEFAULT_MAX_GENERATORS, make_space
 ENV_SEED = "CLIFFSDE_SEED"
 DEFAULT_SEED = 1729
 
-#: The flag that sets each field a ConfigurationError can name
-_FLAGS = {"trials": "--trials", "max_workers": "--workers", "n_grid": "--n"}
-#: The flag that sets each argument of make_modulus and bihari_bound
-_BIHARI_FLAGS = {"scale": "--scale", "u0": "--u0", "phi": "--phi",
-                 "t": "--horizon", "t0": "--t0"}
+#: The flag that sets each field or argument a ConfigurationError can name
+_FLAGS = dict(trials="--trials", max_workers="--workers", n_grid="--n",
+              scale="--scale", u0="--u0", phi="--phi", t="--horizon",
+              t0="--t0")
 
 
 def _master_seed(flag) -> int:
@@ -55,12 +57,23 @@ def _master_seed(flag) -> int:
             return int(raw)
     except ValueError:
         pass
-    raise ConfigError(f"{key} must be a non-negative integer, got {raw!r}",
-                      key=key)
+    raise ConfigurationError(f"{key} must be a non-negative integer, "
+                             f"got {raw!r}", key=key)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+@contextmanager
+def _file_of(flag: str, path: str):
+    """A failure to read or write ``path`` inside, as ``flag``'s error."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"{path}: {reason}", key=flag) from None
+
+
+def _write_text(flag: str, path: str, text: str) -> None:
+    with _file_of(flag, path), open(path, "w", encoding="utf-8",
+                                    newline="") as fh:
         fh.write(text)
 
 
@@ -78,9 +91,8 @@ def _cmd_verify(args) -> int:
     names = args.suite or list(SUITE_NAMES)
     for name in names:
         if name not in SUITE_NAMES:
-            print(f"config error (--suite): unknown suite {name!r}; "
-                  f"known: {', '.join(SUITE_NAMES)}", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"unknown suite {name!r}; known: "
+                                     + ", ".join(SUITE_NAMES), key="--suite")
     config = SuiteConfig(
         master_seed=args.seed,
         trials=args.trials,
@@ -93,46 +105,36 @@ def _cmd_verify(args) -> int:
         names = list(names) + ["refinement"]
     _print_summaries(table, names)
     if args.out:
-        _write_text(args.out, table.to_csv())
+        _write_text("--out", args.out, table.to_csv())
     if args.violations_out:
-        _write_text(args.violations_out, table.violations_to_csv())
+        _write_text("--violations-out", args.violations_out,
+                    table.violations_to_csv())
     return 0 if all(table.suite_passed(n) for n in names) else 1
 
 
 def _cmd_solve(args) -> int:
-    try:
+    with _file_of("--config", args.config):
         problem, settings = load_problem(args.config)
-    except FileNotFoundError:
-        print(f"config error (--config): no such file: {args.config}",
-              file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"config error ({exc.key}): {exc}", file=sys.stderr)
-        return 2
-
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    with _file_of("--out", out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     try:
         report = picard_solve(problem, tol=settings.tol,
                               max_outer=settings.max_outer,
                               max_inner=settings.max_inner)
     except ConvergenceError as exc:
         trace_path = os.path.join(out_dir, "deltas.csv")
-        lines = ["iteration,delta"]
-        for it, d in zip(exc.iterations, exc.deltas):
-            lines.append(f"{it},{d!r}")
-        _write_text(trace_path, "\n".join(lines) + "\n")
-        print(f"did not converge: {exc}", file=sys.stderr)
+        rows = [f"{it},{d!r}\n" for it, d in zip(exc.iterations, exc.deltas)]
+        _write_text("--out", trace_path, "".join(["iteration,delta\n", *rows]))
         print(f"delta trace written to {trace_path}")
-        return 3
+        raise
     except ContractViolationError as exc:
-        print(f"config error (solve): {exc}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(str(exc), key="solve") from None
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     iter_path = os.path.join(out_dir, "iterations.csv")
-    _write_text(traj_path, report.trajectory_csv())
-    _write_text(iter_path, report.iteration_csv())
+    _write_text("--out", traj_path, report.trajectory_csv())
+    _write_text("--out", iter_path, report.iteration_csv())
     print(f"converged in {report.picard_iterations} iterations, "
           f"residual={report.residual!r}")
     print(f"trajectory written to {traj_path}")
@@ -144,39 +146,33 @@ def _cmd_bench_constants(args) -> int:
     # linear_combination needs alpha1/alpha2, which this command has no
     # flags for
     if args.driver not in DRIVER_KINDS or args.driver == "linear_combination":
-        print(f"config error (--driver): unknown driver {args.driver!r}",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"unknown driver {args.driver!r}",
+                                 key="--driver")
     driver = Driver(args.driver)
     n = args.n
     most = 6 if driver.required_layout == "pair" else DEFAULT_MAX_GENERATORS
     if not 1 <= n <= most:
-        print(f"config error (--n): n={n} is outside the desk-scale envelope "
-              f"1..{most} of the {driver.required_layout} layout",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"n={n} is outside the desk-scale envelope 1..{most} of the "
+            f"{driver.required_layout} layout", key="--n")
     for p in args.p:
         if not 2 <= p < math.inf:
-            print(f"config error (--p): estimates need a finite p >= 2, "
-                  f"got {p}", file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                f"estimates need a finite p >= 2, got {p}", key="--p")
     space = make_space(TimeGrid.uniform(0.0, 1.0, n),
                        layout=driver.required_layout)
-    rows = []
+    lines = ["p,driver,form,trials,estimate"]
     for p in sorted(args.p):
         forms = ("hp", "l2lp") if driver.label == "fermion" else ("l2lp",)
         for form in forms:
             est = measure_bg_constant(space, p, driver=driver,
                                       trials=args.trials, seed=args.seed,
                                       form=form)
-            rows.append((p, driver.label, form, args.trials, est))
+            lines.append(f"{p!r},{driver.label},{form},{args.trials},{est!r}")
             print(f"p={p:g} driver={driver.label} form={form} "
                   f"beta_hat={est!r}")
     if args.out:
-        lines = ["p,driver,form,trials,estimate"]
-        for p, lab, form, trials, est in rows:
-            lines.append(f"{p!r},{lab},{form},{trials},{est!r}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text("--out", args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -185,16 +181,10 @@ def _cmd_bihari(args) -> int:
         modulus = make_modulus(args.rho, scale=args.scale)
         bound = bihari_bound(args.u0, args.phi, modulus, args.horizon,
                              t0=args.t0)
-    except ArgumentError as exc:
-        print(f"config error ({_BIHARI_FLAGS[exc.key]}): {exc}",
-              file=sys.stderr)
-        return 2
+    except ArgumentError:  # keyed by the argument: main names its flag
+        raise
     except (OsgoodViolationError, ValueError) as exc:
-        print(f"config error (--rho): {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigurationError(str(exc), key="--rho") from None
     print(f"{bound:.6f}")
     return 0
 
@@ -269,21 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "seed"):
-        try:
-            args.seed = _master_seed(args.seed)
-        except ConfigError as exc:
-            print(f"config error ({exc.key}): {exc}", file=sys.stderr)
-            return 2
+    """Run one command; the exit status contract is kept here alone."""
+    args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed"):
+            args.seed = _master_seed(args.seed)
         return args.func(args)
     except ConfigurationError as exc:
-        if exc.key not in _FLAGS:
+        if exc.key is None:
             raise
-        print(f"config error ({_FLAGS[exc.key]}): {exc}", file=sys.stderr)
+        print(f"config error ({_FLAGS.get(exc.key, exc.key)}): {exc}",
+              file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"did not converge: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

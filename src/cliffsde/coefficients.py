@@ -91,12 +91,13 @@ def draw_probes(space: CliffordSpace, p: float, start_node: int = 0) -> tuple:
     boundaries)``: a problem build and a standalone validator draw the
     same ones.
 
-    ``pairs`` holds eight ``(node, level, x, y, ||x - y||_p)``: x and y
+    ``pairs`` holds eight ``(node, level, x, y, ||x - y||_p, h)``: x and y
     level elements of the node's level space, where the solve evaluates the
-    maps, at one random scale.  Levels are nested, so the first node is the
-    binding adaptedness case: it is probed first, deterministically, then
-    nodes from start_node on are sampled.  ``scalar`` is the level-0
-    argument of the continuity check, on ``level_space(start_node)``.
+    maps, at one random scale, and the self-adjoint probe h = (x + x*) / 2.
+    Levels are nested, so the first node is the binding adaptedness case: it
+    is probed first, deterministically, then nodes from start_node on are
+    sampled.  ``scalar`` is the level-0 argument of the continuity check, on
+    ``level_space(start_node)``.
     ``boundaries`` holds ``(node, a, larger)`` for every step from one level
     space to the next larger one, the last to the full space, with ``a`` a
     level element of the smaller space at the last node it serves.
@@ -110,7 +111,8 @@ def draw_probes(space: CliffordSpace, p: float, start_node: int = 0) -> tuple:
         level, sub = space.level_of_node(k), space.level_space(k)
         scale = 10.0 ** rng.uniform(-3, 0.5)
         x, y = (scale * random_level_element(sub, rng, level) for _ in range(2))
-        pairs.append((k, level, x, y, lp_norm(x - y, p)))
+        pairs.append((k, level, x, y, lp_norm(x - y, p),
+                      0.5 * (x + x.adjoint())))
     scalar = random_level_element(space.level_space(start_node), rng, 0)
     chain = [(k, space.level_space(k)) for k in range(start_node, n + 1)]
     boundaries = [
@@ -167,6 +169,14 @@ def _require_level(label: str, image: CliffordElement, level: int,
                         f"the level algebra")
 
 
+def _require_selfadjoint(label: str, image: CliffordElement, p: float) -> None:
+    """A declared self-adjointness keeper's image of a self-adjoint probe."""
+    if image.selfadjoint_defect(p) > 1e-10:
+        raise ContractViolationError(
+            f"{label}: declared selfadjoint_preserving but breaks "
+            f"self-adjointness")
+
+
 def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
                          start_node: int = 0, *, probes: tuple | None = None,
                          role: str = "") -> None:
@@ -201,7 +211,7 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
         return cmap(x, grid.node(k))
 
     pairs, scalar, boundaries = probes
-    for k, level, x, y, gap in pairs:
+    for k, level, x, y, gap, h in pairs:
         fx = _evaluate(label, fn, k, x)
         _require_level(label, fx, level, p)
         # declared modulus on the sampled pair
@@ -215,12 +225,9 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
                     f"declared modulus bound {bound:.6e} at gap^2 {gap2:.3e}"
                 )
         if cmap.selfadjoint_preserving or cmap.parity_even:
-            img = _evaluate(label, fn, k, 0.5 * (x + x.adjoint()))
-            if cmap.selfadjoint_preserving and img.selfadjoint_defect(p) > 1e-10:
-                raise ContractViolationError(
-                    f"{label}: declared selfadjoint_preserving but breaks "
-                    f"self-adjointness"
-                )
+            img = _evaluate(label, fn, k, h)
+            if cmap.selfadjoint_preserving:
+                _require_selfadjoint(label, img, p)
             if cmap.parity_even:
                 _, odd = parity_decompose(img)
                 if lp_norm(odd, p) > 1e-10:
@@ -247,8 +254,8 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
                       start_node: int = 0, *, probes: tuple | None = None,
                       role: str = "") -> None:
     """Spot-check the declared contraction constant on sampled pairs,
-    adaptedness and the embedding contract, on level factors as
-    :func:`validate_coefficient` does."""
+    adaptedness, the self-adjointness flag and the embedding contract, on
+    level factors as :func:`validate_coefficient` does."""
     if probes is None:
         probes = draw_probes(space, p, start_node)
     label = _label(role, rmap, "nonlocal map")
@@ -257,7 +264,7 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
         return rmap(x)
 
     pairs, _, boundaries = probes
-    for k, level, x, y, gap in pairs:
+    for k, level, x, y, gap, h in pairs:
         img = _evaluate(label, fn, k, x)
         _require_level(label, img, level, p)
         moved = lp_norm(img - _evaluate(label, fn, k, y), p)
@@ -271,6 +278,8 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
                 f"{label}: moved {moved:.6e} on a gap of {gap:.6e}, beyond "
                 f"the declared contraction {rmap.contraction}"
             )
+        if rmap.selfadjoint_preserving:
+            _require_selfadjoint(label, _evaluate(label, fn, k, h), p)
     _require_embedding(label, fn, boundaries)
 
 

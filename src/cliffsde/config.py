@@ -22,9 +22,9 @@ Initial values are sums of monomials: ``Z.e`` is the identity coefficient,
 of generators 1 and 3 (labels are 1-based and strictly increasing).
 Coefficient values may be complex (``0.5+0.25j``).
 
-Every parse or build failure raises :class:`ConfigError` carrying the
-offending key.  Numeric values must be finite, and each fixed key must lie
-in the domain its ``_SCHEMA`` entry names.  :func:`build_problem` also
+Every parse or build failure raises :class:`ConfigurationError` carrying
+the offending key.  Numeric values must be finite, and each fixed key must
+lie in the domain its ``_SCHEMA`` entry names.  :func:`build_problem` also
 accepts typed values, as the built-in problems of :mod:`.problems` use.
 """
 
@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 
 from .coefficients import make_coefficient, make_nonlocal
-from .errors import CliffsdeError, ConfigError
+from .errors import CliffsdeError, ConfigurationError
 from .grid import TimeGrid
 from .process import DRIVER_KINDS, Driver
 from .solver import NONLOCAL_MODES, QsdeProblem
@@ -84,16 +84,17 @@ def parse_config(text: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(
+            raise ConfigurationError(
                 f"line {lineno}: expected 'key = value', got {line!r}",
                 key=line,
             )
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value", key=key)
+            raise ConfigurationError(f"line {lineno}: empty key or value",
+                                     key=key)
         if key in out:
-            raise ConfigError(f"duplicate key {key!r}", key=key)
+            raise ConfigurationError(f"duplicate key {key!r}", key=key)
         _check_key_shape(key)
         out[key] = value
     return out
@@ -107,13 +108,14 @@ def _check_key_shape(key: str) -> None:
         return  # <section>.name or a numeric factory parameter
     if head == "Z" and _MONOMIAL_RE.match(tail or ""):
         return
-    raise ConfigError(f"unknown configuration key {key!r}", key=key)
+    raise ConfigurationError(f"unknown configuration key {key!r}", key=key)
 
 
 def _finite(key: str, number):
-    """``number`` (real or complex) if it is finite; else a ConfigError."""
+    """``number`` (real or complex) if finite; else a ConfigurationError."""
     if not cmath.isfinite(number):
-        raise ConfigError(f"{key!r} must be finite, got {number!r}", key=key)
+        raise ConfigurationError(f"{key!r} must be finite, got {number!r}",
+                                 key=key)
     return number
 
 
@@ -128,15 +130,15 @@ def _fixed_value(key: str, raw: dict, fixed: dict):
     try:
         out = conv(value)
     except ValueError:
-        raise ConfigError(
+        raise ConfigurationError(
             f"cannot read {key!r}: {value!r} is not a valid {conv.__name__}",
             key=key,
         ) from None
     if conv is float:
         _finite(key, out)
     if domain is not None and not domain[0](out, fixed):
-        raise ConfigError(f"{key!r} must be {domain[1]}, got {out!r}",
-                          key=key)
+        raise ConfigurationError(f"{key!r} must be {domain[1]}, got {out!r}",
+                                 key=key)
     return out
 
 
@@ -146,7 +148,7 @@ def _monomial_subset(key: str, label: str):
     parts = label[1:].split("_")
     idx = [int(s) for s in parts]
     if any(i < 1 for i in idx) or sorted(set(idx)) != idx:
-        raise ConfigError(
+        raise ConfigurationError(
             f"{key!r}: monomial indices must be 1-based, distinct and "
             f"increasing",
             key=key,
@@ -164,26 +166,28 @@ def _coefficient_section(raw: dict, section: str, p: float, n_gen: int):
         try:
             params[tail] = _finite(key, float(value))
         except ValueError:
-            raise ConfigError(
+            raise ConfigurationError(
                 f"{key!r}: parameter must be numeric, got {value!r}", key=key
             ) from None
     if section == "R" and "level" in params:
         level = params["level"]
         if not (level.is_integer() and 0 <= level <= n_gen):
-            raise ConfigError(f"'R.level' must be an integer in 0..{n_gen}, "
-                              f"got {level!r}", key="R.level")
+            raise ConfigurationError(
+                f"'R.level' must be an integer in 0..{n_gen}, got {level!r}",
+                key="R.level")
     try:
         if section == "R":
             return make_nonlocal(name, **params)
         return make_coefficient(name, p, **params)
     except KeyError as exc:
-        raise ConfigError(str(exc.args[0]), key=f"{section}.name") from None
+        raise ConfigurationError(str(exc.args[0]),
+                                 key=f"{section}.name") from None
     except TypeError as exc:
-        raise ConfigError(
+        raise ConfigurationError(
             f"bad parameters for {section}.name={name}: {exc}", key=section
         ) from None
     except ValueError as exc:
-        raise ConfigError(str(exc), key=section) from None
+        raise ConfigurationError(str(exc), key=section) from None
 
 
 def build_problem(raw: dict):
@@ -200,12 +204,12 @@ def build_problem(raw: dict):
         grid = TimeGrid.uniform(fixed["grid.t0"], fixed["grid.T"],
                                 fixed["grid.n"])
     except ValueError as exc:
-        raise ConfigError(str(exc), key="grid.T") from None
+        raise ConfigurationError(str(exc), key="grid.T") from None
     try:
         space = make_space(grid, layout=driver.required_layout,
                            max_generators=fixed["grid.max_generators"])
     except CliffsdeError as exc:
-        raise ConfigError(str(exc), key="grid.n") from None
+        raise ConfigurationError(str(exc), key="grid.n") from None
 
     p = fixed["p"]
     F, G, H, R = (_coefficient_section(raw, section, p, space.n_gen)
@@ -218,7 +222,7 @@ def build_problem(raw: dict):
             continue
         subset = _monomial_subset(key, tail)
         if subset and max(subset) >= space.n_gen:
-            raise ConfigError(
+            raise ConfigurationError(
                 f"{key!r}: generator index exceeds the {space.n_gen} "
                 f"generators of this grid",
                 key=key,
@@ -226,7 +230,7 @@ def build_problem(raw: dict):
         try:
             c = _finite(key, complex(value))
         except ValueError:
-            raise ConfigError(
+            raise ConfigurationError(
                 f"{key!r}: coefficient must be a (complex) number, "
                 f"got {value!r}",
                 key=key,
@@ -243,7 +247,7 @@ def build_problem(raw: dict):
             nonlocal_mode=fixed["solve.nonlocal_mode"],
         )
     except (CliffsdeError, ValueError) as exc:
-        raise ConfigError(str(exc), key="solve") from None
+        raise ConfigurationError(str(exc), key="solve") from None
 
     settings = SolveSettings(
         tol=fixed["solve.tol"],

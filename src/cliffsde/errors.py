@@ -10,8 +10,8 @@ class ResourceLimitError(CliffsdeError):
 
 
 class ConfigurationError(CliffsdeError):
-    """Pieces of a space/driver/problem do not fit together; ``key``, when
-    given, names the offending field."""
+    """A bad configuration value, flag or file, or pieces of a
+    space/driver/problem that do not fit; ``key``, when given, names it."""
 
     def __init__(self, message, key=None):
         super().__init__(message)
@@ -53,11 +53,3 @@ class ConvergenceError(CliffsdeError):
         self.deltas = list(deltas) if deltas is not None else []
         self.iterations = (list(iterations) if iterations is not None
                            else list(range(1, len(self.deltas) + 1)))
-
-
-class ConfigError(CliffsdeError):
-    """A problem configuration file is invalid; ``key`` names the offender."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key

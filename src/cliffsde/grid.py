@@ -14,9 +14,9 @@ import numpy as np
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; a non-integral one, or text, raises naming
-    ``what``."""
-    if isinstance(value, (str, bytes)) or not (
+    """``value`` as an int; a non-integral one, text or a bool raises
+    naming ``what``."""
+    if isinstance(value, (str, bytes, bool, np.bool_)) or not (
             isinstance(value, (int, np.integer)) or float(value).is_integer()):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
@@ -47,8 +47,6 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t0: float, T: float, n: int) -> "TimeGrid":
-        if isinstance(n, (bool, np.bool_)):
-            raise ValueError(f"n {n!r} is not an integer")
         n = as_int(n, "n")
         if n < 1:
             raise ValueError(f"need at least one increment, got n={n}")

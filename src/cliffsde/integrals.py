@@ -386,10 +386,9 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
         driver = Driver.fermion_field()
     if form not in ("l2lp", "hp"):
         raise ValueError(f"form must be 'l2lp' or 'hp', got {form!r}")
-    if isinstance(trials, bool) or as_int(trials, "trials") < 1:  # a bool is 0 or 1
+    if not is_count(trials, 1):
         raise ConfigurationError(f"trials out of range (at least 1): {trials!r}",
                                  key="trials")
-    trials = int(trials)
     worst = 0.0
     for chunk in _trial_chunks(space, trials):
         rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))

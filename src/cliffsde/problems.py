@@ -54,7 +54,7 @@ PROBLEMS = {
 def make_problem(name: str, n=None, nonlocal_mode="pointwise",
                  max_generators=DEFAULT_MAX_GENERATORS) -> QsdeProblem:
     """The built-in problem ``name`` on [0, 1] at p = 4 with n steps (None:
-    the problem's own default).  Bad values raise :class:`ConfigError`
+    the problem's own default).  Bad values raise :class:`ConfigurationError`
     naming their configuration key."""
     if name not in PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEMS)}")

@@ -168,7 +168,7 @@ class InnerResult:
 def _check_solve_args(tol: float, **budgets) -> None:
     """Name the parameter of a budget not an integer >= 1 or a bad tol."""
     for name, n in budgets.items():
-        if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 1:
+        if not is_count(n, 1):
             raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -185,6 +185,14 @@ def _norm_range(dim: int, p: float) -> tuple:
     forms nothing above (dim ||x||_2^2)^(p/2) <= max / 2^p at ||x||_2 <= safe."""
     tiny = (dim * dim * sys.float_info.min / sys.float_info.epsilon) ** (1.0 / p)
     return tiny, sys.float_info.max ** (1.0 / p) / (2.0 * math.sqrt(dim))
+
+
+def _moved_bound(b: float, d: float, tiny: float, safe: float) -> float:
+    """(max(b, tiny) + 2 max(d, tiny) g) g >= ||x' - x'*||_p (g = 1 + margin)
+    if b >= ||x - x*||_p and d = ||x' - x||_p (an isometric *); inf > safe."""
+    grow = 1 + _BOUND_MARGIN
+    b = (max(b, tiny) + 2 * max(d, tiny) * grow) * grow
+    return b if b <= safe else math.inf
 
 
 def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
@@ -306,6 +314,7 @@ class SolveReport:
         return AdaptedProcess._trusted(self.problem.space, self.factors,
                                        self.problem.start_node)
 
+    @np.errstate(over="ignore", invalid="ignore")  # as picard_solve
     def node_records(self):
         """Rows (node, time, lp_norm, residual, selfadjoint_defect)."""
         prob = self.problem
@@ -388,10 +397,9 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     with its sweep and its own trace.
 
     Node k's self-adjointness defect keeps a bound b_k (inf, then the exact
-    value where measured); re-solving k sets b_k = (max(b_k, tiny) + 2
-    max(delta_k, tiny) g) g, g = 1 + ``_BOUND_MARGIN``, or inf above safe
-    (``_norm_range``); a sweep measures by descending b_k until a defect
-    reaches every bound left.  At even levels >= 2 adaptedness is 0.0.
+    value where measured), which re-solving k moves by ``_moved_bound``; a
+    sweep measures by descending b_k until a defect reaches every bound
+    left.  At even levels >= 2 adaptedness is 0.0.
     """
     _check_solve_args(tol, max_outer=max_outer, max_inner=max_inner)
     sp, grid, k0 = problem.space, problem.space.grid, problem.start_node
@@ -417,7 +425,6 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     # per node, from the sweep that last solved it
     integrals, defects, sa_bounds = [], [], [math.inf] * n_nodes
     tiny, safe = _norm_range(sp.dim, problem.p)  # the top dim: tightest
-    grow = 1 + _BOUND_MARGIN
 
     for sweep in range(1, max_outer + 1):
         held = min(sweep - 1, n_nodes)
@@ -457,8 +464,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
                     f"Picard sweep {sweep} produced a non-finite delta "
                     f"({d!r}) at node {k0 + i}",
                     deltas=trace_delta + [d])
-            b = (max(sa_bounds[i], tiny) + 2 * max(d, tiny) * grow) * grow
-            sa_bounds[i] = b if b <= safe else math.inf
+            sa_bounds[i] = _moved_bound(sa_bounds[i], d, tiny, safe)
         delta = max(node_deltas, default=0.0)
         trace_delta.append(delta)
         trace_inner.append(inner_count)

@@ -213,6 +213,32 @@ def test_solve_missing_config_file(capsys, tmp_path):
     assert "config error (--config)" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("solve", "--config", "{dir}"), "--config"),
+    (("solve", "--config", "{latin1}"), "--config"),
+    (("solve", "--config", "{cfg}", "--out", "{cfg}"), "--out"),
+    (("verify", "--suite", "car_identity", "--trials", "1", "--out", "{dir}"),
+     "--out"),
+    (("verify", "--suite", "car_identity", "--trials", "1",
+      "--violations-out", "{dir}"), "--violations-out"),
+    (("bench-constants", "--p", "4", "--n", "2", "--trials", "2", "--out",
+      "{dir}"), "--out"),
+], ids=["config-dir", "config-not-utf8", "solve-out-file", "verify-out-dir",
+        "violations-out-dir", "bench-out-dir"])
+def test_an_unusable_file_exits_2_naming_its_flag(capsys, tmp_path, argv,
+                                                  flag):
+    # each ended in a traceback and exit 1, the failed-suite status
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(b"grid.n = 2\n\xff\n")
+    (tmp_path / "prob.cfg").write_text("grid.n = 2\n")
+    paths = {"dir": tmp_path / "dir", "latin1": tmp_path / "latin1.cfg",
+             "cfg": tmp_path / "prob.cfg"}
+    code, _, err = _run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith(f"config error ({flag}): ")
+    assert err.count("\n") == 1
+
+
 def test_solve_reports_the_offending_key(capsys, tmp_path):
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = twelve\n")

@@ -1,5 +1,6 @@
 """Coefficient maps, nonlocal maps, and the construction-time spot checks."""
 
+import dataclasses
 from itertools import pairwise
 
 import numpy as np
@@ -238,6 +239,20 @@ def test_nonlocal_validator_rejects_nonzero_zero_map(space4):
     liar = NonlocalMap(fn=lambda x: 0.5 * x, contraction=0.0, name="fake_zero")
     with pytest.raises(ContractViolationError, match="zero"):
         validate_nonlocal(liar, _SP, P)
+
+
+def test_nonlocal_validator_rejects_false_selfadjoint_flag():
+    # R's flag went unchecked: this problem built, and its solve broke
+    # self-adjointness (selfadjoint_solve_check read a defect of 1.19)
+    skew = NonlocalMap(fn=lambda x: 0.3j * x, contraction=0.3,
+                       selfadjoint_preserving=True)
+    with pytest.raises(ContractViolationError,
+                       match=r"^R \(unnamed\): declared selfadjoint_preserving"):
+        make_problem("selfadjoint_nonlocal").replace(R=skew)
+    with pytest.raises(ContractViolationError, match="self-adjointness"):
+        validate_nonlocal(skew, _SP, P)
+    validate_nonlocal(dataclasses.replace(skew, selfadjoint_preserving=False),
+                      _SP, P)
 
 
 def test_nonlocal_validator_rejects_level_violation():

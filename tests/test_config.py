@@ -8,7 +8,7 @@ import pytest
 
 from cliffsde import (
     PROBLEMS,
-    ConfigError,
+    ConfigurationError,
     build_problem,
     load_problem,
     make_problem,
@@ -103,31 +103,31 @@ def _key_of(excinfo):
 
 
 def test_line_without_equals():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         parse_config("grid.n 8\n")
     assert _key_of(e) == "grid.n 8"
 
 
 def test_empty_value():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         parse_config("grid.n = \n")
     assert _key_of(e) == "grid.n"
 
 
 def test_duplicate_key():
-    with pytest.raises(ConfigError, match="duplicate") as e:
+    with pytest.raises(ConfigurationError, match="duplicate") as e:
         parse_config("grid.n = 4\ngrid.n = 8\n")
     assert _key_of(e) == "grid.n"
 
 
 def test_unknown_key():
-    with pytest.raises(ConfigError, match="unknown") as e:
+    with pytest.raises(ConfigurationError, match="unknown") as e:
         parse_config("grid.steps = 8\n")
     assert _key_of(e) == "grid.steps"
 
 
 def test_unknown_z_subkey():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         parse_config("Z.foo = 1.0\n")
     assert _key_of(e) == "Z.foo"
 
@@ -136,14 +136,14 @@ def test_unknown_z_subkey():
 
 
 def test_non_integer_step_count():
-    with pytest.raises(ConfigError, match="int") as e:
+    with pytest.raises(ConfigurationError, match="int") as e:
         build_problem(parse_config("grid.n = eight\n"))
     assert _key_of(e) == "grid.n"
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "2.0", "1.5"])
 def test_exponent_must_be_finite_and_above_two(value):
-    with pytest.raises(ConfigError, match="p") as e:
+    with pytest.raises(ConfigurationError, match="p") as e:
         build_problem(parse_config(f"p = {value}\n"))
     assert _key_of(e) == "p"
 
@@ -169,7 +169,7 @@ def test_non_finite_data_fail_the_build(text):
     # a NaN norm compares false against every tolerance: the build must
     # still reject these values instead of handing them to the solver,
     # and a non-finite value is named by its own key
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("grid.n = 4\n" + text))
     assert _key_of(e) == _BAD_DATA[text]
 
@@ -192,7 +192,7 @@ def test_non_finite_data_fail_the_build(text):
     ("grid.n = 4\nR.name = conditional_scale\nR.level = 5\n", "R.level"),
 ])
 def test_out_of_domain_values_are_named(text, key):
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config(text))
     assert _key_of(e) == key
 
@@ -210,7 +210,7 @@ def test_overflowing_data_fail_the_build_without_warnings():
     # the NaN-safe construction checks reject it on their own
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError) as e:
+        with pytest.raises(ConfigurationError) as e:
             build_problem(parse_config("grid.n = 4\nF.name = scale\n"
                                        "F.c = 1e308\n"))
     assert _key_of(e) == "solve"
@@ -225,76 +225,76 @@ def test_every_registered_driver_builds(kind):
 
 
 def test_unknown_driver_kind():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("driver.kind = brownian\n"))
     assert _key_of(e) == "driver.kind"
     assert all(repr(kind) in str(e.value) for kind in DRIVER_KINDS)
 
 
 def test_unknown_nonlocal_mode():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("solve.nonlocal_mode = final\n"))
     assert _key_of(e) == "solve.nonlocal_mode"
 
 
 def test_degenerate_horizon():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("grid.t0 = 1.0\ngrid.T = 1.0\n"))
     assert _key_of(e) == "grid.T"
 
 
 def test_step_count_beyond_generator_budget():
-    with pytest.raises(ConfigError, match="14") as e:
+    with pytest.raises(ConfigurationError, match="14") as e:
         build_problem(parse_config("grid.n = 20\n"))
     assert _key_of(e) == "grid.n"
 
 
 def test_unknown_coefficient_name():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("F.name = mystery\n"))
     assert _key_of(e) == "F.name"
 
 
 def test_bad_factory_parameter_name():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("F.name = scale\nF.slope = 2.0\n"))
     assert _key_of(e) == "F"
 
 
 def test_non_numeric_factory_parameter():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("F.name = scale\nF.c = fast\n"))
     assert _key_of(e) == "F.c"
 
 
 def test_nonlocal_contraction_must_stay_below_one():
-    with pytest.raises(ConfigError, match="contraction") as e:
+    with pytest.raises(ConfigurationError, match="contraction") as e:
         build_problem(parse_config("R.name = scale\nR.c = 1.5\n"))
     assert _key_of(e) == "R"
 
 
 def test_monomial_labels_are_one_based():
-    with pytest.raises(ConfigError, match="1-based") as e:
+    with pytest.raises(ConfigurationError, match="1-based") as e:
         build_problem(parse_config("Z.e0 = 1.0\n"))
     assert _key_of(e) == "Z.e0"
 
 
 def test_monomial_labels_must_increase():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("Z.e3_2 = 1.0\n"))
     assert _key_of(e) == "Z.e3_2"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigurationError):
         build_problem(parse_config("Z.e2_2 = 1.0\n"))
 
 
 def test_monomial_index_beyond_grid():
-    with pytest.raises(ConfigError, match="generators") as e:
+    with pytest.raises(ConfigurationError, match="generators") as e:
         build_problem(parse_config("grid.n = 4\nZ.e5 = 1.0\n"))
     assert _key_of(e) == "Z.e5"
 
 
 def test_bad_complex_coefficient():
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config("Z.e = one\n"))
     assert _key_of(e) == "Z.e"
 
@@ -302,7 +302,7 @@ def test_bad_complex_coefficient():
 def test_nonscalar_initial_value_needs_a_later_start():
     # Z = I + e1 sits at level 1: rejected at the default start node
     text = "grid.n = 4\nZ.e = 1.0\nZ.e1 = 1.0\n"
-    with pytest.raises(ConfigError) as e:
+    with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config(text))
     assert _key_of(e) == "solve"
     prob, _ = build_problem(parse_config(text + "solve.start_node = 1\n"))
@@ -341,6 +341,6 @@ def test_builtin_problem_loads_as_a_config_file(tmp_path, name):
 
 
 def test_builtin_problem_beyond_the_generator_budget_names_grid_n():
-    with pytest.raises(ConfigError, match="16 generators.*limit is 14") as e:
+    with pytest.raises(ConfigurationError, match="16 generators.*limit is 14") as e:
         make_problem("linear_pair", n=8)
     assert _key_of(e) == "grid.n"

@@ -100,8 +100,9 @@ def test_node_and_delta_take_integral_indices(k):
     assert (g.node(k), g.delta(k)) == (0.5, 0.25)
 
 
-# float() reads numeric text, so "1" indexed node 1
-@pytest.mark.parametrize("k", [1.5, 0.5, float("nan"), "1", b"1", " 2 "])
+# float() reads numeric text, so "1" indexed node 1; a bool indexed it too
+@pytest.mark.parametrize("k", [1.5, 0.5, float("nan"), "1", b"1", " 2 ", True,
+                               np.True_])
 def test_node_and_delta_reject_a_non_integral_index(k):
     g = TimeGrid.uniform(0.0, 1.0, 4)
     with pytest.raises(ValueError, match=f"node index {k!r} is not an integer"):

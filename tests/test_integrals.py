@@ -106,7 +106,10 @@ def test_non_integral_upto_is_rejected_not_truncated(space4, rng):
     assert hp_norm(f, 3.0, upto=2.0) == hp_norm(f, 3.0, upto=2)
     for call in (lambda: hp_norm(f, 3.0, upto=2.7),
                  lambda: right_integral(f, upto=1.5),
-                 lambda: lqlp_norm(f, 2.0, 4.0, upto=0.5)):
+                 lambda: lqlp_norm(f, 2.0, 4.0, upto=0.5),
+                 # a bool ran as upto=1
+                 lambda: driver_integral(f, Driver.fermion_field(),
+                                         upto=True)):
         with pytest.raises(ValueError, match="upto .* is not an integer"):
             call()
 

@@ -406,6 +406,9 @@ def test_process_iteration(space4):
     ({"start_node": 0.5}, "start_node 0.5"),
     ({"num": 2.5}, "num 2.5"),
     ({"num": 2, "start_node": 1.5}, "start_node 1.5"),
+    # a bool ran as 1
+    ({"num": True}, "num True"),
+    ({"start_node": True}, "start_node True"),
 ])
 def test_random_and_constant_reject_non_integral_node_arguments(space4, rng, kw,
                                                                what):
@@ -430,7 +433,7 @@ def test_value_takes_an_integral_node(space4, rng, node):
                           np.kron(f.factors[2].mat, np.eye(space4.dim // 2)))
 
 
-@pytest.mark.parametrize("node", [1.5, 0.5, float("nan")])
+@pytest.mark.parametrize("node", [1.5, 0.5, float("nan"), True])
 def test_value_rejects_a_non_integral_node(space4, rng, node):
     f = AdaptedProcess.random(space4, rng)
     with pytest.raises(ValueError, match=f"node {node!r} is not an integer"):

@@ -128,7 +128,9 @@ def test_level_of_node_takes_integral_nodes(pair_space4, node):
     assert level == 4 and type(level) is int
 
 
-@pytest.mark.parametrize("node", [1.5, 0.5, float("nan"), "2", b"2"])
+# a bool ran as node 1
+@pytest.mark.parametrize("node", [1.5, 0.5, float("nan"), "2", b"2", True,
+                                  np.True_])
 def test_level_of_node_rejects_a_non_integral_node(space4, node):
     with pytest.raises(ValueError, match=f"node index {node!r} is not an integer"):
         space4.level_of_node(node)

@@ -620,7 +620,8 @@ def test_measure_bg_constant_is_the_per_trial_maximum(sp, driver, form):
             assert _bits(got) == _bits(worst)
 
 
-@pytest.mark.parametrize("trials", [0, -2, True, False])
+# np.True_ ran as one trial: only the Python bool was caught
+@pytest.mark.parametrize("trials", [0, -2, True, False, np.True_])
 def test_measure_bg_constant_rejects_a_trial_count_below_one(trials):
     with pytest.raises(ConfigurationError, match="trials out of range") as exc:
         measure_bg_constant(_FERMION4, 4.0, trials=trials)

@@ -9,17 +9,20 @@ defect is 0.0 without measuring it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffsde import (
     AdaptedProcess,
     CliffordElement,
     CliffsdeError,
+    CoefficientMap,
     Driver,
+    OsgoodModulus,
     QsdeProblem,
     TimeGrid,
     make_coefficient,
@@ -91,8 +94,36 @@ def _cases(draw):
     return prob, 1e-10 * scale, initial
 
 
+def _complex_cos_case(n, p, coefficients, c, z):
+    """(problem, tol, initial): F, G, H = (a + ib) cos(omega t) x for the
+    ((a + ib), omega) in ``coefficients``, R = c x and Z = z I.  A complex
+    factor breaks self-adjointness, so the defects grow sweep by sweep."""
+    def cos_scale(ab, omega):
+        return CoefficientMap(fn=lambda x, t: (ab * math.cos(omega * t)) * x,
+                              modulus=OsgoodModulus.from_lipschitz(abs(ab)))
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
+    F, G, H = (cos_scale(*pair) for pair in coefficients)
+    return QsdeProblem(sp, F, G, H, make_nonlocal("scale", c=c),
+                       z * sp.identity(), Driver.fermion_field(), p,
+                       validate=False), 1e-10, None
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_cases())
+# with the bound's 2 delta term halved, these sweeps skip a node that holds
+# the max: sweep 3 of the first reads 14.8370 for 14.9787
+@example(case=_complex_cos_case(3, 6.0, [(-0.32 + 0.09j, 1.96),
+                                         (0.99 - 0.51j, 2.57),
+                                         (-0.85 - 0.48j, 7.63)],
+                                0.63, -1.49 - 0.5j))
+@example(case=_complex_cos_case(5, 2.5, [(-0.22 - 0.54j, 8.41),
+                                         (-0.22 + 0.95j, 6.25),
+                                         (0.39 + 0.04j, 3.09)],
+                                0.36, 1.76 - 1.2j))
+@example(case=_complex_cos_case(6, 4.0, [(-0.3 + 0.62j, 1.37),
+                                         (-0.07 + 0.68j, 4.55),
+                                         (0.2 - 0.8j, 2.85)],
+                                0.86, 0.63 - 0.54j))
 def test_certified_sweeps_report_the_exact_defects_bit_for_bit(case):
     prob, tol, initial = case
     got = _outcome(prob, tol, initial)
@@ -173,3 +204,30 @@ def test_a_nan_defect_makes_the_max_nan_only_at_the_first_node(first_nan):
                    picard_solve(prob, tol=1.0, initial=initial).factors]
     assert math.isnan(defects[-1]) and math.isnan(defects[0]) == first_nan
     assert got[3].splitlines()[-1] == f"1,0.0,{len(defects)},0.0,{max(defects)!r}"
+
+
+def test_the_csv_of_an_overflowing_solve_warns_nothing():
+    # node_records ran outside picard_solve's errstate, and writing the CSV
+    # printed numpy's "overflow" and "invalid value encountered in matmul"
+    prob = make_problem("zero", n=2)
+    prob = prob.replace(p=2.5, Z=1.4e154 * (1 + 1j) * prob.space.identity(),
+                        validate=False)
+    report = picard_solve(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = report.trajectory_csv().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["nan"] * 3
+
+
+def test_a_moved_bound_keeps_its_margin_and_its_range_guards():
+    tiny, safe = solver_module._norm_range(16, 4.0)
+    g = 1 + solver_module._BOUND_MARGIN
+    bound = solver_module._moved_bound
+    # a re-solve moves ||x - x*||_p by at most 2 ||x' - x||_p
+    assert bound(1.0, 0.5, tiny, safe) == (1.0 + 2 * 0.5 * g) * g
+    # below tiny, lp_norm's error is absolute: a defect or delta counts as
+    # tiny, so a node whose computed defect and delta read 0.0 keeps 3 tiny
+    assert bound(0.0, 0.0, tiny, safe) == (tiny + 2 * tiny * g) * g
+    # above safe the Gram sums can overflow: no finite bound is kept
+    assert bound(safe / 2, safe / 4, tiny, safe) == math.inf
+    assert bound(safe / 4, safe / 8, tiny, safe) < safe
