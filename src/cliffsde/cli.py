@@ -40,7 +40,7 @@ ENV_SEED = "CLIFFSDE_SEED"
 DEFAULT_SEED = 1729
 
 #: The flag that sets each field or argument a ConfigurationError can name
-_FLAGS = dict(trials="--trials", max_workers="--workers", n_grid="--n",
+_FLAGS = dict(trials="--trials", max_workers="--workers", n="--n",
               scale="--scale", u0="--u0", phi="--phi", t="--horizon",
               t0="--t0")
 
@@ -71,6 +71,14 @@ def _file_of(flag: str, path: str):
         raise ConfigurationError(f"{path}: {reason}", key=flag) from None
 
 
+def _writable(flag: str, path) -> None:
+    """Open ``path``, if given, without truncating it: an output that
+    cannot be written fails before the work that fills it."""
+    if path:
+        with _file_of(flag, path), open(path, "a"):
+            pass
+
+
 def _write_text(flag: str, path: str, text: str) -> None:
     with _file_of(flag, path), open(path, "w", encoding="utf-8",
                                     newline="") as fh:
@@ -96,9 +104,11 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig(
         master_seed=args.seed,
         trials=args.trials,
-        n_grid=(args.n,),
+        n=args.n,
         max_workers=args.workers,
     )
+    _writable("--out", args.out)
+    _writable("--violations-out", args.violations_out)
     table = run_suites(config, names)
     if args.refinement:
         table.merge(grid_refinement_study())
@@ -161,6 +171,7 @@ def _cmd_bench_constants(args) -> int:
                 f"estimates need a finite p >= 2, got {p}", key="--p")
     space = make_space(TimeGrid.uniform(0.0, 1.0, n),
                        layout=driver.required_layout)
+    _writable("--out", args.out)
     lines = ["p,driver,form,trials,estimate"]
     for p in sorted(args.p):
         forms = ("hp", "l2lp") if driver.label == "fermion" else ("l2lp",)

@@ -53,20 +53,6 @@ from .solver import (
 from .space import (DEFAULT_MAX_GENERATORS, make_space, parity_decompose,
                     random_level_element)
 
-#: Stable suite identifiers; the position doubles as the seed-split index.
-SUITE_NAMES = (
-    "bg_ratio",
-    "norm_exchange",
-    "car_identity",
-    "parity_lemma",
-    "picard",
-    "uniqueness",
-    "gronwall",
-    "coeff_stability",
-    "selfadjoint",
-    "bihari",
-)
-
 INEQUALITY_SUITES = ("bg_ratio", "norm_exchange", "car_identity",
                      "parity_lemma", "bihari")
 SOLVER_SUITES = ("picard", "uniqueness", "gronwall", "coeff_stability",
@@ -80,24 +66,12 @@ SOLVER_TOL = 1e-10
 P_GRID = (2.0, 3.0, 4.0, 6.0)
 #: norm_exchange's (q, p) cells with q < p
 QP_PAIRS = ((1.0, 2.0), (2.0, 4.0), (2.0, 7.0))
-#: The drivers of the bg_ratio cells, and the pair-layout increment counts
+#: The drivers of the bg_ratio cells, and the pair-layout increment count
 #: of its pair-driver cells and of car_identity
 DRIVERS = ("fermion_field", "annihilation")
-PAIR_N_GRID = (4,)
+PAIR_N = 4
 
-#: The increment counts a suite space may have: the generator budget
-_NS = frozenset(range(1, DEFAULT_MAX_GENERATORS + 1))
 _INTEGER = (int, np.integer)
-
-
-def _has_bool(sizes) -> bool:
-    """Whether a size is a bool, which passes ``_counts_ok`` as 0 or 1."""
-    return any(isinstance(s, (bool, np.bool_)) for s in sizes)
-
-
-def _counts_ok(counts, allowed: frozenset) -> bool:
-    """8.0 passes the set test; a sum is an integer only if each count is"""
-    return allowed.issuperset(counts) and isinstance(sum(counts), _INTEGER)
 
 
 #: suite -> (statistic substring, aggregate) of its summary worst value
@@ -119,35 +93,32 @@ _WORST = {
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs shared by all suites, which run on the unit interval over the
-    cells of :data:`P_GRID`, :data:`QP_PAIRS`, :data:`PAIR_N_GRID` and
+    cells of :data:`P_GRID`, :data:`QP_PAIRS`, :data:`PAIR_N` and
     :data:`DRIVERS`, gate ratios at :data:`RATIO_TOL` and solve to
-    :data:`SOLVER_TOL`.  ``n_grid`` takes fermion increment counts 1..14:
-    the generator budget."""
+    :data:`SOLVER_TOL`.  ``n`` is the fermion increment count of the
+    suite spaces, an integer in 1..14: the generator budget."""
 
     master_seed: int = 1729
     trials: int = 200
-    n_grid: tuple = (8,)
+    n: int = 8
     max_workers: int = 1
 
     def __post_init__(self):
-        # the common path is one chained test, keeping construction cheap
-        # (_counts_ok's calls cost 5% more); the loop only names the field.
-        # trials_ok and seed_ok are grid.is_count inlined: its two calls
-        # cost 12% more
-        trials, seed = self.trials, self.master_seed
+        # the common path is one chained test of grid.is_count's conditions,
+        # inlined to keep construction cheap; the loop only names the field
+        trials, seed, n = self.trials, self.master_seed, self.n
         trials_ok = (isinstance(trials, _INTEGER) and trials >= 1
                      and trials is not True)
         seed_ok = (isinstance(seed, _INTEGER) and seed >= 0
                    and seed is not True and seed is not False)
-        if not (trials_ok and seed_ok and self.max_workers >= 1
-                and _NS.issuperset(self.n_grid)
-                and isinstance(sum(self.n_grid), _INTEGER)):
+        n_ok = (isinstance(n, _INTEGER) and 1 <= n <= DEFAULT_MAX_GENERATORS
+                and n is not True)
+        if not (trials_ok and seed_ok and n_ok and self.max_workers >= 1):
             for key, ok, domain in (
                     ("master_seed", seed_ok, "a non-negative integer"),
                     ("trials", trials_ok, "an integer, at least 1"),
                     ("max_workers", self.max_workers >= 1, "at least 1"),
-                    ("n_grid", _counts_ok(self.n_grid, _NS),
-                     f"integer counts 1..{len(_NS)}")):
+                    ("n", n_ok, f"an integer, 1..{DEFAULT_MAX_GENERATORS}")):
                 if not ok:
                     raise ConfigurationError(f"{key} out of range ({domain}): "
                                              f"{getattr(self, key)!r}", key=key)
@@ -310,12 +281,11 @@ def _bg_ratio_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     left/right ratios of an even-valued integrand must agree exactly.
     """
     suite = "bg_ratio"
-    cells = [(p, n, driver, side) for driver in map(Driver, DRIVERS)
-             for n in (config.n_grid if driver.required_layout == "fermion"
-                       else PAIR_N_GRID)
+    cells = [(p, driver, side) for driver in map(Driver, DRIVERS)
              for p in P_GRID for side in ("right", "left")]
 
-    for cell_index, (p, n, driver, side) in enumerate(cells):
+    for cell_index, (p, driver, side) in enumerate(cells):
+        n = config.n if driver.required_layout == "fermion" else PAIR_N
         space = _space(spaces, n, driver.required_layout)
         cell = f"p={p:g} n={n} driver={driver.label} side={side}"
 
@@ -373,14 +343,13 @@ def _norm_exchange_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     """(int ||f||^q)^(1/q)-vs-||(int |f|^q)^(1/q)||_p ratio sweep; the ratio
     must never exceed 1, and q = p cells must sit at 1 (Fubini)."""
     suite = "norm_exchange"
+    space = _space(spaces, config.n)
     pairs = list(QP_PAIRS) + [(p, p) for p in P_GRID]
-    cells = [(q, p, n) for q, p in pairs for n in config.n_grid]
 
-    for cell_index, (q, p, n) in enumerate(cells):
-        space = _space(spaces, n)
-        cell = f"q={q:g} p={p:g} n={n}"
+    for cell_index, (q, p) in enumerate(pairs):
+        cell = f"q={q:g} p={p:g} n={config.n}"
 
-        def batch(rngs, q=q, p=p, space=space):
+        def batch(rngs, q=q, p=p):
             return _norm_exchange_sides(
                 space, 0, len(rngs), _random_stack(space, rngs), q, p)[2]
 
@@ -402,10 +371,9 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     dA dA* + dA* dA = delta, and its running form A A* + A* A = (t - t0)."""
     suite = "car_identity"
 
-    # Clifford relations on the largest fermion space
-    n = max(config.n_grid)
-    space = _space(spaces, n)
-    cell = f"layout=fermion n={n}"
+    # Clifford relations on the fermion space
+    space = _space(spaces, config.n)
+    cell = f"layout=fermion n={config.n}"
     worst = 0.0
     m = space.n_gen
     for i in range(m):
@@ -418,33 +386,32 @@ def _car_identity_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     if worst > EXACTNESS_TOL:
         table.violate(suite, cell, f"anticommutation defect {worst!r}")
 
-    for n_pair in PAIR_N_GRID:
-        space = _space(spaces, n_pair, "pair")
-        cell = f"layout=pair n={n_pair}"
-        inc_worst = nil_worst = 0.0
-        for k in range(n_pair):
-            da = Driver.annihilation().increment(space, k)
-            ds = Driver.creation().increment(space, k)
-            delta = space.grid.delta(k)
-            inc_worst = max(inc_worst, op_norm(
-                da @ ds + ds @ da - delta * space.identity()))
-            nil_worst = max(nil_worst, op_norm(da @ da))
-        run_worst = 0.0
-        running = accumulate((Driver.annihilation().increment(space, k)
-                              for k in range(n_pair)), initial=space.zero())
-        next(running)
-        for k, acc in enumerate(running):
-            accs = acc.adjoint()
-            elapsed = space.grid.node(k + 1) - space.grid.t0
-            run_worst = max(run_worst, op_norm(
-                acc @ accs + accs @ acc - elapsed * space.identity()))
-        table.add(suite, cell, "increment_defect_max", inc_worst)
-        table.add(suite, cell, "nilpotent_defect_max", nil_worst)
-        table.add(suite, cell, "running_defect_max", run_worst)
-        for label, val in (("increment", inc_worst), ("nilpotent", nil_worst),
-                           ("running", run_worst)):
-            if val > EXACTNESS_TOL:
-                table.violate(suite, cell, f"{label} defect {val!r}")
+    space = _space(spaces, PAIR_N, "pair")
+    cell = f"layout=pair n={PAIR_N}"
+    inc_worst = nil_worst = 0.0
+    for k in range(PAIR_N):
+        da = Driver.annihilation().increment(space, k)
+        ds = Driver.creation().increment(space, k)
+        delta = space.grid.delta(k)
+        inc_worst = max(inc_worst, op_norm(
+            da @ ds + ds @ da - delta * space.identity()))
+        nil_worst = max(nil_worst, op_norm(da @ da))
+    run_worst = 0.0
+    running = accumulate((Driver.annihilation().increment(space, k)
+                          for k in range(PAIR_N)), initial=space.zero())
+    next(running)
+    for k, acc in enumerate(running):
+        accs = acc.adjoint()
+        elapsed = space.grid.node(k + 1) - space.grid.t0
+        run_worst = max(run_worst, op_norm(
+            acc @ accs + accs @ acc - elapsed * space.identity()))
+    table.add(suite, cell, "increment_defect_max", inc_worst)
+    table.add(suite, cell, "nilpotent_defect_max", nil_worst)
+    table.add(suite, cell, "running_defect_max", run_worst)
+    for label, val in (("increment", inc_worst), ("nilpotent", nil_worst),
+                       ("running", run_worst)):
+        if val > EXACTNESS_TOL:
+            table.violate(suite, cell, f"{label} defect {val!r}")
 
 
 def _parity_lemma_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
@@ -452,30 +419,26 @@ def _parity_lemma_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
     parts anticommute — both exactly — and even integrands have exactly
     equal left and right integrals."""
     suite = "parity_lemma"
-    cells = list(config.n_grid)
-    trials = max(1, config.trials // 8)
+    n = config.n
+    space = _space(spaces, n)
+    cell = f"layout=fermion n={n}"
 
-    for cell_index, n in enumerate(cells):
-        space = _space(spaces, n)
-        cell = f"layout=fermion n={n}"
+    def trial(rng):
+        k = int(rng.integers(0, n))
+        h = random_level_element(space, rng, space.level_of_node(k))
+        return parity_commutation_defect(h, int(rng.integers(k, n)))
 
-        def trial(rng, space=space, n=n):
-            k = int(rng.integers(0, n))
-            h = random_level_element(space, rng, space.level_of_node(k))
-            return parity_commutation_defect(h, int(rng.integers(k, n)))
-
-        out = _run_trials(config, suite, cell_index, trials, space,
-                          lambda rngs, trial=trial: list(map(trial, rngs)))
-        even_worst = max(d[0] for _, d in out)
-        odd_worst = max(d[1] for _, d in out)
-        table.add(suite, cell, "even_defect_max", even_worst)
-        table.add(suite, cell, "odd_defect_max", odd_worst)
-        for t, (seed, (de, do)) in enumerate(out):
-            if de > EXACTNESS_TOL or do > EXACTNESS_TOL:
-                table.violate(
-                    suite, cell,
-                    f"parity commutation defects ({de!r}, {do!r})", t, seed,
-                )
+    out = _run_trials(config, suite, 0, max(1, config.trials // 8), space,
+                      lambda rngs: list(map(trial, rngs)))
+    even_worst = max(d[0] for _, d in out)
+    odd_worst = max(d[1] for _, d in out)
+    table.add(suite, cell, "even_defect_max", even_worst)
+    table.add(suite, cell, "odd_defect_max", odd_worst)
+    for t, (seed, (de, do)) in enumerate(out):
+        if de > EXACTNESS_TOL or do > EXACTNESS_TOL:
+            table.violate(suite, cell,
+                          f"parity commutation defects ({de!r}, {do!r})",
+                          t, seed)
 
 
 _PICARD_LIPSCHITZ_FREE = ("zero", "linear_field", "linear_left",
@@ -644,6 +607,7 @@ def _bihari_suite(config: SuiteConfig, spaces: dict, table: SweepTable):
                       "sqrt modulus passed the divergence certificate")
 
 
+#: suite -> runner; a suite's position is its seed-split index in trial_seed
 _SUITE_RUNNERS = {
     "bg_ratio": _bg_ratio_suite,
     "norm_exchange": _norm_exchange_suite,
@@ -656,17 +620,14 @@ _SUITE_RUNNERS = {
     "selfadjoint": _selfadjoint_suite,
     "bihari": _bihari_suite,
 }
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
 def run_suites(config: SuiteConfig, names) -> SweepTable:
     """Run the named suites (any subset of SUITE_NAMES) into one table,
     recording each suite's wall time in ``table.wall_s``.  The suites
     share one space per ``(n, layout)``; ``spaces`` holds them for this
-    run only.  That no increment count is a bool is checked here, not in
-    the (cheap) SuiteConfig build, before any suite runs."""
-    if _has_bool(config.n_grid):
-        raise ConfigurationError(f"n_grid out of range (integer counts "
-                                 f"1..{len(_NS)}): {config.n_grid!r}", key="n_grid")
+    run only."""
     table = SweepTable()
     spaces = {}
     for name in names:

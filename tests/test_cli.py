@@ -124,11 +124,15 @@ def test_verify_unknown_suite(capsys):
     (("--n", "0"), "--n"),
     (("--n", "30"), "--n"),
     (("--suite", "bihari", "--seed", "-1"), "--seed"),
+    (("--suite", "car_identity", "--n", "15"), "--n"),
 ])
 def test_verify_out_of_range_sizes_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = _run(capsys, "verify", *argv)
     assert code == 2
     assert err.startswith(f"config error ({flag}): ")
+    assert err.count("\n") == 1
+    # --n's message named the suite field's size tuple: "n_grid ...: (15,)"
+    assert "n_grid" not in err
     assert out == ""
 
 
@@ -227,16 +231,19 @@ def test_solve_missing_config_file(capsys, tmp_path):
         "violations-out-dir", "bench-out-dir"])
 def test_an_unusable_file_exits_2_naming_its_flag(capsys, tmp_path, argv,
                                                   flag):
-    # each ended in a traceback and exit 1, the failed-suite status
+    # each ended in a traceback and exit 1, the failed-suite status; an
+    # unusable verify or bench-constants output failed only after the
+    # suite's PASS line or every beta_hat row was printed
     (tmp_path / "dir").mkdir()
     (tmp_path / "latin1.cfg").write_bytes(b"grid.n = 2\n\xff\n")
     (tmp_path / "prob.cfg").write_text("grid.n = 2\n")
     paths = {"dir": tmp_path / "dir", "latin1": tmp_path / "latin1.cfg",
              "cfg": tmp_path / "prob.cfg"}
-    code, _, err = _run(capsys, *(a.format(**paths) for a in argv))
+    code, out, err = _run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith(f"config error ({flag}): ")
     assert err.count("\n") == 1
+    assert out == ""
 
 
 def test_solve_reports_the_offending_key(capsys, tmp_path):

@@ -25,7 +25,7 @@ from cliffsde.grid import is_count
 from cliffsde.integrals import _bg_norms, _trial_chunks
 from cliffsde.process import _random_stack
 
-_SMALL = SuiteConfig(trials=12, n_grid=(4,), master_seed=7)
+_SMALL = SuiteConfig(trials=12, n=4, master_seed=7)
 
 
 def _space(n, layout="fermion"):
@@ -54,9 +54,9 @@ def test_seeded_inequality_suites_match_the_committed_bytes():
 
 @pytest.mark.parametrize("key,value", [
     ("trials", 0), ("trials", -2), ("max_workers", 0), ("max_workers", -2),
-    ("n_grid", (0,)), ("n_grid", (8, 30)), ("n_grid", (15,)),
-    ("n_grid", (-1,)), ("trials", 2.5), ("n_grid", (8.0,)),
-    ("n_grid", (4, 2.0)), ("trials", True), ("master_seed", -1),
+    ("n", 0), ("n", 15), ("n", 30), ("n", -1), ("n", 8.0), ("n", (8,)),
+    ("n", True), ("n", np.True_), ("trials", 2.5), ("trials", True),
+    ("master_seed", -1),
     ("master_seed", 1.5), ("master_seed", True), ("master_seed", False),
     ("master_seed", "7"),
 ])
@@ -67,8 +67,8 @@ def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
 
 
 def test_the_largest_sizes_are_accepted():
-    config = SuiteConfig(trials=1, max_workers=1, n_grid=(1, 14))
-    assert config.n_grid == (1, 14)
+    assert SuiteConfig(trials=1, max_workers=1, n=1).n == 1
+    assert SuiteConfig(n=np.int64(14)).n == 14
 
 
 def test_a_numpy_integer_seed_is_accepted():
@@ -78,29 +78,32 @@ def test_a_numpy_integer_seed_is_accepted():
 
 @pytest.mark.parametrize("value", [0, 1, 7, -1, 1.5, 2.0, True, False, "7", None,
                                    np.int32(-1), np.int64(3), np.uint64(2 ** 63),
-                                   np.bool_(True)])
+                                   np.bool_(True), 14, 15, np.int64(14),
+                                   np.int64(15), 14.0])
 def test_seeds_and_trial_counts_are_the_counts_of_is_count(value):
-    """SuiteConfig inlines grid.is_count; both accept the same values."""
-    for key, least in (("master_seed", 0), ("trials", 1)):
+    """SuiteConfig inlines grid.is_count; both accept the same values, and
+    an increment count is also at most the generator budget."""
+    for key, least, most in (("master_seed", 0, math.inf),
+                             ("trials", 1, math.inf), ("n", 1, 14)):
         try:
             SuiteConfig(**{key: value})
         except ConfigurationError:
             accepted = False
         else:
             accepted = True
-        assert accepted == is_count(value, least), key
+        assert accepted == (is_count(value, least) and value <= most), key
 
 
 def test_worker_count_does_not_change_results():
     threaded = run_inequality_suite(
-        SuiteConfig(trials=12, n_grid=(4,), master_seed=7, max_workers=3))
+        SuiteConfig(trials=12, n=4, master_seed=7, max_workers=3))
     assert threaded.to_csv() == run_inequality_suite(_SMALL).to_csv()
 
 
 def test_worker_threads_over_several_chunks_do_not_change_results():
     # two full chunks at n = 8 and one more trial make three chunks
     chunk = len(_trial_chunks(_space(8), 10 ** 6)[0])
-    config = SuiteConfig(trials=2 * chunk + 1, n_grid=(8,), master_seed=5)
+    config = SuiteConfig(trials=2 * chunk + 1, n=8, master_seed=5)
     assert len(_trial_chunks(_space(8), config.trials)) == 3
     names = ["bg_ratio", "norm_exchange"]
     threaded = run_suites(SuiteConfig(**{**vars(config), "max_workers": 2}),
@@ -113,7 +116,7 @@ def test_worker_threads_over_several_chunks_do_not_change_results():
 def test_one_trial_chunks_write_the_same_bytes(monkeypatch):
     # chunk size is a memory knob only: each trial draws from its own seed
     # and every kernel reduction that depends on the chunk stays per trial
-    config = SuiteConfig(trials=12, n_grid=(8,), master_seed=11)
+    config = SuiteConfig(trials=12, n=8, master_seed=11)
     names = ["bg_ratio", "norm_exchange"]
     assert len(_trial_chunks(_space(8), config.trials)) > 1
     assert len(_trial_chunks(_space(4, "pair"), config.trials)) == 1
@@ -184,7 +187,7 @@ def test_one_space_per_n_and_layout_per_run(monkeypatch):
 
 def test_master_seed_changes_results():
     other = run_inequality_suite(
-        SuiteConfig(trials=12, n_grid=(4,), master_seed=8))
+        SuiteConfig(trials=12, n=4, master_seed=8))
     assert other.to_csv() != run_inequality_suite(_SMALL).to_csv()
 
 
@@ -202,7 +205,7 @@ def test_trial_seed_is_stable_and_spread():
 def test_impossible_tolerance_fills_the_violation_log(monkeypatch):
     # no slack at all: the q = p ratios are 1 only up to rounding
     monkeypatch.setattr(experiments, "RATIO_TOL", 0.0)
-    table = run_suites(SuiteConfig(trials=4, n_grid=(4,)), ["norm_exchange"])
+    table = run_suites(SuiteConfig(trials=4, n=4), ["norm_exchange"])
     assert not table.passed
     assert not table.suite_passed("norm_exchange")
     assert len(table.violations) > 0
@@ -225,16 +228,16 @@ def test_unknown_suite_name():
         run_suites(_SMALL, ["telepathy"])
 
 
-@pytest.mark.parametrize("key, value", [("trials", True), ("n_grid", (4, True))])
+@pytest.mark.parametrize("key, value", [("trials", True), ("n", True)])
 def test_gate_values_out_of_range_are_rejected_before_any_suite_runs(
         key, value, monkeypatch):
     # a bool size passes integer tests and ran as 1, its cells named True:
-    # the build rejects a bool trial count, run_suites a bool increment count
+    # the build rejects a bool trial count and a bool increment count
     ran = []
     monkeypatch.setitem(experiments._SUITE_RUNNERS, "car_identity",
                         lambda *args: ran.append(args))
     with pytest.raises(ConfigurationError, match=key) as exc:
-        run_suites(SuiteConfig(**{"trials": 4, "n_grid": (4,), key: value}),
+        run_suites(SuiteConfig(**{"trials": 4, "n": 4, key: value}),
                    ["car_identity", "norm_exchange"])
     assert exc.value.key == key
     assert ran == []
