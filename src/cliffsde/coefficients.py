@@ -76,6 +76,7 @@ class NonlocalMap:
 
     @property
     def is_zero(self) -> bool:
+        """A declared contraction of 0 (R constant), not ``_is_zero_map``."""
         return self.contraction == 0.0
 
 
@@ -292,9 +293,18 @@ RADIAL_EPS0 = 1e-14
 RADIAL_MODULUS_MARGIN = 4.0
 
 
+def _zero_image(x, *t):
+    """0 in x's space: the solve forms no term of a map with this ``fn``."""
+    return x.space.zero()
+
+
+def _is_zero_map(m) -> bool:
+    return m.fn is _zero_image  # a map that returns 0 takes the full path
+
+
 def _zero(p: float) -> CoefficientMap:
     return CoefficientMap(
-        fn=lambda x, t: x.space.zero(),
+        fn=_zero_image,
         modulus=OsgoodModulus.from_lipschitz(0.0),
         parity_even=True,
         selfadjoint_preserving=True,
@@ -411,7 +421,7 @@ def make_coefficient(name: str, p: float, **params) -> CoefficientMap:
 
 def _r_zero() -> NonlocalMap:
     return NonlocalMap(
-        fn=lambda x: x.space.zero(),
+        fn=_zero_image,
         contraction=0.0,
         selfadjoint_preserving=True,
         name="zero",

@@ -625,16 +625,17 @@ SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 def run_suites(config: SuiteConfig, names) -> SweepTable:
     """Run the named suites (any subset of SUITE_NAMES) into one table,
-    recording each suite's wall time in ``table.wall_s``.  The suites
-    share one space per ``(n, layout)``; ``spaces`` holds them for this
-    run only."""
+    recording each suite's wall time in ``table.wall_s``; an unknown name
+    raises before any suite runs.  The suites share one space per
+    ``(n, layout)``; ``spaces`` holds them for this run only."""
     table = SweepTable()
     spaces = {}
-    for name in names:
+    for name in (names := tuple(names)):
         if name not in _SUITE_RUNNERS:
             raise ValueError(
                 f"unknown suite {name!r}; known: {list(SUITE_NAMES)}"
             )
+    for name in names:
         start = time.perf_counter()
         _SUITE_RUNNERS[name](config, spaces, table)
         table.wall_s[name] = time.perf_counter() - start

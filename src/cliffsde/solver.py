@@ -38,6 +38,7 @@ import numpy as np
 from .coefficients import (
     CoefficientMap,
     NonlocalMap,
+    _is_zero_map,
     draw_probes,
     validate_coefficient,
     validate_nonlocal,
@@ -243,10 +244,7 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
             steps.append(step)
             measured_at.append(it)
             if not math.isfinite(step):
-                where = "" if node is None else f" at node {node}"
-                raise ConvergenceError(
-                    f"inner iteration{where} produced a non-finite step "
-                    f"({step!r})", deltas=steps, iterations=measured_at)
+                raise _non_finite_step(node, steps, measured_at)
             if step <= tol:
                 return InnerResult(gy, it, tuple(steps), (M, R, Z, p))
         if mixed and d2 > plain:  # the safeguard: g at the point mixed from
@@ -283,6 +281,12 @@ def inner_fixed_point(M: CliffordElement, R: NonlocalMap, Z: CliffordElement,
         f"{max_inner} iterations",
         deltas=steps, iterations=measured_at,
     )
+
+
+def _non_finite_step(node, steps, at) -> ConvergenceError:
+    where = "" if node is None else f" at node {node}"
+    return ConvergenceError(f"inner iteration{where} produced a non-finite "
+                            f"step ({steps[-1]!r})", deltas=steps, iterations=at)
 
 
 @dataclass
@@ -358,20 +362,28 @@ def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement
 
 def _cumulative_integrals(problem: QsdeProblem, values, known=()):
     """M_k for all nodes k0..n from the level factors of the integrand at
-    k0..n-1: step k is ``_driver_step``'s, in node k+1's level space with
-    increment k's gather there.  ``known`` holds M_k0, M_k0+1, ... already
-    summed from these values; the sum continues from its last entry."""
+    k0..n-1, no zero map's term formed: step k is ``_driver_step``'s, in
+    node k+1's level space with increment k's gather there.  ``known``
+    holds M_k0, M_k0+1, ... summed from these values; the sum goes on."""
     sp, grid = problem.space, problem.space.grid
     sums = list(known) or [sp.level_space(problem.start_node).zero()]
     acc, done = sums[-1], len(sums) - 1
+    live = [r for r in "FGH" if not _is_zero_map(getattr(problem, r))]
+
+    def image(r, k, x):  # F, G or delta_k H at node k, as a matrix
+        y = _image(r, getattr(problem, r), k, x, grid.node(k))
+        return (grid.delta(k) * y if r == "H" else y).mat
+
     for k, x in zip(range(problem.start_node + done, grid.n), values[done:]):
-        t = grid.node(k)
-        nsp, g, f, gl, h = _driver_step(sp, problem.driver, k, *(y.mat for y in (
-            _image("F", problem.F, k, x, t), _image("G", problem.G, k, x, t),
-            grid.delta(k) * _image("H", problem.H, k, x, t))))
-        m = _at_size(acc.mat, nsp.dim) + g.right(f)
-        m += g.left(gl)
-        m += h
+        nsp, g, *mats = _driver_step(sp, problem.driver, k,
+                                     *[image(r, k, x) for r in live])
+        # the first add makes a new array (m may be acc's own); np.add, not
+        # +, whose temporary elision nearly doubles nonlocal_linear's faults
+        m = _at_size(acc.mat, nsp.dim)
+        for j, r in enumerate(live):
+            term = {"F": g.right, "G": g.left}.get(r, lambda a: a)
+            m = np.add(m, term(mats[j]), out=m if j else None)
+        del mats  # not held while the next step forms its images
         acc = CliffordElement(nsp, m, _fresh=True)
         sums.append(acc)
     return sums
@@ -404,7 +416,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     _check_solve_args(tol, max_outer=max_outer, max_inner=max_inner)
     sp, grid, k0 = problem.space, problem.space.grid, problem.start_node
     n_nodes = grid.n - k0 + 1
-    cr = problem.R.contraction
+    cr, zero_r = problem.R.contraction, _is_zero_map(problem.R)
     inner_tol = tol * (1.0 - cr) / 10.0
     residual_bound = tol * (1.0 + cr) / (1.0 - cr)
 
@@ -434,6 +446,12 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         try:
             if problem.nonlocal_mode == "pointwise":
                 for i in range(held, n_nodes):
+                    if zero_r:  # the inner solve's value at step 1 (d = 0)
+                        nxt.append(zs[i] + integrals[i])
+                        inner_count += 1
+                        if not np.isfinite(nxt[-1].mat).all():
+                            raise _non_finite_step(k0 + i, [math.nan], [1])
+                        continue
                     r_map = partial(_image, "R", problem.R, k0 + i)
                     sol = inner_fixed_point(integrals[i], r_map, zs[i],
                                             problem.p, inner_tol, max_inner,

@@ -176,7 +176,7 @@ class CliffordSpace:
         return CliffordElement(self, np.eye(self.dim, dtype=complex), _fresh=True)
 
     def zero(self) -> CliffordElement:
-        return CliffordElement(self, np.zeros((self.dim, self.dim), dtype=complex))
+        return CliffordElement(self, np.zeros((self.dim,) * 2, complex), _fresh=True)
 
     def generator(self, i: int) -> CliffordElement:
         if not 0 <= i < self.n_gen:

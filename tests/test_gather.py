@@ -17,6 +17,7 @@ checked against a Jordan-Wigner construction built here with ``np.kron``,
 which the library's gathers were not derived from.
 """
 
+import dataclasses
 import re
 import tracemalloc
 from functools import reduce
@@ -349,6 +350,26 @@ def test_non_finite_coefficient_stops_at_the_poisoned_sweep_and_node(
     else:
         assert got == (f"Picard sweep {sweep} produced a non-finite delta "
                        f"(X) at node {node + 1}")
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "initial"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.inf, 1.0)])
+def test_a_skipped_zero_map_fails_as_the_solved_one_does(mode, value):
+    # R and H are the built-in zero map, whose terms the solve skips; a map
+    # returning 0 from another function takes the inner solve: the message,
+    # deltas and iterations of the error are the same
+    errors = []
+    for swap in (False, True):
+        prob, _ = _poisoned_problem(2, 1, (0, 0), value, mode, "zero")
+        if swap:
+            prob = prob.replace(**{r: dataclasses.replace(
+                getattr(prob, r), fn=lambda x, *t: x.space.zero())
+                for r in "HR"})
+        with pytest.raises(ConvergenceError) as info:
+            picard_solve(prob, tol=1e-10, max_outer=6)
+        errors.append((str(info.value), repr(info.value.deltas),
+                       info.value.iterations))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("mode", ["pointwise", "initial"])

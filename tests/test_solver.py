@@ -46,9 +46,10 @@ from cliffsde import (
     uniqueness_probe,
 )
 from cliffsde import solver as solver_module
+from cliffsde.coefficients import _is_zero_map
 from cliffsde.problems import PROBLEMS
 from cliffsde.solver import NONLOCAL_MODES
-from cliffsde.space import adaptedness_defect, expand
+from cliffsde.space import CliffordSpace, adaptedness_defect, expand
 
 TOL = 1e-10
 DATA = Path(__file__).parent / "data"
@@ -826,6 +827,9 @@ def test_inner_solves_take_logarithmically_many_exact_norms(
     monkeypatch.setattr(solver_module, "lp_norm", counter)
     monkeypatch.setattr(solver_module, "inner_fixed_point", inner)
     picard_solve(prob, tol=TOL)
+    if name == "osgood_radial":  # R is the zero map: no inner solve runs
+        assert counts == []
+        return
     assert counts
     c = prob.R.contraction
     for iterations, gram_norms in counts:
@@ -867,6 +871,7 @@ def test_inner_exact_norm_count_is_logarithmic(c, rname, p, seed, flat, warm,
     ("solve_n8_nonlocal_conditional_initial.csv", "nonlocal_conditional",
      "initial"),
     ("solve_n8_osgood_radial_pointwise.csv", "osgood_radial", "pointwise"),
+    ("solve_n8_linear_drift_pointwise.csv", "linear_drift", "pointwise"),
 ])
 def test_solve_output_matches_the_committed_bytes(fixture, name, mode,
                                                   monkeypatch):
@@ -880,6 +885,57 @@ def test_solve_output_matches_the_committed_bytes(fixture, name, mode,
     report = picard_solve(make_problem(name, n=8, nonlocal_mode=mode))
     text = report.trajectory_csv() + report.iteration_csv()
     assert text.encode() == (DATA / fixture).read_bytes()
+
+
+# -- the built-in zero map's terms are not formed ---------------------------------
+
+_WITH_ZERO_MAP = [name for name, raw in PROBLEMS.items()
+                  if any(raw.get(f"{r}.name", "zero") == "zero" for r in "FGHR")]
+
+
+def _full_path(problem):
+    """``problem`` with each built-in zero map swapped for a map that
+    returns 0 from another function, which the solve does not skip."""
+    return problem.replace(validate=False, **{
+        r: dataclasses.replace(m, fn=lambda x, *t: x.space.zero())
+        for r in "FGHR" if _is_zero_map(m := getattr(problem, r))})
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("mode", NONLOCAL_MODES)
+@pytest.mark.parametrize("name", _WITH_ZERO_MAP)
+def test_skipping_the_zero_maps_keeps_every_output_byte(name, mode, n):
+    prob = make_problem(name, n=n, nonlocal_mode=mode, max_generators=16)
+    full = _full_path(prob)
+    assert not any(_is_zero_map(getattr(full, r)) for r in "FGHR")
+    got, want = picard_solve(prob), picard_solve(full)
+    assert got.trajectory_csv() + got.iteration_csv() == \
+        want.trajectory_csv() + want.iteration_csv()
+    assert got.picard_iterations == want.picard_iterations
+    assert got.inner_iterations == want.inner_iterations
+
+
+def test_an_osgood_sweep_forms_no_zero_image(monkeypatch):
+    # only F, the radial map, is live: the sweeps form no zero image of G,
+    # H or R and run no inner solve against R = 0; one zero starts the
+    # sum, and the residual check forms R's image at each of the n + 1
+    # nodes.  Maps that return 0 from another function are all formed,
+    # 188 zeros at n = 8
+    prob = make_problem("osgood_radial", n=8)
+    bound = 1 + prob.space.grid.n + 1
+    calls = []
+    real_zero = CliffordSpace.zero
+
+    def counted(space):
+        calls.append(space.dim)
+        return real_zero(space)
+
+    monkeypatch.setattr(CliffordSpace, "zero", counted)
+    picard_solve(prob)
+    assert len(calls) <= bound
+    calls.clear()
+    picard_solve(_full_path(prob))
+    assert len(calls) > bound
 
 
 # -- nonlocal problems ----------------------------------------------------------

@@ -358,6 +358,19 @@ def test_random_level_element_level_bounds(rng):
         random_level_element(_SP6, rng, 7)
 
 
+def test_zero_peaks_at_one_matrix():
+    # zero() owns the array it builds; a copy of it peaks at 2.00x
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 14))
+    tracemalloc.start()
+    try:
+        z = sp.zero()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.mat.shape == (128, 128)
+    assert peak <= 1.05 * z.mat.nbytes
+
+
 @pytest.mark.parametrize("level,bound", [(7, 3.5), (8, 2.5)])
 def test_a_chunk_draw_holds_no_normals_through_the_flip_and_the_norm(level,
                                                                      bound):
