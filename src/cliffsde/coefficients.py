@@ -20,8 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .element import CliffordElement, lp_norm
+from .element import (CliffordElement, _l2_norm, _lp_over_l2_bound, lp_norm,
+                      lp_norms)
 from .errors import ContractViolationError
+from .integrals import _CHUNK_BYTES
 from .modulus import OsgoodModulus
 from .space import (
     CliffordSpace,
@@ -127,20 +129,33 @@ def _label(role: str, m, default: str) -> str:
     return f"{role} ({m.name or 'unnamed'})" if role else m.name or default
 
 
-def _evaluate(label: str, fn, k: int, x: CliffordElement) -> CliffordElement:
-    """fn(x, k) at node k, where a failure, or an image outside x's
-    space, breaks the contract the level-factored solve relies on."""
+def _evaluate(label: str, fn, k, x: CliffordElement, at: str = "node "):
+    """fn(x, k) at node k (time k for ``at="t="``), where a failure, or an
+    image outside x's space, breaks the contract the factored solve needs."""
     try:
         y = fn(x, k)
     except Exception as exc:
         raise ContractViolationError(
             f"{label}: raised {type(exc).__name__} ({exc}) on a level "
-            f"factor of dimension {x.space.dim} at node {k}") from exc
+            f"factor of dimension {x.space.dim} at {at}{k}") from exc
     if y.space is not x.space and y.space != x.space:
         raise ContractViolationError(
             f"{label}: returned an element of another space than its level "
-            f"factor's at node {k}")
+            f"factor's at {at}{k}")
     return y
+
+
+def _increment_norm(w, x, y, gap: float, p: float, ok) -> float:
+    """||w = f(x) - f(y)||_p, or its bound b = |g| gap + r ||w - g u||_2 if
+    ``ok(b)`` (u = x - y, g = <u, w> / <u, u>, r: Hoelder), tight for a
+    scalar multiple of x, padded by dim^2 eps for rounding (NaN: exact)."""
+    r = np.subtract(x.mat, y.mat)  # u, then w - g u in place
+    g = np.vdot(r, w.mat) / (np.vdot(r, r).real or 1.0)  # u = 0: any g
+    np.subtract(w.mat, np.multiply(r, g, out=r), out=r)
+    bound = float(abs(g) * gap + _lp_over_l2_bound(len(r), p) * _l2_norm(r)) \
+        * (1 + len(r) ** 2 * np.finfo(float).eps)
+    del r
+    return bound if ok(bound) else lp_norm(w, p)
 
 
 def _require_embedding(label: str, fn, boundaries) -> None:
@@ -172,7 +187,7 @@ def _require_level(label: str, image: CliffordElement, level: int,
 
 def _require_selfadjoint(label: str, image: CliffordElement, p: float) -> None:
     """A declared self-adjointness keeper's image of a self-adjoint probe."""
-    if image.selfadjoint_defect(p) > 1e-10:
+    if not image.selfadjoint_defect(p) <= 1e-10:
         raise ContractViolationError(
             f"{label}: declared selfadjoint_preserving but breaks "
             f"self-adjointness")
@@ -192,12 +207,13 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
     ``cmap(a (x) I, t) = cmap(a, t) (x) I``, checked at every step to a
     larger level space and from the largest to the full space.  A map that
     raises on a level factor or returns another space's element fails it.
+    The built-in zero map's image is 0, so only its modulus is read.
 
     Continuity is a desk-scale heuristic: on a 4x refinement of the grid the
     largest jump between adjacent samples must fall to at most 0.75 of the
     coarse-grid jump (with a 1e-9 floor); genuine jump discontinuities keep
     their size under refinement and get rejected.  It is checked at a scalar
-    on ``space.level_space(start_node)``.
+    on ``space.level_space(start_node)``.  A NaN fails every check.
 
     ``probes``, a :func:`draw_probes` draw, is shared by a problem's F, G,
     H and R; without it the call draws the same probes itself.  ``role``
@@ -212,39 +228,50 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
         return cmap(x, grid.node(k))
 
     pairs, scalar, boundaries = probes
+    zero = _is_zero_map(cmap)
     for k, level, x, y, gap, h in pairs:
-        fx = _evaluate(label, fn, k, x)
-        _require_level(label, fx, level, p)
+        if not zero:  # img: f(x), then f(x) - f(y), then f(h)
+            img = _evaluate(label, fn, k, x)
+            _require_level(label, img, level, p)
         # declared modulus on the sampled pair
         gap2 = gap ** 2
         if gap2 > 0:
-            lhs2 = lp_norm(fx - _evaluate(label, fn, k, y), p) ** 2
+            img = None if zero else img - _evaluate(label, fn, k, y)
             bound = cmap.modulus(gap2)
-            if lhs2 > bound * (1 + 1e-9) + 1e-15:
+            limit = bound * (1 + 1e-9) + 1e-15
+            lhs2 = 0.0 if zero else _increment_norm(
+                img, x, y, gap, p, lambda b: b * b <= limit) ** 2
+            if not (lhs2 <= limit or limit == math.inf):  # inf: vacuous
                 raise ContractViolationError(
                     f"{label}: squared increment {lhs2:.6e} exceeds the "
                     f"declared modulus bound {bound:.6e} at gap^2 {gap2:.3e}"
                 )
-        if cmap.selfadjoint_preserving or cmap.parity_even:
+        if not zero and (cmap.selfadjoint_preserving or cmap.parity_even):
             img = _evaluate(label, fn, k, h)
             if cmap.selfadjoint_preserving:
                 _require_selfadjoint(label, img, p)
             if cmap.parity_even:
                 _, odd = parity_decompose(img)
-                if lp_norm(odd, p) > 1e-10:
+                if not lp_norm(odd, p) <= 1e-10:
                     raise ContractViolationError(
                         f"{label}: declared parity_even but the image of a "
                         f"self-adjoint element has an odd part"
                     )
+    if zero:
+        return
     _require_embedding(label, fn, boundaries)
     # continuity in t along a refinement, at a fixed scalar argument
-    jumps = []
+    jumps, size = [], max(2, _CHUNK_BYTES // scalar.mat.nbytes)
     for refine in (2, 8):
-        ts = np.linspace(grid.t0, grid.T, refine * grid.n + 1)
-        vals = (cmap(scalar, float(t)) for t in ts)
-        jumps.append(max((lp_norm(b - a, p) for a, b in pairwise(vals)),
-                         default=0.0))
-    if jumps[1] > 0.75 * jumps[0] + 1e-9:
+        ts = np.linspace(grid.t0, grid.T, refine * grid.n + 1).tolist()
+        norms, last = [], []
+        for i in range(0, len(ts), size):  # up to _CHUNK_BYTES of samples
+            vals = np.stack(last + [_evaluate(label, cmap, t, scalar, "t=")
+                                    .mat for t in ts[i:i + size]])
+            norms += lp_norms(vals[1:] - vals[:-1], p)
+            last = [vals[-1]]
+        jumps.append(np.max(norms))  # keeps a NaN
+    if not jumps[1] <= 0.75 * jumps[0] + 1e-9:
         raise ContractViolationError(
             f"{label}: largest jump does not shrink under grid refinement "
             f"({jumps[0]:.3e} -> {jumps[1]:.3e}); t-continuity looks violated"
@@ -256,7 +283,9 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
                       role: str = "") -> None:
     """Spot-check the declared contraction constant on sampled pairs,
     adaptedness, the self-adjointness flag and the embedding contract, on
-    level factors as :func:`validate_coefficient` does."""
+    level factors as :func:`validate_coefficient` does (the zero map holds)."""
+    if _is_zero_map(rmap):
+        return
     if probes is None:
         probes = draw_probes(space, p, start_node)
     label = _label(role, rmap, "nonlocal map")
@@ -268,13 +297,14 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
     for k, level, x, y, gap, h in pairs:
         img = _evaluate(label, fn, k, x)
         _require_level(label, img, level, p)
-        moved = lp_norm(img - _evaluate(label, fn, k, y), p)
-        if rmap.is_zero:
-            if moved > 1e-12 or lp_norm(img, p) > 1e-12:
-                raise ContractViolationError(
-                    f"{label}: declared zero but moves points"
-                )
-        elif gap > 0 and moved > rmap.contraction * gap * (1 + 1e-9) + 1e-15:
+        limit = 1e-12 if rmap.is_zero else \
+            rmap.contraction * gap * (1 + 1e-9) + 1e-15
+        moved = _increment_norm(img - _evaluate(label, fn, k, y), x, y, gap,
+                                p, lambda b: b <= limit)
+        if rmap.is_zero and not (moved <= 1e-12 and lp_norm(img, p) <= 1e-12):
+            raise ContractViolationError(
+                f"{label}: declared zero but moves points")
+        if not rmap.is_zero and gap > 0 and not moved <= limit:
             raise ContractViolationError(
                 f"{label}: moved {moved:.6e} on a gap of {gap:.6e}, beyond "
                 f"the declared contraction {rmap.contraction}"

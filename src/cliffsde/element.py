@@ -143,6 +143,11 @@ def _l2_norm(mat: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(mat, mat).real / mat.shape[0]))
 
 
+def _lp_over_l2_bound(dim: int, p: float) -> float:
+    """dim^(1/2 - 1/p) (1 + 1e-9) >= ||d||_p / ||d||_2 for p >= 2; else inf."""
+    return dim ** (0.5 - 1.0 / p) * (1 + 1e-9) if p >= 2 else math.inf
+
+
 def _psd_spectra(psd_mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of each PSD matrix of a stack, clipped at zero.
 

@@ -43,7 +43,7 @@ from .coefficients import (
     validate_coefficient,
     validate_nonlocal,
 )
-from .element import CliffordElement, lp_norm, op_norm
+from .element import CliffordElement, _lp_over_l2_bound, lp_norm, op_norm
 from .errors import (
     ArgumentError,
     ConfigurationError,
@@ -173,11 +173,6 @@ def _check_solve_args(tol: float, **budgets) -> None:
             raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
-def _lp_over_l2_bound(dim: int, p: float) -> float:
-    """dim^(1/2 - 1/p) (1 + 1e-9) >= ||d||_p / ||d||_2 for p >= 2; else inf."""
-    return dim ** (0.5 - 1.0 / p) * (1 + 1e-9) if p >= 2 else math.inf
 
 
 def _norm_range(dim: int, p: float) -> tuple:

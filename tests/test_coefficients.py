@@ -1,6 +1,8 @@
 """Coefficient maps, nonlocal maps, and the construction-time spot checks."""
 
 import dataclasses
+import math
+import re
 from itertools import pairwise
 
 import numpy as np
@@ -32,6 +34,7 @@ from cliffsde import (
     validate_nonlocal,
 )
 from cliffsde import coefficients
+from cliffsde.element import lp_norms
 
 P = 4.0
 
@@ -371,6 +374,198 @@ def test_a_map_that_returns_another_space_is_named(role):
                              r"another space than its level factor's at "
                              r"node 0$"):
         prob.replace(**{role: closure})
+
+
+def _off_the_grid(prob, off) -> CoefficientMap:
+    """0.5 x at the grid's nodes; ``off(x)`` between them, where only the
+    continuity samples run."""
+    nodes = set(prob.space.grid.nodes.tolist())
+    return CoefficientMap(fn=lambda x, t: 0.5 * x if t in nodes else off(x),
+                          modulus=OsgoodModulus.from_lipschitz(0.5),
+                          name="off_grid")
+
+
+@pytest.mark.parametrize("role", ["F", "G", "H"])
+def test_a_map_that_raises_off_the_grid_is_named(role):
+    # the continuity samples called the map bare: this escaped as a
+    # ValueError with no map named
+    prob = make_problem("linear_field", n=4)
+
+    def off(x):
+        raise ValueError("between the nodes")
+
+    with pytest.raises(ContractViolationError,
+                       match=rf"^{role} \(off_grid\): raised ValueError "
+                             r"\(between the nodes\) on a level factor of "
+                             r"dimension 2 at t=0\.125$"):
+        prob.replace(**{role: _off_the_grid(prob, off)})
+
+
+@pytest.mark.parametrize("role", ["F", "G", "H"])
+def test_a_map_that_returns_another_space_off_the_grid_is_named(role):
+    # this escaped as ConfigurationError("elements belong to different
+    # spaces"), with no key and no map named
+    prob = make_problem("linear_field", n=4)
+    full = prob.space.identity()
+    with pytest.raises(ContractViolationError,
+                       match=rf"^{role} \(off_grid\): returned an element of "
+                             r"another space than its level factor's at "
+                             r"t=0\.125$"):
+        prob.replace(**{role: _off_the_grid(prob, lambda x: full)})
+
+
+# -- certified validation: the zero map is proved, scalar maps are bounded ----
+
+
+def test_validation_forms_no_image_of_the_zero_map(monkeypatch):
+    calls = []
+
+    def counted(x, *t):
+        calls.append(x.space.dim)
+        return x.space.zero()
+
+    monkeypatch.setattr(coefficients, "_zero_image", counted)
+    prob = make_problem("osgood_radial", n=8, max_generators=8)
+    assert [coefficients._is_zero_map(getattr(prob, r)) for r in "FGHR"] \
+        == [False, True, True, True]
+    assert calls == []
+    prob.replace(start_node=3)
+    assert calls == []
+
+
+def test_the_zero_maps_declared_modulus_is_still_read():
+    # its image is 0, so the squared increment is 0.0 at every gap, and a
+    # modulus below 0 there fails with the message of a formed image
+    prob = make_problem("linear_field", n=4)
+    negative = CoefficientMap(
+        fn=coefficients._zero_image,
+        modulus=OsgoodModulus(rho=lambda r: -r, kind="osgood"),
+        name="negative")
+    gap2 = coefficients.draw_probes(prob.space, prob.p)[0][0][4] ** 2
+    want = (f"G (negative): squared increment {0.0:.6e} exceeds the declared "
+            f"modulus bound {-gap2:.6e} at gap^2 {gap2:.3e}")
+    with pytest.raises(ContractViolationError, match=f"^{re.escape(want)}$"):
+        prob.replace(G=negative)
+
+
+@pytest.mark.parametrize("c", [0.5, -1.25, 3.0])
+def test_an_exactly_declared_scale_map_takes_no_exact_norm(monkeypatch, c):
+    # the bound |g| gap + r ||w - g u||_2 is tight for w = c u, so neither
+    # the modulus nor the contraction check forms a Gram product
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, 8))
+    probes = coefficients.draw_probes(sp, P)
+    exact = []
+    monkeypatch.setattr(coefficients, "lp_norm",
+                        lambda x, p: exact.append(x) or lp_norm(x, p))
+    validate_coefficient(make_coefficient("scale", P, c=c), sp, P,
+                         probes=probes)
+    validate_nonlocal(make_nonlocal("scale", c=c / 4), sp, P, probes=probes)
+    assert exact == []
+
+
+def test_a_nan_bound_takes_the_exact_norm():
+    x, y = _SP.identity(), _SP.zero()
+    w = _SP.element(np.full((_SP.dim, _SP.dim), np.nan))
+    with np.errstate(invalid="ignore"):
+        got = coefficients._increment_norm(w, x, y, 1.0, P,
+                                           lambda b: b <= 1.0)
+    assert math.isnan(got)
+
+
+def _verdict(check) -> str | None:
+    try:
+        check()
+    except ContractViolationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_the_increment_bound_gives_the_exact_checks_verdicts(n, data):
+    # with the Hoelder factor patched to inf every bound is inf or NaN, so
+    # every check takes the exact norm, as it did before the bound
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
+    start_node = data.draw(st.integers(0, n - 1), label="start_node")
+    kind = data.draw(st.sampled_from(["scale", "cos_scale", "R"]),
+                     label="kind")
+    c = data.draw(st.floats(-0.99, 0.99) if kind == "R"
+                  else st.floats(-4.0, 4.0), label="c")
+    s = data.draw(st.sampled_from([-1e-6, -1e-10, 0.0, 1e-12, 1e-6]),
+                  label="s")
+    declared = abs(c) * (1 + s)
+    if kind == "R":
+        rmap = NonlocalMap(fn=lambda x: c * x, contraction=declared,
+                           name="scaled")
+
+        def check():
+            validate_nonlocal(rmap, sp, P, start_node, role="R")
+    else:
+        params = {"omega": data.draw(st.sampled_from([0.0, 1.0, 3.0]),
+                                     label="omega")} \
+            if kind == "cos_scale" else {}
+        cmap = dataclasses.replace(
+            make_coefficient(kind, P, c=c, **params),
+            modulus=OsgoodModulus.from_lipschitz(declared))
+
+        def check():
+            validate_coefficient(cmap, sp, P, start_node, role="F")
+    got = _verdict(check)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coefficients, "_lp_over_l2_bound", lambda dim, q: math.inf)
+        assert got == _verdict(check)
+
+
+def test_continuity_takes_one_lp_norms_call_per_refinement(monkeypatch):
+    # each refinement's samples are stacked and their steps measured in
+    # one call; stacks capped at a few samples (as a late start node's
+    # large level space caps them) evaluate each sample once and give the
+    # same jumps
+    seen, stacks = [], []
+
+    def fn(x, t):
+        seen.append(t)
+        return x if t < 0.4 else 2.0 * x
+
+    step = CoefficientMap(fn=fn, modulus=OsgoodModulus.from_lipschitz(2.0),
+                          name="step")
+    probes = coefficients.draw_probes(_SP, P)
+    monkeypatch.setattr(coefficients, "lp_norms",
+                        lambda m, p: stacks.append(len(m)) or lp_norms(m, p))
+    outcomes = []
+    for chunk in (coefficients._CHUNK_BYTES, 1):
+        monkeypatch.setattr(coefficients, "_CHUNK_BYTES", chunk)
+        seen.clear()
+        with pytest.raises(ContractViolationError, match="refinement") as exc:
+            validate_coefficient(step, _SP, P, probes=probes)
+        outcomes.append((str(exc.value), seen[-(10 * _SP.grid.n + 2):]))
+    assert outcomes[0] == outcomes[1]
+    n = _SP.grid.n
+    assert stacks[:2] == [2 * n, 8 * n]
+    assert sum(stacks[2:]) == 10 * n and max(stacks[2:]) == 2
+
+
+def test_a_nan_image_at_the_end_time_is_rejected():
+    # nan compares False with everything: `lhs2 > bound` and the continuity
+    # check's `>` let this map through, and max() of the jumps dropped the
+    # NaN of its last step
+    prob = make_problem("linear_field", n=4)
+    T = prob.space.grid.T
+    nan_at_T = CoefficientMap(
+        fn=lambda x, t: (math.nan if t == T else 0.5) * x,
+        modulus=OsgoodModulus.from_lipschitz(0.5), name="nan_at_T")
+    with pytest.raises(ContractViolationError, match=r"^F \(nan_at_T\): "):
+        prob.replace(F=nan_at_T)
+
+
+def test_a_nan_image_off_the_grid_is_rejected():
+    # the probes see 0.5 x at the nodes; every continuity jump is NaN
+    prob = make_problem("linear_field", n=4)
+    off_grid = _off_the_grid(prob, lambda x: math.nan * x)
+    with pytest.raises(ContractViolationError,
+                       match=r"^F \(off_grid\): largest jump does not shrink "
+                             r"under grid refinement \(nan -> nan\)"):
+        prob.replace(F=off_grid)
 
 
 def _sizes(name: str) -> st.SearchStrategy:
