@@ -234,13 +234,14 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
             img = _evaluate(label, fn, k, x)
             _require_level(label, img, level, p)
         # declared modulus on the sampled pair
-        gap2 = gap ** 2
+        gap2 = gap * gap  # inf on overflow, where ** 2 raises
         if gap2 > 0:
             img = None if zero else img - _evaluate(label, fn, k, y)
             bound = cmap.modulus(gap2)
             limit = bound * (1 + 1e-9) + 1e-15
-            lhs2 = 0.0 if zero else _increment_norm(
-                img, x, y, gap, p, lambda b: b * b <= limit) ** 2
+            lhs = 0.0 if zero else _increment_norm(
+                img, x, y, gap, p, lambda b: b * b <= limit)
+            lhs2 = lhs * lhs
             if not (lhs2 <= limit or limit == math.inf):  # inf: vacuous
                 raise ContractViolationError(
                     f"{label}: squared increment {lhs2:.6e} exceeds the "

@@ -113,17 +113,31 @@ def lp_norm(x: CliffordElement, p: float) -> float:
     return psd_power_lp_norm(x.mat.conj().T @ x.mat, 2.0, p)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN and inf rows: silent
 def lp_norms(mats: np.ndarray, p: float, grams=None) -> list:
     """:func:`lp_norm` of every matrix of a ``(nodes, dim, dim)`` stack.
 
-    Bit for bit the per-matrix values: p = 2 takes each row's ``vdot``;
-    other exponents take :func:`psd_power_lp_norms` of the stack's
-    :func:`_grams` (passed in, or formed here).  A row with a non-finite
-    Gram matrix reads NaN without failing the others.
+    Bit for bit lp_norm's finite values: p = 2 takes one stacked
+    :func:`_row_dots`; other exponents take :func:`psd_power_lp_norms` of
+    the stack's :func:`_grams` (passed in, or formed here).  A row with a
+    non-finite entry reads NaN or inf without failing the others; one with
+    finite entries whose Gram product overflows is taken again on the
+    matrix over its largest entry part, the norm multiplied back, where
+    lp_norm keeps the inf or NaN that the solve's overflow checks read.
     """
     _check_exponent(p)
+    norms = _plain_norms(mats, p, grams)
+    for i in [i for i, nrm in enumerate(norms) if not math.isfinite(nrm)]:
+        parts = np.ascontiguousarray(mats[i]).view(float)
+        if np.isfinite(parts).all():
+            s = float(np.abs(parts).max())
+            norms[i] = _plain_norms((parts / s).view(complex)[None], p)[0] * s
+    return norms
+
+
+def _plain_norms(mats: np.ndarray, p: float, grams=None) -> list:
     if p == 2:
-        return [_l2_norm(m) for m in mats]
+        return np.sqrt(np.divide(_row_dots(mats, mats), mats.shape[-1])).tolist()
     return psd_power_lp_norms(_grams(mats) if grams is None else grams, 2.0, p)
 
 
@@ -141,6 +155,18 @@ def _check_exponent(p: float, name: str = "p", least: float = 1) -> None:
 def _l2_norm(mat: np.ndarray) -> float:
     # m(x* x) is just the mean squared entry magnitude
     return float(np.sqrt(np.vdot(mat, mat).real / mat.shape[0]))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray, own_a: bool = False):
+    """``vdot(a[t], b[t]).real`` for the matrices of two stacks, bit for
+    bit: a (1, N) by (N, 1) product per row of a's conjugate (formed in
+    ``a`` if the caller gives it up) and b takes vdot's BLAS dot; one
+    matrix takes vdot, in a list (no conjugate copy, no array)."""
+    if len(a) == 1:
+        return [np.vdot(a[0], b[0]).real]
+    t, size = len(a), a.shape[-2] * a.shape[-1]
+    conj = np.conjugate(a, out=a if own_a else None)
+    return (conj.reshape(t, 1, size) @ b.reshape(t, size, 1)).real.reshape(t)
 
 
 def _lp_over_l2_bound(dim: int, p: float) -> float:
@@ -164,12 +190,6 @@ def _psd_spectra(psd_mats: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _spectrum_lp_norm(lam: np.ndarray, k: float, p: float) -> float:
-    # a row at a time: a mean along an axis of a stack rounds differently;
-    # np.mean of a row is this sum over its size, without the overhead
-    return float((np.add.reduce(lam ** k) / lam.size) ** (1.0 / p))
-
-
 def psd_power_lp_norm(psd_mat: np.ndarray, root: float, p: float) -> float:
     """L^p norm of S^(1/root) for a PSD matrix S: m(S^k)^(1/p), k = p/root.
 
@@ -183,23 +203,23 @@ def psd_power_lp_norm(psd_mat: np.ndarray, root: float, p: float) -> float:
     return psd_power_lp_norms(psd_mat[None], root, p)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN and inf: silent
 def psd_power_lp_norms(psd_mats: np.ndarray, root: float, p: float) -> list:
     """:func:`psd_power_lp_norm` of every matrix of a ``(T, dim, dim)``
-    stack, bit for bit: stacked matrix powers and ``eigvalsh``, then per
-    matrix the trace or ``vdot`` and the spectrum's mean (their rounding
-    depends on the shape they reduce)."""
+    stack, bit for bit: one stacked trace, :func:`_row_dots` or spectrum
+    sum, then a scalar power per matrix (numpy's array power rounds apart
+    from libm's)."""
     k = p / root
+    if k != int(k) or k < 1:
+        sums = np.add.reduce(_psd_spectra(psd_mats) ** k, axis=-1)
+    elif k == 1:
+        sums = np.trace(psd_mats, axis1=-2, axis2=-1).real
+    else:
+        half = np.linalg.matrix_power(psd_mats, int(k) // 2)
+        sums = _row_dots(half, half) if k % 2 == 0 else \
+            _row_dots(half @ psd_mats, half, own_a=True)  # Re: symmetric
     dim = psd_mats.shape[-1]
-    if k == int(k) and k >= 1:
-        k = int(k)
-        if k == 1:
-            return [float((np.trace(s).real / dim) ** (1.0 / p))
-                    for s in psd_mats]
-        half = np.linalg.matrix_power(psd_mats, k // 2)
-        other = half if k % 2 == 0 else half @ psd_mats
-        return [float((np.vdot(h, o).real / dim) ** (1.0 / p))
-                for h, o in zip(half, other)]
-    return [_spectrum_lp_norm(lam, k, p) for lam in _psd_spectra(psd_mats)]
+    return [float((s / dim) ** (1.0 / p)) for s in sums]
 
 
 def op_norm(x: CliffordElement) -> float:

@@ -51,16 +51,18 @@ from .space import (_at_size, as_int, conditional_expect, parity_decompose,
 
 
 #: Bytes of a chunk of random trials (:func:`_trial_chunks`): their level
-#: factors and ``_STEP_MATRICES`` full-size matrices each; 10 trials at
-#: n = 8 and 13 at pair n = 4 (both dim 16), one from dim 64 up.  Under
-#: tracemalloc a chunk's whole :func:`_bg_norms` call, its draw included,
-#: peaks within it (205 KB at n = 8); the norm exchange's ``eigh`` powers,
-#: which it does not count, peak at 258 KB there.
-_CHUNK_BYTES = 240 * 1024
+#: factors and ``_STEP_MATRICES`` full-size matrices each; 22 trials at
+#: n = 8 and 29 at pair n = 4 (both dim 16), one from dim 64 up.  Under
+#: tracemalloc a chunk's whole :func:`_bg_norms` or
+#: :func:`_norm_exchange_sides` call, its draw included, peaks within it
+#: (466 and 472 KB at n = 8).
+_CHUNK_BYTES = 512 * 1024
 #: Matrices per trial, each at most of the largest step size (the full
 #: size), that a running-sum step holds at once: the sum, the node embedded
 #: at the step's size or a Gram step's conjugate, the term, and the buffer
-#: of the broadcast product that scales a gathered term
+#: of the broadcast product that scales a gathered term; a norm-exchange
+#: step holds the sum, ``eigh``'s vectors, their adjoint and the scaling's
+#: buffer or the powered product
 _STEP_MATRICES = 4
 
 
@@ -199,21 +201,23 @@ def _norm_exchange_sides(space, start: int, trials: int, nodes, q: float,
                          p: float) -> tuple:
     """The lhs, rhs and ratio lists of :func:`check_norm_exchange` for node
     stacks from ``start``: per node the level factors' Gram products, their
-    norms, then ``eigh``-powered in the Gram products' buffer and
-    delta-summed in node order into a sum that grows with the level, as
-    :func:`_running_sums`' does."""
+    norms, then ``eigh``-powered and delta-summed in node order into a sum
+    that grows with the level, as :func:`_running_sums`' does."""
     acc, norms = np.zeros((trials, 1, 1), complex), []
     for delta, a in zip(_deltas(space, start, nodes), nodes):
-        powed = _grams(a)
-        norms.append(lp_norms(a, p, powed))
-        if q != 2:
-            lam, vec = np.linalg.eigh(powed)
+        term = _grams(a)
+        norms.append(lp_norms(a, p, term))
+        if q != 2:  # the Gram products are freed for eigh's vectors, power
+            lam, vec = np.linalg.eigh(term)
             adj = vec.conj().transpose(0, 2, 1)
-            vec *= np.clip(lam, 0.0, None)[:, None, :] ** (q / 2.0)
-            np.matmul(vec, adj, out=powed)
-        np.multiply(delta, powed, out=powed)
-        acc = _at_size(acc, powed.shape[-1])
-        acc += powed
+            del term
+            np.clip(lam, 0.0, None, out=lam)
+            vec *= np.power(lam, q / 2.0, out=lam)[:, None, :]
+            term = np.matmul(vec, adj)
+            del vec, adj
+        np.multiply(delta, term, out=term)
+        acc = _at_size(acc, term.shape[-1])
+        acc += term
     lhs = psd_power_lp_norms(_at_size(acc, space.dim), q, p)
     rhs = _lqlp_norms(space, start, trials, nodes, q, p, norms)
     return lhs, rhs, [a / b if b > 0 else (0.0 if a == 0 else float("inf"))
@@ -223,8 +227,8 @@ def _norm_exchange_sides(space, start: int, trials: int, nodes, q: float,
 def _trial_chunks(space, trials: int) -> list:
     """Consecutive ranges of trials that fit one chunk of ``_CHUNK_BYTES``:
     per trial its random process as level factors (one value per
-    increment) and the running sums' matrices at the largest step size,
-    the full size."""
+    increment) and the matrices that a running-sum or norm-exchange step
+    holds at the largest step size, the full size."""
     dims = [space.level_space(k).dim for k in range(space.grid.n)]
     per_trial = sum(d * d for d in dims) + _STEP_MATRICES * space.dim ** 2
     size = max(1, _CHUNK_BYTES // (16 * per_trial))

@@ -49,7 +49,7 @@ from functools import cache
 
 import numpy as np
 
-from .element import CliffordElement, _l2_norm, lp_norm, state
+from .element import CliffordElement, lp_norm, lp_norms, state
 from .errors import AdaptednessError, ResourceLimitError
 from .grid import TimeGrid, as_int
 
@@ -423,7 +423,7 @@ def _draw_levels(space: CliffordSpace, rngs, k: int) -> np.ndarray:
     del parts  # not held through the flip and the norm
     if k % 2 == 1:
         a = _project(space._factor_space(r), a, k)
-    nrms = np.array([_l2_norm(m) for m in a])
+    nrms = np.array(lp_norms(a, 2.0))
     degenerate = np.flatnonzero(nrms < 1e-12)
     nrms[degenerate] = 1.0
     a /= nrms.astype(complex)[:, None, None]

@@ -321,11 +321,15 @@ def test_solve_nonconvergence_writes_delta_trace(capsys, tmp_path):
     "p = 3\nF.name = scale\nF.c = 1e300",
     "p = 3\nH.name = scale\nH.c = 1e200",
     "p = 4\nF.name = scale\nF.c = 1e300",
-), ids=("p2.5-F", "p3-F", "p3-H", "p4-F"))
+    "F.name = cos_scale\nF.c = 1e300",
+), ids=("p2.5-F", "p3-F", "p3-H", "p4-F", "cos-F"))
 def test_solve_overflow_exits_3_naming_the_non_finite_delta(
         capsys, tmp_path, data):
     # at p = 2.5 and 3 the norms take the eigvalsh path, which must give
-    # NaN on an overflowed Gram matrix as the trace path at p = 4 does
+    # NaN on an overflowed Gram matrix as the trace path at p = 4 does; the
+    # time-dependent map builds: its continuity jumps, finite matrices whose
+    # Gram products overflow, take finite norms, and its squared increments
+    # overflow to inf, not to OverflowError
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = 4\n" + data + "\n")
     # numpy's RuntimeWarnings would reach stderr ahead of the error line

@@ -22,7 +22,7 @@ from cliffsde import (
 )
 from cliffsde import TimeGrid, experiments, integrals
 from cliffsde.grid import is_count
-from cliffsde.integrals import _bg_norms, _trial_chunks
+from cliffsde.integrals import _bg_norms, _norm_exchange_sides, _trial_chunks
 from cliffsde.process import _random_stack
 
 _SMALL = SuiteConfig(trials=12, n=4, master_seed=7)
@@ -115,23 +115,26 @@ def test_worker_threads_over_several_chunks_do_not_change_results():
 
 def test_one_trial_chunks_write_the_same_bytes(monkeypatch):
     # chunk size is a memory knob only: each trial draws from its own seed
-    # and every kernel reduction that depends on the chunk stays per trial
-    config = SuiteConfig(trials=12, n=8, master_seed=11)
+    # and every stacked reduction gives each trial the bits it gives alone,
+    # from one trial per chunk to one chunk per cell
+    config = SuiteConfig(trials=25, n=8, master_seed=11)
     names = ["bg_ratio", "norm_exchange"]
     assert len(_trial_chunks(_space(8), config.trials)) > 1
     assert len(_trial_chunks(_space(4, "pair"), config.trials)) == 1
     chunked = run_suites(config, names)
-    monkeypatch.setattr(integrals, "_CHUNK_BYTES", 1)
-    assert len(_trial_chunks(_space(8), config.trials)) == config.trials
-    single = run_suites(config, names)
-    assert single.to_csv() == chunked.to_csv()
-    assert single.violations_to_csv() == chunked.violations_to_csv()
+    for budget, chunks in ((1, config.trials), (2 ** 40, 1)):
+        monkeypatch.setattr(integrals, "_CHUNK_BYTES", budget)
+        assert len(_trial_chunks(_space(8), config.trials)) == chunks
+        other = run_suites(config, names)
+        assert other.to_csv() == chunked.to_csv()
+        assert other.violations_to_csv() == chunked.violations_to_csv()
 
 
-def test_a_default_chunk_holds_ten_trials_in_its_budget():
+def test_a_default_chunk_holds_22_trials_in_its_budget():
     sp = _space(8)
     chunk = _trial_chunks(sp, 10 ** 6)[0]
-    assert len(chunk) >= 10
+    assert len(chunk) == 22
+    assert len(_trial_chunks(_space(4, "pair"), 10 ** 6)[0]) == 29
     rngs = [np.random.default_rng(t) for t in chunk]
     tracemalloc.start()
     try:
@@ -142,14 +145,26 @@ def test_a_default_chunk_holds_ten_trials_in_its_budget():
     assert sum(m.nbytes for m in nodes) <= held <= peak <= integrals._CHUNK_BYTES
 
 
+def _chunk_peak(run) -> int:
+    """The tracemalloc peak of a second ``run()``: the space's level spaces
+    and gathers are cached by a first call, as the suite's first chunk
+    caches them for the rest."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n,driver", [
     (8, Driver.fermion_field()), (4, Driver.annihilation()),
     (4, Driver.linear_combination(0.75 + 0.25j, -1.5j))])
 @pytest.mark.parametrize("p", experiments.P_GRID)
 def test_a_default_chunks_bg_norms_call_peaks_within_its_budget(n, driver, p):
     # a bg_ratio chunk's whole work: the draw, the four running sums and
-    # their norms; the space's level spaces and gathers are cached by a
-    # first call, as the suite's first chunk caches them for the rest
+    # their norms
     sp = _space(n, driver.required_layout)
     chunk = _trial_chunks(sp, 10 ** 6)[0]
 
@@ -158,15 +173,24 @@ def test_a_default_chunks_bg_norms_call_peaks_within_its_budget(n, driver, p):
         return _bg_norms(sp, 0, len(rngs), _random_stack(sp, rngs), driver,
                          p, ("left", "right"), ("hp", "l2lp"))
 
-    run()
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(chunk) >= 10
-    assert peak <= integrals._CHUNK_BYTES
+    assert len(chunk) >= 22
+    assert _chunk_peak(run) <= integrals._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("q,p", experiments.QP_PAIRS
+                         + tuple((p, p) for p in experiments.P_GRID))
+def test_a_default_chunks_norm_exchange_call_peaks_within_its_budget(q, p):
+    # a norm_exchange chunk's whole work: the draw, the Gram products and
+    # their eigh powers beside the growing sum, and both sides' norms
+    sp = _space(8)
+    chunk = _trial_chunks(sp, 10 ** 6)[0]
+
+    def run():
+        rngs = [np.random.default_rng(t) for t in chunk]
+        return _norm_exchange_sides(sp, 0, len(rngs),
+                                    _random_stack(sp, rngs), q, p)
+
+    assert _chunk_peak(run) <= integrals._CHUNK_BYTES
 
 
 def test_one_space_per_n_and_layout_per_run(monkeypatch):

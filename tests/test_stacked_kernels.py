@@ -18,6 +18,7 @@ for bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,75 @@ def test_lp_norms_of_a_non_finite_row_spare_the_others(p):
         got = lp_norms(mats, p)
     assert not math.isfinite(got[1]) and not math.isfinite(got[3])
     assert [_bits(got[i]) for i in (0, 2)] == [_bits(good[i]) for i in (0, 2)]
+
+
+def _ref_spectral_nan(ref, psd_mat, root, p):
+    """``ref(psd_mat, root, p)``, but NaN where a non-finite matrix would
+    reach ``eigvalsh`` (the stacked spectra give such a row NaN)."""
+    k = p / root
+    if not (k == int(k) and k >= 1) and not np.isfinite(psd_mat).all():
+        return math.nan
+    return ref(psd_mat, root, p)
+
+
+def _ref_rescaled_lp_norm(mat, p):
+    """``_ref_lp_norm``, or for a finite matrix whose Gram product
+    overflows, that of the matrix over its largest entry part, scaled back."""
+    if p != 2 and not np.isfinite(mat).all():
+        return _ref_spectral_nan(lambda *a: _ref_lp_norm(mat, p),
+                                 mat.conj().T @ mat, 2.0, p)
+    got = _ref_lp_norm(mat, p)
+    if math.isfinite(got) or not np.isfinite(mat).all():
+        return got
+    s = float(np.abs(mat.view(float)).max())
+    return _ref_lp_norm((mat.view(float) / s).view(complex), p) * s
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((2.0, 3.0, 4.0, 6.0, 7.0)), data=st.data(),
+       dim=st.integers(1, 128), log_scale=st.floats(-150.0, 150.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_norms_match_the_per_matrix_references(p, data, dim,
+                                                        log_scale, seed):
+    # one stacked trace, vdot-by-matmul or spectrum sum per stack, bit for
+    # bit the per-matrix vdot, trace and eigvalsh references where those
+    # are finite; NaN and inf rows stay non-finite beside the others, a
+    # finite row's norm is finite, and nothing warns
+    trials = data.draw(st.integers(1, max(1, min(60, 2 ** 17 // dim ** 2))))
+    rng = np.random.default_rng(seed)
+    mats = 10.0 ** log_scale * (rng.standard_normal((trials, dim, dim))
+                                + 1j * rng.standard_normal((trials, dim, dim)))
+    bad = data.draw(st.lists(st.integers(0, trials - 1), max_size=3))
+    for i, value in zip(bad, (np.nan, np.inf, complex(0.0, -np.inf))):
+        mats[i, rng.integers(dim), rng.integers(dim)] = value
+    root = data.draw(st.sampled_from((2.0, 1.0, p)))
+    with np.errstate(all="ignore"):  # the references' products may warn
+        want = [_ref_rescaled_lp_norm(m, p) for m in mats]
+        grams = _grams(mats)
+        want_psd = [_ref_spectral_nan(_ref_psd_power_lp_norm, g, root, p)
+                    for g in grams]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norms(mats, p)
+        got_psd = psd_power_lp_norms(grams, root, p)
+    for i in range(trials):  # a non-finite value: NaN or inf, either way
+        if i in bad:
+            assert not math.isfinite(got[i]) and not math.isfinite(want[i])
+        else:
+            assert math.isfinite(got[i])
+            assert _bits(got[i]) == _bits(want[i])
+        if math.isfinite(want_psd[i]):
+            assert _bits(got_psd[i]) == _bits(want_psd[i])
+        else:  # an overflowing power of a finite Gram matrix, too
+            assert not math.isfinite(got_psd[i])
+
+
+@pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
+def test_a_finite_stack_whose_gram_products_overflow_has_finite_norms(p):
+    mats = np.stack([1e300 * np.eye(4), 1e300j * np.eye(4), np.eye(4)])
+    got = lp_norms(mats.astype(complex), p)
+    assert got[2] == 1.0
+    assert all(abs(v - 1e300) <= 1e-15 * 1e300 for v in got[:2])
 
 
 @pytest.mark.parametrize("sp", (_FERMION, _PAIR), ids=("fermion", "pair"))
