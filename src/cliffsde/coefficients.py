@@ -14,6 +14,7 @@ but radial maps need it to measure their argument.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
@@ -58,8 +59,8 @@ class NonlocalMap:
     """Map R with ||R(x) - R(y)||_p <= contraction * ||x - y||_p.
 
     The contraction constant must sit strictly below 1 (or be exactly 0
-    for the zero map); problem construction spot-checks this on sampled
-    pairs and refuses maps that measurably exceed their declaration.
+    for the zero map); a build spot-checks it on sampled pairs unless the
+    map is proven (:func:`_is_proven`), refusing measurable excess.
     """
 
     fn: Callable[[CliffordElement], CliffordElement]
@@ -82,7 +83,7 @@ class NonlocalMap:
         return self.contraction == 0.0
 
 
-# -- spot-check validators ---------------------------------------------------
+# -- spot-check validators (of maps that are not proven) --------------------
 
 #: The seed of every validation's probe draw (deterministic)
 _VALIDATION_SEED = 0x5DE
@@ -207,7 +208,7 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
     ``cmap(a (x) I, t) = cmap(a, t) (x) I``, checked at every step to a
     larger level space and from the largest to the full space.  A map that
     raises on a level factor or returns another space's element fails it.
-    The built-in zero map's image is 0, so only its modulus is read.
+    A proven map (:func:`_is_proven`) returns at once.
 
     Continuity is a desk-scale heuristic: on a 4x refinement of the grid the
     largest jump between adjacent samples must fall to at most 0.75 of the
@@ -219,6 +220,8 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
     H and R; without it the call draws the same probes itself.  ``role``
     ("F", "G", "H") names the map in the messages.
     """
+    if _is_proven(cmap):
+        return
     if probes is None:
         probes = draw_probes(space, p, start_node)
     grid = space.grid
@@ -228,26 +231,24 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
         return cmap(x, grid.node(k))
 
     pairs, scalar, boundaries = probes
-    zero = _is_zero_map(cmap)
     for k, level, x, y, gap, h in pairs:
-        if not zero:  # img: f(x), then f(x) - f(y), then f(h)
-            img = _evaluate(label, fn, k, x)
-            _require_level(label, img, level, p)
+        img = _evaluate(label, fn, k, x)  # f(x), then f(x) - f(y), then f(h)
+        _require_level(label, img, level, p)
         # declared modulus on the sampled pair
         gap2 = gap * gap  # inf on overflow, where ** 2 raises
         if gap2 > 0:
-            img = None if zero else img - _evaluate(label, fn, k, y)
+            img = img - _evaluate(label, fn, k, y)
             bound = cmap.modulus(gap2)
             limit = bound * (1 + 1e-9) + 1e-15
-            lhs = 0.0 if zero else _increment_norm(
-                img, x, y, gap, p, lambda b: b * b <= limit)
+            lhs = _increment_norm(img, x, y, gap, p,
+                                  lambda b: b * b <= limit)
             lhs2 = lhs * lhs
             if not (lhs2 <= limit or limit == math.inf):  # inf: vacuous
                 raise ContractViolationError(
                     f"{label}: squared increment {lhs2:.6e} exceeds the "
                     f"declared modulus bound {bound:.6e} at gap^2 {gap2:.3e}"
                 )
-        if not zero and (cmap.selfadjoint_preserving or cmap.parity_even):
+        if cmap.selfadjoint_preserving or cmap.parity_even:
             img = _evaluate(label, fn, k, h)
             if cmap.selfadjoint_preserving:
                 _require_selfadjoint(label, img, p)
@@ -258,8 +259,6 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
                         f"{label}: declared parity_even but the image of a "
                         f"self-adjoint element has an odd part"
                     )
-    if zero:
-        return
     _require_embedding(label, fn, boundaries)
     # continuity in t along a refinement, at a fixed scalar argument
     jumps, size = [], max(2, _CHUNK_BYTES // scalar.mat.nbytes)
@@ -282,10 +281,10 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
 def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
                       start_node: int = 0, *, probes: tuple | None = None,
                       role: str = "") -> None:
-    """Spot-check the declared contraction constant on sampled pairs,
-    adaptedness, the self-adjointness flag and the embedding contract, on
-    level factors as :func:`validate_coefficient` does (the zero map holds)."""
-    if _is_zero_map(rmap):
+    """Spot-check a declared contraction on sampled pairs, adaptedness, the
+    self-adjointness flag and the embedding contract, on level factors as
+    :func:`validate_coefficient` does (a proven map holds)."""
+    if _is_proven(rmap):
         return
     if probes is None:
         probes = draw_probes(space, p, start_node)
@@ -333,36 +332,56 @@ def _is_zero_map(m) -> bool:
     return m.fn is _zero_image  # a map that returns 0 takes the full path
 
 
+#: The maps a factory proved, by id; an entry dies with its map
+_PROVEN = weakref.WeakValueDictionary()
+
+
+def _proven(m, holds: bool = True):
+    """m, proven if ``holds``: a linear map of L^p norm <= |c| (|c| times a
+    contraction: Pisier & Xu 2003) has modulus |c|, and one that keeps each
+    level, commutes with ``(x) I`` and reads no t passes every probe."""
+    if holds:
+        _PROVEN[id(m)] = m
+    return m
+
+
+def _is_proven(m) -> bool:
+    return _PROVEN.get(id(m)) is m  # not a replace, copy or same-fn map
+
+
 def _zero(p: float) -> CoefficientMap:
-    return CoefficientMap(
+    """0: modulus 0, image 0 at every level; proved."""
+    return _proven(CoefficientMap(
         fn=_zero_image,
         modulus=OsgoodModulus.from_lipschitz(0.0),
         parity_even=True,
         selfadjoint_preserving=True,
         name="zero",
-    )
+    ))
 
 
 def _scale(p: float, c: float = 1.0) -> CoefficientMap:
+    """c x: modulus |c|, keeps levels and adjoints; proved if |c| <= 1."""
     c = float(c)
-    return CoefficientMap(
+    return _proven(CoefficientMap(
         fn=lambda x, t: c * x,
         modulus=OsgoodModulus.from_lipschitz(abs(c)),
         parity_even=False,
         selfadjoint_preserving=True,
         name=f"scale({c})",
-    )
+    ), abs(c) <= 1)
 
 
 def _constant(p: float, c: float = 1.0) -> CoefficientMap:
+    """c I: modulus 0, level 0, self-adjoint iff real; proved if |c| <= 1."""
     c = complex(c)
-    return CoefficientMap(
+    return _proven(CoefficientMap(
         fn=lambda x, t: c * x.space.identity(),
         modulus=OsgoodModulus.from_lipschitz(0.0),
         parity_even=True,
         selfadjoint_preserving=(c.imag == 0.0),
         name=f"constant({c})",
-    )
+    ), abs(c) <= 1)
 
 
 def _cos_scale(p: float, c: float = 1.0, omega: float = 1.0) -> CoefficientMap:
@@ -377,7 +396,8 @@ def _cos_scale(p: float, c: float = 1.0, omega: float = 1.0) -> CoefficientMap:
 
 def _even_sa(p: float, c: float = 1.0) -> CoefficientMap:
     """c * even part of the self-adjoint part — the map the
-    self-adjointness theorem wants, and a contraction times |c|."""
+    self-adjointness theorem wants, and a level-keeping contraction times
+    |c|; proved if |c| <= 1."""
     c = float(c)
 
     def fn(x, t):
@@ -385,23 +405,25 @@ def _even_sa(p: float, c: float = 1.0) -> CoefficientMap:
         even, _ = parity_decompose(sa)
         return c * even
 
-    return CoefficientMap(
+    return _proven(CoefficientMap(
         fn=fn,
         modulus=OsgoodModulus.from_lipschitz(abs(c)),
         parity_even=True,
         selfadjoint_preserving=True,
         name=f"even_sa({c})",
-    )
+    ), abs(c) <= 1)
 
 
 def _sa_scale(p: float, c: float = 1.0) -> CoefficientMap:
+    """c (x + x*) / 2: |c| times a level-keeping contraction; proved if
+    |c| <= 1."""
     c = float(c)
-    return CoefficientMap(
+    return _proven(CoefficientMap(
         fn=lambda x, t: c * (0.5 * (x + x.adjoint())),
         modulus=OsgoodModulus.from_lipschitz(abs(c)),
         selfadjoint_preserving=True,
         name=f"sa_scale({c})",
-    )
+    ), abs(c) <= 1)
 
 
 def _radial_osgood(p: float, scale: float = 1.0) -> CoefficientMap:
@@ -451,29 +473,31 @@ def make_coefficient(name: str, p: float, **params) -> CoefficientMap:
 
 
 def _r_zero() -> NonlocalMap:
-    return NonlocalMap(
+    """R = 0: proved."""
+    return _proven(NonlocalMap(
         fn=_zero_image,
         contraction=0.0,
         selfadjoint_preserving=True,
         name="zero",
-    )
+    ))
 
 
 def _r_scale(c: float = 0.5) -> NonlocalMap:
+    """c x: contraction |c| < 1, keeps levels; proved."""
     c = float(c)
     if not 0 <= abs(c) < 1:
         raise ValueError(f"|c| must be < 1 for a contraction, got {c}")
-    return NonlocalMap(
+    return _proven(NonlocalMap(
         fn=lambda x: c * x,
         contraction=abs(c),
         selfadjoint_preserving=True,
         name=f"scale({c})",
-    )
+    ))
 
 
 def _r_conditional_scale(c: float = 0.5, level: int = 0) -> NonlocalMap:
-    """c * E(x | level): composes a scale with the (contractive)
-    conditional expectation."""
+    """c * E(x | level): composes a scale with the (contractive,
+    level-keeping) conditional expectation; proved."""
     c = float(c)
     if not 0 <= abs(c) < 1:
         raise ValueError(f"|c| must be < 1 for a contraction, got {c}")
@@ -481,12 +505,12 @@ def _r_conditional_scale(c: float = 0.5, level: int = 0) -> NonlocalMap:
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
     level = int(level)
     # a level factor's space may hold fewer than ``level`` generators
-    return NonlocalMap(
+    return _proven(NonlocalMap(
         fn=lambda x: c * conditional_expect(x, min(level, x.space.n_gen)),
         contraction=abs(c),
         selfadjoint_preserving=True,
         name=f"conditional_scale({c},{level})",
-    )
+    ))
 
 
 NONLOCAL_MAPS = {

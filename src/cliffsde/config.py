@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 
 from .coefficients import make_coefficient, make_nonlocal
-from .errors import CliffsdeError, ConfigurationError
+from .errors import CliffsdeError, ConfigurationError, OsgoodViolationError
 from .grid import TimeGrid
 from .process import DRIVER_KINDS, Driver
 from .solver import NONLOCAL_MODES, QsdeProblem
@@ -186,7 +186,7 @@ def _coefficient_section(raw: dict, section: str, p: float, n_gen: int):
         raise ConfigurationError(
             f"bad parameters for {section}.name={name}: {exc}", key=section
         ) from None
-    except ValueError as exc:
+    except (OsgoodViolationError, ValueError) as exc:  # e.g. radial scale 0
         raise ConfigurationError(str(exc), key=section) from None
 
 

@@ -38,6 +38,7 @@ import numpy as np
 from .coefficients import (
     CoefficientMap,
     NonlocalMap,
+    _is_proven,
     _is_zero_map,
     draw_probes,
     validate_coefficient,
@@ -112,16 +113,15 @@ class QsdeProblem:
                     f"nonlocal contraction must be < 1, got "
                     f"{self.R.contraction}"
                 )
-            if self.validate:
-                # one draw of level-factor probes serves all four maps
+            todo = [r for r in "FGHR" if not _is_proven(getattr(self, r))]
+            if self.validate and todo:
+                # one draw of level-factor probes serves every unproven map
                 probes = draw_probes(self.space, self.p, self.start_node)
-                for role in "FGH":
-                    validate_coefficient(getattr(self, role), self.space,
-                                         self.p, start_node=self.start_node,
-                                         probes=probes, role=role)
-                validate_nonlocal(self.R, self.space, self.p,
-                                  start_node=self.start_node, probes=probes,
-                                  role="R")
+                for role in todo:
+                    check = (validate_nonlocal if role == "R"
+                             else validate_coefficient)
+                    check(getattr(self, role), self.space, self.p,
+                          start_node=self.start_node, probes=probes, role=role)
 
     @property
     def is_lipschitz(self) -> bool:

@@ -49,7 +49,8 @@ from functools import cache
 
 import numpy as np
 
-from .element import CliffordElement, lp_norm, lp_norms, state
+from .element import (CliffordElement, _l2_norm, _lp_over_l2_bound, lp_norm,
+                      lp_norms, state)
 from .errors import AdaptednessError, ResourceLimitError
 from .grid import TimeGrid, as_int
 
@@ -318,7 +319,19 @@ def require_adapted(x: CliffordElement, level, p: float, tol: float,
                     what: str) -> None:
     """Raise :class:`AdaptednessError` ``"<what> (defect d)"`` unless the
     L^p adaptedness defect d of x at ``level`` is at most ``tol``; a NaN
-    defect (a non-finite x) fails."""
+    defect (a non-finite x) fails.  At an even level E(x | level) is
+    pt (x) I (pt: x's partial trace), and d is taken only where one copy
+    of x bounds it, by dim^(1/2 - 1/p) ||x - pt (x) I||_2 (1 + dim^2 eps),
+    above tol."""
+    k = _level_index(x.space, level)
+    if k % 2 == 0:
+        dim, hi = x.space.dim, 2 ** max(x.space.factors - k // 2, 0)
+        diff = x.mat.reshape(dim // hi, hi, -1, hi).copy()
+        blocks = np.einsum("ajbj->ajb", diff)  # a writeable view
+        blocks -= np.einsum("ajbj->ab", diff)[:, None] / hi
+        bound = _l2_norm(diff.reshape(dim, dim)) * _lp_over_l2_bound(dim, p)
+        if bound * (1 + dim * dim * np.finfo(float).eps) <= tol:
+            return
     d = adaptedness_defect(x, level, p)
     if not d <= tol:
         raise AdaptednessError(f"{what} (defect {d:.3e})")

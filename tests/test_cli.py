@@ -300,6 +300,20 @@ def test_solve_rejects_a_bad_value_under_its_key(capsys, tmp_path, line,
     assert err.startswith(f"config error ({key})")
 
 
+@pytest.mark.parametrize("scale", ["0", "1e-300", "-1e-300", "1e154"])
+def test_an_osgood_scale_that_fails_its_certificate_exits_2(capsys, tmp_path,
+                                                            scale):
+    # the declared modulus 4 scale^2 is 0 or overflows: the factory's
+    # Osgood certificate raised, and escaped as a traceback with exit 1
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(f"grid.n = 2\nF.name = radial_osgood\nF.scale = {scale}\n")
+    code, out, err = _run(capsys, "solve", "--config", str(cfg),
+                          "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("config error (F): radial_rho(")
+    assert err.count("\n") == 1
+
+
 def test_solve_nonconvergence_writes_delta_trace(capsys, tmp_path):
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = 6\nF.name = scale\nF.c = 1.0\n"

@@ -15,9 +15,11 @@ from cliffsde import (
     PROBLEMS,
     CoefficientMap,
     ContractViolationError,
+    Driver,
     NONLOCAL_MAPS,
     NonlocalMap,
     OsgoodModulus,
+    QsdeProblem,
     TimeGrid,
     conditional_expect,
     forward_euler_oracle,
@@ -33,7 +35,7 @@ from cliffsde import (
     validate_coefficient,
     validate_nonlocal,
 )
-from cliffsde import coefficients
+from cliffsde import coefficients, solver
 from cliffsde.element import lp_norms
 
 P = 4.0
@@ -44,15 +46,21 @@ _SP = make_space(TimeGrid.uniform(0.0, 1.0, 4))
 # -- registries ---------------------------------------------------------------
 
 
+def _twin(m):
+    """m's unproven twin: the same fields under a new identity, which the
+    validators check in full."""
+    return dataclasses.replace(m)
+
+
 @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
 def test_builtin_coefficients_pass_their_own_contract(name):
-    cmap = make_coefficient(name, P)
+    cmap = _twin(make_coefficient(name, P))
     validate_coefficient(cmap, _SP, P)
 
 
 @pytest.mark.parametrize("name", sorted(NONLOCAL_MAPS))
 def test_builtin_nonlocal_maps_pass_their_own_contract(name):
-    rmap = make_nonlocal(name)
+    rmap = _twin(make_nonlocal(name))
     validate_nonlocal(rmap, _SP, P)
 
 
@@ -457,9 +465,10 @@ def test_an_exactly_declared_scale_map_takes_no_exact_norm(monkeypatch, c):
     exact = []
     monkeypatch.setattr(coefficients, "lp_norm",
                         lambda x, p: exact.append(x) or lp_norm(x, p))
-    validate_coefficient(make_coefficient("scale", P, c=c), sp, P,
+    validate_coefficient(_twin(make_coefficient("scale", P, c=c)), sp, P,
                          probes=probes)
-    validate_nonlocal(make_nonlocal("scale", c=c / 4), sp, P, probes=probes)
+    validate_nonlocal(_twin(make_nonlocal("scale", c=c / 4)), sp, P,
+                      probes=probes)
     assert exact == []
 
 
@@ -579,6 +588,7 @@ def _sizes(name: str) -> st.SearchStrategy:
 def test_every_builtin_problem_is_accepted_at_every_start_node(data, name):
     n = data.draw(_sizes(name), label="n")
     prob = make_problem(name, n=n)
+    prob = prob.replace(**{r: _twin(getattr(prob, r)) for r in "FGHR"})
     for start_node in range(1, n):
         assert prob.replace(start_node=start_node).start_node == start_node
 
@@ -599,3 +609,149 @@ def test_a_dimension_dependent_scale_is_rejected_iff_its_constants_differ(
     else:
         with pytest.raises(ContractViolationError, match=r"^F \(by_dim\): "):
             prob.replace(F=_dim_dependent_scale(consts))
+
+
+# -- the proven registry: linear maps with |c| <= 1 are not probed ------------
+
+#: |c| <= 1 with its edges: +-1, signed zeros and subnormals
+_UNIT = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324]),
+                  st.floats(-1.0, 1.0))
+#: |c| < 1, the nonlocal factories' own domain
+_OPEN_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                       st.floats(-1.0, 1.0, exclude_min=True,
+                                 exclude_max=True))
+_PROVEN_COEFFICIENTS = ["zero", "scale", "constant", "even_sa", "sa_scale"]
+
+
+def _proven_coefficient(data, p: float) -> CoefficientMap:
+    name = data.draw(st.sampled_from(_PROVEN_COEFFICIENTS), label="name")
+    if name == "zero":
+        return make_coefficient(name, p)
+    c = data.draw(_UNIT, label="c")
+    if name == "constant":
+        c *= data.draw(st.sampled_from([1.0, 1j, -1j]), label="phase")
+    return make_coefficient(name, p, c=c)
+
+
+def _proven_nonlocal(data, n_gen: int) -> NonlocalMap:
+    name = data.draw(st.sampled_from(sorted(NONLOCAL_MAPS)), label="R")
+    if name == "zero":
+        return make_nonlocal(name)
+    params = {"c": data.draw(_OPEN_UNIT, label="R.c")}
+    if name == "conditional_scale":
+        params["level"] = data.draw(st.integers(0, n_gen + 1), label="level")
+    return make_nonlocal(name, **params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_the_unchanged_validators_accept_every_proven_maps_twin(n, data):
+    # the proof behind the skip, checked by the probes it skips: every
+    # linear registry map with |c| <= 1, under a new identity, passes the
+    # full validation of a problem build
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
+    p = data.draw(st.sampled_from([2.5, 3.0, 4.0, 6.0, 30.0]), label="p")
+    F, G, H = (_proven_coefficient(data, p) for _ in "FGH")
+    R = _proven_nonlocal(data, sp.n_gen)
+    QsdeProblem(space=sp, F=_twin(F), G=_twin(G), H=_twin(H), R=_twin(R),
+                Z=sp.identity(), driver=Driver.fermion_field(), p=p,
+                start_node=data.draw(st.integers(0, n - 1), label="start"),
+                nonlocal_mode=data.draw(st.sampled_from(["pointwise",
+                                                         "initial"])))
+
+
+@pytest.mark.parametrize("role, forged, message", [
+    ("F", dataclasses.replace(make_coefficient("scale", P, c=0.5),
+                              modulus=OsgoodModulus.from_lipschitz(0.25)),
+     "F (scale(0.5)): squared increment 7.040408e-02 exceeds the declared "
+     "modulus bound 1.760102e-02 at gap^2 2.816e-01"),
+    ("F", dataclasses.replace(make_coefficient("sa_scale", P, c=0.5),
+                              parity_even=True),
+     "F (sa_scale(0.5)): declared parity_even but the image of a "
+     "self-adjoint element has an odd part"),
+    ("F", dataclasses.replace(make_coefficient("constant", P, c=0.5j),
+                              selfadjoint_preserving=True),
+     "F (constant(0.5j)): declared selfadjoint_preserving but breaks "
+     "self-adjointness"),
+    ("R", dataclasses.replace(make_nonlocal("scale", c=0.5), contraction=0.25),
+     "R (scale(0.5)): moved 2.653377e-01 on a gap of 5.306753e-01, beyond "
+     "the declared contraction 0.25"),
+    ("R", dataclasses.replace(make_nonlocal("conditional_scale", c=0.5),
+                              contraction=0.25),
+     "R (conditional_scale(0.5,0)): moved 2.653377e-01 on a gap of "
+     "5.306753e-01, beyond the declared contraction 0.25"),
+])
+def test_a_forged_twin_of_a_proven_map_is_rejected(role, forged, message):
+    # a replace with an under-declared constant or a false flag is a new
+    # object: it is probed, and fails with the message it always had
+    prob = make_problem("nonlocal_linear", n=4)
+    with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
+        prob.replace(**{role: forged})
+
+
+@pytest.mark.parametrize("name, c, n, p, message", [
+    ("sa_scale", 1e10, 6, 30.0,
+     "F (sa_scale(10000000000.0)): squared increment nan exceeds the "
+     "declared modulus bound 2.122145e+21 at gap^2 2.122e+01"),
+    ("scale", 1.7e308, 3, 4.0,
+     "F (scale(1.7e+308)): image of a level-1 element leaves the level "
+     "algebra (defect nan)"),
+    ("scale", 1.7e308, 8, 4.0, None),
+])
+def test_a_registry_map_outside_the_proven_domain_keeps_its_verdict(
+        name, c, n, p, message):
+    # beyond |c| <= 1 the verdict depends on the probes, n and p, so these
+    # maps keep their probes
+    prob = make_problem("linear_field", n=n).replace(p=p)
+    cmap = make_coefficient(name, p, c=c)
+    if message is None:
+        prob.replace(F=cmap)
+        return
+    with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
+        prob.replace(F=cmap)
+
+
+def test_the_registry_proves_exactly_its_linear_maps_with_unit_c():
+    proven = [make_coefficient("zero", P), make_nonlocal("zero"),
+              *(make_coefficient(name, P, c=c)
+                for name in _PROVEN_COEFFICIENTS[1:] for c in (1.0, -1.0, 0.0)),
+              make_coefficient("constant", P, c=1j),
+              make_nonlocal("scale", c=-0.5),
+              make_nonlocal("conditional_scale", c=0.5, level=3)]
+    assert all(map(coefficients._is_proven, proven))
+    unproven = [
+        *(make_coefficient(name, P, c=c) for name in _PROVEN_COEFFICIENTS[1:]
+          for c in (math.nextafter(1.0, 2.0), -3.0)),
+        make_coefficient("cos_scale", P, c=0.5),
+        make_coefficient("radial_osgood", P, scale=0.5),
+        # a twin, a copy and a hand-built map with a proven map's fn
+        _twin(proven[2]), dataclasses.replace(proven[2], name="renamed"),
+        CoefficientMap(fn=proven[2].fn, modulus=proven[2].modulus),
+        NonlocalMap(fn=proven[-1].fn, contraction=0.5)]
+    assert not any(map(coefficients._is_proven, unproven))
+
+
+def test_a_validator_returns_at_once_for_a_proven_map(monkeypatch):
+    def no_probes(*args):
+        raise AssertionError("a proven map drew probes")
+
+    monkeypatch.setattr(coefficients, "draw_probes", no_probes)
+    validate_coefficient(make_coefficient("even_sa", P, c=0.5), _SP, P)
+    validate_nonlocal(make_nonlocal("conditional_scale"), _SP, P)
+    with pytest.raises(AssertionError, match="drew probes"):
+        validate_coefficient(make_coefficient("cos_scale", P), _SP, P)
+
+
+def test_a_proven_build_draws_no_probes_and_runs_no_validator(monkeypatch):
+    calls = []
+    for name in ("draw_probes", "validate_coefficient", "validate_nonlocal"):
+        def counted(*args, _name=name, _real=getattr(solver, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(solver, name, counted)
+    make_problem("nonlocal_linear", n=8)
+    assert calls == []
+    # osgood_radial's F is radial: its modulus margin is measured, not
+    # derived, so it keeps its probes; the zero G, H and R do not
+    make_problem("osgood_radial", n=8)
+    assert calls == ["draw_probes", "validate_coefficient"]

@@ -1,6 +1,7 @@
 """Generator representation, filtration, conditional expectation, parity,
 and the monomial transform."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cliffsde import (
+    AdaptednessError,
     Driver,
     ResourceLimitError,
     TimeGrid,
@@ -435,3 +437,55 @@ def test_projection_results_are_read_only(space4, rng):
     x = random_level_element(space4, rng)
     for level in range(space4.n_gen + 1):
         assert not conditional_expect(x, level).mat.flags.writeable
+
+
+# -- the adaptedness check's bound ----------------------------------------------
+
+
+def _adapted_verdict(x, level, p, tol):
+    try:
+        space_module.require_adapted(x, level, p, tol, "x")
+    except AdaptednessError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_the_adaptedness_bound_gives_the_exact_checks_verdicts(n, data):
+    # with the Hoelder factor patched to inf every bound is inf, so every
+    # check takes the exact defect, as it did before the bound
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = data.draw(st.sampled_from([1.0, 1e-9, 1e3]), label="scale") * \
+        random_level_element(sp, rng, data.draw(st.integers(0, sp.n_gen)))
+    if data.draw(st.booleans(), label="perturbed"):
+        x = x + data.draw(st.sampled_from([1e-14, 1e-11, 1e-10, 1e-9])) * \
+            random_level_element(sp, rng)
+    level = data.draw(st.integers(0, sp.n_gen), label="level")
+    p = data.draw(st.sampled_from([2.0, 2.5, 4.0, 30.0]), label="p")
+    tol = data.draw(st.sampled_from([1e-10, 1e-8]), label="tol")
+    got = _adapted_verdict(x, level, p, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_lp_over_l2_bound", lambda dim, q: math.inf)
+        assert got == _adapted_verdict(x, level, p, tol)
+
+
+def test_an_even_level_check_of_an_adapted_value_peaks_at_one_copy(
+        monkeypatch):
+    # the exact defect forms E(x | 0), a cached identity, x - E(x | 0) and
+    # a Gram product: at n = 22 the build's check of Z = I peaked at four
+    # full-size matrices, 258 MiB under tracemalloc
+    exact = []
+    monkeypatch.setattr(space_module, "adaptedness_defect",
+                        lambda *args: exact.append(args) or 0.0)
+    z = make_space(TimeGrid.uniform(0.0, 1.0, 14)).identity()
+    tracemalloc.start()
+    try:
+        space_module.require_adapted(z, 0, 4.0, 1e-10, "Z")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact == [] and peak <= 1.05 * z.mat.nbytes
+    space_module.require_adapted(z, 1, 4.0, 1e-10, "Z")  # an odd level
+    assert len(exact) == 1
