@@ -8,8 +8,11 @@ statistic, value) rows.  Failing trials are never skipped silently: each
 failure is recorded as a :class:`Violation` carrying the cell and the
 derived seed for replay.
 
-Determinism: every random trial draws its generator from
-``SeedSequence(master_seed, spawn_key=(suite_index, cell_index, trial))``.
+Determinism: every random trial draws from ``default_rng(seed)``, its
+seed the first 64-bit word of
+``SeedSequence(master_seed, spawn_key=(suite_index, cell_index, trial))``;
+a cell derives its trials' seeds and generator states in one vectorized
+pass (:func:`~.integrals._seed_states`).
 Two runs with an identical :class:`SuiteConfig` therefore produce
 byte-identical CSV output, regardless of the number of worker threads —
 aggregation sorts before emission and statistics are order-independent.
@@ -31,7 +34,10 @@ from .errors import ConfigurationError, OsgoodViolationError
 from .integrals import (
     _bg_norms,
     _bg_ratio,
+    _generator,
     _norm_exchange_sides,
+    _seed_states,
+    _spawn_entropy,
     _total,
     _trial_chunks,
     parity_commutation_defect,
@@ -215,28 +221,37 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
+def _trial_seeds(master_seed: int, suite: str, cell_index: int,
+                 trials) -> np.ndarray:
+    """The derived seeds of the cell's ``trials`` (trial indices), as a
+    uint64 array: each the first word of ``SeedSequence(master_seed,
+    spawn_key=(suite_index, cell_index, trial))``, all in one pass."""
+    entropy = _spawn_entropy(master_seed, (SUITE_NAMES.index(suite), cell_index))
+    return _seed_states(entropy, trials, 1)[:, 0]
+
+
 def trial_seed(master_seed: int, suite: str, cell_index: int,
                trial: int) -> int:
-    """The derived 64-bit seed for one trial; recording it makes any failed
-    trial replayable with ``numpy.random.default_rng(seed)`` alone."""
-    ss = np.random.SeedSequence(
-        master_seed, spawn_key=(SUITE_NAMES.index(suite), cell_index, trial)
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    """The derived 64-bit seed for one trial (``trial`` below 2**64);
+    recording it makes any failed trial replayable with
+    ``numpy.random.default_rng(seed)`` alone."""
+    return int(_trial_seeds(master_seed, suite, cell_index, [trial])[0])
 
 
 def _run_trials(config: SuiteConfig, suite: str, cell_index: int,
                 trials: int, space, batch) -> list:
     """``(seed, result)`` for each trial of a cell, in trial order.
     ``batch(rngs)`` maps the generators of a chunk of consecutive trials
-    (:func:`~.integrals._trial_chunks` of ``space``), each drawn from its
-    trial's derived seed, to their results; chunks map onto
-    ``config.max_workers`` threads."""
-    seeds = [trial_seed(config.master_seed, suite, cell_index, t)
-             for t in range(trials)]
+    (:func:`~.integrals._trial_chunks` of ``space``), each
+    ``default_rng(seed)`` of its trial's derived seed, to their results;
+    chunks map onto ``config.max_workers`` threads.  The seeds and each
+    generator's state are derived for the whole cell at once."""
+    seeds = _trial_seeds(config.master_seed, suite, cell_index,
+                         np.arange(trials, dtype=np.uint64))
+    states = _seed_states([], seeds, 4)  # SeedSequence(seed)'s PCG64 words
 
     def worker(chunk):
-        return batch([np.random.default_rng(seeds[t]) for t in chunk])
+        return batch([_generator(states[t]) for t in chunk])
 
     chunks = _trial_chunks(space, trials)
     if config.max_workers > 1:
@@ -244,7 +259,7 @@ def _run_trials(config: SuiteConfig, suite: str, cell_index: int,
             results = list(ex.map(worker, chunks))
     else:
         results = [worker(chunk) for chunk in chunks]
-    return list(zip(seeds, (r for chunk in results for r in chunk)))
+    return list(zip(seeds.tolist(), (r for chunk in results for r in chunk)))
 
 
 def _add_ratio_spread(table: SweepTable, suite: str, cell: str, ratios,

@@ -38,6 +38,7 @@ norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -50,13 +51,16 @@ from .space import (_at_size, as_int, conditional_expect, parity_decompose,
                     require_adapted)
 
 
-#: Bytes of a chunk of random trials (:func:`_trial_chunks`): their level
-#: factors and ``_STEP_MATRICES`` full-size matrices each; 22 trials at
-#: n = 8 and 29 at pair n = 4 (both dim 16), one from dim 64 up.  Under
-#: tracemalloc a chunk's whole :func:`_bg_norms` or
-#: :func:`_norm_exchange_sides` call, its draw included, peaks within it
-#: (466 and 472 KB at n = 8).
+#: Bytes of a chunk of random trials (:func:`_trial_chunks`): their
+#: generators, level factors and ``_STEP_MATRICES`` full-size matrices
+#: each; 21 trials at n = 8 and 28 at pair n = 4 (both dim 16), one from
+#: dim 64 up.  Under tracemalloc a chunk's whole :func:`_bg_norms` or
+#: :func:`_norm_exchange_sides` call, its generators and draw included,
+#: peaks within it at every size.
 _CHUNK_BYTES = 512 * 1024
+#: Bytes that one trial's generator (:func:`_generator`) holds: 750 to
+#: 990 B each under tracemalloc, from 64 generators down to one
+_GENERATOR_BYTES = 1024
 #: Matrices per trial, each at most of the largest step size (the full
 #: size), that a running-sum step holds at once: the sum, the node embedded
 #: at the step's size or a Gram step's conjugate, the term, and the buffer
@@ -226,13 +230,130 @@ def _norm_exchange_sides(space, start: int, trials: int, nodes, q: float,
 
 def _trial_chunks(space, trials: int) -> list:
     """Consecutive ranges of trials that fit one chunk of ``_CHUNK_BYTES``:
-    per trial its random process as level factors (one value per
-    increment) and the matrices that a running-sum or norm-exchange step
-    holds at the largest step size, the full size."""
+    per trial its generator, its random process as level factors (one
+    value per increment) and the matrices that a running-sum or
+    norm-exchange step holds at the largest step size, the full size."""
     dims = [space.level_space(k).dim for k in range(space.grid.n)]
-    per_trial = sum(d * d for d in dims) + _STEP_MATRICES * space.dim ** 2
-    size = max(1, _CHUNK_BYTES // (16 * per_trial))
+    per_trial = (_GENERATOR_BYTES + 16 * sum(d * d for d in dims)
+                 + 16 * _STEP_MATRICES * space.dim ** 2)
+    size = max(1, _CHUNK_BYTES // per_trial)
     return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+
+# -- trial generators: numpy's SeedSequence over rows of entropy ---------------
+
+#: numpy's SeedSequence (O'Neill's seed_seq for PCG): the entropy pool's
+#: size in uint32 words, and the constants of its hashes and of its mix
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list:
+    """The uint32 words numpy's SeedSequence makes of a non-negative int,
+    least significant first: ``[0]`` for 0."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {n!r}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _spawn_entropy(seed: int, key=()) -> list:
+    """The entropy words of ``SeedSequence(seed, spawn_key=key + (t,))``
+    before t's own: the seed's words, zero-padded to the pool, then each
+    key's."""
+    words = _uint32_words(int(seed))
+    words += [0] * (_POOL - len(words))
+    for k in key:
+        words += _uint32_words(int(k))
+    return words
+
+
+@cache
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """The xor and multiplier constants of ``count`` calls of numpy's
+    SeedSequence hash, in call order, as ``(count, 1)`` uint32 columns: they
+    depend on the call count alone."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, np.uint32)[:, None]
+    h.setflags(write=False)  # cached: shared by every call
+    return h[:-1], h[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence hash of uint32 rows, one row per constant"""
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence mix of uint32 arrays"""
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> 16)
+
+
+def _seed_states(prefix, values, n_words: int) -> np.ndarray:
+    """``SeedSequence(prefix + [v]).generate_state(n_words, np.uint64)``
+    for each v of ``values`` (ints below 2**64), one row per value: the
+    entropy is the uint32 words ``prefix`` then v's own one or two, mixed
+    into the pool and hashed out as numpy does, in uint32 arithmetic over
+    all the rows at once.  A row shorter than the pool reads zeros, as
+    numpy's pool does; a row's words past the pool are mixed in up to its
+    own length."""
+    values = np.asarray(values, np.uint64)
+    high = (values >> np.uint64(32)).astype(np.uint32)
+    words = [np.full(values.shape, w, np.uint32) for w in prefix]
+    words += [values.astype(np.uint32), high]
+    lengths = len(prefix) + 1 + (high > 0)
+    words += [np.zeros(values.shape, np.uint32)] * (_POOL - len(words))
+    # numpy's loops, each over the pool words it updates at once; they
+    # hash 4 words into the pool, 12 to mix it and 4 per word past it
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL * len(words))
+    pool = _hash(np.array(words[:_POOL]), xor[:_POOL], mul[:_POOL])
+    c = _POOL
+    for src in range(_POOL):  # each pool word into every other
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[c:c + _POOL - 1],
+                                          mul[c:c + _POOL - 1]))
+        c += _POOL - 1
+    for src in range(_POOL, len(words)):  # the words past the pool
+        mixed = _mix(pool, _hash(words[src], xor[c:c + _POOL],
+                                 mul[c:c + _POOL]))
+        pool = np.where(src < lengths, mixed, pool)
+        c += _POOL
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    state = _hash(pool[np.arange(2 * n_words) % _POOL], xor, mul)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@cache
+def _words_seed_sequence() -> type:
+    """A minimal ``ISeedSequence`` whose ``generate_state`` returns the
+    words it holds; made on first use, so that importing the package does
+    not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeedSequence(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return WordsSeedSequence
+
+
+def _generator(words) -> np.random.Generator:
+    """The generator ``numpy.random.default_rng`` builds from a seed
+    sequence whose ``generate_state(4, np.uint64)`` is ``words`` (a row of
+    :func:`_seed_states`): the same stream, and no seed sequence to mix."""
+    return np.random.Generator(np.random.PCG64(_words_seed_sequence()(words)))
 
 
 def driver_integral(f: AdaptedProcess, driver: Driver, upto=None,
@@ -394,9 +515,11 @@ def measure_bg_constant(space, p: float, driver: Driver | None = None,
         raise ConfigurationError(f"trials out of range (at least 1): {trials!r}",
                                  key="trials")
     worst = 0.0
+    # trial t draws from SeedSequence(seed, spawn_key=(t,))
+    states = _seed_states(_spawn_entropy(seed),
+                          np.arange(trials, dtype=np.uint64), 4)
     for chunk in _trial_chunks(space, trials):
-        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-                for t in chunk]
+        rngs = [_generator(states[t]) for t in chunk]
         norms = _bg_norms(space, 0, len(rngs), _random_stack(space, rngs),
                           driver, p, (side,), (form,))
         for lhs, rhs in zip(*norms):

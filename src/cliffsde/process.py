@@ -189,17 +189,17 @@ def _adapted_factors(space, values, start_node, home) -> tuple:
 
 def _random_stack(space, rngs, num=None, start_node: int = 0) -> list:
     """The values :meth:`AdaptedProcess.random` draws from each of
-    ``rngs`` (checked ``num`` and ``start_node``), drawn node by node for
-    all generators at once: per node a read-only ``(len(rngs), d, d)``
-    stack of their level factors, d the node's ``level_space`` dim."""
+    ``rngs`` (checked ``num`` and ``start_node``): each generator draws its
+    whole process in one call, and each node is finished for all
+    generators at once.  Per node a read-only ``(len(rngs), d, d)`` stack
+    of their level factors, d the node's ``level_space`` dim."""
     num = space.grid.n if num is None else num
-    nodes = []
-    for node in range(start_node, start_node + num):
-        a = _at_size(_draw_levels(space, rngs, space.level_of_node(node)),
-                     space.level_space(node).dim)
-        a.setflags(write=False)
-        nodes.append(a)
-    return nodes
+    nodes = range(start_node, start_node + num)
+    stacks = _draw_levels(space, rngs, [space.level_of_node(k) for k in nodes])
+    for i, node in enumerate(nodes):
+        stacks[i] = _at_size(stacks[i], space.level_space(node).dim)
+        stacks[i].setflags(write=False)
+    return stacks
 
 
 class AdaptedProcess:

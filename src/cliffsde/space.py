@@ -45,7 +45,9 @@ suites' algebra identities).
 
 from __future__ import annotations
 
+import math
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -293,7 +295,8 @@ def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
         hi = 2 ** (m - r)
         t = mat.reshape(*mat.shape[:-2], lo, hi, lo, hi)
         pt = np.einsum("...ajbj->...ab", t) / hi
-        mat = _kron(pt, _eye(hi))
+        # at level 0 the identity is the space's full size: not cached
+        mat = pt * np.eye(hi, dtype=complex) if r == 0 else _kron(pt, _eye(hi))
     if k % 2 == 1:
         # the partial trace kept the whole algebra of the first r factors;
         # average out the half that contains generator k (0-based), i.e.
@@ -405,7 +408,7 @@ def random_level_element(
     normalized to unit L^2 norm.
     """
     k = space.n_gen if level is None else _level_index(space, level)
-    return CliffordElement(space, _at_size(_draw_levels(space, [rng], k),
+    return CliffordElement(space, _at_size(_draw_levels(space, [rng], [k])[0],
                                            space.dim)[0], _fresh=True)
 
 
@@ -422,27 +425,62 @@ def _at_size(a: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _draw_levels(space: CliffordSpace, rngs, k: int) -> np.ndarray:
-    """The level factors a of :func:`random_level_element`'s values a (x) I at a
-    checked level k, one per generator, as a new ``(len(rngs), 2^r, 2^r)`` stack,
-    r = ceil(k/2).  Each generator draws one draw's stream, in order, and redraws
-    a degenerate one; the draw, odd-level flip and norm all run on the factors."""
-    r = (k + 1) // 2
-    parts = np.empty((len(rngs), 2, 2 ** r, 2 ** r))
+def _draw_levels(space: CliffordSpace, rngs, levels) -> list:
+    """The level factors a of :func:`random_level_element`'s values a (x) I at
+    each checked level k of ``levels`` in turn, one new ``(len(rngs), 2^r, 2^r)``
+    stack per level, r = ceil(k/2).  Each generator draws its whole stream in one
+    call, two (2^r, 2^r) blocks of normals per level in order; a degenerate draw
+    is redrawn from the next block of its own stream, and the later levels read
+    on after it.  The draw, odd-level flip and norm run on the factors, one level
+    at a time for all generators; the float normals are freed before the last
+    level's flip and norm."""
+    sizes = [2 * 4 ** ((k + 1) // 2) for k in levels]  # normals per level
+    ends = list(accumulate(sizes))
+    row = np.empty((len(rngs), ends[-1]))
     for i, rng in enumerate(rngs):
-        rng.standard_normal(out=parts[i])  # the stream of two (2^r, 2^r) draws
+        rng.standard_normal(out=row[i])
+    out = []
+    for k, size, end in zip(levels, sizes, ends):
+        a = _complex_draw(row[:, end - size:end])
+        if end == ends[-1]:
+            row = None  # not held through the flip and the norm
+        a, degenerate = _unit_levels(space, a, k)
+        for i in degenerate:  # a measure-zero draw
+            # the rest of its stream moves up one block, topped up from its
+            # generator (a new block when the normals are freed)
+            tail = np.empty(size) if row is None else row[i, end - size:]
+            while True:
+                tail[:-size] = tail[size:]
+                rngs[i].standard_normal(out=tail[-size:])
+                b, bad = _unit_levels(space, _complex_draw(tail[None, :size]), k)
+                if not bad.size:
+                    break
+            a[i] = b[0]
+        out.append(a)
+    return out
+
+
+def _complex_draw(normals: np.ndarray) -> np.ndarray:
+    """A new ``(T, d, d)`` complex stack of the ``(T, 2 d^2)`` normals: per
+    row, the real parts of its draw, then the imaginary parts."""
+    d = math.isqrt(normals.shape[-1] // 2)
+    parts = normals.reshape(-1, 2, d, d)
     a = parts[:, 0].astype(complex)
     a.imag = parts[:, 1]
-    del parts  # not held through the flip and the norm
+    return a
+
+
+def _unit_levels(space: CliffordSpace, a: np.ndarray, k: int) -> tuple:
+    """``(a, degenerate)``: the drawn stack ``a`` flipped into the level-k
+    algebra at an odd k and scaled to unit L^2 norm in place, but for the
+    rows ``degenerate`` (indices), whose norm is below 1e-12."""
     if k % 2 == 1:
-        a = _project(space._factor_space(r), a, k)
+        a = _project(space._factor_space((k + 1) // 2), a, k)
     nrms = np.array(lp_norms(a, 2.0))
     degenerate = np.flatnonzero(nrms < 1e-12)
     nrms[degenerate] = 1.0
     a /= nrms.astype(complex)[:, None, None]
-    for i in degenerate:  # a measure-zero draw
-        a[i] = _draw_levels(space, rngs[i:i + 1], k)[0]
-    return a
+    return a, degenerate
 
 
 __all__ = [

@@ -405,6 +405,19 @@ def test_bench_constants_prints_both_forms(capsys, tmp_path):
     assert len(text.splitlines()) == 3
 
 
+def test_seeded_bench_constants_match_the_committed_bytes(capsys, tmp_path):
+    # every trial's generator is SeedSequence(seed, spawn_key=(t,)); the
+    # estimates pin their streams, draws and norms to the bit
+    out_csv = tmp_path / "constants.csv"
+    code, _, _ = _run(capsys, "bench-constants", "--p", "3", "--p", "4",
+                      "--n", "8", "--trials", "200", "--seed", "1729",
+                      "--out", str(out_csv))
+    assert code == 0
+    fixture = (Path(__file__).parent / "data"
+               / "bench_constants_seed1729_n8_trials200.csv")
+    assert out_csv.read_bytes() == fixture.read_bytes()
+
+
 def test_bench_constants_rejects_small_exponent(capsys):
     code, _, err = _run(capsys, "bench-constants", "--p", "1.5", "--seed", "0")
     assert code == 2

@@ -1,11 +1,16 @@
 """Sweep harness: determinism, violation logging, and table plumbing."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsde import (
     ConfigurationError,
@@ -22,7 +27,8 @@ from cliffsde import (
 )
 from cliffsde import TimeGrid, experiments, integrals
 from cliffsde.grid import is_count
-from cliffsde.integrals import _bg_norms, _norm_exchange_sides, _trial_chunks
+from cliffsde.integrals import (_bg_norms, _generator, _norm_exchange_sides,
+                                _seed_states, _spawn_entropy, _trial_chunks)
 from cliffsde.process import _random_stack
 
 _SMALL = SuiteConfig(trials=12, n=4, master_seed=7)
@@ -130,11 +136,11 @@ def test_one_trial_chunks_write_the_same_bytes(monkeypatch):
         assert other.violations_to_csv() == chunked.violations_to_csv()
 
 
-def test_a_default_chunk_holds_22_trials_in_its_budget():
+def test_a_default_chunk_holds_21_trials_in_its_budget():
     sp = _space(8)
     chunk = _trial_chunks(sp, 10 ** 6)[0]
-    assert len(chunk) == 22
-    assert len(_trial_chunks(_space(4, "pair"), 10 ** 6)[0]) == 29
+    assert len(chunk) == 21
+    assert len(_trial_chunks(_space(4, "pair"), 10 ** 6)[0]) == 27
     rngs = [np.random.default_rng(t) for t in chunk]
     tracemalloc.start()
     try:
@@ -173,7 +179,7 @@ def test_a_default_chunks_bg_norms_call_peaks_within_its_budget(n, driver, p):
         return _bg_norms(sp, 0, len(rngs), _random_stack(sp, rngs), driver,
                          p, ("left", "right"), ("hp", "l2lp"))
 
-    assert len(chunk) >= 22
+    assert len(chunk) >= 21
     assert _chunk_peak(run) <= integrals._CHUNK_BYTES
 
 
@@ -191,6 +197,38 @@ def test_a_default_chunks_norm_exchange_call_peaks_within_its_budget(q, p):
                                     _random_stack(sp, rngs), q, p)
 
     assert _chunk_peak(run) <= integrals._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("n,layout", [(n, "fermion") for n in range(1, 9)]
+                         + [(n, "pair") for n in range(1, 5)])
+def test_a_default_chunk_peaks_within_its_budget_with_its_generators(n, layout):
+    # a chunk's generators count against its budget: below n = 8 they are a
+    # large share of a trial's bytes (without them a chunk peaked at 1.42x
+    # the budget at n = 4 and 2.58x at n = 1)
+    sp = _space(n, layout)
+    chunk = _trial_chunks(sp, 10 ** 6)[0]
+    states = _seed_states(_spawn_entropy(1729, (0, 0)),
+                          np.arange(len(chunk), dtype=np.uint64), 4)
+    if layout == "fermion":
+        driver = Driver.fermion_field()
+        exchanges = experiments.QP_PAIRS + ((4.0, 4.0),)
+    else:
+        driver, exchanges = Driver.annihilation(), ()
+
+    def bg(p):
+        rngs = [_generator(words) for words in states]
+        return _bg_norms(sp, 0, len(rngs), _random_stack(sp, rngs), driver,
+                         p, ("left", "right"), ("hp", "l2lp"))
+
+    def exchange(q, p):
+        rngs = [_generator(words) for words in states]
+        return _norm_exchange_sides(sp, 0, len(rngs), _random_stack(sp, rngs),
+                                    q, p)
+
+    for p in experiments.P_GRID:
+        assert _chunk_peak(lambda: bg(p)) <= integrals._CHUNK_BYTES
+    for q, p in exchanges:
+        assert _chunk_peak(lambda: exchange(q, p)) <= integrals._CHUNK_BYTES
 
 
 def test_one_space_per_n_and_layout_per_run(monkeypatch):
@@ -221,6 +259,79 @@ def test_trial_seed_is_stable_and_spread():
     others = {trial_seed(1729, "bg_ratio", 0, t) for t in range(50)}
     assert len(others) == 50
     assert trial_seed(1729, "norm_exchange", 0, 0) != s
+
+
+def test_trial_seed_is_pinned():
+    # numpy's SeedSequence(1729, spawn_key=(0, 0, 0)).generate_state(1,
+    # np.uint64): a numpy change to SeedSequence fails here first
+    assert trial_seed(1729, "bg_ratio", 0, 0) == 7880385311592721941
+
+
+#: 0, one word, two words, three words (past 2**64) and past the pool
+_MASTER_SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 128, 2 ** 160 + 7)
+
+
+def _assert_same_stream(ours, ref) -> None:
+    """ours and ref are in the same state and draw the same numbers"""
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert ours.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+    assert ours.integers(0, 2 ** 62, 3).tolist() == \
+        ref.integers(0, 2 ** 62, 3).tolist()
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(master=st.sampled_from(_MASTER_SEEDS) | st.integers(0, 2 ** 200),
+       suite=st.sampled_from(experiments.SUITE_NAMES),
+       cell=st.integers(0, 40) | st.just(2 ** 40),
+       trials=st.lists(st.integers(0, 500) | st.integers(2 ** 32 - 2, 2 ** 33),
+                       min_size=1, max_size=4),
+       one_word=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3))
+def test_the_seed_kernel_is_numpys_seed_sequence(master, suite, cell, trials,
+                                                 one_word):
+    # the oracle is numpy's SeedSequence and default_rng: trial seeds, the
+    # generators made from them (also of seeds below 2**32, which are one
+    # word of entropy), and measure_bg_constant's spawn_key=(t,) form
+    key = (experiments.SUITE_NAMES.index(suite), cell)
+    seeds = [trial_seed(master, suite, cell, t) for t in trials]
+    assert seeds == [int(np.random.SeedSequence(
+        master, spawn_key=key + (t,)).generate_state(1, np.uint64)[0])
+        for t in trials]
+    assert experiments._trial_seeds(master, suite, cell,
+                                    trials).tolist() == seeds
+    for seed, words in zip(seeds + one_word,
+                           _seed_states([], seeds + one_word, 4)):
+        _assert_same_stream(_generator(words), np.random.default_rng(seed))
+    for t, words in zip(trials,
+                        _seed_states(_spawn_entropy(master), trials, 4)):
+        ss = np.random.SeedSequence(master, spawn_key=(t,))
+        assert words.tolist() == ss.generate_state(4, np.uint64).tolist()
+        _assert_same_stream(_generator(words), np.random.default_rng(ss))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the trial generators' seed-sequence class is made on first use
+    code = "import sys, cliffsde; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("master", _MASTER_SEEDS)
+def test_run_trials_hands_each_trial_default_rng_of_its_seed(master):
+    config = SuiteConfig(master_seed=master, trials=30, n=8)
+    out = experiments._run_trials(
+        config, "norm_exchange", 3, config.trials, _space(8),
+        lambda rngs: [(r.bit_generator.state, r.standard_normal(4).tobytes())
+                      for r in rngs])
+    key = (experiments.SUITE_NAMES.index("norm_exchange"), 3)
+    for t, (seed, (state, draw)) in enumerate(out):
+        assert seed == int(np.random.SeedSequence(
+            master, spawn_key=key + (t,)).generate_state(1, np.uint64)[0])
+        ref = np.random.default_rng(seed)
+        assert state == ref.bit_generator.state
+        assert draw == ref.standard_normal(4).tobytes()
 
 
 # -- violation logging -----------------------------------------------------------

@@ -381,11 +381,11 @@ def test_a_chunk_draw_holds_no_normals_through_the_flip_and_the_norm(level,
     # draw at n = 8 peaked at 4.05x (level 7) and 3.05x (level 8) the
     # factors' bytes under tracemalloc, against 3.04x and 2.05x without
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 8))
-    space_module._draw_levels(sp, [np.random.default_rng(0)], level)  # caches
+    space_module._draw_levels(sp, [np.random.default_rng(0)], [level])  # caches
     rngs = [np.random.default_rng(t) for t in range(10)]
     tracemalloc.start()
     try:
-        a = space_module._draw_levels(sp, rngs, level)
+        a = space_module._draw_levels(sp, rngs, [level])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,6 +431,24 @@ def test_projections_and_draws_are_bitwise_those_of_np_kron(n, monkeypatch):
     ours = outputs()
     monkeypatch.setattr(space_module, "_kron", np.kron)
     assert ours == outputs()
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_a_level_0_projection_caches_no_full_size_identity(n, monkeypatch):
+    # E(x | 0) is the 1x1 partial trace times a fresh identity, the bits of
+    # their Kronecker product; a cached identity of the space's full size
+    # stays for good (64 MiB at n = 22)
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
+    src = np.random.default_rng(n)
+    mat = (src.standard_normal((sp.dim, sp.dim))
+           + 1j * src.standard_normal((sp.dim, sp.dim)))
+    asked, eye = [], space_module._eye
+    monkeypatch.setattr(space_module, "_eye",
+                        lambda size: asked.append(size) or eye(size))
+    got = conditional_expect(sp.element(mat), 0).mat
+    assert sp.dim not in asked
+    pt = np.einsum("ajbj->ab", mat.reshape(1, sp.dim, 1, sp.dim)) / sp.dim
+    assert got.tobytes() == np.kron(pt, np.eye(sp.dim, dtype=complex)).tobytes()
 
 
 def test_projection_results_are_read_only(space4, rng):

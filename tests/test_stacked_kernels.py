@@ -565,6 +565,56 @@ def test_a_degenerate_draw_is_redrawn_from_its_own_generator():
         assert row.tobytes() == _values(f).tobytes()
 
 
+class _ZeroedRange:
+    """A generator whose normals at stream positions lo..hi-1 are zeros."""
+
+    def __init__(self, seed, lo, hi):
+        self.rng, self.pos, self.lo, self.hi = np.random.default_rng(seed), 0, lo, hi
+
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
+        flat = out.reshape(-1)  # a view: the draws are contiguous
+        flat[max(self.lo - self.pos, 0):max(self.hi - self.pos, 0)] = 0.0
+        self.pos += flat.size
+        return out
+
+
+def _node_by_node(sp, rng) -> np.ndarray:
+    """:func:`_ref_draw` node by node from rng, a zero draw (NaN once
+    normalised) redrawn straight after, the later nodes read on."""
+    rows = []
+    with np.errstate(all="ignore"):
+        for k in range(sp.grid.n):
+            mat = _ref_draw(sp, rng, sp.level_of_node(k))
+            while np.isnan(mat).any():
+                mat = _ref_draw(sp, rng, sp.level_of_node(k))
+            rows.append(mat)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("sp", [_FERMION4, _FERMION, _PAIR],
+                         ids=["fermion-n4", "fermion-n5", "pair-n3"])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_a_degenerate_block_at_any_node_is_redrawn_from_its_stream(sp, blocks):
+    # node j's block zeroed (and, with two blocks, its redraw too): the
+    # redraw is the next block of the trial's own stream and the later
+    # nodes read on after it, as when each node drew on its own; at the
+    # last node the redraw comes from the generator
+    sizes = [2 * 4 ** ((sp.level_of_node(k) + 1) // 2) for k in range(sp.grid.n)]
+    for node in range(sp.grid.n):
+        lo = sum(sizes[:node])
+        hi = lo + blocks * sizes[node]
+        rngs = [np.random.default_rng(1), _ZeroedRange(2, lo, hi),
+                np.random.default_rng(3)]
+        refs = [np.random.default_rng(1), _ZeroedRange(2, lo, hi),
+                np.random.default_rng(3)]
+        stack = _full_size(sp, _random_stack(sp, rngs))
+        for row, rng, ref in zip(stack, rngs, refs):
+            assert row.tobytes() == _node_by_node(sp, ref).tobytes()
+            rng, ref = getattr(rng, "rng", rng), getattr(ref, "rng", ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @st.composite
 def _trial_stacks(draw, spaces=(_FERMION, _FERMION4, _FERMION8, _PAIR, _PAIR4)):
     """Node stacks of random processes on a later start node, some rows set
