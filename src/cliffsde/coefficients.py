@@ -25,7 +25,7 @@ from .element import (CliffordElement, _l2_norm, _lp_over_l2_bound, lp_norm,
                       lp_norms)
 from .errors import ContractViolationError
 from .integrals import _CHUNK_BYTES
-from .modulus import OsgoodModulus
+from .modulus import OsgoodModulus, _rho_log
 from .space import (
     CliffordSpace,
     conditional_expect,
@@ -438,13 +438,10 @@ def _radial_osgood(p: float, scale: float = 1.0) -> CoefficientMap:
         return (scale * s / max(u, RADIAL_EPS0)) * x
 
     c_rho = RADIAL_MODULUS_MARGIN * scale * scale
-
-    def rho(r):
-        return 0.0 if r <= 0 else c_rho * r * math.log(math.e + 1.0 / r)
-
     return CoefficientMap(
         fn=fn,
-        modulus=OsgoodModulus.osgood(rho, name=f"radial_rho({c_rho})"),
+        modulus=OsgoodModulus.osgood(_rho_log(c_rho),
+                                     name=f"radial_rho({c_rho})"),
         selfadjoint_preserving=True,
         name=f"radial_osgood({scale})",
     )

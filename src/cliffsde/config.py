@@ -203,8 +203,9 @@ def build_problem(raw: dict):
     try:
         grid = TimeGrid.uniform(fixed["grid.t0"], fixed["grid.T"],
                                 fixed["grid.n"])
-    except ValueError as exc:
-        raise ConfigurationError(str(exc), key="grid.T") from None
+    except ValueError as exc:  # keyed by the end that the file sets
+        raise ConfigurationError(str(exc), key="grid.T" if "grid.T" in raw
+                                 else "grid.t0") from None
     try:
         space = make_space(grid, layout=driver.required_layout,
                            max_generators=fixed["grid.max_generators"])

@@ -113,17 +113,20 @@ class SuiteConfig:
         # the common path is one chained test of grid.is_count's conditions,
         # inlined to keep construction cheap; the loop only names the field
         trials, seed, n = self.trials, self.master_seed, self.n
+        workers = self.max_workers
         trials_ok = (isinstance(trials, _INTEGER) and trials >= 1
                      and trials is not True)
         seed_ok = (isinstance(seed, _INTEGER) and seed >= 0
                    and seed is not True and seed is not False)
         n_ok = (isinstance(n, _INTEGER) and 1 <= n <= DEFAULT_MAX_GENERATORS
                 and n is not True)
-        if not (trials_ok and seed_ok and n_ok and self.max_workers >= 1):
+        workers_ok = (isinstance(workers, _INTEGER) and workers >= 1
+                      and workers is not True)
+        if not (trials_ok and seed_ok and n_ok and workers_ok):
             for key, ok, domain in (
                     ("master_seed", seed_ok, "a non-negative integer"),
                     ("trials", trials_ok, "an integer, at least 1"),
-                    ("max_workers", self.max_workers >= 1, "at least 1"),
+                    ("max_workers", workers_ok, "an integer, at least 1"),
                     ("n", n_ok, f"an integer, 1..{DEFAULT_MAX_GENERATORS}")):
                 if not ok:
                     raise ConfigurationError(f"{key} out of range ({domain}): "

@@ -25,17 +25,17 @@ trace-orthogonal projection onto the monomials e_S with S inside
 tensor factors, followed (for odd k) by averaging out the half of the
 level algebra that contains generator k.
 
-Kronecker products go through ``_kron``, the broadcast product that
-``np.kron`` computes internally, so the results are bitwise those of
-``np.kron`` without its generic-shape overhead.  Each space caches each
-driver increment's gather once it is asked for (arrays only, so no
-reference cycle; see :meth:`Driver.gather`).  Levels are plain integers;
-:func:`require_adapted` is the one adaptedness rejection.
+The package forms no Kronecker product: :func:`_at_size` is the one
+writer of a factor ``a (x) I``, with ``a`` on its pattern and +0 off it.
+Each space caches each driver increment's gather once it is asked for
+(arrays only, so no reference cycle; see :meth:`Driver.gather`).  Levels
+are plain integers; :func:`require_adapted` is the one adaptedness
+rejection.
 
 A space holds the generators, Gamma and the phantom only as gathers
 (:class:`MonomialGather`; ``dense()`` is the one way back to a matrix),
-each built in O(dim) from its 2x2 Pauli factors with the weights that
-``_kron`` would give their matrix.  Products by them and the driver
+each built in O(dim) from its 2x2 Pauli factors with the weights of
+their Kronecker product.  Products by them and the driver
 increments are gathers: one product per entry, so bitwise the dense
 product on finite input up to the sign of zeros, but for the complex
 weights of a linear-combination driver (about 1e-16 apart).  Dense
@@ -46,7 +46,6 @@ suites' algebra identities).
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -67,22 +66,6 @@ DEFAULT_MAX_GENERATORS = 14
 LAYOUTS = ("fermion", "pair")
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, or of each matrix of a stack ``a`` with
-    ``b``: the same broadcast product, bit for bit."""
-    *lead, m, n = a.shape
-    p, q = b.shape
-    return np.multiply(a[..., :, None, :, None],
-                       b[None, :, None, :]).reshape(*lead, m * p, n * q)
-
-
-@cache
-def _eye(size: int) -> np.ndarray:
-    eye = np.eye(size, dtype=complex)
-    eye.setflags(write=False)
-    return eye
-
-
 class MonomialGather:
     """A monomial matrix m (one entry, possibly zero, in each row and
     column) as vectors: column j's entry ``wc[j]`` sits in row ``cols[j]``,
@@ -100,8 +83,8 @@ class MonomialGather:
     @classmethod
     def kron(cls, factors) -> "MonomialGather":
         """The gather of the Kronecker product of 2x2 ``(cols, wc)``
-        factors, each weight the left-to-right product of factor entries
-        that ``_kron`` forms."""
+        factors, each weight the left-to-right product of the factor
+        entries; no matrix is formed."""
         (cols, wc), *rest = factors
         for c, w in rest:
             cols = (2 * cols[:, None] + c).ravel()
@@ -255,7 +238,7 @@ def restrict(x: CliffordElement, sub: CliffordSpace) -> CliffordElement:
 
 def expand(a: CliffordElement, space: CliffordSpace) -> CliffordElement:
     """a (x) I on ``space``, for a factor on one of its level spaces, with
-    +0 off the pattern as sums from zeros leave it (``_kron`` signs them)."""
+    +0 off the pattern (:func:`_at_size` writes it)."""
     if a.space is space:
         return a
     return CliffordElement(space, _at_size(a.mat, space.dim), _fresh=True)
@@ -286,17 +269,15 @@ def conditional_expect(x: CliffordElement, level) -> CliffordElement:
 
 def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
     """The matrix of E(x | level k) for x's matrix ``mat``, or for each
-    matrix of a stack; ``mat`` itself when the projection has nothing to
-    do."""
+    matrix of a stack: pt (x) I of the partial trace pt over the unused
+    factors, then at an odd k the flip; ``mat`` itself when the projection
+    has nothing to do."""
     m = sp.factors
     r = (k + 1) // 2
     if r < m:
-        lo = 2 ** r
-        hi = 2 ** (m - r)
+        lo, hi = 2 ** r, 2 ** (m - r)
         t = mat.reshape(*mat.shape[:-2], lo, hi, lo, hi)
-        pt = np.einsum("...ajbj->...ab", t) / hi
-        # at level 0 the identity is the space's full size: not cached
-        mat = pt * np.eye(hi, dtype=complex) if r == 0 else _kron(pt, _eye(hi))
+        mat = _at_size(np.einsum("...ajbj->...ab", t) / hi, sp.dim)
     if k % 2 == 1:
         # the partial trace kept the whole algebra of the first r factors;
         # average out the half that contains generator k (0-based), i.e.

@@ -1,18 +1,28 @@
 """Command-line interface: exit codes, output files, and determinism."""
 
+import contextlib
 import csv
+import inspect
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cliffsde
 from cliffsde.cli import ENV_SEED, main
+from cliffsde.coefficients import COEFFICIENTS, NONLOCAL_MAPS
+from cliffsde.config import _SCHEMA
+from cliffsde.process import DRIVER_KINDS
+from cliffsde.solver import NONLOCAL_MODES
 
 
 def _run(capsys, *argv):
@@ -289,6 +299,8 @@ def test_solve_overflow_prints_one_error_line(tmp_path, text, key):
     ("R.name = conditional_scale\nR.level = 0.7", "R.level"),
     ("R.name = conditional_scale\nR.level = 99", "R.level"),
     ("R.name = conditional_scale\nR.level = -1", "R.level"),
+    # an empty interval names the end the file sets, not the default T
+    ("grid.t0 = 2", "grid.t0"),
 ])
 def test_solve_rejects_a_bad_value_under_its_key(capsys, tmp_path, line,
                                                  key):
@@ -387,6 +399,98 @@ def test_solve_inner_budget_failure_lists_the_measured_iterations(
         (tmp_path / "deltas.csv").read_text(encoding="utf-8").splitlines()))
     assert [int(r["iteration"]) for r in rows] == [200]
     assert 1e-17 < float(rows[0]["delta"]) < math.inf
+
+
+# -- generated configurations ------------------------------------------------------
+
+
+_HOSTILE = st.sampled_from([
+    "0", "-0.0", "-1", "-2.5", "1e-300", "5e-324", "1e300", "1e154", "-1e300",
+    "inf", "-inf", "nan", "1+2j", "-0.5j", "abc", "1,5"])
+# values that build, per fixed key, factory parameter and Z coefficient
+_PLAUSIBLE = {
+    "p": ["3", "4", "2.5", "6"], "grid.t0": ["0", "0.5", "-1"],
+    "grid.T": ["1", "2", "0.25"], "grid.max_generators": ["14", "12", "16"],
+    "driver.kind": list(DRIVER_KINDS), "driver.alpha1": ["1", "0.5", "-2"],
+    "driver.alpha2": ["0", "0.5", "1"], "solve.tol": ["1e-10", "1e-6"],
+    "solve.max_outer": ["60", "8", "2"], "solve.max_inner": ["200", "4"],
+    "solve.start_node": ["0", "1", "2"],
+    "solve.nonlocal_mode": list(NONLOCAL_MODES),
+    "c": ["0.5", "0.25", "-0.5", "1", "2"], "omega": ["1", "3"],
+    "scale": ["0.5", "1", "2"], "level": ["0", "1", "3", "4"],
+    "bogus": ["1"], "Z": ["1", "0.5", "0.5j", "-2"]}
+
+
+def _value(kind: str):
+    """A value that builds three times in four, else a hostile one."""
+    return st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(_PLAUSIBLE[kind]) if i else _HOSTILE)
+
+
+@st.composite
+def _configs(draw) -> dict:
+    """grid.n in 1..5, up to four other fixed keys, registry maps with
+    their parameters (and one they do not take), and Z monomials whose
+    labels may repeat, fall out of order or exceed the generators."""
+    n = draw(st.integers(1, 5))
+    raw = {"grid.n": str(n)}
+    fixed = sorted(set(_SCHEMA) - {"grid.n"})
+    for key in draw(st.sets(st.sampled_from(fixed), max_size=4)):
+        raw[key] = draw(_value(key))
+    for section in draw(st.sets(st.sampled_from("FGHR"))):
+        registry = NONLOCAL_MAPS if section == "R" else COEFFICIENTS
+        name = draw(st.sampled_from([*registry, "unknown"]))
+        raw[f"{section}.name"] = name
+        params = ["c"] if name not in registry else [
+            param for param in inspect.signature(registry[name]).parameters
+            if param != "p"] + ["bogus"]
+        for param in draw(st.sets(st.sampled_from(params))):
+            raw[f"{section}.{param}"] = draw(_value(param))
+    labels = st.lists(st.integers(0, 2 * n + 1), max_size=3).map(
+        lambda idx: "e" + "_".join(map(str, idx)))
+    for label in draw(st.sets(labels, max_size=3)):
+        raw[f"Z.{label}"] = draw(_value("Z"))
+    return raw
+
+
+def _names_a_held_key(line: str, raw: dict) -> bool:
+    """``config error (<k>): ...`` names a key of ``raw`` or its section
+    as k, or, for k = solve (the problem's own checks), in the message."""
+    held = set(raw) | {key.partition(".")[0] for key in raw}
+    head, _, message = line.partition(": ")
+    key = head.removeprefix("config error (").removesuffix(")")
+    return key in held or key == "solve" and any(
+        re.search(rf"(?<![\w.]){re.escape(name)}(?![\w.])", message)
+        for name in held)
+
+
+@settings(deadline=None)
+@given(raw=_configs())
+def test_every_generated_config_exits_0_2_or_3_with_one_line(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out_dir = os.path.join(tmp, "prob.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in raw.items())
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", cfg, "--out", out_dir])
+        line = err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert line == ""
+            for name in ("trajectory.csv", "iterations.csv"):
+                assert os.path.isfile(os.path.join(out_dir, name))
+        else:
+            assert line.count("\n") == 1 and line.endswith("\n")
+            if code == 2:
+                assert _names_a_held_key(line, raw), line
+            else:
+                assert line.startswith("did not converge")
+                assert os.path.isfile(os.path.join(out_dir, "deltas.csv"))
 
 
 # -- bench-constants -----------------------------------------------------------

@@ -65,6 +65,10 @@ def test_seeded_inequality_suites_match_the_committed_bytes():
     ("master_seed", -1),
     ("master_seed", 1.5), ("master_seed", True), ("master_seed", False),
     ("master_seed", "7"),
+    # worker counts that passed a bare ">= 1" or escaped it as a TypeError
+    ("max_workers", True), ("max_workers", np.True_), ("max_workers", 1.5),
+    ("max_workers", 2.0), ("max_workers", math.inf), ("max_workers", "2"),
+    ("max_workers", None),
 ])
 def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
     with pytest.raises(ConfigurationError, match=f"^{key} out of range") as exc:
@@ -75,6 +79,7 @@ def test_out_of_range_sizes_are_rejected_naming_the_field(key, value):
 def test_the_largest_sizes_are_accepted():
     assert SuiteConfig(trials=1, max_workers=1, n=1).n == 1
     assert SuiteConfig(n=np.int64(14)).n == 14
+    assert SuiteConfig(trials=1, max_workers=np.int64(2)).max_workers == 2
 
 
 def test_a_numpy_integer_seed_is_accepted():

@@ -47,6 +47,7 @@ from cliffsde import (
 )
 from cliffsde import solver as solver_module
 from cliffsde.coefficients import _is_zero_map
+from cliffsde.config import build_problem
 from cliffsde.problems import PROBLEMS
 from cliffsde.solver import NONLOCAL_MODES
 from cliffsde.space import CliffordSpace, adaptedness_defect, expand
@@ -885,6 +886,17 @@ def test_solve_output_matches_the_committed_bytes(fixture, name, mode,
     report = picard_solve(make_problem(name, n=8, nonlocal_mode=mode))
     text = report.trajectory_csv() + report.iteration_csv()
     assert text.encode() == (DATA / fixture).read_bytes()
+
+
+def test_a_level_3_conditional_solve_matches_the_committed_bytes():
+    # R = 0.5 E(x | 3) takes a partial trace on the solve's larger factor
+    # spaces; the fixture is the output of CI's n8-level3.cfg
+    raw = {**PROBLEMS["nonlocal_linear"], "R.name": "conditional_scale",
+           "R.level": 3}
+    report = picard_solve(build_problem(raw)[0])
+    text = report.trajectory_csv() + report.iteration_csv()
+    assert text.encode() == (
+        DATA / "solve_n8_conditional_level3_pointwise.csv").read_bytes()
 
 
 # -- the built-in zero map's terms are not formed ---------------------------------
