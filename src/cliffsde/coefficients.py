@@ -220,7 +220,7 @@ def validate_coefficient(cmap: CoefficientMap, space: CliffordSpace, p: float,
     H and R; without it the call draws the same probes itself.  ``role``
     ("F", "G", "H") names the map in the messages.
     """
-    if _is_proven(cmap):
+    if _is_proven(cmap, p):
         return
     if probes is None:
         probes = draw_probes(space, p, start_node)
@@ -284,7 +284,7 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
     """Spot-check a declared contraction on sampled pairs, adaptedness, the
     self-adjointness flag and the embedding contract, on level factors as
     :func:`validate_coefficient` does (a proven map holds)."""
-    if _is_proven(rmap):
+    if _is_proven(rmap, p):
         return
     if probes is None:
         probes = draw_probes(space, p, start_node)
@@ -318,8 +318,28 @@ def validate_nonlocal(rmap: NonlocalMap, space: CliffordSpace, p: float,
 
 #: Floor protecting the radial direction x / ||x|| at the origin.
 RADIAL_EPS0 = 1e-14
-#: Certified margin for the radial map's squared-increment modulus
-#: (max sampled ratio is about 1.16; see the declared rho below).
+#: c in the radial map's declared modulus c scale^2 r ln(e + 1/r), which
+#: holds with room: ||f(x) - f(y)||_p^2 <= 0.623 of it at every gap.
+#: Proof, in the factory's L^p norm.  f(x) = scale phi(||x||) x with
+#: h(u) = sqrt(ln(e + 1/u)) and s(u) = u h(u); phi = h at u >= eps =
+#: RADIAL_EPS0, phi = s / eps below (phi <= h, increasing).  h >= 1 falls,
+#: |h'| falls, and u |h'(u)| = 1 / (2 h(u) (e u + 1)) <= 1/2; s rises and
+#: is concave (s'' has the sign of -1 - 1 / (2 h^2)), so s(v) - s(w) <=
+#: s(v - w) for v >= w >= 0.  Take a = ||x|| >= b = ||y|| and d = ||x - y||
+#: <= 2a; then f(x) - f(y) = scale [phi(a) (x - y) + (phi(a) - phi(b)) y]
+#: with phi(a) <= h(a) <= h(d/2), and T = b |phi(a) - phi(b)| is at most:
+#: - b >= eps: b (h(b) - h(a)) <= b |h'(b)| (a - b) <= d/2;
+#: - a < eps (d < 2 eps): (b / eps) (s(a) - s(b)) <= s(d) <= d h(d/2);
+#: - b < eps <= a: phi(a) - phi(b) = (h(a) - h(eps)) + (h(eps) - phi(b)),
+#:   terms of opposite signs, with b (h(eps) - h(a)) <= eps |h'(eps)|
+#:   (a - eps) <= d/2 and b (h(eps) - phi(b)) <= s(eps) - s(b) <=
+#:   s(min(d, eps)), which is below d/2 at d >= 2 s(eps) (about 1.1e-13)
+#:   and at most d h(d/2) below.
+#: So ||f(x) - f(y)|| <= |scale| d (h(d/2) + 1/2), or 2 |scale| d h(d/2)
+#: at d < 2 s(eps).  Against 4 ln(e + 1/d^2) = 4 L, with L >= 1: (h(d/2)
+#: + 1/2)^2 <= 2 ln(e + 2/d) + 1/2 <= 2 L + 2 <= 4 L, as e + 2/d <=
+#: e^(3/4) (e + 1/d^2) by AM-GM (the ratio peaks at 0.623, at d = 2.15),
+#: and 4 h(d/2)^2 = 4 ln(e + 2/d) <= 0.52 * 4 L at d < 2 s(eps).
 RADIAL_MODULUS_MARGIN = 4.0
 
 
@@ -336,17 +356,21 @@ def _is_zero_map(m) -> bool:
 _PROVEN = weakref.WeakValueDictionary()
 
 
-def _proven(m, holds: bool = True):
-    """m, proven if ``holds``: a linear map of L^p norm <= |c| (|c| times a
-    contraction: Pisier & Xu 2003) has modulus |c|, and one that keeps each
-    level, commutes with ``(x) I`` and reads no t passes every probe."""
+def _proven(m, holds: bool = True, p: float | None = None):
+    """m, proven if ``holds`` (at every exponent, or at ``p`` alone): a
+    linear map of L^p norm <= |c| (|c| times a contraction: Pisier & Xu
+    2003) has modulus |c|, the radial map its declared one (see
+    :data:`RADIAL_MODULUS_MARGIN`), and one that keeps each level, commutes
+    with ``(x) I`` and reads no t passes every probe."""
     if holds:
-        _PROVEN[id(m)] = m
+        _PROVEN[id(m) if p is None else (id(m), p)] = m
     return m
 
 
-def _is_proven(m) -> bool:
-    return _PROVEN.get(id(m)) is m  # not a replace, copy or same-fn map
+def _is_proven(m, p: float) -> bool:
+    """m is the object a factory proved, at every exponent or at ``p``:
+    not a replace, copy or same-fn map."""
+    return any(_PROVEN.get(key) is m for key in (id(m), (id(m), p)))
 
 
 def _zero(p: float) -> CoefficientMap:
@@ -429,7 +453,8 @@ def _sa_scale(p: float, c: float = 1.0) -> CoefficientMap:
 def _radial_osgood(p: float, scale: float = 1.0) -> CoefficientMap:
     """scale * s(||x||_p) / max(||x||_p, RADIAL_EPS0) * x with
     s(u) = u sqrt(ln(e + 1/u)): continuous, Osgood, not Lipschitz —
-    the radial slope sqrt(ln(e + 1/u)) blows up at the origin."""
+    the radial slope sqrt(ln(e + 1/u)) blows up at the origin.  Its image
+    is a real multiple of x; proved at this p if |scale| <= 1."""
     scale = float(scale)
 
     def fn(x, t):
@@ -438,13 +463,13 @@ def _radial_osgood(p: float, scale: float = 1.0) -> CoefficientMap:
         return (scale * s / max(u, RADIAL_EPS0)) * x
 
     c_rho = RADIAL_MODULUS_MARGIN * scale * scale
-    return CoefficientMap(
+    return _proven(CoefficientMap(
         fn=fn,
         modulus=OsgoodModulus.osgood(_rho_log(c_rho),
                                      name=f"radial_rho({c_rho})"),
         selfadjoint_preserving=True,
         name=f"radial_osgood({scale})",
-    )
+    ), abs(scale) <= 1, p)
 
 
 COEFFICIENTS = {

@@ -113,7 +113,8 @@ class QsdeProblem:
                     f"nonlocal contraction must be < 1, got "
                     f"{self.R.contraction}"
                 )
-            todo = [r for r in "FGHR" if not _is_proven(getattr(self, r))]
+            todo = [r for r in "FGHR"
+                    if not _is_proven(getattr(self, r), self.p)]
             if self.validate and todo:
                 # one draw of level-factor probes serves every unproven map
                 probes = draw_probes(self.space, self.p, self.start_node)

@@ -303,19 +303,29 @@ def require_adapted(x: CliffordElement, level, p: float, tol: float,
                     what: str) -> None:
     """Raise :class:`AdaptednessError` ``"<what> (defect d)"`` unless the
     L^p adaptedness defect d of x at ``level`` is at most ``tol``; a NaN
-    defect (a non-finite x) fails.  At an even level E(x | level) is
-    pt (x) I (pt: x's partial trace), and d is taken only where one copy
-    of x bounds it, by dim^(1/2 - 1/p) ||x - pt (x) I||_2 (1 + dim^2 eps),
-    above tol."""
-    k = _level_index(x.space, level)
-    if k % 2 == 0:
-        dim, hi = x.space.dim, 2 ** max(x.space.factors - k // 2, 0)
+    defect (a non-finite x) fails.  E(x | level) is E(pt | level) (x) I
+    for x's partial trace pt over the factors past the level's (pt itself
+    at an even level), so d is taken only where one copy of x and the flip
+    of pt bound it, by dim^(1/2 - 1/p) (||x - pt (x) I||_2
+    + ||pt - E(pt | level)||_2) (1 + dim^2 eps), above tol."""
+    sp, k = x.space, _level_index(x.space, level)
+    r = (k + 1) // 2
+    dim, hi = sp.dim, 2 ** max(sp.factors - r, 0)
+    pt, l2 = x.mat, 0.0  # no factor is traced out
+    if hi > 1:
         diff = x.mat.reshape(dim // hi, hi, -1, hi).copy()
+        pt = np.einsum("ajbj->ab", diff) / hi
         blocks = np.einsum("ajbj->ajb", diff)  # a writeable view
-        blocks -= np.einsum("ajbj->ab", diff)[:, None] / hi
-        bound = _l2_norm(diff.reshape(dim, dim)) * _lp_over_l2_bound(dim, p)
-        if bound * (1 + dim * dim * np.finfo(float).eps) <= tol:
-            return
+        blocks -= pt[:, None]
+        l2 = _l2_norm(diff.reshape(dim, dim))
+        del diff, blocks
+    if k % 2 == 1:  # the flip, on the factor space of pt's size
+        flip = _project(sp._factor_space(r), pt, k)
+        l2 += _l2_norm(np.subtract(pt, flip, out=flip))
+        del flip
+    bound = l2 * _lp_over_l2_bound(dim, p)
+    if bound * (1 + dim * dim * np.finfo(float).eps) <= tol:
+        return
     d = adaptedness_defect(x, level, p)
     if not d <= tol:
         raise AdaptednessError(f"{what} (defect {d:.3e})")

@@ -7,20 +7,23 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cliffsde import (
     COEFFICIENTS,
     PROBLEMS,
     CoefficientMap,
+    ConfigurationError,
     ContractViolationError,
     Driver,
     NONLOCAL_MAPS,
     NonlocalMap,
     OsgoodModulus,
+    OsgoodViolationError,
     QsdeProblem,
     TimeGrid,
+    build_problem,
     conditional_expect,
     forward_euler_oracle,
     lp_norm,
@@ -624,10 +627,16 @@ _PROVEN_COEFFICIENTS = ["zero", "scale", "constant", "even_sa", "sa_scale"]
 
 
 def _proven_coefficient(data, p: float) -> CoefficientMap:
-    name = data.draw(st.sampled_from(_PROVEN_COEFFICIENTS), label="name")
+    name = data.draw(st.sampled_from(_PROVEN_COEFFICIENTS + ["radial_osgood"]),
+                     label="name")
     if name == "zero":
         return make_coefficient(name, p)
     c = data.draw(_UNIT, label="c")
+    if name == "radial_osgood":
+        try:
+            return make_coefficient(name, p, scale=c)
+        except (OsgoodViolationError, OverflowError):  # the certificate
+            reject()  # fails at 0 and at |c| up to about 2e-155
     if name == "constant":
         c *= data.draw(st.sampled_from([1.0, 1j, -1j]), label="phase")
     return make_coefficient(name, p, c=c)
@@ -647,8 +656,8 @@ def _proven_nonlocal(data, n_gen: int) -> NonlocalMap:
 @given(n=st.integers(1, 12), data=st.data())
 def test_the_unchanged_validators_accept_every_proven_maps_twin(n, data):
     # the proof behind the skip, checked by the probes it skips: every
-    # linear registry map with |c| <= 1, under a new identity, passes the
-    # full validation of a problem build
+    # linear registry map with |c| <= 1 and the radial map with |scale| <= 1,
+    # under a new identity, pass the full validation of a problem build
     sp = make_space(TimeGrid.uniform(0.0, 1.0, n))
     p = data.draw(st.sampled_from([2.5, 3.0, 4.0, 6.0, 30.0]), label="p")
     F, G, H = (_proven_coefficient(data, p) for _ in "FGH")
@@ -712,23 +721,24 @@ def test_a_registry_map_outside_the_proven_domain_keeps_its_verdict(
 
 
 def test_the_registry_proves_exactly_its_linear_maps_with_unit_c():
+    # at every p; the radial map's proof holds at its own p alone (below)
     proven = [make_coefficient("zero", P), make_nonlocal("zero"),
               *(make_coefficient(name, P, c=c)
                 for name in _PROVEN_COEFFICIENTS[1:] for c in (1.0, -1.0, 0.0)),
               make_coefficient("constant", P, c=1j),
               make_nonlocal("scale", c=-0.5),
               make_nonlocal("conditional_scale", c=0.5, level=3)]
-    assert all(map(coefficients._is_proven, proven))
+    assert all(coefficients._is_proven(m, p) for m in proven
+               for p in (P, 3.0))
     unproven = [
         *(make_coefficient(name, P, c=c) for name in _PROVEN_COEFFICIENTS[1:]
           for c in (math.nextafter(1.0, 2.0), -3.0)),
         make_coefficient("cos_scale", P, c=0.5),
-        make_coefficient("radial_osgood", P, scale=0.5),
         # a twin, a copy and a hand-built map with a proven map's fn
         _twin(proven[2]), dataclasses.replace(proven[2], name="renamed"),
         CoefficientMap(fn=proven[2].fn, modulus=proven[2].modulus),
         NonlocalMap(fn=proven[-1].fn, contraction=0.5)]
-    assert not any(map(coefficients._is_proven, unproven))
+    assert not any(coefficients._is_proven(m, P) for m in unproven)
 
 
 def test_a_validator_returns_at_once_for_a_proven_map(monkeypatch):
@@ -749,9 +759,123 @@ def test_a_proven_build_draws_no_probes_and_runs_no_validator(monkeypatch):
             calls.append(_name)
             return _real(*args, **kw)
         monkeypatch.setattr(solver, name, counted)
-    make_problem("nonlocal_linear", n=8)
+    # every built-in problem's maps are proven, osgood_radial's radial F
+    # among them
+    for name in sorted(PROBLEMS):
+        make_problem(name, n=4)
     assert calls == []
-    # osgood_radial's F is radial: its modulus margin is measured, not
-    # derived, so it keeps its probes; the zero G, H and R do not
-    make_problem("osgood_radial", n=8)
-    assert calls == ["draw_probes", "validate_coefficient"]
+
+
+# -- the radial map: proven at its own p with |scale| <= 1 -----------------------
+
+
+def test_the_radial_map_is_proven_at_its_own_p_with_unit_scale():
+    for p in (2.5, P, 30.0):
+        for scale in (1.0, -1.0, 0.5, 1e-150):
+            radial = make_coefficient("radial_osgood", p, scale=scale)
+            assert coefficients._is_proven(radial, p)
+            assert not coefficients._is_proven(radial, 3.0)
+            assert not coefficients._is_proven(_twin(radial), p)
+        for scale in (math.nextafter(1.0, 2.0), -1.5, 1e150):
+            radial = make_coefficient("radial_osgood", p, scale=scale)
+            assert not coefficients._is_proven(radial, p)
+
+
+def test_the_radial_map_outside_its_proven_domain_keeps_its_probes(
+        monkeypatch):
+    # an identity-only proof would skip these three builds' probes
+    draws = []
+
+    def counted(*args, _real=solver.draw_probes, **kw):
+        draws.append(args[1])  # the probes' p
+        return _real(*args, **kw)
+
+    monkeypatch.setattr(solver, "draw_probes", counted)
+    prob = make_problem("osgood_radial", n=4)
+    assert draws == []
+    # a map measured at p = 3 in a p = 4 problem
+    prob.replace(F=make_coefficient("radial_osgood", 3.0, scale=0.5))
+    # the problem moved to p = 3, its F still measuring at p = 4
+    prob.replace(p=3.0)
+    # |scale| > 1
+    build_problem({"grid.n": 4, "F.name": "radial_osgood", "F.scale": 1.5})
+    assert draws == [P, 3.0, P]
+
+
+_RADIAL_SCALES = [1.0, -1.0, 0.5, 1.5, -3.0, 1e10, 1e153, 5e153,
+                  # rejected by the Osgood certificate: 4 scale^2 is 0 or
+                  # underflows, or it overflows
+                  0.0, 1e-300, -1e-300, 1e154, -1e200]
+
+
+def _build_verdict(raw: dict) -> str | None:
+    try:
+        with np.errstate(all="ignore"):
+            build_problem(raw)
+    except ConfigurationError as exc:
+        return f"{exc.key}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("scale", _RADIAL_SCALES)
+def test_the_radial_proof_changes_no_builds_verdict(monkeypatch, scale):
+    # the probes reject no radial_osgood configuration of this grid: each
+    # build that exits 2 (config error) is rejected by the factory's
+    # certificate, with or without the proof
+    raws = [{"grid.n": n, "p": p, "F.name": "radial_osgood", "F.scale": scale,
+             "solve.start_node": start}
+            for n in (1, 2, 3) for p in (2.5, 3.0, P, 6.0, 30.0)
+            for start in range(n)]
+    proven = [_build_verdict(raw) for raw in raws]
+    monkeypatch.setattr(solver, "_is_proven", lambda m, p: False)
+    assert proven == [_build_verdict(raw) for raw in raws]
+    rejected = {v for v in proven if v is not None}
+    assert bool(rejected) == (scale in _RADIAL_SCALES[8:])
+    assert all(v.startswith("F: radial_rho(") for v in rejected)
+
+
+def _unit(sp, rng, p: float):
+    u = random_level_element(sp, rng)
+    return u * (1.0 / lp_norm(u, p))
+
+
+#: Norms and gaps of the radial pairs: 0, either side of the floor, and
+#: 1e-17 to 1e3
+_RADIAL_NORMS = st.one_of(
+    st.sampled_from([0.0, coefficients.RADIAL_EPS0,
+                     math.nextafter(coefficients.RADIAL_EPS0, 0.0),
+                     0.5 * coefficients.RADIAL_EPS0,
+                     2.0 * coefficients.RADIAL_EPS0]),
+    st.floats(-17.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_radial_maps_increments_stay_inside_its_proof(data):
+    # the proof bounds ||f(x) - f(y)||_p^2 by 0.623 of the declared modulus
+    # (0.52 where the floor binds); checked on collinear, antipodal, zero
+    # and floor-straddling pairs.  The gap stays above 1e-9 of the larger
+    # norm, where the norms' own rounding is far below the bound
+    p = data.draw(st.sampled_from([2.5, 3.0, 4.0, 6.0, 30.0]), label="p")
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, data.draw(st.integers(1, 6))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    radial = make_coefficient("radial_osgood", p,
+                              scale=data.draw(st.sampled_from([1.0, -0.5])))
+    kind = data.draw(st.sampled_from(["collinear", "antipodal", "zero",
+                                      "general"]), label="kind")
+    a, u = data.draw(_RADIAL_NORMS, label="norm"), _unit(sp, rng, p)
+    x = a * u
+    if kind == "zero":
+        y = sp.zero()
+    elif kind == "general":
+        gap = 10.0 ** data.draw(st.floats(-16.0, 3.0), label="log gap")
+        y = x + gap * _unit(sp, rng, p)
+    else:
+        b = data.draw(_RADIAL_NORMS, label="other norm")
+        y = (b if kind == "collinear" else -b) * u
+    gap = lp_norm(x - y, p)
+    if not gap > 1e-9 * max(lp_norm(x, p), lp_norm(y, p)):
+        reject()
+    moved = lp_norm(radial(x, 0.0) - radial(y, 0.0), p)
+    assert moved * moved <= 0.65 * radial.modulus(gap * gap)
+

@@ -17,6 +17,7 @@ from cliffsde import (
     TimeGrid,
     conditional_expect,
     lp_norm,
+    make_problem,
     make_space,
     monomial_expand,
     op_norm,
@@ -514,5 +515,24 @@ def test_an_even_level_check_of_an_adapted_value_peaks_at_one_copy(
     finally:
         tracemalloc.stop()
     assert exact == [] and peak <= 1.05 * z.mat.nbytes
-    space_module.require_adapted(z, 1, 4.0, 1e-10, "Z")  # an odd level
+    # an odd level adds the flip of Z's 2 x 2 partial trace
+    space_module.require_adapted(z, 1, 4.0, 1e-10, "Z")
+    assert exact == []
+    # e_1 is not level-1 measurable: its bound exceeds tol
+    space_module.require_adapted(z.space.generator(1), 1, 4.0, 1e-10, "e1")
     assert len(exact) == 1
+
+
+def test_a_build_from_an_odd_start_node_peaks_as_one_from_node_0():
+    # Z's check at level 1 takes one copy of Z and a factor-size flip; the
+    # exact defect's E(Z | 1), Z - E and Gram product took it to 3x
+    prob = make_problem("nonlocal_linear", n=14)
+    peaks = []
+    for start in (0, 1):
+        tracemalloc.start()
+        try:
+            prob.replace(start_node=start)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
