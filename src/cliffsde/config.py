@@ -247,8 +247,9 @@ def build_problem(raw: dict):
             start_node=fixed["solve.start_node"],
             nonlocal_mode=fixed["solve.nonlocal_mode"],
         )
-    except (CliffsdeError, ValueError) as exc:
-        raise ConfigurationError(str(exc), key="solve") from None
+    except (CliffsdeError, ValueError) as exc:  # Z's own check is keyed Z
+        raise ConfigurationError(str(exc), key=getattr(exc, "key", None)
+                                 or "solve") from None
 
     settings = SolveSettings(
         tol=fixed["solve.tol"],

@@ -110,10 +110,22 @@ def certify_osgood(rho, name: str = "") -> list:
             raise OsgoodViolationError(
                 f"{label}: rho decreases between {r1!r} and {r2!r}"
             )
-    # quadrature of 1/rho over each decade [10^-(k+1), 10^-k] of the sweep
-    incs = [_inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k)
-            for k in range(round(-math.log10(CERT_EPS_HI)),
-                           round(-math.log10(CERT_EPS_LO)))]
+    # quadrature of 1/rho over each decade [10^-(k+1), 10^-k] of the sweep;
+    # one that overflows (rho near the float floor) certifies nothing
+    incs = []
+    for k in range(round(-math.log10(CERT_EPS_HI)),
+                   round(-math.log10(CERT_EPS_LO))):
+        try:
+            inc = _inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k)
+        except OverflowError:
+            inc = math.inf
+        if not math.isfinite(inc):
+            raise OsgoodViolationError(
+                f"{label}: divergence certificate failed — quadrature of "
+                f"1/rho over decade {len(incs)} [1e-{k + 1}, 1e-{k}] is "
+                f"{inc!r}, not finite"
+            )
+        incs.append(inc)
     for k, (d1, d2) in enumerate(zip(incs, incs[1:])):
         if not d2 > 0 or d2 < CERT_RATIO_FLOOR * d1:
             raise OsgoodViolationError(

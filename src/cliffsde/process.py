@@ -44,7 +44,7 @@ def _fermion(driver, space, k) -> MonomialGather:
     """sqrt(delta_k) e_k; squares to delta_k and anticommutes with every
     other increment."""
     s = complex(np.sqrt(space.grid.delta(k)))  # grid.delta checks k
-    e = space._gen_gathers[k]
+    e = space._gen(k)
     return MonomialGather(e.cols, e.wc * s)
 
 
@@ -52,7 +52,7 @@ def _annihilation(driver, space, k) -> MonomialGather:
     """sqrt(delta_k) (e_{2k} + i e_{2k+1}) / 2, nilpotent of order two: both
     generators flip one factor, so share ``cols``; half the weights cancel."""
     s = complex(np.sqrt(space.grid.delta(k)))  # grid.delta checks k
-    e, f = space._gen_gathers[2 * k:2 * k + 2]
+    e, f = space._gen(2 * k), space._gen(2 * k + 1)
     return MonomialGather(e.cols, (e.wc + f.wc * complex(1j)) * complex(0.5) * s)
 
 

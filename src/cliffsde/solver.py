@@ -46,6 +46,7 @@ from .coefficients import (
 )
 from .element import CliffordElement, _lp_over_l2_bound, lp_norm, op_norm
 from .errors import (
+    AdaptednessError,
     ArgumentError,
     ConfigurationError,
     ContractViolationError,
@@ -105,9 +106,13 @@ class QsdeProblem:
         # NaN-safe comparisons reject it without numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
             level = self.space.level_of_node(self.start_node)
-            require_adapted(self.Z, level, self.p, 1e-10,
-                            f"Z must be level-{level} measurable at the "
-                            f"start node")
+            try:
+                require_adapted(self.Z, level, self.p, 1e-10,
+                                f"Z must be level-{level} measurable at the "
+                                f"start node")
+            except AdaptednessError as exc:
+                exc.key = "Z"  # a config file's Z section
+                raise
             if not self.R.contraction < 1.0:
                 raise ContractViolationError(
                     f"nonlocal contraction must be < 1, got "

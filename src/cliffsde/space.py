@@ -34,8 +34,9 @@ rejection.
 
 A space holds the generators, Gamma and the phantom only as gathers
 (:class:`MonomialGather`; ``dense()`` is the one way back to a matrix),
-each built in O(dim) from its 2x2 Pauli factors with the weights of
-their Kronecker product.  Products by them and the driver
+each formed on first read (:meth:`CliffordSpace._gen`), so a build forms
+none, in O(dim) from its 2x2 Pauli factors with the weights of their
+Kronecker product.  Products by them and the driver
 increments are gathers: one product per entry, so bitwise the dense
 product on finite input up to the sign of zeros, but for the complex
 weights of a linear-combination driver (about 1e-16 apart).  Dense
@@ -141,17 +142,23 @@ class CliffordSpace:
         self.factors = (n_gen + 1) // 2
         self.dim = 2 ** self.factors
 
-        # the gathers of the Jordan-Wigner generators and of Gamma (its row
-        # weights are its signs); with an odd generator count the matrix
-        # algebra is twice the span of the monomials, and the "phantom" next
-        # generator (index n_gen) lets conditional_expect average it away
-        factors = [[_Z] * (i // 2) + [_Y if i % 2 else _X]
-                   + [_I] * (self.factors - i // 2 - 1)
-                   for i in range(n_gen + n_gen % 2)]
-        *self._gen_gathers, self._gamma_gather = (
-            MonomialGather.kron(f) for f in factors + [[_Z] * self.factors])
         self._gathers = {}
+        self._gens = {}
         self._levels = {}
+
+    def _gen(self, i) -> MonomialGather:
+        """The gather of Jordan-Wigner generator i, or of Gamma at i = None
+        (its row weights are its signs), formed from its Pauli factors on
+        first read and cached.  With an odd generator count the matrix
+        algebra is twice the span of the monomials, and the "phantom" next
+        generator (i = n_gen) lets conditional_expect average it away."""
+        g = self._gens.get(i)
+        if g is None:
+            m = self.factors
+            g = self._gens.setdefault(i, MonomialGather.kron(
+                [_Z] * m if i is None else
+                [_Z] * (i // 2) + [_Y if i % 2 else _X] + [_I] * (m - i // 2 - 1)))
+        return g
 
     # -- basic elements -------------------------------------------------
 
@@ -167,7 +174,7 @@ class CliffordSpace:
     def generator(self, i: int) -> CliffordElement:
         if not 0 <= i < self.n_gen:
             raise IndexError(f"generator index {i} outside 0..{self.n_gen - 1}")
-        return CliffordElement(self, self._gen_gathers[i].dense(), _fresh=True)
+        return CliffordElement(self, self._gen(i).dense(), _fresh=True)
 
     def monomial(self, subset) -> CliffordElement:
         """Ordered product e_S for an iterable of distinct generator indices."""
@@ -176,7 +183,7 @@ class CliffordSpace:
         for i in idx:
             if not 0 <= i < self.n_gen:
                 raise IndexError(f"generator index {i} outside 0..{self.n_gen - 1}")
-            mat = self._gen_gathers[i].right(mat)
+            mat = self._gen(i).right(mat)
         return CliffordElement(self, mat)
 
     # -- filtration ------------------------------------------------------
@@ -284,8 +291,7 @@ def _project(sp: CliffordSpace, mat: np.ndarray, k: int) -> np.ndarray:
         # conjugate by e_k * gamma, which flips e_k and fixes e_0..e_{k-1};
         # entry (i, j) of g (gamma mat gamma) g is one entry of mat times
         # unit row and column weights
-        g = sp._gen_gathers[k]
-        d = sp._gamma_gather.wr
+        g, d = sp._gen(k), sp._gen(None).wr
         flipped = mat.take(g.rows, axis=-2).take(g.cols, axis=-1)
         flipped *= (g.wr * d[g.rows])[:, None]
         flipped *= d[g.cols] * g.wc
@@ -334,7 +340,7 @@ def require_adapted(x: CliffordElement, level, p: float, tol: float,
 def parity_automorphism(x: CliffordElement) -> CliffordElement:
     """P(x) = Gamma x Gamma, the grading that sends every generator to
     its negative.  An isometric *-automorphism with P^2 = id."""
-    d = x.space._gamma_gather.wr
+    d = x.space._gen(None).wr
     return CliffordElement(x.space, d[:, None] * x.mat * d, _fresh=True)
 
 
@@ -372,7 +378,7 @@ def monomial_expand(x: CliffordElement, tol: float = 0.0) -> dict:
             out[subset] = complex(c)
         for j in range(start, sp.n_gen):
             # e_{S u {j}}* = e_j* e_S* = e_j e_S*
-            visit(j + 1, sp._gen_gathers[j].left(P), subset + (j,))
+            visit(j + 1, sp._gen(j).left(P), subset + (j,))
 
     visit(0, np.eye(dim, dtype=complex), ())
     return out

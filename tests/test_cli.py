@@ -326,6 +326,34 @@ def test_an_osgood_scale_that_fails_its_certificate_exits_2(capsys, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", ["1e-157", "5e-156", "1.4e-155",
+                                   "-2e-155"])
+def test_a_radial_scale_whose_decade_quadrature_overflows_exits_2(
+        capsys, tmp_path, scale):
+    # 1/rho near the float limit: the certificate's decade increments were
+    # inf (1e-157, 5e-156, passed) or overflowed math.fsum (1.4e-155,
+    # -2e-155: a traceback with exit 1)
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(f"grid.n = 3\nF.name = radial_osgood\nF.scale = {scale}\n")
+    code, out, err = _run(capsys, "solve", "--config", str(cfg),
+                          "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("config error (F): radial_rho(")
+    assert "over decade 0 [1e-3, 1e-2] is inf, not finite" in err
+    assert err.count("\n") == 1
+
+
+def test_a_z_that_is_not_measurable_at_the_start_node_is_keyed_z(capsys,
+                                                                 tmp_path):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text("grid.n = 2\nZ.e1 = -2.5\n")
+    code, out, err = _run(capsys, "solve", "--config", str(cfg),
+                          "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err == ("config error (Z): Z must be level-0 measurable at the "
+                   "start node (defect 2.500e+00)\n")
+
+
 def test_solve_nonconvergence_writes_delta_trace(capsys, tmp_path):
     cfg = tmp_path / "prob.cfg"
     cfg.write_text("grid.n = 6\nF.name = scale\nF.c = 1.0\n"
@@ -455,13 +483,14 @@ def _configs(draw) -> dict:
 
 def _names_a_held_key(line: str, raw: dict) -> bool:
     """``config error (<k>): ...`` names a key of ``raw`` or its section
-    as k, or, for k = solve (the problem's own checks), in the message."""
+    as k, or, for k = solve (the problem's own checks), in the message;
+    a Z that is not level-measurable is keyed Z, not solve."""
     held = set(raw) | {key.partition(".")[0] for key in raw}
     head, _, message = line.partition(": ")
     key = head.removeprefix("config error (").removesuffix(")")
     return key in held or key == "solve" and any(
         re.search(rf"(?<![\w.]){re.escape(name)}(?![\w.])", message)
-        for name in held)
+        for name in held - {"Z"})
 
 
 @settings(deadline=None)

@@ -300,11 +300,12 @@ def test_bad_complex_coefficient():
 
 
 def test_nonscalar_initial_value_needs_a_later_start():
-    # Z = I + e1 sits at level 1: rejected at the default start node
+    # Z = I + e1 sits at level 1: rejected at the default start node,
+    # under its own section
     text = "grid.n = 4\nZ.e = 1.0\nZ.e1 = 1.0\n"
     with pytest.raises(ConfigurationError) as e:
         build_problem(parse_config(text))
-    assert _key_of(e) == "solve"
+    assert _key_of(e) == "Z"
     prob, _ = build_problem(parse_config(text + "solve.start_node = 1\n"))
     assert prob.start_node == 1
 

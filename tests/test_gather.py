@@ -11,14 +11,15 @@ is the one exception: BLAS and numpy's complex product may round the
 two-term real and imaginary parts differently, so that case is held to
 4 ulp of the product's size.
 
-A space builds the generators, Gamma and the phantom as gathers from
-their Pauli factors, and the driver increments from those, so both are
-checked against a Jordan-Wigner construction built here with ``np.kron``,
-which the library's gathers were not derived from.
+A space forms the generators, Gamma and the phantom as gathers from
+their Pauli factors on first read, and the driver increments from those,
+so both are checked against a Jordan-Wigner construction built here with
+``np.kron``, which the library's gathers were not derived from.
 """
 
 import dataclasses
 import re
+import threading
 import tracemalloc
 from functools import reduce
 
@@ -40,6 +41,8 @@ from cliffsde import (
     parity_automorphism,
     picard_solve,
 )
+from cliffsde import space as space_module
+from cliffsde.problems import PROBLEMS
 from cliffsde.process import DRIVER_KINDS
 from cliffsde.space import MonomialGather
 
@@ -104,13 +107,13 @@ def _assert_bitwise_but_zero_signs(got: np.ndarray, want: np.ndarray):
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from(GEN_COUNTS), seed=st.integers(0, 2**32 - 1))
 def test_generator_gamma_phantom_gathers_equal_dense_products(n, seed):
-    # the space's stored gathers (phantom included) against products by
-    # the reference matrices they were not derived from
+    # the space's gathers (phantom included) against products by the
+    # reference matrices they were not derived from
     sp = _FERMION[n]
     x = _matrix(sp.dim, seed)
     gens, gamma = _JW[n]
-    stored = sp._gen_gathers + [sp._gamma_gather]
-    for gather, m in zip(stored, gens + [gamma], strict=True):
+    read = [sp._gen(i) for i in range(len(gens))] + [sp._gen(None)]
+    for gather, m in zip(read, gens + [gamma], strict=True):
         _assert_bitwise_but_zero_signs(gather.right(x), x @ m)
         _assert_bitwise_but_zero_signs(gather.left(x), m @ x)
 
@@ -122,10 +125,10 @@ def test_dense_scatters_equal_the_reference_matrices(n):
     for i in range(sp.n_gen):
         _assert_bitwise_but_zero_signs(sp.generator(i).mat, gens[i])
     # Gamma, then the phantom of an odd count
-    _assert_bitwise_but_zero_signs(sp._gamma_gather.dense(), gamma)
-    assert len(sp._gen_gathers) == len(gens)
+    _assert_bitwise_but_zero_signs(sp._gen(None).dense(), gamma)
+    assert len(gens) == sp.n_gen + n % 2
     if n % 2 == 1:
-        _assert_bitwise_but_zero_signs(sp._gen_gathers[n].dense(), gens[n])
+        _assert_bitwise_but_zero_signs(sp._gen(n).dense(), gens[n])
 
 
 def test_a_space_stores_its_generators_in_o_of_dim():
@@ -136,6 +139,8 @@ def test_a_space_stores_its_generators_in_o_of_dim():
     try:
         before = tracemalloc.get_traced_memory()[0]
         sp = make_space(grid)
+        for i in [*range(sp.n_gen), None]:
+            sp._gen(i)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -185,6 +190,8 @@ def test_gathers_are_built_on_first_use():
         g = driver.gather(sp, 1)
         assert driver.gather(sp, 1) is g
         assert list(sp._gathers) == [(driver, 1)]
+        # and only the generators increment 1 is made of
+        assert set(sp._gens) == ({1} if sp.layout == "fermion" else {2, 3})
         # O(dim) vectors, not dim x dim weights
         assert {a.shape for a in (g.cols, g.wc, g.rows, g.wr)} == {(sp.dim,)}
         for k in range(sp.grid.n):
@@ -220,6 +227,8 @@ def test_a_space_is_built_without_dense_matrices():
     tracemalloc.start()
     try:
         sp = make_space(grid, max_generators=20)
+        for i in [*range(sp.n_gen), None]:
+            sp._gen(i)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -228,19 +237,116 @@ def test_a_space_is_built_without_dense_matrices():
 
 
 @pytest.mark.parametrize("start_node", [0, 3])
-def test_a_solve_builds_only_the_gathers_it_reads(start_node):
+def test_a_solve_builds_only_the_gathers_it_reads(start_node, monkeypatch):
     # step k of the cumulative integrals reads increment k's gather in
-    # node k + 1's level space, and no other
+    # node k + 1's level space, and no other; a space forms the generator
+    # gathers its increments are made of and those its odd-level flips
+    # read, plus Gamma where a flip ran, and no other
     prob = make_problem("nonlocal_linear", n=8).replace(start_node=start_node)
+    flips = []
+    project = space_module._project
+
+    def recording(sp, mat, k):
+        if k % 2 == 1:
+            flips.append((sp, k))
+        return project(sp, mat, k)
+
+    monkeypatch.setattr(space_module, "_project", recording)
     picard_solve(prob)
     sp = prob.space
-    want = {}
+    want, gens = {}, {}
     for k in range(start_node, sp.grid.n):
         want.setdefault(id(sp.level_space(k + 1)), set()).add(k)
+        gens.setdefault(id(sp.level_space(k + 1)), set()).add(k)
+    for space, k in flips:
+        gens.setdefault(id(space), set()).update({k, None})
+    # the sweeps flip every odd level from the start node's on
+    assert {k for _, k in flips} == set(range(start_node | 1, sp.grid.n + 1, 2))
     for space in (sp, *sp._levels.values()):
         got = {k for (driver, k) in space._gathers}
         assert got == want.get(id(space), set())
         assert all(driver == prob.driver for driver, _ in space._gathers)
+        assert set(space._gens) == gens.get(id(space), set())
+
+
+_BUILDS = [(name, n) for name in PROBLEMS
+           for n in ((4, 8, 14) if name != "linear_pair" else range(1, 8))]
+
+
+@pytest.mark.parametrize("name,n", _BUILDS, ids=[f"{a}-{b}" for a, b in _BUILDS])
+def test_a_build_forms_no_generator_gather(name, n, monkeypatch):
+    # a build reads no generator or Gamma: no Kronecker factors are
+    # multiplied out, and no space or level space caches a gather
+    calls = []
+    kron = MonomialGather.kron
+    monkeypatch.setattr(MonomialGather, "kron",
+                        lambda factors: calls.append(1) or kron(factors))
+    sp = make_problem(name, n=n).space
+    assert calls == []
+    for space in (sp, *sp._levels.values()):
+        assert space._gens == {} and space._gathers == {}
+
+
+def _pauli_factors(sp, i):
+    """The 2x2 factors of generator i (the phantom at n_gen) or, at
+    i = None, of Gamma: Z^(x i//2) (x) X or Y (x) I..., and Z^(x f)."""
+    f = sp.factors
+    if i is None:
+        return [space_module._Z] * f
+    return ([space_module._Z] * (i // 2)
+            + [space_module._Y if i % 2 else space_module._X]
+            + [space_module._I] * (f - i // 2 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=st.sampled_from(["fermion", "pair"]), n=st.integers(1, 14),
+       data=st.data())
+def test_every_formed_gather_is_the_kron_of_its_factors(layout, n, data):
+    # read in a drawn order, each gather is byte for byte (zero signs
+    # included) the product of its own Pauli factors, and a second read
+    # returns the cached object
+    n = n if layout == "fermion" else (n + 1) // 2
+    sp = make_space(TimeGrid.uniform(0.0, 1.0, n), layout=layout)
+    order = data.draw(st.permutations([*range(sp.n_gen + sp.n_gen % 2), None]),
+                      label="order")
+    for i in order:
+        got, want = sp._gen(i), MonomialGather.kron(_pauli_factors(sp, i))
+        for name in ("cols", "wc", "rows", "wr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape == (sp.dim,)
+            assert a.tobytes() == b.tobytes()
+    assert set(sp._gens) == set(order)
+    assert all(sp._gen(i) is sp._gens[i] for i in order)
+
+
+def test_two_threads_reading_one_gather_get_one_object(monkeypatch):
+    # both threads are inside kron at once, so both form the gather; the
+    # cache hands each the one that was stored first
+    both_in = threading.Barrier(2, timeout=5)
+    kron = MonomialGather.kron
+
+    def meeting(factors):
+        try:
+            both_in.wait()
+        except threading.BrokenBarrierError:  # a cache that serializes
+            pass
+        return kron(factors)
+
+    monkeypatch.setattr(MonomialGather, "kron", meeting)
+    for i in (0, 3, None):
+        both_in.reset()
+        sp = make_space(TimeGrid.uniform(0.0, 1.0, 8))
+        got = [None, None]
+
+        def read(j):
+            got[j] = sp._gen(i)
+
+        threads = [threading.Thread(target=read, args=(j,)) for j in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got[0] is got[1] is sp._gens[i]
 
 
 def test_partial_monomial_matrix_has_zero_weights():
@@ -258,7 +364,7 @@ def test_gather_keeps_a_nan_in_its_own_entry():
     sp = _FERMION[4]
     x = np.ones((sp.dim, sp.dim), dtype=complex)
     x[1, 2] = np.nan
-    g = sp._gen_gathers[1]
+    g = sp._gen(1)
     assert np.isnan(g.right(x)).sum() == 1
     assert np.isnan(x @ _JW[4][0][1]).sum() > 1
 

@@ -9,6 +9,7 @@ by 10^(-1/2) per decade, which the certificate rejects.
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from cliffsde import (
     OsgoodViolationError,
     bihari_bound,
     certify_osgood,
+    make_coefficient,
     make_modulus,
 )
 
@@ -84,6 +86,24 @@ def test_rho_must_be_nondecreasing():
     # positive everywhere but decreasing between r = 0.1 and r = 1
     with pytest.raises(OsgoodViolationError, match="decreases"):
         certify_osgood(lambda r: r / (1.0 + 100.0 * r * r))
+
+
+@pytest.mark.parametrize("c, decade", [(1e-299, "7 [1e-10, 1e-9]"),
+                                       (1e-300, "6 [1e-9, 1e-8]")])
+def test_a_decade_quadrature_that_is_not_finite_fails_naming_it(c, decade):
+    # 1/rho = 1/(c r^2) near the float limit on the sweep's last decades:
+    # math.fsum's intermediate overflow, or an inf integrand
+    with pytest.raises(OsgoodViolationError,
+                       match=re.escape(f"decade {decade} is inf, not finite")):
+        certify_osgood(lambda r: c * r * r)
+
+
+@pytest.mark.parametrize("scale", [1e-157, 1.4e-155])
+def test_a_radial_scale_near_the_float_floor_raises_the_named_error(scale):
+    # its declared modulus 4 scale^2 r ln(e + 1/r) is about 1e-309
+    with pytest.raises(OsgoodViolationError,
+                       match=re.escape("decade 0 [1e-3, 1e-2] is inf")):
+        make_coefficient("radial_osgood", 4.0, scale=scale)
 
 
 def test_lipschitz_factory_validation():

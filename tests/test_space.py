@@ -413,7 +413,7 @@ def _dense_projection(sp, mat, k):
     pt = np.einsum("ajbj->ab", mat.reshape(lo, hi, lo, hi)) / hi
     out = np.kron(pt, np.eye(hi, dtype=complex))
     if k % 2 == 1:
-        u = sp._gen_gathers[k].dense() @ sp._gamma_gather.dense()
+        u = sp._gen(k).dense() @ sp._gen(None).dense()
         out = (u @ out @ u.conj().T + out) * 0.5
     return out
 
@@ -443,12 +443,16 @@ def test_projections_are_the_dense_kron_and_flip_up_to_zero_signs(key, data,
 
 def test_projections_leave_no_allocation_behind():
     # E(x | k) at every level of an n = 12 space holds nothing afterwards
-    # through space.py; a cache of one identity per size held about
-    # 20 KiB here and 5.34 MiB at n = 20
+    # through space.py once the first pass has formed the odd levels'
+    # generator gathers and Gamma, which the space keeps; a cache of one
+    # identity per size held about 20 KiB here and 5.34 MiB at n = 20
     sp = make_space(TimeGrid.uniform(0.0, 1.0, 12), max_generators=12)
     src = np.random.default_rng(12)
     x = sp.element(src.standard_normal((sp.dim, sp.dim))
                    + 1j * src.standard_normal((sp.dim, sp.dim)))
+    for level in range(sp.n_gen + 1):
+        conditional_expect(x, level)
+    assert set(sp._gens) == {*range(1, sp.n_gen, 2), None}
     tracemalloc.start(25)
     try:
         for level in range(sp.n_gen + 1):

@@ -521,7 +521,7 @@ def _assert_drawn_value(sp, x, k):
     sub = sp._factor_space(max(1, (k + 1) // 2))
     assert expand(restrict(x, sub), sp).mat.tobytes() == x.mat.tobytes()
     if k % 2 == 1:
-        u = sp._gen_gathers[k].dense() @ sp._gamma_gather.dense()
+        u = sp._gen(k).dense() @ sp._gen(None).dense()
         assert np.array_equal(u @ x.mat @ u.conj().T, x.mat)
     assert abs(lp_norm(x, 2) - 1.0) <= 2 * np.finfo(float).eps
 
