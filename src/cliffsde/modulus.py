@@ -49,12 +49,20 @@ def _gauss(f, a: float, b: float) -> float:
 
 def _inverse_quad(rho, a: float, b: float) -> float:
     """int_a^b dr / rho(r) for 0 < a <= b, one panel per decade of log10 r
-    (with r = 10^s, dr = ln(10) r ds)."""
+    (r = 10^s, dr = ln(10) r ds); inf on overflow; a rho not > 0 raises."""
+    def inverse(s):
+        if not (v := rho(r := 10.0 ** s)) > 0:
+            raise OsgoodViolationError(f"rho({r!r}) = {v!r}, not > 0: 1/rho "
+                                       f"is not finite where rho underflows")
+        return r / v
+
     lo, hi = math.log10(a), math.log10(b)
     cuts = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]
-    return math.log(10.0) * math.fsum(
-        _gauss(lambda s: 10.0 ** s / rho(10.0 ** s), s0, s1)
-        for s0, s1 in zip(cuts, cuts[1:]))
+    try:
+        return math.log(10.0) * math.fsum(
+            _gauss(inverse, s0, s1) for s0, s1 in zip(cuts, cuts[1:]))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -115,10 +123,7 @@ def certify_osgood(rho, name: str = "") -> list:
     incs = []
     for k in range(round(-math.log10(CERT_EPS_HI)),
                    round(-math.log10(CERT_EPS_LO))):
-        try:
-            inc = _inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k)
-        except OverflowError:
-            inc = math.inf
+        inc = _inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k)
         if not math.isfinite(inc):
             raise OsgoodViolationError(
                 f"{label}: divergence certificate failed — quadrature of "
@@ -151,9 +156,9 @@ def bihari_bound(u0: float, phi, modulus: OsgoodModulus, t: float,
         raise ArgumentError(f"u0 must be finite and >= 0, got {u0}", key="u0")
     if not -math.inf < t0 < math.inf:
         raise ArgumentError(f"t0 must be finite, got {t0}", key="t0")
-    if not t0 <= t < math.inf:
-        raise ArgumentError(f"t={t} must be finite and not before t0={t0}",
-                            key="t")
+    if not 0 <= t - t0 < math.inf:  # a span that overflows is not finite
+        raise ArgumentError(f"t={t} must be finite, not before t0={t0} and "
+                            f"at a finite span from it", key="t")
     # a constant phi is checked itself, a callable one by its integral
     big_phi = _gauss(phi, t0, t) if callable(phi) else float(phi)
     if not 0 <= big_phi < math.inf:
@@ -163,10 +168,8 @@ def bihari_bound(u0: float, phi, modulus: OsgoodModulus, t: float,
         big_phi *= t - t0
     if u0 == 0.0:
         return 0.0
-    if modulus.is_lipschitz and modulus.lipschitz_constant == 0.0:
-        return u0  # rho == 0: no growth at all
-    if big_phi == 0.0:
-        return u0
+    if big_phi == 0.0 or modulus.lipschitz_constant == 0.0:
+        return u0  # no forcing, or rho == 0: no growth at all
 
     # U(r) = int_{u0}^{r} ds / rho(s), the baseline drops out of the bound;
     # double r until U(r) reaches int phi, accumulating U one doubling at a

@@ -8,8 +8,10 @@ The problem solved on a grid is the fixed-point equation
 
 with all integrals left-endpoint sums, R a strict L^p contraction and
 F, G, H coefficient maps with certified (Lipschitz or Osgood) moduli.
-Successive approximation replaces the integrand by the previous iterate;
-each node value, held as its level factor (see
+``_NodeEquation``, built once per solve, is its one writer: the sweeps,
+their residual check and :func:`residual` read its sums, heads and
+residuals.  Successive approximation replaces the integrand by the
+previous iterate; each node value, held as its level factor (see
 :meth:`CliffordSpace.level_space`), is then solved for the implicit R
 term by a fixed-point loop: three plain steps, then safeguarded secant
 (depth-one Anderson) steps (:func:`inner_fixed_point`).  The sums are
@@ -344,13 +346,6 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header] + [",".join(map(repr, r)) for r in rows]) + "\n"
 
 
-def _factors(problem: QsdeProblem, values) -> list:
-    """The level factor of each full-space value at nodes k0, k0 + 1, ..."""
-    sp = problem.space
-    return [restrict(x, sp.level_space(k))
-            for k, x in enumerate(values, problem.start_node)]
-
-
 def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement:
     """fn(x, *t) for the map ``label`` at ``node``, which must lie in x's space."""
     y = fn(x, *t)
@@ -361,33 +356,54 @@ def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement
     return y
 
 
-def _cumulative_integrals(problem: QsdeProblem, values, known=()):
-    """M_k for all nodes k0..n from the level factors of the integrand at
-    k0..n-1, no zero map's term formed: step k is ``_driver_step``'s, in
-    node k+1's level space with increment k's gather there.  ``known``
-    holds M_k0, M_k0+1, ... summed from these values; the sum goes on."""
-    sp, grid = problem.space, problem.space.grid
-    sums = list(known) or [sp.level_space(problem.start_node).zero()]
-    acc, done = sums[-1], len(sums) - 1
-    live = [r for r in "FGH" if not _is_zero_map(getattr(problem, r))]
+class _NodeEquation:
+    """X_k = Z + R(X) + M_k[X] at the nodes k = k0 + i on level factors, the
+    one writer of the discrete equation; ``zs[i]`` and ``rs[i]`` are Z's
+    factor and R, its image checked by :func:`_image`, at node k0 + i."""
 
-    def image(r, k, x):  # F, G or delta_k H at node k, as a matrix
-        y = _image(r, getattr(problem, r), k, x, grid.node(k))
-        return (grid.delta(k) * y if r == "H" else y).mat
+    def __init__(self, problem: QsdeProblem):
+        sp, self.problem, self.k0 = problem.space, problem, problem.start_node
+        ks = range(self.k0, sp.grid.n + 1)
+        self.zs = [restrict(problem.Z, sp.level_space(k)) for k in ks]
+        self.rs = [partial(_image, "R", problem.R, k) for k in ks]
+        self.live = [r for r in "FGH" if not _is_zero_map(getattr(problem, r))]
 
-    for k, x in zip(range(problem.start_node + done, grid.n), values[done:]):
-        nsp, g, *mats = _driver_step(sp, problem.driver, k,
-                                     *[image(r, k, x) for r in live])
-        # the first add makes a new array (m may be acc's own); np.add, not
-        # +, whose temporary elision nearly doubles nonlocal_linear's faults
-        m = _at_size(acc.mat, nsp.dim)
-        for j, r in enumerate(live):
-            term = {"F": g.right, "G": g.left}.get(r, lambda a: a)
-            m = np.add(m, term(mats[j]), out=m if j else None)
-        del mats  # not held while the next step forms its images
-        acc = CliffordElement(nsp, m, _fresh=True)
-        sums.append(acc)
-    return sums
+    def extend(self, values, sums: list) -> list:
+        """``sums``, M at nodes k0, k0 + 1, ... ([]: none), extended to node
+        n: M_k+1 is M_k plus ``_driver_step`` k's terms of X_k, the factor
+        in ``values`` (nodes k0..), no zero map's term formed."""
+        prob, grid = self.problem, self.problem.space.grid
+        sums = sums or [prob.space.level_space(self.k0).zero()]
+
+        def image(r, k, x):  # F, G or delta_k H at node k, as a matrix
+            y = _image(r, getattr(prob, r), k, x, grid.node(k))
+            return (grid.delta(k) * y if r == "H" else y).mat
+
+        for i in range(len(sums) - 1, len(self.zs) - 1):
+            k, x = self.k0 + i, values[i]
+            nsp, g, *mats = _driver_step(prob.space, prob.driver, k,
+                                         *[image(r, k, x) for r in self.live])
+            # the first add makes a new array (m may be M_k's); np.add, not
+            # +, whose temporary elision nearly doubles nonlocal_linear's faults
+            m = _at_size(sums[i].mat, nsp.dim)
+            for j, r in enumerate(self.live):
+                term = {"F": g.right, "G": g.left}.get(r, lambda a: a)
+                m = np.add(m, term(mats[j]), out=m if j else None)
+            del mats  # not held while the next step forms its images
+            sums.append(CliffordElement(nsp, m, _fresh=True))
+        return sums
+
+    def residuals(self, values, sums: list) -> list:
+        """|| X_k - Z - R(X) - M_k[X] ||_p at each node, ``sums`` extended
+        as by :meth:`extend`; R reads X_k, or X_k0 in initial mode."""
+        sums = self.extend(values, sums)
+        if self.problem.nonlocal_mode == "pointwise":
+            heads = [z + r(x) for z, r, x in zip(self.zs, self.rs, values)]
+        else:
+            head = self.zs[0] + self.rs[0](values[0])
+            heads = [expand(head, x.space) for x in values]
+        return [lp_norm(x - h - m, self.problem.p)
+                for x, h, m in zip(values, heads, sums)]
 
 
 # overflowing data turn to inf/NaN in the sweeps; the named non-finite
@@ -421,9 +437,9 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     inner_tol = tol * (1.0 - cr) / 10.0
     residual_bound = tol * (1.0 + cr) / (1.0 - cr)
 
-    zs = _factors(problem, [problem.Z] * n_nodes)
+    eq = _NodeEquation(problem)
     if initial is None:
-        current = zs
+        current = eq.zs
     else:
         if initial.space != sp:
             raise ConfigurationError(
@@ -441,20 +457,19 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
 
     for sweep in range(1, max_outer + 1):
         held = min(sweep - 1, n_nodes)
-        integrals = _cumulative_integrals(problem, current, integrals[:held])
+        integrals = eq.extend(current, integrals[:held])
         inner_count = 0
         nxt = current[:held]
         try:
             if problem.nonlocal_mode == "pointwise":
                 for i in range(held, n_nodes):
                     if zero_r:  # the inner solve's value at step 1 (d = 0)
-                        nxt.append(zs[i] + integrals[i])
+                        nxt.append(eq.zs[i] + integrals[i])
                         inner_count += 1
                         if not np.isfinite(nxt[-1].mat).all():
                             raise _non_finite_step(k0 + i, [math.nan], [1])
                         continue
-                    r_map = partial(_image, "R", problem.R, k0 + i)
-                    sol = inner_fixed_point(integrals[i], r_map, zs[i],
+                    sol = inner_fixed_point(integrals[i], eq.rs[i], eq.zs[i],
                                             problem.p, inner_tol, max_inner,
                                             guess=current[i], node=k0 + i)
                     nxt.append(sol.value)
@@ -463,8 +478,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
             else:
                 if sweep == 1:  # the head's equation (M = 0) never changes
                     head = inner_fixed_point(
-                        zs[0].space.zero(),
-                        partial(_image, "R", problem.R, k0), zs[0],
+                        eq.zs[0].space.zero(), eq.rs[0], eq.zs[0],
                         problem.p, inner_tol, max_inner, guess=current[0],
                         node=k0)
                     inner_count = head.iterations
@@ -503,7 +517,7 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
         current = nxt
 
         if delta < tol:
-            res = _node_residuals(current, problem, integrals[:held + 1])
+            res = eq.residuals(current, integrals[:held + 1])
             if max(res) < residual_bound:
                 # the check AdaptedProcess makes of every value it holds
                 for node, d in enumerate(defects, k0):
@@ -517,23 +531,6 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
     )
 
 
-def _node_residuals(values, problem: QsdeProblem, known=()):
-    """|| X_k - Z - R(X) - M_k[X] ||_p at every node, from level factors;
-    ``known`` as for :func:`_cumulative_integrals`."""
-    integrals = _cumulative_integrals(problem, values, known)
-    zs, k0 = _factors(problem, [problem.Z] * len(values)), problem.start_node
-    if problem.nonlocal_mode == "pointwise":
-        heads = [z + _image("R", problem.R, k, x)
-                 for k, (z, x) in enumerate(zip(zs, values), k0)]
-    else:
-        head = zs[0] + _image("R", problem.R, k0, values[0])
-        heads = [expand(head, x.space) for x in values]
-    return [
-        lp_norm(x - h - m, problem.p)
-        for x, h, m in zip(values, heads, integrals)
-    ]
-
-
 def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
     """sup over nodes of || X_k - Z - R(X) - M_k[X] ||_p, with the
     integrals recomputed from the trajectory's level factors."""
@@ -543,7 +540,7 @@ def residual(trajectory: AdaptedProcess, problem: QsdeProblem) -> float:
     if trajectory.start_node != problem.start_node or \
             trajectory.last_node != problem.space.grid.n:
         raise ValueError("trajectory does not cover the problem's node range")
-    return max(_node_residuals(trajectory.factors, problem))
+    return max(_NodeEquation(problem).residuals(trajectory.factors, []))
 
 
 def forward_euler_oracle(problem: QsdeProblem) -> AdaptedProcess:

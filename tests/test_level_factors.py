@@ -167,13 +167,13 @@ def test_picard_solve_builds_no_dense_increment(monkeypatch, mode):
 
 def test_a_written_solve_computes_the_node_residuals_once(monkeypatch):
     calls = []
-    real = solver_module._node_residuals
+    real = solver_module._NodeEquation.residuals
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(solver_module, "_node_residuals", counted)
+    monkeypatch.setattr(solver_module._NodeEquation, "residuals", counted)
     report = picard_solve(make_problem("nonlocal_linear", n=6))
     report.trajectory_csv()
     report.iteration_csv()

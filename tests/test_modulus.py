@@ -179,12 +179,14 @@ def test_negative_forcing_rejected():
     ({"phi": -1.0}, "phi"), ({"phi": lambda s: -s}, "phi"),
     ({"t": math.nan}, "t"), ({"t": math.inf}, "t"),
     ({"t": 0.0, "t0": 0.5}, "t"), ({"t0": math.nan}, "t0"),
-    ({"t0": -math.inf}, "t0"),
+    ({"t0": -math.inf}, "t0"), ({"t": 1e308, "t0": -1e308}, "t"),
+    ({"t": 1e308, "t0": -1e308, "phi": 0.0}, "t"),
 ])
 def test_bihari_arguments_out_of_domain_are_named(args, key):
     # a NaN phi, t or t0 returned a bound (2.0 here), an infinite u0 or t
     # failed to bracket, a NaN u0 raised from inside the quadrature, and a
-    # negative phi was not told apart from a negative u0
+    # negative phi was not told apart from a negative u0; a span t - t0
+    # that overflows failed to bracket, or with phi = 0 returned 2.0
     args = {"u0": 1.0, "phi": 1.0, "modulus": make_modulus("linear"),
             "t": 1.0, **args}
     with pytest.raises(ArgumentError, match=rf"^{key}\b") as exc:
@@ -200,6 +202,26 @@ def test_zero_horizon_returns_start():
 def test_zero_lipschitz_never_grows():
     m = OsgoodModulus.from_lipschitz(0.0)
     assert bihari_bound(0.3, 5.0, m, 10.0) == 0.3
+
+
+@pytest.mark.parametrize("modulus, u0, r", [
+    (make_modulus("linear", 1e-155), 1e-300, "1.0009487229755075e-300"),
+    (make_modulus("log", 1e-160), 1e-300, "1.0009487229755075e-300"),
+    (make_modulus("linear", 5e-324), 1.0, "1.000948722975531"),
+])
+def test_a_rho_that_underflows_to_0_raises_naming_the_r(modulus, u0, r):
+    # rho(r) underflowed to 0 inside the bracket, and 10^s / rho(10^s)
+    # raised a bare ZeroDivisionError
+    with pytest.raises(OsgoodViolationError,
+                       match=re.escape(f"rho({r}) = 0.0, not > 0")):
+        bihari_bound(u0, 1.0, modulus, 1.0)
+
+
+@pytest.mark.parametrize("scale", [9e-155, 1e-154, 1.05e-154])
+def test_an_inverse_quadrature_that_overflows_bounds_at_the_start(scale):
+    # 1/rho = 1 / scale^2 near the float limit: math.fsum's intermediate
+    # overflow escaped; U(r) then grows past any finite int phi at once
+    assert bihari_bound(1.0, 1.0, make_modulus("linear", scale), 1.0) == 1.0
 
 
 def test_log_bound_dominates_linear():

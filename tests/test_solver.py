@@ -160,11 +160,10 @@ def _resolve_every_node(prob, max_outer=60):
     and the same stopping rule.  Returns (sweeps, factors)."""
     cr = prob.R.contraction
     inner_tol = TOL * (1 - cr) / 10
-    zs = solver_module._factors(
-        prob, [prob.Z] * (prob.space.grid.n - prob.start_node + 1))
-    current = zs
+    eq = solver_module._NodeEquation(prob)
+    current = zs = eq.zs
     for sweep in range(1, max_outer + 1):
-        integrals = solver_module._cumulative_integrals(prob, current)
+        integrals = eq.extend(current, [])
         if prob.nonlocal_mode == "pointwise":
             nxt = [inner_fixed_point(m, prob.R, z, prob.p, inner_tol,
                                      guess=x).value
@@ -175,7 +174,7 @@ def _resolve_every_node(prob, max_outer=60):
             nxt = [expand(head.value, m.space) + m for m in integrals]
         delta = max(lp_norm(a - b, prob.p) for a, b in zip(nxt, current))
         current = nxt
-        if delta < TOL and max(solver_module._node_residuals(current, prob)) \
+        if delta < TOL and max(eq.residuals(current, [])) \
                 < TOL * (1 + cr) / (1 - cr):
             return sweep, current
     raise AssertionError("the reference loop did not converge")
@@ -202,10 +201,11 @@ def test_held_nodes_reach_the_fixed_point_of_re_solving_every_node(
 def test_coefficient_runs_once_on_each_new_node_value(mode, monkeypatch):
     # a sweep's integrals evaluate F at the nodes below n that the previous
     # sweep re-solved (sweep 1: at every initial value), and the final
-    # residual at those the last sweep re-solved; sweep s re-solves s - 1..n
+    # residual at those the last sweep re-solved; sweep s re-solves s - 1..n.
+    # Each extension of the running sums opens a new log entry
     prob = make_problem("nonlocal_linear", n=6, nonlocal_mode=mode)
     n, F = prob.space.grid.n, prob.F
-    sums, log = solver_module._cumulative_integrals, []
+    extend, log = solver_module._NodeEquation.extend, []
 
     def counted(x, t):
         log[-1].append(round(t * n))
@@ -213,13 +213,36 @@ def test_coefficient_runs_once_on_each_new_node_value(mode, monkeypatch):
 
     def marked(*args):
         log.append([])
-        return sums(*args)
+        return extend(*args)
 
-    monkeypatch.setattr(solver_module, "_cumulative_integrals", marked)
+    monkeypatch.setattr(solver_module._NodeEquation, "extend", marked)
     report = picard_solve(prob.replace(F=dataclasses.replace(F, fn=counted),
                                        validate=False), tol=TOL)
     first = [0] + list(range(report.picard_iterations))
     assert log == [list(range(s, n)) for s in first]
+
+
+def test_the_residual_gate_refuses_a_node_value_off_its_equation(
+        monkeypatch):
+    # node 2's inner solve returns its value offset by 1e-6 I in every
+    # sweep: the deltas converge, and only the residual gate, at about
+    # (1 - C(R)) 1e-6 against tol (1 + C(R)) / (1 - C(R)), can refuse it
+    real = solver_module.inner_fixed_point
+
+    def offset(M, R, Z, p, tol, max_inner=200, guess=None, node=None):
+        sol = real(M, R, Z, p, tol, max_inner, guess=guess, node=node)
+        if node != 2:
+            return sol
+        return dataclasses.replace(
+            sol, value=sol.value + 1e-6 * sol.value.space.identity())
+
+    monkeypatch.setattr(solver_module, "inner_fixed_point", offset)
+    prob = make_problem("nonlocal_linear", n=4)
+    report = None
+    with pytest.raises(ConvergenceError, match="no convergence") as exc:
+        report = picard_solve(prob, tol=TOL, max_outer=10)
+    assert report is None
+    assert exc.value.deltas[-1] < TOL
 
 
 def _nan_drift_from(prob, t_bad):
@@ -899,6 +922,20 @@ def test_a_level_3_conditional_solve_matches_the_committed_bytes():
         DATA / "solve_n8_conditional_level3_pointwise.csv").read_bytes()
 
 
+@pytest.mark.parametrize("mode", NONLOCAL_MODES)
+def test_a_solve_from_node_3_matches_the_committed_bytes(mode):
+    # the one pinned solve that starts past node 0, so its node equation
+    # runs at the offsets k0 + i; the fixtures are the output of CI's
+    # n8-start3 configs
+    raw = {**PROBLEMS["nonlocal_conditional"], "solve.start_node": 3,
+           "solve.nonlocal_mode": mode}
+    report = picard_solve(build_problem(raw)[0])
+    assert report.picard_iterations == 7
+    text = report.trajectory_csv() + report.iteration_csv()
+    assert text.encode() == (
+        DATA / f"solve_n8_conditional_start3_{mode}.csv").read_bytes()
+
+
 # -- the built-in zero map's terms are not formed ---------------------------------
 
 _WITH_ZERO_MAP = [name for name, raw in PROBLEMS.items()
@@ -1249,8 +1286,10 @@ def test_picard_solve_rejects_bad_arguments_before_any_sweep(
     def no_sweep(*args):
         raise AssertionError("a sweep ran")
 
+    # no sweep runs without the node equation, which is built after the
+    # arguments are checked
     prob = make_problem("nonlocal_linear", n=4)
-    monkeypatch.setattr(solver_module, "_cumulative_integrals", no_sweep)
+    monkeypatch.setattr(solver_module, "_NodeEquation", no_sweep)
     with pytest.raises(ValueError, match=name):
         picard_solve(prob, **kwargs)
 
