@@ -47,14 +47,16 @@ def _gauss(f, a: float, b: float) -> float:
                             for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
-def _inverse_quad(rho, a: float, b: float) -> float:
+def _inverse_quad(rho, a: float, b: float, label: str) -> float:
     """int_a^b dr / rho(r) for 0 < a <= b, one panel per decade of log10 r
-    (r = 10^s, dr = ln(10) r ds); inf on overflow; a rho not > 0 raises."""
+    (r = 10^s, dr = ln(10) r ds); inf on overflow; rho(r) = 0 raises."""
     def inverse(s):
-        if not (v := rho(r := 10.0 ** s)) > 0:
-            raise OsgoodViolationError(f"rho({r!r}) = {v!r}, not > 0: 1/rho "
-                                       f"is not finite where rho underflows")
-        return r / v
+        v = rho(r := 10.0 ** s)
+        try:
+            return r / v
+        except ZeroDivisionError:
+            raise OsgoodViolationError(f"{label}: rho({r!r}) = {v!r}, so "
+                                       f"1/rho is not finite there") from None
 
     lo, hi = math.log10(a), math.log10(b)
     cuts = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]
@@ -123,7 +125,7 @@ def certify_osgood(rho, name: str = "") -> list:
     incs = []
     for k in range(round(-math.log10(CERT_EPS_HI)),
                    round(-math.log10(CERT_EPS_LO))):
-        inc = _inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k)
+        inc = _inverse_quad(rho, 10.0 ** -(k + 1), 10.0 ** -k, label)
         if not math.isfinite(inc):
             raise OsgoodViolationError(
                 f"{label}: divergence certificate failed — quadrature of "
@@ -175,9 +177,9 @@ def bihari_bound(u0: float, phi, modulus: OsgoodModulus, t: float,
     # double r until U(r) reaches int phi, accumulating U one doubling at a
     # time, then bisect that doubling [a, 2a] until the midpoint stops
     # moving (a relative stop: lo and hi are adjacent floats)
-    rho, a, u_a = modulus.rho, u0, 0.0
+    rho, a, u_a, label = modulus.rho, u0, 0.0, modulus.name or "modulus"
     while (2.0 * a < math.inf
-           and (u_b := u_a + _inverse_quad(rho, a, 2.0 * a)) < big_phi):
+           and (u_b := u_a + _inverse_quad(rho, a, 2.0 * a, label)) < big_phi):
         a, u_a = 2.0 * a, u_b
     if 2.0 * a == math.inf:
         raise ConvergenceError(
@@ -186,7 +188,7 @@ def bihari_bound(u0: float, phi, modulus: OsgoodModulus, t: float,
         )
     lo, hi = a, 2.0 * a
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if u_a + _inverse_quad(rho, a, mid) >= big_phi:
+        if u_a + _inverse_quad(rho, a, mid, label) >= big_phi:
             hi = mid
         else:
             lo = mid

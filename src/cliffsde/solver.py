@@ -8,19 +8,19 @@ The problem solved on a grid is the fixed-point equation
 
 with all integrals left-endpoint sums, R a strict L^p contraction and
 F, G, H coefficient maps with certified (Lipschitz or Osgood) moduli.
-``_NodeEquation``, built once per solve, is its one writer: the sweeps,
-their residual check and :func:`residual` read its sums, heads and
-residuals.  Successive approximation replaces the integrand by the
-previous iterate; each node value, held as its level factor (see
-:meth:`CliffordSpace.level_space`), is then solved for the implicit R
+``_NodeEquation`` holds Z and R at each node, the running sums and the node
+residual, read by the sweeps (each keeps its mode and zero-R branches),
+their check and :func:`residual`.  Successive approximation replaces the
+integrand by the previous iterate; each node value, held as its level factor
+(see :meth:`CliffordSpace.level_space`), is then solved for the implicit R
 term by a fixed-point loop: three plain steps, then safeguarded secant
-(depth-one Anderson) steps (:func:`inner_fixed_point`).  The sums are
-lower triangular: M_k reads only nodes below k, so node k's equation is
-final once nodes k0..k-1 are, and sweep s re-solves only nodes
-k0 + s - 1 .. n, holding the others at their values, integrals and
-diagnostics of the sweep that solved them.  A run therefore ends by sweep
-n - k0 + 2, which holds every node.  With R = 0 the scheme telescopes to
-the explicit Euler recursion.
+(depth-one Anderson) steps (:func:`inner_fixed_point`).  The sums are lower
+triangular: M_k reads only nodes below k, so node k's equation is final once
+nodes k0..k-1 are, and sweep s re-solves only nodes k0 + s - 1 .. n,
+holding the others at their values, integrals and diagnostics of the sweep
+that solved them.  A run therefore ends by sweep n - k0 + 2, which holds
+every node.  With R = 0 the scheme telescopes to the explicit Euler
+recursion.
 
 ``nonlocal_mode="pointwise"`` applies R to X_t at every node (the default,
 matching the iteration equation); ``"initial"`` applies it only inside the
@@ -357,9 +357,8 @@ def _image(label: str, fn, node: int, x: CliffordElement, *t) -> CliffordElement
 
 
 class _NodeEquation:
-    """X_k = Z + R(X) + M_k[X] at the nodes k = k0 + i on level factors, the
-    one writer of the discrete equation; ``zs[i]`` and ``rs[i]`` are Z's
-    factor and R, its image checked by :func:`_image`, at node k0 + i."""
+    """X_k = Z + R(X) + M_k[X] at the nodes k = k0 + i on level factors;
+    ``zs[i]`` and ``rs[i]`` are Z's factor and R (via :func:`_image`) there."""
 
     def __init__(self, problem: QsdeProblem):
         sp, self.problem, self.k0 = problem.space, problem, problem.start_node
@@ -369,11 +368,11 @@ class _NodeEquation:
         self.live = [r for r in "FGH" if not _is_zero_map(getattr(problem, r))]
 
     def extend(self, values, sums: list) -> list:
-        """``sums``, M at nodes k0, k0 + 1, ... ([]: none), extended to node
-        n: M_k+1 is M_k plus ``_driver_step`` k's terms of X_k, the factor
-        in ``values`` (nodes k0..), no zero map's term formed."""
+        """A copy of ``sums``, M at nodes k0, k0 + 1, ... ([]: none), extended
+        to node n: M_k+1 is M_k plus ``_driver_step`` k's terms of X_k, the
+        factor in ``values`` (nodes k0..), no zero map's term formed."""
         prob, grid = self.problem, self.problem.space.grid
-        sums = sums or [prob.space.level_space(self.k0).zero()]
+        sums = list(sums) or [prob.space.level_space(self.k0).zero()]
 
         def image(r, k, x):  # F, G or delta_k H at node k, as a matrix
             y = _image(r, getattr(prob, r), k, x, grid.node(k))
@@ -478,9 +477,8 @@ def picard_solve(problem: QsdeProblem, tol: float = 1e-10,
             else:
                 if sweep == 1:  # the head's equation (M = 0) never changes
                     head = inner_fixed_point(
-                        eq.zs[0].space.zero(), eq.rs[0], eq.zs[0],
-                        problem.p, inner_tol, max_inner, guess=current[0],
-                        node=k0)
+                        eq.zs[0].space.zero(), eq.rs[0], eq.zs[0], problem.p,
+                        inner_tol, max_inner, guess=current[0], node=k0)
                     inner_count = head.iterations
                 nxt += [expand(head.value, m_k.space) + m_k
                         for m_k in integrals[held:]]

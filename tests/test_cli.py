@@ -110,7 +110,8 @@ def test_bihari_with_a_rho_that_underflows_exits_2_naming_rho(capsys, argv):
     code, out, err = _run(capsys, "bihari", *argv, "--horizon", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("config error (--rho): rho(")
+    assert err.startswith(f"config error (--rho): {argv[1]}({argv[3]}): rho(")
+    assert err.endswith(") = 0.0, so 1/rho is not finite there\n")
     assert err.count("\n") == 1
 
 

@@ -88,6 +88,21 @@ def test_rho_must_be_nondecreasing():
         certify_osgood(lambda r: r / (1.0 + 100.0 * r * r))
 
 
+@pytest.mark.parametrize("dip, message", [
+    (0.0, "dip: rho(1.0031550622234703e-05) = 0.0, so 1/rho is not finite"),
+    (math.nan, "dip: divergence certificate failed — quadrature of 1/rho "
+               "over decade 2 [1e-5, 1e-4] is nan, not finite"),
+    (-1.0, "dip: divergence certificate failed — quadrature of 1/rho gains "
+           "-9.000e-05 over decade 2"),
+])
+def test_a_rho_that_dips_between_the_samples_fails_under_its_label(dip,
+                                                                   message):
+    # rho(r) = r at the five shape samples; only the decade quadrature
+    # reads the dip on (1e-5, 1e-4).  A 0 there raised ZeroDivisionError
+    with pytest.raises(OsgoodViolationError, match=re.escape(message)):
+        certify_osgood(lambda r: dip if 1e-5 < r < 1e-4 else r, name="dip")
+
+
 @pytest.mark.parametrize("c, decade", [(1e-299, "7 [1e-10, 1e-9]"),
                                        (1e-300, "6 [1e-9, 1e-8]")])
 def test_a_decade_quadrature_that_is_not_finite_fails_naming_it(c, decade):
@@ -212,8 +227,8 @@ def test_zero_lipschitz_never_grows():
 def test_a_rho_that_underflows_to_0_raises_naming_the_r(modulus, u0, r):
     # rho(r) underflowed to 0 inside the bracket, and 10^s / rho(10^s)
     # raised a bare ZeroDivisionError
-    with pytest.raises(OsgoodViolationError,
-                       match=re.escape(f"rho({r}) = 0.0, not > 0")):
+    with pytest.raises(OsgoodViolationError, match=re.escape(
+            f"{modulus.name}: rho({r}) = 0.0, so 1/rho is not finite")):
         bihari_bound(u0, 1.0, modulus, 1.0)
 
 
